@@ -4,13 +4,19 @@
 //!
 //! ```text
 //! cargo run --release -p retime-bench --example time_one -- s35932
+//! RETIME_TRACE=1 cargo run --release -p retime-bench --example time_one -- s35932
 //! ```
+//!
+//! With `RETIME_TRACE=1` the run is recorded and the self-time profile
+//! is printed to stderr on exit (`RETIME_TRACE_OUT=path` also writes the
+//! Chrome-trace JSON), like every table binary.
 
 use retime_bench::load_suite;
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use std::time::Instant;
 fn main() {
+    let _trace = retime_bench::trace_session();
     let lib = Library::fdsoi28();
     let name = std::env::args().nth(1).unwrap_or_else(|| "s35932".into());
     std::env::set_var("RETIME_SUITE", "full");

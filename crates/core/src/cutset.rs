@@ -1,9 +1,17 @@
 //! The target-master cut-set `g(t)` of Eqs. (8)–(9), in both the
 //! deterministic and the statistical (margined-arrival) formulations.
+//!
+//! Every step of a target's classification touches only its fan-in cone
+//! `FIC(t)`: the backward pass walks and sweeps the cone, the frontier
+//! search and the `worst_initial` fold iterate it, and the soundness
+//! check builds the canonical cut with one closure walk from `g(t)` and
+//! propagates the sink's arrival over the cone alone. [`classify_many`]
+//! keeps all cloud-sized buffers in one scratch per worker.
 
-use retime_netlist::NodeId;
+use retime_liberty::DelayArc;
+use retime_netlist::{CombCloud, ConeWalk, NodeId};
 use retime_sta::{BackwardPass, DelayModel, SinkClass, TimingAnalysis};
-use retime_stat::{StatBackward, StatTiming};
+use retime_stat::{Canon, StatBackward, StatTiming};
 
 /// Small tolerance absorbing floating-point noise against `Π`.
 const EPS: f64 = 1e-9;
@@ -24,14 +32,11 @@ const EPS: f64 = 1e-9;
 /// the source placements meet `Π`) — callers should have classified the
 /// sink first ([`TimingAnalysis::classify_sink`]).
 pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
-    let t = bp.sink();
     let pi = sta.clock().period();
     let cloud = sta.cloud();
     let mut out = Vec::new();
-    for v in cloud.fanin_cone(t) {
-        if v == t {
-            continue;
-        }
+    // The cone lists the sink first; g(t) never contains it.
+    for &v in &bp.cone()[1..] {
         let node = cloud.node(v);
         // ∃ fanout edge whose latch placement meets Π.
         let ok_beyond = node
@@ -57,6 +62,30 @@ pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
     out
 }
 
+/// Scratch for the canonical-cut soundness check: the moved set (the
+/// fan-in closure of `g(t)`) and a cloud-sized forward-arrival buffer of
+/// which only the sink's cone is ever written.
+struct CanonicalCut<A> {
+    moved: ConeWalk,
+    arr: Vec<A>,
+}
+
+impl<A: Clone + Default> CanonicalCut<A> {
+    fn new(cloud: &CombCloud) -> Self {
+        CanonicalCut {
+            moved: ConeWalk::new(cloud),
+            arr: vec![A::default(); cloud.len()],
+        }
+    }
+
+    /// Moves exactly the union of `g`'s fan-in closures (the minimal
+    /// movement past the frontier); `false` if that is not a legal cut.
+    fn place(&mut self, cloud: &CombCloud, g: &[NodeId]) -> bool {
+        self.moved.walk(cloud, g.iter().copied());
+        self.moved.is_valid_moved_set(cloud)
+    }
+}
+
 /// Authoritative endpoint classification for G-RAR, refining
 /// [`TimingAnalysis::classify_sink`] with the full Eq. (5) model:
 ///
@@ -68,19 +97,23 @@ pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
 /// * **always** error-detecting otherwise (including the case where the
 ///   latch D-to-Q delay alone pushes every placement past `Π`, which the
 ///   coarse pure-path test misses).
+///
+/// Allocates cloud-sized scratch per call; [`classify_many`] reuses one
+/// per worker instead.
 pub fn classify_and_cut_set(
     sta: &TimingAnalysis<'_>,
     bp: &BackwardPass,
 ) -> (SinkClass, Vec<NodeId>) {
-    let t = bp.sink();
+    classify_det(sta, bp, &mut CanonicalCut::new(sta.cloud()))
+}
+
+fn classify_det(
+    sta: &TimingAnalysis<'_>,
+    bp: &BackwardPass,
+    cc: &mut CanonicalCut<DelayArc>,
+) -> (SinkClass, Vec<NodeId>) {
     let pi = sta.clock().period();
-    let cloud = sta.cloud();
-    let worst_initial = cloud
-        .sources()
-        .iter()
-        .filter_map(|&s| sta.a_host(s, bp))
-        .fold(f64::NEG_INFINITY, f64::max);
-    if worst_initial <= pi + EPS {
+    if sta.worst_initial(bp) <= pi + EPS {
         return (SinkClass::NeverErrorDetecting, Vec::new());
     }
     let g = cut_set(sta, bp);
@@ -88,27 +121,14 @@ pub fn classify_and_cut_set(
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
     // Soundness check for the pseudo-node reward: evaluate the *canonical*
-    // cut that moves exactly the union of g(t)'s fan-in closures (the
-    // minimal movement past the frontier) and verify the arrival at t
-    // actually meets Π under the full timing model. This is exact for the
-    // cut the pseudo node promises, including tap branches whose safe
-    // positions lie beyond the frontier.
-    let mut cut = retime_netlist::Cut::initial(cloud);
-    for &gv in &g {
-        for u in cloud.fanin_cone(gv) {
-            cut.set_moved(u, true);
-        }
-    }
-    if cut.validate(cloud).is_err() {
+    // cut that moves exactly the union of g(t)'s fan-in closures and
+    // verify the arrival at t actually meets Π under the full timing
+    // model. This is exact for the cut the pseudo node promises,
+    // including tap branches whose safe positions lie beyond the frontier.
+    if !cc.place(sta.cloud(), &g) {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    let timing = sta.cut_timing(&cut);
-    let sink_idx = cloud
-        .sinks()
-        .iter()
-        .position(|&x| x == t)
-        .expect("t is a sink");
-    if timing.sink_arrivals[sink_idx] <= pi + EPS {
+    if sta.sink_arrival_with_moved(bp, &cc.moved, &mut cc.arr) <= pi + EPS {
         (SinkClass::Target, g)
     } else {
         (SinkClass::AlwaysErrorDetecting, Vec::new())
@@ -121,14 +141,10 @@ pub fn classify_and_cut_set(
 /// the period at the target yield". At sigma = 0 the margined arrivals
 /// are bitwise the deterministic ones and the two frontiers coincide.
 pub fn cut_set_stat(st: &StatTiming<'_>, sb: &StatBackward) -> Vec<NodeId> {
-    let t = sb.sink();
     let pi = st.period();
     let cloud = st.cloud();
     let mut out = Vec::new();
-    for v in cloud.fanin_cone(t) {
-        if v == t {
-            continue;
-        }
+    for &v in &sb.cone()[1..] {
         let node = cloud.node(v);
         let ok_beyond = node
             .fanout
@@ -161,33 +177,27 @@ pub fn classify_and_cut_set_stat(
     st: &StatTiming<'_>,
     sb: &StatBackward,
 ) -> (SinkClass, Vec<NodeId>) {
-    let t = sb.sink();
+    classify_stat(st, sb, &mut CanonicalCut::new(st.cloud()))
+}
+
+fn classify_stat(
+    st: &StatTiming<'_>,
+    sb: &StatBackward,
+    cc: &mut CanonicalCut<Canon>,
+) -> (SinkClass, Vec<NodeId>) {
     let pi = st.period();
-    let cloud = st.cloud();
-    let worst_initial = st.worst_initial_margined(sb);
-    if worst_initial <= pi + EPS {
+    if st.worst_initial_margined(sb) <= pi + EPS {
         return (SinkClass::NeverErrorDetecting, Vec::new());
     }
     let g = cut_set_stat(st, sb);
     if g.is_empty() {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    let mut cut = retime_netlist::Cut::initial(cloud);
-    for &gv in &g {
-        for u in cloud.fanin_cone(gv) {
-            cut.set_moved(u, true);
-        }
-    }
-    if cut.validate(cloud).is_err() {
+    if !cc.place(st.cloud(), &g) {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    let canons = st.cut_sink_canons(&cut);
-    let sink_idx = cloud
-        .sinks()
-        .iter()
-        .position(|&x| x == t)
-        .expect("t is a sink");
-    if st.margined(&canons[sink_idx]) <= pi + EPS {
+    let arrival = st.sink_canon_with_moved(sb, &cc.moved, &mut cc.arr);
+    if st.margined(&arrival) <= pi + EPS {
         (SinkClass::Target, g)
     } else {
         (SinkClass::AlwaysErrorDetecting, Vec::new())
@@ -197,9 +207,11 @@ pub fn classify_and_cut_set_stat(
 /// Batch form of [`classify_and_cut_set`]: classifies every target sink,
 /// fanning the per-target backward pass *and* the cut-set construction —
 /// the dominant cost of a G-RAR run — out across `threads` workers (`0` =
-/// auto, honoring `RETIME_THREADS`). Each worker runs one fused
-/// backward-pass + classification per target, so peak memory stays at one
-/// [`BackwardPass`] per worker rather than one per target.
+/// auto, honoring `RETIME_THREADS`). Each worker owns one scratch — a
+/// reusable [`BackwardPass`], a closure walk and an arrival buffer,
+/// built by [`retime_engine::parallel_map_with`] — so a target costs
+/// O(its cone), and peak memory stays at one cloud-sized scratch per
+/// worker.
 ///
 /// Results are index-aligned with `targets`; parallel and sequential runs
 /// produce bit-identical classes and cut-sets (asserted by the
@@ -207,8 +219,8 @@ pub fn classify_and_cut_set_stat(
 ///
 /// Under [`DelayModel::Statistical`] the statistical mirrors run
 /// instead: one shared [`StatTiming`] (the canonical pure arrivals are
-/// common to every target) and one fused canonical backward pass +
-/// margined classification per worker.
+/// common to every target) and one reusable [`StatBackward`] + margined
+/// classification scratch per worker.
 ///
 /// # Panics
 /// Panics if any target is not a sink.
@@ -217,17 +229,29 @@ pub fn classify_many(
     targets: &[NodeId],
     threads: usize,
 ) -> Vec<(SinkClass, Vec<NodeId>)> {
-    if matches!(sta.delays().model(), DelayModel::Statistical(_)) {
-        let st = StatTiming::new(sta.cloud(), sta.delays(), *sta.clock());
-        return retime_engine::parallel_map(threads, targets, |&t| {
-            let sb = st.backward(t);
-            classify_and_cut_set_stat(&st, &sb)
-        });
+    let cloud = sta.cloud();
+    let delays = sta.delays();
+    if matches!(delays.model(), DelayModel::Statistical(_)) {
+        let st = StatTiming::new(cloud, delays, *sta.clock());
+        return retime_engine::parallel_map_with(
+            threads,
+            targets,
+            || (StatBackward::new(cloud), CanonicalCut::new(cloud)),
+            |(sb, cc), &t| {
+                sb.rerun(cloud, delays, t);
+                classify_stat(&st, sb, cc)
+            },
+        );
     }
-    retime_engine::parallel_map(threads, targets, |&t| {
-        let bp = sta.backward(t);
-        classify_and_cut_set(sta, &bp)
-    })
+    retime_engine::parallel_map_with(
+        threads,
+        targets,
+        || (BackwardPass::new(cloud), CanonicalCut::new(cloud)),
+        |(bp, cc), &t| {
+            bp.rerun(cloud, delays, t);
+            classify_det(sta, bp, cc)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@
 //! # Invariants
 //!
 //! * **Determinism.** The classification fan-out uses the flow engine's
-//!   index-ordered [`retime_engine::parallel_map`], so results are
+//!   index-ordered [`retime_engine::parallel_map_with`] (one cone-local
+//!   scratch per worker), so results are
 //!   bit-identical across thread counts ([`GrarConfig::with_threads`],
 //!   `RETIME_THREADS`).
 //! * **Tracing is observation-only.** [`grar`] runs under a `grar` root

@@ -16,8 +16,9 @@
 //! * [`FlowContext`] — a thin wrapper pairing a flow's working state with
 //!   its [`PhaseTimings`],
 //! * [`parallel`] — scoped-thread fan-out primitives (`std::thread::scope`,
-//!   no external dependencies) with deterministic, index-ordered results;
-//!   the worker count honors the `RETIME_THREADS` environment variable.
+//!   no external dependencies) with deterministic, index-ordered results
+//!   and optional per-worker scratch ([`parallel_map_with`]); the worker
+//!   count honors the `RETIME_THREADS` environment variable.
 //!
 //! The crate depends only on std and `retime-trace`, so every layer of
 //! the workspace — including `retime-sta`, which sits below the flow
@@ -39,5 +40,5 @@
 pub mod parallel;
 pub mod pipeline;
 
-pub use parallel::{parallel_map, parse_thread_override, thread_count};
+pub use parallel::{parallel_map, parallel_map_with, parse_thread_override, thread_count};
 pub use pipeline::{FlowContext, Instrument, PhaseTimings, Pipeline, Stage};

@@ -3,11 +3,11 @@
 //! The paper's profiling (Section VI-B / Table VII discussion) shows the
 //! per-target backward-delay computation dominates G-RAR's runtime while
 //! the network-flow solve is under 2 %. Those backward passes are
-//! independent per endpoint — `TimingAnalysis::backward` takes `&self` —
-//! so they fan out across threads without any locking. The primitives
-//! here are built on `std::thread::scope` (no external dependencies) and
-//! always return results in input order, so parallel and sequential runs
-//! are bit-identical.
+//! independent per endpoint, so they fan out across threads without any
+//! locking, each worker reusing its own scratch ([`parallel_map_with`]).
+//! The primitives here are built on `std::thread::scope` (no external
+//! dependencies) and always return results in input order, so parallel
+//! and sequential runs are bit-identical.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -65,13 +65,40 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    parallel_map_with(threads, items, || (), |_, item| f(item))
+}
+
+/// [`parallel_map`] with per-worker scratch: each worker builds one
+/// scratch value with `init` and lends it mutably to `f` for every item
+/// it takes. Suits per-item work that needs large reusable buffers
+/// (e.g. cloud-sized marks) — they are allocated once per worker rather
+/// than once per item. Results stay in input order, so the output is
+/// independent of the worker count as long as `f`'s result does not
+/// depend on what earlier items left in the scratch.
+///
+/// No scratch is built for an empty `items`.
+///
+/// # Panics
+/// Propagates a panic from `init` or `f` after the scope unwinds its
+/// workers.
+pub fn parallel_map_with<T, S, U, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
     let workers = match threads {
         0 => thread_count(),
         n => n,
     }
-    .min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
+    .min(items.len());
+    if workers <= 1 {
+        let mut scratch = init();
+        return items.iter().map(|item| f(&mut scratch, item)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -79,13 +106,14 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut scratch = init();
                     let mut out: Vec<(usize, U)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        out.push((i, f(&items[i])));
+                        out.push((i, f(&mut scratch, &items[i])));
                     }
                     out
                 })
@@ -151,6 +179,35 @@ mod tests {
         for (i, &(x, _)) in out.iter().enumerate() {
             assert_eq!(i as u64, x);
         }
+    }
+
+    #[test]
+    fn scratch_is_built_once_per_worker_and_reused() {
+        let items: Vec<u64> = (0..200).collect();
+        for threads in [1, 2, 4] {
+            let built = AtomicUsize::new(0);
+            let out = parallel_map_with(
+                threads,
+                &items,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u64>::new()
+                },
+                |buf, &x| {
+                    // The result must not depend on what the scratch held.
+                    buf.clear();
+                    buf.extend(0..=x);
+                    buf.iter().sum::<u64>()
+                },
+            );
+            let want: Vec<u64> = items.iter().map(|&x| x * (x + 1) / 2).collect();
+            assert_eq!(out, want, "threads={threads}");
+            assert!(built.load(Ordering::Relaxed) <= threads);
+        }
+        let empty: Vec<u64> = Vec::new();
+        let out: Vec<u64> =
+            parallel_map_with(4, &empty, || panic!("no scratch"), |_: &mut (), &x| x);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -403,23 +403,11 @@ impl CombCloud {
             .map(|i| NodeId(i as u32))
     }
 
-    /// Nodes in the fan-in cone of `t` (inclusive of `t`), found by reverse
-    /// BFS. Used for the paper's `FIC(t)` computations.
+    /// Nodes in the fan-in cone of `t` (inclusive of `t`, listed first),
+    /// the paper's `FIC(t)`. Allocates cloud-sized scratch per call:
+    /// repeated queries should reuse a [`crate::ConeWalk`] instead.
     pub fn fanin_cone(&self, t: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![t];
-        let mut cone = Vec::new();
-        seen[t.index()] = true;
-        while let Some(u) = stack.pop() {
-            cone.push(u);
-            for &p in &self.nodes[u.index()].fanin {
-                if !seen[p.index()] {
-                    seen[p.index()] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        cone
+        crate::ConeWalk::new(self).walk(self, [t]).to_vec()
     }
 }
 

@@ -11,6 +11,8 @@
 //!   cutting the circuit at its flip-flops (Section III of the paper):
 //!   inputs are (fixed) master-latch outputs, outputs are (fixed)
 //!   master-latch inputs,
+//! * [`ConeWalk`] — reusable fan-in cone walks (epoch-stamped marks,
+//!   reverse post-order), so per-endpoint queries cost O(cone),
 //! * [`Cut`] — a placement of slave latches on the edges of the cloud,
 //!   with validity checking (every input→output path must cross exactly one
 //!   slave latch) and latch counting under fanout sharing.
@@ -36,12 +38,14 @@ pub mod bench;
 pub mod blif;
 pub mod cell;
 pub mod cloud;
+pub mod cone;
 pub mod cut;
 pub mod error;
 pub mod netlist;
 
 pub use cell::{Cell, CellId, Gate};
 pub use cloud::{CloudEdge, CloudNode, CombCloud, NodeId, NodeKind};
+pub use cone::ConeWalk;
 pub use cut::Cut;
 pub use error::NetlistError;
 pub use netlist::{Netlist, NetlistStats};

@@ -2,11 +2,11 @@
 //! arrival model, sink classification, and cut timing.
 
 use retime_liberty::{DelayArc, Library};
-use retime_netlist::{CombCloud, Cut, NodeId};
+use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
 
 use crate::backward::{db_to_any_sink, BackwardPass};
 use crate::clock::TwoPhaseClock;
-use crate::forward::{arrivals_with_cut, pure_arrivals, relaunch};
+use crate::forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, relaunch};
 use crate::model::{DelayModel, NodeDelays, StaError};
 
 /// Classification of a sink (potential master latch) with respect to the
@@ -147,18 +147,6 @@ impl<'a> TimingAnalysis<'a> {
         BackwardPass::run(self.cloud, &self.delays, t)
     }
 
-    /// Batch form of [`TimingAnalysis::backward`]: runs the backward pass
-    /// for every target, fanned out across `threads` workers (`0` = auto,
-    /// honoring `RETIME_THREADS`). The passes are independent — this
-    /// method takes `&self` — and the result vector is index-aligned with
-    /// `targets`, so parallel and sequential runs are bit-identical.
-    ///
-    /// # Panics
-    /// Panics if any target is not a sink.
-    pub fn backward_many(&self, targets: &[NodeId], threads: usize) -> Vec<BackwardPass> {
-        retime_engine::parallel_map(threads, targets, |&t| self.backward(t))
-    }
-
     /// The arrival-time model of Eq. (5): worst arrival at the sink of
     /// `bp` when a slave latch sits on edge `(u, v)`:
     ///
@@ -191,6 +179,39 @@ impl<'a> TimingAnalysis<'a> {
         Some((re.rise + fo.rise).max(re.fall + fo.fall))
     }
 
+    /// Worst arrival at the sink of `bp` over the initial (source)
+    /// placements: the maximum of [`TimingAnalysis::a_host`] over the
+    /// sources of the sink's cone (`-∞` when the cone holds none).
+    pub fn worst_initial(&self, bp: &BackwardPass) -> f64 {
+        bp.cone()
+            .iter()
+            .filter(|&&s| self.cloud.node(s).is_source())
+            .filter_map(|&s| self.a_host(s, bp))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Worst arrival at the sink of `bp` with the slaves placed by the
+    /// moved set `moved` — the value [`TimingAnalysis::cut_timing`]
+    /// reports for that sink under the cut moving exactly `moved`, but
+    /// propagated over the sink's cone alone. `arr` is cloud-sized
+    /// scratch; only the cone's slots are written.
+    pub fn sink_arrival_with_moved(
+        &self,
+        bp: &BackwardPass,
+        moved: &ConeWalk,
+        arr: &mut [DelayArc],
+    ) -> f64 {
+        arrivals_with_moved(
+            self.cloud,
+            &self.delays,
+            &self.clock,
+            bp.cone().iter().rev().copied(),
+            |v| moved.contains(v),
+            arr,
+        );
+        arr[bp.sink().index()].max()
+    }
+
     /// Classifies a sink per Section IV-A using its backward pass.
     pub fn classify_sink(&self, t: NodeId, bp: &BackwardPass) -> SinkClass {
         let pi = self.clock.period();
@@ -202,13 +223,7 @@ impl<'a> TimingAnalysis<'a> {
         // Π, the master can never be forced error-detecting by a valid cut
         // (moving latches forward only lowers the arrival until the pure
         // path dominates, which the first test already bounded by Π).
-        let worst_initial = self
-            .cloud
-            .sources()
-            .iter()
-            .filter_map(|&s| self.a_host(s, bp))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if worst_initial <= pi + EPS {
+        if self.worst_initial(bp) <= pi + EPS {
             SinkClass::NeverErrorDetecting
         } else {
             SinkClass::Target

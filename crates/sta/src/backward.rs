@@ -1,7 +1,7 @@
 //! Per-endpoint backward delay analysis: the paper's `D^b(v, t)`.
 
 use retime_liberty::{DelayArc, Sense};
-use retime_netlist::{CombCloud, NodeId};
+use retime_netlist::{CombCloud, ConeWalk, NodeId};
 
 use crate::forward::arc_max;
 use crate::model::NodeDelays;
@@ -17,68 +17,92 @@ use crate::model::NodeDelays;
 /// * `through(v)` — worst delay from a transition at the **inputs** of `v`
 ///   through `v` to `t` (the `d(v) + D^b(v, t)` term of Eq. 5 with valid
 ///   rise/fall pairing), per input polarity at `v`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The pass touches only the cone: it walks `FIC(t)` with a
+/// [`ConeWalk`] and sweeps it in the walk's order (every node after all
+/// of its in-cone fanouts). A pass is reusable — [`BackwardPass::rerun`]
+/// clears just the previous cone's slots — so one pass per worker
+/// serves every target at O(cone) cost each.
+#[derive(Debug, Clone)]
 pub struct BackwardPass {
     sink: NodeId,
+    cone: ConeWalk,
     from_output: Vec<Option<DelayArc>>,
     through: Vec<Option<DelayArc>>,
 }
 
 impl BackwardPass {
-    /// Runs the backward pass from sink `t`.
+    /// An empty pass sized for `cloud`, covering no node until the first
+    /// [`BackwardPass::rerun`].
+    pub fn new(cloud: &CombCloud) -> BackwardPass {
+        BackwardPass {
+            sink: NodeId(u32::MAX),
+            cone: ConeWalk::new(cloud),
+            from_output: vec![None; cloud.len()],
+            through: vec![None; cloud.len()],
+        }
+    }
+
+    /// Runs the backward pass from sink `t` on fresh scratch.
     ///
     /// # Panics
     /// Panics if `t` is not a sink of the cloud.
     pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> BackwardPass {
+        let mut bp = BackwardPass::new(cloud);
+        bp.rerun(cloud, delays, t);
+        bp
+    }
+
+    /// Reruns the pass from sink `t`, reusing this pass's scratch: the
+    /// previous cone's slots are cleared, then `t`'s cone is swept. The
+    /// result equals a fresh [`BackwardPass::run`] from `t`.
+    ///
+    /// # Panics
+    /// Panics if `t` is not a sink of the cloud.
+    pub fn rerun(&mut self, cloud: &CombCloud, delays: &NodeDelays, t: NodeId) {
         assert!(cloud.node(t).is_sink(), "{t} is not a sink");
-        let n = cloud.len();
-        let mut from_output: Vec<Option<DelayArc>> = vec![None; n];
-        let mut through: Vec<Option<DelayArc>> = vec![None; n];
+        for &v in self.cone.order() {
+            self.from_output[v.index()] = None;
+            self.through[v.index()] = None;
+        }
+        self.sink = t;
+        // The walk lists t first; every later node follows all of its
+        // in-cone fanouts, whose `through` is therefore final.
+        let cone = self.cone.walk(cloud, [t]);
         // The sink itself: a latch placed directly on the edge into t has
         // no further gate delay.
-        through[t.index()] = Some(DelayArc::default());
-
-        // Membership in the cone (computed cheaply during the reverse
-        // topological sweep: a node is in the cone if any fanout is).
-        let mut in_cone = vec![false; n];
-        in_cone[t.index()] = true;
-
-        for &v in cloud.topo().iter().rev() {
-            if v == t {
-                continue;
-            }
+        self.through[t.index()] = Some(DelayArc::default());
+        for &v in &cone[1..] {
             let node = cloud.node(v);
+            // Fanouts fold in stored order; those outside the cone have
+            // no `through` and are skipped.
             let mut best: Option<DelayArc> = None;
             for &w in &node.fanout {
-                if !in_cone[w.index()] {
-                    continue;
-                }
-                if let Some(thr) = through[w.index()] {
+                if let Some(thr) = self.through[w.index()] {
                     best = Some(match best {
                         None => thr,
                         Some(acc) => arc_max(acc, thr),
                     });
                 }
             }
-            if let Some(fo) = best {
-                in_cone[v.index()] = true;
-                from_output[v.index()] = Some(fo);
-                if node.is_gate() {
-                    through[v.index()] =
-                        Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
-                }
+            let fo = best.expect("a cone node has an in-cone fanout");
+            self.from_output[v.index()] = Some(fo);
+            if node.is_gate() {
+                self.through[v.index()] =
+                    Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
             }
-        }
-        BackwardPass {
-            sink: t,
-            from_output,
-            through,
         }
     }
 
     /// The sink this pass was run from.
     pub fn sink(&self) -> NodeId {
         self.sink
+    }
+
+    /// The fan-in cone of the sink, sink first, every node before its
+    /// fanins.
+    pub fn cone(&self) -> &[NodeId] {
+        self.cone.order()
     }
 
     /// `D^b(v, t)` per output polarity of `v`; `None` when `v` is not in
@@ -100,7 +124,7 @@ impl BackwardPass {
 
     /// Whether `v` lies in the fan-in cone of the sink.
     pub fn in_cone(&self, v: NodeId) -> bool {
-        v == self.sink || self.from_output[v.index()].is_some()
+        self.cone.contains(v)
     }
 }
 
@@ -275,6 +299,54 @@ z = BUFF(a)
             match best {
                 Some(arc) => assert!((arc.max() - expect).abs() < 1e-9),
                 None => assert_eq!(expect, f64::NEG_INFINITY),
+            }
+        }
+    }
+
+    /// Every observable of `a` equals `b`'s, node for node.
+    fn assert_same_pass(cloud: &CombCloud, a: &BackwardPass, b: &BackwardPass) {
+        assert_eq!(a.sink(), b.sink());
+        assert_eq!(a.cone(), b.cone());
+        for i in 0..cloud.len() {
+            let v = NodeId(i as u32);
+            assert_eq!(a.in_cone(v), b.in_cone(v), "in_cone({v})");
+            assert_eq!(a.from_output(v), b.from_output(v), "from_output({v})");
+            assert_eq!(a.through(v), b.through(v), "through({v})");
+        }
+    }
+
+    #[test]
+    fn rerun_after_another_sink_equals_fresh_pass() {
+        // y's cone strictly contains every non-sink node of w's cone, so
+        // a stale slot left by y would show up in the rerun for w; and z
+        // shares only `a` with y.
+        let n = bench::parse(
+            "r",
+            "\
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+OUTPUT(w)
+OUTPUT(z)
+g1 = NAND(a, b)
+g2 = NOT(g1)
+y = NAND(g2, b)
+w = BUFF(g1)
+z = BUFF(a)
+",
+        )
+        .unwrap();
+        let cloud = CombCloud::extract(&n).unwrap();
+        let delays =
+            NodeDelays::from_library(&cloud, &Library::fdsoi28(), DelayModel::PathBased).unwrap();
+        let sinks = cloud.sinks().to_vec();
+        let mut reused = BackwardPass::new(&cloud);
+        for &a in &sinks {
+            for &b in &sinks {
+                reused.rerun(&cloud, &delays, a);
+                assert_same_pass(&cloud, &reused, &BackwardPass::run(&cloud, &delays, a));
+                reused.rerun(&cloud, &delays, b);
+                assert_same_pass(&cloud, &reused, &BackwardPass::run(&cloud, &delays, b));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Forward arrival-time propagation.
 
 use retime_liberty::{DelayArc, Sense};
-use retime_netlist::{CloudEdge, CombCloud, Cut};
+use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
 
 use crate::clock::TwoPhaseClock;
 use crate::model::NodeDelays;
@@ -58,11 +58,17 @@ pub fn relaunch(input: DelayArc, clock: &TwoPhaseClock, delays: &NodeDelays) -> 
 /// This is the quantity queried from the synthesis tool in Section VI-B
 /// ("the latest arrival time of any fanout of u").
 pub(crate) fn pure_arrivals(cloud: &CombCloud, delays: &NodeDelays) -> Vec<DelayArc> {
+    let launch = DelayArc::symmetric(delays.launch());
     let mut arr = vec![DelayArc::default(); cloud.len()];
-    for &s in cloud.sources() {
-        arr[s.index()] = DelayArc::symmetric(delays.launch());
-    }
-    propagate(cloud, delays, &mut arr, |_e, a| a)
+    propagate(
+        cloud,
+        delays,
+        cloud.topo().iter().copied(),
+        &mut arr,
+        |_s| launch,
+        |_e, a| a,
+    );
+    arr
 }
 
 /// Computes arrivals with slave latches at the positions of `cut`:
@@ -74,36 +80,66 @@ pub(crate) fn arrivals_with_cut(
     cut: &Cut,
 ) -> Vec<DelayArc> {
     let mut arr = vec![DelayArc::default(); cloud.len()];
-    for &s in cloud.sources() {
-        let launch = DelayArc::symmetric(delays.launch());
-        arr[s.index()] = if cut.is_moved(s) {
-            launch
-        } else {
-            // Slave at the source position: everything downstream sees the
-            // re-launched value.
-            relaunch(launch, clock, delays)
-        };
-    }
-    propagate(cloud, delays, &mut arr, |e, a| {
-        if cut.edge_latched(e) {
-            relaunch(a, clock, delays)
-        } else {
-            a
-        }
-    })
+    arrivals_with_moved(
+        cloud,
+        delays,
+        clock,
+        cloud.topo().iter().copied(),
+        |v| cut.is_moved(v),
+        &mut arr,
+    );
+    arr
 }
 
-/// Shared propagation core. `edge_fn` transforms the value crossing each
-/// edge (identity for pure arrivals, [`relaunch`] on latched edges).
+/// Arrivals with slave latches placed by the moved set `moved` (the
+/// [`Cut`] encoding), written into `arr` for the nodes of `order` only.
+/// `order` must list every fanin of a node before the node — the whole
+/// cloud's topological order, or the reverse of a fan-in cone walk, in
+/// which case slots outside the cone are left untouched.
+pub(crate) fn arrivals_with_moved(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    order: impl Iterator<Item = NodeId>,
+    moved: impl Fn(NodeId) -> bool,
+    arr: &mut [DelayArc],
+) {
+    let launch = DelayArc::symmetric(delays.launch());
+    // An unmoved source keeps its slave at the source position:
+    // everything downstream sees the re-launched value.
+    let relaunched = relaunch(launch, clock, delays);
+    propagate(
+        cloud,
+        delays,
+        order,
+        arr,
+        |s| if moved(s) { launch } else { relaunched },
+        |e, a| {
+            if moved(e.from) && !moved(e.to) {
+                relaunch(a, clock, delays)
+            } else {
+                a
+            }
+        },
+    );
+}
+
+/// Shared propagation core over `order` (fanins before each node).
+/// `source_fn` gives each source's launch value; `edge_fn` transforms the
+/// value crossing each edge (identity for pure arrivals, [`relaunch`] on
+/// latched edges).
 fn propagate(
     cloud: &CombCloud,
     delays: &NodeDelays,
-    arr: &mut Vec<DelayArc>,
+    order: impl Iterator<Item = NodeId>,
+    arr: &mut [DelayArc],
+    source_fn: impl Fn(NodeId) -> DelayArc,
     edge_fn: impl Fn(CloudEdge, DelayArc) -> DelayArc,
-) -> Vec<DelayArc> {
-    for &v in cloud.topo() {
+) {
+    for v in order {
         let node = cloud.node(v);
         if node.is_source() {
+            arr[v.index()] = source_fn(v);
             continue;
         }
         let mut input: Option<DelayArc> = None;
@@ -122,7 +158,6 @@ fn propagate(
             input
         };
     }
-    std::mem::take(arr)
 }
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 //! at sigma = 0 the margin vanishes bitwise, which is what the sigma→0
 //! differential tests pin across all three flows.
 
-use retime_netlist::{CombCloud, Cut, NodeId};
+use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
 use retime_sta::{DelayModel, NodeDelays, StatParams, TwoPhaseClock};
 
 use crate::canon::Canon;
 use crate::normal::{cdf, quantile};
 use crate::propagate::{
-    arrivals_with_cut, db_to_any_sink, pure_arrivals, relaunch_canon, StatBackward,
+    arrivals_with_cut, arrivals_with_moved, db_to_any_sink, pure_arrivals, relaunch_canon,
+    StatBackward,
 };
 
 /// Tolerance for comparisons against clock edges — identical to the
@@ -196,15 +197,37 @@ impl<'a> StatTiming<'a> {
         self.a_host_canon(s, bp).map(|c| self.margined(&c))
     }
 
-    /// Worst margined initial-placement arrival over all sources — the
-    /// statistical counterpart of the deterministic classifier's
-    /// `worst_initial` fold.
+    /// Worst margined initial-placement arrival over the sources of the
+    /// sink's cone — the statistical counterpart of
+    /// [`retime_sta::TimingAnalysis::worst_initial`].
     pub fn worst_initial_margined(&self, bp: &StatBackward) -> f64 {
-        self.cloud
-            .sources()
+        bp.cone()
             .iter()
+            .filter(|&&s| self.cloud.node(s).is_source())
             .filter_map(|&s| self.a_host_margined(s, bp))
             .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Canonical arrival at the sink of `bp` with the slaves placed by
+    /// the moved set `moved` — bitwise the entry
+    /// [`StatTiming::cut_sink_canons`] reports for that sink under the
+    /// cut moving exactly `moved`, propagated over the sink's cone alone.
+    /// `arr` is cloud-sized scratch; only the cone's slots are written.
+    pub fn sink_canon_with_moved(
+        &self,
+        bp: &StatBackward,
+        moved: &ConeWalk,
+        arr: &mut [Canon],
+    ) -> Canon {
+        arrivals_with_moved(
+            self.cloud,
+            self.delays,
+            &self.clock,
+            bp.cone().iter().rev().copied(),
+            |v| moved.contains(v),
+            arr,
+        );
+        arr[bp.sink().index()]
     }
 
     /// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`.

@@ -17,7 +17,7 @@
 //! proven iteration bound of two; the pass asserts that bound and
 //! reports the count through a `stat_cut_arrivals` trace span.
 
-use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
+use retime_netlist::{CloudEdge, CombCloud, ConeWalk, Cut, NodeId};
 use retime_sta::{NodeDelays, TwoPhaseClock};
 
 use crate::canon::Canon;
@@ -45,11 +45,16 @@ pub fn relaunch_canon(input: &Canon, clock: &TwoPhaseClock, delays: &NodeDelays)
 /// Pure combinational canonical arrivals `D^f(v)` (no slave latches):
 /// sources launch deterministically at the master clock-to-Q.
 pub fn pure_arrivals(cloud: &CombCloud, delays: &NodeDelays) -> Vec<Canon> {
+    let launch = Canon::constant(delays.launch());
     let mut arr = vec![Canon::default(); cloud.len()];
-    for &s in cloud.sources() {
-        arr[s.index()] = Canon::constant(delays.launch());
-    }
-    propagate_once(cloud, delays, &mut arr, |_e, a| a);
+    propagate_once(
+        cloud,
+        delays,
+        cloud.topo().iter().copied(),
+        &mut arr,
+        |_s| launch,
+        |_e, a| a,
+    );
     arr
 }
 
@@ -66,26 +71,30 @@ pub fn arrivals_with_cut(
     cut: &Cut,
 ) -> Vec<Canon> {
     let _span = retime_trace::span("stat_cut_arrivals");
+    let moved = |v| cut.is_moved(v);
     let mut arr = vec![Canon::default(); cloud.len()];
-    for &s in cloud.sources() {
-        let launch = Canon::constant(delays.launch());
-        arr[s.index()] = if cut.is_moved(s) {
-            launch
-        } else {
-            relaunch_canon(&launch, clock, delays)
-        };
-    }
+    // Launch the sources first, so the first sweep's comparison sees
+    // only the propagated nodes change.
+    arrivals_with_moved(
+        cloud,
+        delays,
+        clock,
+        cloud.sources().iter().copied(),
+        moved,
+        &mut arr,
+    );
     let mut iterations = 0u64;
     loop {
         iterations += 1;
         let before = arr.clone();
-        propagate_once(cloud, delays, &mut arr, |e, a| {
-            if cut.edge_latched(e) {
-                relaunch_canon(&a, clock, delays)
-            } else {
-                a
-            }
-        });
+        arrivals_with_moved(
+            cloud,
+            delays,
+            clock,
+            cloud.topo().iter().copied(),
+            moved,
+            &mut arr,
+        );
         if bitwise_eq(&before, &arr) {
             break;
         }
@@ -98,6 +107,39 @@ pub fn arrivals_with_cut(
     arr
 }
 
+/// One canonical sweep with slave latches placed by the moved set `moved`
+/// (the [`Cut`] encoding), written into `arr` for the nodes of `order`
+/// only. `order` must list every fanin of a node before the node — the
+/// cloud's topological order, or the reverse of a fan-in cone walk. On
+/// the acyclic latch graph one sweep already reaches the fixed point
+/// [`arrivals_with_cut`] iterates to, so a cone-local sweep yields
+/// bitwise the same values for the cone's nodes.
+pub(crate) fn arrivals_with_moved(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    order: impl Iterator<Item = NodeId>,
+    moved: impl Fn(NodeId) -> bool,
+    arr: &mut [Canon],
+) {
+    let launch = Canon::constant(delays.launch());
+    let relaunched = relaunch_canon(&launch, clock, delays);
+    propagate_once(
+        cloud,
+        delays,
+        order,
+        arr,
+        |s| if moved(s) { launch } else { relaunched },
+        |e, a| {
+            if moved(e.from) && !moved(e.to) {
+                relaunch_canon(&a, clock, delays)
+            } else {
+                a
+            }
+        },
+    );
+}
+
 /// Whether two canonical vectors are bitwise identical (NaN-free inputs,
 /// so `PartialEq` on the raw components is the bit comparison we want).
 fn bitwise_eq(a: &[Canon], b: &[Canon]) -> bool {
@@ -108,20 +150,24 @@ fn bitwise_eq(a: &[Canon], b: &[Canon]) -> bool {
     })
 }
 
-/// One topological sweep, the canonical mirror of the deterministic
-/// propagation core: fanin folded in stored order, gates add their
-/// canonical delay, sinks capture their driver unchanged. Nodes whose
-/// fanin is already final are overwritten with identical values, so
-/// repeated sweeps are idempotent once the fixed point is reached.
+/// One sweep over `order`, the canonical mirror of the deterministic
+/// propagation core: sources take `source_fn`, fanin folds in stored
+/// order, gates add their canonical delay, sinks capture their driver
+/// unchanged. Nodes whose fanin is already final are overwritten with
+/// identical values, so repeated sweeps are idempotent once the fixed
+/// point is reached.
 fn propagate_once(
     cloud: &CombCloud,
     delays: &NodeDelays,
+    order: impl Iterator<Item = NodeId>,
     arr: &mut [Canon],
+    source_fn: impl Fn(NodeId) -> Canon,
     edge_fn: impl Fn(CloudEdge, Canon) -> Canon,
 ) {
-    for &v in cloud.topo() {
+    for v in order {
         let node = cloud.node(v);
         if node.is_source() {
+            arr[v.index()] = source_fn(v);
             continue;
         }
         let mut input: Option<Canon> = None;
@@ -143,62 +189,81 @@ fn propagate_once(
 
 /// Canonical backward pass from one sink: the statistical counterpart of
 /// [`retime_sta::BackwardPass`], carrying path sigma alongside the mean.
-#[derive(Debug, Clone, PartialEq)]
+/// Like it, the pass sweeps only the sink's fan-in cone and is reusable
+/// through [`StatBackward::rerun`].
+#[derive(Debug, Clone)]
 pub struct StatBackward {
     sink: NodeId,
+    cone: ConeWalk,
     from_output: Vec<Option<Canon>>,
     through: Vec<Option<Canon>>,
 }
 
 impl StatBackward {
-    /// Runs the canonical backward pass from sink `t`.
+    /// An empty pass sized for `cloud`, covering no node until the first
+    /// [`StatBackward::rerun`].
+    pub fn new(cloud: &CombCloud) -> StatBackward {
+        StatBackward {
+            sink: NodeId(u32::MAX),
+            cone: ConeWalk::new(cloud),
+            from_output: vec![None; cloud.len()],
+            through: vec![None; cloud.len()],
+        }
+    }
+
+    /// Runs the canonical backward pass from sink `t` on fresh scratch.
     ///
     /// # Panics
     /// Panics if `t` is not a sink of the cloud.
     pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> StatBackward {
-        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
-        let n = cloud.len();
-        let mut from_output: Vec<Option<Canon>> = vec![None; n];
-        let mut through: Vec<Option<Canon>> = vec![None; n];
-        through[t.index()] = Some(Canon::default());
-        let mut in_cone = vec![false; n];
-        in_cone[t.index()] = true;
+        let mut sb = StatBackward::new(cloud);
+        sb.rerun(cloud, delays, t);
+        sb
+    }
 
-        for &v in cloud.topo().iter().rev() {
-            if v == t {
-                continue;
-            }
+    /// Reruns the pass from sink `t`, clearing only the previous cone's
+    /// slots; equal to a fresh [`StatBackward::run`] from `t`.
+    ///
+    /// # Panics
+    /// Panics if `t` is not a sink of the cloud.
+    pub fn rerun(&mut self, cloud: &CombCloud, delays: &NodeDelays, t: NodeId) {
+        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
+        for &v in self.cone.order() {
+            self.from_output[v.index()] = None;
+            self.through[v.index()] = None;
+        }
+        self.sink = t;
+        let cone = self.cone.walk(cloud, [t]);
+        self.through[t.index()] = Some(Canon::default());
+        for &v in &cone[1..] {
             let node = cloud.node(v);
+            // Stored fanout order: Clark's max is order-sensitive.
             let mut best: Option<Canon> = None;
             for &w in &node.fanout {
-                if !in_cone[w.index()] {
-                    continue;
-                }
-                if let Some(thr) = through[w.index()] {
+                if let Some(thr) = self.through[w.index()] {
                     best = Some(match best {
                         None => thr,
                         Some(acc) => acc.max(&thr),
                     });
                 }
             }
-            if let Some(fo) = best {
-                in_cone[v.index()] = true;
-                from_output[v.index()] = Some(fo);
-                if node.is_gate() {
-                    through[v.index()] = Some(gate_canon(delays, v).add(&fo));
-                }
+            let fo = best.expect("a cone node has an in-cone fanout");
+            self.from_output[v.index()] = Some(fo);
+            if node.is_gate() {
+                self.through[v.index()] = Some(gate_canon(delays, v).add(&fo));
             }
-        }
-        StatBackward {
-            sink: t,
-            from_output,
-            through,
         }
     }
 
     /// The sink this pass was run from.
     pub fn sink(&self) -> NodeId {
         self.sink
+    }
+
+    /// The fan-in cone of the sink, sink first, every node before its
+    /// fanins.
+    pub fn cone(&self) -> &[NodeId] {
+        self.cone.order()
     }
 
     /// Canonical `D^b(v, t)`; `None` when `v` is outside the fan-in cone.
@@ -213,7 +278,7 @@ impl StatBackward {
 
     /// Whether `v` lies in the fan-in cone of the sink.
     pub fn in_cone(&self, v: NodeId) -> bool {
-        v == self.sink || self.from_output[v.index()].is_some()
+        self.cone.contains(v)
     }
 }
 

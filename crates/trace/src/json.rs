@@ -293,13 +293,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
+            Some(&b) if b.is_ascii() => {
+                out.push(char::from(b));
+                *pos += 1;
+            }
+            Some(&lead) => {
+                // Decode one multi-byte UTF-8 scalar: validate only the
+                // bytes its lead byte announces, never the rest of the
+                // input (which would make a long string quadratic).
+                let width = match lead {
+                    0xC0..=0xDF => 2,
+                    0xE0..=0xEF => 3,
+                    0xF0..=0xF7 => 4,
+                    _ => return Err(format!("bad utf8 at byte {pos}")),
+                };
+                let end = (*pos + width).min(bytes.len());
+                let ch = std::str::from_utf8(&bytes[*pos..end])
+                    .ok()
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| format!("bad utf8 at byte {pos}"))?;
                 out.push(ch);
-                *pos += ch.len_utf8();
+                *pos = end;
             }
         }
     }
@@ -355,6 +369,38 @@ mod tests {
     fn rejects_garbage() {
         for bad in ["{", "[1,", "\"x", "{\"a\" 1}", "1 2", "tru"] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn long_string_literal_parses() {
+        // 1 MiB with a multi-byte scalar every 64 bytes: linear time.
+        let chunk = format!("{}é", "x".repeat(62));
+        let body = chunk.repeat((1 << 20) / chunk.len());
+        let v = parse(&format!("{{\"s\":\"{body}\"}}")).unwrap();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(body.as_str()));
+    }
+
+    #[test]
+    fn multi_byte_characters_round_trip() {
+        let text = "ä€𝄞 — naïve ☃";
+        let v = parse(&Json::Str(text.into()).render()).unwrap();
+        assert_eq!(v.as_str(), Some(text));
+        assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        for bad in [
+            &b"\"\xff\""[..],         // not a lead byte
+            &b"\"\x80\""[..],         // lone continuation byte
+            &b"\"\xc3\""[..],         // truncated two-byte scalar
+            &b"\"\xe2\x82\""[..],     // truncated three-byte scalar
+            &b"\"\xed\xa0\x80\""[..], // encoded surrogate
+            &b"\"\xf0\x9d"[..],       // truncated at end of input
+        ] {
+            let mut pos = 0;
+            assert!(parse_string(bad, &mut pos).is_err(), "accepted {bad:?}");
         }
     }
 

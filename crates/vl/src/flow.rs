@@ -9,7 +9,7 @@ use std::time::Instant;
 use retime_core::classify_many;
 use retime_engine::{FlowContext, Pipeline, Stage};
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{CombCloud, NodeId, NodeKind};
+use retime_netlist::{CombCloud, ConeWalk, NodeId, NodeKind};
 use retime_retime::{
     solve_with_slot, AreaModel, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem,
     RetimingSolution, RetimingSweep, SolverEngine,
@@ -243,17 +243,11 @@ fn vl_retime_impl(
             // 2. Freeze the fan-in cones of typed-ED stages (the tool's
             //    conservative "timing met, don't touch" behavior) — except
             //    nodes the legality region forces to move.
-            let mut frozen = vec![false; cloud.len()];
-            for &(_, t, ed) in &state.typed {
-                if ed {
-                    for v in cloud.fanin_cone(t) {
-                        frozen[v.index()] = true;
-                    }
-                }
-            }
-            for (i, &f) in frozen.iter().enumerate() {
-                let v = NodeId(i as u32);
-                if f && base_regions.of(v) == Region::Free {
+            //    One walk covers the union of those cones.
+            let mut frozen = ConeWalk::new(cloud);
+            let typed_ed = state.typed.iter().filter(|&&(_, _, ed)| ed);
+            for &v in frozen.walk(cloud, typed_ed.map(|&(_, t, _)| t)) {
+                if base_regions.of(v) == Region::Free {
                     regions.set(v, Region::Forbidden);
                     state.frozen_nodes += 1;
                 }
@@ -280,6 +274,7 @@ fn vl_retime_impl(
                 .map(|&(_, t, _)| t)
                 .collect();
             let classified = classify_many(sta, &non_ed, cfg.threads);
+            let mut walk = ConeWalk::new(cloud);
             for (class, g) in classified {
                 match class {
                     SinkClass::NeverErrorDetecting => {}
@@ -288,19 +283,12 @@ fn vl_retime_impl(
                         // The closure of g(t) must avoid (originally)
                         // forbidden nodes, or the move is illegal and the
                         // tool gives up.
-                        let mut closure: Vec<NodeId> = Vec::new();
-                        let mut ok = true;
-                        'outer: for &gv in &g {
-                            for u in cloud.fanin_cone(gv) {
-                                if base_regions.of(u) == Region::Forbidden {
-                                    ok = false;
-                                    break 'outer;
-                                }
-                                closure.push(u);
-                            }
-                        }
+                        let closure = walk.walk(cloud, g);
+                        let ok = closure
+                            .iter()
+                            .all(|&u| base_regions.of(u) != Region::Forbidden);
                         if ok {
-                            for u in closure {
+                            for &u in closure {
                                 regions.set(u, Region::Mandatory);
                             }
                             state.forced_targets += 1;

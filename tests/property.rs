@@ -12,9 +12,271 @@ use resilient_retiming::netlist::{CombCloud, Cut, NodeId, NodeKind};
 use resilient_retiming::retime::{Regions, RetimingProblem, SolverEngine, BREADTH_SCALE};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
-    DelayModel, IncrementalTiming, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock,
+    BackwardPass, DelayModel, IncrementalTiming, NodeDelays, SinkClass, StatParams, TimingAnalysis,
+    TwoPhaseClock,
 };
 use resilient_retiming::verify::{verify_retiming_solution, VerifyError};
+use retime_stat::{StatBackward, StatTiming};
+
+/// A frozen copy of the whole-cloud classification that cone-local
+/// classification replaced: every backward pass sweeps the entire
+/// topological order, `worst_initial` folds over every source, and the
+/// canonical cut is timed by a full `cut_timing` /
+/// `cut_sink_canons`. It shares no cone walk with the code under test,
+/// so `classify_matches_whole_cloud_reference` pins the optimized path
+/// to the original semantics bit for bit.
+mod reference {
+    use resilient_retiming::liberty::{DelayArc, Sense};
+    use resilient_retiming::netlist::{CombCloud, Cut, NodeId};
+    use resilient_retiming::sta::{relaunch, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock};
+    use retime_stat::propagate::{gate_canon, relaunch_canon};
+    use retime_stat::{Canon, StatTiming};
+
+    const EPS: f64 = 1e-9;
+
+    /// Whole-cloud backward pass from one sink over values `V`.
+    pub struct Pass<V> {
+        pub sink: NodeId,
+        pub from_output: Vec<Option<V>>,
+        pub through: Vec<Option<V>>,
+    }
+
+    pub type DetPass = Pass<DelayArc>;
+    pub type StatPass = Pass<Canon>;
+
+    impl<V: Copy> Pass<V> {
+        fn sweep(
+            cloud: &CombCloud,
+            t: NodeId,
+            zero: V,
+            max: impl Fn(V, V) -> V,
+            through_gate: impl Fn(V, NodeId) -> V,
+        ) -> Pass<V> {
+            let n = cloud.len();
+            let mut from_output = vec![None; n];
+            let mut through = vec![None; n];
+            through[t.index()] = Some(zero);
+            let mut in_cone = vec![false; n];
+            in_cone[t.index()] = true;
+            for &v in cloud.topo().iter().rev() {
+                if v == t {
+                    continue;
+                }
+                let node = cloud.node(v);
+                let mut best: Option<V> = None;
+                for &w in &node.fanout {
+                    if !in_cone[w.index()] {
+                        continue;
+                    }
+                    if let Some(thr) = through[w.index()] {
+                        best = Some(match best {
+                            None => thr,
+                            Some(acc) => max(acc, thr),
+                        });
+                    }
+                }
+                if let Some(fo) = best {
+                    in_cone[v.index()] = true;
+                    from_output[v.index()] = Some(fo);
+                    if node.is_gate() {
+                        through[v.index()] = Some(through_gate(fo, v));
+                    }
+                }
+            }
+            Pass {
+                sink: t,
+                from_output,
+                through,
+            }
+        }
+
+        pub fn in_cone(&self, v: NodeId) -> bool {
+            v == self.sink || self.from_output[v.index()].is_some()
+        }
+    }
+
+    impl Pass<DelayArc> {
+        pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> DetPass {
+            Pass::sweep(
+                cloud,
+                t,
+                DelayArc::default(),
+                |a, b| DelayArc {
+                    rise: a.rise.max(b.rise),
+                    fall: a.fall.max(b.fall),
+                },
+                |fo, v| {
+                    let arc = delays.arc(v);
+                    match delays.sense(v) {
+                        Sense::Positive => DelayArc {
+                            rise: arc.rise + fo.rise,
+                            fall: arc.fall + fo.fall,
+                        },
+                        Sense::Negative => DelayArc {
+                            rise: arc.fall + fo.fall,
+                            fall: arc.rise + fo.rise,
+                        },
+                        Sense::NonUnate => {
+                            DelayArc::symmetric((arc.rise + fo.rise).max(arc.fall + fo.fall))
+                        }
+                    }
+                },
+            )
+        }
+    }
+
+    impl Pass<Canon> {
+        pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> StatPass {
+            Pass::sweep(
+                cloud,
+                t,
+                Canon::default(),
+                |a, b| a.max(&b),
+                |fo, v| gate_canon(delays, v).add(&fo),
+            )
+        }
+    }
+
+    /// The frontier rule of Eqs. (8)–(9) over every cone node, given the
+    /// edge arrival `a(u, v)` and host arrival `host(s)`.
+    fn frontier<V>(
+        cloud: &CombCloud,
+        bp: &Pass<V>,
+        pi: f64,
+        a: impl Fn(NodeId, NodeId) -> Option<f64>,
+        host: impl Fn(NodeId) -> Option<f64>,
+    ) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for i in 0..cloud.len() {
+            let v = NodeId(i as u32);
+            if v == bp.sink || bp.from_output[i].is_none() {
+                continue;
+            }
+            let node = cloud.node(v);
+            let ok_beyond = node
+                .fanout
+                .iter()
+                .any(|&n| matches!(a(v, n), Some(x) if x <= pi + EPS));
+            let bad_before = if node.is_source() {
+                matches!(host(v), Some(x) if x > pi + EPS)
+            } else {
+                node.fanin
+                    .iter()
+                    .any(|&k| matches!(a(k, v), Some(x) if x > pi + EPS))
+            };
+            if ok_beyond && bad_before {
+                out.push(v);
+            }
+        }
+        out
+    }
+
+    /// The cut moving exactly the union of `g`'s fan-in closures, or
+    /// `None` when it fails `Cut::validate`.
+    fn canonical_cut(cloud: &CombCloud, g: &[NodeId]) -> Option<Cut> {
+        let mut cut = Cut::initial(cloud);
+        let mut stack: Vec<NodeId> = g.to_vec();
+        while let Some(u) = stack.pop() {
+            if !cut.is_moved(u) {
+                cut.set_moved(u, true);
+                stack.extend(cloud.node(u).fanin.iter().copied());
+            }
+        }
+        cut.validate(cloud).ok().map(|_| cut)
+    }
+
+    fn sink_index(cloud: &CombCloud, t: NodeId) -> usize {
+        cloud
+            .sinks()
+            .iter()
+            .position(|&x| x == t)
+            .expect("t is a sink")
+    }
+
+    pub fn classify(sta: &TimingAnalysis<'_>, bp: &DetPass) -> (SinkClass, Vec<NodeId>) {
+        let cloud = sta.cloud();
+        let clock = *sta.clock();
+        let pi = clock.period();
+        let d = sta.delays();
+        let a = |u: NodeId, v: NodeId| {
+            let through = bp.through[v.index()]?;
+            let open = clock.slave_open() + d.latch_ckq();
+            let dfu = sta.df_arc(u);
+            Some(
+                (open + through.max())
+                    .max(dfu.rise + d.latch_dq() + through.rise)
+                    .max(dfu.fall + d.latch_dq() + through.fall),
+            )
+        };
+        let host = |s: NodeId| {
+            let fo = bp.from_output[s.index()]?;
+            let re = relaunch(DelayArc::symmetric(d.launch()), &clock, d);
+            Some((re.rise + fo.rise).max(re.fall + fo.fall))
+        };
+        let worst_initial = cloud
+            .sources()
+            .iter()
+            .filter_map(|&s| host(s))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if worst_initial <= pi + EPS {
+            return (SinkClass::NeverErrorDetecting, Vec::new());
+        }
+        let g = frontier(cloud, bp, pi, a, host);
+        if g.is_empty() {
+            return (SinkClass::AlwaysErrorDetecting, Vec::new());
+        }
+        match canonical_cut(cloud, &g) {
+            Some(cut)
+                if sta.cut_timing(&cut).sink_arrivals[sink_index(cloud, bp.sink)] <= pi + EPS =>
+            {
+                (SinkClass::Target, g)
+            }
+            _ => (SinkClass::AlwaysErrorDetecting, Vec::new()),
+        }
+    }
+
+    pub fn classify_stat(
+        st: &StatTiming<'_>,
+        clock: &TwoPhaseClock,
+        d: &NodeDelays,
+        sb: &StatPass,
+    ) -> (SinkClass, Vec<NodeId>) {
+        let cloud = st.cloud();
+        let pi = st.period();
+        let a = |u: NodeId, v: NodeId| {
+            let through = sb.through[v.index()]?;
+            let open = clock.slave_open() + d.latch_ckq();
+            let path = st.df_canon(u).add_const(d.latch_dq()).add(&through);
+            Some(st.margined(&through.add_const(open).max(&path)))
+        };
+        let host = |s: NodeId| {
+            let fo = sb.from_output[s.index()]?;
+            let launch = Canon::constant(d.launch());
+            Some(st.margined(&relaunch_canon(&launch, clock, d).add(&fo)))
+        };
+        let worst_initial = cloud
+            .sources()
+            .iter()
+            .filter_map(|&s| host(s))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if worst_initial <= pi + EPS {
+            return (SinkClass::NeverErrorDetecting, Vec::new());
+        }
+        let g = frontier(cloud, sb, pi, a, host);
+        if g.is_empty() {
+            return (SinkClass::AlwaysErrorDetecting, Vec::new());
+        }
+        match canonical_cut(cloud, &g) {
+            Some(cut)
+                if st.margined(&st.cut_sink_canons(&cut)[sink_index(cloud, sb.sink)])
+                    <= pi + EPS =>
+            {
+                (SinkClass::Target, g)
+            }
+            _ => (SinkClass::AlwaysErrorDetecting, Vec::new()),
+        }
+    }
+}
 
 fn small_config() -> impl Strategy<Value = SynthConfig> {
     (
@@ -196,15 +458,94 @@ proptest! {
                 let got = classify_many(&sta, &targets, threads);
                 prop_assert_eq!(&got, &reference, "threads={}", threads);
             }
-            // The batch backward pass must agree with one-at-a-time.
-            let many = sta.backward_many(&targets, 4);
-            for (&t, bp) in targets.iter().zip(&many) {
-                let single = sta.backward(t);
-                prop_assert_eq!(bp.sink(), t);
-                prop_assert_eq!(
-                    classify_and_cut_set(&sta, bp),
-                    classify_and_cut_set(&sta, &single)
-                );
+            // One pass reused across every target (the per-worker
+            // scratch of the fan-out) must agree with fresh passes.
+            let mut reused = BackwardPass::new(&cloud);
+            for (&t, want) in targets.iter().zip(&reference) {
+                reused.rerun(&cloud, sta.delays(), t);
+                prop_assert_eq!(reused.sink(), t);
+                prop_assert_eq!(&classify_and_cut_set(&sta, &reused), want);
+            }
+        }
+    }
+
+    #[test]
+    fn classify_matches_whole_cloud_reference(cfg in small_config()) {
+        // The cone-local classification must equal the frozen
+        // whole-cloud reference below — same class, same g(t) — under
+        // every delay model and fan-out width, and a backward pass
+        // reused across sinks must equal the reference sweep node for
+        // node (stale slots from an earlier, larger cone would show).
+        let n = cfg.generate().expect("generates");
+        let cloud = CombCloud::extract(&n).expect("extracts");
+        let lib = Library::fdsoi28();
+        let sta0 = TimingAnalysis::new(
+            &cloud,
+            &lib,
+            TwoPhaseClock::from_max_delay(1.0),
+            DelayModel::PathBased,
+        ).expect("sta builds");
+        let crit = cloud.sinks().iter().map(|&t| sta0.df(t)).fold(0.0f64, f64::max);
+        let targets: Vec<NodeId> = cloud
+            .sinks()
+            .iter()
+            .copied()
+            .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .collect();
+        for model in [
+            DelayModel::PathBased,
+            DelayModel::GateBased,
+            DelayModel::Statistical(StatParams::DEFAULT),
+        ] {
+            for factor in [2.0, 1.2, 0.9] {
+                let clock = TwoPhaseClock::from_max_delay(crit * factor + 0.05);
+                let sta = TimingAnalysis::new(&cloud, &lib, clock, model).expect("sta builds");
+                let want: Vec<_> = if matches!(model, DelayModel::Statistical(_)) {
+                    let st = StatTiming::new(&cloud, sta.delays(), clock);
+                    targets
+                        .iter()
+                        .map(|&t| {
+                            let sb = reference::StatPass::run(&cloud, sta.delays(), t);
+                            reference::classify_stat(&st, &clock, sta.delays(), &sb)
+                        })
+                        .collect()
+                } else {
+                    targets
+                        .iter()
+                        .map(|&t| {
+                            let bp = reference::DetPass::run(&cloud, sta.delays(), t);
+                            reference::classify(&sta, &bp)
+                        })
+                        .collect()
+                };
+                for threads in [1, 2, 4] {
+                    let got = classify_many(&sta, &targets, threads);
+                    prop_assert_eq!(&got, &want, "{} x{} threads={}", model, factor, threads);
+                }
+            }
+            // Reuse across every ordered pair of sinks, against the
+            // reference sweep.
+            let delays = NodeDelays::from_library(&cloud, &lib, model).expect("delays");
+            let mut det = BackwardPass::new(&cloud);
+            let mut stat = StatBackward::new(&cloud);
+            for &a in cloud.sinks() {
+                for &b in cloud.sinks() {
+                    for t in [a, b] {
+                        det.rerun(&cloud, &delays, t);
+                        stat.rerun(&cloud, &delays, t);
+                        let want = reference::DetPass::run(&cloud, &delays, t);
+                        let want_stat = reference::StatPass::run(&cloud, &delays, t);
+                        for i in 0..cloud.len() {
+                            let v = NodeId(i as u32);
+                            prop_assert_eq!(det.in_cone(v), want.in_cone(v));
+                            prop_assert_eq!(det.from_output(v), want.from_output[i]);
+                            prop_assert_eq!(det.through(v), want.through[i]);
+                            prop_assert_eq!(stat.in_cone(v), want_stat.in_cone(v));
+                            prop_assert_eq!(stat.from_output(v), want_stat.from_output[i]);
+                            prop_assert_eq!(stat.through(v), want_stat.through[i]);
+                        }
+                    }
+                }
             }
         }
     }
