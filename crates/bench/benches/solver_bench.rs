@@ -1,5 +1,5 @@
-//! Cold-solve cost of the CSR network-simplex core across pivot rules,
-//! plus the warm-start payoff of the parametric sweep layer.
+//! Cold-solve cost of the CSR network simplex against the primal-dual
+//! SSP engine, plus the warm-start payoff of the parametric sweep layer.
 //!
 //! Cold measurements take a fresh [`MinCostFlow`] from
 //! [`RetimingProblem::flow_instance`] each round, so the timing includes
@@ -10,24 +10,19 @@
 //! instance — the number an overhead sweep or period search pays per
 //! probe after the first.
 //!
-//! `--json` compares the three pivot rules on three suite circuits of
-//! increasing size (s1423, s13207, s35932), measures the s35932
-//! cold-solve wall clock of the new engine against the kept-verbatim
-//! pre-refactor simplex (Dantzig pricing, full tree rebuild per pivot),
-//! runs the c-sweep + period-search probe schedule warm vs cold, writes
-//! `BENCH_solver.json`, and asserts both that the refactor is actually
-//! faster (speedup > 1) and that the warm sweep lands under 40% of the
-//! cold-per-probe total on s35932. Every objective is cross-checked
-//! across rules, against the primal-dual SSP, and (for warm probes)
-//! against an independent cold solve on the way. The criterion path
-//! samples the same rules on s1423 so an interactive `cargo bench`
-//! stays quick.
+//! `--json` times both cold engines on three suite circuits of
+//! increasing size (s1423, s13207, s35932), runs the c-sweep +
+//! period-search probe schedule warm vs cold, writes
+//! `BENCH_solver.json`, and asserts that the warm sweep lands under 40%
+//! of the cold-per-probe total on s35932. Every simplex objective is
+//! cross-checked against the SSP, and every warm probe against an
+//! independent cold solve, on the way. The criterion path samples both
+//! engines on s1423 so an interactive `cargo bench` stays quick.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use retime_circuits::paper_suite;
-use retime_flow::{MinCostFlow, PivotRuleKind, WarmMode};
 use retime_liberty::Library;
 use retime_netlist::CombCloud;
 use retime_retime::{Regions, RetimingProblem, SolverEngine, BREADTH_SCALE};
@@ -35,13 +30,6 @@ use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
 
 /// Rounds per measurement in `--json` mode (min is reported).
 const ROUNDS: usize = 3;
-
-/// The concrete pivot rules, with the names used in the JSON keys.
-const RULES: [(&str, PivotRuleKind); 3] = [
-    ("first", PivotRuleKind::FirstEligible),
-    ("block", PivotRuleKind::BlockSearch),
-    ("candidates", PivotRuleKind::CandidateList),
-];
 
 /// A suite circuit's Eq. 14 min-area retiming problem plus everything
 /// the warm-sweep rows need to derive probe states (the cloud for
@@ -86,11 +74,16 @@ fn time_min_ms<R>(rounds: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-/// One cold simplex solve: fresh instance (empty `OnceLock`, so the CSR
-/// freeze is inside the timed region), one pivot rule.
-fn cold_solve(problem: &RetimingProblem, rule: PivotRuleKind) -> i64 {
-    let flow: MinCostFlow = problem.flow_instance();
-    flow.solve_network_simplex_with(rule).expect("solves").cost
+/// One cold solve: fresh instance (empty `OnceLock`, so the CSR freeze
+/// is inside the timed region), simplex or SSP.
+fn cold_solve(problem: &RetimingProblem, simplex: bool) -> i64 {
+    let flow = problem.flow_instance();
+    let sol = if simplex {
+        flow.solve_network_simplex()
+    } else {
+        flow.solve()
+    };
+    sol.expect("solves").cost
 }
 
 /// The c-sweep + period-search probe schedule: three period re-binds
@@ -145,9 +138,7 @@ fn sweep_ms(setup: &mut ProblemSetup, circuit: &str) -> (f64, f64) {
         .collect();
 
     // Correctness gate: every warm probe must land on the cold optimum.
-    let mut check = setup
-        .problem
-        .parametric_sweep_with(WarmMode::On, PivotRuleKind::Auto);
+    let mut check = setup.problem.parametric_sweep();
     run_probe_schedule(&mut setup.problem, pseudo, &periods, |p| {
         let warm = check.solve_for(p).expect("warm probe solves");
         let cold = p
@@ -176,9 +167,7 @@ fn sweep_ms(setup: &mut ProblemSetup, circuit: &str) -> (f64, f64) {
 
     let mut warm_best = f64::INFINITY;
     for _ in 0..ROUNDS {
-        let mut sweep = setup
-            .problem
-            .parametric_sweep_with(WarmMode::On, PivotRuleKind::Auto);
+        let mut sweep = setup.problem.parametric_sweep();
         // Prime the basis outside the timed region: warm rows measure
         // only the re-solves, never the instance build.
         sweep.solve_for(&setup.problem).expect("prime solves");
@@ -196,67 +185,47 @@ fn sweep_ms(setup: &mut ProblemSetup, circuit: &str) -> (f64, f64) {
     (cold_best, warm_best)
 }
 
-fn bench_pivot_rules(c: &mut Criterion) {
+fn bench_cold_engines(c: &mut Criterion) {
     let problem = build_setup("s1423").problem;
-    let mut group = c.benchmark_group("simplex_cold_solve_s1423");
+    let mut group = c.benchmark_group("cold_solve_s1423");
     group.sample_size(10);
-    for (name, rule) in RULES {
-        group.bench_function(name, |b| b.iter(|| cold_solve(&problem, rule)));
+    for (name, simplex) in [("simplex", true), ("ssp", false)] {
+        group.bench_function(name, |b| b.iter(|| cold_solve(&problem, simplex)));
     }
-    group.bench_function("prerefactor", |b| {
-        b.iter(|| {
-            problem
-                .flow_instance()
-                .solve_network_simplex_prerefactor()
-                .expect("solves")
-                .cost
-        })
-    });
     group.finish();
 }
 
-/// Cold-solve comparison written to `BENCH_solver.json`; panics if any
-/// rule disagrees on the objective or the refactor fails to beat the
-/// pre-refactor baseline on s35932.
+/// Cold-engine and warm-sweep comparison written to `BENCH_solver.json`;
+/// panics if the simplex disagrees with the SSP on an objective or the
+/// warm sweep misses its bound on s35932.
 fn run_json() {
     let mut circuit_entries = Vec::new();
-    let mut s35932_auto = f64::NAN;
+    let mut s35932_cold = (f64::NAN, f64::NAN);
     let mut s35932_sweep = (f64::NAN, f64::NAN);
     for circuit in ["s1423", "s13207", "s35932"] {
         let mut setup = build_setup(circuit);
         let problem = &setup.problem;
         let probe = problem.flow_instance();
         let (nodes, arcs) = (probe.node_count(), probe.arc_count());
-        let expected = probe.solve().expect("SSP solves").cost;
-
-        let mut fields = String::new();
-        for (name, rule) in RULES {
-            let cost = cold_solve(problem, rule);
-            assert_eq!(cost, expected, "{circuit}: {name} disagrees with SSP");
-            let ms = time_min_ms(ROUNDS, || cold_solve(problem, rule));
-            fields.push_str(&format!("\"{name}_ms\": {ms:.3}, "));
-        }
-        // The production entry point (auto selection / `RETIME_PIVOT`).
-        let auto_ms = time_min_ms(ROUNDS, || {
-            problem
-                .flow_instance()
-                .solve_network_simplex()
-                .expect("solves")
-                .cost
-        });
-        if circuit == "s35932" {
-            s35932_auto = auto_ms;
-        }
+        let expected = cold_solve(problem, false);
+        assert_eq!(
+            cold_solve(problem, true),
+            expected,
+            "{circuit}: simplex disagrees with SSP"
+        );
+        let simplex_ms = time_min_ms(ROUNDS, || cold_solve(problem, true));
+        let ssp_ms = time_min_ms(ROUNDS, || cold_solve(problem, false));
         // Warm-start payoff on the c-sweep + period-search schedule
         // (mutates the problem, so it runs after the cold rows).
         let (cold_sweep_ms, warm_sweep_ms) = sweep_ms(&mut setup, circuit);
         let warm_speedup = cold_sweep_ms / warm_sweep_ms;
         if circuit == "s35932" {
+            s35932_cold = (simplex_ms, ssp_ms);
             s35932_sweep = (cold_sweep_ms, warm_sweep_ms);
         }
         circuit_entries.push(format!(
             "    {{\"circuit\": \"{circuit}\", \"nodes\": {nodes}, \"arcs\": {arcs}, \
-             {fields}\"auto_ms\": {auto_ms:.3}, \
+             \"simplex_ms\": {simplex_ms:.3}, \"ssp_ms\": {ssp_ms:.3}, \
              \"cold_sweep_ms\": {cold_sweep_ms:.3}, \
              \"warm_sweep_ms\": {warm_sweep_ms:.3}, \
              \"warm_speedup\": {warm_speedup:.3}, \"cost\": {expected}}}"
@@ -264,26 +233,14 @@ fn run_json() {
         eprintln!("{circuit}: measured ({nodes} nodes, {arcs} arcs)");
     }
 
-    // Pre-refactor baseline on the stress case, same cold protocol.
-    let problem = build_setup("s35932").problem;
-    let expected = problem.flow_instance().solve().expect("SSP solves").cost;
-    let prerefactor_ms = time_min_ms(ROUNDS, || {
-        let sol = problem
-            .flow_instance()
-            .solve_network_simplex_prerefactor()
-            .expect("solves");
-        assert_eq!(sol.cost, expected, "prerefactor disagrees with SSP");
-        sol.cost
-    });
-    let speedup = prerefactor_ms / s35932_auto;
+    let (s35932_simplex, s35932_ssp) = s35932_cold;
     let (s35932_cold_sweep, s35932_warm_sweep) = s35932_sweep;
     let warm_ratio = s35932_warm_sweep / s35932_cold_sweep;
 
     let json = format!(
         "{{\n  \"rounds\": {ROUNDS},\n  \"circuits\": [\n{}\n  ],\n  \
-         \"s35932_cold_ms\": {s35932_auto:.3},\n  \
-         \"s35932_prerefactor_ms\": {prerefactor_ms:.3},\n  \
-         \"s35932_speedup\": {speedup:.3},\n  \
+         \"s35932_simplex_ms\": {s35932_simplex:.3},\n  \
+         \"s35932_ssp_ms\": {s35932_ssp:.3},\n  \
          \"s35932_cold_sweep_ms\": {s35932_cold_sweep:.3},\n  \
          \"s35932_warm_sweep_ms\": {s35932_warm_sweep:.3},\n  \
          \"s35932_warm_ratio\": {warm_ratio:.3}\n}}\n",
@@ -295,18 +252,13 @@ fn run_json() {
     std::fs::write(&out, &json).expect("writes json");
     print!("{json}");
     assert!(
-        speedup > 1.0,
-        "CSR simplex ({s35932_auto:.3} ms) is not faster than the \
-         pre-refactor engine ({prerefactor_ms:.3} ms) on s35932"
-    );
-    assert!(
         warm_ratio < 0.4,
         "warm c-sweep + period search on s35932 ({s35932_warm_sweep:.3} ms) \
          is not under 40% of the cold-per-probe total ({s35932_cold_sweep:.3} ms)"
     );
 }
 
-criterion_group!(benches, bench_pivot_rules);
+criterion_group!(benches, bench_cold_engines);
 
 fn main() {
     if std::env::args().any(|a| a == "--json") {

@@ -140,10 +140,8 @@ fn fig4_grar_simplex_trace_matches_golden_structure() {
     let lib = Library::fdsoi28();
     let clock = feasible_clock(&fig.cloud, &lib);
     // Same fixed run as above but through the network-simplex engine:
-    // the golden additionally pins the pivot-batch span structure — the
-    // selected rule name and the pivot_count / degenerate_pivots
-    // counters (Fig. 4 is small, so `Auto` resolves deterministically
-    // to first-eligible).
+    // the golden additionally pins the pivot-batch span structure and
+    // its pivot_count / degenerate_pivots counters.
     let (_, records) = with_tracing(|| {
         grar(
             &fig.cloud,

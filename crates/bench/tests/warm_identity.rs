@@ -1,0 +1,64 @@
+//! Warm-start bit-identity: the Table IV overhead sweep, run the way the
+//! `table4` binary runs it (one [`WarmSlots`] per case, so every probe
+//! after the first resumes the previous basis), must produce the same
+//! cuts, EDL flags and areas as cold per-overhead runs (a fresh SSP
+//! solve each time). Warm-starting is a pure solver-level optimization;
+//! if any outcome moves, the warm basis leaked into the result.
+
+use retime_bench::{build_case, map_cases, run_approaches, run_approaches_with, WarmSlots};
+use retime_circuits::paper_suite;
+use retime_liberty::{EdlOverhead, Library};
+use retime_retime::RetimeOutcome;
+
+/// Asserts two flow outcomes are bit-identical in everything a table
+/// prints or a certificate checks.
+fn assert_same(label: &str, warm: &RetimeOutcome, cold: &RetimeOutcome) {
+    assert_eq!(warm.cut, cold.cut, "{label}: cut moved");
+    assert_eq!(warm.ed_sinks, cold.ed_sinks, "{label}: EDL flags moved");
+    assert_eq!(
+        warm.seq.total().to_bits(),
+        cold.seq.total().to_bits(),
+        "{label}: sequential area moved"
+    );
+    assert_eq!(
+        warm.total_area.to_bits(),
+        cold.total_area.to_bits(),
+        "{label}: total area moved"
+    );
+}
+
+#[test]
+fn table4_sweep_with_warm_slots_matches_cold_runs() {
+    let lib = Library::fdsoi28();
+    // The tiny suite, built directly rather than through `RETIME_SUITE`.
+    let cases: Vec<_> = paper_suite()
+        .into_iter()
+        .take(4)
+        .map(|spec| build_case(&spec, &lib))
+        .collect();
+    let warm_paths = map_cases(&cases, |case| {
+        let name = case.circuit.spec.name;
+        let mut slots = WarmSlots::default();
+        for c in EdlOverhead::SWEEP {
+            let warm = run_approaches_with(case, &lib, c, &mut slots).expect("warm flows run");
+            let cold = run_approaches(case, &lib, c).expect("cold flows run");
+            assert_same(&format!("{name} base c={c}"), &warm.base, &cold.base);
+            assert_same(
+                &format!("{name} rvl c={c}"),
+                &warm.rvl.outcome,
+                &cold.rvl.outcome,
+            );
+            assert_same(
+                &format!("{name} grar c={c}"),
+                &warm.grar.outcome,
+                &cold.grar.outcome,
+            );
+        }
+        let s = slots.stats();
+        s.warm_hits + s.cost_resumes + s.demand_deltas
+    });
+    assert!(
+        warm_paths.iter().all(|&n| n > 0),
+        "every case must answer some probes warm: {warm_paths:?}"
+    );
+}

@@ -3,9 +3,8 @@
 //! Controls whether [`mod@crate::convert`] proves the converted circuit
 //! functionally equivalent to its FF source by simulation. Parsing and
 //! warn-once fallback follow the exact shape of the workspace's other
-//! knobs (`RETIME_THREADS`, `RETIME_SUITE`, `RETIME_PIVOT`,
-//! `RETIME_WARM`): an unrecognized value prints one warning to stderr
-//! and falls back to automatic selection.
+//! knobs (`RETIME_THREADS`, `RETIME_SUITE`): an unrecognized value
+//! prints one warning to stderr and falls back to automatic selection.
 
 /// How conversion responds to equivalence-check requests — the
 /// `RETIME_CONVERT_CHECK` environment knob (`0` | `1` | `auto`).

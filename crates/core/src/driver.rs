@@ -113,11 +113,10 @@ pub fn grar(
 /// the circuit and clock — the `c ∈ {0.5, 1.0, 2.0}` overhead sweep of
 /// Table IV, an ECO re-submission — the flow solve resumes the previous
 /// optimum's basis instead of re-priming (the overhead only moves node
-/// demands, so the probes take the delta-routing path). `RETIME_WARM=0`
-/// turns the slot into a pass-through; a structurally different problem
-/// re-primes it. The per-call warm counters land in the report's
-/// `Stage::Solve` instrumentation (`warm_hits`, `cost_resumes`,
-/// `demand_deltas`, `cold_solves`).
+/// demands, so the probes take the delta-routing path). A structurally
+/// different problem re-primes the slot. The per-call warm counters
+/// land in the report's `Stage::Solve` instrumentation (`warm_hits`,
+/// `cost_resumes`, `demand_deltas`, `cold_solves`).
 ///
 /// # Errors
 /// The same failures as [`grar`].

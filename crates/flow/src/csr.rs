@@ -14,8 +14,8 @@
 //!   `2i + 1` its residual reverse, `e ^ 1` maps between them) plus the
 //!   index. [`MinCostFlow`](crate::MinCostFlow) freezes one lazily and
 //!   reuses it across repeated solves of the same instance — e.g. the
-//!   probes of a binary period search, or one instance solved under
-//!   several pivot rules.
+//!   probes of a binary period search, or one instance solved by several
+//!   engines.
 //!
 //! Solvers never mutate the arena: per-solve residual capacities are a
 //! flat copy of [`CsrGraph::caps`], so a solve costs one `memcpy`

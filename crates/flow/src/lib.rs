@@ -28,17 +28,15 @@
 //! period probes (cost edits), EDL overhead sweeps (demand edits), ECO
 //! re-submissions — go through the [`warm`] layer: [`ParametricSweep`]
 //! keeps a [`WarmBasis`] (solution + spanning tree) between probes and
-//! [`MinCostFlow::solve_warm`] repairs it instead of re-solving cold,
-//! under the `RETIME_WARM` override ([`WarmMode`]).
+//! [`MinCostFlow::solve_warm`] repairs it instead of re-solving cold.
 //!
 //! The fast engines all run on one flat [`csr`] arc arena:
 //! [`MinCostFlow`] freezes a [`CsrGraph`] (arc arrays + first-out index)
 //! on first solve and reuses it until mutated, the simplex reads its arc
 //! table straight out of that arena, and [`MaxFlow`] (hence [`Closure`])
-//! shares the same [`CsrIndex`] adjacency. Simplex pricing is pluggable:
-//! see [`pivot`] for the [`PivotRule`] portfolio (first-eligible, block
-//! search, candidate list), the size-based `Auto` selection, and the
-//! `RETIME_PIVOT` override.
+//! shares the same [`CsrIndex`] adjacency. The simplex prices with one
+//! fixed rule, rolling first-eligible (see [`simplex`]). The crate reads
+//! no environment variables: every solve is a function of its instance.
 //!
 //! All quantities are `i64`; callers scale fractional breadths (the
 //! `β = 1/k` fanout-sharing coefficients) to integers first.
@@ -48,12 +46,10 @@
 //! * **Determinism.** Every solver is single-threaded and iterates its
 //!   arc tables in insertion order (the CSR index preserves it); the
 //!   same instance always yields the same flows, potentials, and
-//!   pivot/augmentation sequence. Pivot-rule selection is deterministic
-//!   per instance (`Auto` resolves by arc count), and every rule reaches
-//!   the same optimal objective.
+//!   pivot/augmentation sequence.
 //! * **Tracing is observation-only.** Under `retime-trace` the solvers
-//!   emit spans (`network_simplex`/`pivot_batch` with the active `rule`
-//!   plus `pivot_count`/`degenerate_pivots` counters, `ssp`/`ssp_phase`
+//!   emit spans (`network_simplex`/`pivot_batch` with
+//!   `pivot_count`/`degenerate_pivots` counters, `ssp`/`ssp_phase`
 //!   with shipped amounts, `reference_ssp` with augmentation counts);
 //!   the solve itself never branches on the tracing state.
 //!
@@ -82,7 +78,6 @@ pub mod csr;
 pub mod error;
 pub mod maxflow;
 pub mod mincost;
-pub mod pivot;
 pub mod simplex;
 pub mod warm;
 
@@ -91,6 +86,4 @@ pub use csr::{CsrGraph, CsrIndex};
 pub use error::FlowError;
 pub use maxflow::MaxFlow;
 pub use mincost::{ArcId, FlowSolution, MinCostFlow};
-pub use pivot::{BlockSearch, CandidateList, FirstEligible, PivotRule, PivotRuleKind};
-pub use simplex::Pricing;
-pub use warm::{ParametricSweep, SweepStats, WarmBasis, WarmMode, WarmOutcome};
+pub use warm::{ParametricSweep, SweepStats, WarmBasis, WarmOutcome};

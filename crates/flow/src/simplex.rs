@@ -5,10 +5,11 @@
 //! The implementation is the primal network simplex with:
 //!
 //! * a big-M artificial initial basis (one artificial arc per node),
-//! * pluggable pricing behind the [`PivotRule`](crate::pivot::PivotRule)
-//!   trait — first-eligible, block search, or candidate list, selected
-//!   per instance by [`PivotRuleKind`] (`Auto` resolves by arc count,
-//!   `RETIME_PIVOT` overrides),
+//! * rolling first-eligible pricing: scan from one past the previous
+//!   entering arc, wrapping around, and take the first arc whose reduced
+//!   cost violates its bound. It does the least pricing work per pivot,
+//!   and on the retiming instances it beat block search and
+//!   candidate-list pricing at every size (s35932: 25 ms vs 84–210 ms),
 //! * the *strongly feasible basis* leaving-arc rule (last blocking arc
 //!   encountered traversing the cycle from the apex in the direction of
 //!   the entering arc), which prevents degenerate cycling,
@@ -23,12 +24,11 @@
 //! probes of a binary period search) never rebuild adjacency.
 //!
 //! [`MinCostFlow::solve`] (successive shortest paths) is the default
-//! engine; all pivot rules produce identical objective values, which the
-//! test suite and `tests/differential.rs` assert on randomized instances.
+//! engine; both reach identical objective values, which the test suite
+//! and `tests/differential.rs` assert on randomized instances.
 
 use crate::error::FlowError;
 use crate::mincost::{FlowSolution, MinCostFlow};
-use crate::pivot::PivotRuleKind;
 
 /// Pivots per `pivot_batch` trace span.
 const PIVOT_BATCH: usize = 256;
@@ -96,37 +96,44 @@ impl Arcs {
     fn len(&self) -> usize {
         self.from.len()
     }
-}
 
-/// Read-only pricing view a [`PivotRule`](crate::pivot::PivotRule) sees:
-/// per-arc reduced-cost violations against the current basis potentials.
-pub struct Pricing<'a> {
-    from: &'a [u32],
-    to: &'a [u32],
-    cost: &'a [i64],
-    state: &'a [ArcState],
-    pot: &'a [i64],
-}
-
-impl Pricing<'_> {
-    /// Number of priced arcs (user + artificial).
-    #[must_use]
-    pub fn arc_count(&self) -> usize {
-        self.cost.len()
+    /// Whether arc `a` may enter the basis: non-basic, with a reduced
+    /// cost against `pot` that violates its bound.
+    fn eligible(&self, pot: &[i64], a: usize) -> bool {
+        let rc = self.cost[a] + pot[self.from[a] as usize] - pot[self.to[a] as usize];
+        match self.state[a] {
+            ArcState::Lower => rc < 0,
+            ArcState::Upper => rc > 0,
+            ArcState::Tree => false,
+        }
     }
 
-    /// How strongly `arc` wants to enter the basis: the magnitude of its
-    /// reduced-cost violation, or `0` if it is not eligible (in the
-    /// basis, or priced consistently with its bound).
-    #[must_use]
-    pub fn violation(&self, arc: usize) -> i64 {
-        let rc =
-            self.cost[arc] + self.pot[self.from[arc] as usize] - self.pot[self.to[arc] as usize];
-        match self.state[arc] {
-            ArcState::Lower if rc < 0 => -rc,
-            ArcState::Upper if rc > 0 => rc,
-            _ => 0,
+    /// Rolling first-eligible pricing: the first eligible arc at or after
+    /// `cursor` (wrapping), with the cursor moved one past it. `None`
+    /// means the basis is optimal.
+    fn select_entering(&self, pot: &[i64], cursor: &mut usize) -> Option<usize> {
+        let start = cursor.checked_rem(self.len())?;
+        let e = (start..self.len())
+            .chain(0..start)
+            .find(|&a| self.eligible(pot, a))?;
+        *cursor = e + 1;
+        Some(e)
+    }
+
+    /// The optimum of a finished pivot run on `n` nodes: user-arc flows,
+    /// their cost, and the potentials without the root's. Infeasible
+    /// while an artificial arc (ids `user..`) still carries flow.
+    fn solution(&self, pot: &[i64], user: usize, n: usize) -> Result<FlowSolution, FlowError> {
+        if self.flow[user..].iter().any(|&f| f > 0) {
+            return Err(FlowError::Infeasible);
         }
+        let flows = self.flow[..user].to_vec();
+        let cost = flows.iter().zip(&self.cost).map(|(f, c)| f * c).sum();
+        Ok(FlowSolution {
+            cost,
+            flows,
+            potentials: pot[..n].to_vec(),
+        })
     }
 }
 
@@ -213,6 +220,16 @@ impl SpanningTree {
         self.next_sib[v as usize] = NONE;
     }
 
+    /// Freezes the basis — arc states plus tree links — for a later
+    /// [`MinCostFlow::simplex_resume`].
+    fn snapshot(&self, arcs: &Arcs) -> BasisSnapshot {
+        BasisSnapshot {
+            state: arcs.state.clone(),
+            parent: self.parent.clone(),
+            pred: self.pred.clone(),
+        }
+    }
+
     /// Links `v` as the first child of `p`.
     fn attach(&mut self, v: u32, p: u32) {
         let old = self.first_child[p as usize];
@@ -227,29 +244,13 @@ impl SpanningTree {
 }
 
 impl MinCostFlow {
-    /// Solves the problem with the network simplex method, choosing the
-    /// pivot rule from `RETIME_PIVOT` (automatic size-based selection
-    /// when unset).
+    /// Solves the problem with the network simplex method.
     ///
     /// # Errors
     /// [`FlowError::UnbalancedDemands`], [`FlowError::Infeasible`], or
     /// [`FlowError::IterationLimit`] if the pivot budget is exceeded.
     pub fn solve_network_simplex(&self) -> Result<FlowSolution, FlowError> {
-        self.solve_network_simplex_with(PivotRuleKind::from_env())
-    }
-
-    /// Solves the problem with the network simplex method under an
-    /// explicit pivot rule. Every rule reaches the same optimal
-    /// objective; only the pivot path (and runtime) differs.
-    ///
-    /// # Errors
-    /// [`FlowError::UnbalancedDemands`], [`FlowError::Infeasible`], or
-    /// [`FlowError::IterationLimit`] if the pivot budget is exceeded.
-    pub fn solve_network_simplex_with(
-        &self,
-        kind: PivotRuleKind,
-    ) -> Result<FlowSolution, FlowError> {
-        self.simplex_cold(kind, false).map(|(sol, _)| sol)
+        self.simplex_cold(false).map(|(sol, _)| sol)
     }
 
     /// Cold simplex solve, optionally exporting the final basis for
@@ -257,124 +258,34 @@ impl MinCostFlow {
     /// identical whether or not the snapshot is requested.
     pub(crate) fn simplex_cold(
         &self,
-        kind: PivotRuleKind,
         want_snapshot: bool,
     ) -> Result<(FlowSolution, Option<BasisSnapshot>), FlowError> {
         let n = self.node_count();
-        let total: i64 = (0..n).map(|v| self.demand(v)).sum();
-        if total != 0 {
-            return Err(FlowError::UnbalancedDemands { total });
-        }
-        // User arcs come straight out of the frozen CSR arena (arc `2a`
-        // is user arc `a`); repeated solves skip all graph construction.
-        let g = self.frozen();
         let user = self.arc_count();
-        let root = n;
-        let nn = n + 1;
-        let mut arcs = Arcs::with_capacity(user + n);
-        let mut max_cost = 1i64;
-        for a in 0..user {
-            let e = 2 * a;
-            let cost = g.cost(e);
-            max_cost = max_cost.max(cost.abs());
-            arcs.push(g.tail(e), g.head(e), g.cap(e), cost, 0, ArcState::Lower);
-        }
-        let big_m = max_cost.saturating_mul((n as i64) + 2).saturating_add(1);
-        // Artificial arcs: node with positive demand receives from the
-        // root; otherwise ships to the root (zero-demand arcs point to the
-        // root, making the initial basis strongly feasible).
-        let first_artificial = arcs.len();
-        for v in 0..n {
-            let b = self.demand(v);
-            if b > 0 {
-                arcs.push(root, v, i64::MAX / 4, big_m, b, ArcState::Tree);
-            } else {
-                arcs.push(v, root, i64::MAX / 4, big_m, -b, ArcState::Tree);
-            }
-        }
-        let mut tree = SpanningTree::new(nn);
-        tree.init_star(root, &arcs, first_artificial);
+        // Every user arc starts at its lower bound; each artificial arc
+        // carries its node's whole demand, so the star is a basis.
+        let mut arcs = self.arc_table(
+            |_, _| Ok((0, ArcState::Lower)),
+            |_, b| Ok((b.abs(), ArcState::Tree)),
+        )?;
+        let mut tree = SpanningTree::new(n + 1);
+        tree.init_star(n, &arcs, user);
 
-        let mut rule = kind.instantiate(arcs.len());
-        let rule_name = rule.name();
         let solve_span = retime_trace::span("network_simplex");
-        retime_trace::attr_str("rule", rule_name);
-        let max_pivots = 200 * (arcs.len() + nn) + 10_000;
-        let mut pivots = 0usize;
-        let mut degenerate_total = 0u64;
-        let mut optimal = false;
-        while !optimal {
-            // Pivots trace in batches so a long solve shows progress as
-            // nested spans instead of one opaque block.
-            let _batch = retime_trace::span("pivot_batch");
-            retime_trace::attr_str("rule", rule_name);
-            let batch_start = pivots;
-            let mut batch_degenerate = 0u64;
-            loop {
-                let entering = rule.select(&Pricing {
-                    from: &arcs.from,
-                    to: &arcs.to,
-                    cost: &arcs.cost,
-                    state: &arcs.state,
-                    pot: &tree.pot,
-                });
-                let Some(e_idx) = entering else {
-                    optimal = true;
-                    break;
-                };
-                pivots += 1;
-                if pivots > max_pivots {
-                    retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
-                    retime_trace::counter("degenerate_pivots", batch_degenerate);
-                    return Err(FlowError::IterationLimit);
-                }
-                if pivot(&mut arcs, &mut tree, e_idx) {
-                    batch_degenerate += 1;
-                }
-                if pivots - batch_start >= PIVOT_BATCH {
-                    break;
-                }
-            }
-            retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
-            retime_trace::counter("degenerate_pivots", batch_degenerate);
-            degenerate_total += batch_degenerate;
-        }
-        retime_trace::counter("pivots_total", pivots as u64);
-        retime_trace::counter("degenerate_total", degenerate_total);
+        let (pivots, degenerate) = pivot_to_optimality(&mut arcs, &mut tree)?;
+        retime_trace::counter("pivots_total", pivots);
+        retime_trace::counter("degenerate_total", degenerate);
         drop(solve_span);
 
-        // Infeasibility: artificial arc still carrying flow.
-        if arcs.flow[first_artificial..].iter().any(|&f| f > 0) {
-            return Err(FlowError::Infeasible);
-        }
-        let snapshot = want_snapshot.then(|| BasisSnapshot {
-            state: arcs.state.clone(),
-            parent: tree.parent.clone(),
-            pred: tree.pred.clone(),
-        });
-        let mut flows = Vec::with_capacity(user);
-        let mut cost = 0i64;
-        for a in 0..first_artificial {
-            flows.push(arcs.flow[a]);
-            cost += arcs.flow[a] * arcs.cost[a];
-        }
-        let mut potentials = tree.pot;
-        potentials.truncate(n);
-        Ok((
-            FlowSolution {
-                cost,
-                flows,
-                potentials,
-            },
-            snapshot,
-        ))
+        let solution = arcs.solution(&tree.pot, user, n)?;
+        Ok((solution, want_snapshot.then(|| tree.snapshot(&arcs))))
     }
 
     /// Resumes the network simplex from a frozen basis: restores arc
     /// states and tree structure, re-derives potentials from the current
     /// costs (dual repair) and flows from the snapshot (primal restore —
     /// demands must be unchanged since the capture; the warm-start layer
-    /// guarantees this), then pivots to optimality under `kind`.
+    /// guarantees this), then pivots to optimality.
     ///
     /// Returns the solution, the refreshed snapshot, and the number of
     /// repair pivots performed.
@@ -386,14 +297,8 @@ impl MinCostFlow {
         &self,
         snap: &BasisSnapshot,
         prev_flows: &[i64],
-        kind: PivotRuleKind,
     ) -> Result<(FlowSolution, BasisSnapshot, u64), FlowError> {
         let n = self.node_count();
-        let total: i64 = (0..n).map(|v| self.demand(v)).sum();
-        if total != 0 {
-            return Err(FlowError::UnbalancedDemands { total });
-        }
-        let g = self.frozen();
         let user = self.arc_count();
         let root = n;
         let nn = n + 1;
@@ -413,42 +318,32 @@ impl MinCostFlow {
         }
         // Arc table at the *current* costs; states from the snapshot;
         // non-tree flows pinned to their bound, tree flows restored.
-        let mut arcs = Arcs::with_capacity(user + n);
-        let mut max_cost = 1i64;
-        for (a, &prev) in prev_flows.iter().enumerate() {
-            let e = 2 * a;
-            let cost = g.cost(e);
-            max_cost = max_cost.max(cost.abs());
-            let flow = match snap.state[a] {
-                ArcState::Lower => 0,
-                ArcState::Upper => g.cap(e),
-                ArcState::Tree => prev,
-            };
-            if flow < 0 || flow > g.cap(e) {
-                return Err(stale(format!(
-                    "restored flow {flow} out of bounds on arc {a}"
-                )));
-            }
-            arcs.push(g.tail(e), g.head(e), g.cap(e), cost, flow, snap.state[a]);
-        }
-        let big_m = max_cost.saturating_mul((n as i64) + 2).saturating_add(1);
-        let first_artificial = arcs.len();
-        for v in 0..n {
-            let b = self.demand(v);
-            let st = snap.state[user + v];
-            if st == ArcState::Upper {
-                return Err(stale(format!(
-                    "artificial arc of node {v} at its upper bound"
-                )));
-            }
-            // The snapshot was taken at an optimum, where artificials
-            // carry zero flow; with demands unchanged they still do.
-            if b > 0 {
-                arcs.push(root, v, i64::MAX / 4, big_m, 0, st);
-            } else {
-                arcs.push(v, root, i64::MAX / 4, big_m, 0, st);
-            }
-        }
+        let mut arcs = self.arc_table(
+            |a, cap| {
+                let state = snap.state[a];
+                let flow = match state {
+                    ArcState::Lower => 0,
+                    ArcState::Upper => cap,
+                    ArcState::Tree => prev_flows[a],
+                };
+                if flow < 0 || flow > cap {
+                    return Err(stale(format!(
+                        "restored flow {flow} out of bounds on arc {a}"
+                    )));
+                }
+                Ok((flow, state))
+            },
+            |v, _| {
+                // The snapshot was taken at an optimum, where artificials
+                // carry zero flow; with demands unchanged they still do.
+                match snap.state[user + v] {
+                    ArcState::Upper => Err(stale(format!(
+                        "artificial arc of node {v} at its upper bound"
+                    ))),
+                    state => Ok((0, state)),
+                }
+            },
+        )?;
         // Conservation audit: the restored flows must meet the demands
         // exactly (artificials carry zero), or the snapshot is stale.
         let mut excess = vec![0i64; n];
@@ -522,77 +417,94 @@ impl MinCostFlow {
         }
 
         // Ordinary strongly-feasible pivoting from the repaired basis.
-        let mut rule = kind.instantiate(arcs.len());
-        let rule_name = rule.name();
         let solve_span = retime_trace::span("network_simplex_warm");
-        retime_trace::attr_str("rule", rule_name);
-        let max_pivots = 200 * (arcs.len() + nn) + 10_000;
-        let mut pivots = 0usize;
-        let mut degenerate_total = 0u64;
-        let mut optimal = false;
-        while !optimal {
-            let _batch = retime_trace::span("pivot_batch");
-            retime_trace::attr_str("rule", rule_name);
-            let batch_start = pivots;
-            let mut batch_degenerate = 0u64;
-            loop {
-                let entering = rule.select(&Pricing {
-                    from: &arcs.from,
-                    to: &arcs.to,
-                    cost: &arcs.cost,
-                    state: &arcs.state,
-                    pot: &tree.pot,
-                });
-                let Some(e_idx) = entering else {
-                    optimal = true;
-                    break;
-                };
-                pivots += 1;
-                if pivots > max_pivots {
-                    retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
-                    retime_trace::counter("degenerate_pivots", batch_degenerate);
-                    return Err(FlowError::IterationLimit);
-                }
-                if pivot(&mut arcs, &mut tree, e_idx) {
-                    batch_degenerate += 1;
-                }
-                if pivots - batch_start >= PIVOT_BATCH {
-                    break;
-                }
-            }
-            retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
-            retime_trace::counter("degenerate_pivots", batch_degenerate);
-            degenerate_total += batch_degenerate;
-        }
-        retime_trace::counter("repair_pivots", pivots as u64);
-        retime_trace::counter("degenerate_total", degenerate_total);
+        let (pivots, degenerate) = pivot_to_optimality(&mut arcs, &mut tree)?;
+        retime_trace::counter("repair_pivots", pivots);
+        retime_trace::counter("degenerate_total", degenerate);
         drop(solve_span);
 
-        if arcs.flow[first_artificial..].iter().any(|&f| f > 0) {
-            return Err(FlowError::Infeasible);
+        let solution = arcs.solution(&tree.pot, user, n)?;
+        Ok((solution, tree.snapshot(&arcs), pivots))
+    }
+
+    /// Builds the simplex arc table after checking that demands balance.
+    /// User arc `a` is read at its current cost straight out of the
+    /// frozen CSR arena (arc `2a`), so repeated solves skip all graph
+    /// construction; `user_arc(a, cap)` gives its flow and state. Then
+    /// one big-M artificial arc per node `v` (id `user + v`): a node with
+    /// positive demand receives from the root `n`, any other ships to it
+    /// (zero-demand arcs point to the root, making the initial star
+    /// basis strongly feasible); `artificial(v, demand)` gives its flow
+    /// and state.
+    fn arc_table(
+        &self,
+        mut user_arc: impl FnMut(usize, i64) -> Result<(i64, ArcState), FlowError>,
+        mut artificial: impl FnMut(usize, i64) -> Result<(i64, ArcState), FlowError>,
+    ) -> Result<Arcs, FlowError> {
+        let n = self.node_count();
+        let total: i64 = (0..n).map(|v| self.demand(v)).sum();
+        if total != 0 {
+            return Err(FlowError::UnbalancedDemands { total });
         }
-        let snapshot = BasisSnapshot {
-            state: arcs.state.clone(),
-            parent: tree.parent.clone(),
-            pred: tree.pred.clone(),
-        };
-        let mut flows = Vec::with_capacity(user);
-        let mut cost = 0i64;
-        for a in 0..first_artificial {
-            flows.push(arcs.flow[a]);
-            cost += arcs.flow[a] * arcs.cost[a];
+        let g = self.frozen();
+        let user = self.arc_count();
+        let mut arcs = Arcs::with_capacity(user + n);
+        let mut max_cost = 1i64;
+        for a in 0..user {
+            let e = 2 * a;
+            let (flow, state) = user_arc(a, g.cap(e))?;
+            max_cost = max_cost.max(g.cost(e).abs());
+            arcs.push(g.tail(e), g.head(e), g.cap(e), g.cost(e), flow, state);
         }
-        let mut potentials = tree.pot;
-        potentials.truncate(n);
-        Ok((
-            FlowSolution {
-                cost,
-                flows,
-                potentials,
-            },
-            snapshot,
-            pivots as u64,
-        ))
+        let big_m = max_cost.saturating_mul((n as i64) + 2).saturating_add(1);
+        for v in 0..n {
+            let b = self.demand(v);
+            let (flow, state) = artificial(v, b)?;
+            if b > 0 {
+                arcs.push(n, v, i64::MAX / 4, big_m, flow, state);
+            } else {
+                arcs.push(v, n, i64::MAX / 4, big_m, flow, state);
+            }
+        }
+        Ok(arcs)
+    }
+}
+
+/// Pivots from the current basis to optimality, tracing the pivots in
+/// `pivot_batch` spans of [`PIVOT_BATCH`] so a long solve shows progress
+/// as nested spans instead of one opaque block. Returns the pivot count
+/// and how many of those pivots were degenerate.
+fn pivot_to_optimality(arcs: &mut Arcs, tree: &mut SpanningTree) -> Result<(u64, u64), FlowError> {
+    let max_pivots = 200 * (arcs.len() + tree.parent.len()) + 10_000;
+    let mut cursor = 0usize;
+    let mut pivots = 0usize;
+    let mut degenerate_total = 0u64;
+    loop {
+        let _batch = retime_trace::span("pivot_batch");
+        let batch_start = pivots;
+        let mut batch_degenerate = 0u64;
+        let mut optimal = false;
+        while pivots - batch_start < PIVOT_BATCH {
+            let Some(e_idx) = arcs.select_entering(&tree.pot, &mut cursor) else {
+                optimal = true;
+                break;
+            };
+            pivots += 1;
+            if pivots > max_pivots {
+                retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
+                retime_trace::counter("degenerate_pivots", batch_degenerate);
+                return Err(FlowError::IterationLimit);
+            }
+            if pivot(arcs, tree, e_idx) {
+                batch_degenerate += 1;
+            }
+        }
+        retime_trace::counter("pivot_count", (pivots - batch_start) as u64);
+        retime_trace::counter("degenerate_pivots", batch_degenerate);
+        degenerate_total += batch_degenerate;
+        if optimal {
+            return Ok((pivots as u64, degenerate_total));
+        }
     }
 }
 
@@ -770,327 +682,26 @@ fn pivot(arcs: &mut Arcs, tree: &mut SpanningTree, e_idx: usize) -> bool {
     degenerate
 }
 
-/// The pre-refactor engine, kept verbatim (minus tracing) as the honest
-/// baseline `solver_bench` measures the CSR rewrite against: Dantzig
-/// pricing over an `Vec`-of-structs arc table with a full O(n) tree +
-/// potential rebuild after every pivot.
-mod prerefactor {
-    use crate::error::FlowError;
-    use crate::mincost::{FlowSolution, MinCostFlow};
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum ArcState {
-        Lower,
-        Tree,
-        Upper,
-    }
-
-    #[derive(Debug, Clone)]
-    struct SArc {
-        from: usize,
-        to: usize,
-        cap: i64,
-        cost: i64,
-        flow: i64,
-        state: ArcState,
-    }
-
-    impl MinCostFlow {
-        /// The network simplex as it existed before the CSR/flat-tree
-        /// refactor. Benchmark baseline only — not part of the public
-        /// API surface.
-        #[doc(hidden)]
-        pub fn solve_network_simplex_prerefactor(&self) -> Result<FlowSolution, FlowError> {
-            let n = self.node_count();
-            let total: i64 = (0..n).map(|v| self.demand(v)).sum();
-            if total != 0 {
-                return Err(FlowError::UnbalancedDemands { total });
-            }
-            let root = n;
-            let mut arcs: Vec<SArc> = Vec::with_capacity(self.arc_count() + n);
-            let mut max_cost = 1i64;
-            for a in 0..self.arc_count() {
-                let (from, to, cap, cost) = self.arc_info(crate::mincost::ArcId(a));
-                max_cost = max_cost.max(cost.abs());
-                arcs.push(SArc {
-                    from,
-                    to,
-                    cap,
-                    cost,
-                    flow: 0,
-                    state: ArcState::Lower,
-                });
-            }
-            let big_m = max_cost.saturating_mul((n as i64) + 2).saturating_add(1);
-            let first_artificial = arcs.len();
-            for v in 0..n {
-                let b = self.demand(v);
-                if b > 0 {
-                    arcs.push(SArc {
-                        from: root,
-                        to: v,
-                        cap: i64::MAX / 4,
-                        cost: big_m,
-                        flow: b,
-                        state: ArcState::Tree,
-                    });
-                } else {
-                    arcs.push(SArc {
-                        from: v,
-                        to: root,
-                        cap: i64::MAX / 4,
-                        cost: big_m,
-                        flow: -b,
-                        state: ArcState::Tree,
-                    });
-                }
-            }
-
-            let nn = n + 1;
-            let mut parent: Vec<Option<(usize, usize)>> = vec![None; nn];
-            let mut depth = vec![0usize; nn];
-            let mut pot = vec![0i64; nn];
-            rebuild_tree(&arcs, nn, root, &mut parent, &mut depth, &mut pot);
-
-            let max_pivots = 200 * (arcs.len() + nn) + 10_000;
-            let mut pivots = 0usize;
-            loop {
-                pivots += 1;
-                if pivots > max_pivots {
-                    return Err(FlowError::IterationLimit);
-                }
-                let mut entering: Option<(usize, i64)> = None;
-                for (i, a) in arcs.iter().enumerate() {
-                    let rc = a.cost + pot[a.from] - pot[a.to];
-                    let viol = match a.state {
-                        ArcState::Lower if rc < 0 => -rc,
-                        ArcState::Upper if rc > 0 => rc,
-                        _ => 0,
-                    };
-                    if viol > 0 && entering.is_none_or(|(_, best)| viol > best) {
-                        entering = Some((i, viol));
-                    }
-                }
-                let Some((e_idx, _)) = entering else {
-                    break;
-                };
-                pivot(&mut arcs, e_idx, &parent, &depth);
-                rebuild_tree(&arcs, nn, root, &mut parent, &mut depth, &mut pot);
-            }
-
-            for a in &arcs[first_artificial..] {
-                if a.flow > 0 {
-                    return Err(FlowError::Infeasible);
-                }
-            }
-            let mut flows = Vec::with_capacity(self.arc_count());
-            let mut cost = 0i64;
-            for a in &arcs[..first_artificial] {
-                flows.push(a.flow);
-                cost += a.flow * a.cost;
-            }
-            pot.truncate(n);
-            Ok(FlowSolution {
-                cost,
-                flows,
-                potentials: pot,
-            })
-        }
-    }
-
-    /// Rebuilds parent pointers, depths, and potentials from the tree
-    /// arcs — the per-pivot `Vec<Vec>` rebuild the refactor removed.
-    fn rebuild_tree(
-        arcs: &[SArc],
-        nn: usize,
-        root: usize,
-        parent: &mut [Option<(usize, usize)>],
-        depth: &mut [usize],
-        pot: &mut [i64],
-    ) {
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nn];
-        for (i, a) in arcs.iter().enumerate() {
-            if a.state == ArcState::Tree {
-                adj[a.from].push((a.to, i));
-                adj[a.to].push((a.from, i));
-            }
-        }
-        parent.iter_mut().for_each(|p| *p = None);
-        let mut seen = vec![false; nn];
-        let mut stack = vec![root];
-        seen[root] = true;
-        depth[root] = 0;
-        pot[root] = 0;
-        while let Some(u) = stack.pop() {
-            for &(v, ai) in &adj[u] {
-                if seen[v] {
-                    continue;
-                }
-                seen[v] = true;
-                parent[v] = Some((u, ai));
-                depth[v] = depth[u] + 1;
-                let a = &arcs[ai];
-                pot[v] = if a.from == u {
-                    pot[u] + a.cost
-                } else {
-                    pot[u] - a.cost
-                };
-                stack.push(v);
-            }
-        }
-        debug_assert!(seen.iter().all(|&s| s), "basis must span all nodes");
-    }
-
-    fn pivot(arcs: &mut [SArc], e_idx: usize, parent: &[Option<(usize, usize)>], depth: &[usize]) {
-        let (push_from, push_to) = match arcs[e_idx].state {
-            ArcState::Lower => (arcs[e_idx].from, arcs[e_idx].to),
-            ArcState::Upper => (arcs[e_idx].to, arcs[e_idx].from),
-            ArcState::Tree => unreachable!("entering arc cannot be in the tree"),
-        };
-        let mut left: Vec<usize> = Vec::new();
-        let mut right: Vec<usize> = Vec::new();
-        let (mut a, mut b) = (push_from, push_to);
-        while depth[a] > depth[b] {
-            let (p, ai) = parent[a].expect("non-root has parent");
-            left.push(ai);
-            a = p;
-        }
-        while depth[b] > depth[a] {
-            let (p, ai) = parent[b].expect("non-root has parent");
-            right.push(ai);
-            b = p;
-        }
-        while a != b {
-            let (pa, ai) = parent[a].expect("non-root has parent");
-            let (pb, bi) = parent[b].expect("non-root has parent");
-            left.push(ai);
-            right.push(bi);
-            a = pa;
-            b = pb;
-        }
-        struct CycleArc {
-            idx: usize,
-            forward: bool,
-        }
-        let mut cycle: Vec<CycleArc> = Vec::new();
-        for &ai in left.iter().rev() {
-            cycle.push(CycleArc {
-                idx: ai,
-                forward: arc_points_down(arcs, ai, parent),
-            });
-        }
-        cycle.push(CycleArc {
-            idx: e_idx,
-            forward: true,
-        });
-        for &ai in right.iter() {
-            cycle.push(CycleArc {
-                idx: ai,
-                forward: !arc_points_down(arcs, ai, parent),
-            });
-        }
-        let mut delta = i64::MAX;
-        for ca in &cycle {
-            let arc = &arcs[ca.idx];
-            let room = if ca.forward {
-                if ca.idx == e_idx && arc.state == ArcState::Upper {
-                    arc.flow
-                } else {
-                    arc.cap - arc.flow
-                }
-            } else {
-                arc.flow
-            };
-            delta = delta.min(room);
-        }
-        let mut leaving: Option<usize> = None;
-        for ca in &cycle {
-            let arc = &arcs[ca.idx];
-            let room = if ca.forward {
-                if ca.idx == e_idx && arc.state == ArcState::Upper {
-                    arc.flow
-                } else {
-                    arc.cap - arc.flow
-                }
-            } else {
-                arc.flow
-            };
-            if room == delta {
-                leaving = Some(ca.idx);
-            }
-        }
-        let leaving = leaving.expect("a blocking arc always exists");
-        for ca in &cycle {
-            let upper_entering = ca.idx == e_idx && arcs[ca.idx].state == ArcState::Upper;
-            let arc = &mut arcs[ca.idx];
-            if ca.forward && !upper_entering {
-                arc.flow += delta;
-            } else {
-                arc.flow -= delta;
-            }
-        }
-        if leaving == e_idx {
-            let arc = &mut arcs[e_idx];
-            arc.state = if arc.flow == 0 {
-                ArcState::Lower
-            } else {
-                ArcState::Upper
-            };
-            return;
-        }
-        let leave_state = if arcs[leaving].flow == 0 {
-            ArcState::Lower
-        } else {
-            ArcState::Upper
-        };
-        arcs[leaving].state = leave_state;
-        arcs[e_idx].state = ArcState::Tree;
-    }
-
-    fn arc_points_down(arcs: &[SArc], ai: usize, parent: &[Option<(usize, usize)>]) -> bool {
-        let a = &arcs[ai];
-        matches!(parent[a.to], Some((_, pai)) if pai == ai)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL_RULES: [PivotRuleKind; 4] = [
-        PivotRuleKind::Auto,
-        PivotRuleKind::FirstEligible,
-        PivotRuleKind::BlockSearch,
-        PivotRuleKind::CandidateList,
-    ];
-
     fn assert_engines_agree(p: &MinCostFlow) {
         let ssp = p.solve().expect("ssp solves");
-        for kind in ALL_RULES {
-            let nsx = p
-                .solve_network_simplex_with(kind)
-                .expect("simplex solves under every pivot rule");
-            assert_eq!(
-                ssp.cost, nsx.cost,
-                "engines must agree on the optimum ({kind:?})"
-            );
-            // Simplex flows must satisfy conservation too.
-            let mut excess = vec![0i64; p.node_count()];
-            for a in 0..p.arc_count() {
-                let (from, to, cap, _) = p.raw_arc(a);
-                let f = nsx.flows[a];
-                assert!(f >= 0 && f <= cap);
-                excess[to] += f;
-                excess[from] -= f;
-            }
-            for (v, &e) in excess.iter().enumerate() {
-                assert_eq!(e, p.demand(v), "conservation at node {v} ({kind:?})");
-            }
+        let nsx = p.solve_network_simplex().expect("simplex solves");
+        assert_eq!(ssp.cost, nsx.cost, "engines must agree on the optimum");
+        // Simplex flows must satisfy conservation too.
+        let mut excess = vec![0i64; p.node_count()];
+        for a in 0..p.arc_count() {
+            let (from, to, cap, _) = p.raw_arc(a);
+            let f = nsx.flows[a];
+            assert!(f >= 0 && f <= cap);
+            excess[to] += f;
+            excess[from] -= f;
         }
-        let old = p
-            .solve_network_simplex_prerefactor()
-            .expect("prerefactor baseline solves");
-        assert_eq!(ssp.cost, old.cost, "prerefactor baseline agrees");
+        for (v, &e) in excess.iter().enumerate() {
+            assert_eq!(e, p.demand(v), "conservation at node {v}");
+        }
     }
 
     #[test]
@@ -1134,12 +745,14 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        for kind in ALL_RULES {
-            assert_eq!(
-                p.solve_network_simplex_with(kind),
-                Err(FlowError::Infeasible)
-            );
-        }
+        assert_eq!(p.solve_network_simplex(), Err(FlowError::Infeasible));
+    }
+
+    #[test]
+    fn empty_instance_is_trivially_optimal() {
+        let sol = MinCostFlow::new(0).solve_network_simplex().unwrap();
+        assert_eq!(sol.cost, 0);
+        assert!(sol.flows.is_empty() && sol.potentials.is_empty());
     }
 
     #[test]
@@ -1187,16 +800,10 @@ mod tests {
                 total += d;
             }
             p.set_demand(n - 1, -total);
-            let ssp = p.solve();
-            for kind in ALL_RULES {
-                let nsx = p.solve_network_simplex_with(kind);
-                match (&ssp, nsx) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.cost, b.cost, "case {case} ({kind:?})");
-                    }
-                    (Err(FlowError::Infeasible), Err(FlowError::Infeasible)) => {}
-                    (a, b) => panic!("case {case} ({kind:?}): engines disagree: {a:?} vs {b:?}"),
-                }
+            match (p.solve(), p.solve_network_simplex()) {
+                (Ok(a), Ok(b)) => assert_eq!(a.cost, b.cost, "case {case}"),
+                (Err(FlowError::Infeasible), Err(FlowError::Infeasible)) => {}
+                (a, b) => panic!("case {case}: engines disagree: {a:?} vs {b:?}"),
             }
         }
     }

@@ -22,8 +22,8 @@
 //!     because an optimal residual graph has no negative cycles),
 //!   * *both changed / no tree* — fall back to a fresh cold solve.
 //! * [`ParametricSweep`] — the driver call sites use: owns the instance
-//!   and the basis, re-primes on [`FlowError::StaleBasis`], honors the
-//!   `RETIME_WARM` override ([`WarmMode`]), and tallies [`SweepStats`].
+//!   and the basis, re-primes on [`FlowError::StaleBasis`], and tallies
+//!   [`SweepStats`].
 //!
 //! # What "identical" means here
 //!
@@ -44,71 +44,7 @@
 
 use crate::error::FlowError;
 use crate::mincost::{ArcId, FlowSolution, MinCostFlow};
-use crate::pivot::PivotRuleKind;
 use crate::simplex::BasisSnapshot;
-
-/// How the warm-start layer responds to re-solve requests — the
-/// `RETIME_WARM` environment knob (`0` | `1` | `auto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmMode {
-    /// Never warm-start: every [`ParametricSweep::solve`] is a cold
-    /// solve. (`RETIME_WARM=0`.)
-    Off,
-    /// Always warm-start where a basis is available. (`RETIME_WARM=1`.)
-    On,
-    /// Default: call sites that built an explicit [`ParametricSweep`]
-    /// warm-start; everything else stays cold.
-    #[default]
-    Auto,
-}
-
-impl WarmMode {
-    /// Parses a raw `RETIME_WARM` value. `Err` carries the one-line
-    /// warning to print — the same shape `RETIME_PIVOT` and
-    /// `RETIME_THREADS` use, so all the env knobs fail the same way.
-    ///
-    /// # Errors
-    /// Returns the warning line when the value is unrecognized.
-    pub fn parse(raw: &str) -> Result<WarmMode, String> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" => Ok(WarmMode::Off),
-            "1" | "on" | "true" => Ok(WarmMode::On),
-            "auto" => Ok(WarmMode::Auto),
-            _ => Err(format!(
-                "warning: unrecognized RETIME_WARM value {raw:?}; \
-                 accepted values are \"0\", \"1\", or \"auto\" — using \
-                 automatic selection"
-            )),
-        }
-    }
-
-    /// The `RETIME_WARM` selection, warning once on stderr for an
-    /// unrecognized value (falls back to automatic selection).
-    pub fn from_env() -> WarmMode {
-        match std::env::var("RETIME_WARM") {
-            Ok(raw) => WarmMode::parse(&raw).unwrap_or_else(|warning| {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("{warning}"));
-                WarmMode::Auto
-            }),
-            Err(_) => WarmMode::Auto,
-        }
-    }
-
-    /// Whether a [`ParametricSweep`] (an explicit warm call site) may
-    /// reuse its basis under this mode.
-    #[must_use]
-    pub fn warm_allowed(self) -> bool {
-        self != WarmMode::Off
-    }
-
-    /// Whether warm-starting is *forced* (`RETIME_WARM=1`) — implicit
-    /// call sites that default to cold solves switch to warm paths.
-    #[must_use]
-    pub fn forced(self) -> bool {
-        self == WarmMode::On
-    }
-}
 
 /// How a [`MinCostFlow::solve_warm`] call obtained its solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,12 +113,12 @@ impl MinCostFlow {
     /// Solves cold with the network simplex and captures a [`WarmBasis`]
     /// (solution + costs/demands + spanning tree) for later warm
     /// re-solves. The solve itself is identical to
-    /// [`MinCostFlow::solve_network_simplex_with`].
+    /// [`MinCostFlow::solve_network_simplex`].
     ///
     /// # Errors
-    /// Same as [`MinCostFlow::solve_network_simplex_with`].
-    pub fn solve_cold_capture(&self, kind: PivotRuleKind) -> Result<WarmBasis, FlowError> {
-        let (solution, tree) = self.simplex_cold(kind, true)?;
+    /// Same as [`MinCostFlow::solve_network_simplex`].
+    pub fn solve_cold_capture(&self) -> Result<WarmBasis, FlowError> {
+        let (solution, tree) = self.simplex_cold(true)?;
         Ok(WarmBasis {
             n: self.node_count(),
             user_arcs: self.arc_count(),
@@ -209,7 +145,6 @@ impl MinCostFlow {
     pub fn solve_warm(
         &self,
         basis: &mut WarmBasis,
-        kind: PivotRuleKind,
     ) -> Result<(FlowSolution, WarmOutcome), FlowError> {
         if !basis.matches(self) {
             return Err(FlowError::StaleBasis {
@@ -236,11 +171,11 @@ impl MinCostFlow {
             }
             (true, false) => {
                 let Some(tree) = basis.tree.as_ref() else {
-                    return self.warm_reprime(basis, kind);
+                    return self.warm_reprime(basis);
                 };
                 retime_trace::attr_str("path", "cost_resume");
                 let (solution, tree, repair_pivots) =
-                    self.simplex_resume(tree, &basis.solution.flows, kind)?;
+                    self.simplex_resume(tree, &basis.solution.flows)?;
                 basis.costs = (0..self.arc_count())
                     .map(|a| self.cost_of(ArcId(a)))
                     .collect();
@@ -259,7 +194,7 @@ impl MinCostFlow {
                 basis.tree = None;
                 Ok((solution, WarmOutcome::DemandDelta))
             }
-            (true, true) => self.warm_reprime(basis, kind),
+            (true, true) => self.warm_reprime(basis),
         }
     }
 
@@ -268,10 +203,9 @@ impl MinCostFlow {
     fn warm_reprime(
         &self,
         basis: &mut WarmBasis,
-        kind: PivotRuleKind,
     ) -> Result<(FlowSolution, WarmOutcome), FlowError> {
         retime_trace::attr_str("path", "cold_fallback");
-        *basis = self.solve_cold_capture(kind)?;
+        *basis = self.solve_cold_capture()?;
         Ok((basis.solution.clone(), WarmOutcome::Cold))
     }
 
@@ -443,8 +377,8 @@ pub struct SweepStats {
     pub cost_resumes: u64,
     /// Probes answered by routing a demand delta.
     pub demand_deltas: u64,
-    /// Probes answered by a full cold solve (first probe, `RETIME_WARM=0`,
-    /// both-changed fallbacks, and stale-basis re-primes).
+    /// Probes answered by a full cold solve (first probe, both-changed
+    /// fallbacks, and stale-basis re-primes).
     pub cold_solves: u64,
     /// Total pivots spent inside warm simplex resumes.
     pub repair_pivots: u64,
@@ -453,7 +387,7 @@ pub struct SweepStats {
 /// Drives a sequence of warm re-solves over one owned [`MinCostFlow`]
 /// instance: mutate costs/demands through [`ParametricSweep::problem_mut`]
 /// between calls to [`ParametricSweep::solve`], and the sweep reuses the
-/// previous optimum wherever the [`WarmMode`] allows.
+/// previous optimum wherever a sound repair exists.
 ///
 /// ```
 /// use retime_flow::{MinCostFlow, ParametricSweep, ArcId};
@@ -478,31 +412,17 @@ pub struct SweepStats {
 pub struct ParametricSweep {
     problem: MinCostFlow,
     basis: Option<WarmBasis>,
-    mode: WarmMode,
-    kind: PivotRuleKind,
     stats: SweepStats,
 }
 
 impl ParametricSweep {
-    /// Wraps `problem`, reading [`WarmMode`] from `RETIME_WARM` and the
-    /// pivot rule from `RETIME_PIVOT`.
+    /// Wraps `problem`; the first [`ParametricSweep::solve`] primes the
+    /// basis cold.
     #[must_use]
     pub fn new(problem: MinCostFlow) -> ParametricSweep {
-        ParametricSweep::with_config(problem, WarmMode::from_env(), PivotRuleKind::from_env())
-    }
-
-    /// Wraps `problem` under an explicit mode and pivot rule.
-    #[must_use]
-    pub fn with_config(
-        problem: MinCostFlow,
-        mode: WarmMode,
-        kind: PivotRuleKind,
-    ) -> ParametricSweep {
         ParametricSweep {
             problem,
             basis: None,
-            mode,
-            kind,
             stats: SweepStats::default(),
         }
     }
@@ -540,19 +460,16 @@ impl ParametricSweep {
         self.basis.as_mut()
     }
 
-    /// Solves the instance as it currently stands, warm where allowed.
+    /// Solves the instance as it currently stands, warm from the
+    /// previous basis when one is primed.
     ///
     /// # Errors
     /// The underlying solver errors ([`FlowError::Infeasible`] etc.).
     /// [`FlowError::StaleBasis`] never escapes — it triggers a cold
     /// re-prime instead.
     pub fn solve(&mut self) -> Result<FlowSolution, FlowError> {
-        if !self.mode.warm_allowed() {
-            self.stats.cold_solves += 1;
-            return self.problem.solve_network_simplex_with(self.kind);
-        }
         if let Some(basis) = self.basis.as_mut() {
-            match self.problem.solve_warm(basis, self.kind) {
+            match self.problem.solve_warm(basis) {
                 Ok((solution, outcome)) => {
                     match outcome {
                         WarmOutcome::Hit => self.stats.warm_hits += 1,
@@ -577,7 +494,7 @@ impl ParametricSweep {
             }
         }
         self.stats.cold_solves += 1;
-        match self.problem.solve_cold_capture(self.kind) {
+        match self.problem.solve_cold_capture() {
             Ok(basis) => {
                 let solution = basis.solution().clone();
                 self.basis = Some(basis);
@@ -605,37 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_parses_like_the_other_env_knobs() {
-        assert_eq!(WarmMode::parse("0"), Ok(WarmMode::Off));
-        assert_eq!(WarmMode::parse("off"), Ok(WarmMode::Off));
-        assert_eq!(WarmMode::parse(" False "), Ok(WarmMode::Off));
-        assert_eq!(WarmMode::parse("1"), Ok(WarmMode::On));
-        assert_eq!(WarmMode::parse("ON"), Ok(WarmMode::On));
-        assert_eq!(WarmMode::parse("true"), Ok(WarmMode::On));
-        assert_eq!(WarmMode::parse("auto"), Ok(WarmMode::Auto));
-        let warning = WarmMode::parse("warmish").unwrap_err();
-        assert!(
-            warning.starts_with("warning: unrecognized RETIME_WARM value \"warmish\""),
-            "{warning}"
-        );
-        assert!(warning.contains("using automatic selection"), "{warning}");
-    }
-
-    #[test]
-    fn warm_mode_gates() {
-        assert!(!WarmMode::Off.warm_allowed());
-        assert!(WarmMode::On.warm_allowed());
-        assert!(WarmMode::Auto.warm_allowed());
-        assert!(WarmMode::On.forced());
-        assert!(!WarmMode::Auto.forced());
-    }
-
-    #[test]
     fn unchanged_resolve_is_a_verbatim_hit() {
         let p = diamond();
-        let mut basis = p.solve_cold_capture(PivotRuleKind::Auto).unwrap();
+        let mut basis = p.solve_cold_capture().unwrap();
         let cold = basis.solution().clone();
-        let (warm, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
         assert_eq!(outcome, WarmOutcome::Hit);
         assert_eq!(warm, cold, "a hit must be bit-identical");
     }
@@ -643,15 +534,15 @@ mod tests {
     #[test]
     fn cost_change_resumes_and_matches_cold() {
         let mut p = diamond();
-        let mut basis = p.solve_cold_capture(PivotRuleKind::Auto).unwrap();
+        let mut basis = p.solve_cold_capture().unwrap();
         p.set_cost(ArcId(1), 6); // the formerly-cheap route gets expensive
-        let (warm, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
         assert!(matches!(outcome, WarmOutcome::CostResume(_)));
         let cold = p.solve_network_simplex().unwrap();
         assert_eq!(warm.cost, cold.cost);
         assert_eq!(warm.cost, p.solve().unwrap().cost);
         // The refreshed basis answers the unchanged instance verbatim.
-        let (again, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (again, outcome) = p.solve_warm(&mut basis).unwrap();
         assert_eq!(outcome, WarmOutcome::Hit);
         assert_eq!(again, warm);
     }
@@ -659,16 +550,16 @@ mod tests {
     #[test]
     fn demand_change_routes_the_delta() {
         let mut p = diamond();
-        let mut basis = p.solve_cold_capture(PivotRuleKind::Auto).unwrap();
+        let mut basis = p.solve_cold_capture().unwrap();
         p.set_demand(0, -4);
         p.set_demand(3, 4);
-        let (warm, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
         assert_eq!(outcome, WarmOutcome::DemandDelta);
         assert_eq!(warm.cost, p.solve().unwrap().cost);
         // Raising demand back up also routes (positive delta).
         p.set_demand(0, -6);
         p.set_demand(3, 6);
-        let (warm, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
         assert_eq!(outcome, WarmOutcome::DemandDelta);
         assert_eq!(warm.cost, p.solve().unwrap().cost);
     }
@@ -676,11 +567,11 @@ mod tests {
     #[test]
     fn both_changed_falls_back_cold() {
         let mut p = diamond();
-        let mut basis = p.solve_cold_capture(PivotRuleKind::Auto).unwrap();
+        let mut basis = p.solve_cold_capture().unwrap();
         p.set_cost(ArcId(0), 7);
         p.set_demand(0, -3);
         p.set_demand(3, 3);
-        let (warm, outcome) = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap();
+        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
         assert_eq!(outcome, WarmOutcome::Cold);
         assert_eq!(warm.cost, p.solve().unwrap().cost);
     }
@@ -688,16 +579,15 @@ mod tests {
     #[test]
     fn structural_mutation_is_rejected_as_stale() {
         let mut p = diamond();
-        let mut basis = p.solve_cold_capture(PivotRuleKind::Auto).unwrap();
+        let mut basis = p.solve_cold_capture().unwrap();
         p.add_arc(0, 3, 3, 1);
-        let err = p.solve_warm(&mut basis, PivotRuleKind::Auto).unwrap_err();
+        let err = p.solve_warm(&mut basis).unwrap_err();
         assert!(matches!(err, FlowError::StaleBasis { .. }), "{err:?}");
     }
 
     #[test]
     fn sweep_reprimes_after_structural_mutation() {
-        let mut sweep =
-            ParametricSweep::with_config(diamond(), WarmMode::Auto, PivotRuleKind::Auto);
+        let mut sweep = ParametricSweep::new(diamond());
         sweep.solve().unwrap();
         sweep.problem_mut().add_arc(0, 3, 3, 1);
         let sol = sweep.solve().unwrap();
@@ -706,20 +596,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_off_mode_stays_cold() {
-        let mut sweep = ParametricSweep::with_config(diamond(), WarmMode::Off, PivotRuleKind::Auto);
-        let first = sweep.solve().unwrap();
-        let second = sweep.solve().unwrap();
-        assert_eq!(first, second);
-        let stats = sweep.stats();
-        assert_eq!(stats.cold_solves, 2);
-        assert_eq!(stats.warm_hits, 0);
-    }
-
-    #[test]
     fn sweep_counts_outcomes() {
-        let mut sweep =
-            ParametricSweep::with_config(diamond(), WarmMode::Auto, PivotRuleKind::Auto);
+        let mut sweep = ParametricSweep::new(diamond());
         sweep.solve().unwrap(); // cold prime
         sweep.solve().unwrap(); // hit
         sweep.problem_mut().set_cost(ArcId(1), 6);
@@ -745,7 +623,7 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -7);
         p.set_demand(2, 7);
-        let mut sweep = ParametricSweep::with_config(p, WarmMode::Auto, PivotRuleKind::Auto);
+        let mut sweep = ParametricSweep::new(p);
         for (hi, lo) in [(8, 0), (5, -1), (3, -2), (4, -1)] {
             sweep.problem_mut().set_cost(up, hi);
             sweep.problem_mut().set_cost(down, lo);

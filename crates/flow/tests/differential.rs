@@ -4,8 +4,8 @@
 //! arc by arc, capacities are the planned flow plus slack, and node
 //! demands are exactly the planned flow's excess. The production
 //! engines — primal-dual SSP ([`MinCostFlow::solve`]) and the network
-//! simplex under **every pivot rule** (first-eligible, block search,
-//! candidate list) — are then cross-checked against the deliberately
+//! simplex ([`MinCostFlow::solve_network_simplex`]) — are then
+//! cross-checked against the deliberately
 //! simple reference solver ([`MinCostFlow::solve_reference`]): all
 //! engines must agree on the objective, and every returned solution
 //! must pass the verifier's full certificate check
@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retime_flow::{FlowSolution, MinCostFlow, PivotRuleKind};
+use retime_flow::{FlowSolution, MinCostFlow};
 use retime_verify::check_flow_solution;
 
 /// Builds a random feasible instance from scalar parameters.
@@ -63,18 +63,11 @@ fn check_solution(p: &MinCostFlow, sol: &FlowSolution, engine: &str) {
     }
 }
 
-/// The concrete pivot rules the simplex portfolio offers.
-const PIVOT_RULES: [PivotRuleKind; 3] = [
-    PivotRuleKind::FirstEligible,
-    PivotRuleKind::BlockSearch,
-    PivotRuleKind::CandidateList,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every engine — fast SSP, the simplex under all three pivot rules,
-    /// and the reference — solves every feasible instance, agrees on the
+    /// Every engine — fast SSP, the network simplex, and the
+    /// reference — solves every feasible instance, agrees on the
     /// objective value, and returns a certifiable answer.
     #[test]
     fn engines_agree_on_random_instances(
@@ -91,17 +84,10 @@ proptest! {
         let fast = p.solve().expect("primal-dual SSP solves a feasible instance");
         prop_assert_eq!(fast.cost, reference.cost, "fast SSP vs reference objective");
         check_solution(&p, &fast, "fast SSP");
-        for rule in PIVOT_RULES {
-            let simplex = p
-                .solve_network_simplex_with(rule)
-                .expect("network simplex solves a feasible instance");
-            prop_assert_eq!(
-                simplex.cost,
-                reference.cost,
-                "simplex ({:?}) vs reference objective",
-                rule
-            );
-            check_solution(&p, &simplex, &format!("network simplex ({rule:?})"));
-        }
+        let simplex = p
+            .solve_network_simplex()
+            .expect("network simplex solves a feasible instance");
+        prop_assert_eq!(simplex.cost, reference.cost, "simplex vs reference objective");
+        check_solution(&p, &simplex, "network simplex");
     }
 }

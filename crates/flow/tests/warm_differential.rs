@@ -5,8 +5,7 @@
 //! demands around the plan) are pushed through random sequences of
 //! parametric perturbations — cost re-pricings and demand re-plannings,
 //! both of which keep the instance feasible — with a [`ParametricSweep`]
-//! answering every probe warm. After **every** step, under **every**
-//! pivot rule:
+//! answering every probe warm. After **every** step:
 //!
 //! * the warm objective must equal a cold network-simplex solve of the
 //!   same perturbed instance *and* the deliberately-slow reference SSP,
@@ -23,17 +22,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retime_flow::{
-    ArcId, FlowError, MinCostFlow, ParametricSweep, PivotRuleKind, WarmMode, WarmOutcome,
-};
+use retime_flow::{ArcId, FlowError, MinCostFlow, ParametricSweep, WarmOutcome};
 use retime_verify::{check_warm_solution, VerifyError};
-
-/// The concrete pivot rules the simplex portfolio offers.
-const PIVOT_RULES: [PivotRuleKind; 3] = [
-    PivotRuleKind::FirstEligible,
-    PivotRuleKind::BlockSearch,
-    PivotRuleKind::CandidateList,
-];
 
 /// A random feasible instance plus its per-arc plan, which the
 /// perturbation steps re-use to *stay* feasible: each arc can always
@@ -115,7 +105,7 @@ proptest! {
 
     /// Random perturbation sequences: every warm probe must match a cold
     /// simplex solve and the reference SSP on the objective, and pass
-    /// the verifier's warm contract — under all three pivot rules.
+    /// the verifier's warm contract.
     #[test]
     fn warm_matches_cold_across_random_sequences(
         nodes in 2usize..12,
@@ -124,118 +114,56 @@ proptest! {
         seed in any::<u64>(),
         dag_negative in any::<bool>(),
     ) {
-        for rule in PIVOT_RULES {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x9E3779B97F4A7C15);
-            let mut inst = random_instance(nodes, arcs, dag_negative, seed);
-            let mut sweep = ParametricSweep::with_config(
-                inst.problem.clone(),
-                WarmMode::Auto,
-                rule,
-            );
-            for step in 0..=steps {
-                if step > 0 {
-                    perturb(&mut inst, &mut rng);
-                    // Replay the same numeric edits onto the sweep's
-                    // owned copy (structure is shared, so copying the
-                    // current costs/demands wholesale is equivalent).
-                    for a in 0..inst.problem.arc_count() {
-                        let id = ArcId(a);
-                        sweep.problem_mut().set_cost(id, inst.problem.cost_of(id));
-                    }
-                    for v in 0..inst.problem.node_count() {
-                        sweep.problem_mut().set_demand(v, inst.problem.demand(v));
-                    }
-                }
-                let warm = sweep.solve().expect("warm solve of a feasible instance");
-                let cold = inst
-                    .problem
-                    .solve_network_simplex_with(rule)
-                    .expect("cold simplex solves a feasible instance");
-                prop_assert_eq!(
-                    warm.cost, cold.cost,
-                    "step {} ({:?}): warm vs cold objective", step, rule
-                );
-                let reference = inst
-                    .problem
-                    .solve_reference()
-                    .expect("reference SSP solves a feasible instance");
-                prop_assert_eq!(
-                    warm.cost, reference.cost,
-                    "step {} ({:?}): warm vs reference objective", step, rule
-                );
-                if let Err(err) = check_warm_solution(&inst.problem, &warm, &cold) {
-                    panic!("step {step} ({rule:?}): warm contract rejected: {err}");
-                }
-            }
-        }
-    }
-
-    /// `RETIME_WARM=0` semantics: a sweep in [`WarmMode::Off`] answers
-    /// the same perturbation sequence with cold solves only, and agrees
-    /// with the warm sweep's objectives step for step.
-    #[test]
-    fn off_mode_sweep_agrees_and_stays_cold(
-        nodes in 2usize..10,
-        arcs in 1usize..16,
-        steps in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut inst = random_instance(nodes, arcs, false, seed);
-        let mut warm_sweep = ParametricSweep::with_config(
-            inst.problem.clone(),
-            WarmMode::Auto,
-            PivotRuleKind::Auto,
-        );
-        let mut cold_sweep = ParametricSweep::with_config(
-            inst.problem.clone(),
-            WarmMode::Off,
-            PivotRuleKind::Auto,
-        );
-        let mut probes = 0u64;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E3779B97F4A7C15);
+        let mut inst = random_instance(nodes, arcs, dag_negative, seed);
+        let mut sweep = ParametricSweep::new(inst.problem.clone());
         for step in 0..=steps {
             if step > 0 {
                 perturb(&mut inst, &mut rng);
-                for s in [&mut warm_sweep, &mut cold_sweep] {
-                    for a in 0..inst.problem.arc_count() {
-                        let id = ArcId(a);
-                        s.problem_mut().set_cost(id, inst.problem.cost_of(id));
-                    }
-                    for v in 0..inst.problem.node_count() {
-                        s.problem_mut().set_demand(v, inst.problem.demand(v));
-                    }
+                // Replay the same numeric edits onto the sweep's owned
+                // copy (structure is shared, so copying the current
+                // costs/demands wholesale is equivalent).
+                for a in 0..inst.problem.arc_count() {
+                    let id = ArcId(a);
+                    sweep.problem_mut().set_cost(id, inst.problem.cost_of(id));
+                }
+                for v in 0..inst.problem.node_count() {
+                    sweep.problem_mut().set_demand(v, inst.problem.demand(v));
                 }
             }
-            probes += 1;
-            let warm = warm_sweep.solve().expect("warm sweep solves");
-            let cold = cold_sweep.solve().expect("cold sweep solves");
-            prop_assert_eq!(warm.cost, cold.cost, "step {}: off-mode objective", step);
+            let warm = sweep.solve().expect("warm solve of a feasible instance");
+            let cold = inst
+                .problem
+                .solve_network_simplex()
+                .expect("cold simplex solves a feasible instance");
+            prop_assert_eq!(warm.cost, cold.cost, "step {}: warm vs cold objective", step);
+            let reference = inst
+                .problem
+                .solve_reference()
+                .expect("reference SSP solves a feasible instance");
+            prop_assert_eq!(
+                warm.cost, reference.cost,
+                "step {}: warm vs reference objective", step
+            );
+            if let Err(err) = check_warm_solution(&inst.problem, &warm, &cold) {
+                panic!("step {step}: warm contract rejected: {err}");
+            }
         }
-        let stats = cold_sweep.stats();
-        prop_assert_eq!(stats.cold_solves, probes, "off mode never warm-starts");
-        prop_assert_eq!(stats.warm_hits + stats.cost_resumes + stats.demand_deltas, 0);
     }
 }
 
 #[test]
 fn stale_basis_after_add_arc_is_rejected_then_reprimed() {
     let mut inst = random_instance(8, 12, false, 0xDECAF);
-    let mut basis = inst
-        .problem
-        .solve_cold_capture(PivotRuleKind::Auto)
-        .expect("capture solve");
+    let mut basis = inst.problem.solve_cold_capture().expect("capture solve");
     // Direct API: the structural mutation must be rejected, not absorbed.
     inst.problem.add_arc(0, 7, 3, 1);
-    let err = inst
-        .problem
-        .solve_warm(&mut basis, PivotRuleKind::Auto)
-        .unwrap_err();
+    let err = inst.problem.solve_warm(&mut basis).unwrap_err();
     assert!(matches!(err, FlowError::StaleBasis { .. }), "{err:?}");
 
     // Sweep API: the same mutation triggers a transparent cold re-prime.
     let mut inst = random_instance(8, 12, false, 0xDECAF);
-    let mut sweep =
-        ParametricSweep::with_config(inst.problem.clone(), WarmMode::Auto, PivotRuleKind::Auto);
+    let mut sweep = ParametricSweep::new(inst.problem.clone());
     sweep.solve().expect("prime");
     sweep.problem_mut().add_arc(0, 7, 3, 1);
     inst.problem.add_arc(0, 7, 3, 1);
@@ -252,8 +180,7 @@ fn stale_basis_after_add_arc_is_rejected_then_reprimed() {
 #[test]
 fn poisoned_potentials_surface_as_warm_start_mismatch() {
     let inst = random_instance(9, 14, false, 0xC0FFEE);
-    let mut sweep =
-        ParametricSweep::with_config(inst.problem.clone(), WarmMode::Auto, PivotRuleKind::Auto);
+    let mut sweep = ParametricSweep::new(inst.problem.clone());
     sweep.solve().expect("prime");
     // Corrupt the cached dual certificate. A uniform shift of every
     // potential would still be a valid dual (reduced costs are
@@ -280,8 +207,7 @@ fn poisoned_potentials_surface_as_warm_start_mismatch() {
 #[test]
 fn warm_hit_is_bit_identical_and_counted() {
     let inst = random_instance(10, 18, true, 0xBEEF);
-    let mut sweep =
-        ParametricSweep::with_config(inst.problem.clone(), WarmMode::Auto, PivotRuleKind::Auto);
+    let mut sweep = ParametricSweep::new(inst.problem.clone());
     let first = sweep.solve().expect("prime");
     let second = sweep.solve().expect("hit");
     assert_eq!(first, second, "an unchanged re-solve is returned verbatim");
@@ -293,27 +219,15 @@ fn warm_hit_is_bit_identical_and_counted() {
 #[test]
 fn direct_solve_warm_reports_the_repair_path_taken() {
     let mut inst = random_instance(10, 16, false, 0xFACADE);
-    let mut basis = inst
-        .problem
-        .solve_cold_capture(PivotRuleKind::Auto)
-        .expect("capture");
-    let (_, outcome) = inst
-        .problem
-        .solve_warm(&mut basis, PivotRuleKind::Auto)
-        .expect("hit");
+    let mut basis = inst.problem.solve_cold_capture().expect("capture");
+    let (_, outcome) = inst.problem.solve_warm(&mut basis).expect("hit");
     assert_eq!(outcome, WarmOutcome::Hit);
     inst.problem.set_cost(ArcId(0), 11);
-    let (_, outcome) = inst
-        .problem
-        .solve_warm(&mut basis, PivotRuleKind::Auto)
-        .expect("resume");
+    let (_, outcome) = inst.problem.solve_warm(&mut basis).expect("resume");
     assert!(matches!(outcome, WarmOutcome::CostResume(_)), "{outcome:?}");
     let (from, to, _, _) = inst.problem.arc_info(ArcId(0));
     inst.problem.add_demand(to, 1);
     inst.problem.add_demand(from, -1);
-    let (_, outcome) = inst
-        .problem
-        .solve_warm(&mut basis, PivotRuleKind::Auto)
-        .expect("delta");
+    let (_, outcome) = inst.problem.solve_warm(&mut basis).expect("delta");
     assert_eq!(outcome, WarmOutcome::DemandDelta);
 }

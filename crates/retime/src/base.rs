@@ -146,7 +146,6 @@ pub fn base_retime_with(
 /// does not depend on the EDL overhead (it only prices the area bill),
 /// so across a `c` sweep the flow instance is identical and every probe
 /// after the first is answered verbatim from the cached basis.
-/// `RETIME_WARM=0` turns the slot into a pass-through.
 ///
 /// # Errors
 /// Propagates infeasible clocking, STA, and solver failures.

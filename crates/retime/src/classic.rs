@@ -357,8 +357,7 @@ impl ClassicGraph {
     /// arc whose cost slides between `W − 1` (binding) and `W`
     /// (redundant — already implied by the edge constraints), so the
     /// probes are pure cost changes and the [`ParametricSweep`] resumes
-    /// the previous basis instead of re-priming (`RETIME_WARM`
-    /// controls this; see `retime_flow::WarmMode`).
+    /// the previous basis instead of re-priming.
     ///
     /// # Errors
     /// Propagates flow-solver failures; [`RetimeError::Internal`] if the

@@ -29,10 +29,7 @@ pub enum SolverEngine {
     /// (the default: robust and polynomial).
     MinCostFlow,
     /// Network simplex on the same dual — the algorithm class the paper
-    /// uses via Gurobi. Pricing comes from the pivot-rule portfolio in
-    /// `retime_flow::pivot` (size-based automatic selection; the
-    /// `RETIME_PIVOT` environment variable overrides it). Every rule
-    /// reaches the same optimal objective.
+    /// uses via Gurobi (rolling first-eligible pricing).
     NetworkSimplex,
     /// Max-weight closure via min-cut — exploits the binary structure of
     /// `r(v) ∈ {−1, 0}`; used as an independent exactness oracle.
@@ -364,8 +361,7 @@ impl RetimingProblem {
     /// tooling (benchmarks, the verifier's re-solve path) can build the
     /// identical instance to probe engines or audit certificates. The
     /// returned problem freezes its CSR arena on first solve, so solving
-    /// it repeatedly under several engines or pivot rules reuses one
-    /// adjacency build.
+    /// it repeatedly under several engines reuses one adjacency build.
     pub fn flow_instance(&self) -> MinCostFlow {
         let n = self.kinds.len();
         let mut flow = MinCostFlow::new(n);
@@ -622,29 +618,13 @@ impl RetimingProblem {
             host: self.host,
         }
     }
-
-    /// [`RetimingProblem::parametric_sweep`] with an explicit warm mode
-    /// and pivot rule instead of the `RETIME_WARM` / `RETIME_PIVOT`
-    /// environment defaults.
-    pub fn parametric_sweep_with(
-        &self,
-        mode: retime_flow::WarmMode,
-        kind: retime_flow::PivotRuleKind,
-    ) -> RetimingSweep {
-        RetimingSweep {
-            sweep: ParametricSweep::with_config(self.flow_instance(), mode, kind),
-            n_edges: self.edges.len(),
-            node_count: self.kinds.len(),
-            host: self.host,
-        }
-    }
 }
 
 /// Warm-start driver for a family of structurally identical
 /// [`RetimingProblem`] variants: owns one Eq. 14 flow instance and a
 /// [`ParametricSweep`] over it, re-targets the instance's costs and
 /// demands to each variant, and answers every probe from the previous
-/// optimum wherever `RETIME_WARM` allows.
+/// optimum.
 ///
 /// The cheap paths line up with the pipeline's real probe families:
 /// a binary period search slides only bound-edge **costs** (the simplex
@@ -735,9 +715,7 @@ impl RetimingSweep {
 /// Solves `prob` through `slot`'s warm sweep, creating the sweep on
 /// first use and rebuilding it if `prob` is structurally incompatible
 /// with the sweep's primed instance. Falls back to a plain
-/// [`RetimingProblem::solve`] when warm-starting is disabled
-/// (`RETIME_WARM=0`) or the engine is not flow-based — so a call site
-/// holding a slot degrades gracefully to today's cold behaviour.
+/// [`RetimingProblem::solve`] when the engine is not flow-based.
 ///
 /// # Errors
 /// The same failures as [`RetimingProblem::solve`].
@@ -746,7 +724,7 @@ pub fn solve_with_slot(
     engine: SolverEngine,
     slot: &mut Option<RetimingSweep>,
 ) -> Result<RetimingSolution, RetimeError> {
-    if engine == SolverEngine::Closure || !retime_flow::WarmMode::from_env().warm_allowed() {
+    if engine == SolverEngine::Closure {
         return prob.solve(engine);
     }
     if let Some(sweep) = slot.as_mut() {
@@ -971,30 +949,20 @@ w = BUFF(b)
     }
 
     #[test]
-    fn flow_instance_agrees_across_engines_and_pivot_rules() {
-        use retime_flow::PivotRuleKind;
-        // The public flow encoding, solved directly: every engine and
-        // every simplex pivot rule reaches the objective the pipeline's
-        // own solve reports, reusing one frozen CSR across the probes.
+    fn flow_instance_agrees_across_engines() {
+        // The public flow encoding, solved directly: every engine reaches
+        // the same objective, reusing one frozen CSR across the solves.
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         let flow = prob.flow_instance();
         let ssp = flow.solve().unwrap();
         let reference = flow.solve_reference().unwrap();
         assert_eq!(ssp.cost, reference.cost);
-        for rule in [
-            PivotRuleKind::FirstEligible,
-            PivotRuleKind::BlockSearch,
-            PivotRuleKind::CandidateList,
-        ] {
-            let nsx = flow.solve_network_simplex_with(rule).unwrap();
-            assert_eq!(ssp.cost, nsx.cost, "{rule:?} objective");
-        }
+        assert_eq!(ssp.cost, flow.solve_network_simplex().unwrap().cost);
     }
 
     #[test]
     fn sweep_overhead_probes_match_per_c_cold_solves() {
-        use retime_flow::{PivotRuleKind, WarmMode};
         // The c ∈ {0.5, 1.0, 2.0} EDL overhead sweep only moves node
         // demands (β on the pseudo → host edge), so the warm layer must
         // answer every probe after the first by delta-routing — and land
@@ -1004,7 +972,7 @@ w = BUFF(b)
         let g = cloud.find("g").unwrap();
         let c = cloud.find("c").unwrap();
         let pseudo = prob.add_pseudo_target(&[g, c], BREADTH_SCALE / 2);
-        let mut sweep = prob.parametric_sweep_with(WarmMode::On, PivotRuleKind::Auto);
+        let mut sweep = prob.parametric_sweep();
         for c_scaled in [BREADTH_SCALE / 2, BREADTH_SCALE, 2 * BREADTH_SCALE] {
             prob.set_pseudo_overhead(pseudo, c_scaled);
             let warm = sweep.solve_for(&prob).unwrap();
@@ -1018,7 +986,6 @@ w = BUFF(b)
 
     #[test]
     fn sweep_period_probes_match_per_period_cold_solves() {
-        use retime_flow::{PivotRuleKind, WarmMode};
         // A period binary search re-derives (L, U) bounds per probe.
         // Bounds are *costs* on the bound-arc pairs, so every probe after
         // the first must resume the simplex from the previous basis.
@@ -1048,7 +1015,7 @@ w = BUFF(b)
             .unwrap();
             RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap())
         };
-        let mut sweep = prob.parametric_sweep_with(WarmMode::On, PivotRuleKind::Auto);
+        let mut sweep = prob.parametric_sweep();
         for scale in [2.0, 1.5, 1.1, 1.02] {
             let sta = TimingAnalysis::new(
                 &cloud,

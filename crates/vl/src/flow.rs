@@ -53,8 +53,7 @@ pub struct VlConfig {
     pub post_swap: bool,
     /// Solver engine for the tool's min-area retiming. Problems route
     /// through [`RetimingProblem::flow_instance`], so every engine sees
-    /// one shared CSR arc arena; the network-simplex engine additionally
-    /// honours the `RETIME_PIVOT` pivot-rule override.
+    /// one shared CSR arc arena.
     pub engine: SolverEngine,
     /// Worker threads for the classification fan-out: `0` = auto
     /// (`RETIME_THREADS` or the machine's parallelism), `1` = the
@@ -156,10 +155,9 @@ pub fn vl_retime(
 /// solve does not depend on the EDL overhead at all (the overhead only
 /// prices the area bill), so across a `c` sweep with a fixed variant the
 /// targeted flow instance is *identical* and every probe after the first
-/// is answered verbatim from the cached basis (`warm_hits`).
-/// `RETIME_WARM=0` turns the slot into a pass-through; a structurally
-/// different problem re-primes it. Per-call warm counters land in the
-/// report's `Stage::Solve` instrumentation.
+/// is answered verbatim from the cached basis (`warm_hits`). A
+/// structurally different problem re-primes the slot. Per-call warm
+/// counters land in the report's `Stage::Solve` instrumentation.
 ///
 /// # Errors
 /// The same failures as [`vl_retime`].
