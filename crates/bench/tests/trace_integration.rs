@@ -217,11 +217,10 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     let fig = Fig4::new();
     let lib = Library::fdsoi28();
     let clock = feasible_clock(&fig.cloud, &lib);
-    // The overhead sweep through one persistent warm slot: the first
-    // probe primes the basis cold, the re-spins go through `solve_warm`
-    // — the golden pins the dispatch (`path` attribute / `warm_hits`
-    // counter) and, on repaired probes, the `rule` / `repair_pivots`
-    // counters of the resumed simplex.
+    // The overhead sweep through one persistent warm slot: every probe
+    // goes through the memo's `solve_warm` span — the golden pins its
+    // `path` attribute (`cold` on the first probe, with the simplex
+    // nested inside; `hit` on the re-spins, whose instance is unchanged).
     let mut slot = None;
     let (_, records) = with_tracing(|| {
         for c in EdlOverhead::SWEEP {
@@ -238,7 +237,7 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     assert!(!records.is_empty(), "the traced sweep recorded no spans");
     assert!(
         records.iter().any(|r| r.name == "solve_warm"),
-        "re-spins must route through the warm solver"
+        "every slotted probe must route through the memo"
     );
 
     let text = retime_trace::chrome_trace(&records);

@@ -165,17 +165,6 @@ impl CsrGraph {
         self.cost[e]
     }
 
-    /// Patches the cost of directed arc `e` in place. Cost edits do not
-    /// change the graph structure (tails, heads, index), so parametric
-    /// re-solves — the warm-start layer sliding costs between probes —
-    /// can keep the frozen arena instead of rebuilding it.
-    ///
-    /// # Panics
-    /// Panics if `e` is out of range.
-    pub(crate) fn set_cost(&mut self, e: usize, cost: i64) {
-        self.cost[e] = cost;
-    }
-
     /// All frozen capacities — solvers clone this flat array into their
     /// per-solve residual state.
     #[must_use]

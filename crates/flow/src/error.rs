@@ -28,14 +28,6 @@ pub enum FlowError {
     /// which handles bounded negative cycles). Retiming reductions never
     /// produce one: their cheapest cycles cost zero.
     NegativeCycle,
-    /// A warm-start basis no longer matches the instance it is being
-    /// applied to — the arena was mutated structurally (`add_arc`) or the
-    /// snapshot arrays are internally inconsistent. The caller must
-    /// re-prime with a cold solve.
-    StaleBasis {
-        /// What went stale.
-        detail: String,
-    },
 }
 
 impl fmt::Display for FlowError {
@@ -50,9 +42,6 @@ impl fmt::Display for FlowError {
             }
             FlowError::IterationLimit => f.write_str("solver exceeded its iteration budget"),
             FlowError::NegativeCycle => f.write_str("network contains a negative-cost cycle"),
-            FlowError::StaleBasis { detail } => {
-                write!(f, "stale warm-start basis: {detail}")
-            }
         }
     }
 }

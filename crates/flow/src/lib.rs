@@ -24,12 +24,6 @@
 //!   *also* a closure instance; this independent exact solver is the
 //!   oracle used to validate the flow-based path end to end.
 //!
-//! Repeated numerically-perturbed solves of one instance — binary-search
-//! period probes (cost edits), EDL overhead sweeps (demand edits), ECO
-//! re-submissions — go through the [`warm`] layer: [`ParametricSweep`]
-//! keeps a [`WarmBasis`] (solution + spanning tree) between probes and
-//! [`MinCostFlow::solve_warm`] repairs it instead of re-solving cold.
-//!
 //! The fast engines all run on one flat [`csr`] arc arena:
 //! [`MinCostFlow`] freezes a [`CsrGraph`] (arc arrays + first-out index)
 //! on first solve and reuses it until mutated, the simplex reads its arc
@@ -79,11 +73,9 @@ pub mod error;
 pub mod maxflow;
 pub mod mincost;
 pub mod simplex;
-pub mod warm;
 
 pub use closure::Closure;
 pub use csr::{CsrGraph, CsrIndex};
 pub use error::FlowError;
 pub use maxflow::MaxFlow;
 pub use mincost::{ArcId, FlowSolution, MinCostFlow};
-pub use warm::{ParametricSweep, SweepStats, WarmBasis, WarmOutcome};

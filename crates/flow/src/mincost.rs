@@ -27,10 +27,14 @@ pub const INF_CAP: i64 = i64::MAX / 4;
 /// Arcs live in a flat paired array (arc `2i` is user arc `i`, `2i + 1`
 /// its residual reverse). The first solve freezes a [`CsrGraph`] over
 /// the instance — user arcs plus the super-source/sink demand arcs —
-/// and every subsequent solve reuses it, so repeated probes of the same
-/// instance (binary period search, multi-engine cross-checks) pay for
+/// and every subsequent solve reuses it, so repeated solves of the same
+/// instance (multi-engine cross-checks, certificate re-solves) pay for
 /// adjacency construction exactly once. Mutators invalidate the frozen
 /// arena.
+///
+/// Equality compares the instance — nodes, arcs (endpoints, capacities
+/// and costs, in insertion order) and demands — and ignores the frozen
+/// arena, which is only a cache.
 #[derive(Debug, Clone)]
 pub struct MinCostFlow {
     n: usize,
@@ -43,6 +47,18 @@ pub struct MinCostFlow {
     user_arcs: usize,
     frozen: OnceLock<CsrGraph>,
 }
+
+impl PartialEq for MinCostFlow {
+    fn eq(&self, other: &MinCostFlow) -> bool {
+        self.n == other.n
+            && self.head == other.head
+            && self.cap == other.cap
+            && self.cost == other.cost
+            && self.demand == other.demand
+    }
+}
+
+impl Eq for MinCostFlow {}
 
 /// An optimal flow with its dual certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,31 +138,11 @@ impl MinCostFlow {
         self.frozen = OnceLock::new();
     }
 
-    /// Re-prices a user arc. Unlike the structural mutators, a cost edit
-    /// keeps the frozen CSR arena (patched in place: structure is
-    /// unchanged, only the per-arc cost arrays move), so parametric
-    /// probes that slide costs between solves never rebuild adjacency.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn set_cost(&mut self, id: ArcId, cost: i64) {
-        assert!(id.0 < self.user_arcs, "arc id out of range");
-        let e = 2 * id.0;
-        self.cost[e] = cost;
-        self.cost[e + 1] = -cost;
-        if let Some(g) = self.frozen.get_mut() {
-            g.set_cost(e, cost);
-            g.set_cost(e + 1, -cost);
-        }
-    }
-
-    /// The cost of a user arc (see [`MinCostFlow::set_cost`]).
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn cost_of(&self, id: ArcId) -> i64 {
-        assert!(id.0 < self.user_arcs, "arc id out of range");
-        self.cost[2 * id.0]
+    /// Drops the frozen CSR arena; the next solve rebuilds it. For
+    /// callers that keep a solved instance only to compare or audit it,
+    /// so the arena does not stay resident alongside the instance.
+    pub fn release_arena(&mut self) {
+        self.frozen = OnceLock::new();
     }
 
     /// The current demand of a node.
@@ -866,6 +862,31 @@ mod tests {
             "mutators must invalidate the frozen CSR"
         );
         assert_eq!(p.solve().unwrap().cost, 8);
+    }
+
+    #[test]
+    fn equality_compares_the_instance_not_the_arena() {
+        let mut p = MinCostFlow::new(3);
+        p.add_arc(0, 1, 10, 1);
+        p.add_arc(1, 2, 10, 1);
+        p.set_demand(0, -5);
+        p.set_demand(2, 5);
+        let fresh = p.clone();
+        p.solve().unwrap();
+        assert_eq!(p, fresh, "a frozen arena does not change the instance");
+        p.release_arena();
+        assert_eq!(p.solve().unwrap().cost, 10, "released arena rebuilds");
+
+        let mut rewired = MinCostFlow::new(3);
+        rewired.add_arc(0, 2, 10, 1);
+        rewired.add_arc(1, 2, 10, 1);
+        rewired.set_demand(0, -5);
+        rewired.set_demand(2, 5);
+        assert_ne!(p, rewired, "same counts, different endpoints");
+        let mut redemanded = fresh.clone();
+        redemanded.set_demand(0, -4);
+        redemanded.set_demand(2, 4);
+        assert_ne!(fresh, redemanded);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   recomputation.
 //!
 //! The arc table is read straight out of the instance's frozen
-//! [`CsrGraph`](crate::csr::CsrGraph), so repeated solves (e.g. the
-//! probes of a binary period search) never rebuild adjacency.
+//! [`CsrGraph`](crate::csr::CsrGraph), so repeated solves of one
+//! instance never rebuild adjacency.
 //!
 //! [`MinCostFlow::solve`] (successive shortest paths) is the default
 //! engine; both reach identical objective values, which the test suite
@@ -36,29 +36,15 @@ const PIVOT_BATCH: usize = 256;
 /// Sentinel for "no node / no arc" in the index-based tree arrays.
 const NONE: u32 = u32::MAX;
 
-/// Where an arc sits relative to the current basis. `pub(crate)` so the
-/// warm-start layer can snapshot and restore arc states across solves.
+/// Where an arc sits relative to the current basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ArcState {
+enum ArcState {
     /// Non-basic at its lower bound (flow 0).
     Lower,
     /// Basic (a spanning-tree arc).
     Tree,
     /// Non-basic at its upper bound (flow = capacity).
     Upper,
-}
-
-/// A network-simplex basis frozen between solves: per-arc states (user
-/// arcs first, one artificial per node after) plus the spanning tree's
-/// parent and predecessor-arc arrays. Potentials and flows are *not*
-/// stored — the warm resume re-derives both from the tree (dual repair
-/// against the current costs, primal restore from the snapshot flows),
-/// so a snapshot stays valid across pure cost edits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BasisSnapshot {
-    pub(crate) state: Vec<ArcState>,
-    pub(crate) parent: Vec<u32>,
-    pub(crate) pred: Vec<u32>,
 }
 
 /// Struct-of-arrays arc table: user arcs first, artificial arcs after.
@@ -220,16 +206,6 @@ impl SpanningTree {
         self.next_sib[v as usize] = NONE;
     }
 
-    /// Freezes the basis — arc states plus tree links — for a later
-    /// [`MinCostFlow::simplex_resume`].
-    fn snapshot(&self, arcs: &Arcs) -> BasisSnapshot {
-        BasisSnapshot {
-            state: arcs.state.clone(),
-            parent: self.parent.clone(),
-            pred: self.pred.clone(),
-        }
-    }
-
     /// Links `v` as the first child of `p`.
     fn attach(&mut self, v: u32, p: u32) {
         let old = self.first_child[p as usize];
@@ -250,24 +226,9 @@ impl MinCostFlow {
     /// [`FlowError::UnbalancedDemands`], [`FlowError::Infeasible`], or
     /// [`FlowError::IterationLimit`] if the pivot budget is exceeded.
     pub fn solve_network_simplex(&self) -> Result<FlowSolution, FlowError> {
-        self.simplex_cold(false).map(|(sol, _)| sol)
-    }
-
-    /// Cold simplex solve, optionally exporting the final basis for
-    /// warm-start reuse. The solve path (and its trace output) is
-    /// identical whether or not the snapshot is requested.
-    pub(crate) fn simplex_cold(
-        &self,
-        want_snapshot: bool,
-    ) -> Result<(FlowSolution, Option<BasisSnapshot>), FlowError> {
         let n = self.node_count();
         let user = self.arc_count();
-        // Every user arc starts at its lower bound; each artificial arc
-        // carries its node's whole demand, so the star is a basis.
-        let mut arcs = self.arc_table(
-            |_, _| Ok((0, ArcState::Lower)),
-            |_, b| Ok((b.abs(), ArcState::Tree)),
-        )?;
+        let mut arcs = self.arc_table()?;
         let mut tree = SpanningTree::new(n + 1);
         tree.init_star(n, &arcs, user);
 
@@ -277,170 +238,18 @@ impl MinCostFlow {
         retime_trace::counter("degenerate_total", degenerate);
         drop(solve_span);
 
-        let solution = arcs.solution(&tree.pot, user, n)?;
-        Ok((solution, want_snapshot.then(|| tree.snapshot(&arcs))))
+        arcs.solution(&tree.pot, user, n)
     }
 
-    /// Resumes the network simplex from a frozen basis: restores arc
-    /// states and tree structure, re-derives potentials from the current
-    /// costs (dual repair) and flows from the snapshot (primal restore —
-    /// demands must be unchanged since the capture; the warm-start layer
-    /// guarantees this), then pivots to optimality.
-    ///
-    /// Returns the solution, the refreshed snapshot, and the number of
-    /// repair pivots performed.
-    ///
-    /// # Errors
-    /// [`FlowError::StaleBasis`] when the snapshot is inconsistent with
-    /// the instance; otherwise the same errors as a cold solve.
-    pub(crate) fn simplex_resume(
-        &self,
-        snap: &BasisSnapshot,
-        prev_flows: &[i64],
-    ) -> Result<(FlowSolution, BasisSnapshot, u64), FlowError> {
-        let n = self.node_count();
-        let user = self.arc_count();
-        let root = n;
-        let nn = n + 1;
-        let stale = |detail: String| FlowError::StaleBasis { detail };
-        if snap.state.len() != user + n
-            || snap.parent.len() != nn
-            || snap.pred.len() != nn
-            || prev_flows.len() != user
-        {
-            return Err(stale(format!(
-                "snapshot sized for {} arcs / {} nodes, instance has {user} arcs / {n} nodes",
-                snap.state
-                    .len()
-                    .saturating_sub(snap.parent.len().saturating_sub(1)),
-                snap.parent.len().saturating_sub(1),
-            )));
-        }
-        // Arc table at the *current* costs; states from the snapshot;
-        // non-tree flows pinned to their bound, tree flows restored.
-        let mut arcs = self.arc_table(
-            |a, cap| {
-                let state = snap.state[a];
-                let flow = match state {
-                    ArcState::Lower => 0,
-                    ArcState::Upper => cap,
-                    ArcState::Tree => prev_flows[a],
-                };
-                if flow < 0 || flow > cap {
-                    return Err(stale(format!(
-                        "restored flow {flow} out of bounds on arc {a}"
-                    )));
-                }
-                Ok((flow, state))
-            },
-            |v, _| {
-                // The snapshot was taken at an optimum, where artificials
-                // carry zero flow; with demands unchanged they still do.
-                match snap.state[user + v] {
-                    ArcState::Upper => Err(stale(format!(
-                        "artificial arc of node {v} at its upper bound"
-                    ))),
-                    state => Ok((0, state)),
-                }
-            },
-        )?;
-        // Conservation audit: the restored flows must meet the demands
-        // exactly (artificials carry zero), or the snapshot is stale.
-        let mut excess = vec![0i64; n];
-        for a in 0..user {
-            let f = arcs.flow[a];
-            excess[arcs.to[a] as usize] += f;
-            excess[arcs.from[a] as usize] -= f;
-        }
-        for (v, &e) in excess.iter().enumerate() {
-            if e != self.demand(v) {
-                return Err(stale(format!(
-                    "restored flows give excess {e} at node {v}, demand is {}",
-                    self.demand(v)
-                )));
-            }
-        }
-        // Rebuild the tree: parent/pred from the snapshot, child
-        // threading re-woven, then one sweep from the root fixes depths
-        // and re-prices potentials at the current costs (dual repair).
-        let mut tree = SpanningTree::new(nn);
-        if snap.parent[root] != NONE || snap.pred[root] != NONE {
-            return Err(stale("root must not have a parent".into()));
-        }
-        for v in 0..n {
-            let p = snap.parent[v];
-            let ai = snap.pred[v];
-            if p as usize >= nn || ai as usize >= arcs.len() {
-                return Err(stale(format!("node {v} has out-of-range tree links")));
-            }
-            if arcs.state[ai as usize] != ArcState::Tree {
-                return Err(stale(format!("predecessor arc of node {v} is not basic")));
-            }
-            let (af, at) = (arcs.from[ai as usize], arcs.to[ai as usize]);
-            let joins = (af == v as u32 && at == p) || (at == v as u32 && af == p);
-            if !joins {
-                return Err(stale(format!(
-                    "predecessor arc of node {v} does not join it to its parent"
-                )));
-            }
-            tree.attach(v as u32, p);
-            tree.pred[v] = ai;
-        }
-        tree.parent[root] = NONE;
-        tree.pred[root] = NONE;
-        tree.depth[root] = 0;
-        tree.pot[root] = 0;
-        tree.stack.clear();
-        tree.stack.push(root as u32);
-        let mut seen = 0usize;
-        while let Some(x) = tree.stack.pop() {
-            seen += 1;
-            let x = x as usize;
-            let mut c = tree.first_child[x];
-            while c != NONE {
-                let cv = c as usize;
-                let ai = tree.pred[cv] as usize;
-                tree.depth[cv] = tree.depth[x] + 1;
-                tree.pot[cv] = if arcs.from[ai] as usize == x {
-                    tree.pot[x] + arcs.cost[ai]
-                } else {
-                    tree.pot[x] - arcs.cost[ai]
-                };
-                tree.stack.push(c);
-                c = tree.next_sib[cv];
-            }
-        }
-        if seen != nn {
-            return Err(stale(format!(
-                "tree reaches {seen} of {nn} nodes (cycle or disconnection)"
-            )));
-        }
-
-        // Ordinary strongly-feasible pivoting from the repaired basis.
-        let solve_span = retime_trace::span("network_simplex_warm");
-        let (pivots, degenerate) = pivot_to_optimality(&mut arcs, &mut tree)?;
-        retime_trace::counter("repair_pivots", pivots);
-        retime_trace::counter("degenerate_total", degenerate);
-        drop(solve_span);
-
-        let solution = arcs.solution(&tree.pot, user, n)?;
-        Ok((solution, tree.snapshot(&arcs), pivots))
-    }
-
-    /// Builds the simplex arc table after checking that demands balance.
-    /// User arc `a` is read at its current cost straight out of the
-    /// frozen CSR arena (arc `2a`), so repeated solves skip all graph
-    /// construction; `user_arc(a, cap)` gives its flow and state. Then
-    /// one big-M artificial arc per node `v` (id `user + v`): a node with
-    /// positive demand receives from the root `n`, any other ships to it
-    /// (zero-demand arcs point to the root, making the initial star
-    /// basis strongly feasible); `artificial(v, demand)` gives its flow
-    /// and state.
-    fn arc_table(
-        &self,
-        mut user_arc: impl FnMut(usize, i64) -> Result<(i64, ArcState), FlowError>,
-        mut artificial: impl FnMut(usize, i64) -> Result<(i64, ArcState), FlowError>,
-    ) -> Result<Arcs, FlowError> {
+    /// Builds the initial simplex arc table after checking that demands
+    /// balance. User arc `a` is read at its cost straight out of the
+    /// frozen CSR arena (arc `2a`) and starts at its lower bound. Then
+    /// one big-M artificial arc per node `v` (id `user + v`) carries the
+    /// node's whole demand, so the star of artificials is a basis: a
+    /// node with positive demand receives from the root `n`, any other
+    /// ships to it (zero-demand arcs point to the root, making the
+    /// initial star basis strongly feasible).
+    fn arc_table(&self) -> Result<Arcs, FlowError> {
         let n = self.node_count();
         let total: i64 = (0..n).map(|v| self.demand(v)).sum();
         if total != 0 {
@@ -452,18 +261,23 @@ impl MinCostFlow {
         let mut max_cost = 1i64;
         for a in 0..user {
             let e = 2 * a;
-            let (flow, state) = user_arc(a, g.cap(e))?;
             max_cost = max_cost.max(g.cost(e).abs());
-            arcs.push(g.tail(e), g.head(e), g.cap(e), g.cost(e), flow, state);
+            arcs.push(
+                g.tail(e),
+                g.head(e),
+                g.cap(e),
+                g.cost(e),
+                0,
+                ArcState::Lower,
+            );
         }
         let big_m = max_cost.saturating_mul((n as i64) + 2).saturating_add(1);
         for v in 0..n {
             let b = self.demand(v);
-            let (flow, state) = artificial(v, b)?;
             if b > 0 {
-                arcs.push(n, v, i64::MAX / 4, big_m, flow, state);
+                arcs.push(n, v, i64::MAX / 4, big_m, b, ArcState::Tree);
             } else {
-                arcs.push(v, n, i64::MAX / 4, big_m, flow, state);
+                arcs.push(v, n, i64::MAX / 4, big_m, -b, ArcState::Tree);
             }
         }
         Ok(arcs)

@@ -142,10 +142,10 @@ pub fn base_retime_with(
     base_retime_impl(cloud, lib, clock, model, c, engine, None)
 }
 
-/// [`base_retime`] with a persistent warm-start slot. The base problem
-/// does not depend on the EDL overhead (it only prices the area bill),
-/// so across a `c` sweep the flow instance is identical and every probe
-/// after the first is answered verbatim from the cached basis.
+/// [`base_retime`] with a persistent warm slot. The base problem does
+/// not depend on the EDL overhead (it only prices the area bill), so
+/// across a `c` sweep the flow instance is identical and every probe
+/// after the first is answered verbatim from the slot's memo.
 ///
 /// # Errors
 /// Propagates infeasible clocking, STA, and solver failures.
@@ -206,28 +206,7 @@ fn base_retime_impl(
             let problem = ctx.data.problem.as_ref().expect("sta stage ran");
             let sol = match &mut slot {
                 Some(slot) => {
-                    let slot = &mut **slot;
-                    let before = slot.as_ref().map(|s| s.stats()).unwrap_or_default();
-                    let sol = crate::problem::solve_with_slot(problem, engine, slot)?;
-                    if let Some(sweep) = slot.as_ref() {
-                        // saturating: a re-primed slot restarts its counters.
-                        let s = sweep.stats();
-                        ctx.timings
-                            .count("warm_hits", s.warm_hits.saturating_sub(before.warm_hits));
-                        ctx.timings.count(
-                            "cost_resumes",
-                            s.cost_resumes.saturating_sub(before.cost_resumes),
-                        );
-                        ctx.timings.count(
-                            "demand_deltas",
-                            s.demand_deltas.saturating_sub(before.demand_deltas),
-                        );
-                        ctx.timings.count(
-                            "cold_solves",
-                            s.cold_solves.saturating_sub(before.cold_solves),
-                        );
-                    }
-                    sol
+                    crate::problem::solve_with_slot(problem, engine, slot, &mut ctx.timings)?
                 }
                 None => problem.solve(engine)?,
             };

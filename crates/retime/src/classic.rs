@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use retime_flow::{ArcId, MinCostFlow, ParametricSweep, SweepStats};
+use retime_flow::MinCostFlow;
 use retime_netlist::{CellId, Gate, Netlist, NetlistError};
 
 use crate::error::RetimeError;
@@ -46,9 +46,7 @@ pub struct ClassicRetiming {
 }
 
 /// Result of [`ClassicGraph::min_period_flow`]: the minimum-**register**
-/// retiming among those achieving the minimum period, plus the
-/// warm-start counters accumulated by the parametric sweep behind the
-/// period probes.
+/// retiming among those achieving the minimum period.
 #[derive(Debug, Clone)]
 pub struct FlowPeriodRetiming {
     /// The retiming, in the same shape [`ClassicGraph::min_period`]
@@ -57,8 +55,6 @@ pub struct FlowPeriodRetiming {
     /// Total registers after retiming, `Σ_e w_r(e)` (the classic
     /// per-edge count, without fanout sharing).
     pub registers: i64,
-    /// Warm/cold solve counters across the period probes.
-    pub stats: SweepStats,
 }
 
 impl ClassicGraph {
@@ -352,12 +348,11 @@ impl ClassicGraph {
     /// (the LP dual of Leiserson–Saxe's min-area program) instead of
     /// taking whatever labels FEAS happens to produce.
     ///
-    /// Every probe reuses one flow instance: the period constraint
-    /// `r(u) − r(v) ≤ W(u, v) − 1` for pairs with `D(u, v) > p` is an
-    /// arc whose cost slides between `W − 1` (binding) and `W`
-    /// (redundant — already implied by the edge constraints), so the
-    /// probes are pure cost changes and the [`ParametricSweep`] resumes
-    /// the previous basis instead of re-priming.
+    /// Each probe solves its own instance cold with the network simplex.
+    /// The period constraint `r(u) − r(v) ≤ W(u, v) − 1` for pairs with
+    /// `D(u, v) > p` is an arc of cost `W − 1` (binding); pairs within
+    /// the period get cost `W` (redundant — already implied by the edge
+    /// constraints), so every probe has the same arcs.
     ///
     /// # Errors
     /// Propagates flow-solver failures; [`RetimeError::Internal`] if the
@@ -366,32 +361,28 @@ impl ClassicGraph {
     pub fn min_period_flow(&self, tolerance: f64) -> Result<FlowPeriodRetiming, RetimeError> {
         let n = self.len();
         let dist = self.wd_matrices();
-        let mut pairs: Vec<(i64, f64)> = Vec::new();
-        let mut flow = MinCostFlow::new(n);
-        for &(u, v, w) in &self.edges {
-            flow.add_uncapacitated(u, v, w);
-        }
+        let mut pairs: Vec<(usize, usize, i64, f64)> = Vec::new();
         for (u, row) in dist.iter().enumerate() {
             for (v, &cell) in row.iter().enumerate() {
                 let Some((w, negd)) = cell else { continue };
-                if u == v {
-                    continue;
+                if u != v {
+                    pairs.push((u, v, w, self.delay[v] - negd));
                 }
-                // Starts redundant (cost W); probes tighten it to W − 1.
-                flow.add_uncapacitated(u, v, w);
-                pairs.push((w, self.delay[v] - negd));
             }
         }
-        let mut demand = vec![0i64; n];
-        for &(u, v, _) in &self.edges {
-            demand[v] += 1;
-            demand[u] -= 1;
-        }
-        for (v, &d) in demand.iter().enumerate() {
-            flow.set_demand(v, d);
-        }
-        let mut sweep = ParametricSweep::new(flow);
-        let n_edges = self.edges.len();
+        let probe = |period: f64| {
+            let mut flow = MinCostFlow::new(n);
+            for &(u, v, w) in &self.edges {
+                flow.add_uncapacitated(u, v, w);
+                flow.add_demand(v, 1);
+                flow.add_demand(u, -1);
+            }
+            for &(u, v, w, d) in &pairs {
+                let cost = if d > period + 1e-9 { w - 1 } else { w };
+                flow.add_uncapacitated(u, v, cost);
+            }
+            flow
+        };
 
         let original = self.period(&vec![0; n]).unwrap_or(f64::INFINITY);
         let mut lo = self.delay.iter().copied().fold(0.0f64, f64::max);
@@ -405,11 +396,7 @@ impl ClassicGraph {
                 lo = mid;
                 continue;
             }
-            for (k, &(w, d)) in pairs.iter().enumerate() {
-                let cost = if d > mid + 1e-9 { w - 1 } else { w };
-                sweep.problem_mut().set_cost(ArcId(n_edges + k), cost);
-            }
-            let sol = sweep.solve().map_err(RetimeError::from)?;
+            let sol = probe(mid).solve_network_simplex()?;
             let y = &sol.potentials;
             let r: Vec<i64> = (0..n).map(|v| y[0] - y[v]).collect();
             let violated =
@@ -431,7 +418,6 @@ impl ClassicGraph {
                 original_period: original,
             },
             registers: best.2,
-            stats: sweep.stats(),
         })
     }
 
@@ -676,19 +662,6 @@ g4 = NOT(g3)
         let g2 = ClassicGraph::extract(&applied, unit_delay).unwrap();
         let p2 = g2.period(&vec![0; g2.len()]).unwrap();
         assert!((p2 - flow.retiming.period).abs() < 1e-6);
-    }
-
-    #[test]
-    fn flow_probes_resume_instead_of_repriming() {
-        let g = ClassicGraph::extract(&unbalanced(), unit_delay).unwrap();
-        let flow = g.min_period_flow(0.01).unwrap();
-        let s = flow.stats;
-        assert_eq!(s.cold_solves, 1, "one prime, then warm probes: {s:?}");
-        assert!(
-            s.cost_resumes + s.warm_hits >= 1,
-            "period probes are cost-only: {s:?}"
-        );
-        assert_eq!(s.demand_deltas, 0, "no demand ever changes: {s:?}");
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use classic::{ClassicGraph, ClassicRetiming, FlowPeriodRetiming};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport, SPEEDUP as LEGALIZE_SPEEDUP};
 pub use problem::{
-    solve_with_slot, RetimingProblem, RetimingSolution, RetimingSweep, SolverEngine, BREADTH_SCALE,
-    COMMERCIAL_MOVEMENT_PENALTY,
+    solve_with_slot, RetimingProblem, RetimingSolution, RetimingSweep, SolverEngine, SweepStats,
+    BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };
 pub use regions::{Region, Regions};
 pub use retime_engine::{PhaseTimings, Stage};

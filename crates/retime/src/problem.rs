@@ -3,7 +3,8 @@
 
 use std::time::{Duration, Instant};
 
-use retime_flow::{ArcId, Closure, FlowError, MinCostFlow, ParametricSweep, SweepStats};
+use retime_engine::PhaseTimings;
+use retime_flow::{Closure, FlowError, FlowSolution, MinCostFlow};
 use retime_netlist::{CombCloud, Cut, NodeId};
 
 use crate::error::RetimeError;
@@ -222,44 +223,6 @@ impl RetimingProblem {
         p
     }
 
-    /// Re-prices an existing pseudo node's EDL overhead to `c_scaled`
-    /// (in `BREADTH_SCALE` units) by moving the breadth of its host edge
-    /// to `−c_scaled`. The graph structure is untouched, so a warm
-    /// [`RetimingSweep`] built over this problem keeps its basis across
-    /// the overhead sweep `c ∈ {0.5, 1.0, 2.0}` — only node demands move.
-    ///
-    /// # Panics
-    /// Panics if `pseudo` is not a pseudo node or `c_scaled` is negative.
-    pub fn set_pseudo_overhead(&mut self, pseudo: usize, c_scaled: i64) {
-        assert!(
-            matches!(self.kinds.get(pseudo), Some(FlowNodeKind::Pseudo { .. })),
-            "node {pseudo} is not a pseudo node"
-        );
-        assert!(c_scaled >= 0, "EDL overhead must be non-negative");
-        for e in &mut self.edges {
-            if e.from == pseudo && e.to == self.host {
-                e.beta = -c_scaled;
-                return;
-            }
-        }
-        unreachable!("every pseudo node has a host edge");
-    }
-
-    /// Replaces the cloud-node region bounds with those of `regions` —
-    /// the per-probe update of a binary period search. Mirror, pseudo,
-    /// and host bounds are structural and stay put. Only the bound-edge
-    /// *costs* of the Eq. 14 instance change, so a warm
-    /// [`RetimingSweep`] keeps its basis across period probes.
-    ///
-    /// # Panics
-    /// Panics if `regions` does not cover the cloud prefix.
-    pub fn rebind_regions(&mut self, regions: &Regions) {
-        assert_eq!(regions.len(), self.n_cloud, "regions must cover the cloud");
-        for v in 0..self.n_cloud {
-            self.bounds[v] = regions.bounds(NodeId(v as u32));
-        }
-    }
-
     /// Number of cloud nodes (the flow-node prefix).
     pub fn cloud_len(&self) -> usize {
         self.n_cloud
@@ -319,7 +282,7 @@ impl RetimingProblem {
 
     /// Validates a solver's label vector (bounds + difference
     /// constraints) and packages it as a [`RetimingSolution`] — shared
-    /// by [`RetimingProblem::solve`] and the warm [`RetimingSweep`].
+    /// by [`RetimingProblem::solve`] and the [`RetimingSweep`] memo.
     fn finish_solution(
         &self,
         r: Vec<i64>,
@@ -392,7 +355,7 @@ impl RetimingProblem {
         let eps = self.movement_penalty;
         let mut demands = vec![0i64; n];
         // Single pass over the edges (the per-node `coef` accumulated
-        // for all nodes at once) — this runs on every warm probe, so an
+        // for all nodes at once) — this runs on every memo probe, so an
         // O(n·m) node-by-node recount would dominate the re-solve.
         for e in &self.edges {
             demands[e.to] += e.beta;
@@ -495,7 +458,7 @@ impl RetimingProblem {
             r[v] = if m { -1 } else { 0 };
         }
         // CSR over the positive-breadth fanout edges, built in one pass —
-        // this runs on every probe of a warm sweep, so letting each
+        // this runs on every solve, memo hits included, so letting each
         // mirror rescan the whole edge list would dominate the re-solve.
         let mut first = vec![0usize; n + 1];
         for e in &self.edges {
@@ -604,140 +567,103 @@ impl RetimingProblem {
     pub fn cut_from(&self, cloud: &CombCloud, r: &[i64]) -> Cut {
         Cut::from_moved(cloud, (0..self.n_cloud).map(|v| r[v] == -1).collect())
     }
-
-    /// Builds a warm [`RetimingSweep`] over this problem's Eq. 14
-    /// instance, for solving a family of *structurally identical*
-    /// variants — period probes ([`RetimingProblem::rebind_regions`]),
-    /// overhead sweeps ([`RetimingProblem::set_pseudo_overhead`]), ECO
-    /// re-submissions — while reusing the previous optimum's basis.
-    pub fn parametric_sweep(&self) -> RetimingSweep {
-        RetimingSweep {
-            sweep: ParametricSweep::new(self.flow_instance()),
-            n_edges: self.edges.len(),
-            node_count: self.kinds.len(),
-            host: self.host,
-        }
-    }
 }
 
-/// Warm-start driver for a family of structurally identical
-/// [`RetimingProblem`] variants: owns one Eq. 14 flow instance and a
-/// [`ParametricSweep`] over it, re-targets the instance's costs and
-/// demands to each variant, and answers every probe from the previous
-/// optimum.
+/// Probe counters a [`RetimingSweep`] accumulates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Probes answered verbatim from the memo (identical instance).
+    pub warm_hits: u64,
+    /// Probes solved cold (first probe, and every changed instance).
+    pub cold_solves: u64,
+}
+
+/// A solved-instance memo for the flow solves of one warm slot.
 ///
-/// The cheap paths line up with the pipeline's real probe families:
-/// a binary period search slides only bound-edge **costs** (the simplex
-/// resumes from the old spanning tree), an EDL overhead sweep moves only
-/// node **demands** (the delta routes through the old optimum's residual
-/// graph), and a repeated submission is answered verbatim.
-#[derive(Debug)]
+/// The memo keeps the last Eq. 14 instance it solved and its optimal
+/// [`FlowSolution`]. A probe whose instance is identical — same arc
+/// endpoints, capacities, costs and demands — gets the cached solution
+/// back verbatim; any other probe is solved cold with the network
+/// simplex and replaces the memo. Table IV's base and RVL flows do not
+/// depend on the EDL overhead, so across the `c ∈ {0.5, 1, 2}` sweep
+/// every probe after the first is a hit; G-RAR's overhead moves node
+/// demands, so its probes solve cold.
+///
+/// The cached instance keeps no frozen CSR arena between probes: a
+/// slot parked in a pool costs the instance and its solution only.
+#[derive(Debug, Default)]
 pub struct RetimingSweep {
-    sweep: ParametricSweep,
-    n_edges: usize,
-    node_count: usize,
-    host: usize,
+    last: Option<(MinCostFlow, FlowSolution)>,
+    stats: SweepStats,
 }
 
 impl RetimingSweep {
-    /// Solves `prob` — which must be structurally identical to the
-    /// problem this sweep was built from (same nodes, same edges; only
-    /// weights, bounds, breadths, and the movement penalty may differ) —
-    /// re-using the previous probe's basis where possible.
+    /// Solves `prob`, verbatim from the memo when its Eq. 14 instance
+    /// is identical to the last one solved, else cold with the network
+    /// simplex.
     ///
     /// # Errors
-    /// [`RetimeError::Internal`] if `prob` is not structurally
-    /// compatible; otherwise the same errors as
-    /// [`RetimingProblem::solve`].
+    /// The solver's failures, and [`RetimeError::Internal`] when the
+    /// solution violates `prob`'s bounds or difference constraints —
+    /// whether it was solved now or came from the memo.
     pub fn solve_for(&mut self, prob: &RetimingProblem) -> Result<RetimingSolution, RetimeError> {
         let start = Instant::now();
-        if prob.kinds.len() != self.node_count
-            || prob.edges.len() != self.n_edges
-            || prob.host != self.host
-        {
-            return Err(RetimeError::Internal(format!(
-                "sweep built over {} nodes / {} edges cannot solve a problem with {} nodes / {} \
-                 edges",
-                self.node_count,
-                self.n_edges,
-                prob.kinds.len(),
-                prob.edges.len()
-            )));
+        let _span = retime_trace::span("solve_warm");
+        let mut flow = prob.flow_instance();
+        if matches!(&self.last, Some((cached, _)) if *cached == flow) {
+            retime_trace::attr_str("path", "hit");
+            self.stats.warm_hits += 1;
+        } else {
+            retime_trace::attr_str("path", "cold");
+            self.stats.cold_solves += 1;
+            // Free the old memo before the solve allocates; a failed
+            // solve leaves the memo empty.
+            self.last = None;
+            let sol = flow.solve_network_simplex()?;
+            flow.release_arena();
+            self.last = Some((flow, sol));
         }
-        // Re-target the owned instance: edge weights, bound-edge costs
-        // (arc layout mirrors `flow_instance`: retiming arcs first, then
-        // one (v → host, U_v) / (host → v, −L_v) pair per non-host
-        // node), then the demand vector. `set_cost` / `set_demand` are
-        // no-ops for unchanged values as far as the warm layer is
-        // concerned — it diffs against its basis snapshot.
-        let flow = self.sweep.problem_mut();
-        for (i, e) in prob.edges.iter().enumerate() {
-            flow.set_cost(ArcId(i), e.w);
-        }
-        let mut k = self.n_edges;
-        for (v, &(lo, hi)) in prob.bounds.iter().enumerate() {
-            if v == prob.host {
-                continue;
-            }
-            flow.set_cost(ArcId(k), hi);
-            flow.set_cost(ArcId(k + 1), -lo);
-            k += 2;
-        }
-        for (v, d) in prob.flow_demands().into_iter().enumerate() {
-            flow.set_demand(v, d);
-        }
-        let sol = self.sweep.solve().map_err(RetimeError::from)?;
+        let (_, sol) = self.last.as_ref().expect("memo filled above");
         let y = &sol.potentials;
-        let r: Vec<i64> = (0..self.node_count).map(|v| y[self.host] - y[v]).collect();
+        let r: Vec<i64> = (0..y.len()).map(|v| y[prob.host] - y[v]).collect();
         prob.finish_solution(r, start.elapsed())
     }
 
-    /// The owned Eq. 14 instance as currently targeted — exposed so
-    /// harnesses running under `RETIME_VERIFY=1` can certify the warm
-    /// flow solution independently.
-    pub fn flow(&self) -> &MinCostFlow {
-        self.sweep.problem()
+    /// The last instance solved and its flow solution, when a probe has
+    /// run — what harnesses hand to `check_warm_solution` to certify the
+    /// memo against an independent cold solve.
+    pub fn last_solved(&self) -> Option<(&MinCostFlow, &FlowSolution)> {
+        self.last.as_ref().map(|(flow, sol)| (flow, sol))
     }
 
-    /// The flow solution backing the most recent probe, when one has
-    /// run — the object harnesses hand to `check_warm_solution`
-    /// together with [`RetimingSweep::flow`].
-    pub fn warm_solution(&self) -> Option<&retime_flow::FlowSolution> {
-        self.sweep.basis().map(|b| b.solution())
-    }
-
-    /// Warm/cold counters accumulated across the probes so far.
+    /// Hit/cold counters accumulated across the probes so far.
     pub fn stats(&self) -> SweepStats {
-        self.sweep.stats()
+        self.stats
     }
 }
 
-/// Solves `prob` through `slot`'s warm sweep, creating the sweep on
-/// first use and rebuilding it if `prob` is structurally incompatible
-/// with the sweep's primed instance. Falls back to a plain
-/// [`RetimingProblem::solve`] when the engine is not flow-based.
+/// Solves `prob` through `slot`'s memo, creating the memo on first use,
+/// and adds the probe's `warm_hits` / `cold_solves` to `timings`. Falls
+/// back to a plain [`RetimingProblem::solve`] when the engine is not
+/// flow-based.
 ///
 /// # Errors
-/// The same failures as [`RetimingProblem::solve`].
+/// The same failures as [`RetimingSweep::solve_for`].
 pub fn solve_with_slot(
     prob: &RetimingProblem,
     engine: SolverEngine,
     slot: &mut Option<RetimingSweep>,
+    timings: &mut PhaseTimings,
 ) -> Result<RetimingSolution, RetimeError> {
     if engine == SolverEngine::Closure {
         return prob.solve(engine);
     }
-    if let Some(sweep) = slot.as_mut() {
-        match sweep.solve_for(prob) {
-            Ok(sol) => return Ok(sol),
-            // Structural mismatch (e.g. an ECO added gates): rebuild.
-            Err(RetimeError::Internal(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let mut sweep = prob.parametric_sweep();
+    let sweep = slot.get_or_insert_with(RetimingSweep::default);
+    let before = sweep.stats();
     let sol = sweep.solve_for(prob)?;
-    *slot = Some(sweep);
+    let after = sweep.stats();
+    timings.count("warm_hits", after.warm_hits - before.warm_hits);
+    timings.count("cold_solves", after.cold_solves - before.cold_solves);
     Ok(sol)
 }
 
@@ -961,94 +887,51 @@ w = BUFF(b)
         assert_eq!(ssp.cost, flow.solve_network_simplex().unwrap().cost);
     }
 
-    #[test]
-    fn sweep_overhead_probes_match_per_c_cold_solves() {
-        // The c ∈ {0.5, 1.0, 2.0} EDL overhead sweep only moves node
-        // demands (β on the pseudo → host edge), so the warm layer must
-        // answer every probe after the first by delta-routing — and land
-        // on the same optimum a from-scratch solve finds.
-        let (cloud, regions) = setup(RECONVERGE, 100.0);
-        let mut prob = RetimingProblem::build(&cloud, &regions);
-        let g = cloud.find("g").unwrap();
-        let c = cloud.find("c").unwrap();
-        let pseudo = prob.add_pseudo_target(&[g, c], BREADTH_SCALE / 2);
-        let mut sweep = prob.parametric_sweep();
-        for c_scaled in [BREADTH_SCALE / 2, BREADTH_SCALE, 2 * BREADTH_SCALE] {
-            prob.set_pseudo_overhead(pseudo, c_scaled);
-            let warm = sweep.solve_for(&prob).unwrap();
-            let cold = prob.solve(SolverEngine::MinCostFlow).unwrap();
-            assert_eq!(warm.objective_scaled, cold.objective_scaled, "c={c_scaled}");
-        }
-        let stats = sweep.stats();
-        assert_eq!(stats.cold_solves, 1, "only the first probe primes cold");
-        assert_eq!(stats.demand_deltas, 2, "overhead moves are demand-only");
-    }
+    /// Two circuits with the same node and edge counts but different
+    /// wiring: a memo that compared counts only would answer the second
+    /// with a solution of the first's instance.
+    const WIRED_A: &str = "INPUT(i0)\nINPUT(i1)\nINPUT(i2)\nOUTPUT(g3)\nOUTPUT(g4)\n\
+        g0 = NOT(i0)\ng1 = AND(i1, i2)\ng2 = OR(i2, g1)\ng3 = NOT(g0)\ng4 = AND(g2, g0)\n";
+    const WIRED_B: &str = "INPUT(i0)\nINPUT(i1)\nINPUT(i2)\nOUTPUT(g3)\nOUTPUT(g4)\n\
+        g0 = AND(i1, i2)\ng1 = NOT(i1)\ng2 = NAND(i2, g0)\ng3 = NOT(i0)\ng4 = AND(g1, g2)\n";
 
     #[test]
-    fn sweep_period_probes_match_per_period_cold_solves() {
-        // A period binary search re-derives (L, U) bounds per probe.
-        // Bounds are *costs* on the bound-arc pairs, so every probe after
-        // the first must resume the simplex from the previous basis.
-        let mut chain = String::from("INPUT(a)\nOUTPUT(z)\ng1 = NOT(a)\n");
-        for i in 2..=20 {
-            chain.push_str(&format!("g{i} = NOT(g{})\n", i - 1));
-        }
-        chain.push_str("z = BUFF(g20)\n");
-        let n = bench::parse("t", &chain).unwrap();
-        let cloud = CombCloud::extract(&n).unwrap();
-        let lib = Library::fdsoi28();
-        let sta0 = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(1.0),
-            DelayModel::PathBased,
-        )
-        .unwrap();
-        let crit = sta0.df(cloud.sinks()[0]);
-        let mut prob = {
-            let sta = TimingAnalysis::new(
-                &cloud,
-                &lib,
-                TwoPhaseClock::from_max_delay(crit * 2.0),
-                DelayModel::PathBased,
-            )
-            .unwrap();
-            RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap())
-        };
-        let mut sweep = prob.parametric_sweep();
-        for scale in [2.0, 1.5, 1.1, 1.02] {
-            let sta = TimingAnalysis::new(
-                &cloud,
-                &lib,
-                TwoPhaseClock::from_max_delay(crit * scale),
-                DelayModel::PathBased,
-            )
-            .unwrap();
-            let regions = Regions::compute(&sta).unwrap();
-            prob.rebind_regions(&regions);
-            let warm = sweep.solve_for(&prob).unwrap();
-            let cold = prob.solve(SolverEngine::MinCostFlow).unwrap();
-            assert_eq!(
-                warm.objective_scaled, cold.objective_scaled,
-                "period probe at {scale}×critical"
-            );
-        }
-        let stats = sweep.stats();
-        assert_eq!(stats.cold_solves, 1, "only the first probe primes cold");
-        assert!(
-            stats.cost_resumes + stats.warm_hits == 3,
-            "period probes are cost-only (or no-ops): {stats:?}"
-        );
-    }
-
-    #[test]
-    fn sweep_rejects_structurally_different_problems() {
+    fn memo_poisoned_in_a_slot_surfaces_as_an_error() {
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        let mut sweep = prob.parametric_sweep();
-        let mut bigger = RetimingProblem::build(&cloud, &regions);
-        bigger.add_pseudo_target(&[cloud.find("g").unwrap()], BREADTH_SCALE);
-        let err = sweep.solve_for(&bigger).unwrap_err();
+        let mut slot = None;
+        let mut timings = PhaseTimings::new();
+        solve_with_slot(&prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap();
+        // Shift one cloud node's potential far out of its region bounds;
+        // the unchanged problem is then answered from the memo, and the
+        // bounds guard in `finish_solution` must reject it.
+        let sweep = slot.as_mut().unwrap();
+        sweep.last.as_mut().unwrap().1.potentials[0] += 1_000;
+        let err =
+            solve_with_slot(&prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap_err();
         assert!(matches!(err, RetimeError::Internal(_)), "{err}");
+        assert_eq!(timings.counter("cold_solves"), 1);
+    }
+
+    #[test]
+    fn memo_slot_serves_differently_wired_circuits() {
+        let (cloud_a, regions_a) = setup(WIRED_A, 100.0);
+        let (cloud_b, regions_b) = setup(WIRED_B, 100.0);
+        let a = RetimingProblem::build(&cloud_a, &regions_a);
+        let b = RetimingProblem::build(&cloud_b, &regions_b);
+        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(a.edges.len(), b.edges.len());
+        assert_ne!(a.edge_list(), b.edge_list(), "the wiring must differ");
+        let mut slot = None;
+        let mut timings = PhaseTimings::new();
+        for prob in [&a, &b, &a] {
+            let sol =
+                solve_with_slot(prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap();
+            let cold = prob.solve(SolverEngine::NetworkSimplex).unwrap();
+            assert_eq!(sol.r, cold.r);
+            assert_eq!(sol.objective_scaled, cold.objective_scaled);
+        }
+        assert_eq!(timings.counter("cold_solves"), 3);
+        assert_eq!(timings.counter("warm_hits"), 0);
     }
 }

@@ -398,14 +398,14 @@ pub fn execute(
     finish_execution(cfg, circuit, lib, &mut outcome, None)
 }
 
-/// [`execute`] with a warm-start slot threaded through the flow's
+/// [`execute`] with a warm slot threaded through the flow's
 /// min-cost-flow solve — the worker pool's path for ECO re-submissions
-/// (see [`crate::warm::WarmPool`]). A `None` slot primes cold and
-/// leaves the basis behind for the next job with the same
-/// [`crate::canon::warm_key`]; a primed slot resumes it. Results are
-/// bit-identical to [`execute`] either way, and with `verify:true`
-/// every warm flow solution is additionally certified against an
-/// independent cold solve.
+/// (see [`crate::warm::WarmPool`]). A `None` slot solves cold and leaves
+/// a memo of the solved instance behind for the next job with the same
+/// [`crate::canon::warm_key`]; a job whose instance matches the memo is
+/// answered from it. Results are bit-identical to [`execute`] either
+/// way, and with `verify:true` the memo's flow solution is additionally
+/// certified against an independent reference solve.
 ///
 /// # Errors
 /// Propagates flow failures, rejected certificates, and warm/cold
@@ -466,16 +466,12 @@ fn finish_execution(
         )
         .with_model(cfg.model)
         .run(lib, outcome)?;
-        if let Some(sweep) = sweep {
-            if let Some(warm) = sweep.warm_solution() {
-                let cold = sweep
-                    .flow()
-                    .solve_reference()
-                    .map_err(|e| RetimeError::Internal(format!("warm reference solve: {e}")))?;
-                retime_verify::check_warm_solution(sweep.flow(), warm, &cold).map_err(|e| {
-                    RetimeError::Internal(format!("warm certificate rejected: {e}"))
-                })?;
-            }
+        if let Some((flow, warm)) = sweep.and_then(retime_retime::RetimingSweep::last_solved) {
+            let cold = flow
+                .solve_reference()
+                .map_err(|e| RetimeError::Internal(format!("warm reference solve: {e}")))?;
+            retime_verify::check_warm_solution(flow, warm, &cold)
+                .map_err(|e| RetimeError::Internal(format!("warm certificate rejected: {e}")))?;
         }
     }
     let payload = render_payload(&circuit.name, cfg, &circuit.cloud, outcome);

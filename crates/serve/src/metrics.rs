@@ -107,27 +107,17 @@ const FAMILIES: &[(&str, &str, &str)] = &[
     (
         "retime_serve_warm_resumed_jobs_total",
         "counter",
-        "Jobs that checked out a warm basis from the ECO pool, by flow.",
+        "Jobs that checked out a warm memo from the ECO pool, by flow.",
     ),
     (
         "retime_serve_warm_hits_total",
         "counter",
-        "Warm solves answered verbatim from an unchanged basis, by flow.",
-    ),
-    (
-        "retime_serve_warm_cost_resumes_total",
-        "counter",
-        "Warm solves resumed by simplex repair after a cost change, by flow.",
-    ),
-    (
-        "retime_serve_warm_demand_deltas_total",
-        "counter",
-        "Warm solves delta-routed after a demand change, by flow.",
+        "Warm-slot solves answered verbatim from an unchanged instance, by flow.",
     ),
     (
         "retime_serve_warm_cold_solves_total",
         "counter",
-        "Sweep-slot solves that had to prime cold, by flow.",
+        "Warm-slot solves that ran cold, by flow.",
     ),
     (
         "retime_serve_queue_depth",
@@ -167,7 +157,7 @@ const FAMILIES: &[(&str, &str, &str)] = &[
     (
         "retime_serve_warm_pool_entries",
         "gauge",
-        "Idle warm bases parked in the ECO pool.",
+        "Idle warm memos parked in the ECO pool.",
     ),
 ];
 

@@ -346,8 +346,8 @@ fn worker_loop(shared: &Shared) {
             }
         }
         let label = format!("flow=\"{}\"", work.flow);
-        // ECO warm start: check out the basis a structurally identical
-        // job (same circuit/flow/clock/model, any overhead) left behind.
+        // ECO warm start: check out the memo a job with the same
+        // circuit/flow/clock/model (any overhead) left behind.
         let slot_key = warm_key(&work.circuit.canonical, &shared.lib, &work.cfg);
         let mut slot = shared.warm.checkout(&slot_key);
         let resumed = slot.is_some();
@@ -373,8 +373,6 @@ fn worker_loop(shared: &Shared) {
                 }
                 for (family, counter) in [
                     ("retime_serve_warm_hits_total", "warm_hits"),
-                    ("retime_serve_warm_cost_resumes_total", "cost_resumes"),
-                    ("retime_serve_warm_demand_deltas_total", "demand_deltas"),
                     ("retime_serve_warm_cold_solves_total", "cold_solves"),
                 ] {
                     let n = output.phases.counter(counter);

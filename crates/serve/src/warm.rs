@@ -1,30 +1,32 @@
-//! Warm-basis pool for ECO re-submissions.
+//! Warm-memo pool for ECO re-submissions.
 //!
 //! The content-addressed result cache answers *identical* re-submissions
-//! with zero work; this pool accelerates the next-most-common service
-//! pattern — an **ECO re-spin** that re-submits the same circuit with a
+//! with zero work. This pool serves the next-most-common service
+//! pattern, an **ECO re-spin** that re-submits the same circuit with a
 //! tweaked EDL overhead. Such a job misses the result cache (the key
-//! hashes `c`), but its Eq. 14 instance has the same structure as the
-//! previous run's, so the previous run's simplex basis is a valid warm
-//! start. Slots are keyed by [`crate::canon::warm_key`] — the cache key
-//! *minus* overhead and verification — and hold the
-//! [`RetimingSweep`] a finished job left behind.
+//! hashes `c`), but when the overhead does not reach its Eq. 14
+//! instance — base retiming and RVL, or a G-RAR run with no targets —
+//! the instance is identical to the previous run's, and the
+//! [`RetimingSweep`] memo that run left behind answers it without a
+//! solve. Slots are keyed by [`crate::canon::warm_key`] — the cache key
+//! *minus* overhead and verification.
 //!
 //! Concurrency uses a checkout model: a worker [`WarmPool::checkout`]s
 //! the slot (removing it), executes against it, and
-//! [`WarmPool::checkin`]s the re-primed sweep. Two concurrent jobs with
-//! the same warm key simply race for the slot; the loser primes cold
-//! and the last check-in wins — never a correctness concern, because
-//! every warm solve is certified (`RETIME_VERIFY`/`verify:true`) or at
-//! minimum produced by the structurally-validated
-//! [`retime_retime::solve_with_slot`] contract.
+//! [`WarmPool::checkin`]s the updated memo. Two concurrent jobs with the
+//! same warm key simply race for the slot; the loser solves cold and the
+//! last check-in wins — never a correctness concern, because a memo
+//! answers only an identical instance, and every solution passes the
+//! bounds and difference-constraint guard of
+//! [`retime_retime::solve_with_slot`] (plus certification under
+//! `RETIME_VERIFY`/`verify:true`).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use retime_retime::RetimingSweep;
 
-/// Bounded checkout/checkin store of warm simplex bases.
+/// Bounded checkout/checkin store of solved-instance memos.
 pub struct WarmPool {
     slots: Mutex<HashMap<String, RetimingSweep>>,
     cap: usize,
@@ -37,10 +39,10 @@ impl Default for WarmPool {
 }
 
 impl WarmPool {
-    /// A pool holding at most `cap` idle bases (a primed sweep owns the
-    /// full Eq. 14 instance, so the bound caps resident memory, not
-    /// correctness — an evicted slot just means a future ECO primes
-    /// cold).
+    /// A pool holding at most `cap` idle memos (a memo owns a full
+    /// Eq. 14 instance and its solution, so the bound caps resident
+    /// memory, not correctness — an evicted slot just means a future
+    /// ECO solves cold).
     pub fn new(cap: usize) -> WarmPool {
         WarmPool {
             slots: Mutex::new(HashMap::new()),
@@ -54,9 +56,8 @@ impl WarmPool {
         self.slots.lock().expect("warm pool lock").remove(key)
     }
 
-    /// Returns a (re-)primed sweep to the pool. Dropped silently when
-    /// the pool is at capacity — warm starts are an optimization, never
-    /// an obligation.
+    /// Returns a memo to the pool. Dropped silently when the pool is at
+    /// capacity — memo hits are an optimization, never an obligation.
     pub fn checkin(&self, key: &str, sweep: RetimingSweep) {
         let mut slots = self.slots.lock().expect("warm pool lock");
         if slots.len() < self.cap || slots.contains_key(key) {
@@ -64,12 +65,12 @@ impl WarmPool {
         }
     }
 
-    /// Idle bases currently parked.
+    /// Idle memos currently parked.
     pub fn len(&self) -> usize {
         self.slots.lock().expect("warm pool lock").len()
     }
 
-    /// Whether no bases are parked.
+    /// Whether no memos are parked.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -78,35 +79,12 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retime_liberty::Library;
-    use retime_netlist::{bench, CombCloud};
-    use retime_retime::{Regions, RetimingProblem};
-    use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
-
-    fn sweep() -> RetimingSweep {
-        let n = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(z)\nq = DFF(a)\ng = NOT(q)\nz = NOT(g)\n",
-        )
-        .unwrap();
-        let cloud = CombCloud::extract(&n).unwrap();
-        let lib = Library::fdsoi28();
-        let sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(5.0),
-            DelayModel::PathBased,
-        )
-        .unwrap();
-        let regions = Regions::compute(&sta).unwrap();
-        RetimingProblem::build(&cloud, &regions).parametric_sweep()
-    }
 
     #[test]
     fn checkout_removes_and_checkin_restores() {
         let pool = WarmPool::new(4);
         assert!(pool.checkout("k").is_none());
-        pool.checkin("k", sweep());
+        pool.checkin("k", RetimingSweep::default());
         assert_eq!(pool.len(), 1);
         assert!(pool.checkout("k").is_some());
         assert!(pool.is_empty());
@@ -115,12 +93,12 @@ mod tests {
     #[test]
     fn capacity_bounds_new_keys_but_not_reinsertion() {
         let pool = WarmPool::new(1);
-        pool.checkin("a", sweep());
-        pool.checkin("b", sweep());
+        pool.checkin("a", RetimingSweep::default());
+        pool.checkin("b", RetimingSweep::default());
         assert_eq!(pool.len(), 1, "over-capacity insert is dropped");
         assert!(pool.checkout("b").is_none());
         // Re-inserting the resident key is always allowed.
-        pool.checkin("a", sweep());
+        pool.checkin("a", RetimingSweep::default());
         assert_eq!(pool.len(), 1);
         assert!(pool.checkout("a").is_some());
     }

@@ -1,8 +1,8 @@
 //! ECO warm-start tests over a real loopback socket: an overhead
 //! re-spin of the same circuit misses the result cache (the key hashes
-//! `c`) but resumes the previous job's simplex basis from the warm
-//! pool, the served payloads stay bit-identical to direct cold flow
-//! calls, and the warm counters show up in the metrics exposition.
+//! `c`) but checks the previous job's solved-instance memo out of the
+//! warm pool, the served payloads stay bit-identical to direct cold flow
+//! calls, and the memo counters show up in the metrics exposition.
 
 use retime_liberty::EdlOverhead;
 use retime_serve::job::{execute, prepare, resolve_circuit, CircuitRef, InputFormat, JobSpec};
@@ -23,9 +23,9 @@ fn counter_total(metrics: &str, family: &str) -> u64 {
 }
 
 #[test]
-fn overhead_respin_resumes_warm_basis_bit_identically() {
+fn overhead_respin_checks_out_the_memo_bit_identically() {
     let handle = Server::spawn(ServerConfig {
-        workers: 1, // serialize jobs so each re-spin sees the parked basis
+        workers: 1, // serialize jobs so each re-spin sees the parked memo
         queue_bound: 16,
         ..ServerConfig::default()
     })
@@ -77,24 +77,20 @@ fn overhead_respin_resumes_warm_basis_bit_identically() {
     }
 
     let metrics = client.metrics_text().expect("metrics");
-    // Re-spins two and three checked a basis out of the pool…
+    // Re-spins two and three checked a memo out of the pool…
     assert_eq!(
         counter_total(&metrics, "retime_serve_warm_resumed_jobs_total"),
         2,
         "{metrics}"
     );
-    // …and only the first job primed cold: the re-spins were answered
-    // by warm hits / simplex repairs / demand delta-routes.
-    assert_eq!(
-        counter_total(&metrics, "retime_serve_warm_cold_solves_total"),
-        1,
-        "{metrics}"
-    );
-    let warm_activity = counter_total(&metrics, "retime_serve_warm_hits_total")
-        + counter_total(&metrics, "retime_serve_warm_cost_resumes_total")
-        + counter_total(&metrics, "retime_serve_warm_demand_deltas_total");
-    assert_eq!(warm_activity, 2, "{metrics}");
-    // The parked basis shows in the pool gauge.
+    // …and every job's solve went through a memo: a hit when the
+    // overhead left the instance unchanged, a cold solve otherwise (the
+    // first job always solves cold).
+    let hits = counter_total(&metrics, "retime_serve_warm_hits_total");
+    let cold = counter_total(&metrics, "retime_serve_warm_cold_solves_total");
+    assert!(cold >= 1, "{metrics}");
+    assert_eq!(hits + cold, 3, "{metrics}");
+    // The parked memo shows in the pool gauge.
     assert!(
         counter_total(&metrics, "retime_serve_warm_pool_entries") >= 1,
         "{metrics}"
@@ -117,7 +113,7 @@ fn distinct_clocks_do_not_share_a_warm_slot() {
 
     // Same tiny inline circuit, two different clock overrides: the
     // clock changes the region pre-division (instance structure), so
-    // the second job must *not* resume the first one's basis.
+    // the second job must *not* check out the first one's memo.
     let netlist = "INPUT(a)\\nOUTPUT(z)\\nq = DFF(a)\\ng = NOT(q)\\nz = NOT(g)\\n";
     for clock in ["2.0", "4.0"] {
         let reply = client

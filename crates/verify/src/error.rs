@@ -104,10 +104,10 @@ pub enum VerifyError {
         /// What failed.
         detail: String,
     },
-    /// A warm-started flow solve diverged from the cold-solve contract:
-    /// its solution failed independent certification, or its objective
-    /// differs from the cold objective on the same instance. The warm
-    /// cache must be discarded and the instance re-solved cold.
+    /// A warm-slot flow solution diverged from the cold-solve contract:
+    /// it failed independent certification, or its objective differs
+    /// from the cold objective on the same instance. The warm slot must
+    /// be discarded and the instance re-solved cold.
     WarmStartMismatch {
         /// What diverged (certification failure or objective delta).
         detail: String,

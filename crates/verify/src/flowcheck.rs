@@ -83,8 +83,8 @@ pub fn check_flow_solution(p: &MinCostFlow, sol: &FlowSolution) -> Result<(), Ve
     Ok(())
 }
 
-/// Certifies a **warm-started** solution against the cold-solve
-/// contract: `warm` must pass [`check_flow_solution`] on `p` (bounds,
+/// Certifies a solution served from a **warm slot** against the
+/// cold-solve contract: `warm` must pass [`check_flow_solution`] on `p` (bounds,
 /// conservation, cost accounting, complementary slackness — i.e. it is
 /// a *proven optimal* solution, not merely a plausible one), and its
 /// objective must equal `cold.cost`, the objective of an independent
@@ -164,26 +164,20 @@ mod tests {
     }
 
     #[test]
-    fn warm_check_accepts_genuine_warm_solves() {
-        use retime_flow::ArcId;
-        let mut p = diamond();
-        let mut basis = p.solve_cold_capture().unwrap();
-        p.set_cost(ArcId(1), 2);
-        let (warm, _) = p.solve_warm(&mut basis).unwrap();
-        let cold = p.solve_network_simplex().unwrap();
-        check_warm_solution(&p, &warm, &cold).unwrap();
+    fn warm_check_accepts_a_solution_from_another_engine() {
+        let p = diamond();
+        let warm = p.solve_network_simplex().unwrap();
+        check_warm_solution(&p, &warm, &p.solve_reference().unwrap()).unwrap();
     }
 
     #[test]
     fn warm_check_rejects_poisoned_potentials() {
         let p = diamond();
-        let mut basis = p.solve_cold_capture().unwrap();
-        // Corrupt the cached dual certificate, then take the (verbatim)
-        // warm hit: the independent check must refuse it.
-        basis.potentials_mut()[0] += 1_000;
-        let (warm, outcome) = p.solve_warm(&mut basis).unwrap();
-        assert_eq!(outcome, retime_flow::WarmOutcome::Hit);
-        let cold = p.solve_network_simplex().unwrap();
+        let mut warm = p.solve_network_simplex().unwrap();
+        // Corrupt the dual certificate, as a damaged cache would: the
+        // independent check must refuse it.
+        warm.potentials[0] += 1_000;
+        let cold = p.solve_reference().unwrap();
         let err = check_warm_solution(&p, &warm, &cold).unwrap_err();
         assert!(
             matches!(err, VerifyError::WarmStartMismatch { .. }),

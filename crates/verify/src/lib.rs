@@ -20,9 +20,9 @@
 //! * [`check_flow_solution`] — primal/dual certificate checking of a
 //!   min-cost-flow solution (capacity, conservation, cost,
 //!   complementary slackness).
-//! * [`check_warm_solution`] — the warm-start contract: a warm-started
-//!   re-solve must pass [`check_flow_solution`] *and* match the cold
-//!   objective, else [`VerifyError::WarmStartMismatch`].
+//! * [`check_warm_solution`] — the warm-slot contract: a solution served
+//!   from a warm slot's memo must pass [`check_flow_solution`] *and*
+//!   match the cold objective, else [`VerifyError::WarmStartMismatch`].
 //! * [`mc_yields`] — plain Monte Carlo timing-yield estimation over the
 //!   statistical delay tables. Deliberately shares **no** propagation
 //!   code with the analytic `retime-stat` engine; in statistical mode

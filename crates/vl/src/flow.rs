@@ -151,13 +151,13 @@ pub fn vl_retime(
     vl_retime_impl(cloud, lib, clock, cfg, None)
 }
 
-/// [`vl_retime`] with a persistent warm-start slot. The virtual-library
+/// [`vl_retime`] with a persistent warm slot. The virtual-library
 /// solve does not depend on the EDL overhead at all (the overhead only
 /// prices the area bill), so across a `c` sweep with a fixed variant the
-/// targeted flow instance is *identical* and every probe after the first
-/// is answered verbatim from the cached basis (`warm_hits`). A
-/// structurally different problem re-primes the slot. Per-call warm
-/// counters land in the report's `Stage::Solve` instrumentation.
+/// flow instance is *identical* and every probe after the first is
+/// answered verbatim from the slot's memo (`warm_hits`); any other
+/// instance solves cold. Per-call counters land in the report's
+/// `Stage::Solve` instrumentation.
 ///
 /// # Errors
 /// The same failures as [`vl_retime`].
@@ -309,30 +309,7 @@ fn vl_retime_impl(
             let mut problem = RetimingProblem::build(cloud, regions);
             problem.set_movement_penalty(retime_retime::COMMERCIAL_MOVEMENT_PENALTY);
             let sol = match &mut slot {
-                Some(slot) => {
-                    let slot = &mut **slot;
-                    let before = slot.as_ref().map(|s| s.stats()).unwrap_or_default();
-                    let sol = solve_with_slot(&problem, cfg.engine, slot)?;
-                    if let Some(sweep) = slot.as_ref() {
-                        // saturating: a re-primed slot restarts its counters.
-                        let s = sweep.stats();
-                        ctx.timings
-                            .count("warm_hits", s.warm_hits.saturating_sub(before.warm_hits));
-                        ctx.timings.count(
-                            "cost_resumes",
-                            s.cost_resumes.saturating_sub(before.cost_resumes),
-                        );
-                        ctx.timings.count(
-                            "demand_deltas",
-                            s.demand_deltas.saturating_sub(before.demand_deltas),
-                        );
-                        ctx.timings.count(
-                            "cold_solves",
-                            s.cold_solves.saturating_sub(before.cold_solves),
-                        );
-                    }
-                    sol
-                }
+                Some(slot) => solve_with_slot(&problem, cfg.engine, slot, &mut ctx.timings)?,
                 None => problem.solve(cfg.engine)?,
             };
             ctx.data.sol = Some(sol);
@@ -640,7 +617,7 @@ mod tests {
     #[test]
     fn warm_sweep_is_bit_identical_to_cold_runs_across_overheads() {
         // The VL solve never sees the overhead, so a slot carried across
-        // the sweep answers every later probe verbatim from the basis.
+        // the sweep answers every later probe verbatim from the memo.
         let cloud = testbench();
         let lib = Library::fdsoi28();
         let clock = clock_for(&cloud, &lib, 1.1);
