@@ -390,33 +390,7 @@ pub struct WarmSlots {
     pub grar: Option<RetimingSweep>,
 }
 
-/// Probe counters summed over the three memos of a [`WarmSlots`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlotStats {
-    /// Probes answered verbatim from a memo.
-    pub warm_hits: u64,
-    /// Probes solved cold.
-    pub cold_solves: u64,
-    /// Always 0: the simplex cost-resume path is gone. Kept so callers
-    /// that sum every warm path still compile.
-    pub cost_resumes: u64,
-    /// Always 0: the demand delta-routing path is gone. Kept so callers
-    /// that sum every warm path still compile.
-    pub demand_deltas: u64,
-}
-
 impl WarmSlots {
-    /// Probe counters summed across the three flows' memos.
-    pub fn stats(&self) -> SlotStats {
-        let mut total = SlotStats::default();
-        for sweep in [&self.base, &self.rvl, &self.grar].into_iter().flatten() {
-            let s = sweep.stats();
-            total.warm_hits += s.warm_hits;
-            total.cold_solves += s.cold_solves;
-        }
-        total
-    }
-
     /// Certifies every memo's last flow solution against an
     /// independent reference solve of the same instance
     /// ([`check_warm_solution`]): the memo's result must be a *proven*

@@ -25,7 +25,7 @@ use retime_bench::{build_case, map_cases, table1_row, table4_row, BenchCase};
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{grar, grar_with_sweep, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
-use retime_retime::{AreaModel, SolverEngine};
+use retime_retime::AreaModel;
 use retime_sta::{DelayModel, StatParams, TimingAnalysis, TwoPhaseClock};
 use retime_trace::{SpanRecord, Value};
 
@@ -131,35 +131,6 @@ fn fig4_grar_trace_matches_golden_structure() {
     assert_eq!(check.events, records.len());
 
     check_golden("fig4_trace.txt", &structure(&records));
-}
-
-#[test]
-fn fig4_grar_simplex_trace_matches_golden_structure() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let fig = Fig4::new();
-    let lib = Library::fdsoi28();
-    let clock = feasible_clock(&fig.cloud, &lib);
-    // Same fixed run as above but through the network-simplex engine:
-    // the golden additionally pins the pivot-batch span structure and
-    // its pivot_count / degenerate_pivots counters.
-    let (_, records) = with_tracing(|| {
-        grar(
-            &fig.cloud,
-            &lib,
-            clock,
-            &GrarConfig::new(EdlOverhead::MEDIUM)
-                .with_threads(1)
-                .with_engine(SolverEngine::NetworkSimplex),
-        )
-        .expect("grar on fig4 via network simplex")
-    });
-    assert!(!records.is_empty(), "the traced run recorded no spans");
-
-    let text = retime_trace::chrome_trace(&records);
-    let check = retime_trace::check_chrome_trace(&text).expect("export validates");
-    assert_eq!(check.events, records.len());
-
-    check_golden("fig4_trace_simplex.txt", &structure(&records));
 }
 
 #[test]

@@ -152,9 +152,10 @@ pub fn exhaustive_best(p: &RetimingProblem, max_free: usize) -> Option<(i64, Cut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retime_flow::MinCostFlow;
     use retime_liberty::Library;
     use retime_netlist::{bench, CombCloud};
-    use retime_retime::{Regions, SolverEngine};
+    use retime_retime::Regions;
     use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
 
     fn problem(src: &str, p: f64) -> (CombCloud, RetimingProblem) {
@@ -173,6 +174,26 @@ mod tests {
         (cloud, prob)
     }
 
+    /// SSP, the network simplex and the closure all reach the
+    /// exhaustive optimum.
+    fn assert_engines_exact(prob: &RetimingProblem) {
+        let (best, _) = exhaustive_best(prob, 20).expect("small instance");
+        for (engine, sol) in [
+            ("ssp", prob.solve_with(MinCostFlow::solve_ssp)),
+            (
+                "simplex",
+                prob.solve_with(MinCostFlow::solve_network_simplex),
+            ),
+            ("closure", prob.solve_closure()),
+        ] {
+            assert_eq!(
+                sol.unwrap().objective_scaled,
+                best,
+                "{engine} must be exact"
+            );
+        }
+    }
+
     const SMALL: &str = "\
 INPUT(a)
 INPUT(b)
@@ -186,15 +207,7 @@ z = BUFF(g3)
     #[test]
     fn oracle_matches_solvers() {
         let (_cloud, prob) = problem(SMALL, 100.0);
-        let (best, _cut) = exhaustive_best(&prob, 20).expect("small instance");
-        for engine in [
-            SolverEngine::MinCostFlow,
-            SolverEngine::NetworkSimplex,
-            SolverEngine::Closure,
-        ] {
-            let sol = prob.solve(engine).unwrap();
-            assert_eq!(sol.objective_scaled, best, "{engine:?} must be exact");
-        }
+        assert_engines_exact(&prob);
     }
 
     #[test]
@@ -203,15 +216,7 @@ z = BUFF(g3)
         let g2 = cloud.find("g2").unwrap();
         let b = cloud.find("b").unwrap();
         prob.add_pseudo_target(&[g2, b], 3 * BREADTH_SCALE / 2);
-        let (best, _) = exhaustive_best(&prob, 20).expect("small instance");
-        for engine in [
-            SolverEngine::MinCostFlow,
-            SolverEngine::NetworkSimplex,
-            SolverEngine::Closure,
-        ] {
-            let sol = prob.solve(engine).unwrap();
-            assert_eq!(sol.objective_scaled, best, "{engine:?} must be exact");
-        }
+        assert_engines_exact(&prob);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! 3. extend the retiming graph with a pseudo node `P(t)` per target and a
 //!    `−c` breadth edge to the host (Section IV-A, Fig. 5),
 //! 4. solve the resulting ILP (Eq. 10) through its min-cost-flow dual
-//!    (Eq. 14) — network simplex or successive shortest paths — or through
-//!    the equivalent max-weight closure,
+//!    (Eq. 14) with the one production solve, which picks network simplex
+//!    or successive shortest paths by instance size (the equivalent
+//!    max-weight closure stays available as an exactness oracle),
 //! 5. place the slaves, assign error-detecting masters by arrival, and
 //!    legalize (the "size-only incremental compile" substitute).
 //!

@@ -6,13 +6,15 @@
 //! substitute:
 //!
 //! * [`MinCostFlow`] — minimum-cost b-flow with **dual (node potential)
-//!   extraction**, the quantity the retiming recovers as `r(v)`. Two
-//!   engines share the same problem type:
-//!   [`MinCostFlow::solve`] (successive shortest paths with potentials,
-//!   the default) and [`MinCostFlow::solve_network_simplex`] (a
-//!   spanning-tree network simplex, the algorithm class the paper uses).
-//!   Both return identical objective values; the test-suite cross-checks
-//!   them on randomized instances. A third engine,
+//!   extraction**, the quantity the retiming recovers as `r(v)`.
+//!   [`MinCostFlow::solve`] is the one production solve: it hands
+//!   instances below [`SSP_MIN_NODES`] nodes to the spanning-tree
+//!   network simplex ([`MinCostFlow::solve_network_simplex`], the
+//!   algorithm class the paper uses) and larger ones to successive
+//!   shortest paths with potentials ([`MinCostFlow::solve_ssp`]). Both
+//!   engines stay public for differential tests and benchmarks; they
+//!   return identical objective values, which the test-suite
+//!   cross-checks on randomized instances. A third engine,
 //!   [`MinCostFlow::solve_reference`], is a deliberately-slow plain
 //!   successive-shortest-paths solver (one Bellman–Ford per
 //!   augmentation) sharing no search machinery — not even the CSR
@@ -78,4 +80,4 @@ pub use closure::Closure;
 pub use csr::{CsrGraph, CsrIndex};
 pub use error::FlowError;
 pub use maxflow::MaxFlow;
-pub use mincost::{ArcId, FlowSolution, MinCostFlow};
+pub use mincost::{ArcId, FlowSolution, MinCostFlow, SSP_MIN_NODES};

@@ -1,4 +1,5 @@
-//! Minimum-cost b-flow with dual extraction (successive shortest paths).
+//! Minimum-cost b-flow with dual extraction: the size-dispatched
+//! production solve, successive shortest paths, and the reference solver.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,6 +14,12 @@ pub struct ArcId(pub usize);
 
 /// Practically-infinite capacity for uncapacitated arcs.
 pub const INF_CAP: i64 = i64::MAX / 4;
+
+/// Node count from which [`MinCostFlow::solve`] switches from the
+/// network simplex to successive shortest paths. Measured on the
+/// default retiming flows (`BENCH_solver.json`): the simplex wins every
+/// instance up to 4.3k nodes; from 11.4k nodes SSP wins or ties.
+pub const SSP_MIN_NODES: usize = 8192;
 
 /// A minimum-cost flow problem over node demands.
 ///
@@ -225,12 +232,30 @@ impl MinCostFlow {
         })
     }
 
+    /// Solves the instance — the one production entry point. Instances
+    /// below [`SSP_MIN_NODES`] nodes go to the network simplex
+    /// ([`MinCostFlow::solve_network_simplex`]), larger ones to
+    /// successive shortest paths ([`MinCostFlow::solve_ssp`]). Both
+    /// engines reach the same optimal cost; the pick depends on the
+    /// node count alone, so one instance always gets one engine.
+    ///
+    /// # Errors
+    /// The chosen engine's failures: [`FlowError::UnbalancedDemands`],
+    /// [`FlowError::Infeasible`], and the engine-specific limits.
+    pub fn solve(&self) -> Result<FlowSolution, FlowError> {
+        if self.n < SSP_MIN_NODES {
+            self.solve_network_simplex()
+        } else {
+            self.solve_ssp()
+        }
+    }
+
     /// Solves by successive shortest paths with Johnson potentials.
     ///
     /// # Errors
     /// [`FlowError::UnbalancedDemands`] if demands do not sum to zero,
     /// [`FlowError::Infeasible`] if the demands cannot be routed.
-    pub fn solve(&self) -> Result<FlowSolution, FlowError> {
+    pub fn solve_ssp(&self) -> Result<FlowSolution, FlowError> {
         let total: i64 = self.demand.iter().sum();
         if total != 0 {
             return Err(FlowError::UnbalancedDemands { total });
@@ -348,7 +373,7 @@ impl MinCostFlow {
     /// potentials, no Dijkstra, no blocking flow.
     ///
     /// Deliberately the simplest correct min-cost-flow algorithm in the
-    /// crate: it shares no search machinery with [`MinCostFlow::solve`]
+    /// crate: it shares no search machinery with [`MinCostFlow::solve_ssp`]
     /// or the network simplex — it does not even touch the frozen CSR
     /// arena, building its own throwaway adjacency lists instead — so it
     /// serves as the differential reference those engines are
@@ -706,7 +731,7 @@ mod tests {
         p.add_arc(0, 2, 10, 3);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         assert_eq!(sol.cost, 10);
         assert_eq!(sol.flows, vec![5, 5, 0]);
     }
@@ -719,7 +744,7 @@ mod tests {
         p.add_arc(0, 2, 10, 3);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         // 3 units via the cheap route (cost 6), 2 via the direct (cost 6).
         assert_eq!(sol.cost, 12);
         assert_eq!(sol.flows, vec![3, 3, 2]);
@@ -731,7 +756,10 @@ mod tests {
         p.add_arc(0, 1, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(1, 4);
-        assert_eq!(p.solve(), Err(FlowError::UnbalancedDemands { total: -1 }));
+        assert_eq!(
+            p.solve_ssp(),
+            Err(FlowError::UnbalancedDemands { total: -1 })
+        );
     }
 
     #[test]
@@ -741,7 +769,7 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        assert_eq!(p.solve(), Err(FlowError::Infeasible));
+        assert_eq!(p.solve_ssp(), Err(FlowError::Infeasible));
     }
 
     #[test]
@@ -752,7 +780,7 @@ mod tests {
         p.add_arc(0, 2, 10, 0);
         p.set_demand(0, -4);
         p.set_demand(2, 4);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         assert_eq!(sol.cost, -4);
         assert_eq!(sol.flows, vec![4, 4, 0]);
     }
@@ -772,7 +800,7 @@ mod tests {
         }
         p.set_demand(0, -6);
         p.set_demand(3, 6);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         // Check complementary slackness against every arc.
         for (i, &(u, v, cap, cost)) in arcs.iter().enumerate() {
             let f = sol.flows[i];
@@ -791,7 +819,7 @@ mod tests {
         let mut p = MinCostFlow::new(3);
         p.add_arc(0, 1, 10, 1);
         p.add_arc(1, 2, 10, 1);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         assert_eq!(sol.cost, 0);
         assert_eq!(sol.flows, vec![0, 0]);
     }
@@ -802,7 +830,7 @@ mod tests {
         p.add_uncapacitated(0, 1, 7);
         p.set_demand(0, -1_000_000);
         p.set_demand(1, 1_000_000);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         assert_eq!(sol.cost, 7_000_000);
     }
 
@@ -814,7 +842,7 @@ mod tests {
         p.add_arc(0, 2, 10, 1);
         p.set_demand(0, -1);
         p.set_demand(2, 1);
-        assert_eq!(p.solve(), Err(FlowError::NegativeCycle));
+        assert_eq!(p.solve_ssp(), Err(FlowError::NegativeCycle));
     }
 
     #[test]
@@ -827,7 +855,7 @@ mod tests {
         p.add_arc(0, 2, 10, 2);
         p.set_demand(1, -3);
         p.set_demand(2, 3);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         assert_eq!(sol.cost, 3 * (1 + 2));
     }
 
@@ -847,10 +875,10 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let first = p.solve().unwrap();
+        let first = p.solve_ssp().unwrap();
         let g1 = p.frozen() as *const _;
         let caps1 = p.frozen().caps().to_vec();
-        let second = p.solve().unwrap();
+        let second = p.solve_ssp().unwrap();
         let g2 = p.frozen() as *const _;
         assert_eq!(first, second, "repeat solve must be bit-identical");
         assert_eq!(g1, g2, "untouched instance reuses the frozen CSR");
@@ -861,7 +889,7 @@ mod tests {
             &caps1[..],
             "mutators must invalidate the frozen CSR"
         );
-        assert_eq!(p.solve().unwrap().cost, 8);
+        assert_eq!(p.solve_ssp().unwrap().cost, 8);
     }
 
     #[test]
@@ -872,10 +900,10 @@ mod tests {
         p.set_demand(0, -5);
         p.set_demand(2, 5);
         let fresh = p.clone();
-        p.solve().unwrap();
+        p.solve_ssp().unwrap();
         assert_eq!(p, fresh, "a frozen arena does not change the instance");
         p.release_arena();
-        assert_eq!(p.solve().unwrap().cost, 10, "released arena rebuilds");
+        assert_eq!(p.solve_ssp().unwrap().cost, 10, "released arena rebuilds");
 
         let mut rewired = MinCostFlow::new(3);
         rewired.add_arc(0, 2, 10, 1);
@@ -932,7 +960,7 @@ mod tests {
             ),
         ];
         for (i, p) in cases.iter().enumerate() {
-            let fast = p.solve().expect("fast engine solves");
+            let fast = p.solve_ssp().expect("fast engine solves");
             let slow = p.solve_reference().expect("reference solves");
             assert_eq!(fast.cost, slow.cost, "objective mismatch on case {i}");
         }
@@ -1005,7 +1033,7 @@ mod tests {
         p.set_demand(1, -2);
         p.set_demand(3, 4);
         p.set_demand(4, 1);
-        let sol = p.solve().unwrap();
+        let sol = p.solve_ssp().unwrap();
         // Conservation check at the hub.
         assert_eq!(sol.flows[0] + sol.flows[1], sol.flows[2] + sol.flows[3]);
         assert_eq!(sol.flows[2], 4);

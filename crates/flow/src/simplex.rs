@@ -23,9 +23,11 @@
 //! [`CsrGraph`](crate::csr::CsrGraph), so repeated solves of one
 //! instance never rebuild adjacency.
 //!
-//! [`MinCostFlow::solve`] (successive shortest paths) is the default
-//! engine; both reach identical objective values, which the test suite
-//! and `tests/differential.rs` assert on randomized instances.
+//! [`MinCostFlow::solve`] runs this engine below
+//! [`SSP_MIN_NODES`](crate::SSP_MIN_NODES) nodes and successive shortest
+//! paths ([`MinCostFlow::solve_ssp`]) from there on; both reach identical
+//! objective values, which the test suite and `tests/differential.rs`
+//! assert on randomized instances.
 
 use crate::error::FlowError;
 use crate::mincost::{FlowSolution, MinCostFlow};
@@ -501,7 +503,7 @@ mod tests {
     use super::*;
 
     fn assert_engines_agree(p: &MinCostFlow) {
-        let ssp = p.solve().expect("ssp solves");
+        let ssp = p.solve_ssp().expect("ssp solves");
         let nsx = p.solve_network_simplex().expect("simplex solves");
         assert_eq!(ssp.cost, nsx.cost, "engines must agree on the optimum");
         // Simplex flows must satisfy conservation too.
@@ -614,7 +616,7 @@ mod tests {
                 total += d;
             }
             p.set_demand(n - 1, -total);
-            match (p.solve(), p.solve_network_simplex()) {
+            match (p.solve_ssp(), p.solve_network_simplex()) {
                 (Ok(a), Ok(b)) => assert_eq!(a.cost, b.cost, "case {case}"),
                 (Err(FlowError::Infeasible), Err(FlowError::Infeasible)) => {}
                 (a, b) => panic!("case {case}: engines disagree: {a:?} vs {b:?}"),

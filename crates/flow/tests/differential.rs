@@ -2,9 +2,10 @@
 //!
 //! Random instances are *feasible by construction*: a flow is planned
 //! arc by arc, capacities are the planned flow plus slack, and node
-//! demands are exactly the planned flow's excess. The production
-//! engines — primal-dual SSP ([`MinCostFlow::solve`]) and the network
-//! simplex ([`MinCostFlow::solve_network_simplex`]) — are then
+//! demands are exactly the planned flow's excess. The two engines
+//! behind [`MinCostFlow::solve`] — primal-dual SSP
+//! ([`MinCostFlow::solve_ssp`]) and the network simplex
+//! ([`MinCostFlow::solve_network_simplex`]) — are then
 //! cross-checked against the deliberately
 //! simple reference solver ([`MinCostFlow::solve_reference`]): all
 //! engines must agree on the objective, and every returned solution
@@ -81,7 +82,7 @@ proptest! {
             .solve_reference()
             .expect("reference SSP solves a feasible instance");
         check_solution(&p, &reference, "reference SSP");
-        let fast = p.solve().expect("primal-dual SSP solves a feasible instance");
+        let fast = p.solve_ssp().expect("primal-dual SSP solves a feasible instance");
         prop_assert_eq!(fast.cost, reference.cost, "fast SSP vs reference objective");
         check_solution(&p, &fast, "fast SSP");
         let simplex = p

@@ -13,7 +13,7 @@ use retime_sta::{CutTiming, DelayModel, TimingAnalysis, TwoPhaseClock};
 use crate::area::{AreaModel, SeqBreakdown};
 use crate::error::RetimeError;
 use crate::legalize::{legalize, LegalizeReport};
-use crate::problem::{RetimingProblem, RetimingSolution, SolverEngine};
+use crate::problem::{RetimingProblem, RetimingSolution, RetimingSweep};
 use crate::regions::Regions;
 
 /// Run-time bookkeeping of a retiming flow.
@@ -124,22 +124,7 @@ pub fn base_retime(
     model: DelayModel,
     c: EdlOverhead,
 ) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_with(cloud, lib, clock, model, c, SolverEngine::MinCostFlow)
-}
-
-/// [`base_retime`] with an explicit solver engine.
-///
-/// # Errors
-/// Propagates infeasible clocking, STA, and solver failures.
-pub fn base_retime_with(
-    cloud: &CombCloud,
-    lib: &Library,
-    clock: TwoPhaseClock,
-    model: DelayModel,
-    c: EdlOverhead,
-    engine: SolverEngine,
-) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(cloud, lib, clock, model, c, engine, None)
+    base_retime_impl(cloud, lib, clock, model, c, |problem, _| problem.solve())
 }
 
 /// [`base_retime`] with a persistent warm slot. The base problem does
@@ -155,28 +140,22 @@ pub fn base_retime_sweep(
     clock: TwoPhaseClock,
     model: DelayModel,
     c: EdlOverhead,
-    slot: &mut Option<crate::problem::RetimingSweep>,
+    slot: &mut Option<RetimingSweep>,
 ) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(
-        cloud,
-        lib,
-        clock,
-        model,
-        c,
-        SolverEngine::MinCostFlow,
-        Some(slot),
-    )
+    base_retime_impl(cloud, lib, clock, model, c, |problem, timings| {
+        slot.get_or_insert_with(RetimingSweep::default)
+            .solve_for(problem, timings)
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The base pipeline with its Eq. 14 solve supplied by the caller.
 fn base_retime_impl(
     cloud: &CombCloud,
     lib: &Library,
     clock: TwoPhaseClock,
     model: DelayModel,
     c: EdlOverhead,
-    engine: SolverEngine,
-    mut slot: Option<&mut Option<crate::problem::RetimingSweep>>,
+    solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<RetimeOutcome, RetimeError> {
     let started = Instant::now();
 
@@ -204,12 +183,7 @@ fn base_retime_impl(
         })
         .stage(Stage::Solve, |ctx| {
             let problem = ctx.data.problem.as_ref().expect("sta stage ran");
-            let sol = match &mut slot {
-                Some(slot) => {
-                    crate::problem::solve_with_slot(problem, engine, slot, &mut ctx.timings)?
-                }
-                None => problem.solve(engine)?,
-            };
+            let sol = solve(problem, &mut ctx.timings)?;
             ctx.timings.count("solver_invocations", 1);
             ctx.data.sol = Some(sol);
             Ok(())
@@ -337,24 +311,20 @@ z = BUFF(g4)
         let cloud = pipeline();
         let lib = Library::fdsoi28();
         let clock = TwoPhaseClock::from_max_delay(50.0);
-        let a = base_retime_with(
-            &cloud,
-            &lib,
-            clock,
-            DelayModel::PathBased,
-            EdlOverhead::MEDIUM,
-            SolverEngine::MinCostFlow,
-        )
-        .unwrap();
-        let b = base_retime_with(
-            &cloud,
-            &lib,
-            clock,
-            DelayModel::PathBased,
-            EdlOverhead::MEDIUM,
-            SolverEngine::Closure,
-        )
-        .unwrap();
-        assert_eq!(a.seq.slaves, b.seq.slaves);
+        let run = |solve: fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
+            let c = EdlOverhead::MEDIUM;
+            base_retime_impl(&cloud, &lib, clock, DelayModel::PathBased, c, |p, _| {
+                solve(p)
+            })
+            .unwrap()
+            .seq
+            .slaves
+        };
+        let production = run(RetimingProblem::solve);
+        assert_eq!(
+            production,
+            run(|p| p.solve_with(retime_flow::MinCostFlow::solve_ssp))
+        );
+        assert_eq!(production, run(RetimingProblem::solve_closure));
     }
 }

@@ -348,7 +348,7 @@ impl ClassicGraph {
     /// (the LP dual of Leiserson–Saxe's min-area program) instead of
     /// taking whatever labels FEAS happens to produce.
     ///
-    /// Each probe solves its own instance cold with the network simplex.
+    /// Each probe solves its own instance cold with [`MinCostFlow::solve`].
     /// The period constraint `r(u) − r(v) ≤ W(u, v) − 1` for pairs with
     /// `D(u, v) > p` is an arc of cost `W − 1` (binding); pairs within
     /// the period get cost `W` (redundant — already implied by the edge
@@ -396,7 +396,7 @@ impl ClassicGraph {
                 lo = mid;
                 continue;
             }
-            let sol = probe(mid).solve_network_simplex()?;
+            let sol = probe(mid).solve()?;
             let y = &sol.potentials;
             let r: Vec<i64> = (0..n).map(|v| y[0] - y[v]).collect();
             let violated =

@@ -10,9 +10,11 @@
 //! * [`RetimingProblem`] — the retiming graph of Section IV-A with host
 //!   node, fanout-sharing breadths `β = 1/k` realized through mirror nodes
 //!   (the `m_{G3}`/`m_{I2}` pseudo nodes of Fig. 5), and bound edges per
-//!   \[24\]. Solvable three ways: successive-shortest-path min-cost flow,
-//!   network simplex (the paper's engine class), or max-weight closure
-//!   (an independent exactness oracle),
+//!   \[24\]. [`RetimingProblem::solve`] runs the one production
+//!   min-cost-flow solve on its Eq. (14) dual; an explicit flow engine
+//!   ([`RetimingProblem::solve_with`]) or the max-weight closure
+//!   ([`RetimingProblem::solve_closure`], an independent exactness
+//!   oracle) is for tests, benchmarks and the certificate checker,
 //! * [`AreaModel`] and [`SeqBreakdown`] — sequential/total area accounting
 //!   with the EDL overhead `c`,
 //! * [`base_retime`] — conventional min-area retiming that ignores
@@ -61,13 +63,12 @@ pub mod regions;
 pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
-pub use base::{base_retime, base_retime_sweep, base_retime_with, RetimeOutcome, RunStats};
+pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
 pub use classic::{ClassicGraph, ClassicRetiming, FlowPeriodRetiming};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport, SPEEDUP as LEGALIZE_SPEEDUP};
 pub use problem::{
-    solve_with_slot, RetimingProblem, RetimingSolution, RetimingSweep, SolverEngine, SweepStats,
-    BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
+    RetimingProblem, RetimingSolution, RetimingSweep, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };
 pub use regions::{Region, Regions};
 pub use retime_engine::{PhaseTimings, Stage};

@@ -23,25 +23,6 @@ pub const BREADTH_SCALE: i64 = 720_720;
 /// infinitesimal tie-breaking penalty only.
 pub const COMMERCIAL_MOVEMENT_PENALTY: i64 = BREADTH_SCALE / 50;
 
-/// Which engine solves the problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolverEngine {
-    /// Successive-shortest-path min-cost flow on the Eq. (14) dual
-    /// (the default: robust and polynomial).
-    MinCostFlow,
-    /// Network simplex on the same dual — the algorithm class the paper
-    /// uses via Gurobi (rolling first-eligible pricing).
-    NetworkSimplex,
-    /// Max-weight closure via min-cut — exploits the binary structure of
-    /// `r(v) ∈ {−1, 0}`; used as an independent exactness oracle.
-    Closure,
-    /// Plain successive-shortest-paths on the same dual
-    /// ([`MinCostFlow::solve_reference`]) — the deliberately-slow
-    /// reference engine the certificate checker re-solves with when
-    /// auditing a flow's claimed optimum.
-    ReferenceSsp,
-}
-
 /// What a flow node stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FlowNodeKind {
@@ -263,26 +244,59 @@ impl RetimingProblem {
         c
     }
 
-    /// Solves the instance.
+    /// Solves the instance through its Eq. (14) flow dual with the
+    /// production solve, [`MinCostFlow::solve`].
     ///
     /// # Errors
     /// Propagates solver failures; returns [`RetimeError::Internal`] if a
     /// solver produces values violating the difference constraints (a
     /// bug, guarded rather than assumed).
-    pub fn solve(&self, engine: SolverEngine) -> Result<RetimingSolution, RetimeError> {
+    pub fn solve(&self) -> Result<RetimingSolution, RetimeError> {
+        self.solve_with(MinCostFlow::solve)
+    }
+
+    /// Solves the Eq. (14) flow dual with an explicit flow engine — e.g.
+    /// [`MinCostFlow::solve_ssp`], [`MinCostFlow::solve_network_simplex`]
+    /// or the certificate checker's [`MinCostFlow::solve_reference`] —
+    /// for oracles, differential tests and benchmarks.
+    ///
+    /// # Errors
+    /// The same failures as [`RetimingProblem::solve`].
+    pub fn solve_with(
+        &self,
+        engine: impl FnOnce(&MinCostFlow) -> Result<FlowSolution, FlowError>,
+    ) -> Result<RetimingSolution, RetimeError> {
         let start = Instant::now();
-        let r = match engine {
-            SolverEngine::MinCostFlow
-            | SolverEngine::NetworkSimplex
-            | SolverEngine::ReferenceSsp => self.solve_via_flow(engine)?,
-            SolverEngine::Closure => self.solve_via_closure()?,
-        };
+        let sol = engine(&self.flow_instance())?;
+        self.finish_flow(&sol, start.elapsed())
+    }
+
+    /// Solves the equivalent max-weight closure via min-cut — exploits
+    /// the binary structure of `r(v) ∈ {−1, 0}`; an independent
+    /// exactness oracle for the flow path.
+    ///
+    /// # Errors
+    /// The same failures as [`RetimingProblem::solve`].
+    pub fn solve_closure(&self) -> Result<RetimingSolution, RetimeError> {
+        let start = Instant::now();
+        let r = self.closure_labels()?;
         self.finish_solution(r, start.elapsed())
     }
 
+    /// Reads the labels `r(v) = y(host) − y(v)` off a flow solution's
+    /// potentials and validates them.
+    fn finish_flow(
+        &self,
+        sol: &FlowSolution,
+        solver_time: Duration,
+    ) -> Result<RetimingSolution, RetimeError> {
+        let y = &sol.potentials;
+        let r = y.iter().map(|&yv| y[self.host] - yv).collect();
+        self.finish_solution(r, solver_time)
+    }
+
     /// Validates a solver's label vector (bounds + difference
-    /// constraints) and packages it as a [`RetimingSolution`] — shared
-    /// by [`RetimingProblem::solve`] and the [`RetimingSweep`] memo.
+    /// constraints) and packages it as a [`RetimingSolution`].
     fn finish_solution(
         &self,
         r: Vec<i64>,
@@ -320,7 +334,7 @@ impl RetimingProblem {
     /// folded in) as node demands.
     ///
     /// This is the single encoding every flow engine consumes —
-    /// [`RetimingProblem::solve`] builds it once per call, and external
+    /// [`RetimingProblem::solve_with`] builds it once per call, and external
     /// tooling (benchmarks, the verifier's re-solve path) can build the
     /// identical instance to probe engines or audit certificates. The
     /// returned problem freezes its CSR arena on first solve, so solving
@@ -368,22 +382,7 @@ impl RetimingProblem {
         demands
     }
 
-    fn solve_via_flow(&self, engine: SolverEngine) -> Result<Vec<i64>, RetimeError> {
-        let n = self.kinds.len();
-        let flow = self.flow_instance();
-        let sol = match engine {
-            SolverEngine::MinCostFlow => flow.solve(),
-            SolverEngine::NetworkSimplex => flow.solve_network_simplex(),
-            SolverEngine::ReferenceSsp => flow.solve_reference(),
-            SolverEngine::Closure => unreachable!("handled by caller"),
-        }
-        .map_err(RetimeError::from)?;
-        let y = &sol.potentials;
-        let r: Vec<i64> = (0..n).map(|v| y[self.host] - y[v]).collect();
-        Ok(r)
-    }
-
-    fn solve_via_closure(&self) -> Result<Vec<i64>, RetimeError> {
+    fn closure_labels(&self) -> Result<Vec<i64>, RetimeError> {
         let n = self.kinds.len();
         let mut cl = Closure::new(n);
         // Closure maximizes Σ coef(v)·s(v); the movement penalty lowers
@@ -569,64 +568,59 @@ impl RetimingProblem {
     }
 }
 
-/// Probe counters a [`RetimingSweep`] accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Probes answered verbatim from the memo (identical instance).
-    pub warm_hits: u64,
-    /// Probes solved cold (first probe, and every changed instance).
-    pub cold_solves: u64,
-}
-
 /// A solved-instance memo for the flow solves of one warm slot.
 ///
 /// The memo keeps the last Eq. 14 instance it solved and its optimal
 /// [`FlowSolution`]. A probe whose instance is identical — same arc
 /// endpoints, capacities, costs and demands — gets the cached solution
-/// back verbatim; any other probe is solved cold with the network
-/// simplex and replaces the memo. Table IV's base and RVL flows do not
-/// depend on the EDL overhead, so across the `c ∈ {0.5, 1, 2}` sweep
-/// every probe after the first is a hit; G-RAR's overhead moves node
-/// demands, so its probes solve cold.
+/// back verbatim; any other probe is solved cold with
+/// [`MinCostFlow::solve`], exactly as an unslotted
+/// [`RetimingProblem::solve`] would, and replaces the memo. Table IV's
+/// base and RVL flows do not depend on the EDL overhead, so across the
+/// `c ∈ {0.5, 1, 2}` sweep every probe after the first is a hit;
+/// G-RAR's overhead moves node demands, so its probes solve cold.
 ///
 /// The cached instance keeps no frozen CSR arena between probes: a
 /// slot parked in a pool costs the instance and its solution only.
 #[derive(Debug, Default)]
 pub struct RetimingSweep {
     last: Option<(MinCostFlow, FlowSolution)>,
-    stats: SweepStats,
 }
 
 impl RetimingSweep {
     /// Solves `prob`, verbatim from the memo when its Eq. 14 instance
-    /// is identical to the last one solved, else cold with the network
-    /// simplex.
+    /// is identical to the last one solved, else cold with
+    /// [`MinCostFlow::solve`]. Adds the probe's `warm_hits` /
+    /// `cold_solves` to `timings`.
     ///
     /// # Errors
     /// The solver's failures, and [`RetimeError::Internal`] when the
     /// solution violates `prob`'s bounds or difference constraints —
     /// whether it was solved now or came from the memo.
-    pub fn solve_for(&mut self, prob: &RetimingProblem) -> Result<RetimingSolution, RetimeError> {
+    pub fn solve_for(
+        &mut self,
+        prob: &RetimingProblem,
+        timings: &mut PhaseTimings,
+    ) -> Result<RetimingSolution, RetimeError> {
         let start = Instant::now();
         let _span = retime_trace::span("solve_warm");
         let mut flow = prob.flow_instance();
-        if matches!(&self.last, Some((cached, _)) if *cached == flow) {
+        let hit = matches!(&self.last, Some((cached, _)) if *cached == flow);
+        timings.count("warm_hits", u64::from(hit));
+        timings.count("cold_solves", u64::from(!hit));
+        if hit {
             retime_trace::attr_str("path", "hit");
-            self.stats.warm_hits += 1;
         } else {
             retime_trace::attr_str("path", "cold");
-            self.stats.cold_solves += 1;
             // Free the old memo before the solve allocates; a failed
             // solve leaves the memo empty.
             self.last = None;
-            let sol = flow.solve_network_simplex()?;
+            let sol = flow.solve()?;
             flow.release_arena();
             self.last = Some((flow, sol));
         }
         let (_, sol) = self.last.as_ref().expect("memo filled above");
-        let y = &sol.potentials;
-        let r: Vec<i64> = (0..y.len()).map(|v| y[prob.host] - y[v]).collect();
-        prob.finish_solution(r, start.elapsed())
+        prob.finish_flow(sol, start.elapsed())
     }
 
     /// The last instance solved and its flow solution, when a probe has
@@ -635,36 +629,6 @@ impl RetimingSweep {
     pub fn last_solved(&self) -> Option<(&MinCostFlow, &FlowSolution)> {
         self.last.as_ref().map(|(flow, sol)| (flow, sol))
     }
-
-    /// Hit/cold counters accumulated across the probes so far.
-    pub fn stats(&self) -> SweepStats {
-        self.stats
-    }
-}
-
-/// Solves `prob` through `slot`'s memo, creating the memo on first use,
-/// and adds the probe's `warm_hits` / `cold_solves` to `timings`. Falls
-/// back to a plain [`RetimingProblem::solve`] when the engine is not
-/// flow-based.
-///
-/// # Errors
-/// The same failures as [`RetimingSweep::solve_for`].
-pub fn solve_with_slot(
-    prob: &RetimingProblem,
-    engine: SolverEngine,
-    slot: &mut Option<RetimingSweep>,
-    timings: &mut PhaseTimings,
-) -> Result<RetimingSolution, RetimeError> {
-    if engine == SolverEngine::Closure {
-        return prob.solve(engine);
-    }
-    let sweep = slot.get_or_insert_with(RetimingSweep::default);
-    let before = sweep.stats();
-    let sol = sweep.solve_for(prob)?;
-    let after = sweep.stats();
-    timings.count("warm_hits", after.warm_hits - before.warm_hits);
-    timings.count("cold_solves", after.cold_solves - before.cold_solves);
-    Ok(sol)
 }
 
 #[cfg(test)]
@@ -704,7 +668,7 @@ z = NOT(h)
         // Three input latches can be retimed to a single latch at h.
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        let sol = prob.solve(SolverEngine::MinCostFlow).unwrap();
+        let sol = prob.solve().unwrap();
         sol.cut.validate(&cloud).unwrap();
         assert!(sol.cut.check_paths(&cloud));
         assert_eq!(sol.cut.slave_count(&cloud), 1);
@@ -715,10 +679,10 @@ z = NOT(h)
     fn engines_agree() {
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        let a = prob.solve(SolverEngine::MinCostFlow).unwrap();
-        let b = prob.solve(SolverEngine::NetworkSimplex).unwrap();
-        let c = prob.solve(SolverEngine::Closure).unwrap();
-        let d = prob.solve(SolverEngine::ReferenceSsp).unwrap();
+        let a = prob.solve_with(MinCostFlow::solve_ssp).unwrap();
+        let b = prob.solve_with(MinCostFlow::solve_network_simplex).unwrap();
+        let c = prob.solve_closure().unwrap();
+        let d = prob.solve_with(MinCostFlow::solve_reference).unwrap();
         assert_eq!(a.objective_scaled, b.objective_scaled);
         assert_eq!(a.objective_scaled, c.objective_scaled);
         assert_eq!(a.objective_scaled, d.objective_scaled);
@@ -745,7 +709,7 @@ z = NOT(h)
         let c = cloud.find("c").unwrap();
         let c_scaled = 2 * BREADTH_SCALE; // overhead c = 2
         prob.add_pseudo_target(&[g, c], c_scaled);
-        let sol = prob.solve(SolverEngine::MinCostFlow).unwrap();
+        let sol = prob.solve().unwrap();
         // One latch (at h or later), and the pseudo node pays −2.
         assert_eq!(sol.objective_scaled, BREADTH_SCALE - c_scaled);
         assert!(sol.cut.is_moved(g));
@@ -780,7 +744,7 @@ w = BUFF(b)
         // latches created by splitting a's fanout.
         let g4 = cloud.find("g4").unwrap();
         prob.add_pseudo_target(&[g4], BREADTH_SCALE / 10);
-        let sol = prob.solve(SolverEngine::MinCostFlow).unwrap();
+        let sol = prob.solve().unwrap();
         assert!(!sol.cut.is_moved(g4), "unprofitable move must be declined");
     }
 
@@ -814,7 +778,7 @@ w = BUFF(b)
         .unwrap();
         let regions = Regions::compute(&sta).unwrap();
         let prob = RetimingProblem::build(&cloud, &regions);
-        let sol = prob.solve(SolverEngine::MinCostFlow).unwrap();
+        let sol = prob.solve().unwrap();
         let a = cloud.find("a").unwrap();
         assert!(sol.cut.is_moved(a), "V_m node must be retimed through");
         sol.cut.validate(&cloud).unwrap();
@@ -849,7 +813,7 @@ w = BUFF(b)
             100.0,
         );
         let prob = RetimingProblem::build(&cloud, &regions);
-        let sol = prob.solve(SolverEngine::MinCostFlow).unwrap();
+        let sol = prob.solve().unwrap();
         let a = cloud.find("a").unwrap();
         assert!(!sol.cut.is_moved(a), "ties must break toward no movement");
         assert_eq!(sol.cut.slave_count(&cloud), 1);
@@ -859,17 +823,20 @@ w = BUFF(b)
     fn objective_evaluator_matches_slave_count_without_pseudos() {
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        for engine in [
-            SolverEngine::MinCostFlow,
-            SolverEngine::NetworkSimplex,
-            SolverEngine::Closure,
-            SolverEngine::ReferenceSsp,
+        for (engine, sol) in [
+            ("ssp", prob.solve_with(MinCostFlow::solve_ssp)),
+            (
+                "simplex",
+                prob.solve_with(MinCostFlow::solve_network_simplex),
+            ),
+            ("closure", prob.solve_closure()),
+            ("reference", prob.solve_with(MinCostFlow::solve_reference)),
         ] {
-            let sol = prob.solve(engine).unwrap();
+            let sol = sol.unwrap();
             assert_eq!(
                 sol.objective_scaled,
                 (sol.cut.slave_count(&cloud) as i64) * BREADTH_SCALE,
-                "objective must equal the shared latch count ({engine:?})"
+                "objective must equal the shared latch count ({engine})"
             );
         }
     }
@@ -881,7 +848,7 @@ w = BUFF(b)
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         let flow = prob.flow_instance();
-        let ssp = flow.solve().unwrap();
+        let ssp = flow.solve_ssp().unwrap();
         let reference = flow.solve_reference().unwrap();
         assert_eq!(ssp.cost, reference.cost);
         assert_eq!(ssp.cost, flow.solve_network_simplex().unwrap().cost);
@@ -899,16 +866,14 @@ w = BUFF(b)
     fn memo_poisoned_in_a_slot_surfaces_as_an_error() {
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        let mut slot = None;
+        let mut sweep = RetimingSweep::default();
         let mut timings = PhaseTimings::new();
-        solve_with_slot(&prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap();
+        sweep.solve_for(&prob, &mut timings).unwrap();
         // Shift one cloud node's potential far out of its region bounds;
         // the unchanged problem is then answered from the memo, and the
         // bounds guard in `finish_solution` must reject it.
-        let sweep = slot.as_mut().unwrap();
         sweep.last.as_mut().unwrap().1.potentials[0] += 1_000;
-        let err =
-            solve_with_slot(&prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap_err();
+        let err = sweep.solve_for(&prob, &mut timings).unwrap_err();
         assert!(matches!(err, RetimeError::Internal(_)), "{err}");
         assert_eq!(timings.counter("cold_solves"), 1);
     }
@@ -922,12 +887,11 @@ w = BUFF(b)
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.edges.len(), b.edges.len());
         assert_ne!(a.edge_list(), b.edge_list(), "the wiring must differ");
-        let mut slot = None;
+        let mut sweep = RetimingSweep::default();
         let mut timings = PhaseTimings::new();
         for prob in [&a, &b, &a] {
-            let sol =
-                solve_with_slot(prob, SolverEngine::MinCostFlow, &mut slot, &mut timings).unwrap();
-            let cold = prob.solve(SolverEngine::NetworkSimplex).unwrap();
+            let sol = sweep.solve_for(prob, &mut timings).unwrap();
+            let cold = prob.solve().unwrap();
             assert_eq!(sol.r, cold.r);
             assert_eq!(sol.objective_scaled, cold.objective_scaled);
         }

@@ -6,9 +6,11 @@
 //! EDL overhead — with one [`RetimingSweep`] answering every call. After
 //! **every** call:
 //!
-//! * the memo's labels must equal a fresh network-simplex solve of the
-//!   same problem bit for bit (a changed instance is solved cold by the
-//!   same engine; an identical one is answered with the cached copy),
+//! * the memo's labels must equal an unslotted
+//!   [`RetimingProblem::solve`] of the same problem bit for bit, and its
+//!   potentials a fresh `MinCostFlow::solve` of the cached instance (a
+//!   changed instance is solved cold by the same production solve; an
+//!   identical one is answered with the cached copy),
 //! * the memo's flow solution must pass the verifier's warm contract
 //!   ([`check_warm_solution`]: primal/dual certificate + equality with
 //!   an independent reference objective),
@@ -25,9 +27,7 @@ use rand::{Rng, SeedableRng};
 use retime_flow::ArcId;
 use retime_liberty::Library;
 use retime_netlist::{bench, CombCloud, NodeId};
-use retime_retime::{
-    Regions, RetimingProblem, RetimingSweep, SolverEngine, SweepStats, BREADTH_SCALE,
-};
+use retime_retime::{PhaseTimings, Regions, RetimingProblem, RetimingSweep, BREADTH_SCALE};
 use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
 use retime_verify::{check_warm_solution, VerifyError};
 
@@ -149,7 +149,8 @@ proptest! {
             .collect();
 
         let mut sweep = RetimingSweep::default();
-        let mut expected = SweepStats::default();
+        let mut timings = PhaseTimings::new();
+        let mut expected = PhaseTimings::new();
         let mut previous = None;
         let (mut scale, mut penalty, mut pseudo) = (2.0, 1, None::<(usize, i64)>);
         for step in 0..steps {
@@ -168,25 +169,26 @@ proptest! {
                 continue;
             };
             let instance = prob.flow_instance();
-            if previous.as_ref() == Some(&instance) {
-                expected.warm_hits += 1;
-            } else {
-                expected.cold_solves += 1;
-            }
+            let hit = previous.as_ref() == Some(&instance);
+            expected.count(if hit { "warm_hits" } else { "cold_solves" }, 1);
             previous = Some(instance);
 
-            let memo = sweep.solve_for(&prob).expect("memo solves a feasible problem");
-            let cold = prob
-                .solve(SolverEngine::NetworkSimplex)
-                .expect("cold simplex solves a feasible problem");
+            let memo = sweep
+                .solve_for(&prob, &mut timings)
+                .expect("memo solves a feasible problem");
+            let cold = prob.solve().expect("an unslotted solve of a feasible problem");
             prop_assert_eq!(&memo.r, &cold.r, "step {}: labels", step);
             prop_assert_eq!(memo.objective_scaled, cold.objective_scaled, "step {}", step);
             let (flow, warm) = sweep.last_solved().expect("a probe ran");
+            let fresh = flow.solve().expect("a fresh solve of the cached instance");
+            prop_assert_eq!(&warm.potentials, &fresh.potentials, "step {}: potentials", step);
             let reference = flow.solve_reference().expect("reference SSP solves");
             if let Err(err) = check_warm_solution(flow, warm, &reference) {
                 panic!("step {step}: warm contract rejected: {err}");
             }
-            prop_assert_eq!(sweep.stats(), expected, "step {}", step);
+            for counter in ["warm_hits", "cold_solves"] {
+                prop_assert_eq!(timings.counter(counter), expected.counter(counter), "step {}", step);
+            }
         }
     }
 }
@@ -195,26 +197,22 @@ proptest! {
 fn memo_hit_is_bit_identical_to_the_cached_solution() {
     let prob = reconverge();
     let mut sweep = RetimingSweep::default();
-    let first = sweep.solve_for(&prob).unwrap();
+    let mut timings = PhaseTimings::new();
+    let first = sweep.solve_for(&prob, &mut timings).unwrap();
     let cached = sweep.last_solved().unwrap().1.clone();
-    let second = sweep.solve_for(&prob).unwrap();
+    let second = sweep.solve_for(&prob, &mut timings).unwrap();
     assert_eq!(sweep.last_solved().unwrap().1, &cached);
     assert_eq!(first.r, second.r);
     assert_eq!(first.cut, second.cut);
-    assert_eq!(
-        sweep.stats(),
-        SweepStats {
-            warm_hits: 1,
-            cold_solves: 1
-        }
-    );
+    assert_eq!(timings.counter("warm_hits"), 1);
+    assert_eq!(timings.counter("cold_solves"), 1);
 }
 
 #[test]
 fn memo_poisoned_potentials_surface_as_warm_start_mismatch() {
     let prob = reconverge();
     let mut sweep = RetimingSweep::default();
-    sweep.solve_for(&prob).unwrap();
+    sweep.solve_for(&prob, &mut PhaseTimings::new()).unwrap();
     let (flow, cached) = sweep.last_solved().unwrap();
     // A hit hands the cached solution back verbatim, so a damaged cache
     // reaches the verifier exactly as this copy does. A uniform shift of

@@ -18,7 +18,7 @@
 //! last check-in wins — never a correctness concern, because a memo
 //! answers only an identical instance, and every solution passes the
 //! bounds and difference-constraint guard of
-//! [`retime_retime::solve_with_slot`] (plus certification under
+//! [`RetimingSweep::solve_for`] (plus certification under
 //! `RETIME_VERIFY`/`verify:true`).
 
 use std::collections::HashMap;

@@ -20,11 +20,12 @@
 
 use retime_core::{classify_many, IlpFormulation};
 use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_flow::MinCostFlow;
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist, NodeId, NodeKind};
 use retime_retime::{
     stat_cut_summary, AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution,
-    SolverEngine, BREADTH_SCALE,
+    BREADTH_SCALE,
 };
 use retime_sim::equivalent;
 use retime_sta::{CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
@@ -199,7 +200,7 @@ pub fn verify_certificate(
             if kind == FlowKind::Grar {
                 let achieved = problem.objective_scaled_for(&moved);
                 let reference = problem
-                    .solve(SolverEngine::ReferenceSsp)
+                    .solve_with(MinCostFlow::solve_reference)
                     .map_err(internal)?;
                 if reference.objective_scaled < achieved {
                     return Err(VerifyError::Suboptimal {
@@ -482,7 +483,7 @@ pub fn verify_retiming_solution(
         });
     }
     let reference = problem
-        .solve(SolverEngine::ReferenceSsp)
+        .solve_with(MinCostFlow::solve_reference)
         .map_err(internal)?;
     if reference.objective_scaled < sol.objective_scaled {
         return Err(VerifyError::Suboptimal {

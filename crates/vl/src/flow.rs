@@ -7,12 +7,12 @@
 use std::time::Instant;
 
 use retime_core::classify_many;
-use retime_engine::{FlowContext, Pipeline, Stage};
+use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, ConeWalk, NodeId, NodeKind};
 use retime_retime::{
-    solve_with_slot, AreaModel, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem,
-    RetimingSolution, RetimingSweep, SolverEngine,
+    AreaModel, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
+    RetimingSweep,
 };
 use retime_sta::{DelayModel, IncrementalTiming, SinkClass, TimingAnalysis, TwoPhaseClock};
 
@@ -51,10 +51,6 @@ pub struct VlConfig {
     /// paper reports all results with it on; turning it off reproduces
     /// the "−0.36 % improvement" failure mode it fixes.
     pub post_swap: bool,
-    /// Solver engine for the tool's min-area retiming. Problems route
-    /// through [`RetimingProblem::flow_instance`], so every engine sees
-    /// one shared CSR arc arena.
-    pub engine: SolverEngine,
     /// Worker threads for the classification fan-out: `0` = auto
     /// (`RETIME_THREADS` or the machine's parallelism), `1` = the
     /// sequential reference path.
@@ -70,7 +66,6 @@ impl VlConfig {
             overhead,
             model: DelayModel::PathBased,
             post_swap: true,
-            engine: SolverEngine::MinCostFlow,
             threads: 0,
         }
     }
@@ -114,7 +109,7 @@ pub struct VlReport {
     pub swapped: usize,
     /// Uniform per-stage instrumentation (shared with the base and G-RAR
     /// flows; also available as `outcome.phases`).
-    pub phases: retime_engine::PhaseTimings,
+    pub phases: PhaseTimings,
 }
 
 #[derive(Default)]
@@ -148,7 +143,7 @@ pub fn vl_retime(
     clock: TwoPhaseClock,
     cfg: &VlConfig,
 ) -> Result<VlReport, RetimeError> {
-    vl_retime_impl(cloud, lib, clock, cfg, None)
+    vl_retime_impl(cloud, lib, clock, cfg, |problem, _| problem.solve())
 }
 
 /// [`vl_retime`] with a persistent warm slot. The virtual-library
@@ -168,15 +163,20 @@ pub fn vl_retime_with_sweep(
     cfg: &VlConfig,
     slot: &mut Option<RetimingSweep>,
 ) -> Result<VlReport, RetimeError> {
-    vl_retime_impl(cloud, lib, clock, cfg, Some(slot))
+    vl_retime_impl(cloud, lib, clock, cfg, |problem, timings| {
+        slot.get_or_insert_with(RetimingSweep::default)
+            .solve_for(problem, timings)
+    })
 }
 
+/// The virtual-library pipeline with its Eq. 14 solve supplied by the
+/// caller.
 fn vl_retime_impl(
     cloud: &CombCloud,
     lib: &Library,
     clock: TwoPhaseClock,
     cfg: &VlConfig,
-    mut slot: Option<&mut Option<RetimingSweep>>,
+    solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<VlReport, RetimeError> {
     let started = Instant::now();
     let pi = clock.period();
@@ -308,10 +308,7 @@ fn vl_retime_impl(
             let regions = ctx.data.regions.as_ref().expect("sta stage ran");
             let mut problem = RetimingProblem::build(cloud, regions);
             problem.set_movement_penalty(retime_retime::COMMERCIAL_MOVEMENT_PENALTY);
-            let sol = match &mut slot {
-                Some(slot) => solve_with_slot(&problem, cfg.engine, slot, &mut ctx.timings)?,
-                None => problem.solve(cfg.engine)?,
-            };
+            let sol = solve(&problem, &mut ctx.timings)?;
             ctx.data.sol = Some(sol);
             ctx.timings.count("solver_invocations", 1);
             Ok(())
@@ -622,6 +619,7 @@ mod tests {
         let lib = Library::fdsoi28();
         let clock = clock_for(&cloud, &lib, 1.1);
         let mut slot = None;
+        let mut probes = PhaseTimings::new();
         for c in EdlOverhead::SWEEP {
             let cfg = VlConfig::new(VlVariant::Rvl, c);
             let cold = vl_retime(&cloud, &lib, clock, &cfg).unwrap();
@@ -630,13 +628,13 @@ mod tests {
             assert_eq!(warm.outcome.ed_sinks, cold.outcome.ed_sinks);
             assert_eq!(warm.swapped, cold.swapped);
             assert!((warm.outcome.total_area - cold.outcome.total_area).abs() < 1e-12);
+            probes.merge(&warm.phases);
         }
-        let sweep = slot.expect("slot primed");
-        let s = sweep.stats();
-        assert_eq!(s.cold_solves, 1, "{s:?}");
+        assert_eq!(probes.counter("cold_solves"), 1);
         assert_eq!(
-            s.warm_hits, 2,
-            "overhead-only re-runs are verbatim hits: {s:?}"
+            probes.counter("warm_hits"),
+            2,
+            "overhead-only re-runs are verbatim hits"
         );
     }
 

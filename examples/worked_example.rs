@@ -5,17 +5,17 @@
 //! ```
 //!
 //! Prints the region split, the cut-set `g(O9)`, the ILP of Eq. (10),
-//! and solves it three ways (min-cost flow, network simplex, closure),
+//! and solves it three ways (successive shortest paths, network simplex,
+//! closure),
 //! reproducing the paper's numbers: Cut2 with three slave latches and a
 //! non-error-detecting O9 (4 area units) beats min-area retiming's Cut1
 //! (5 units) at `c = 2`.
 
 use resilient_retiming::circuits::Fig4;
+use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{classify_and_cut_set, IlpFormulation};
 use resilient_retiming::liberty::EdlOverhead;
-use resilient_retiming::retime::{
-    AreaModel, Region, Regions, RetimingProblem, SolverEngine, BREADTH_SCALE,
-};
+use resilient_retiming::retime::{AreaModel, Region, Regions, RetimingProblem, BREADTH_SCALE};
 use resilient_retiming::sta::TimingAnalysis;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,12 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Solve with all three engines.
-    for engine in [
-        SolverEngine::MinCostFlow,
-        SolverEngine::NetworkSimplex,
-        SolverEngine::Closure,
+    for (engine, sol) in [
+        ("SSP", problem.solve_with(MinCostFlow::solve_ssp)),
+        (
+            "NetworkSimplex",
+            problem.solve_with(MinCostFlow::solve_network_simplex),
+        ),
+        ("Closure", problem.solve_closure()),
     ] {
-        let sol = problem.solve(engine)?;
+        let sol = sol?;
         let moved: Vec<&str> = f
             .cloud
             .nodes()
@@ -72,13 +75,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(_, n)| n.name.as_str())
             .collect();
         println!(
-            "{engine:?}: objective = {} latch-units, moved = {moved:?}",
+            "{engine}: objective = {} latch-units, moved = {moved:?}",
             sol.objective_scaled as f64 / BREADTH_SCALE as f64
         );
     }
 
     // The final area bill at c = 2: 3 slaves + 1 plain master = 4 units.
-    let sol = problem.solve(SolverEngine::MinCostFlow)?;
+    let sol = problem.solve()?;
     let lib = Fig4::unit_library();
     let model = AreaModel::new(&lib, c);
     let timing = sta.cut_timing(&sol.cut);

@@ -1,12 +1,18 @@
 //! Edge-case integration tests: parallel edges, degenerate structures,
 //! wide fanout, and failure injection.
 
-use resilient_retiming::grar::{grar, GrarConfig};
+use std::time::Instant;
+
+use resilient_retiming::flow::MinCostFlow;
+use resilient_retiming::grar::{classify_many, grar, GrarConfig};
 use resilient_retiming::liberty::{EdlOverhead, Library};
-use resilient_retiming::netlist::{bench, blif, CombCloud, Cut, Gate, Netlist};
-use resilient_retiming::retime::{base_retime, Regions, RetimingProblem, SolverEngine};
+use resilient_retiming::netlist::{bench, blif, CombCloud, Cut, Gate, Netlist, NodeId, NodeKind};
+use resilient_retiming::retime::{
+    base_retime, AreaModel, Regions, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
+    BREADTH_SCALE,
+};
 use resilient_retiming::sim::equivalent;
-use resilient_retiming::sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
+use resilient_retiming::sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 /// A gate reading the same signal twice (parallel cloud edges).
 #[test]
@@ -71,7 +77,7 @@ fn wide_fanout_rounding() {
     .unwrap();
     let regions = Regions::compute(&sta).unwrap();
     let problem = RetimingProblem::build(&cloud, &regions);
-    let sol = problem.solve(SolverEngine::MinCostFlow).unwrap();
+    let sol = problem.solve().unwrap();
     sol.cut.validate(&cloud).unwrap();
     // One latch at the source is optimal (sharing over 24 fanouts).
     assert_eq!(sol.cut.slave_count(&cloud), 1);
@@ -188,7 +194,9 @@ fn latch_style_full_flow() {
     assert_eq!(back.stats(), retimed.stats());
 }
 
-/// NetworkSimplex and Closure engines drive the full G-RAR flow too.
+/// SSP, the network simplex and the closure oracle each solve the full
+/// G-RAR flow's Eq. 14 instance — built as the flow builds it, pseudo
+/// targets included — to a cut whose committed area matches the flow's.
 #[test]
 fn alternate_engines_full_flow() {
     let n = bench::parse(
@@ -199,23 +207,37 @@ fn alternate_engines_full_flow() {
     let cloud = CombCloud::extract(&n).unwrap();
     let lib = Library::fdsoi28();
     let clock = TwoPhaseClock::from_max_delay(5.0);
-    let mut totals = Vec::new();
-    for engine in [
-        SolverEngine::MinCostFlow,
-        SolverEngine::NetworkSimplex,
-        SolverEngine::Closure,
+    let c = EdlOverhead::MEDIUM;
+    let report = grar(&cloud, &lib, clock, &GrarConfig::new(c)).unwrap();
+
+    let commit = |solve: &dyn Fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
+        let mut sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+        let mut problem = RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap());
+        let sinks: Vec<NodeId> = cloud
+            .sinks()
+            .iter()
+            .copied()
+            .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .collect();
+        let c_scaled = (c.value() * BREADTH_SCALE as f64).round() as i64;
+        for (class, g) in classify_many(&sta, &sinks, 1) {
+            if class == SinkClass::Target {
+                problem.add_pseudo_target(&g, c_scaled);
+            }
+        }
+        let sol = solve(&problem).unwrap();
+        let model = AreaModel::new(&lib, c);
+        RetimeOutcome::assemble(&mut sta, &model, sol.cut, sol.solver_time, Instant::now())
+            .unwrap()
+            .total_area
+    };
+    for total in [
+        commit(&|p| p.solve_with(MinCostFlow::solve_ssp)),
+        commit(&|p| p.solve_with(MinCostFlow::solve_network_simplex)),
+        commit(&|p| p.solve_closure()),
     ] {
-        let report = grar(
-            &cloud,
-            &lib,
-            clock,
-            &GrarConfig::new(EdlOverhead::MEDIUM).with_engine(engine),
-        )
-        .unwrap();
-        totals.push(report.outcome.total_area);
+        assert!((report.outcome.total_area - total).abs() < 1e-9);
     }
-    assert!((totals[0] - totals[1]).abs() < 1e-9);
-    assert!((totals[0] - totals[2]).abs() < 1e-9);
 }
 
 /// A BLIF-sourced circuit runs through the whole pipeline.

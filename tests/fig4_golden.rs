@@ -2,11 +2,10 @@
 //! every number quoted in the text must reproduce exactly.
 
 use resilient_retiming::circuits::Fig4;
+use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{classify_and_cut_set, exhaustive_best, IlpFormulation};
 use resilient_retiming::liberty::EdlOverhead;
-use resilient_retiming::retime::{
-    AreaModel, Region, Regions, RetimingProblem, SolverEngine, BREADTH_SCALE,
-};
+use resilient_retiming::retime::{AreaModel, Region, Regions, RetimingProblem, BREADTH_SCALE};
 use resilient_retiming::sta::{SinkClass, TimingAnalysis};
 
 fn names(f: &Fig4, nodes: &[resilient_retiming::netlist::NodeId]) -> Vec<String> {
@@ -67,19 +66,22 @@ fn optimal_retiming_matches_paper() {
     let mut problem = RetimingProblem::build(&f.cloud, &regions);
     let c = EdlOverhead::HIGH; // c = 2 in the example
     let p_node = problem.add_pseudo_target(&g, 2 * BREADTH_SCALE);
-    for engine in [
-        SolverEngine::MinCostFlow,
-        SolverEngine::NetworkSimplex,
-        SolverEngine::Closure,
+    for (engine, sol) in [
+        ("ssp", problem.solve_with(MinCostFlow::solve_ssp)),
+        (
+            "simplex",
+            problem.solve_with(MinCostFlow::solve_network_simplex),
+        ),
+        ("closure", problem.solve_closure()),
     ] {
-        let sol = problem.solve(engine).unwrap();
+        let sol = sol.unwrap();
         for name in ["I1", "I2", "G3", "G4", "G5", "G6"] {
             assert!(
                 sol.cut.is_moved(f.node(name)),
-                "{name} must be retimed through ({engine:?})"
+                "{name} must be retimed through ({engine})"
             );
         }
-        assert_eq!(sol.r[p_node], -1, "P(O9) must fire ({engine:?})");
+        assert_eq!(sol.r[p_node], -1, "P(O9) must fire ({engine})");
         // Objective: 3 slave latches − c = 3 − 2 = 1 latch-unit.
         assert_eq!(sol.objective_scaled, BREADTH_SCALE);
         // Exhaustive oracle agrees.
@@ -147,7 +149,7 @@ fn ilp_formulation_solvable_by_inspection() {
     // The optimal assignment from the solver must be feasible in the raw
     // ILP and improve on the all-zero (initial) assignment... the initial
     // assignment itself is infeasible here because I1 ∈ V_m.
-    let sol = problem.solve(SolverEngine::MinCostFlow).unwrap();
+    let sol = problem.solve().unwrap();
     assert!(ilp.is_feasible(&sol.r));
     let all_zero = vec![0i64; ilp.variable_count()];
     assert!(!ilp.is_feasible(&all_zero), "V_m forces movement");

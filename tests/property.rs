@@ -4,12 +4,13 @@
 use proptest::prelude::*;
 
 use resilient_retiming::circuits::SynthConfig;
+use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{
     classify_and_cut_set, classify_many, exhaustive_best, grar, GrarConfig,
 };
 use resilient_retiming::liberty::{EdlOverhead, Library};
 use resilient_retiming::netlist::{CombCloud, Cut, NodeId, NodeKind};
-use resilient_retiming::retime::{Regions, RetimingProblem, SolverEngine, BREADTH_SCALE};
+use resilient_retiming::retime::{Regions, RetimingProblem, BREADTH_SCALE};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
     BackwardPass, DelayModel, IncrementalTiming, NodeDelays, SinkClass, StatParams, TimingAnalysis,
@@ -317,14 +318,13 @@ proptest! {
         let regions = Regions::compute(&sta).expect("regions");
         let problem = RetimingProblem::build(&cloud, &regions);
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
-            for engine in [
-                SolverEngine::MinCostFlow,
-                SolverEngine::NetworkSimplex,
-                SolverEngine::Closure,
-                SolverEngine::ReferenceSsp,
+            for sol in [
+                problem.solve_with(MinCostFlow::solve_ssp),
+                problem.solve_with(MinCostFlow::solve_network_simplex),
+                problem.solve_closure(),
+                problem.solve_with(MinCostFlow::solve_reference),
             ] {
-                let sol = problem.solve(engine).expect("solves");
-                prop_assert_eq!(sol.objective_scaled, best);
+                prop_assert_eq!(sol.expect("solves").objective_scaled, best);
             }
         }
     }
@@ -366,17 +366,16 @@ proptest! {
             }
         }
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
-            for engine in [
-                SolverEngine::MinCostFlow,
-                SolverEngine::NetworkSimplex,
-                SolverEngine::Closure,
-                SolverEngine::ReferenceSsp,
+            for (engine, sol) in [
+                ("ssp", problem.solve_with(MinCostFlow::solve_ssp)),
+                ("simplex", problem.solve_with(MinCostFlow::solve_network_simplex)),
+                ("closure", problem.solve_closure()),
+                ("reference", problem.solve_with(MinCostFlow::solve_reference)),
             ] {
-                let sol = problem.solve(engine).expect("solves");
-                prop_assert_eq!(sol.objective_scaled, best, "engine {:?}", engine);
+                prop_assert_eq!(sol.expect("solves").objective_scaled, best, "engine {}", engine);
             }
         }
-        let sol = problem.solve(SolverEngine::MinCostFlow).expect("solves");
+        let sol = problem.solve().expect("solves");
         // The genuine certificate passes the independent re-validation.
         prop_assert_eq!(verify_retiming_solution(&problem, &sol), Ok(()));
         // A misreported objective is caught by the cost recomputation.
