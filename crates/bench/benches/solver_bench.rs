@@ -1,37 +1,40 @@
-//! Cold-solve cost of the CSR network simplex against the primal-dual
-//! SSP engine — the evidence behind the node-count threshold at which
-//! [`MinCostFlow::solve`] switches from one to the other.
+//! Cold-solve cost of the production minimum cut against the
+//! min-cost-flow SSP on the Eq. 14 retiming instances.
 //!
-//! Each measurement takes a fresh [`MinCostFlow`] from
-//! [`RetimingProblem::flow_instance`] each round, so the timing includes
-//! the CSR arena freeze — the number a user pays on a first solve.
+//! Each measurement runs a whole [`RetimingProblem`] solve — network
+//! build, solve and label check — the number a user pays per flow.
 //!
-//! `--json` times both cold engines and writes `BENCH_solver.json`:
+//! `--json` times both and writes `BENCH_solver.json`:
 //!
 //! * the plain min-area problem of three suite circuits of increasing
 //!   size (s1423, s13207, s35932),
 //! * the G-RAR and base-retiming problems of plasma and of `synth4x`
-//!   (s35932 scaled 4×, ~50k flow nodes) — the instances above the
-//!   threshold, where SSP takes over.
+//!   (s35932 scaled 4×, ~50k flow nodes),
+//! * the G-RAR and base-retiming problems of the inverter loop
+//!   ([`inverter_loop`]) at 4k, 16k and 32k gates — the adversarial
+//!   family on which SSP is superlinear.
 //!
-//! Every row records the engine [`MinCostFlow::solve`] picks (read from
-//! its trace span), and every simplex objective is cross-checked against
-//! the SSP on the way. The criterion path samples both engines on s1423
+//! Every row cross-checks the min-cut objective against the SSP on the
+//! way. Rounds stop once a measurement has spent its time budget, so
+//! the slow SSP rows run once. The criterion path samples both on s1423
 //! so an interactive `cargo bench` stays quick.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use retime_circuits::{paper_suite, CircuitSpec};
+use retime_circuits::{inverter_loop, paper_suite, relaxed_clock, CircuitSpec};
 use retime_core::classify_many;
 use retime_flow::MinCostFlow;
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{NodeId, NodeKind};
+use retime_netlist::{CombCloud, NodeId, NodeKind};
 use retime_retime::{Regions, RetimingProblem, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY};
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis};
+use retime_sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 /// Rounds per measurement in `--json` mode (min is reported).
 const ROUNDS: usize = 3;
+
+/// Time after which a measurement stops taking rounds, in milliseconds.
+const BUDGET_MS: f64 = 2_000.0;
 
 fn suite_spec(name: &str) -> CircuitSpec {
     paper_suite()
@@ -54,20 +57,37 @@ fn synth4x() -> CircuitSpec {
     }
 }
 
-/// Builds a flow's Eq. 14 retiming problem for a circuit, the way the
-/// flow itself builds it under a calibrated path-based clock: `min_area`
-/// (no movement penalty, no targets), `base` (the commercial movement
-/// penalty) or `grar` (one pseudo node per target at `c = 1`).
-fn build_problem(spec: &CircuitSpec, flow: &str) -> RetimingProblem {
-    let lib = Library::fdsoi28();
+/// A benchmarked circuit: a suite entry under its calibrated clock, or
+/// the inverter loop under the relaxed clock an inline submission gets.
+fn circuit(name: &str, lib: &Library) -> (CombCloud, TwoPhaseClock) {
+    if let Some(gates) = name.strip_prefix("inverter_loop_") {
+        let netlist = inverter_loop(gates.parse().expect("gate count")).expect("builds");
+        let cloud = CombCloud::extract(&netlist).expect("extracts");
+        let clock = relaxed_clock(&cloud, lib).expect("sta");
+        return (cloud, clock);
+    }
+    let spec = if name == "synth4x" {
+        synth4x()
+    } else {
+        suite_spec(name)
+    };
     let circuit = spec.build().expect("builds");
-    let cloud = &circuit.cloud;
     let clock = circuit
-        .calibrated_clock(&lib, DelayModel::PathBased)
+        .calibrated_clock(lib, DelayModel::PathBased)
         .expect("calibrates");
-    let sta = TimingAnalysis::new(cloud, &lib, clock, DelayModel::PathBased).expect("sta");
+    (circuit.cloud, clock)
+}
+
+/// Builds a flow's Eq. 14 retiming problem for a circuit, the way the
+/// flow itself builds it: `min_area` (no movement penalty, no targets),
+/// `base` (the commercial movement penalty) or `grar` (one pseudo node
+/// per target at `c = 1`).
+fn build_problem(name: &str, flow: &str) -> RetimingProblem {
+    let lib = Library::fdsoi28();
+    let (cloud, clock) = circuit(name, &lib);
+    let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).expect("sta");
     let regions = Regions::compute(&sta).expect("regions");
-    let mut problem = RetimingProblem::build(cloud, &regions);
+    let mut problem = RetimingProblem::build(&cloud, &regions);
     match flow {
         "min_area" => {}
         "base" => problem.set_movement_penalty(COMMERCIAL_MOVEMENT_PENALTY),
@@ -90,91 +110,88 @@ fn build_problem(spec: &CircuitSpec, flow: &str) -> RetimingProblem {
     problem
 }
 
-/// Minimum wall clock of `f` over `rounds` runs, in milliseconds.
-fn time_min_ms<R>(rounds: usize, mut f: impl FnMut() -> R) -> f64 {
+/// Minimum wall clock of `f` over up to `ROUNDS` runs, in
+/// milliseconds, with the result of the first run. Stops early once the
+/// runs have taken [`BUDGET_MS`].
+fn time_min_ms<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
-    for _ in 0..rounds {
+    let mut spent = 0.0;
+    let mut first = None;
+    for _ in 0..ROUNDS {
         let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        let out = f();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        first.get_or_insert(out);
+        best = best.min(ms);
+        spent += ms;
+        if spent >= BUDGET_MS {
+            break;
+        }
     }
-    best
+    (best, first.expect("at least one round"))
 }
 
-/// One cold solve: fresh instance (empty `OnceLock`, so the CSR freeze
-/// is inside the timed region), simplex or SSP.
-fn cold_solve(problem: &RetimingProblem, simplex: bool) -> i64 {
-    let flow = problem.flow_instance();
-    let sol = if simplex {
-        flow.solve_network_simplex()
-    } else {
-        flow.solve_ssp()
-    };
-    sol.expect("solves").cost
+/// The objective of the production minimum cut.
+fn min_cut(problem: &RetimingProblem) -> i64 {
+    problem.solve().expect("solves").objective_scaled
 }
 
-/// The engine [`MinCostFlow::solve`] runs on `flow`: the name of the
-/// root span a traced solve records.
-fn picked_engine(flow: &MinCostFlow) -> &'static str {
-    let _ = retime_trace::take_records();
-    retime_trace::set_enabled(true);
-    flow.solve().expect("solves");
-    retime_trace::set_enabled(false);
-    retime_trace::take_records()
-        .into_iter()
-        .find(|r| r.depth == 0)
-        .expect("the solve records a span")
-        .name
+/// The objective of the min-cost-flow dual solved by SSP.
+fn ssp(problem: &RetimingProblem) -> i64 {
+    problem
+        .solve_with(MinCostFlow::solve)
+        .expect("solves")
+        .objective_scaled
 }
 
-fn bench_cold_engines(c: &mut Criterion) {
-    let problem = build_problem(&suite_spec("s1423"), "min_area");
+fn bench_cold_solves(c: &mut Criterion) {
+    let problem = build_problem("s1423", "min_area");
     let mut group = c.benchmark_group("cold_solve_s1423");
     group.sample_size(10);
-    for (name, simplex) in [("simplex", true), ("ssp", false)] {
-        group.bench_function(name, |b| b.iter(|| cold_solve(&problem, simplex)));
-    }
+    group.bench_function("min_cut", |b| b.iter(|| min_cut(&problem)));
+    group.bench_function("ssp", |b| b.iter(|| ssp(&problem)));
     group.finish();
 }
 
-/// Cold-engine comparison written to `BENCH_solver.json`; panics if the
-/// simplex disagrees with the SSP on an objective.
+/// Min cut vs SSP written to `BENCH_solver.json`; panics if the two
+/// disagree on an objective.
 fn run_json() {
-    let mut cases: Vec<(CircuitSpec, &str)> = ["s1423", "s13207", "s35932"]
+    let mut cases: Vec<(&str, &str)> = ["s1423", "s13207", "s35932"]
         .into_iter()
-        .map(|name| (suite_spec(name), "min_area"))
+        .map(|name| (name, "min_area"))
         .collect();
-    for spec in [suite_spec("plasma"), synth4x()] {
-        cases.push((spec.clone(), "grar"));
-        cases.push((spec, "base"));
+    for name in [
+        "plasma",
+        "synth4x",
+        "inverter_loop_4096",
+        "inverter_loop_16384",
+        "inverter_loop_32768",
+    ] {
+        cases.push((name, "grar"));
+        cases.push((name, "base"));
     }
 
     let mut entries = Vec::new();
-    for (spec, flow) in cases {
-        let circuit = spec.name;
-        let problem = build_problem(&spec, flow);
+    for (circuit, flow) in cases {
+        let problem = build_problem(circuit, flow);
         let probe = problem.flow_instance();
         let (nodes, arcs) = (probe.node_count(), probe.arc_count());
-        let engine = picked_engine(&probe);
-        let expected = cold_solve(&problem, false);
+        let (min_cut_ms, objective) = time_min_ms(|| min_cut(&problem));
+        let (ssp_ms, expected) = time_min_ms(|| ssp(&problem));
         assert_eq!(
-            cold_solve(&problem, true),
-            expected,
-            "{circuit} {flow}: simplex disagrees with SSP"
+            objective, expected,
+            "{circuit} {flow}: the min cut disagrees with SSP"
         );
-        let simplex_ms = time_min_ms(ROUNDS, || cold_solve(&problem, true));
-        let ssp_ms = time_min_ms(ROUNDS, || cold_solve(&problem, false));
         entries.push(format!(
             "    {{\"circuit\": \"{circuit}\", \"flow\": \"{flow}\", \"nodes\": {nodes}, \
-             \"arcs\": {arcs}, \"simplex_ms\": {simplex_ms:.3}, \"ssp_ms\": {ssp_ms:.3}, \
-             \"engine\": \"{engine}\", \"cost\": {expected}}}"
+             \"arcs\": {arcs}, \"min_cut_ms\": {min_cut_ms:.3}, \"ssp_ms\": {ssp_ms:.3}, \
+             \"objective\": {objective}}}"
         ));
         eprintln!("{circuit} {flow}: measured ({nodes} nodes, {arcs} arcs)");
     }
 
     let json = format!(
-        "{{\n  \"rounds\": {ROUNDS},\n  \"ssp_min_nodes\": {},\n  \"circuits\": [\n{}\n  ]\n}}\n",
-        retime_flow::SSP_MIN_NODES,
+        "{{\n  \"rounds\": {ROUNDS},\n  \"budget_ms\": {BUDGET_MS},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -184,7 +201,7 @@ fn run_json() {
     print!("{json}");
 }
 
-criterion_group!(benches, bench_cold_engines);
+criterion_group!(benches, bench_cold_solves);
 
 fn main() {
     if std::env::args().any(|a| a == "--json") {

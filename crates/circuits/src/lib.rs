@@ -11,7 +11,8 @@
 //! * [`rtl`] — structured logic builders (ripple-carry adders, mux trees,
 //!   decoders, register files) used to assemble a Plasma-like 3-stage
 //!   CPU.
-//! * [`synth`] — a deterministic levelized random-DAG generator.
+//! * [`synth`] — a deterministic levelized random-DAG generator, and the
+//!   adversarial inverter loop ([`inverter_loop`]).
 //! * [`suite`] — the benchmark suite calibrated to the paper's Table I
 //!   (one entry per ISCAS89 circuit plus the Plasma CPU), with the
 //!   clock-calibration rule that reproduces each circuit's published
@@ -30,5 +31,5 @@ pub mod synth;
 
 pub use fig4::Fig4;
 pub use rtl::{plasma_like, RtlBuilder};
-pub use suite::{paper_suite, small_suite, CircuitSpec, SuiteCircuit};
-pub use synth::SynthConfig;
+pub use suite::{paper_suite, relaxed_clock, small_suite, CircuitSpec, SuiteCircuit};
+pub use synth::{inverter_loop, SynthConfig};

@@ -158,6 +158,35 @@ impl SuiteCircuit {
     }
 }
 
+/// A relaxed clock for a circuit with no calibration target: the
+/// path-based critical path plus the latch flow-through, divided by
+/// 0.7 — the regime [`SuiteCircuit::calibrated_clock`] uses for
+/// rescuable circuits. Inline serve submissions without a `clock` get
+/// it.
+///
+/// # Errors
+/// Propagates STA errors.
+pub fn relaxed_clock(
+    cloud: &CombCloud,
+    lib: &Library,
+) -> Result<TwoPhaseClock, retime_sta::StaError> {
+    let sta = TimingAnalysis::new(
+        cloud,
+        lib,
+        TwoPhaseClock::from_max_delay(1.0),
+        DelayModel::PathBased,
+    )?;
+    let crit = cloud
+        .sinks()
+        .iter()
+        .map(|&t| sta.df(t))
+        .fold(0.0f64, f64::max);
+    let latch = lib.latch();
+    Ok(TwoPhaseClock::from_max_delay(
+        (crit + latch.d_to_q + latch.clk_to_q) / 0.7,
+    ))
+}
+
 /// The twelve circuits of Table I. Gate budgets derive from the published
 /// areas (`(area − flops × 3.26 µm²) / 0.72 µm²`), depths from the
 /// published `P` at ≈18 ps per level.

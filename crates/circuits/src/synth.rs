@@ -263,6 +263,31 @@ impl SynthConfig {
     }
 }
 
+/// The inverter loop, an adversarial instance family for the retiming
+/// solve: `g0 = NAND(a, q)`, a chain `g{i} = NOT(g{i−1})` of
+/// `gates − 1` inverters, and one flop `q = DFF(g{gates−1})` closing the
+/// loop. Any retiming of it is trivial, but under a relaxed clock its
+/// one endpoint is a G-RAR target whose pseudo node gates on the chain.
+///
+/// # Errors
+/// Propagates netlist construction errors.
+///
+/// # Panics
+/// Panics if `gates` is zero.
+pub fn inverter_loop(gates: usize) -> Result<Netlist, NetlistError> {
+    assert!(gates > 0, "the loop needs its NAND gate");
+    let mut n = Netlist::new(format!("inverter_loop_{gates}"));
+    let a = n.add_input("a");
+    let q = n.add_gate("q", Gate::Dff, &[a])?;
+    let mut prev = n.add_gate("g0", Gate::Nand, &[a, q])?;
+    for i in 1..gates {
+        prev = n.add_gate(format!("g{i}"), Gate::Not, &[prev])?;
+    }
+    n.set_seq_input(q, prev)?;
+    n.validate()?;
+    Ok(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,5 +351,12 @@ mod tests {
             max_depth = max_depth.max(depth[v.index()]);
         }
         assert!(max_depth >= 20, "expected ≥ 20 levels, got {max_depth}");
+    }
+
+    #[test]
+    fn inverter_loop_closes_through_its_flop() {
+        let n = inverter_loop(5).unwrap();
+        let s = n.stats();
+        assert_eq!((s.dffs, s.inputs, s.gates), (1, 1, 5));
     }
 }

@@ -306,9 +306,8 @@ mod tests {
         };
         let production = run(RetimingProblem::solve);
         for other in [
-            run(|p| p.solve_with(MinCostFlow::solve_ssp)),
-            run(|p| p.solve_with(MinCostFlow::solve_network_simplex)),
-            run(RetimingProblem::solve_closure),
+            run(|p| p.solve_with(MinCostFlow::solve)),
+            run(|p| p.solve_with(MinCostFlow::solve_reference)),
         ] {
             assert!((production - other).abs() < 1e-9);
         }
@@ -404,9 +403,9 @@ mod tests {
         );
         let sweep = slot.expect("slot primed");
         // The memo certifies against an independent reference solve of
-        // the instance as last solved.
-        let (flow, warm) = sweep.last_solved().expect("probe ran");
-        retime_verify::check_warm_solution(flow, warm, &flow.solve_reference().unwrap()).unwrap();
+        // the problem as last solved.
+        let (problem, warm) = sweep.last_solved().expect("probe ran");
+        retime_verify::verify_retiming_solution(problem, warm).unwrap();
     }
 
     #[test]

@@ -26,8 +26,10 @@ impl IlpFormulation {
     /// Extracts the ILP from a retiming problem.
     pub fn from_problem(p: &RetimingProblem) -> IlpFormulation {
         let n = p.node_count();
-        let objective = (0..n)
-            .map(|v| p.objective_coefficient(v) as f64 / BREADTH_SCALE as f64)
+        let objective = p
+            .objective_coefficients()
+            .into_iter()
+            .map(|c| c as f64 / BREADTH_SCALE as f64)
             .collect();
         let constraints = p
             .edge_list()
@@ -174,17 +176,14 @@ mod tests {
         (cloud, prob)
     }
 
-    /// SSP, the network simplex and the closure all reach the
-    /// exhaustive optimum.
+    /// The production min cut, SSP and the reference solver all reach
+    /// the exhaustive optimum.
     fn assert_engines_exact(prob: &RetimingProblem) {
         let (best, _) = exhaustive_best(prob, 20).expect("small instance");
         for (engine, sol) in [
-            ("ssp", prob.solve_with(MinCostFlow::solve_ssp)),
-            (
-                "simplex",
-                prob.solve_with(MinCostFlow::solve_network_simplex),
-            ),
-            ("closure", prob.solve_closure()),
+            ("min cut", prob.solve()),
+            ("ssp", prob.solve_with(MinCostFlow::solve)),
+            ("reference", prob.solve_with(MinCostFlow::solve_reference)),
         ] {
             assert_eq!(
                 sol.unwrap().objective_scaled,

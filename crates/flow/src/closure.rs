@@ -7,14 +7,17 @@
 //! The retiming ILP of the paper (Eq. 10) has binary variables
 //! (`r(v) ∈ {−1, 0}`); selecting the set of *moved* nodes is exactly a
 //! closure problem (a node can be moved through only if every fanin was),
-//! so this solver is an independent exact oracle for the network-flow
-//! path.
+//! so this solver is the production retiming solve.
 //!
-//! The reduction is solved by [`MaxFlow`], which shares the flat CSR
-//! index machinery ([`crate::csr::CsrIndex`]) with the min-cost
-//! engines: the cut network is frozen once on first solve and reused
-//! across repeated min-cut queries.
+//! Forcing is resolved before the cut: whatever a forced-in node
+//! requires is in, whatever requires a forced-out node is out, and only
+//! the free nodes enter the cut network. That network therefore has no
+//! infinite source or sink arcs, so every preflow stays finite. It is
+//! built reversed and solved by [`MaxFlow`]; the nodes that reach the
+//! reversed sink in the residual graph are the inclusion-minimal optimal
+//! source side of the original network.
 
+use crate::csr::CsrIndex;
 use crate::error::FlowError;
 use crate::maxflow::{MaxFlow, INF_CAP};
 
@@ -90,54 +93,105 @@ impl Closure {
     }
 
     /// Solves the problem, returning the total weight of the optimum
-    /// closure and the membership vector.
+    /// closure and the membership vector. Among optimal closures the
+    /// inclusion-minimal one is returned (it is unique).
     ///
     /// # Errors
     /// Returns [`FlowError::Infeasible`] when a forced-in node
     /// transitively requires a forced-out node.
     pub fn solve(&self) -> Result<(i64, Vec<bool>), FlowError> {
         let n = self.weights.len();
-        let s = n;
-        let t = n + 1;
-        let mut g = MaxFlow::new(n + 2);
-        let mut positive_total = 0i64;
-        for (v, &w) in self.weights.iter().enumerate() {
+        let fixed = self.propagate_forcing()?;
+        // Free nodes get compact ids; `src` and `snk` stand for the
+        // original sink and source, since the network is reversed.
+        let mut id = vec![usize::MAX; n];
+        let mut free = 0;
+        for v in (0..n).filter(|&v| fixed[v].is_none()) {
+            id[v] = free;
+            free += 1;
+        }
+        let (src, snk) = (free, free + 1);
+        let mut g = MaxFlow::new(free + 2);
+        for v in (0..n).filter(|&v| fixed[v].is_none()) {
+            let w = self.weights[v];
             if w > 0 {
-                g.add_edge(s, v, w);
-                positive_total += w;
+                g.add_edge(id[v], snk, w);
             } else if w < 0 {
-                g.add_edge(v, t, -w);
+                g.add_edge(src, id[v], -w);
             }
         }
         for &(v, u) in &self.requirements {
-            // v in S requires u in S: an infinite arc v -> u keeps v on the
-            // source side only if u is as well.
-            g.add_edge(v, u, INF_CAP);
+            // Requirements out of a fixed node are settled: a forced-in
+            // node's are forced in, and a free node never requires a
+            // forced-out one.
+            if fixed[v].is_none() && fixed[u].is_none() {
+                g.add_edge(id[u], id[v], INF_CAP);
+            }
         }
-        for &v in &self.forced_in {
-            g.add_edge(s, v, INF_CAP);
-        }
-        for &v in &self.forced_out {
-            g.add_edge(v, t, INF_CAP);
-        }
-        let cut = g.solve(s, t).expect("endpoints in range");
-        if cut >= INF_CAP {
-            return Err(FlowError::Infeasible);
-        }
-        let side = g.min_cut_side(s);
-        let members: Vec<bool> = (0..n).map(|v| side[v]).collect();
-        // Closure weight = positive total - cut value.
-        let weight = positive_total - cut;
+        let cut = g.solve(src, snk).expect("endpoints in range");
+        let side = g.sink_side(snk);
+        let members: Vec<bool> = (0..n)
+            .map(|v| fixed[v].unwrap_or_else(|| side[id[v]]))
+            .collect();
+        let weight = members
+            .iter()
+            .zip(&self.weights)
+            .filter(|(m, _)| **m)
+            .map(|(_, w)| *w)
+            .sum();
         debug_assert_eq!(
             weight,
-            members
-                .iter()
-                .zip(&self.weights)
-                .filter(|(m, _)| **m)
-                .map(|(_, w)| *w)
+            (0..n)
+                .map(|v| match fixed[v] {
+                    Some(true) => self.weights[v],
+                    Some(false) => 0,
+                    None => self.weights[v].max(0),
+                })
                 .sum::<i64>()
+                - cut,
+            "closure weight = forced-in weight + free positive weight − cut"
         );
         Ok((weight, members))
+    }
+
+    /// Each node's forced membership (`Some(true)` in, `Some(false)`
+    /// out, `None` free) after closing the forcing under the
+    /// requirements.
+    fn propagate_forcing(&self) -> Result<Vec<Option<bool>>, FlowError> {
+        let n = self.weights.len();
+        let tails: Vec<u32> = self.requirements.iter().map(|&(v, _)| v as u32).collect();
+        let heads: Vec<u32> = self.requirements.iter().map(|&(_, u)| u as u32).collect();
+        let requires = CsrIndex::build(n, &tails);
+        let required_by = CsrIndex::build(n, &heads);
+        let mut fixed = vec![None; n];
+        let mut stack = Vec::new();
+        for &v in &self.forced_out {
+            if fixed[v].is_none() {
+                fixed[v] = Some(false);
+                stack.push(v);
+            }
+        }
+        while let Some(u) = stack.pop() {
+            for &r in required_by.out(u) {
+                let v = tails[r as usize] as usize;
+                if fixed[v].is_none() {
+                    fixed[v] = Some(false);
+                    stack.push(v);
+                }
+            }
+        }
+        for &v in &self.forced_in {
+            stack.push(v);
+        }
+        while let Some(v) = stack.pop() {
+            match fixed[v] {
+                Some(false) => return Err(FlowError::Infeasible),
+                Some(true) => continue,
+                None => fixed[v] = Some(true),
+            }
+            stack.extend(requires.out(v).iter().map(|&r| heads[r as usize] as usize));
+        }
+        Ok(fixed)
     }
 }
 

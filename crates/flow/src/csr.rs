@@ -1,8 +1,8 @@
 //! Flat compressed-sparse-row (CSR) arc storage shared by the solvers.
 //!
 //! Every engine in this crate used to walk its own `Vec<Vec<usize>>`
-//! adjacency lists, rebuilt per solve (and, for the simplex, per pivot).
-//! This module replaces those with one flat arc arena:
+//! adjacency lists, rebuilt per solve. This module replaces those with
+//! one flat arc arena:
 //!
 //! * [`CsrIndex`] — node-indexed `first_out` offsets plus an `arc_at`
 //!   permutation, built once by counting sort. `out(v)` is a contiguous

@@ -20,12 +20,8 @@ pub enum FlowError {
         /// Number of nodes in the network.
         len: usize,
     },
-    /// The solver exceeded its iteration budget (indicates degeneracy
-    /// cycling; the SSP engine is immune and can be used instead).
-    IterationLimit,
     /// The network contains a negative-cost cycle, which the successive-
-    /// shortest-path engine cannot price (use the network simplex engine,
-    /// which handles bounded negative cycles). Retiming reductions never
+    /// shortest-path engines cannot price. Retiming reductions never
     /// produce one: their cheapest cycles cost zero.
     NegativeCycle,
 }
@@ -40,7 +36,6 @@ impl fmt::Display for FlowError {
             FlowError::BadNode { node, len } => {
                 write!(f, "node index {node} out of range for {len} nodes")
             }
-            FlowError::IterationLimit => f.write_str("solver exceeded its iteration budget"),
             FlowError::NegativeCycle => f.write_str("network contains a negative-cost cycle"),
         }
     }

@@ -2,37 +2,31 @@
 //!
 //! The paper solves its resiliency-aware retiming ILP by transforming it
 //! into a min-cost network-flow problem (Eq. 14) and handing it to a
-//! commercial network-simplex solver. This crate is the from-scratch
-//! substitute:
+//! commercial network-simplex solver. Every retiming label is binary
+//! (`r(v) ∈ {−1, 0}`), so the same optimum is a maximum-weight closure
+//! — one minimum cut — and that is how this crate solves it in
+//! production:
 //!
+//! * [`Closure`] — maximum-weight closure via min-cut. It returns the
+//!   inclusion-minimal optimal closure, the retiming that moves the
+//!   fewest nodes among the optima.
+//! * [`MaxFlow`] — FIFO push-relabel with global relabelling, the
+//!   engine behind [`Closure`].
 //! * [`MinCostFlow`] — minimum-cost b-flow with **dual (node potential)
-//!   extraction**, the quantity the retiming recovers as `r(v)`.
-//!   [`MinCostFlow::solve`] is the one production solve: it hands
-//!   instances below [`SSP_MIN_NODES`] nodes to the spanning-tree
-//!   network simplex ([`MinCostFlow::solve_network_simplex`], the
-//!   algorithm class the paper uses) and larger ones to successive
-//!   shortest paths with potentials ([`MinCostFlow::solve_ssp`]). Both
-//!   engines stay public for differential tests and benchmarks; they
-//!   return identical objective values, which the test-suite
-//!   cross-checks on randomized instances. A third engine,
+//!   extraction**, the quantity the flow form of the retiming recovers
+//!   as `r(v)`. [`MinCostFlow::solve`] runs successive shortest paths
+//!   with potentials; it serves the general weights of classic
+//!   minimum-period retiming and differential tests. A second engine,
 //!   [`MinCostFlow::solve_reference`], is a deliberately-slow plain
 //!   successive-shortest-paths solver (one Bellman–Ford per
 //!   augmentation) sharing no search machinery — not even the CSR
-//!   arena — with the fast paths; it is the differential reference
-//!   `retime-verify` audits the others against.
-//! * [`MaxFlow`] — Dinic's algorithm.
-//! * [`Closure`] — maximum-weight closure via min-cut. Because the
-//!   retiming variables are binary (`r(v) ∈ {−1, 0}`), the retiming ILP is
-//!   *also* a closure instance; this independent exact solver is the
-//!   oracle used to validate the flow-based path end to end.
+//!   arena — with the others; it is the oracle `retime-verify` audits
+//!   the production min cut against.
 //!
-//! The fast engines all run on one flat [`csr`] arc arena:
-//! [`MinCostFlow`] freezes a [`CsrGraph`] (arc arrays + first-out index)
-//! on first solve and reuses it until mutated, the simplex reads its arc
-//! table straight out of that arena, and [`MaxFlow`] (hence [`Closure`])
-//! shares the same [`CsrIndex`] adjacency. The simplex prices with one
-//! fixed rule, rolling first-eligible (see [`simplex`]). The crate reads
-//! no environment variables: every solve is a function of its instance.
+//! [`MinCostFlow`] freezes a flat [`CsrGraph`] (arc arrays + first-out
+//! index) on first solve and reuses it until mutated; [`MaxFlow`] builds
+//! the same [`CsrIndex`] adjacency. The crate reads no environment
+//! variables: every solve is a function of its instance.
 //!
 //! All quantities are `i64`; callers scale fractional breadths (the
 //! `β = 1/k` fanout-sharing coefficients) to integers first.
@@ -41,28 +35,29 @@
 //!
 //! * **Determinism.** Every solver is single-threaded and iterates its
 //!   arc tables in insertion order (the CSR index preserves it); the
-//!   same instance always yields the same flows, potentials, and
-//!   pivot/augmentation sequence.
+//!   same instance always yields the same flows, potentials, cuts and
+//!   push/augmentation sequence.
 //! * **Tracing is observation-only.** Under `retime-trace` the solvers
-//!   emit spans (`network_simplex`/`pivot_batch` with
-//!   `pivot_count`/`degenerate_pivots` counters, `ssp`/`ssp_phase`
-//!   with shipped amounts, `reference_ssp` with augmentation counts);
-//!   the solve itself never branches on the tracing state.
+//!   emit spans (`min_cut` with `pushes`/`relabels`/`global_relabels`
+//!   counters, `ssp`/`ssp_phase` with shipped amounts, `reference_ssp`
+//!   with augmentation counts); the solve itself never branches on the
+//!   tracing state.
 //!
 //! # Example
 //!
 //! ```
-//! use retime_flow::MinCostFlow;
+//! use retime_flow::Closure;
 //!
 //! # fn main() -> Result<(), retime_flow::FlowError> {
-//! let mut p = MinCostFlow::new(3);
-//! p.add_arc(0, 1, 10, 1);
-//! p.add_arc(1, 2, 10, 1);
-//! p.add_arc(0, 2, 10, 3);
-//! p.set_demand(0, -5); // ships 5 units out
-//! p.set_demand(2, 5); // receives 5 units
-//! let sol = p.solve()?;
-//! assert_eq!(sol.cost, 10); // via the cheap two-hop route
+//! // Node 0 pays 5 but needs node 1, which costs 2; node 2 costs 10.
+//! let mut c = Closure::new(3);
+//! c.set_weight(0, 5);
+//! c.set_weight(1, -2);
+//! c.set_weight(2, -10);
+//! c.require(0, 1);
+//! let (weight, members) = c.solve()?;
+//! assert_eq!(weight, 3);
+//! assert_eq!(members, vec![true, true, false]);
 //! # Ok(())
 //! # }
 //! ```
@@ -74,10 +69,9 @@ pub mod csr;
 pub mod error;
 pub mod maxflow;
 pub mod mincost;
-pub mod simplex;
 
 pub use closure::Closure;
 pub use csr::{CsrGraph, CsrIndex};
 pub use error::FlowError;
 pub use maxflow::MaxFlow;
-pub use mincost::{ArcId, FlowSolution, MinCostFlow, SSP_MIN_NODES};
+pub use mincost::{ArcId, FlowSolution, MinCostFlow};

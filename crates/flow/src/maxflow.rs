@@ -1,4 +1,13 @@
-//! Dinic's maximum-flow algorithm.
+//! Maximum flow by FIFO push-relabel with global relabelling.
+//!
+//! Only the first phase of push-relabel runs: it ends with a maximum
+//! *preflow*, whose sink excess is the maximum flow value and whose
+//! residual graph already identifies a minimum cut. Nodes left holding
+//! excess cannot reach the sink, so the set of nodes that can — see
+//! [`MaxFlow::sink_side`] — is the inclusion-minimal sink side of a
+//! minimum cut, the same set any maximum flow's residual graph yields.
+//! Callers that want the minimal *source* side solve the reversed
+//! network (see [`crate::Closure`]).
 
 use std::sync::OnceLock;
 
@@ -8,7 +17,7 @@ use crate::error::FlowError;
 /// Practically-infinite capacity.
 pub const INF_CAP: i64 = i64::MAX / 4;
 
-/// A maximum-flow problem / solver (Dinic's algorithm).
+/// A maximum-flow problem / solver (push-relabel).
 ///
 /// Used as the engine behind [`crate::Closure`] and available directly for
 /// cut-style analyses.
@@ -16,12 +25,14 @@ pub const INF_CAP: i64 = i64::MAX / 4;
 /// Edges live in a flat paired array (`e ^ 1` is the residual reverse of
 /// `e`); adjacency is a lazily-built [`CsrIndex`] shared with the rest of
 /// the crate's solvers, invalidated by [`MaxFlow::add_edge`] and reused
-/// across repeated solves and cut queries.
+/// across repeated solves and cut queries. Each solve starts from the
+/// edge capacities, so solving again answers for the whole network.
 #[derive(Debug, Clone)]
 pub struct MaxFlow {
     n: usize,
     head: Vec<u32>,
     cap: Vec<i64>,
+    residual: Vec<i64>,
     index: OnceLock<CsrIndex>,
 }
 
@@ -32,6 +43,7 @@ impl MaxFlow {
             n,
             head: Vec::new(),
             cap: Vec::new(),
+            residual: Vec::new(),
             index: OnceLock::new(),
         }
     }
@@ -41,26 +53,24 @@ impl MaxFlow {
         self.n
     }
 
-    /// Adds a directed edge with the given capacity. Returns the edge id
-    /// (usable with [`MaxFlow::flow_on`] after solving).
+    /// Adds a directed edge with the given capacity.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range or the capacity is negative.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> usize {
+    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
         assert!(from < self.n && to < self.n, "edge endpoint out of range");
         assert!(cap >= 0, "capacity must be non-negative");
-        let id = self.head.len();
         self.head.push(to as u32);
         self.cap.push(cap);
         self.head.push(from as u32);
         self.cap.push(0);
+        self.residual.clear();
         self.index = OnceLock::new();
-        id
     }
 
     /// The CSR adjacency index, built on first use. Directed-edge ids at
-    /// each node come back ascending — the old `Vec<Vec>` insertion
-    /// order — so solves are bit-identical to the pre-CSR engine.
+    /// each node come back ascending (insertion order), so solves are
+    /// deterministic.
     fn index(&self) -> &CsrIndex {
         self.index.get_or_init(|| {
             let tails: Vec<u32> = (0..self.head.len()).map(|e| self.head[e ^ 1]).collect();
@@ -68,8 +78,10 @@ impl MaxFlow {
         })
     }
 
-    /// Computes the maximum flow from `s` to `t`, mutating internal
-    /// residual capacities.
+    /// Computes the maximum flow value from `s` to `t`, keeping the
+    /// residual capacities of a maximum preflow (query them with
+    /// [`MaxFlow::sink_side`]). Traces as a `min_cut` span carrying the
+    /// `pushes`, `relabels` and `global_relabels` it took.
     ///
     /// # Errors
     /// Returns [`FlowError::BadNode`] for out-of-range endpoints.
@@ -86,104 +98,120 @@ impl MaxFlow {
             return Ok(0);
         }
         self.index();
+        let _span = retime_trace::span("min_cut");
+        self.residual.clone_from(&self.cap);
         let MaxFlow {
             n,
             head,
-            cap,
+            residual: cap,
             index,
             ..
         } = self;
         let n = *n;
         let index = index.get().expect("index built above");
-        let mut total = 0i64;
-        loop {
-            // BFS level graph.
-            let mut level = vec![usize::MAX; n];
-            let mut queue = std::collections::VecDeque::new();
-            level[s] = 0;
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                for &e in index.out(u) {
-                    let e = e as usize;
-                    let v = head[e] as usize;
-                    if cap[e] > 0 && level[v] == usize::MAX {
-                        level[v] = level[u] + 1;
-                        queue.push_back(v);
+        let mut excess = vec![0i64; n];
+        for &e in index.out(s) {
+            let e = e as usize;
+            let c = std::mem::take(&mut cap[e]);
+            cap[e ^ 1] += c;
+            excess[head[e] as usize] += c;
+        }
+        let mut label = distances_to(head, cap, index, t);
+        label[s] = n;
+        let mut global_relabels = 1u64;
+        let mut current = vec![0usize; n];
+        let mut active: std::collections::VecDeque<usize> = (0..n)
+            .filter(|&v| v != s && v != t && excess[v] > 0 && label[v] < n)
+            .collect();
+        let (mut pushes, mut relabels, mut since_global) = (0u64, 0u64, 0usize);
+        while let Some(u) = active.pop_front() {
+            // Discharge `u` until its excess is gone or it can no longer
+            // reach `t` (label `n`: its excess stays, off the min cut).
+            while excess[u] > 0 && label[u] < n {
+                let out = index.out(u);
+                let Some(&e) = out.get(current[u]) else {
+                    relabels += 1;
+                    since_global += 1;
+                    current[u] = 0;
+                    label[u] = out
+                        .iter()
+                        .filter(|&&e| cap[e as usize] > 0)
+                        .map(|&e| label[head[e as usize] as usize] + 1)
+                        .min()
+                        .unwrap_or(n)
+                        .min(n);
+                    if since_global >= n {
+                        // Exact distances only ever raise labels, which
+                        // can make earlier arcs admissible again.
+                        label = distances_to(head, cap, index, t);
+                        label[s] = n;
+                        current.iter_mut().for_each(|c| *c = 0);
+                        global_relabels += 1;
+                        since_global = 0;
                     }
-                }
-            }
-            if level[t] == usize::MAX {
-                break;
-            }
-            // DFS blocking flow with iteration pointers.
-            let mut iter = vec![0usize; n];
-            loop {
-                let pushed = dinic_dfs(head, cap, index, s, t, INF_CAP, &level, &mut iter);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Flow routed on an edge returned by [`MaxFlow::add_edge`]
-    /// (valid after [`MaxFlow::solve`]).
-    pub fn flow_on(&self, edge: usize) -> i64 {
-        self.cap[edge ^ 1]
-    }
-
-    /// Nodes reachable from `s` in the residual graph (the source side of
-    /// a minimum cut, valid after [`MaxFlow::solve`]).
-    pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
-        let index = self.index();
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(u) = stack.pop() {
-            for &e in index.out(u) {
+                    continue;
+                };
                 let e = e as usize;
-                let v = self.head[e] as usize;
-                if self.cap[e] > 0 && !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
+                let v = head[e] as usize;
+                if cap[e] > 0 && label[u] == label[v] + 1 {
+                    let delta = excess[u].min(cap[e]);
+                    cap[e] -= delta;
+                    cap[e ^ 1] += delta;
+                    excess[u] -= delta;
+                    if excess[v] == 0 && v != t {
+                        active.push_back(v);
+                    }
+                    excess[v] += delta;
+                    pushes += 1;
+                } else {
+                    current[u] += 1;
                 }
             }
         }
-        seen
+        retime_trace::counter("pushes", pushes);
+        retime_trace::counter("relabels", relabels);
+        retime_trace::counter("global_relabels", global_relabels);
+        Ok(excess[t])
+    }
+
+    /// Nodes that reach `t` in the residual graph of the last
+    /// [`MaxFlow::solve`]: after `solve(_, t)`, the inclusion-minimal sink
+    /// side of a minimum cut.
+    ///
+    /// # Panics
+    /// Panics if the network has not been solved since its last edge
+    /// was added.
+    pub fn sink_side(&self, t: usize) -> Vec<bool> {
+        assert_eq!(self.residual.len(), self.cap.len(), "solve first");
+        distances_to(&self.head, &self.residual, self.index(), t)
+            .into_iter()
+            .map(|d| d < self.n)
+            .collect()
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dinic_dfs(
-    head: &[u32],
-    cap: &mut [i64],
-    index: &CsrIndex,
-    u: usize,
-    t: usize,
-    limit: i64,
-    level: &[usize],
-    iter: &mut [usize],
-) -> i64 {
-    if u == t {
-        return limit;
-    }
-    let out = index.out(u);
-    while iter[u] < out.len() {
-        let e = out[iter[u]] as usize;
-        let v = head[e] as usize;
-        if cap[e] > 0 && level[v] == level[u] + 1 {
-            let d = dinic_dfs(head, cap, index, v, t, limit.min(cap[e]), level, iter);
-            if d > 0 {
-                cap[e] -= d;
-                cap[e ^ 1] += d;
-                return d;
+/// Residual-graph distance from every node to `t` (backward BFS over
+/// arcs with residual capacity); `n` marks nodes that cannot reach `t`.
+fn distances_to(head: &[u32], cap: &[i64], index: &CsrIndex, t: usize) -> Vec<usize> {
+    let n = index.node_count();
+    let mut dist = vec![n; n];
+    let mut queue = Vec::with_capacity(n);
+    dist[t] = 0;
+    queue.push(t);
+    let mut next = 0;
+    while let Some(&w) = queue.get(next) {
+        next += 1;
+        for &e in index.out(w) {
+            // `e` leaves `w`; its reverse `e ^ 1` enters `w` from `x`.
+            let e = e as usize;
+            let x = head[e] as usize;
+            if cap[e ^ 1] > 0 && dist[x] == n {
+                dist[x] = dist[w] + 1;
+                queue.push(x);
             }
         }
-        iter[u] += 1;
     }
-    0
+    dist
 }
 
 #[cfg(test)]
@@ -207,28 +235,20 @@ mod tests {
         g.add_edge(0, 1, 10);
         g.add_edge(2, 3, 10);
         assert_eq!(g.solve(0, 3).unwrap(), 0);
+        assert_eq!(g.sink_side(3), vec![false, false, true, true]);
     }
 
     #[test]
-    fn min_cut_separates() {
+    fn sink_side_is_the_minimal_one() {
+        // Two minimum cuts of value 1: {0} | {1, 2, 3} and {0, 1, 2} | {3}.
+        // Node 1 keeps excess it cannot pass on; the sink side is the
+        // smaller one.
         let mut g = MaxFlow::new(4);
-        g.add_edge(0, 1, 1); // the bottleneck
+        g.add_edge(0, 1, 1);
         g.add_edge(1, 2, 10);
-        g.add_edge(2, 3, 10);
+        g.add_edge(2, 3, 1);
         assert_eq!(g.solve(0, 3).unwrap(), 1);
-        let side = g.min_cut_side(0);
-        assert!(side[0]);
-        assert!(!side[1] && !side[2] && !side[3]);
-    }
-
-    #[test]
-    fn flow_on_edges() {
-        let mut g = MaxFlow::new(3);
-        let e1 = g.add_edge(0, 1, 4);
-        let e2 = g.add_edge(1, 2, 3);
-        assert_eq!(g.solve(0, 2).unwrap(), 3);
-        assert_eq!(g.flow_on(e1), 3);
-        assert_eq!(g.flow_on(e2), 3);
+        assert_eq!(g.sink_side(3), vec![false, false, false, true]);
     }
 
     #[test]
@@ -254,5 +274,20 @@ mod tests {
         assert_eq!(g.solve(0, 2).unwrap(), 0);
         g.add_edge(1, 2, 2);
         assert_eq!(g.solve(0, 2).unwrap(), 2);
+    }
+
+    #[test]
+    fn long_chain_with_a_back_loop() {
+        // A path 0 → 1 → … → n−1 whose every node also feeds node 1 back:
+        // one unit must cross the whole chain.
+        let n = 2000;
+        let mut g = MaxFlow::new(n);
+        for v in 0..n - 1 {
+            g.add_edge(v, v + 1, 1);
+            if v > 1 {
+                g.add_edge(v, 1, INF_CAP);
+            }
+        }
+        assert_eq!(g.solve(0, n - 1).unwrap(), 1);
     }
 }

@@ -1,5 +1,5 @@
-//! Minimum-cost b-flow with dual extraction: the size-dispatched
-//! production solve, successive shortest paths, and the reference solver.
+//! Minimum-cost b-flow with dual extraction: successive shortest paths
+//! and the reference solver.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -15,12 +15,6 @@ pub struct ArcId(pub usize);
 /// Practically-infinite capacity for uncapacitated arcs.
 pub const INF_CAP: i64 = i64::MAX / 4;
 
-/// Node count from which [`MinCostFlow::solve`] switches from the
-/// network simplex to successive shortest paths. Measured on the
-/// default retiming flows (`BENCH_solver.json`): the simplex wins every
-/// instance up to 4.3k nodes; from 11.4k nodes SSP wins or ties.
-pub const SSP_MIN_NODES: usize = 8192;
-
 /// A minimum-cost flow problem over node demands.
 ///
 /// Sign convention (matching the paper's Eq. 13/14): `demand(v)` is the
@@ -35,13 +29,9 @@ pub const SSP_MIN_NODES: usize = 8192;
 /// its residual reverse). The first solve freezes a [`CsrGraph`] over
 /// the instance — user arcs plus the super-source/sink demand arcs —
 /// and every subsequent solve reuses it, so repeated solves of the same
-/// instance (multi-engine cross-checks, certificate re-solves) pay for
+/// instance (engine cross-checks, certificate re-solves) pay for
 /// adjacency construction exactly once. Mutators invalidate the frozen
 /// arena.
-///
-/// Equality compares the instance — nodes, arcs (endpoints, capacities
-/// and costs, in insertion order) and demands — and ignores the frozen
-/// arena, which is only a cache.
 #[derive(Debug, Clone)]
 pub struct MinCostFlow {
     n: usize,
@@ -54,18 +44,6 @@ pub struct MinCostFlow {
     user_arcs: usize,
     frozen: OnceLock<CsrGraph>,
 }
-
-impl PartialEq for MinCostFlow {
-    fn eq(&self, other: &MinCostFlow) -> bool {
-        self.n == other.n
-            && self.head == other.head
-            && self.cap == other.cap
-            && self.cost == other.cost
-            && self.demand == other.demand
-    }
-}
-
-impl Eq for MinCostFlow {}
 
 /// An optimal flow with its dual certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,31 +123,9 @@ impl MinCostFlow {
         self.frozen = OnceLock::new();
     }
 
-    /// Drops the frozen CSR arena; the next solve rebuilds it. For
-    /// callers that keep a solved instance only to compare or audit it,
-    /// so the arena does not stay resident alongside the instance.
-    pub fn release_arena(&mut self) {
-        self.frozen = OnceLock::new();
-    }
-
     /// The current demand of a node.
     pub fn demand(&self, v: usize) -> i64 {
         self.demand[v]
-    }
-
-    /// The `(from, to, capacity, cost)` of a user arc.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub(crate) fn raw_arc(&self, id: usize) -> (usize, usize, i64, i64) {
-        assert!(id < self.user_arcs, "arc id out of range");
-        let e = 2 * id;
-        (
-            self.head[e + 1] as usize,
-            self.head[e] as usize,
-            self.cap[e],
-            self.cost[e],
-        )
     }
 
     /// The `(from, to, capacity, cost)` of a user arc — the public
@@ -180,7 +136,14 @@ impl MinCostFlow {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn arc_info(&self, id: ArcId) -> (usize, usize, i64, i64) {
-        self.raw_arc(id.0)
+        assert!(id.0 < self.user_arcs, "arc id out of range");
+        let e = 2 * id.0;
+        (
+            self.head[e + 1] as usize,
+            self.head[e] as usize,
+            self.cap[e],
+            self.cost[e],
+        )
     }
 
     fn push_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) {
@@ -232,30 +195,17 @@ impl MinCostFlow {
         })
     }
 
-    /// Solves the instance — the one production entry point. Instances
-    /// below [`SSP_MIN_NODES`] nodes go to the network simplex
-    /// ([`MinCostFlow::solve_network_simplex`]), larger ones to
-    /// successive shortest paths ([`MinCostFlow::solve_ssp`]). Both
-    /// engines reach the same optimal cost; the pick depends on the
-    /// node count alone, so one instance always gets one engine.
-    ///
-    /// # Errors
-    /// The chosen engine's failures: [`FlowError::UnbalancedDemands`],
-    /// [`FlowError::Infeasible`], and the engine-specific limits.
-    pub fn solve(&self) -> Result<FlowSolution, FlowError> {
-        if self.n < SSP_MIN_NODES {
-            self.solve_network_simplex()
-        } else {
-            self.solve_ssp()
-        }
-    }
-
-    /// Solves by successive shortest paths with Johnson potentials.
+    /// Solves by primal-dual successive shortest paths with Johnson
+    /// potentials. Retiming itself solves its Eq. 14 instances as a
+    /// minimum cut ([`crate::Closure`]); this engine serves the general
+    /// weights of the classic minimum-period retiming and differential
+    /// tests.
     ///
     /// # Errors
     /// [`FlowError::UnbalancedDemands`] if demands do not sum to zero,
-    /// [`FlowError::Infeasible`] if the demands cannot be routed.
-    pub fn solve_ssp(&self) -> Result<FlowSolution, FlowError> {
+    /// [`FlowError::Infeasible`] if the demands cannot be routed,
+    /// [`FlowError::NegativeCycle`] if the costs form a negative cycle.
+    pub fn solve(&self) -> Result<FlowSolution, FlowError> {
         let total: i64 = self.demand.iter().sum();
         if total != 0 {
             return Err(FlowError::UnbalancedDemands { total });
@@ -373,12 +323,12 @@ impl MinCostFlow {
     /// potentials, no Dijkstra, no blocking flow.
     ///
     /// Deliberately the simplest correct min-cost-flow algorithm in the
-    /// crate: it shares no search machinery with [`MinCostFlow::solve_ssp`]
-    /// or the network simplex — it does not even touch the frozen CSR
-    /// arena, building its own throwaway adjacency lists instead — so it
-    /// serves as the differential reference those engines are
-    /// cross-checked against (see `retime-verify`). Quadratic-ish and
-    /// slow — not a production path.
+    /// crate: it shares no search machinery with [`MinCostFlow::solve`]
+    /// — it does not even touch the frozen CSR arena, building its own
+    /// throwaway adjacency lists instead — so it serves as the
+    /// differential reference the production retiming solve (a minimum
+    /// cut) and [`MinCostFlow::solve`] are cross-checked against (see
+    /// `retime-verify`). Quadratic-ish and slow — not a production path.
     ///
     /// # Errors
     /// [`FlowError::UnbalancedDemands`] if demands do not sum to zero,
@@ -390,7 +340,7 @@ impl MinCostFlow {
             return Err(FlowError::UnbalancedDemands { total });
         }
         // Private working copy with super source / sink appended — the
-        // same instance encoding the fast engines freeze, rebuilt here
+        // same instance encoding `solve` freezes, rebuilt here
         // from scratch on plain nested adjacency lists.
         let s = self.n;
         let t = self.n + 1;
@@ -731,7 +681,7 @@ mod tests {
         p.add_arc(0, 2, 10, 3);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.cost, 10);
         assert_eq!(sol.flows, vec![5, 5, 0]);
     }
@@ -744,7 +694,7 @@ mod tests {
         p.add_arc(0, 2, 10, 3);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         // 3 units via the cheap route (cost 6), 2 via the direct (cost 6).
         assert_eq!(sol.cost, 12);
         assert_eq!(sol.flows, vec![3, 3, 2]);
@@ -756,10 +706,7 @@ mod tests {
         p.add_arc(0, 1, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(1, 4);
-        assert_eq!(
-            p.solve_ssp(),
-            Err(FlowError::UnbalancedDemands { total: -1 })
-        );
+        assert_eq!(p.solve(), Err(FlowError::UnbalancedDemands { total: -1 }));
     }
 
     #[test]
@@ -769,7 +716,7 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        assert_eq!(p.solve_ssp(), Err(FlowError::Infeasible));
+        assert_eq!(p.solve(), Err(FlowError::Infeasible));
     }
 
     #[test]
@@ -780,7 +727,7 @@ mod tests {
         p.add_arc(0, 2, 10, 0);
         p.set_demand(0, -4);
         p.set_demand(2, 4);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.cost, -4);
         assert_eq!(sol.flows, vec![4, 4, 0]);
     }
@@ -800,7 +747,7 @@ mod tests {
         }
         p.set_demand(0, -6);
         p.set_demand(3, 6);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         // Check complementary slackness against every arc.
         for (i, &(u, v, cap, cost)) in arcs.iter().enumerate() {
             let f = sol.flows[i];
@@ -819,7 +766,7 @@ mod tests {
         let mut p = MinCostFlow::new(3);
         p.add_arc(0, 1, 10, 1);
         p.add_arc(1, 2, 10, 1);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.cost, 0);
         assert_eq!(sol.flows, vec![0, 0]);
     }
@@ -830,7 +777,7 @@ mod tests {
         p.add_uncapacitated(0, 1, 7);
         p.set_demand(0, -1_000_000);
         p.set_demand(1, 1_000_000);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.cost, 7_000_000);
     }
 
@@ -842,7 +789,7 @@ mod tests {
         p.add_arc(0, 2, 10, 1);
         p.set_demand(0, -1);
         p.set_demand(2, 1);
-        assert_eq!(p.solve_ssp(), Err(FlowError::NegativeCycle));
+        assert_eq!(p.solve(), Err(FlowError::NegativeCycle));
     }
 
     #[test]
@@ -855,7 +802,7 @@ mod tests {
         p.add_arc(0, 2, 10, 2);
         p.set_demand(1, -3);
         p.set_demand(2, 3);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.cost, 3 * (1 + 2));
     }
 
@@ -875,10 +822,10 @@ mod tests {
         p.add_arc(1, 2, 10, 1);
         p.set_demand(0, -5);
         p.set_demand(2, 5);
-        let first = p.solve_ssp().unwrap();
+        let first = p.solve().unwrap();
         let g1 = p.frozen() as *const _;
         let caps1 = p.frozen().caps().to_vec();
-        let second = p.solve_ssp().unwrap();
+        let second = p.solve().unwrap();
         let g2 = p.frozen() as *const _;
         assert_eq!(first, second, "repeat solve must be bit-identical");
         assert_eq!(g1, g2, "untouched instance reuses the frozen CSR");
@@ -889,32 +836,7 @@ mod tests {
             &caps1[..],
             "mutators must invalidate the frozen CSR"
         );
-        assert_eq!(p.solve_ssp().unwrap().cost, 8);
-    }
-
-    #[test]
-    fn equality_compares_the_instance_not_the_arena() {
-        let mut p = MinCostFlow::new(3);
-        p.add_arc(0, 1, 10, 1);
-        p.add_arc(1, 2, 10, 1);
-        p.set_demand(0, -5);
-        p.set_demand(2, 5);
-        let fresh = p.clone();
-        p.solve_ssp().unwrap();
-        assert_eq!(p, fresh, "a frozen arena does not change the instance");
-        p.release_arena();
-        assert_eq!(p.solve_ssp().unwrap().cost, 10, "released arena rebuilds");
-
-        let mut rewired = MinCostFlow::new(3);
-        rewired.add_arc(0, 2, 10, 1);
-        rewired.add_arc(1, 2, 10, 1);
-        rewired.set_demand(0, -5);
-        rewired.set_demand(2, 5);
-        assert_ne!(p, rewired, "same counts, different endpoints");
-        let mut redemanded = fresh.clone();
-        redemanded.set_demand(0, -4);
-        redemanded.set_demand(2, 4);
-        assert_ne!(fresh, redemanded);
+        assert_eq!(p.solve().unwrap().cost, 8);
     }
 
     #[test]
@@ -960,7 +882,7 @@ mod tests {
             ),
         ];
         for (i, p) in cases.iter().enumerate() {
-            let fast = p.solve_ssp().expect("fast engine solves");
+            let fast = p.solve().expect("fast engine solves");
             let slow = p.solve_reference().expect("reference solves");
             assert_eq!(fast.cost, slow.cost, "objective mismatch on case {i}");
         }
@@ -1033,7 +955,7 @@ mod tests {
         p.set_demand(1, -2);
         p.set_demand(3, 4);
         p.set_demand(4, 1);
-        let sol = p.solve_ssp().unwrap();
+        let sol = p.solve().unwrap();
         // Conservation check at the hub.
         assert_eq!(sol.flows[0] + sol.flows[1], sol.flows[2] + sol.flows[3]);
         assert_eq!(sol.flows[2], 4);

@@ -323,8 +323,11 @@ z = BUFF(g4)
         let production = run(RetimingProblem::solve);
         assert_eq!(
             production,
-            run(|p| p.solve_with(retime_flow::MinCostFlow::solve_ssp))
+            run(|p| p.solve_with(retime_flow::MinCostFlow::solve))
         );
-        assert_eq!(production, run(RetimingProblem::solve_closure));
+        assert_eq!(
+            production,
+            run(|p| p.solve_with(retime_flow::MinCostFlow::solve_reference))
+        );
     }
 }

@@ -10,11 +10,12 @@
 //! * [`RetimingProblem`] — the retiming graph of Section IV-A with host
 //!   node, fanout-sharing breadths `β = 1/k` realized through mirror nodes
 //!   (the `m_{G3}`/`m_{I2}` pseudo nodes of Fig. 5), and bound edges per
-//!   \[24\]. [`RetimingProblem::solve`] runs the one production
-//!   min-cost-flow solve on its Eq. (14) dual; an explicit flow engine
-//!   ([`RetimingProblem::solve_with`]) or the max-weight closure
-//!   ([`RetimingProblem::solve_closure`], an independent exactness
-//!   oracle) is for tests, benchmarks and the certificate checker,
+//!   \[24\]. [`RetimingProblem::solve`] is the one production solve:
+//!   because the labels are binary, the Eq. (14) optimum is a
+//!   maximum-weight closure, found with one push-relabel minimum cut.
+//!   Solving the min-cost-flow dual with an explicit engine
+//!   ([`RetimingProblem::solve_with`]) is for tests, benchmarks and the
+//!   certificate checker,
 //! * [`AreaModel`] and [`SeqBreakdown`] — sequential/total area accounting
 //!   with the EDL overhead `c`,
 //! * [`base_retime`] — conventional min-area retiming that ignores

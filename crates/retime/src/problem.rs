@@ -1,5 +1,6 @@
 //! The retiming problem: Eq. (10)'s ILP, its flow dual Eq. (14), and the
-//! equivalent closure formulation.
+//! equivalent closure formulation the production solve runs as one
+//! minimum cut.
 
 use std::time::{Duration, Instant};
 
@@ -49,7 +50,10 @@ struct PEdge {
 /// Built from a [`CombCloud`] and its [`Regions`]; the resiliency-aware
 /// extension (pseudo nodes `P(t)` with negative-breadth host edges) is
 /// added by the G-RAR crate through [`RetimingProblem::add_pseudo_target`].
-#[derive(Debug, Clone)]
+///
+/// Equality compares the whole instance: node kinds, edges, bounds and
+/// the movement penalty.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetimingProblem {
     kinds: Vec<FlowNodeKind>,
     edges: Vec<PEdge>,
@@ -223,45 +227,39 @@ impl RetimingProblem {
             .collect()
     }
 
-    /// Objective coefficient of `r(v)` in `BREADTH_SCALE` units (the
-    /// paper's `Σ_FI β − Σ_FO β`).
-    pub fn objective_coefficient(&self, v: usize) -> i64 {
-        self.coef(v)
-    }
-
-    /// Objective coefficient of `r(v)` (the paper's
-    /// `Σ_FI β − Σ_FO β`, scaled).
-    fn coef(&self, v: usize) -> i64 {
-        let mut c = 0;
+    /// Objective coefficient of every `r(v)` in `BREADTH_SCALE` units
+    /// (the paper's `Σ_FI β − Σ_FO β`), in one pass over the edges.
+    pub fn objective_coefficients(&self) -> Vec<i64> {
+        let mut coef = vec![0i64; self.kinds.len()];
         for e in &self.edges {
-            if e.to == v {
-                c += e.beta;
-            }
-            if e.from == v {
-                c -= e.beta;
-            }
+            coef[e.to] += e.beta;
+            coef[e.from] -= e.beta;
         }
-        c
+        coef
     }
 
-    /// Solves the instance through its Eq. (14) flow dual with the
-    /// production solve, [`MinCostFlow::solve`].
+    /// Solves the instance as a maximum-weight closure — one minimum
+    /// cut, which the binary labels `r(v) ∈ {−1, 0}` make exact. Among
+    /// the optima it returns the one that moves the fewest nodes.
     ///
     /// # Errors
-    /// Propagates solver failures; returns [`RetimeError::Internal`] if a
-    /// solver produces values violating the difference constraints (a
-    /// bug, guarded rather than assumed).
+    /// Returns [`RetimeError::Internal`] if the region bounds force a
+    /// node in that requires a node forced out, or if the labels violate
+    /// the difference constraints (a bug, guarded rather than assumed).
     pub fn solve(&self) -> Result<RetimingSolution, RetimeError> {
-        self.solve_with(MinCostFlow::solve)
+        let start = Instant::now();
+        let r = self.closure_labels()?;
+        self.finish_solution(r, start.elapsed())
     }
 
-    /// Solves the Eq. (14) flow dual with an explicit flow engine — e.g.
-    /// [`MinCostFlow::solve_ssp`], [`MinCostFlow::solve_network_simplex`]
-    /// or the certificate checker's [`MinCostFlow::solve_reference`] —
-    /// for oracles, differential tests and benchmarks.
+    /// Solves the Eq. (14) flow dual with an explicit min-cost-flow
+    /// engine — e.g. [`MinCostFlow::solve`] or the certificate
+    /// checker's [`MinCostFlow::solve_reference`] — for oracles,
+    /// differential tests and benchmarks.
     ///
     /// # Errors
-    /// The same failures as [`RetimingProblem::solve`].
+    /// Propagates solver failures, and the label checks of
+    /// [`RetimingProblem::solve`].
     pub fn solve_with(
         &self,
         engine: impl FnOnce(&MinCostFlow) -> Result<FlowSolution, FlowError>,
@@ -269,18 +267,6 @@ impl RetimingProblem {
         let start = Instant::now();
         let sol = engine(&self.flow_instance())?;
         self.finish_flow(&sol, start.elapsed())
-    }
-
-    /// Solves the equivalent max-weight closure via min-cut — exploits
-    /// the binary structure of `r(v) ∈ {−1, 0}`; an independent
-    /// exactness oracle for the flow path.
-    ///
-    /// # Errors
-    /// The same failures as [`RetimingProblem::solve`].
-    pub fn solve_closure(&self) -> Result<RetimingSolution, RetimeError> {
-        let start = Instant::now();
-        let r = self.closure_labels()?;
-        self.finish_solution(r, start.elapsed())
     }
 
     /// Reads the labels `r(v) = y(host) − y(v)` off a flow solution's
@@ -338,7 +324,7 @@ impl RetimingProblem {
     /// tooling (benchmarks, the verifier's re-solve path) can build the
     /// identical instance to probe engines or audit certificates. The
     /// returned problem freezes its CSR arena on first solve, so solving
-    /// it repeatedly under several engines reuses one adjacency build.
+    /// it repeatedly reuses one adjacency build.
     pub fn flow_instance(&self) -> MinCostFlow {
         let n = self.kinds.len();
         let mut flow = MinCostFlow::new(n);
@@ -365,16 +351,8 @@ impl RetimingProblem {
     /// `r(v) = −1` means adding `−eps` to the coefficient; the host
     /// absorbs the balance).
     fn flow_demands(&self) -> Vec<i64> {
-        let n = self.kinds.len();
         let eps = self.movement_penalty;
-        let mut demands = vec![0i64; n];
-        // Single pass over the edges (the per-node `coef` accumulated
-        // for all nodes at once) — this runs on every memo probe, so an
-        // O(n·m) node-by-node recount would dominate the re-solve.
-        for e in &self.edges {
-            demands[e.to] += e.beta;
-            demands[e.from] -= e.beta;
-        }
+        let mut demands = self.objective_coefficients();
         for d in demands.iter_mut().take(self.n_cloud) {
             *d -= eps;
         }
@@ -382,15 +360,13 @@ impl RetimingProblem {
         demands
     }
 
+    /// The moved set as a maximum-weight closure: selecting `v` means
+    /// `r(v) = −1` and gains its Eq. 14 demand. The host is forced out,
+    /// so its weight does not matter.
     fn closure_labels(&self) -> Result<Vec<i64>, RetimeError> {
-        let n = self.kinds.len();
-        let mut cl = Closure::new(n);
-        // Closure maximizes Σ coef(v)·s(v); the movement penalty lowers
-        // every cloud node's selection weight by eps.
-        let eps = self.movement_penalty;
-        for v in 0..n {
-            let adj = if v < self.n_cloud { -eps } else { 0 };
-            cl.set_weight(v, self.coef(v) + adj);
+        let mut cl = Closure::new(self.kinds.len());
+        for (v, d) in self.flow_demands().into_iter().enumerate() {
+            cl.set_weight(v, d);
         }
         for e in &self.edges {
             if e.w == 0 {
@@ -568,35 +544,30 @@ impl RetimingProblem {
     }
 }
 
-/// A solved-instance memo for the flow solves of one warm slot.
+/// A solved-instance memo for the retiming solves of one warm slot.
 ///
-/// The memo keeps the last Eq. 14 instance it solved and its optimal
-/// [`FlowSolution`]. A probe whose instance is identical — same arc
-/// endpoints, capacities, costs and demands — gets the cached solution
-/// back verbatim; any other probe is solved cold with
-/// [`MinCostFlow::solve`], exactly as an unslotted
-/// [`RetimingProblem::solve`] would, and replaces the memo. Table IV's
-/// base and RVL flows do not depend on the EDL overhead, so across the
-/// `c ∈ {0.5, 1, 2}` sweep every probe after the first is a hit;
-/// G-RAR's overhead moves node demands, so its probes solve cold.
-///
-/// The cached instance keeps no frozen CSR arena between probes: a
-/// slot parked in a pool costs the instance and its solution only.
+/// The memo keeps the last problem it solved and its solution. A probe
+/// whose problem is identical — same nodes, edges, bounds and movement
+/// penalty — gets the cached labels back, re-checked against the
+/// problem; any other probe is solved with [`RetimingProblem::solve`],
+/// exactly as an unslotted flow would, and replaces the memo. Table
+/// IV's base and RVL flows do not depend on the EDL overhead, so across
+/// the `c ∈ {0.5, 1, 2}` sweep every probe after the first is a hit;
+/// G-RAR's overhead moves its pseudo-node weights, so its probes miss.
 #[derive(Debug, Default)]
 pub struct RetimingSweep {
-    last: Option<(MinCostFlow, FlowSolution)>,
+    last: Option<(RetimingProblem, RetimingSolution)>,
 }
 
 impl RetimingSweep {
-    /// Solves `prob`, verbatim from the memo when its Eq. 14 instance
-    /// is identical to the last one solved, else cold with
-    /// [`MinCostFlow::solve`]. Adds the probe's `warm_hits` /
-    /// `cold_solves` to `timings`.
+    /// Solves `prob`, from the memo when it is identical to the last
+    /// problem solved, else with [`RetimingProblem::solve`]. Adds the
+    /// probe's `warm_hits` / `cold_solves` to `timings`.
     ///
     /// # Errors
     /// The solver's failures, and [`RetimeError::Internal`] when the
-    /// solution violates `prob`'s bounds or difference constraints —
-    /// whether it was solved now or came from the memo.
+    /// labels violate `prob`'s bounds or difference constraints —
+    /// whether they were solved now or came from the memo.
     pub fn solve_for(
         &mut self,
         prob: &RetimingProblem,
@@ -604,30 +575,28 @@ impl RetimingSweep {
     ) -> Result<RetimingSolution, RetimeError> {
         let start = Instant::now();
         let _span = retime_trace::span("solve_warm");
-        let mut flow = prob.flow_instance();
-        let hit = matches!(&self.last, Some((cached, _)) if *cached == flow);
+        let hit = matches!(&self.last, Some((cached, _)) if cached == prob);
         timings.count("warm_hits", u64::from(hit));
         timings.count("cold_solves", u64::from(!hit));
         if hit {
             retime_trace::attr_str("path", "hit");
-        } else {
-            retime_trace::attr_str("path", "cold");
-            // Free the old memo before the solve allocates; a failed
-            // solve leaves the memo empty.
-            self.last = None;
-            let sol = flow.solve()?;
-            flow.release_arena();
-            self.last = Some((flow, sol));
+            let (_, sol) = self.last.as_ref().expect("hit implies a memo");
+            return prob.finish_solution(sol.r.clone(), start.elapsed());
         }
-        let (_, sol) = self.last.as_ref().expect("memo filled above");
-        prob.finish_flow(sol, start.elapsed())
+        retime_trace::attr_str("path", "cold");
+        // Free the old memo before the solve allocates; a failed solve
+        // leaves the memo empty.
+        self.last = None;
+        let sol = prob.solve()?;
+        self.last = Some((prob.clone(), sol.clone()));
+        Ok(sol)
     }
 
-    /// The last instance solved and its flow solution, when a probe has
-    /// run — what harnesses hand to `check_warm_solution` to certify the
-    /// memo against an independent cold solve.
-    pub fn last_solved(&self) -> Option<(&MinCostFlow, &FlowSolution)> {
-        self.last.as_ref().map(|(flow, sol)| (flow, sol))
+    /// The last problem solved and its solution, when a probe has run —
+    /// what harnesses hand to `retime_verify::verify_retiming_solution`
+    /// to certify the memo against an independent reference solve.
+    pub fn last_solved(&self) -> Option<(&RetimingProblem, &RetimingSolution)> {
+        self.last.as_ref().map(|(prob, sol)| (prob, sol))
     }
 }
 
@@ -679,13 +648,12 @@ z = NOT(h)
     fn engines_agree() {
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
-        let a = prob.solve_with(MinCostFlow::solve_ssp).unwrap();
-        let b = prob.solve_with(MinCostFlow::solve_network_simplex).unwrap();
-        let c = prob.solve_closure().unwrap();
-        let d = prob.solve_with(MinCostFlow::solve_reference).unwrap();
+        let a = prob.solve().unwrap();
+        let b = prob.solve_with(MinCostFlow::solve).unwrap();
+        let c = prob.solve_with(MinCostFlow::solve_reference).unwrap();
         assert_eq!(a.objective_scaled, b.objective_scaled);
         assert_eq!(a.objective_scaled, c.objective_scaled);
-        assert_eq!(a.objective_scaled, d.objective_scaled);
+        assert_eq!(a.r, b.r);
     }
 
     #[test]
@@ -824,12 +792,8 @@ w = BUFF(b)
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         for (engine, sol) in [
-            ("ssp", prob.solve_with(MinCostFlow::solve_ssp)),
-            (
-                "simplex",
-                prob.solve_with(MinCostFlow::solve_network_simplex),
-            ),
-            ("closure", prob.solve_closure()),
+            ("min cut", prob.solve()),
+            ("ssp", prob.solve_with(MinCostFlow::solve)),
             ("reference", prob.solve_with(MinCostFlow::solve_reference)),
         ] {
             let sol = sol.unwrap();
@@ -843,15 +807,37 @@ w = BUFF(b)
 
     #[test]
     fn flow_instance_agrees_across_engines() {
-        // The public flow encoding, solved directly: every engine reaches
-        // the same objective, reusing one frozen CSR across the solves.
+        // The public flow encoding, solved directly: both min-cost-flow
+        // engines reach the same objective.
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         let flow = prob.flow_instance();
-        let ssp = flow.solve_ssp().unwrap();
+        let ssp = flow.solve().unwrap();
         let reference = flow.solve_reference().unwrap();
         assert_eq!(ssp.cost, reference.cost);
-        assert_eq!(ssp.cost, flow.solve_network_simplex().unwrap().cost);
+    }
+
+    #[test]
+    fn objective_coefficients_match_the_edge_sums() {
+        let (cloud, regions) = setup(RECONVERGE, 100.0);
+        let mut prob = RetimingProblem::build(&cloud, &regions);
+        prob.add_pseudo_target(&[cloud.find("g").unwrap()], BREADTH_SCALE);
+        let coef = prob.objective_coefficients();
+        for (v, &c) in coef.iter().enumerate() {
+            let fanin: i64 = prob
+                .edges
+                .iter()
+                .filter(|e| e.to == v)
+                .map(|e| e.beta)
+                .sum();
+            let fanout: i64 = prob
+                .edges
+                .iter()
+                .filter(|e| e.from == v)
+                .map(|e| e.beta)
+                .sum();
+            assert_eq!(c, fanin - fanout, "node {v}");
+        }
     }
 
     /// Two circuits with the same node and edge counts but different
@@ -869,10 +855,10 @@ w = BUFF(b)
         let mut sweep = RetimingSweep::default();
         let mut timings = PhaseTimings::new();
         sweep.solve_for(&prob, &mut timings).unwrap();
-        // Shift one cloud node's potential far out of its region bounds;
-        // the unchanged problem is then answered from the memo, and the
+        // Shift one cloud node's label far out of its region bounds; the
+        // unchanged problem is then answered from the memo, and the
         // bounds guard in `finish_solution` must reject it.
-        sweep.last.as_mut().unwrap().1.potentials[0] += 1_000;
+        sweep.last.as_mut().unwrap().1.r[0] += 1_000;
         let err = sweep.solve_for(&prob, &mut timings).unwrap_err();
         assert!(matches!(err, RetimeError::Internal(_)), "{err}");
         assert_eq!(timings.counter("cold_solves"), 1);

@@ -7,29 +7,28 @@
 //! **every** call:
 //!
 //! * the memo's labels must equal an unslotted
-//!   [`RetimingProblem::solve`] of the same problem bit for bit, and its
-//!   potentials a fresh `MinCostFlow::solve` of the cached instance (a
-//!   changed instance is solved cold by the same production solve; an
-//!   identical one is answered with the cached copy),
-//! * the memo's flow solution must pass the verifier's warm contract
-//!   ([`check_warm_solution`]: primal/dual certificate + equality with
-//!   an independent reference objective),
-//! * the call must count as a hit exactly when its Eq. 14 instance is
-//!   identical to the previous call's.
+//!   [`RetimingProblem::solve`] of the same problem bit for bit (a
+//!   changed problem is solved by the same production solve; an
+//!   identical one is answered with the cached labels),
+//! * the memo's cached problem and solution must pass the verifier's
+//!   certificate ([`verify_retiming_solution`]: ILP feasibility, cut and
+//!   objective agreement, optimality against an independent reference
+//!   min-cost-flow solve),
+//! * the call must count as a hit exactly when its problem is identical
+//!   to the previous call's.
 //!
-//! Deterministic cases ride along: a hit returns the cached solution
-//! bit-identically, and a poisoned copy of the cached certificate is
-//! refused as [`VerifyError::WarmStartMismatch`].
+//! Deterministic cases ride along: a hit returns the cached labels
+//! bit-identically, and a poisoned copy of the cached labels is refused
+//! by the certificate.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retime_flow::ArcId;
 use retime_liberty::Library;
 use retime_netlist::{bench, CombCloud, NodeId};
 use retime_retime::{PhaseTimings, Regions, RetimingProblem, RetimingSweep, BREADTH_SCALE};
 use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
-use retime_verify::{check_warm_solution, VerifyError};
+use retime_verify::{verify_retiming_solution, VerifyError};
 
 /// A random combinational circuit in `.bench` form: `inputs` primary
 /// inputs, then `gates` gates over earlier signals; every gate without
@@ -128,8 +127,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random edit sequences: every memo answer matches a fresh cold
-    /// solve and passes the warm contract, and hits happen exactly on
-    /// unchanged instances.
+    /// solve and certifies, and hits happen exactly on unchanged
+    /// problems.
     #[test]
     fn memo_matches_fresh_cold_solves_across_random_edits(
         inputs in 2usize..5,
@@ -168,10 +167,8 @@ proptest! {
             let Some(prob) = problem_at(&cloud, &lib, critical, scale, penalty, target) else {
                 continue;
             };
-            let instance = prob.flow_instance();
-            let hit = previous.as_ref() == Some(&instance);
+            let hit = previous.as_ref() == Some(&prob);
             expected.count(if hit { "warm_hits" } else { "cold_solves" }, 1);
-            previous = Some(instance);
 
             let memo = sweep
                 .solve_for(&prob, &mut timings)
@@ -179,13 +176,13 @@ proptest! {
             let cold = prob.solve().expect("an unslotted solve of a feasible problem");
             prop_assert_eq!(&memo.r, &cold.r, "step {}: labels", step);
             prop_assert_eq!(memo.objective_scaled, cold.objective_scaled, "step {}", step);
-            let (flow, warm) = sweep.last_solved().expect("a probe ran");
-            let fresh = flow.solve().expect("a fresh solve of the cached instance");
-            prop_assert_eq!(&warm.potentials, &fresh.potentials, "step {}: potentials", step);
-            let reference = flow.solve_reference().expect("reference SSP solves");
-            if let Err(err) = check_warm_solution(flow, warm, &reference) {
-                panic!("step {step}: warm contract rejected: {err}");
+            let (cached, warm) = sweep.last_solved().expect("a probe ran");
+            prop_assert!(cached == &prob, "step {}: the memo holds the last problem", step);
+            prop_assert_eq!(&warm.r, &cold.r, "step {}: cached labels", step);
+            if let Err(err) = verify_retiming_solution(cached, warm) {
+                panic!("step {step}: memo certificate rejected: {err}");
             }
+            previous = Some(prob);
             for counter in ["warm_hits", "cold_solves"] {
                 prop_assert_eq!(timings.counter(counter), expected.counter(counter), "step {}", step);
             }
@@ -199,9 +196,9 @@ fn memo_hit_is_bit_identical_to_the_cached_solution() {
     let mut sweep = RetimingSweep::default();
     let mut timings = PhaseTimings::new();
     let first = sweep.solve_for(&prob, &mut timings).unwrap();
-    let cached = sweep.last_solved().unwrap().1.clone();
+    let cached = sweep.last_solved().unwrap().1.r.clone();
     let second = sweep.solve_for(&prob, &mut timings).unwrap();
-    assert_eq!(sweep.last_solved().unwrap().1, &cached);
+    assert_eq!(sweep.last_solved().unwrap().1.r, cached);
     assert_eq!(first.r, second.r);
     assert_eq!(first.cut, second.cut);
     assert_eq!(timings.counter("warm_hits"), 1);
@@ -209,29 +206,17 @@ fn memo_hit_is_bit_identical_to_the_cached_solution() {
 }
 
 #[test]
-fn memo_poisoned_potentials_surface_as_warm_start_mismatch() {
+fn memo_poisoned_labels_are_refused_by_the_certificate() {
     let prob = reconverge();
     let mut sweep = RetimingSweep::default();
     sweep.solve_for(&prob, &mut PhaseTimings::new()).unwrap();
-    let (flow, cached) = sweep.last_solved().unwrap();
-    // A hit hands the cached solution back verbatim, so a damaged cache
-    // reaches the verifier exactly as this copy does. A uniform shift of
-    // every potential would still be a valid dual (reduced costs are
-    // shift-invariant), so poison one endpoint of arc 0 in the direction
-    // that breaks complementary slackness: inflate the head's potential
-    // if the arc has slack, deflate it if the arc carries flow.
-    let (_, to, cap, _) = flow.arc_info(ArcId(0));
+    let (cached_prob, cached) = sweep.last_solved().unwrap();
+    verify_retiming_solution(cached_prob, cached).unwrap();
+    // A hit hands the cached labels back, so a damaged cache reaches
+    // the verifier exactly as this copy does: push one label out of
+    // its region bounds.
     let mut poisoned = cached.clone();
-    poisoned.potentials[to] += if poisoned.flows[0] < cap {
-        7_777
-    } else {
-        -7_777
-    };
-    let reference = flow.solve_reference().unwrap();
-    check_warm_solution(flow, cached, &reference).unwrap();
-    let err = check_warm_solution(flow, &poisoned, &reference).unwrap_err();
-    assert!(
-        matches!(err, VerifyError::WarmStartMismatch { .. }),
-        "{err}"
-    );
+    poisoned.r[0] -= 1;
+    let err = verify_retiming_solution(cached_prob, &poisoned).unwrap_err();
+    assert!(matches!(err, VerifyError::LabelInfeasible { .. }), "{err}");
 }

@@ -13,7 +13,7 @@ use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
 use retime_retime::{base_retime, RetimeError, RetimeOutcome};
-use retime_sta::{DelayModel, StatParams, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{DelayModel, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
 
@@ -249,7 +249,8 @@ fn resolve_parsed(name: &str, parsed: &Netlist, lib: &Library) -> Result<Resolve
     let netlist =
         bench::parse(name, &canonical).map_err(|e| format!("canonical re-parse error: {e}"))?;
     let cloud = CombCloud::extract(&netlist).map_err(|e| format!("cloud extraction: {e}"))?;
-    let clock = derive_clock(&cloud, lib).map_err(|e| format!("clock derivation: {e}"))?;
+    let clock = retime_circuits::relaxed_clock(&cloud, lib)
+        .map_err(|e| format!("clock derivation: {e}"))?;
     Ok(ResolvedCircuit {
         name: name.to_string(),
         netlist,
@@ -299,27 +300,6 @@ pub fn resolve_spec(spec: &JobSpec, lib: &Library) -> Result<ResolvedCircuit, St
         clock: conv.clock,
         canonical,
     })
-}
-
-/// A relaxed clock for an inline circuit with no explicit `clock`: the
-/// critical path plus the latch flow-through, divided by 0.7 — the same
-/// regime `SuiteCircuit::calibrated_clock` uses for rescuable circuits.
-fn derive_clock(cloud: &CombCloud, lib: &Library) -> Result<TwoPhaseClock, retime_sta::StaError> {
-    let sta = TimingAnalysis::new(
-        cloud,
-        lib,
-        TwoPhaseClock::from_max_delay(1.0),
-        DelayModel::PathBased,
-    )?;
-    let crit = cloud
-        .sinks()
-        .iter()
-        .map(|&t| sta.df(t))
-        .fold(0.0f64, f64::max);
-    let latch = lib.latch();
-    Ok(TwoPhaseClock::from_max_delay(
-        (crit + latch.d_to_q + latch.clk_to_q) / 0.7,
-    ))
 }
 
 /// The flow configuration a job resolves to, plus its cache key.
@@ -446,8 +426,9 @@ pub fn execute_with_slot(
 }
 
 /// Shared tail of [`execute`] / [`execute_with_slot`]: optional
-/// certification (including the warm/cold cross-check when a primed
-/// slot produced the solution) and payload rendering.
+/// certification (including the memo's answer, checked against a
+/// reference re-solve, when a slot produced the solution) and payload
+/// rendering.
 fn finish_execution(
     cfg: &KeyConfig,
     circuit: &ResolvedCircuit,
@@ -466,11 +447,8 @@ fn finish_execution(
         )
         .with_model(cfg.model)
         .run(lib, outcome)?;
-        if let Some((flow, warm)) = sweep.and_then(retime_retime::RetimingSweep::last_solved) {
-            let cold = flow
-                .solve_reference()
-                .map_err(|e| RetimeError::Internal(format!("warm reference solve: {e}")))?;
-            retime_verify::check_warm_solution(flow, warm, &cold)
+        if let Some((problem, warm)) = sweep.and_then(retime_retime::RetimingSweep::last_solved) {
+            retime_verify::verify_retiming_solution(problem, warm)
                 .map_err(|e| RetimeError::Internal(format!("warm certificate rejected: {e}")))?;
         }
     }

@@ -104,14 +104,6 @@ pub enum VerifyError {
         /// What failed.
         detail: String,
     },
-    /// A warm-slot flow solution diverged from the cold-solve contract:
-    /// it failed independent certification, or its objective differs
-    /// from the cold objective on the same instance. The warm slot must
-    /// be discarded and the instance re-solved cold.
-    WarmStartMismatch {
-        /// What diverged (certification failure or objective delta).
-        detail: String,
-    },
     /// The retimed netlist computed a different output than the
     /// original under random stimulus.
     NotEquivalent {
@@ -189,9 +181,6 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::FlowCertificate { detail } => {
                 write!(f, "flow certificate failed: {detail}")
-            }
-            VerifyError::WarmStartMismatch { detail } => {
-                write!(f, "warm-start mismatch: {detail}")
             }
             VerifyError::NotEquivalent { cycle } => write!(
                 f,

@@ -13,16 +13,15 @@
 //!   timing and EDL typing from the final delays, recounts the area
 //!   against the library, re-solves G-RAR's flow problem with the
 //!   deliberately-slow reference engine
-//!   ([`MinCostFlow::solve_reference`]), and simulates the retimed
+//!   ([`MinCostFlow::solve_reference`], a min-cost flow, where
+//!   production solves a minimum cut), and simulates the retimed
 //!   netlist against the original under random stimulus.
 //! * [`verify_retiming_solution`] — the same label/objective/optimality
-//!   checks on a raw [`RetimingSolution`].
+//!   checks on a raw [`RetimingSolution`]; harnesses also use it to
+//!   certify the answer a warm slot's memo served.
 //! * [`check_flow_solution`] — primal/dual certificate checking of a
 //!   min-cost-flow solution (capacity, conservation, cost,
 //!   complementary slackness).
-//! * [`check_warm_solution`] — the warm-slot contract: a solution served
-//!   from a warm slot's memo must pass [`check_flow_solution`] *and*
-//!   match the cold objective, else [`VerifyError::WarmStartMismatch`].
 //! * [`mc_yields`] — plain Monte Carlo timing-yield estimation over the
 //!   statistical delay tables. Deliberately shares **no** propagation
 //!   code with the analytic `retime-stat` engine; in statistical mode
@@ -57,7 +56,7 @@ pub use certificate::{
     VerifySetup,
 };
 pub use error::VerifyError;
-pub use flowcheck::{check_flow_solution, check_warm_solution};
+pub use flowcheck::check_flow_solution;
 pub use mc::{mc_tolerance, mc_yields, McYield};
 
 /// Whether certificate verification was requested via the environment

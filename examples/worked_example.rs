@@ -53,14 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         IlpFormulation::from_problem(&problem)
     );
 
-    // Solve with all three engines.
+    // Solve as a minimum cut (production) and as a min-cost flow.
     for (engine, sol) in [
-        ("SSP", problem.solve_with(MinCostFlow::solve_ssp)),
-        (
-            "NetworkSimplex",
-            problem.solve_with(MinCostFlow::solve_network_simplex),
-        ),
-        ("Closure", problem.solve_closure()),
+        ("MinCut", problem.solve()),
+        ("SSP", problem.solve_with(MinCostFlow::solve)),
     ] {
         let sol = sol?;
         let moved: Vec<&str> = f

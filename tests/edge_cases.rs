@@ -232,9 +232,9 @@ fn alternate_engines_full_flow() {
             .total_area
     };
     for total in [
-        commit(&|p| p.solve_with(MinCostFlow::solve_ssp)),
-        commit(&|p| p.solve_with(MinCostFlow::solve_network_simplex)),
-        commit(&|p| p.solve_closure()),
+        commit(&|p| p.solve()),
+        commit(&|p| p.solve_with(MinCostFlow::solve)),
+        commit(&|p| p.solve_with(MinCostFlow::solve_reference)),
     ] {
         assert!((report.outcome.total_area - total).abs() < 1e-9);
     }

@@ -67,12 +67,12 @@ fn optimal_retiming_matches_paper() {
     let c = EdlOverhead::HIGH; // c = 2 in the example
     let p_node = problem.add_pseudo_target(&g, 2 * BREADTH_SCALE);
     for (engine, sol) in [
-        ("ssp", problem.solve_with(MinCostFlow::solve_ssp)),
+        ("min cut", problem.solve()),
+        ("ssp", problem.solve_with(MinCostFlow::solve)),
         (
-            "simplex",
-            problem.solve_with(MinCostFlow::solve_network_simplex),
+            "reference",
+            problem.solve_with(MinCostFlow::solve_reference),
         ),
-        ("closure", problem.solve_closure()),
     ] {
         let sol = sol.unwrap();
         for name in ["I1", "I2", "G3", "G4", "G5", "G6"] {

@@ -319,9 +319,8 @@ proptest! {
         let problem = RetimingProblem::build(&cloud, &regions);
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
             for sol in [
-                problem.solve_with(MinCostFlow::solve_ssp),
-                problem.solve_with(MinCostFlow::solve_network_simplex),
-                problem.solve_closure(),
+                problem.solve(),
+                problem.solve_with(MinCostFlow::solve),
                 problem.solve_with(MinCostFlow::solve_reference),
             ] {
                 prop_assert_eq!(sol.expect("solves").objective_scaled, best);
@@ -367,9 +366,8 @@ proptest! {
         }
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
             for (engine, sol) in [
-                ("ssp", problem.solve_with(MinCostFlow::solve_ssp)),
-                ("simplex", problem.solve_with(MinCostFlow::solve_network_simplex)),
-                ("closure", problem.solve_closure()),
+                ("min cut", problem.solve()),
+                ("ssp", problem.solve_with(MinCostFlow::solve)),
                 ("reference", problem.solve_with(MinCostFlow::solve_reference)),
             ] {
                 prop_assert_eq!(sol.expect("solves").objective_scaled, best, "engine {}", engine);
