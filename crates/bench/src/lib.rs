@@ -27,10 +27,8 @@
 //! table rows are bit-identical with it on or off (asserted by
 //! `tests/trace_integration.rs`).
 //!
-//! Criterion benches (`benches/`) cover algorithm-level scaling:
-//! network-flow engines, STA passes, cut-set construction, and
-//! end-to-end G-RAR, plus the ablation studies called out in
-//! `DESIGN.md`.
+//! Performance is measured end to end, and per layer, by the separate
+//! `benchmark/` package (`bench_e2e`).
 
 use std::time::Instant;
 

@@ -17,6 +17,8 @@
 //! * **Bit-identity.** The `table1` / `table4` row logic must produce
 //!   byte-identical rows with tracing enabled and disabled — tracing is
 //!   observation-only.
+//! * **Free when off.** A suite G-RAR run with tracing disabled records
+//!   no span.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -246,5 +248,37 @@ fn table_rows_are_bit_identical_with_tracing_on_and_off() {
     assert!(
         !records.is_empty(),
         "the traced table runs recorded no spans"
+    );
+}
+
+/// Tracing off is free: with the flag cleared, a full G-RAR run on a
+/// suite circuit opens no span (so allocates no record and reads no
+/// clock) and the trace clock reads 0.
+#[test]
+fn disabled_tracing_records_nothing_on_a_suite_grar_run() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let lib = Library::fdsoi28();
+    let spec = paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1423")
+        .expect("s1423 in suite");
+    let case = build_case(&spec, &lib);
+    retime_trace::set_enabled(false);
+    let _ = retime_trace::take_records();
+    grar(
+        &case.circuit.cloud,
+        &lib,
+        case.clock,
+        &GrarConfig::new(EdlOverhead::HIGH),
+    )
+    .expect("grar on s1423");
+    assert!(
+        retime_trace::take_records().is_empty(),
+        "disabled tracing recorded spans"
+    );
+    assert_eq!(
+        retime_trace::now_us(),
+        0,
+        "the disabled trace clock reads 0"
     );
 }

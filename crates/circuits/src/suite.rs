@@ -247,8 +247,8 @@ pub fn paper_suite() -> Vec<CircuitSpec> {
     ]
 }
 
-/// The small-to-medium prefix of the suite (fast enough for unit tests
-/// and criterion benches).
+/// The small-to-medium prefix of the suite (fast enough for unit
+/// tests).
 pub fn small_suite() -> Vec<CircuitSpec> {
     paper_suite()
         .into_iter()

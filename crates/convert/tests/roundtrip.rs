@@ -1,7 +1,8 @@
 //! Property round-trips for the conversion front door:
 //!
 //! * **Format**: netlist → EDIF writer → EDIF parser → structurally
-//!   identical netlist, over generated circuits of varied shape.
+//!   identical netlist, over generated circuits of varied shape; the
+//!   writer emits the same text every time.
 //! * **Function**: `.bench` FF source → two-phase conversion →
 //!   bit-equivalent simulation against the source over 256 random
 //!   cycles (beyond the proof `convert` itself runs, this drives fresh
@@ -42,7 +43,9 @@ proptest! {
         gates in 8usize..60,
     ) {
         let src = synth(seed, flops, gates);
-        let back = edif::parse(&edif::write(&src)).expect("round-trip parses");
+        let text = edif::write(&src);
+        prop_assert_eq!(&edif::write(&src), &text, "the writer is deterministic");
+        let back = edif::parse(&text).expect("round-trip parses");
         prop_assert_eq!(structural_signature(&src), structural_signature(&back));
 
         let ms = src.to_master_slave().expect("splits");

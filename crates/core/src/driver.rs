@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use retime_flow::MinCostFlow;
     use retime_netlist::bench;
-    use retime_retime::base_retime;
+    use retime_retime::{base_retime, COMMERCIAL_MOVEMENT_PENALTY};
     use std::time::Duration;
 
     /// A two-cone circuit: one deep cone (needs EDL unless latches move)
@@ -310,6 +310,43 @@ mod tests {
             run(|p| p.solve_with(MinCostFlow::solve_reference)),
         ] {
             assert!((production - other).abs() < 1e-9);
+        }
+
+        // Larger instances, min cut against SSP only (the reference
+        // engine is too slow here): the G-RAR problem exactly as the flow
+        // builds it, and the base problem under the commercial movement
+        // penalty. The 4k inverter loop is the family on which SSP is
+        // superlinear; run with `--release`.
+        let rows = ["s35932", "plasma"].map(|name| {
+            let spec = retime_circuits::paper_suite()
+                .into_iter()
+                .find(|s| s.name == name)
+                .expect("in suite");
+            let circuit = spec.build().unwrap();
+            let clock = circuit
+                .calibrated_clock(&lib, DelayModel::PathBased)
+                .unwrap();
+            (name, circuit.cloud, clock)
+        });
+        let netlist = retime_circuits::inverter_loop(4096).unwrap();
+        let loop_cloud = CombCloud::extract(&netlist).unwrap();
+        let loop_clock = retime_circuits::relaxed_clock(&loop_cloud, &lib).unwrap();
+        let rows = rows
+            .into_iter()
+            .chain([("inverter_loop_4096", loop_cloud, loop_clock)]);
+        for (name, cloud, clock) in rows {
+            let agree = |flow: &str, p: &RetimingProblem| -> Result<_, RetimeError> {
+                let cut = p.solve()?;
+                let ssp = p.solve_with(MinCostFlow::solve)?;
+                assert_eq!(cut.objective_scaled, ssp.objective_scaled, "{name} {flow}");
+                assert_eq!(cut.r, ssp.r, "{name} {flow}: labels");
+                Ok(cut)
+            };
+            grar_impl(&cloud, &lib, clock, &cfg, |p, _| agree("grar", p)).unwrap();
+            let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+            let mut base = RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap());
+            base.set_movement_penalty(COMMERCIAL_MOVEMENT_PENALTY);
+            agree("base", &base).unwrap();
         }
     }
 

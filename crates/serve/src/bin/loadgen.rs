@@ -133,8 +133,7 @@ struct JobMix {
     expected_sha: Option<String>,
 }
 
-/// The cached job mix: the four smallest suite circuits × two flows,
-/// exactly the list `serve_throughput` has always benched.
+/// The cached job mix: the four smallest suite circuits × two flows.
 fn cached_mix() -> Vec<(String, &'static str)> {
     let mut specs = paper_suite();
     specs.sort_by_key(|s| s.flops);

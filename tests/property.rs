@@ -3,14 +3,14 @@
 
 use proptest::prelude::*;
 
-use resilient_retiming::circuits::SynthConfig;
+use resilient_retiming::circuits::{paper_suite, SynthConfig};
 use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{
     classify_and_cut_set, classify_many, exhaustive_best, grar, GrarConfig,
 };
 use resilient_retiming::liberty::{EdlOverhead, Library};
 use resilient_retiming::netlist::{CombCloud, Cut, NodeId, NodeKind};
-use resilient_retiming::retime::{Regions, RetimingProblem, BREADTH_SCALE};
+use resilient_retiming::retime::{Regions, RetimingProblem, BREADTH_SCALE, LEGALIZE_SPEEDUP};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
     BackwardPass, DelayModel, IncrementalTiming, NodeDelays, SinkClass, StatParams, TimingAnalysis,
@@ -668,4 +668,52 @@ proptest! {
             prop_assert_eq!(equivalent(&n, &retimed, 40, 11).expect("sims"), Ok(()));
         }
     }
+}
+
+/// A legalization-style replay on s1423: six rounds each upsize eight
+/// gates spread across the netlist by `LEGALIZE_SPEEDUP` and re-query
+/// the cut timing. The dirty-region engine must match a full
+/// re-propagation bit for bit after every round.
+#[test]
+fn incremental_sta_matches_full_recompute_on_s1423() {
+    let lib = Library::fdsoi28();
+    let circuit = paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1423")
+        .expect("s1423 in suite")
+        .build()
+        .expect("builds");
+    let cloud = &circuit.cloud;
+    let clock = circuit
+        .calibrated_clock(&lib, DelayModel::PathBased)
+        .expect("calibrates");
+    let gates: Vec<NodeId> = (0..cloud.len())
+        .map(|i| NodeId(i as u32))
+        .filter(|&v| matches!(cloud.node(v).kind, NodeKind::Gate { .. }))
+        .collect();
+    let stride = gates.len() / 8;
+    let cut = Cut::initial(cloud);
+    let mut full =
+        TimingAnalysis::new(cloud, &lib, clock, DelayModel::PathBased).expect("sta builds");
+    let mut inc = IncrementalTiming::new(cloud, &lib, clock, DelayModel::PathBased, cut.clone())
+        .expect("engine builds");
+    for round in 0..6 {
+        let batch: Vec<NodeId> = (0..8)
+            .map(|k| gates[(round * 131 + k * stride) % gates.len()])
+            .collect();
+        full.update_delays(|d| {
+            for &g in &batch {
+                d.scale_node(g, LEGALIZE_SPEEDUP);
+            }
+        });
+        for &g in &batch {
+            inc.scale_node(g, LEGALIZE_SPEEDUP);
+        }
+        let (got, want) = (inc.cut_timing(), full.cut_timing(&cut));
+        assert_eq!(got, want, "round {round}");
+        for (a, b) in got.sink_arrivals.iter().zip(&want.sink_arrivals) {
+            assert_eq!(a.to_bits(), b.to_bits(), "round {round}");
+        }
+    }
+    assert_eq!(inc.stats().full_passes, 1, "repairs must stay incremental");
 }
