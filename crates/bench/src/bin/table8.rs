@@ -1,9 +1,9 @@
 //! Table VIII: error-rate (%) comparison by random-input timed
 //! simulation.
 
-use retime_bench::{load_suite, map_cases, mean, print_table, run_approaches};
-use retime_liberty::{EdlOverhead, Library};
-use retime_sim::{error_rate, ErrorRateConfig};
+use retime_bench::{load_suite, map_cases, mean, print_table, table8_row};
+use retime_liberty::Library;
+use retime_sim::ErrorRateConfig;
 
 fn main() {
     let _trace = retime_bench::trace_session();
@@ -13,36 +13,7 @@ fn main() {
         cycles: 2000,
         seed: 0xE0_5EED,
     };
-    let per_case = map_cases(&cases, |case| {
-        let cloud = &case.circuit.cloud;
-        let mut row = vec![case.circuit.spec.name.to_string()];
-        let mut rates = [0.0f64; 9];
-        let mut col = 0;
-        for c in EdlOverhead::SWEEP {
-            let a = run_approaches(case, &lib, c).expect("flows run");
-            // Each flow is simulated with *its* final delays (including
-            // any legalization upsizing), as a signoff would.
-            for (cut, ed, delays) in [
-                (&a.base.cut, &a.base.ed_sinks, &a.base.final_delays),
-                (
-                    &a.rvl.outcome.cut,
-                    &a.rvl.outcome.ed_sinks,
-                    &a.rvl.outcome.final_delays,
-                ),
-                (
-                    &a.grar.outcome.cut,
-                    &a.grar.outcome.ed_sinks,
-                    &a.grar.outcome.final_delays,
-                ),
-            ] {
-                let rep = error_rate(cloud, delays, &case.clock, cut, ed, &cfg);
-                rates[col] = rep.rate_percent();
-                row.push(format!("{:.2}", rep.rate_percent()));
-                col += 1;
-            }
-        }
-        (row, rates)
-    });
+    let per_case = map_cases(&cases, |case| table8_row(case, &lib, &cfg));
     let mut rows = Vec::new();
     let mut avgs: Vec<Vec<f64>> = vec![Vec::new(); 9];
     for (row, rates) in per_case {

@@ -581,6 +581,48 @@ pub fn table4_stat_row(case: &BenchCase, lib: &Library, model: DelayModel) -> Ve
     ]
 }
 
+/// The Table VIII cells of one case: the error rate (%) of base, RVL
+/// and G-RAR per EDL overhead of [`EdlOverhead::SWEEP`], each flow
+/// simulated with its own final delays (including any legalization
+/// upsizing), as a signoff would. Returns the raw rates too, for the
+/// table's average row. Shared by the `table8` binary and the golden
+/// snapshot test.
+///
+/// # Panics
+/// Panics if a flow fails (the suite circuits are always feasible).
+pub fn table8_row(
+    case: &BenchCase,
+    lib: &Library,
+    cfg: &retime_sim::ErrorRateConfig,
+) -> (Vec<String>, [f64; 9]) {
+    let cloud = &case.circuit.cloud;
+    let mut row = vec![case.circuit.spec.name.to_string()];
+    let mut rates = [0.0f64; 9];
+    let mut col = 0;
+    for c in EdlOverhead::SWEEP {
+        let a = run_approaches(case, lib, c).expect("flows run");
+        for (cut, ed, delays) in [
+            (&a.base.cut, &a.base.ed_sinks, &a.base.final_delays),
+            (
+                &a.rvl.outcome.cut,
+                &a.rvl.outcome.ed_sinks,
+                &a.rvl.outcome.final_delays,
+            ),
+            (
+                &a.grar.outcome.cut,
+                &a.grar.outcome.ed_sinks,
+                &a.grar.outcome.final_delays,
+            ),
+        ] {
+            let rep = retime_sim::error_rate(cloud, delays, &case.clock, cut, ed, cfg);
+            rates[col] = rep.rate_percent();
+            row.push(format!("{:.2}", rep.rate_percent()));
+            col += 1;
+        }
+    }
+    (row, rates)
+}
+
 /// Percent improvement of `new` over `base` (positive = smaller/better).
 pub fn pct_impr(base: f64, new: f64) -> f64 {
     if base == 0.0 {

@@ -1,6 +1,6 @@
 //! Golden snapshot tests for the table binaries.
 //!
-//! The `table1` / `table4` row logic runs on the tiny suite (the four
+//! The `table1` / `table4` / `table8` row logic runs on the tiny suite (the four
 //! smallest circuits) and is compared cell-for-cell against checked-in
 //! expected rows, so a table-output regression fails `cargo test`
 //! instead of only being caught by the CI smoke run.
@@ -13,10 +13,13 @@
 
 use std::path::PathBuf;
 
-use retime_bench::{build_case, map_cases, table1_row, table4_row, table4_stat_row, BenchCase};
+use retime_bench::{
+    build_case, map_cases, table1_row, table4_row, table4_stat_row, table8_row, BenchCase,
+};
 use retime_circuits::paper_suite;
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::AreaModel;
+use retime_sim::ErrorRateConfig;
 use retime_sta::{DelayModel, StatParams};
 
 /// The tiny suite, built directly (not via `RETIME_SUITE`, which other
@@ -95,4 +98,22 @@ fn table4_stat_rows_match_golden() {
     let model = DelayModel::Statistical(StatParams::DEFAULT);
     let rows = map_cases(&cases, |case| table4_stat_row(case, &lib, model));
     check_golden("table4_stat_tiny.txt", &rows);
+}
+
+/// The Table VIII error rates on the tiny suite, at the binary's cycle
+/// count and seed. Each rate is a count of 2000 cycles, so its two
+/// printed decimals are exact.
+#[test]
+fn table8_rows_match_golden() {
+    let lib = Library::fdsoi28();
+    let cases = tiny_cases(&lib);
+    let cfg = ErrorRateConfig {
+        cycles: 2000,
+        seed: 0xE0_5EED,
+    };
+    let rows: Vec<Vec<String>> = map_cases(&cases, |case| table8_row(case, &lib, &cfg))
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect();
+    check_golden("table8_tiny.txt", &rows);
 }

@@ -12,8 +12,7 @@
 //!   --clock NS            explicit max-path delay; default derives a
 //!                         clock from the converted critical path
 //!   --cycles N            equivalence-proof cycles (default 256)
-//!   --check 0|1|auto      equivalence proof on/off (default: the
-//!                         RETIME_CONVERT_CHECK knob, else on)
+//!   --check 0|1           equivalence proof off/on (default 1)
 //!   --retime              run Base / RVL-RAR / G-RAR on the converted
 //!                         circuit and print a Table-IV-style row
 //!                         (certified when RETIME_VERIFY=1)
@@ -28,7 +27,7 @@
 use std::path::Path;
 
 use retime_bench::{f2, pct_impr, print_table, Certification};
-use retime_convert::{convert, CheckMode, Conversion, ConvertConfig};
+use retime_convert::{convert, Conversion, ConvertConfig};
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, Netlist};
@@ -44,7 +43,7 @@ struct Options {
     no_convert: bool,
     clock: Option<f64>,
     cycles: usize,
-    check: CheckMode,
+    check: bool,
     retime: bool,
     overhead: EdlOverhead,
 }
@@ -109,7 +108,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let lib = Library::fdsoi28();
     let cfg = ConvertConfig {
         clock: opts.clock.map(TwoPhaseClock::from_max_delay),
-        check: opts.check.resolve(true),
+        check: opts.check,
         cycles: opts.cycles,
         ..ConvertConfig::default()
     };
@@ -153,7 +152,7 @@ fn print_report(name: &str, conv: &Conversion) {
             r.checked_cycles
         );
     } else {
-        println!("  equivalence      proof skipped (--check 0 / RETIME_CONVERT_CHECK=0)");
+        println!("  equivalence      proof skipped (--check 0)");
     }
     println!("  stages           {}", conv.phases);
 }
@@ -249,7 +248,7 @@ fn parse_args() -> Options {
         no_convert: false,
         clock: None,
         cycles: 256,
-        check: CheckMode::from_env(),
+        check: true,
         retime: false,
         overhead: EdlOverhead::MEDIUM,
     };
@@ -282,9 +281,11 @@ fn parse_args() -> Options {
             }
             "--check" => {
                 let raw = expect_value(&mut args, "--check");
-                opts.check = CheckMode::parse(&raw).unwrap_or_else(|_| {
-                    usage_error(&format!("--check wants 0|1|auto, got {raw:?}"))
-                });
+                opts.check = match raw.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    _ => usage_error(&format!("--check wants 0|1, got {raw:?}")),
+                };
             }
             "--retime" => opts.retime = true,
             "--c" => {
@@ -304,7 +305,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: retime-convert [--format bench|edif] [--out PATH] \
-                     [--no-convert] [--clock NS] [--cycles N] [--check 0|1|auto] \
+                     [--no-convert] [--clock NS] [--cycles N] [--check 0|1] \
                      [--retime] [--c low|medium|high|X] INPUT"
                 );
                 std::process::exit(0);

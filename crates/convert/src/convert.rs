@@ -30,8 +30,7 @@ use crate::error::ConvertError;
 pub struct ConvertConfig {
     /// Two-phase clock to report constraints against (`None` = derive).
     pub clock: Option<TwoPhaseClock>,
-    /// Prove functional equivalence by simulation (resolve the
-    /// `RETIME_CONVERT_CHECK` knob via [`crate::CheckMode::resolve`]).
+    /// Prove functional equivalence by simulation.
     pub check: bool,
     /// Random cycles the equivalence proof simulates.
     pub cycles: usize,

@@ -88,17 +88,18 @@ struct Reader<'a> {
 /// One end of a net: a port on an instance, or a top-level port.
 #[derive(Debug)]
 struct PortRef {
-    port: String,
-    instance: Option<String>,
+    port: Atom,
+    instance: Option<Atom>,
 }
 
+/// The top cell as read, every name still an interned [`Atom`].
 #[derive(Debug)]
 struct TopCell {
-    name: String,
-    inputs: Vec<String>,
-    outputs: Vec<String>,
-    instances: Vec<(String, Gate)>,
-    nets: Vec<(String, Vec<PortRef>)>,
+    name: Atom,
+    inputs: Vec<Atom>,
+    outputs: Vec<Atom>,
+    instances: Vec<(Atom, Gate)>,
+    nets: Vec<(Atom, Vec<PortRef>)>,
 }
 
 fn lower(forms: &[Sexpr], interner: &Interner) -> Result<EdifDesign, ConvertError> {
@@ -111,7 +112,7 @@ fn lower(forms: &[Sexpr], interner: &Interner) -> Result<EdifDesign, ConvertErro
     // Collect every (cell …) under every (library …) / (external …),
     // and the optional (design …) naming the top cell.
     let mut cells: Vec<&[Sexpr]> = Vec::new();
-    let mut design_top: Option<String> = None;
+    let mut design_top: Option<Atom> = None;
     for item in &edif[1..] {
         if let Some(lib) = r
             .list_with_kw(item, "library")
@@ -134,9 +135,9 @@ fn lower(forms: &[Sexpr], interner: &Interner) -> Result<EdifDesign, ConvertErro
         return Err(ConvertError::MissingSection("cell"));
     }
 
-    let top_form = select_top(&r, &cells, design_top.as_deref())?;
+    let top_form = select_top(&r, &cells, design_top)?;
     let top = r.read_top_cell(top_form)?;
-    let netlist = build_netlist(&top)?;
+    let netlist = build_netlist(&top, interner)?;
     Ok(EdifDesign {
         netlist,
         stats: EdifStats {
@@ -153,7 +154,7 @@ fn lower(forms: &[Sexpr], interner: &Interner) -> Result<EdifDesign, ConvertErro
 fn select_top<'a>(
     r: &Reader<'_>,
     cells: &[&'a [Sexpr]],
-    design_top: Option<&str>,
+    design_top: Option<Atom>,
 ) -> Result<&'a [Sexpr], ConvertError> {
     if let Some(wanted) = design_top {
         for cell in cells {
@@ -161,7 +162,7 @@ fn select_top<'a>(
                 return Ok(cell);
             }
         }
-        return Err(ConvertError::UnknownCell(wanted.to_string()));
+        return Err(ConvertError::UnknownCell(r.text(wanted).to_string()));
     }
     for cell in cells.iter().rev() {
         if let Some(view) = r.find_kw(&cell[1..], "view") {
@@ -198,21 +199,21 @@ impl Reader<'_> {
     /// Reads a name position: a bare identifier, a string, or a
     /// `(rename ident "original")` form — the original name wins so the
     /// writer's escaping round-trips.
-    fn name_of(&self, sx: Option<&Sexpr>) -> Result<String, ConvertError> {
+    fn name_of(&self, sx: Option<&Sexpr>) -> Result<Atom, ConvertError> {
         let name = match sx {
-            Some(Sexpr::Atom(a)) | Some(Sexpr::Str(a)) => self.text(*a).to_string(),
+            Some(Sexpr::Atom(a)) | Some(Sexpr::Str(a)) => *a,
             Some(list @ Sexpr::List(_)) => {
                 let rename = self.list_with_kw(list, "rename").ok_or_else(|| {
                     ConvertError::BadStructure("expected a name or (rename …)".into())
                 })?;
                 match rename.get(2).or_else(|| rename.get(1)) {
-                    Some(Sexpr::Str(a)) | Some(Sexpr::Atom(a)) => self.text(*a).to_string(),
+                    Some(Sexpr::Str(a)) | Some(Sexpr::Atom(a)) => *a,
                     _ => return Err(ConvertError::BadStructure("empty (rename …)".into())),
                 }
             }
             None => return Err(ConvertError::BadStructure("missing name".into())),
         };
-        check_name(&name)?;
+        check_name(self.text(name))?;
         Ok(name)
     }
 
@@ -236,18 +237,21 @@ impl Reader<'_> {
                 .find_kw(&port[1..], "direction")
                 .and_then(|d| d.get(1))
                 .and_then(Sexpr::as_atom)
-                .map(|a| self.text(a).to_ascii_uppercase());
-            match dir.as_deref() {
-                Some("INPUT") => inputs.push(pname),
-                Some("OUTPUT") => outputs.push(pname),
+                .map(|a| self.text(a));
+            match dir {
+                Some(d) if d.eq_ignore_ascii_case("INPUT") => inputs.push(pname),
+                Some(d) if d.eq_ignore_ascii_case("OUTPUT") => outputs.push(pname),
                 Some(other) => {
                     return Err(ConvertError::BadStructure(format!(
-                        "port `{pname}` has unsupported direction `{other}`"
+                        "port `{}` has unsupported direction `{}`",
+                        self.text(pname),
+                        other.to_ascii_uppercase()
                     )))
                 }
                 None => {
                     return Err(ConvertError::BadStructure(format!(
-                        "port `{pname}` has no (direction …)"
+                        "port `{}` has no (direction …)",
+                        self.text(pname)
                     )))
                 }
             }
@@ -265,17 +269,21 @@ impl Reader<'_> {
                         .or_else(|| self.find_kw(&inst[1..], "cellRef"))
                         .ok_or_else(|| {
                             ConvertError::BadStructure(format!(
-                                "instance `{iname}` has no (cellRef …)"
+                                "instance `{}` has no (cellRef …)",
+                                self.text(iname)
                             ))
                         })?;
-                    let cname = self.name_of(cell_ref.get(1))?;
-                    let gate = Gate::from_bench_name(&cname)
-                        .ok_or_else(|| ConvertError::UnknownCell(cname.clone()))?;
+                    let cname = self.text(self.name_of(cell_ref.get(1))?);
+                    let gate = Gate::from_bench_name(cname)
+                        .ok_or_else(|| ConvertError::UnknownCell(cname.to_string()))?;
                     instances.push((iname, gate));
                 } else if let Some(net) = self.list_with_kw(form, "net") {
                     let nname = self.name_of(net.get(1))?;
                     let joined = self.find_kw(&net[1..], "joined").ok_or_else(|| {
-                        ConvertError::BadStructure(format!("net `{nname}` has no (joined …)"))
+                        ConvertError::BadStructure(format!(
+                            "net `{}` has no (joined …)",
+                            self.text(nname)
+                        ))
                     })?;
                     let mut refs = Vec::new();
                     for pr in &joined[1..] {
@@ -325,22 +333,29 @@ enum PinRole {
 }
 
 fn pin_role(gate: Gate, port: &str, instance: &str) -> Result<PinRole, ConvertError> {
-    let upper = port.to_ascii_uppercase();
-    match upper.as_str() {
-        "Q" | "Y" | "O" | "Z" | "OUT" => return Ok(PinRole::Output),
-        "D" if gate.is_sequential() => return Ok(PinRole::Input(0)),
-        _ => {}
+    let is = |name: &str| port.eq_ignore_ascii_case(name);
+    if ["Q", "Y", "O", "Z", "OUT"].into_iter().any(is) {
+        return Ok(PinRole::Output);
     }
-    if let Some(idx) = upper
-        .strip_prefix('I')
-        .map(|r| r.strip_prefix('N').unwrap_or(r))
-        .and_then(|r| r.parse::<usize>().ok())
+    if is("D") && gate.is_sequential() {
+        return Ok(PinRole::Input(0));
+    }
+    // `I<k>` / `IN<k>`; the leading `I` is ASCII, so slicing after it is
+    // safe.
+    if port
+        .as_bytes()
+        .first()
+        .is_some_and(|c| c.eq_ignore_ascii_case(&b'I'))
     {
-        return Ok(PinRole::Input(idx));
+        let rest = &port[1..];
+        let digits = rest.strip_prefix(['N', 'n']).unwrap_or(rest);
+        if let Ok(idx) = digits.parse::<usize>() {
+            return Ok(PinRole::Input(idx));
+        }
     }
-    if upper.len() == 1 {
-        if let c @ 'A'..='H' = upper.as_bytes()[0] as char {
-            return Ok(PinRole::Input(c as usize - 'A' as usize));
+    if let &[c] = port.as_bytes() {
+        if let c @ b'A'..=b'H' = c.to_ascii_uppercase() {
+            return Ok(PinRole::Input(usize::from(c - b'A')));
         }
     }
     Err(ConvertError::UnknownPort {
@@ -349,76 +364,81 @@ fn pin_role(gate: Gate, port: &str, instance: &str) -> Result<PinRole, ConvertEr
     })
 }
 
-fn build_netlist(top: &TopCell) -> Result<Netlist, ConvertError> {
+fn build_netlist(top: &TopCell, interner: &Interner) -> Result<Netlist, ConvertError> {
+    let text = |a: Atom| interner.resolve(a);
+    let name = |a: Atom| text(a).to_string();
+    // Tables keyed by atom: one slot per distinct string of the source.
+    let atoms = interner.len();
+
     // Namespaces: inputs and instances share the cell namespace; output
     // markers are cells too and must not collide with either.
-    let mut instance_idx: HashMap<&str, usize> = HashMap::new();
-    for (i, (iname, _)) in top.instances.iter().enumerate() {
-        if instance_idx.insert(iname, i).is_some() {
+    let mut instance_idx: Vec<Option<usize>> = vec![None; atoms];
+    for (i, &(iname, _)) in top.instances.iter().enumerate() {
+        if instance_idx[iname.index()].replace(i).is_some() {
             return Err(ConvertError::DuplicateName {
                 kind: "instance",
-                name: iname.clone(),
+                name: name(iname),
             });
         }
     }
-    let mut port_dir: HashMap<&str, bool> = HashMap::new(); // true = input
-    for pname in &top.inputs {
-        if port_dir.insert(pname, true).is_some() || instance_idx.contains_key(pname.as_str()) {
+    let mut port_dir: Vec<Option<bool>> = vec![None; atoms]; // true = input
+    for &pname in &top.inputs {
+        if port_dir[pname.index()].replace(true).is_some() || instance_idx[pname.index()].is_some()
+        {
             return Err(ConvertError::DuplicateName {
                 kind: "port",
-                name: pname.clone(),
+                name: name(pname),
             });
         }
     }
-    for pname in &top.outputs {
-        if port_dir.insert(pname, false).is_some() {
+    for &pname in &top.outputs {
+        if port_dir[pname.index()].replace(false).is_some() {
             return Err(ConvertError::DuplicateName {
                 kind: "port",
-                name: pname.clone(),
+                name: name(pname),
             });
         }
     }
 
     // Resolve every net to one driver and a set of sinks.
-    let mut pin_driver: HashMap<(usize, usize), String> = HashMap::new(); // (instance, pin) -> driver
-    let mut output_driver: HashMap<&str, String> = HashMap::new(); // top OUTPUT port -> driver
-    let mut net_seen: HashMap<&str, ()> = HashMap::new();
+    let mut pin_driver: HashMap<(usize, usize), Atom> = HashMap::new(); // (instance, pin) -> driver
+    let mut output_driver: Vec<Option<Atom>> = vec![None; atoms]; // top OUTPUT port -> driver
+    let mut net_seen = vec![false; atoms];
     for (nname, refs) in &top.nets {
-        if net_seen.insert(nname, ()).is_some() {
+        if std::mem::replace(&mut net_seen[nname.index()], true) {
             return Err(ConvertError::DuplicateName {
                 kind: "net",
-                name: nname.clone(),
+                name: name(*nname),
             });
         }
-        let mut driver: Option<String> = None;
+        let mut driver: Option<Atom> = None;
         let mut sinks: Vec<(usize, usize)> = Vec::new(); // (instance, pin)
-        let mut out_ports: Vec<&str> = Vec::new();
+        let mut out_ports: Vec<Atom> = Vec::new();
         for pr in refs {
-            match &pr.instance {
+            match pr.instance {
                 Some(iname) => {
-                    let &idx = instance_idx
-                        .get(iname.as_str())
-                        .ok_or_else(|| ConvertError::UnknownInstance(iname.clone()))?;
-                    match pin_role(top.instances[idx].1, &pr.port, iname)? {
+                    let idx = instance_idx[iname.index()]
+                        .ok_or_else(|| ConvertError::UnknownInstance(name(iname)))?;
+                    match pin_role(top.instances[idx].1, text(pr.port), text(iname))? {
                         PinRole::Output => {
-                            if driver.replace(iname.clone()).is_some() {
-                                return Err(ConvertError::MultipleDrivers(nname.clone()));
+                            if driver.replace(iname).is_some() {
+                                return Err(ConvertError::MultipleDrivers(name(*nname)));
                             }
                         }
                         PinRole::Input(pin) => sinks.push((idx, pin)),
                     }
                 }
-                None => match port_dir.get(pr.port.as_str()) {
+                None => match port_dir[pr.port.index()] {
                     Some(true) => {
-                        if driver.replace(pr.port.clone()).is_some() {
-                            return Err(ConvertError::MultipleDrivers(nname.clone()));
+                        if driver.replace(pr.port).is_some() {
+                            return Err(ConvertError::MultipleDrivers(name(*nname)));
                         }
                     }
-                    Some(false) => out_ports.push(pr.port.as_str()),
+                    Some(false) => out_ports.push(pr.port),
                     None => {
                         return Err(ConvertError::UnknownPort {
                             instance: "<top>".into(),
-                            port: pr.port.clone(),
+                            port: name(pr.port),
                         })
                     }
                 },
@@ -427,20 +447,21 @@ fn build_netlist(top: &TopCell) -> Result<Netlist, ConvertError> {
         if sinks.is_empty() && out_ports.is_empty() {
             continue; // a dangling net is legal
         }
-        let driver = driver.ok_or_else(|| ConvertError::Undriven(nname.clone()))?;
+        let driver = driver.ok_or_else(|| ConvertError::Undriven(name(*nname)))?;
         for key in sinks {
-            if pin_driver.insert(key, driver.clone()).is_some() {
+            if pin_driver.insert(key, driver).is_some() {
                 let (idx, pin) = key;
                 return Err(ConvertError::BadStructure(format!(
                     "pin {pin} of instance `{}` is joined by two nets",
-                    top.instances[idx].0
+                    text(top.instances[idx].0)
                 )));
             }
         }
         for port in out_ports {
-            if output_driver.insert(port, driver.clone()).is_some() {
+            if output_driver[port.index()].replace(driver).is_some() {
                 return Err(ConvertError::BadStructure(format!(
-                    "output port `{port}` is joined by two nets"
+                    "output port `{}` is joined by two nets",
+                    text(port)
                 )));
             }
         }
@@ -451,12 +472,13 @@ fn build_netlist(top: &TopCell) -> Result<Netlist, ConvertError> {
     for &(idx, pin) in pin_driver.keys() {
         pin_count[idx] = pin_count[idx].max(pin + 1);
     }
-    for (idx, (iname, gate)) in top.instances.iter().enumerate() {
+    for (idx, &(iname, gate)) in top.instances.iter().enumerate() {
         let n = pin_count[idx];
         for pin in 0..n {
             if !pin_driver.contains_key(&(idx, pin)) {
                 return Err(ConvertError::BadStructure(format!(
-                    "instance `{iname}` is missing a net on pin {pin}"
+                    "instance `{}` is missing a net on pin {pin}",
+                    text(iname)
                 )));
             }
         }
@@ -464,7 +486,7 @@ fn build_netlist(top: &TopCell) -> Result<Netlist, ConvertError> {
         if n < lo || n > hi {
             return Err(ConvertError::Netlist(
                 retime_netlist::NetlistError::BadArity {
-                    cell: iname.clone(),
+                    cell: name(iname),
                     got: n,
                 },
             ));
@@ -473,37 +495,30 @@ fn build_netlist(top: &TopCell) -> Result<Netlist, ConvertError> {
 
     // Build: inputs, then instances (placeholder fanin, rewired once all
     // cells exist — EDIF contents order is arbitrary), then outputs.
-    let mut n = Netlist::new(top.name.clone());
-    let mut ids: HashMap<&str, CellId> = HashMap::new();
-    for pname in &top.inputs {
+    let mut n = Netlist::new(name(top.name));
+    let mut ids: Vec<Option<CellId>> = vec![None; atoms];
+    let id_of = |ids: &[Option<CellId>], a: Atom| {
+        ids[a.index()].ok_or_else(|| ConvertError::UnknownInstance(name(a)))
+    };
+    for &pname in &top.inputs {
         // Collisions were rejected above, so the panicking `add_input`
         // cannot fire here.
-        ids.insert(pname, n.add_input(pname.clone()));
+        ids[pname.index()] = Some(n.add_input(name(pname)));
     }
-    for (idx, (iname, gate)) in top.instances.iter().enumerate() {
-        let id = n.add_gate(iname.clone(), *gate, &vec![CellId(0); pin_count[idx]])?;
-        ids.insert(iname, id);
+    for (idx, &(iname, gate)) in top.instances.iter().enumerate() {
+        let id = n.add_gate(name(iname), gate, &vec![CellId(0); pin_count[idx]])?;
+        ids[iname.index()] = Some(id);
     }
-    for (idx, (iname, _)) in top.instances.iter().enumerate() {
+    for (idx, &(iname, _)) in top.instances.iter().enumerate() {
         let fanin: Vec<CellId> = (0..pin_count[idx])
-            .map(|pin| {
-                let driver = &pin_driver[&(idx, pin)];
-                ids.get(driver.as_str())
-                    .copied()
-                    .ok_or_else(|| ConvertError::UnknownInstance(driver.clone()))
-            })
+            .map(|pin| id_of(&ids, pin_driver[&(idx, pin)]))
             .collect::<Result<_, _>>()?;
-        n.replace_fanin(ids[iname.as_str()], fanin);
+        n.replace_fanin(id_of(&ids, iname)?, fanin);
     }
-    for pname in &top.outputs {
-        let driver = output_driver
-            .get(pname.as_str())
-            .ok_or_else(|| ConvertError::Undriven(pname.clone()))?;
-        let drv = ids
-            .get(driver.as_str())
-            .copied()
-            .ok_or_else(|| ConvertError::UnknownInstance(driver.clone()))?;
-        n.add_output(pname.clone(), drv)?;
+    for &pname in &top.outputs {
+        let driver =
+            output_driver[pname.index()].ok_or_else(|| ConvertError::Undriven(name(pname)))?;
+        n.add_output(name(pname), id_of(&ids, driver)?)?;
     }
     n.validate()?;
     Ok(n)

@@ -20,8 +20,6 @@
 //!   `retime-sta`. Runs as a [`retime_engine::Stage::Convert`] front
 //!   stage with trace spans and counters, and proves the converted
 //!   circuit functionally equivalent to its FF source by simulation.
-//! * [`CheckMode`] — the `RETIME_CONVERT_CHECK` env knob with the
-//!   workspace's shared warn-once unrecognized-value behavior.
 //!
 //! The `retime-convert` binary wraps all of it as a CLI
 //! (`.bench`/EDIF in → converted netlist out, optionally straight
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod atom;
-pub mod check;
 #[allow(clippy::module_inception)]
 pub mod convert;
 pub mod edif;
@@ -40,7 +37,6 @@ pub mod error;
 pub mod sexpr;
 
 pub use atom::{Atom, Interner};
-pub use check::CheckMode;
 pub use convert::{convert, Conversion, ConvertConfig, ConvertReport};
 pub use edif::{EdifDesign, EdifStats};
 pub use error::ConvertError;

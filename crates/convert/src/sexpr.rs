@@ -76,12 +76,19 @@ pub fn parse_with_limits(
     interner: &mut Interner,
     limits: Limits,
 ) -> Result<Vec<Sexpr>, ConvertError> {
+    // Every token and string literal starts and ends next to an ASCII
+    // delimiter (or at an end of `src`), and a UTF-8 continuation byte is
+    // never ASCII, so slicing `src` at those bounds cannot split a char.
     let bytes = src.as_bytes();
     let mut pos = 0usize;
     let mut line = 1usize;
     let mut col = 1usize;
-    // Explicit stack of open lists; `stack[0]` collects top-level forms.
-    let mut stack: Vec<Vec<Sexpr>> = vec![Vec::new()];
+    // Explicit stack of open lists: `items` holds the finished children
+    // of every open list (and the finished top-level forms), innermost
+    // last; `opens` holds where each open list's children start. A list
+    // moves its children out in one exact-size allocation when it closes.
+    let mut items: Vec<Sexpr> = Vec::new();
+    let mut opens: Vec<usize> = Vec::new();
 
     while pos < bytes.len() {
         let b = bytes[pos];
@@ -96,25 +103,22 @@ pub fn parse_with_limits(
                 col = 1;
             }
             b'(' => {
-                if stack.len() > limits.max_depth {
+                if opens.len() >= limits.max_depth {
                     return Err(ConvertError::TooDeep {
                         limit: limits.max_depth,
                         line,
                     });
                 }
-                stack.push(Vec::new());
+                opens.push(items.len());
                 pos += 1;
                 col += 1;
             }
             b')' => {
-                let Some(done) = (stack.len() > 1).then(|| stack.pop().unwrap_or_default()) else {
+                let Some(start) = opens.pop() else {
                     return Err(ConvertError::UnexpectedClose { line, col });
                 };
-                // `stack` is never empty: the pop above only runs with
-                // len > 1, so an enclosing frame always remains.
-                if let Some(top) = stack.last_mut() {
-                    top.push(Sexpr::List(done));
-                }
+                let list = items.drain(start..).collect();
+                items.push(Sexpr::List(list));
                 pos += 1;
                 col += 1;
             }
@@ -131,16 +135,7 @@ pub fn parse_with_limits(
                         message: "unterminated string literal".into(),
                     });
                 }
-                let text =
-                    std::str::from_utf8(&bytes[start..end]).map_err(|_| ConvertError::Syntax {
-                        line,
-                        col,
-                        message: "string literal is not valid UTF-8".into(),
-                    })?;
-                let atom = interner.intern(text);
-                if let Some(top) = stack.last_mut() {
-                    top.push(Sexpr::Str(atom));
-                }
+                items.push(Sexpr::Str(interner.intern(&src[start..end])));
                 col += end + 1 - pos;
                 pos = end + 1;
             }
@@ -150,29 +145,20 @@ pub fn parse_with_limits(
                 while end < bytes.len() && !is_delimiter(bytes[end]) {
                     end += 1;
                 }
-                let text =
-                    std::str::from_utf8(&bytes[start..end]).map_err(|_| ConvertError::Syntax {
-                        line,
-                        col,
-                        message: "token is not valid UTF-8".into(),
-                    })?;
-                let atom = interner.intern(text);
-                if let Some(top) = stack.last_mut() {
-                    top.push(Sexpr::Atom(atom));
-                }
+                items.push(Sexpr::Atom(interner.intern(&src[start..end])));
                 col += end - pos;
                 pos = end;
             }
         }
     }
 
-    if stack.len() > 1 {
+    if !opens.is_empty() {
         return Err(ConvertError::Truncated {
-            open: stack.len() - 1,
+            open: opens.len(),
             line,
         });
     }
-    Ok(stack.pop().unwrap_or_default())
+    Ok(items)
 }
 
 fn is_delimiter(b: u8) -> bool {

@@ -134,20 +134,25 @@ impl Gate {
 
     /// Parses a `.bench` gate keyword (case-insensitive).
     pub fn from_bench_name(s: &str) -> Option<Gate> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "BUF" | "BUFF" => Gate::Buf,
-            "NOT" | "INV" => Gate::Not,
-            "AND" => Gate::And,
-            "NAND" => Gate::Nand,
-            "OR" => Gate::Or,
-            "NOR" => Gate::Nor,
-            "XOR" => Gate::Xor,
-            "XNOR" => Gate::Xnor,
-            "DFF" => Gate::Dff,
-            "LATCHM" => Gate::LatchMaster,
-            "LATCHS" => Gate::LatchSlave,
-            _ => return None,
-        })
+        const KEYWORDS: [(&str, Gate); 13] = [
+            ("BUF", Gate::Buf),
+            ("BUFF", Gate::Buf),
+            ("NOT", Gate::Not),
+            ("INV", Gate::Not),
+            ("AND", Gate::And),
+            ("NAND", Gate::Nand),
+            ("OR", Gate::Or),
+            ("NOR", Gate::Nor),
+            ("XOR", Gate::Xor),
+            ("XNOR", Gate::Xnor),
+            ("DFF", Gate::Dff),
+            ("LATCHM", Gate::LatchMaster),
+            ("LATCHS", Gate::LatchSlave),
+        ];
+        KEYWORDS
+            .iter()
+            .find(|(kw, _)| kw.eq_ignore_ascii_case(s))
+            .map(|&(_, g)| g)
     }
 }
 

@@ -34,6 +34,16 @@ pub enum NetlistError {
     /// An operation required flip-flops but the netlist has a different
     /// sequential style (or vice versa).
     WrongSequentialStyle(String),
+    /// Two netlists compared port by port declare different numbers of
+    /// primary inputs or outputs.
+    InterfaceMismatch {
+        /// `"input"` or `"output"`.
+        ports: &'static str,
+        /// The port count of the first netlist.
+        left: usize,
+        /// The port count of the second netlist.
+        right: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -53,6 +63,9 @@ impl fmt::Display for NetlistError {
             NetlistError::Inconsistent(m) => write!(f, "inconsistent netlist: {m}"),
             NetlistError::WrongSequentialStyle(m) => {
                 write!(f, "wrong sequential style: {m}")
+            }
+            NetlistError::InterfaceMismatch { ports, left, right } => {
+                write!(f, "primary {ports} counts differ: {left} vs {right}")
             }
         }
     }

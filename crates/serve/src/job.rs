@@ -8,7 +8,7 @@
 
 use retime_bench::{build_case, Certification};
 use retime_circuits::paper_suite;
-use retime_convert::{CheckMode, ConvertConfig};
+use retime_convert::ConvertConfig;
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
@@ -264,11 +264,11 @@ fn resolve_parsed(name: &str, parsed: &Netlist, lib: &Library) -> Result<Resolve
 /// spec's input `format` (EDIF inline text goes through
 /// `retime-convert`'s parser) and its `convert` switch (the resolved
 /// edge-triggered circuit is split into a two-phase master/slave
-/// circuit before the flow sees it, equivalence-proven by simulation
-/// unless `RETIME_CONVERT_CHECK=0`). The returned canonical text is of
-/// the circuit the flow actually runs on, so converted and unconverted
-/// submissions of the same source can never alias a cache entry even
-/// before [`KeyConfig::convert`] separates their keys.
+/// circuit before the flow sees it, equivalence-proven by simulation).
+/// The returned canonical text is of the circuit the flow actually runs
+/// on, so converted and unconverted submissions of the same source can
+/// never alias a cache entry even before [`KeyConfig::convert`]
+/// separates their keys.
 ///
 /// # Errors
 /// Returns a one-line diagnosis for parse, conversion, equivalence, or
@@ -287,7 +287,6 @@ pub fn resolve_spec(spec: &JobSpec, lib: &Library) -> Result<ResolvedCircuit, St
     }
     let cfg = ConvertConfig {
         clock: Some(base.clock),
-        check: CheckMode::from_env().resolve(true),
         ..ConvertConfig::default()
     };
     let conv = retime_convert::convert(&base.netlist, lib, &cfg)

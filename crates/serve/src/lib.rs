@@ -41,8 +41,8 @@
 //! inline `netlist`) and may ask for the edge-triggered → two-phase
 //! conversion front door (`"convert":true`): the circuit is split into
 //! master/slave latches by `retime-convert` — equivalence-proven by
-//! simulation unless `RETIME_CONVERT_CHECK=0` — before the flow runs,
-//! and the `convert` switch is a cache-key dimension of its own.
+//! simulation — before the flow runs, and the `convert` switch is a
+//! cache-key dimension of its own.
 //!
 //! Protocol (one JSON object per line, both directions):
 //!

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use retime_netlist::{CloudEdge, CombCloud, Cut, Gate, NodeKind};
+use retime_netlist::{CloudEdge, CombCloud, Cut, NodeKind};
 use retime_sta::{NodeDelays, TwoPhaseClock};
 
 /// Configuration of an error-rate run.
@@ -94,6 +94,30 @@ pub fn error_rate(
     let mut error_cycles = 0usize;
     let mut silent_hazard_cycles = 0usize;
 
+    // The cut is fixed for the whole run: flag once, per fanin edge of
+    // every non-source node in topological order, whether its value
+    // crosses a slave latch (a cut edge, or an unmoved source's own
+    // slave).
+    let mut latched: Vec<bool> = Vec::new();
+    for &v in cloud.topo() {
+        if cloud.node(v).is_source() {
+            continue;
+        }
+        latched.extend(cloud.node(v).fanin.iter().map(|&u| {
+            cut.edge_latched(CloudEdge { from: u, to: v })
+                || (cloud.node(u).is_source() && !cut.is_moved(u))
+        }));
+    }
+    let mut vals: Vec<bool> = Vec::new();
+    // A fanin wave's transition time as seen across its edge.
+    let seen_at = |w: Wave, latched: bool| {
+        if latched {
+            relaunch_time(w.time, clock, delays)
+        } else {
+            w.time
+        }
+    };
+
     for _cycle in 0..cfg.cycles {
         // Sources: fresh random values, transitions at the launch time.
         for &s in cloud.sources() {
@@ -104,30 +128,20 @@ pub fn error_rate(
             w.time = delays.launch();
         }
         // Propagate in topological order.
+        let mut edge = 0;
         for &v in cloud.topo() {
             let node = cloud.node(v);
             if node.is_source() {
                 continue;
             }
-            // Gather fanin waves as seen across (possibly latched) edges.
-            let mut ins: Vec<(bool, bool, f64)> = Vec::with_capacity(node.fanin.len());
-            for &u in &node.fanin {
-                let latched = cut.edge_latched(CloudEdge { from: u, to: v })
-                    || (cloud.node(u).is_source() && !cut.is_moved(u));
-                let w = waves[u.index()];
-                if latched {
-                    let t = relaunch_time(w.time, clock, delays);
-                    ins.push((w.value, w.toggled, t));
-                } else {
-                    ins.push((w.value, w.toggled, w.time));
-                }
-            }
-            match node.kind {
+            let fanin = &node.fanin;
+            let edges = &latched[edge..edge + fanin.len()];
+            edge += fanin.len();
+            waves[v.index()] = match node.kind {
                 NodeKind::Gate { gate, .. } => {
-                    let vals: Vec<bool> = ins.iter().map(|&(b, _, _)| b).collect();
+                    vals.clear();
+                    vals.extend(fanin.iter().map(|u| waves[u.index()].value));
                     let new = gate.eval(&vals);
-                    let old = waves[v.index()].value;
-                    let toggled = new != old;
                     // Last-transition model with the *actual* output
                     // polarity: the concrete values tell us whether the
                     // settling transition rises or falls, so the timed
@@ -135,28 +149,28 @@ pub fn error_rate(
                     // path-based STA that assigned the EDL flags.
                     let arc = delays.arc(v);
                     let gate_delay = if new { arc.rise } else { arc.fall };
-                    let time = ins
+                    let time = fanin
                         .iter()
-                        .filter(|&&(_, tog, _)| tog)
-                        .map(|&(_, _, t)| t + gate_delay)
+                        .zip(edges)
+                        .map(|(u, &l)| (waves[u.index()], l))
+                        .filter(|&(w, _)| w.toggled)
+                        .map(|(w, l)| seen_at(w, l) + gate_delay)
                         .fold(delays.launch(), f64::max);
-                    waves[v.index()] = Wave {
+                    Wave {
                         value: new,
-                        toggled,
+                        toggled: new != waves[v.index()].value,
                         time,
-                    };
-                    let _ = Gate::Buf; // (gate alphabet fully handled by eval)
+                    }
                 }
                 NodeKind::Sink { .. } => {
-                    let (value, toggled, time) = ins[0];
-                    waves[v.index()] = Wave {
-                        value,
-                        toggled,
-                        time,
-                    };
+                    let w = waves[fanin[0].index()];
+                    Wave {
+                        time: seen_at(w, edges[0]),
+                        ..w
+                    }
                 }
                 NodeKind::Source { .. } => unreachable!("skipped above"),
-            }
+            };
         }
         // Window check per master-backed sink (primary-output sinks carry
         // no master latch, hence neither EDL nor hazard semantics).

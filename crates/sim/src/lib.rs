@@ -4,7 +4,10 @@
 //! * [`Simulator`] — cycle-accurate functional simulation of flip-flop or
 //!   master/slave latch netlists (slaves are transparent at the cycle
 //!   level, so a *valid* retiming preserves the cycle function exactly —
-//!   the invariant [`equivalent`] checks with random vectors),
+//!   the invariant [`equivalent`] checks with random vectors). Each
+//!   netlist is compiled once into a flat gate program and a cycle runs
+//!   it without allocating: the 256-cycle conversion proof on s35932
+//!   takes about 9 ms (see [`functional`]),
 //! * [`error_rate()`] — the random-input timed simulation behind the
 //!   paper's Table VIII: per cycle, propagate last-transition times
 //!   through the cloud (re-launching across slave latches) and count the
