@@ -1,16 +1,57 @@
 //! The target-master cut-set `g(t)` of Eqs. (8)–(9), in both the
 //! deterministic and the statistical (margined-arrival) formulations.
 //!
-//! Every step of a target's classification touches only its fan-in cone
-//! `FIC(t)`: the backward pass walks and sweeps the cone, the frontier
-//! search and the `worst_initial` fold iterate it, and the soundness
-//! check builds the canonical cut with one closure walk from `g(t)` and
-//! propagates the sink's arrival over the cone alone. [`classify_many`]
-//! keeps all cloud-sized buffers in one scratch per worker.
+//! [`cut_set`] and [`classify_and_cut_set`] are the definitions, stated
+//! on a [`BackwardPass`]: [`TimingAnalysis::worst_initial`] decides
+//! "never error-detecting", the frontier scan builds `g(t)`, and the
+//! canonical cut — the fan-in closure of `g(t)` — must legally place
+//! the slaves and bring the sink's arrival within `Π`.
+//!
+//! [`classify_many`] computes the same `(class, g(t))` pairs in two
+//! steps under the deterministic models.
+//!
+//! 1. **Forward bound.** One whole-cloud forward pass with every slave at
+//!    its source ([`TimingAnalysis::initial_arrivals`]) gives each sink
+//!    the value `worst_initial` computes backward. Both are the maximum
+//!    over the same source→sink paths, summed in opposite order. Rounding
+//!    is monotone, so `fl(max(a, b) + d) = max(fl(a + d), fl(b + d))`:
+//!    each side equals the maximum over its per-path sums, and the two
+//!    differ only by the rounding along single paths. A path of `L`
+//!    additions of non-negative terms is off its exact sum `S` by about
+//!    `L·u·S` at most (`u = ε/2`, to first order), so the two sums of
+//!    one path are within `2L·u·S`, and so are the two maxima. `L` is at
+//!    most the node count `n` plus one. [`initial_rounding_bound`]
+//!    allows `4(n + 2)·u` of the larger value, at least twice that; the
+//!    slack absorbs the higher-order terms and the rounding of the
+//!    check itself. A sink whose forward value plus the bound meets
+//!    `Π + EPS` is never error-detecting, settled without walking its
+//!    cone; every other sink takes step 2, so the classification stays
+//!    exact.
+//! 2. **One fused sweep per cone.** The cone is walked over a flat copy
+//!    of the fanins, then visited sink first. Each node pushes its
+//!    `through` value into its fanins, so every in-cone edge is touched
+//!    once and out-of-cone fanouts never are. The same edge visit
+//!    evaluates `A(u, w, t)` (Eq. 5) for both `g(t)` conditions ("a
+//!    fanout placement meets `Π`" for `u`, "a fanin placement violates
+//!    `Π`" for `w`), and each source folds its `a_host` into the worst
+//!    initial arrival. `f64::max` is exact and no value is NaN (delays
+//!    are finite), so neither the push order nor the fold order can
+//!    change a bit. Then the canonical cut is placed by one closure walk
+//!    and timed over the cone alone, as in the definition.
+//!
+//! The statistical model has no such forward/backward duality (Clark's
+//! max is order-sensitive), so it classifies each sink by the
+//! definitional [`classify_and_cut_set_stat`] over a reused
+//! [`StatBackward`].
 
-use retime_liberty::DelayArc;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use retime_engine::PhaseTimings;
+use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CombCloud, ConeWalk, NodeId};
-use retime_sta::{BackwardPass, DelayModel, SinkClass, TimingAnalysis};
+use retime_sta::{
+    backward_through_gate, relaunch, BackwardPass, DelayModel, SinkClass, TimingAnalysis,
+};
 use retime_stat::{Canon, StatBackward, StatTiming};
 
 /// Small tolerance absorbing floating-point noise against `Π`.
@@ -62,28 +103,24 @@ pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
     out
 }
 
-/// Scratch for the canonical-cut soundness check: the moved set (the
-/// fan-in closure of `g(t)`) and a cloud-sized forward-arrival buffer of
-/// which only the sink's cone is ever written.
-struct CanonicalCut<A> {
-    moved: ConeWalk,
-    arr: Vec<A>,
-}
-
-impl<A: Clone + Default> CanonicalCut<A> {
-    fn new(cloud: &CombCloud) -> Self {
-        CanonicalCut {
-            moved: ConeWalk::new(cloud),
-            arr: vec![A::default(); cloud.len()],
-        }
-    }
-
-    /// Moves exactly the union of `g`'s fan-in closures (the minimal
-    /// movement past the frontier); `false` if that is not a legal cut.
-    fn place(&mut self, cloud: &CombCloud, g: &[NodeId]) -> bool {
-        self.moved.walk(cloud, g.iter().copied());
-        self.moved.is_valid_moved_set(cloud)
-    }
+/// The soundness check for the pseudo-node reward: places the
+/// *canonical* cut, which moves exactly the union of `g`'s fan-in
+/// closures, and tests that it is legal and that the arrival at the
+/// cone's sink meets `Π` under the full timing model. This is exact for
+/// the cut the pseudo node promises, including tap branches whose safe
+/// positions lie beyond the frontier. `cone` is the sink's fan-in cone,
+/// sink first; `moved` and `arr` are cloud-sized scratch.
+fn canonical_cut_meets(
+    sta: &TimingAnalysis<'_>,
+    cone: &[NodeId],
+    g: &[NodeId],
+    moved: &mut ConeWalk,
+    arr: &mut [DelayArc],
+) -> bool {
+    let cloud = sta.cloud();
+    moved.walk(cloud, g.iter().copied());
+    moved.is_valid_moved_set(cloud)
+        && sta.sink_arrival_with_moved(cone, moved, arr) <= sta.clock().period() + EPS
 }
 
 /// Authoritative endpoint classification for G-RAR, refining
@@ -98,19 +135,12 @@ impl<A: Clone + Default> CanonicalCut<A> {
 ///   latch D-to-Q delay alone pushes every placement past `Π`, which the
 ///   coarse pure-path test misses).
 ///
-/// Allocates cloud-sized scratch per call; [`classify_many`] reuses one
-/// per worker instead.
+/// This is the definition [`classify_many`] must reproduce bit for bit.
+/// A sink that reaches the soundness check allocates cloud-sized
+/// scratch for it.
 pub fn classify_and_cut_set(
     sta: &TimingAnalysis<'_>,
     bp: &BackwardPass,
-) -> (SinkClass, Vec<NodeId>) {
-    classify_det(sta, bp, &mut CanonicalCut::new(sta.cloud()))
-}
-
-fn classify_det(
-    sta: &TimingAnalysis<'_>,
-    bp: &BackwardPass,
-    cc: &mut CanonicalCut<DelayArc>,
 ) -> (SinkClass, Vec<NodeId>) {
     let pi = sta.clock().period();
     if sta.worst_initial(bp) <= pi + EPS {
@@ -120,18 +150,37 @@ fn classify_det(
     if g.is_empty() {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    // Soundness check for the pseudo-node reward: evaluate the *canonical*
-    // cut that moves exactly the union of g(t)'s fan-in closures and
-    // verify the arrival at t actually meets Π under the full timing
-    // model. This is exact for the cut the pseudo node promises,
-    // including tap branches whose safe positions lie beyond the frontier.
-    if !cc.place(sta.cloud(), &g) {
-        return (SinkClass::AlwaysErrorDetecting, Vec::new());
-    }
-    if sta.sink_arrival_with_moved(bp, &cc.moved, &mut cc.arr) <= pi + EPS {
+    let cloud = sta.cloud();
+    let mut moved = ConeWalk::new(cloud);
+    let mut arr = vec![DelayArc::default(); cloud.len()];
+    if canonical_cut_meets(sta, bp.cone(), &g, &mut moved, &mut arr) {
         (SinkClass::Target, g)
     } else {
         (SinkClass::AlwaysErrorDetecting, Vec::new())
+    }
+}
+
+/// Scratch for the statistical canonical-cut soundness check: the moved
+/// set (the fan-in closure of `g(t)`) and a cloud-sized canonical
+/// arrival buffer of which only the sink's cone is ever written.
+struct CanonicalCut {
+    moved: ConeWalk,
+    arr: Vec<Canon>,
+}
+
+impl CanonicalCut {
+    fn new(cloud: &CombCloud) -> Self {
+        CanonicalCut {
+            moved: ConeWalk::new(cloud),
+            arr: vec![Canon::default(); cloud.len()],
+        }
+    }
+
+    /// Moves exactly the union of `g`'s fan-in closures (the minimal
+    /// movement past the frontier); `false` if that is not a legal cut.
+    fn place(&mut self, cloud: &CombCloud, g: &[NodeId]) -> bool {
+        self.moved.walk(cloud, g.iter().copied());
+        self.moved.is_valid_moved_set(cloud)
     }
 }
 
@@ -183,7 +232,7 @@ pub fn classify_and_cut_set_stat(
 fn classify_stat(
     st: &StatTiming<'_>,
     sb: &StatBackward,
-    cc: &mut CanonicalCut<Canon>,
+    cc: &mut CanonicalCut,
 ) -> (SinkClass, Vec<NodeId>) {
     let pi = st.period();
     if st.worst_initial_margined(sb) <= pi + EPS {
@@ -204,14 +253,281 @@ fn classify_stat(
     }
 }
 
-/// Batch form of [`classify_and_cut_set`]: classifies every target sink,
-/// fanning the per-target backward pass *and* the cut-set construction —
-/// the dominant cost of a G-RAR run — out across `threads` workers (`0` =
-/// auto, honoring `RETIME_THREADS`). Each worker owns one scratch — a
-/// reusable [`BackwardPass`], a closure walk and an arrival buffer,
-/// built by [`retime_engine::parallel_map_with`] — so a target costs
-/// O(its cone), and peak memory stays at one cloud-sized scratch per
+/// How far a sink's forward initial arrival `forward` (from
+/// [`TimingAnalysis::initial_arrivals`]) may lie from its
+/// [`TimingAnalysis::worst_initial`] in a cloud of `nodes` nodes under
+/// period `period`: `2(nodes + 2)·ε·max(|forward|, period)`, twice the
+/// rounding argued in the module docs. A looser bound only settles
+/// fewer sinks; it cannot change a class. On the suite it is at most
+/// 2.4e-11 (synth4x, ~41k nodes), against measured differences of at
+/// most 2.9e-15 and the `1e-9` tolerance against `Π`.
+pub fn initial_rounding_bound(nodes: usize, forward: f64, period: f64) -> f64 {
+    2.0 * (nodes as f64 + 2.0) * f64::EPSILON * forward.abs().max(period)
+}
+
+/// What one [`classify_many_counted`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassifyCounts {
+    /// Never-error-detecting sinks settled by the forward bound, without
+    /// walking their cones.
+    pub bounded: u64,
+    /// Cone nodes visited by the per-sink sweeps.
+    pub swept: u64,
+}
+
+impl ClassifyCounts {
+    /// Adds both counts to a stage's instrumentation, as the `bounded`
+    /// and `swept` counters.
+    pub fn record(self, timings: &mut PhaseTimings) {
+        timings.count("bounded", self.bounded);
+        timings.count("swept", self.swept);
+    }
+}
+
+/// Per-node data the fused sweep reads, copied out of the cloud and the
+/// timing analysis once per call.
+#[derive(Debug, Clone, Copy)]
+struct SweepNode {
+    /// Gate delay arc (zero for sources and sinks).
+    arc: DelayArc,
+    /// Gate unateness.
+    sense: Sense,
+    /// Whether the node is a source.
+    source: bool,
+    /// `D^f(u) + d^{d_q}` per polarity: the latch-placement half of
+    /// Eq. (5) for every edge leaving `u`.
+    dfq: DelayArc,
+}
+
+/// The read-only view of the cloud the fused sweep runs on: fanins in
+/// flat CSR form plus the per-node [`SweepNode`] data, shared by every
 /// worker.
+struct SweepGraph {
+    /// `fanin[start[v]..start[v + 1]]` are `v`'s fanins.
+    start: Vec<u32>,
+    fanin: Vec<NodeId>,
+    node: Vec<SweepNode>,
+    /// `Π + EPS`.
+    limit: f64,
+    /// `φ1 + γ1 + d^{ck_q}`: the window term of Eq. (5).
+    open: f64,
+    /// The re-launched master output seen past a slave at a source.
+    relaunched: DelayArc,
+}
+
+impl SweepGraph {
+    fn new(sta: &TimingAnalysis<'_>) -> SweepGraph {
+        let cloud = sta.cloud();
+        let delays = sta.delays();
+        let dq = delays.latch_dq();
+        let mut start = Vec::with_capacity(cloud.len() + 1);
+        let mut fanin = Vec::with_capacity(cloud.edge_count());
+        let mut node = Vec::with_capacity(cloud.len());
+        start.push(0);
+        for (i, n) in cloud.nodes().iter().enumerate() {
+            let v = NodeId(i as u32);
+            fanin.extend_from_slice(&n.fanin);
+            start.push(u32::try_from(fanin.len()).expect("a cloud's edge count fits in u32"));
+            let df = sta.df_arc(v);
+            node.push(SweepNode {
+                arc: delays.arc(v),
+                sense: delays.sense(v),
+                source: n.is_source(),
+                dfq: DelayArc {
+                    rise: df.rise + dq,
+                    fall: df.fall + dq,
+                },
+            });
+        }
+        let clock = sta.clock();
+        SweepGraph {
+            start,
+            fanin,
+            node,
+            limit: clock.period() + EPS,
+            open: clock.slave_open() + delays.latch_ckq(),
+            relaunched: relaunch(DelayArc::symmetric(delays.launch()), clock, delays),
+        }
+    }
+
+    fn fanins(&self, v: NodeId) -> &[NodeId] {
+        &self.fanin[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
+}
+
+/// Per-node scratch of one sweep: cone membership and the "a fanout
+/// placement meets `Π`" flag, both as epoch stamps so a new cone clears
+/// nothing, and `D^b(v, t)` per output polarity.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    fo: DelayArc,
+    mark: u32,
+    ok: u32,
+}
+
+/// The identity of the per-polarity max: a cone node's `D^b` before its
+/// first in-cone fanout pushes into it.
+const NEG_ARC: DelayArc = DelayArc {
+    rise: f64::NEG_INFINITY,
+    fall: f64::NEG_INFINITY,
+};
+
+/// One worker's scratch for the fused sweep: the per-node slots, the
+/// walk's stack and order, and the canonical-cut check's closure walk
+/// and arrival buffer. Allocated once per worker at the cloud's size.
+struct Sweep {
+    epoch: u32,
+    slot: Vec<Slot>,
+    /// DFS stack: a node and its next fanin's position in the CSR.
+    stack: Vec<(NodeId, u32)>,
+    /// The current cone, sink first, every node before its fanins.
+    order: Vec<NodeId>,
+    moved: ConeWalk,
+    arr: Vec<DelayArc>,
+}
+
+impl Sweep {
+    fn new(cloud: &CombCloud) -> Sweep {
+        Sweep {
+            epoch: 0,
+            slot: vec![
+                Slot {
+                    fo: NEG_ARC,
+                    mark: 0,
+                    ok: 0,
+                };
+                cloud.len()
+            ],
+            stack: Vec::new(),
+            order: Vec::new(),
+            moved: ConeWalk::new(cloud),
+            arr: vec![DelayArc::default(); cloud.len()],
+        }
+    }
+
+    /// Classifies sink `t`, exactly as [`classify_and_cut_set`] does.
+    fn classify(
+        &mut self,
+        sta: &TimingAnalysis<'_>,
+        graph: &SweepGraph,
+        t: NodeId,
+    ) -> (SinkClass, Vec<NodeId>) {
+        self.walk(graph, t);
+        let (worst_initial, g) = self.sweep(graph);
+        if worst_initial <= graph.limit {
+            return (SinkClass::NeverErrorDetecting, Vec::new());
+        }
+        if g.is_empty() {
+            return (SinkClass::AlwaysErrorDetecting, Vec::new());
+        }
+        if canonical_cut_meets(sta, &self.order, &g, &mut self.moved, &mut self.arr) {
+            (SinkClass::Target, g)
+        } else {
+            (SinkClass::AlwaysErrorDetecting, Vec::new())
+        }
+    }
+
+    /// Walks `t`'s fan-in cone into `order` in reverse post-order,
+    /// stamping each member and resetting its `D^b` accumulator.
+    fn walk(&mut self, graph: &SweepGraph, t: NodeId) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp overflow: forget every old stamp once per 2^32 walks.
+            for s in &mut self.slot {
+                s.mark = 0;
+                s.ok = 0;
+            }
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.order.clear();
+        let enter = |slot: &mut Slot| {
+            slot.mark = epoch;
+            slot.fo = NEG_ARC;
+        };
+        enter(&mut self.slot[t.index()]);
+        self.stack.push((t, graph.start[t.index()]));
+        while let Some(top) = self.stack.last_mut() {
+            let (v, next) = *top;
+            if next < graph.start[v.index() + 1] {
+                top.1 += 1;
+                let u = graph.fanin[next as usize];
+                let slot = &mut self.slot[u.index()];
+                if slot.mark != epoch {
+                    enter(slot);
+                    self.stack.push((u, graph.start[u.index()]));
+                }
+            } else {
+                self.order.push(v);
+                self.stack.pop();
+            }
+        }
+        self.order.reverse();
+    }
+
+    /// The fused backward sweep over the walked cone: returns the worst
+    /// initial arrival (`-∞` when the cone holds no source) and `g(t)`.
+    fn sweep(&mut self, graph: &SweepGraph) -> (f64, Vec<NodeId>) {
+        let Sweep {
+            epoch, slot, order, ..
+        } = self;
+        let epoch = *epoch;
+        let re = graph.relaunched;
+        let mut worst = f64::NEG_INFINITY;
+        let mut g = Vec::new();
+        for (i, &v) in order.iter().enumerate() {
+            let node = graph.node[v.index()];
+            // Every in-cone fanout of v came earlier, so its D^b is final.
+            let through = if i == 0 {
+                // The sink: a latch on an edge into it adds no gate delay.
+                DelayArc::default()
+            } else if node.source {
+                let fo = slot[v.index()].fo;
+                let a_host = (re.rise + fo.rise).max(re.fall + fo.fall);
+                worst = worst.max(a_host);
+                if slot[v.index()].ok == epoch && a_host > graph.limit {
+                    g.push(v);
+                }
+                continue;
+            } else {
+                backward_through_gate(slot[v.index()].fo, node.arc, node.sense)
+            };
+            let window = graph.open + through.max();
+            let mut bad_before = false;
+            for &k in graph.fanins(v) {
+                // A(k, v, t) of Eq. (5), as TimingAnalysis::a_value.
+                let dfq = graph.node[k.index()].dfq;
+                let a = window
+                    .max(dfq.rise + through.rise)
+                    .max(dfq.fall + through.fall);
+                let s = &mut slot[k.index()];
+                if a <= graph.limit {
+                    s.ok = epoch;
+                } else {
+                    bad_before = true;
+                }
+                s.fo = DelayArc {
+                    rise: s.fo.rise.max(through.rise),
+                    fall: s.fo.fall.max(through.fall),
+                };
+            }
+            if i > 0 && bad_before && slot[v.index()].ok == epoch {
+                g.push(v);
+            }
+        }
+        g.sort_unstable();
+        (worst, g)
+    }
+}
+
+/// Batch form of [`classify_and_cut_set`]: classifies every target sink,
+/// bit-identical to the definition. Under the deterministic models it
+/// runs the two steps of the module docs: one forward pass settles the
+/// sinks the rounding bound proves never error-detecting, and every
+/// other sink gets one fused sweep of its cone, fanned out across
+/// `threads` workers (`0` = auto, honoring `RETIME_THREADS`) with
+/// [`retime_engine::parallel_map_with`]. Each worker owns one
+/// cloud-sized scratch, so a swept sink costs O(its cone).
 ///
 /// Results are index-aligned with `targets`; parallel and sequential runs
 /// produce bit-identical classes and cut-sets (asserted by the
@@ -229,29 +545,98 @@ pub fn classify_many(
     targets: &[NodeId],
     threads: usize,
 ) -> Vec<(SinkClass, Vec<NodeId>)> {
+    classify_many_counted(sta, targets, threads).0
+}
+
+/// [`classify_many`], also reporting how much of the work the forward
+/// bound saved ([`ClassifyCounts`]; the statistical branch settles
+/// nothing by bound and counts its swept cones).
+///
+/// # Panics
+/// Panics if any target is not a sink.
+pub fn classify_many_counted(
+    sta: &TimingAnalysis<'_>,
+    targets: &[NodeId],
+    threads: usize,
+) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
     let cloud = sta.cloud();
+    for &t in targets {
+        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
+    }
     let delays = sta.delays();
+    let swept = AtomicU64::new(0);
     if matches!(delays.model(), DelayModel::Statistical(_)) {
         let st = StatTiming::new(cloud, delays, *sta.clock());
-        return retime_engine::parallel_map_with(
+        let classified = retime_engine::parallel_map_with(
             threads,
             targets,
             || (StatBackward::new(cloud), CanonicalCut::new(cloud)),
             |(sb, cc), &t| {
                 sb.rerun(cloud, delays, t);
+                swept.fetch_add(sb.cone().len() as u64, Ordering::Relaxed);
                 classify_stat(&st, sb, cc)
             },
         );
+        let counts = ClassifyCounts {
+            bounded: 0,
+            swept: swept.into_inner(),
+        };
+        return (classified, counts);
     }
-    retime_engine::parallel_map_with(
-        threads,
-        targets,
-        || (BackwardPass::new(cloud), CanonicalCut::new(cloud)),
-        |(bp, cc), &t| {
-            bp.rerun(cloud, delays, t);
-            classify_det(sta, bp, cc)
-        },
-    )
+    if targets.is_empty() {
+        return (Vec::new(), ClassifyCounts::default());
+    }
+
+    // Step 1: the forward bound.
+    let pi = sta.clock().period();
+    let limit = pi + EPS;
+    let initial = sta.initial_arrivals();
+    let bounded: Vec<bool> = targets
+        .iter()
+        .map(|&t| {
+            let fw = initial[t.index()].max();
+            fw + initial_rounding_bound(cloud.len(), fw, pi) <= limit
+        })
+        .collect();
+    let open: Vec<NodeId> = targets
+        .iter()
+        .zip(&bounded)
+        .filter(|&(_, &b)| !b)
+        .map(|(&t, _)| t)
+        .collect();
+
+    // Step 2: one fused sweep per remaining cone.
+    let mut swept_classes = if open.is_empty() {
+        Vec::new()
+    } else {
+        let graph = SweepGraph::new(sta);
+        retime_engine::parallel_map_with(
+            threads,
+            &open,
+            || Sweep::new(cloud),
+            |sweep, &t| {
+                let class = sweep.classify(sta, &graph, t);
+                swept.fetch_add(sweep.order.len() as u64, Ordering::Relaxed);
+                class
+            },
+        )
+    }
+    .into_iter();
+    let classified = bounded
+        .iter()
+        .map(|&b| {
+            if b {
+                (SinkClass::NeverErrorDetecting, Vec::new())
+            } else {
+                swept_classes.next().expect("one sweep per open sink")
+            }
+        })
+        .collect();
+    let counts = ClassifyCounts {
+        bounded: (targets.len() - open.len()) as u64,
+        swept: swept.into_inner(),
+    };
+    (classified, counts)
 }
 
 #[cfg(test)]
@@ -300,6 +685,50 @@ mod tests {
         let pi = sta.clock().period();
         let n = cloud.node(v).fanout[0];
         assert!(sta.a_value(v, n, &bp).unwrap() <= pi + 1e-9);
+    }
+
+    #[test]
+    fn counts_split_bounded_from_swept() {
+        let cloud = chain(20);
+        let lib = Library::fdsoi28();
+        let t = cloud.sinks()[0];
+        let crit = TimingAnalysis::new(
+            &cloud,
+            &lib,
+            TwoPhaseClock::from_max_delay(1.0),
+            DelayModel::PathBased,
+        )
+        .unwrap()
+        .df(t);
+        let d_q = lib.latch().d_to_q;
+        // Relaxed: settled by the forward bound, no cone walked.
+        let relaxed = TwoPhaseClock::from_max_delay(100.0);
+        // Between the extremes: a target, its whole cone swept.
+        let target = TwoPhaseClock::from_max_delay(1.1 * (crit + d_q) / 0.7);
+        for (clock, class, bounded, swept) in [
+            (relaxed, SinkClass::NeverErrorDetecting, 1, 0),
+            (target, SinkClass::Target, 0, cloud.len() as u64),
+        ] {
+            let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+            let (got, counts) = classify_many_counted(&sta, &[t], 1);
+            assert_eq!(got[0].0, class);
+            assert_eq!(got[0], classify_and_cut_set(&sta, &sta.backward(t)));
+            assert_eq!(counts, ClassifyCounts { bounded, swept });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a sink")]
+    fn classify_many_rejects_a_non_sink() {
+        let cloud = chain(4);
+        let sta = TimingAnalysis::new(
+            &cloud,
+            &Library::fdsoi28(),
+            TwoPhaseClock::from_max_delay(100.0),
+            DelayModel::PathBased,
+        )
+        .unwrap();
+        let _ = classify_many(&sta, &[cloud.sources()[0]], 1);
     }
 
     #[test]

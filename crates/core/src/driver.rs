@@ -1,8 +1,9 @@
 //! The end-to-end G-RAR driver, running as a
 //! `Sta → Classify → Solve → Commit` pipeline on the shared
 //! [`retime_engine`] flow-engine layer. The classification stage — the
-//! per-target backward passes and cut-set construction the paper's
-//! profiling singles out as the dominant cost — fans out across worker
+//! per-target backward delays and cut-set construction the paper's
+//! profiling singles out as the dominant cost — settles what one forward
+//! pass can and fans the remaining cone sweeps out across worker
 //! threads ([`classify_many`](crate::cutset::classify_many)).
 
 use std::time::Instant;
@@ -66,9 +67,12 @@ pub struct GrarReport {
     pub targets: usize,
     /// Targets predicted non-error-detecting by the flow solution.
     pub predicted_saved: usize,
-    /// Uniform per-stage instrumentation (`Stage::Classify` carries the
-    /// backward/cut-set fan-out the paper's Table VII discussion singles
-    /// out; the solve stage stays under 2 %).
+    /// Uniform per-stage instrumentation. `Stage::Classify` carries the
+    /// per-endpoint classification the paper's Table VII discussion
+    /// singles out, with its `endpoints`, `bounded`, `swept` and
+    /// `targets` counters; `Stage::Solve` the Eq. 14 minimum cut. On the
+    /// large suite circuits each takes a fifth to a half of a job (the
+    /// paper's solve stayed under 2 %).
     pub phases: PhaseTimings,
 }
 
@@ -161,7 +165,8 @@ fn grar_impl(
                 .map(|(i, &t)| (i, t))
                 .collect();
             let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-            let classified = crate::cutset::classify_many(sta, &sinks, cfg.threads);
+            let (classified, counts) =
+                crate::cutset::classify_many_counted(sta, &sinks, cfg.threads);
             let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
             for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
                 match class {
@@ -174,6 +179,7 @@ fn grar_impl(
                 }
             }
             ctx.timings.count("endpoints", sinks.len() as u64);
+            counts.record(&mut ctx.timings);
             ctx.timings.count("targets", ctx.data.pseudos.len() as u64);
             Ok(())
         })

@@ -190,14 +190,16 @@ impl<'a> TimingAnalysis<'a> {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Worst arrival at the sink of `bp` with the slaves placed by the
-    /// moved set `moved` — the value [`TimingAnalysis::cut_timing`]
-    /// reports for that sink under the cut moving exactly `moved`, but
-    /// propagated over the sink's cone alone. `arr` is cloud-sized
-    /// scratch; only the cone's slots are written.
+    /// Worst arrival at a sink with the slaves placed by the moved set
+    /// `moved` — the value [`TimingAnalysis::cut_timing`] reports for
+    /// that sink under the cut moving exactly `moved`, but propagated
+    /// over the sink's cone alone. `cone` is the sink's fan-in cone,
+    /// sink first and every node before its fanins (as
+    /// [`BackwardPass::cone`] lists it). `arr` is cloud-sized scratch;
+    /// only the cone's slots are written.
     pub fn sink_arrival_with_moved(
         &self,
-        bp: &BackwardPass,
+        cone: &[NodeId],
         moved: &ConeWalk,
         arr: &mut [DelayArc],
     ) -> f64 {
@@ -205,11 +207,30 @@ impl<'a> TimingAnalysis<'a> {
             self.cloud,
             &self.delays,
             &self.clock,
-            bp.cone().iter().rev().copied(),
+            cone.iter().rev().copied(),
             |v| moved.contains(v),
             arr,
         );
-        arr[bp.sink().index()].max()
+        arr[cone[0].index()].max()
+    }
+
+    /// Arrivals at every node with every slave at its source (the
+    /// initial cut, each source re-launched): the arrivals from which
+    /// [`TimingAnalysis::cut_timing`] of [`Cut::initial`] reads its sink
+    /// values. A sink's value is the maximum over the same source→sink
+    /// paths as [`TimingAnalysis::worst_initial`], summed source first
+    /// instead of sink first, so the two differ only by rounding.
+    pub fn initial_arrivals(&self) -> Vec<DelayArc> {
+        let mut arr = vec![DelayArc::default(); self.cloud.len()];
+        arrivals_with_moved(
+            self.cloud,
+            &self.delays,
+            &self.clock,
+            self.cloud.topo().iter().copied(),
+            |_| false,
+            &mut arr,
+        );
+        arr
     }
 
     /// Classifies a sink per Section IV-A using its backward pass.
@@ -394,6 +415,24 @@ z = NAND(g4, a)
         // Initial latches at sources always meet constraint (6): the data
         // arrives at launch time.
         assert!(ct.setup_violations.is_empty());
+    }
+
+    #[test]
+    fn initial_arrivals_match_the_initial_cut() {
+        let (n, clock) = setup(0.5);
+        let cloud = CombCloud::extract(&n).unwrap();
+        let lib = Library::fdsoi28();
+        for model in [DelayModel::PathBased, DelayModel::GateBased] {
+            let sta = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
+            let arr = sta.initial_arrivals();
+            let ct = sta.cut_timing(&Cut::initial(&cloud));
+            for (i, &t) in cloud.sinks().iter().enumerate() {
+                assert_eq!(arr[t.index()].max(), ct.sink_arrivals[i]);
+                // The same paths summed the other way round.
+                let wi = sta.worst_initial(&sta.backward(t));
+                assert!((arr[t.index()].max() - wi).abs() <= 1e-12);
+            }
+        }
     }
 
     #[test]

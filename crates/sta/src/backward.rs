@@ -128,10 +128,12 @@ impl BackwardPass {
     }
 }
 
-/// Backward counterpart of [`crate::forward::through_gate`]: given the
+/// Backward counterpart of the forward gate step: given the
 /// per-output-polarity delay-to-sink `fo` at a gate's output, produce the
-/// per-input-polarity delay-to-sink through the gate.
-fn backward_through_gate(fo: DelayArc, arc: DelayArc, sense: Sense) -> DelayArc {
+/// per-input-polarity delay-to-sink through the gate — the `through`
+/// value [`BackwardPass`] stores for a gate with delay `arc` and
+/// unateness `sense`.
+pub fn backward_through_gate(fo: DelayArc, arc: DelayArc, sense: Sense) -> DelayArc {
     match sense {
         // Input rise -> output rise (delay arc.rise), then fo.rise onward.
         Sense::Positive => DelayArc {

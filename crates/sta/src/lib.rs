@@ -56,7 +56,7 @@ pub mod incremental;
 pub mod model;
 
 pub use analysis::{CutTiming, SinkClass, TimingAnalysis};
-pub use backward::BackwardPass;
+pub use backward::{backward_through_gate, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::relaunch;
 pub use incremental::{IncrementalStats, IncrementalTiming};

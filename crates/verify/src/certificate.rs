@@ -3,14 +3,15 @@
 //! [`verify_certificate`] takes a finished flow result (base, G-RAR, or
 //! virtual-library) and re-derives everything it claims from scratch:
 //! the region bounds and target cut-sets come from a fresh STA pass on
-//! the *original* library delays, the ILP is rebuilt and the labels
-//! checked against it, timing and EDL typing are recomputed from the
-//! outcome's final (legalized) delays, the area bill is recounted
-//! against the library, and the retimed netlist is simulated against the
-//! original. For G-RAR — whose movement penalty is a pure tie-break —
-//! the checker additionally re-solves the problem with the slow
-//! reference engine and demands objective equality, certifying
-//! optimality, not just feasibility.
+//! the *original* library delays (the cut-sets from the definitional
+//! per-sink classification, not the production kernel), the ILP is
+//! rebuilt and the labels checked against it, timing and EDL typing are
+//! recomputed from the outcome's final (legalized) delays, the area
+//! bill is recounted against the library, and the retimed netlist is
+//! simulated against the original. For G-RAR — whose movement penalty
+//! is a pure tie-break — the checker additionally re-solves the problem
+//! with the slow reference engine and demands objective equality,
+//! certifying optimality, not just feasibility.
 //!
 //! Soundness across flows: the virtual-library flow only *tightens*
 //! retiming regions (Free → Forbidden when freezing cones, Free →
@@ -18,8 +19,8 @@
 //! base region bounds the checker rebuilds — ILP feasibility is checked
 //! for all three flows, optimality for G-RAR only.
 
-use retime_core::{classify_many, IlpFormulation};
-use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_core::{classify_and_cut_set, classify_many, IlpFormulation};
+use retime_engine::{parallel_map_with, FlowContext, PhaseTimings, Pipeline, Stage};
 use retime_flow::MinCostFlow;
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist, NodeId, NodeKind};
@@ -28,7 +29,7 @@ use retime_retime::{
     BREADTH_SCALE,
 };
 use retime_sim::equivalent;
-use retime_sta::{CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{BackwardPass, CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 use crate::error::VerifyError;
 
@@ -161,7 +162,7 @@ pub fn verify_certificate(
                 .map(|(i, &t)| (i, t))
                 .collect();
             let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-            let classified = classify_many(&sta, &sinks, opts.threads);
+            let classified = reference_classes(&sta, &sinks, opts.threads);
             let c_scaled = (setup.overhead.value() * BREADTH_SCALE as f64).round() as i64;
             for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
                 match class {
@@ -498,6 +499,33 @@ pub fn verify_retiming_solution(
         )));
     }
     Ok(())
+}
+
+/// The sink classes and cut-sets the certificate is checked against.
+/// Under the deterministic models they come from the definitional
+/// per-sink [`classify_and_cut_set`] over one reused [`BackwardPass`]
+/// per worker, never from the production `classify_many` kernel, so a
+/// bug in that kernel cannot certify itself. Under the statistical
+/// model `classify_many` already is the definitional per-sink
+/// `classify_and_cut_set_stat`.
+fn reference_classes(
+    sta: &TimingAnalysis<'_>,
+    sinks: &[NodeId],
+    threads: usize,
+) -> Vec<(SinkClass, Vec<NodeId>)> {
+    if matches!(sta.delays().model(), DelayModel::Statistical(_)) {
+        return classify_many(sta, sinks, threads);
+    }
+    let cloud = sta.cloud();
+    parallel_map_with(
+        threads,
+        sinks,
+        || BackwardPass::new(cloud),
+        |bp, &t| {
+            bp.rerun(cloud, sta.delays(), t);
+            classify_and_cut_set(sta, bp)
+        },
+    )
 }
 
 fn internal(e: impl ToString) -> VerifyError {

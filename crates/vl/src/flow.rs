@@ -2,11 +2,11 @@
 //! `Sta → Seed → Classify → Solve → Commit → Swap` pipeline on the shared
 //! [`retime_engine`] flow-engine layer. The classification of non-ED-typed
 //! masters fans out across worker threads
-//! ([`classify_many`]).
+//! ([`classify_many_counted`]).
 
 use std::time::Instant;
 
-use retime_core::classify_many;
+use retime_core::classify_many_counted;
 use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, ConeWalk, NodeId, NodeKind};
@@ -271,7 +271,8 @@ fn vl_retime_impl(
                 .filter(|&&(_, _, ed)| !ed)
                 .map(|&(_, t, _)| t)
                 .collect();
-            let classified = classify_many(sta, &non_ed, cfg.threads);
+            let (classified, counts) = classify_many_counted(sta, &non_ed, cfg.threads);
+            counts.record(&mut ctx.timings);
             let mut walk = ConeWalk::new(cloud);
             for (class, g) in classified {
                 match class {

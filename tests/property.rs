@@ -279,6 +279,17 @@ mod reference {
     }
 }
 
+/// `base` with its second phase and gap reshaped so the period is
+/// exactly `period`, keeping `φ1 + γ1` — and with it every sink's worst
+/// initial arrival. `period − (φ1 + γ1 + φ2)` is exact here (Sterbenz:
+/// the subtrahend lies within a factor of two of `period`), so the sum
+/// lands on `period` bit for bit.
+fn clock_with_period(base: TwoPhaseClock, period: f64) -> TwoPhaseClock {
+    let open = base.phi1 + base.gamma1;
+    let phi2 = (period - open) / 2.0;
+    TwoPhaseClock::new(base.phi1, base.gamma1, phi2, period - (open + phi2))
+}
+
 fn small_config() -> impl Strategy<Value = SynthConfig> {
     (
         2usize..12,  // flops
@@ -494,8 +505,28 @@ proptest! {
             DelayModel::GateBased,
             DelayModel::Statistical(StatParams::DEFAULT),
         ] {
-            for factor in [2.0, 1.2, 0.9] {
-                let clock = TwoPhaseClock::from_max_delay(crit * factor + 0.05);
+            let mut clocks: Vec<TwoPhaseClock> = [2.0, 1.2, 0.9]
+                .iter()
+                .map(|factor| TwoPhaseClock::from_max_delay(crit * factor + 0.05))
+                .collect();
+            // Knife edges of the forward bound: a clock at which a sink's
+            // worst initial arrival equals Π exactly, and one at which it
+            // sits EPS above Π (the bound cannot settle it; the sweep's
+            // exact fold must).
+            let base = clocks[1];
+            let sta = TimingAnalysis::new(&cloud, &lib, base, model).expect("sta builds");
+            if let Some(wi) = targets
+                .iter()
+                .map(|&t| sta.worst_initial(&sta.backward(t)))
+                .find(|wi| wi.is_finite())
+            {
+                for period in [wi, wi - 1e-9] {
+                    let clock = clock_with_period(base, period);
+                    prop_assert_eq!(clock.period(), period);
+                    clocks.push(clock);
+                }
+            }
+            for (c, clock) in clocks.into_iter().enumerate() {
                 let sta = TimingAnalysis::new(&cloud, &lib, clock, model).expect("sta builds");
                 let want: Vec<_> = if matches!(model, DelayModel::Statistical(_)) {
                     let st = StatTiming::new(&cloud, sta.delays(), clock);
@@ -517,7 +548,7 @@ proptest! {
                 };
                 for threads in [1, 2, 4] {
                     let got = classify_many(&sta, &targets, threads);
-                    prop_assert_eq!(&got, &want, "{} x{} threads={}", model, factor, threads);
+                    prop_assert_eq!(&got, &want, "{} clock {} threads={}", model, c, threads);
                 }
             }
             // Reuse across every ordered pair of sinks, against the
