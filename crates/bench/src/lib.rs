@@ -391,8 +391,8 @@ pub struct WarmSlots {
 impl WarmSlots {
     /// Certifies every memo's last solution against its problem
     /// ([`verify_retiming_solution`]): the labels must satisfy the ILP,
-    /// agree with the cut and the objective, and reach the optimum of
-    /// an independent reference min-cost-flow solve.
+    /// agree with the cut and the objective, and reach the optimum a
+    /// checked min-cut certificate proves.
     ///
     /// # Errors
     /// Surfaces a rejected certificate as an internal error naming the
@@ -419,7 +419,7 @@ impl WarmSlots {
 /// benchmark's sweep) keep one [`WarmSlots`] per case so a `c` probe
 /// whose instance did not change is answered from the memo. With
 /// `RETIME_VERIFY=1` every memo's solution is additionally certified
-/// against an independent reference solve before the row is accepted.
+/// optimal before the row is accepted.
 ///
 /// # Errors
 /// Propagates flow failures and rejected certificates, the memos'

@@ -176,13 +176,12 @@ mod tests {
         (cloud, prob)
     }
 
-    /// The production min cut, SSP and the reference solver all reach
-    /// the exhaustive optimum.
+    /// The production min cut and the reference solver both reach the
+    /// exhaustive optimum.
     fn assert_engines_exact(prob: &RetimingProblem) {
         let (best, _) = exhaustive_best(prob, 20).expect("small instance");
         for (engine, sol) in [
             ("min cut", prob.solve()),
-            ("ssp", prob.solve_with(MinCostFlow::solve)),
             ("reference", prob.solve_with(MinCostFlow::solve_reference)),
         ] {
             assert_eq!(

@@ -1,7 +1,7 @@
 //! **G-RAR** — Graph-based Resiliency-Aware Retiming, the paper's primary
 //! contribution (Section IV).
 //!
-//! Starting from the classic retiming machinery of [`retime_retime`],
+//! Starting from the min-area retiming problem of [`retime_retime`],
 //! G-RAR couples the slave-latch placement with the binary decision of
 //! making each master latch error-detecting:
 //!

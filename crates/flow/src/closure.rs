@@ -21,6 +21,41 @@ use crate::csr::CsrIndex;
 use crate::error::FlowError;
 use crate::maxflow::{MaxFlow, INF_CAP};
 
+/// An optimum closure with the maximum preflow that proves it optimal.
+///
+/// The preflow lives on the project-selection network of the free
+/// nodes (those [`ClosureCertificate::forced`] leaves `None`): a source
+/// arc `σ → v` of capacity `−w(v)` for each negative-weight node, a sink
+/// arc `v → τ` of capacity `w(v)` for each positive-weight node, and an
+/// uncapacitated arc `u → v` for each requirement "`v` requires `u`".
+/// A finite cut's sink side, less `τ`, is a closure, and the cut's
+/// capacity is the free positive weight minus the closure's weight. So
+/// when the flow into `τ` equals the capacity of the members' cut and
+/// every node but `σ` keeps non-negative excess, no cut is smaller, and
+/// the members are an optimum closure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClosureCertificate {
+    /// Membership per node: the inclusion-minimal optimum closure.
+    pub members: Vec<bool>,
+    /// Each node's forced membership after closing the forcing under
+    /// the requirements: `Some(true)` in, `Some(false)` out, `None` free.
+    pub forced: Vec<Option<bool>>,
+    /// Flow on each free node's weight arc (`σ → v` or `v → τ`); 0 for
+    /// fixed and zero-weight nodes, which have none.
+    pub weight_flow: Vec<i64>,
+    /// Flow on each requirement's arc, indexed like
+    /// [`Closure::requirements`]; 0 where an endpoint is fixed.
+    pub requirement_flow: Vec<i64>,
+}
+
+/// What the one shared solve leaves behind.
+struct SolvedCut {
+    fixed: Vec<Option<bool>>,
+    g: MaxFlow,
+    members: Vec<bool>,
+    weight: i64,
+}
+
 /// A maximum-weight closure problem.
 #[derive(Debug, Clone)]
 pub struct Closure {
@@ -39,11 +74,6 @@ impl Closure {
             forced_in: Vec::new(),
             forced_out: Vec::new(),
         }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.weights.len()
     }
 
     /// Sets the weight gained by including node `v` in the closure
@@ -100,6 +130,72 @@ impl Closure {
     /// Returns [`FlowError::Infeasible`] when a forced-in node
     /// transitively requires a forced-out node.
     pub fn solve(&self) -> Result<(i64, Vec<bool>), FlowError> {
+        let cut = self.solve_cut()?;
+        Ok((cut.weight, cut.members))
+    }
+
+    /// [`Closure::solve`], plus the maximum preflow the minimum cut ends
+    /// with, reported against this problem's own nodes and requirements
+    /// so that a checker can prove the closure optimal without solving
+    /// again (see [`ClosureCertificate`]).
+    ///
+    /// # Errors
+    /// The same as [`Closure::solve`].
+    pub fn solve_certified(&self) -> Result<ClosureCertificate, FlowError> {
+        let cut = self.solve_cut()?;
+        // `solve_cut` adds the weight arcs of the free nodes in node
+        // order, then the requirement arcs between free nodes in
+        // requirement order; the flows come back in that order.
+        let mut flows = cut.g.flows().into_iter();
+        let mut arc_flow = |has_arc: bool| {
+            if has_arc {
+                flows.next().expect("one flow per arc")
+            } else {
+                0
+            }
+        };
+        let free = |v: usize| cut.fixed[v].is_none();
+        let weight_flow = (0..self.weights.len())
+            .map(|v| arc_flow(free(v) && self.weights[v] != 0))
+            .collect();
+        let requirement_flow = self
+            .requirements
+            .iter()
+            .map(|&(v, u)| arc_flow(free(v) && free(u)))
+            .collect();
+        debug_assert!(flows.next().is_none(), "every arc flow reported");
+        Ok(ClosureCertificate {
+            members: cut.members,
+            forced: cut.fixed,
+            weight_flow,
+            requirement_flow,
+        })
+    }
+
+    /// The weights, one per node.
+    pub fn weights(&self) -> &[i64] {
+        &self.weights
+    }
+
+    /// The requirements as `(v, u)` pairs, "selecting `v` requires `u`",
+    /// in the order they were added (self-requirements dropped).
+    pub fn requirements(&self) -> &[(usize, usize)] {
+        &self.requirements
+    }
+
+    /// The nodes forced in, in the order they were forced.
+    pub fn forced_in(&self) -> &[usize] {
+        &self.forced_in
+    }
+
+    /// The nodes forced out, in the order they were forced.
+    pub fn forced_out(&self) -> &[usize] {
+        &self.forced_out
+    }
+
+    /// The one solve behind [`Closure::solve`] and
+    /// [`Closure::solve_certified`].
+    fn solve_cut(&self) -> Result<SolvedCut, FlowError> {
         let n = self.weights.len();
         let fixed = self.propagate_forcing()?;
         // Free nodes get compact ids; `src` and `snk` stand for the
@@ -151,7 +247,12 @@ impl Closure {
                 - cut,
             "closure weight = forced-in weight + free positive weight − cut"
         );
-        Ok((weight, members))
+        Ok(SolvedCut {
+            fixed,
+            g,
+            members,
+            weight,
+        })
     }
 
     /// Each node's forced membership (`Some(true)` in, `Some(false)`
@@ -210,6 +311,40 @@ mod tests {
         let (w, m) = c.solve().unwrap();
         assert_eq!(w, 3);
         assert_eq!(m, vec![true, true, false]);
+    }
+
+    #[test]
+    fn certificate_carries_the_final_preflow() {
+        let mut c = Closure::new(3);
+        c.set_weight(0, 5);
+        c.set_weight(1, -2);
+        c.set_weight(2, -10);
+        c.require(0, 1);
+        let cert = c.solve_certified().unwrap();
+        assert_eq!(cert.members, c.solve().unwrap().1);
+        assert_eq!(cert.forced, vec![None; 3]);
+        // Node 1's cost arc carries 2 into node 1, which the requirement
+        // arc passes to node 0 and its gain arc to the sink: a flow of 2,
+        // the capacity of the members' cut. Node 2's cost arc is
+        // saturated too, but node 2 cannot pass its excess on: a preflow.
+        assert_eq!(cert.weight_flow, vec![2, 2, 10]);
+        assert_eq!(cert.requirement_flow, vec![2]);
+    }
+
+    #[test]
+    fn certificate_reports_forcing_and_no_flow_at_fixed_nodes() {
+        let mut c = Closure::new(3);
+        c.set_weight(0, -4);
+        c.set_weight(1, 1);
+        c.set_weight(2, 100);
+        c.require(0, 1);
+        c.force_in(0);
+        c.force_out(2);
+        let cert = c.solve_certified().unwrap();
+        assert_eq!(cert.forced, vec![Some(true), Some(true), Some(false)]);
+        assert_eq!(cert.weight_flow, vec![0; 3]);
+        assert_eq!(cert.requirement_flow, vec![0]);
+        assert_eq!(cert.members, vec![true, true, false]);
     }
 
     #[test]

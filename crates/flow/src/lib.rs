@@ -9,24 +9,22 @@
 //!
 //! * [`Closure`] — maximum-weight closure via min-cut. It returns the
 //!   inclusion-minimal optimal closure, the retiming that moves the
-//!   fewest nodes among the optima.
+//!   fewest nodes among the optima. [`Closure::solve_certified`] also
+//!   returns the maximum preflow the cut ends with, a
+//!   [`ClosureCertificate`] that proves the closure optimal in linear
+//!   time (`retime-verify` checks it).
 //! * [`MaxFlow`] — FIFO push-relabel with global relabelling, the
-//!   engine behind [`Closure`].
-//! * [`MinCostFlow`] — minimum-cost b-flow with **dual (node potential)
-//!   extraction**, the quantity the flow form of the retiming recovers
-//!   as `r(v)`. [`MinCostFlow::solve`] runs successive shortest paths
-//!   with potentials; it serves the general weights of classic
-//!   minimum-period retiming and differential tests. A second engine,
-//!   [`MinCostFlow::solve_reference`], is a deliberately-slow plain
+//!   engine behind [`Closure`]. Its adjacency is a [`CsrIndex`].
+//! * [`MinCostFlow`] — the Eq. (14) min-cost b-flow instance itself,
+//!   with [`MinCostFlow::solve_reference`]: a deliberately-slow plain
 //!   successive-shortest-paths solver (one Bellman–Ford per
-//!   augmentation) sharing no search machinery — not even the CSR
-//!   arena — with the others; it is the oracle `retime-verify` audits
-//!   the production min cut against.
+//!   augmentation) that extracts the dual node potentials, the quantity
+//!   the flow form of the retiming recovers as `r(v)`. It shares no
+//!   search machinery with the min cut, and is the oracle tests check
+//!   the min cut against; no production path runs it.
 //!
-//! [`MinCostFlow`] freezes a flat [`CsrGraph`] (arc arrays + first-out
-//! index) on first solve and reuses it until mutated; [`MaxFlow`] builds
-//! the same [`CsrIndex`] adjacency. The crate reads no environment
-//! variables: every solve is a function of its instance.
+//! The crate reads no environment variables: every solve is a function
+//! of its instance.
 //!
 //! All quantities are `i64`; callers scale fractional breadths (the
 //! `β = 1/k` fanout-sharing coefficients) to integers first.
@@ -39,9 +37,8 @@
 //!   push/augmentation sequence.
 //! * **Tracing is observation-only.** Under `retime-trace` the solvers
 //!   emit spans (`min_cut` with `pushes`/`relabels`/`global_relabels`
-//!   counters, `ssp`/`ssp_phase` with shipped amounts, `reference_ssp`
-//!   with augmentation counts); the solve itself never branches on the
-//!   tracing state.
+//!   counters, `reference_ssp` with augmentation counts); the solve
+//!   itself never branches on the tracing state.
 //!
 //! # Example
 //!
@@ -70,8 +67,8 @@ pub mod error;
 pub mod maxflow;
 pub mod mincost;
 
-pub use closure::Closure;
-pub use csr::{CsrGraph, CsrIndex};
+pub use closure::{Closure, ClosureCertificate};
+pub use csr::CsrIndex;
 pub use error::FlowError;
 pub use maxflow::MaxFlow;
 pub use mincost::{ArcId, FlowSolution, MinCostFlow};

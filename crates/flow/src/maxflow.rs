@@ -23,9 +23,9 @@ pub const INF_CAP: i64 = i64::MAX / 4;
 /// cut-style analyses.
 ///
 /// Edges live in a flat paired array (`e ^ 1` is the residual reverse of
-/// `e`); adjacency is a lazily-built [`CsrIndex`] shared with the rest of
-/// the crate's solvers, invalidated by [`MaxFlow::add_edge`] and reused
-/// across repeated solves and cut queries. Each solve starts from the
+/// `e`); adjacency is a lazily-built [`CsrIndex`], invalidated by
+/// [`MaxFlow::add_edge`] and reused across repeated solves, cut queries
+/// and flow reads. Each solve starts from the
 /// edge capacities, so solving again answers for the whole network.
 #[derive(Debug, Clone)]
 pub struct MaxFlow {
@@ -46,11 +46,6 @@ impl MaxFlow {
             residual: Vec::new(),
             index: OnceLock::new(),
         }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
     }
 
     /// Adds a directed edge with the given capacity.
@@ -80,7 +75,7 @@ impl MaxFlow {
 
     /// Computes the maximum flow value from `s` to `t`, keeping the
     /// residual capacities of a maximum preflow (query them with
-    /// [`MaxFlow::sink_side`]). Traces as a `min_cut` span carrying the
+    /// [`MaxFlow::sink_side`] and [`MaxFlow::flows`]). Traces as a `min_cut` span carrying the
     /// `pushes`, `relabels` and `global_relabels` it took.
     ///
     /// # Errors
@@ -174,6 +169,21 @@ impl MaxFlow {
         Ok(excess[t])
     }
 
+    /// The flow on every edge after the last [`MaxFlow::solve`], in the
+    /// order the edges were added: a maximum preflow, conserving at every
+    /// node except that nodes may keep excess.
+    ///
+    /// # Panics
+    /// Panics if the network has not been solved since its last edge
+    /// was added.
+    pub fn flows(&self) -> Vec<i64> {
+        assert_eq!(self.residual.len(), self.cap.len(), "solve first");
+        (0..self.cap.len())
+            .step_by(2)
+            .map(|e| self.cap[e] - self.residual[e])
+            .collect()
+    }
+
     /// Nodes that reach `t` in the residual graph of the last
     /// [`MaxFlow::solve`]: after `solve(_, t)`, the inclusion-minimal sink
     /// side of a minimum cut.
@@ -227,6 +237,11 @@ mod tests {
         g.add_edge(2, 3, 3);
         g.add_edge(1, 2, 1);
         assert_eq!(g.solve(0, 3).unwrap(), 5);
+        // A maximum flow here: the preflow conserves at 1 and 2.
+        let f = g.flows();
+        assert_eq!(f[0] + f[1], 5);
+        assert_eq!(f[0], f[2] + f[4]);
+        assert_eq!(f[1] + f[4], f[3]);
     }
 
     #[test]

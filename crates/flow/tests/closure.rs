@@ -9,12 +9,16 @@
 //!   exists (a forced-in node transitively requires a forced-out one),
 //! * otherwise return a closure of the best weight,
 //! * and among the optimal closures return the inclusion-minimal one:
-//!   every optimal closure contains it.
+//!   every optimal closure contains it,
+//! * with a preflow certificate that passes the verifier's linear-time
+//!   [`retime_verify::check_closure_certificate`], and reports the same
+//!   closure.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retime_flow::{Closure, FlowError};
+use retime_verify::check_closure_certificate;
 
 struct Instance {
     n: usize,
@@ -91,7 +95,18 @@ proptest! {
     fn closure_is_the_minimal_optimum(n in 1usize..=10, seed in any::<u64>()) {
         let inst = Instance::random(n, seed);
         let closures = inst.closures();
-        let result = inst.closure().solve();
+        let closure = inst.closure();
+        let result = closure.solve();
+        let certified = closure.solve_certified();
+        prop_assert_eq!(
+            certified.clone().map(|c| c.members),
+            result.clone().map(|(_, members)| members)
+        );
+        if let Ok(cert) = &certified {
+            if let Err(err) = check_closure_certificate(&closure, cert) {
+                panic!("certificate rejected: {err}");
+            }
+        }
         let best = closures.iter().map(|&(_, w)| w).max();
         prop_assert_eq!(best.is_none(), result == Err(FlowError::Infeasible));
         let (Some(best), Ok((weight, members))) = (best, result) else {

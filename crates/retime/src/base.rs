@@ -323,10 +323,6 @@ z = BUFF(g4)
         let production = run(RetimingProblem::solve);
         assert_eq!(
             production,
-            run(|p| p.solve_with(retime_flow::MinCostFlow::solve))
-        );
-        assert_eq!(
-            production,
             run(|p| p.solve_with(retime_flow::MinCostFlow::solve_reference))
         );
     }

@@ -1,5 +1,5 @@
-//! Classic retiming machinery and the resiliency-unaware **base retiming**
-//! flow the paper compares against.
+//! The retiming problem shared by every flow, and the resiliency-unaware
+//! **base retiming** flow the paper compares against.
 //!
 //! This crate hosts everything shared by the baseline, the virtual-library
 //! flow, and G-RAR:
@@ -13,9 +13,8 @@
 //!   \[24\]. [`RetimingProblem::solve`] is the one production solve:
 //!   because the labels are binary, the Eq. (14) optimum is a
 //!   maximum-weight closure, found with one push-relabel minimum cut.
-//!   Solving the min-cost-flow dual with an explicit engine
-//!   ([`RetimingProblem::solve_with`]) is for tests, benchmarks and the
-//!   certificate checker,
+//!   Solving the min-cost-flow dual with the reference engine
+//!   ([`RetimingProblem::solve_with`]) is for test oracles only,
 //! * [`AreaModel`] and [`SeqBreakdown`] — sequential/total area accounting
 //!   with the EDL overhead `c`,
 //! * [`base_retime`] — conventional min-area retiming that ignores
@@ -56,7 +55,6 @@
 
 pub mod area;
 pub mod base;
-pub mod classic;
 pub mod error;
 pub mod legalize;
 pub mod problem;
@@ -65,7 +63,6 @@ pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
-pub use classic::{ClassicGraph, ClassicRetiming, FlowPeriodRetiming};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport, SPEEDUP as LEGALIZE_SPEEDUP};
 pub use problem::{

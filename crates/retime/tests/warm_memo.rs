@@ -12,8 +12,8 @@
 //!   identical one is answered with the cached labels),
 //! * the memo's cached problem and solution must pass the verifier's
 //!   certificate ([`verify_retiming_solution`]: ILP feasibility, cut and
-//!   objective agreement, optimality against an independent reference
-//!   min-cost-flow solve),
+//!   objective agreement, optimality proved by a checked min-cut
+//!   certificate),
 //! * the call must count as a hit exactly when its problem is identical
 //!   to the previous call's.
 //!

@@ -384,7 +384,7 @@ pub fn execute(
 /// [`crate::canon::warm_key`]; a job whose instance matches the memo is
 /// answered from it. Results are bit-identical to [`execute`] either
 /// way, and with `verify:true` the memo's flow solution is additionally
-/// certified against an independent reference solve.
+/// certified optimal from a checked min-cut certificate.
 ///
 /// # Errors
 /// Propagates flow failures, rejected certificates, and warm/cold
@@ -425,9 +425,9 @@ pub fn execute_with_slot(
 }
 
 /// Shared tail of [`execute`] / [`execute_with_slot`]: optional
-/// certification (including the memo's answer, checked against a
-/// reference re-solve, when a slot produced the solution) and payload
-/// rendering.
+/// certification (including the memo's answer, proved optimal by a
+/// checked min-cut certificate, when a slot produced the solution) and
+/// payload rendering.
 fn finish_execution(
     cfg: &KeyConfig,
     circuit: &ResolvedCircuit,

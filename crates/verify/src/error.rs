@@ -34,14 +34,14 @@ pub enum VerifyError {
         /// Objective recomputed from the labels.
         recomputed: i64,
     },
-    /// The reference solver found a strictly better objective than the
-    /// certificate achieves (in `BREADTH_SCALE` units) — the fast
-    /// engine's claimed optimum is wrong.
+    /// A certified minimum cut reaches a strictly better objective than
+    /// the certificate achieves (in `BREADTH_SCALE` units, movement
+    /// penalty included) — the claimed optimum is wrong.
     Suboptimal {
         /// Objective the certificate's cut achieves.
         certificate: i64,
-        /// Objective of the independent reference re-solve.
-        reference: i64,
+        /// Objective of the certified optimum.
+        optimum: i64,
     },
     /// A sink's claimed EDL flag disagrees with a from-scratch timing
     /// pass over the final delays.
@@ -98,8 +98,10 @@ pub enum VerifyError {
         /// The acceptance half-width (`mc_tolerance`).
         tolerance: f64,
     },
-    /// A min-cost-flow solution fails its own certificate: capacity,
-    /// conservation, cost accounting, or complementary slackness.
+    /// A flow certificate fails its check: a min-cost-flow solution's
+    /// capacity, conservation, cost accounting or complementary
+    /// slackness, or a min cut's forcing, preflow, cut capacity or
+    /// residual reach.
     FlowCertificate {
         /// What failed.
         detail: String,
@@ -134,11 +136,11 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::Suboptimal {
                 certificate,
-                reference,
+                optimum,
             } => write!(
                 f,
-                "suboptimal certificate: cut achieves {certificate}, reference solver \
-                 achieves {reference} (scaled units)"
+                "suboptimal certificate: cut achieves {certificate}, the certified optimum \
+                 is {optimum} (scaled units, movement penalty included)"
             ),
             VerifyError::EdlFlagMismatch {
                 sink,

@@ -11,17 +11,22 @@
 //! * [`verify_certificate`] — the end-to-end checker: rebuilds regions,
 //!   cut-sets, and the Eq. (10) ILP from a fresh STA pass, recomputes
 //!   timing and EDL typing from the final delays, recounts the area
-//!   against the library, re-solves G-RAR's flow problem with the
-//!   deliberately-slow reference engine
-//!   ([`MinCostFlow::solve_reference`], a min-cost flow, where
-//!   production solves a minimum cut), and simulates the retimed
-//!   netlist against the original under random stimulus.
+//!   against the library, proves G-RAR optimal from a certified
+//!   minimum cut, and simulates the retimed netlist against the
+//!   original under random stimulus.
 //! * [`verify_retiming_solution`] — the same label/objective/optimality
 //!   checks on a raw [`RetimingSolution`]; harnesses also use it to
 //!   certify the answer a warm slot's memo served.
+//! * [`check_closure_certificate`] — linear-time proof that a minimum
+//!   cut's closure is the inclusion-minimal optimum, from the maximum
+//!   preflow the cut ends with ([`ClosureCertificate`]), checked
+//!   against the closure form the verifier rebuilds itself
+//!   ([`retiming_closure`]). Optimality is certified this way; nothing
+//!   is solved twice.
 //! * [`check_flow_solution`] — primal/dual certificate checking of a
 //!   min-cost-flow solution (capacity, conservation, cost,
-//!   complementary slackness).
+//!   complementary slackness), which the tests apply to the reference
+//!   oracle [`MinCostFlow::solve_reference`].
 //! * [`mc_yields`] — plain Monte Carlo timing-yield estimation over the
 //!   statistical delay tables. Deliberately shares **no** propagation
 //!   code with the analytic `retime-stat` engine; in statistical mode
@@ -38,11 +43,14 @@
 //! and counters through the shared `Stage::Verify` instrumentation.
 //! Under `retime-trace`, each check stage additionally runs in its own
 //! span (`verify_labels`, `verify_timing`, `verify_area`,
-//! `verify_equivalence`) — tracing is observation-only.
+//! `verify_equivalence`), and the optimality proof in a
+//! `verify_optimality` span carrying the `arcs` it checked — tracing is
+//! observation-only.
 //!
 //! [`RetimeOutcome`]: retime_retime::RetimeOutcome
 //! [`RetimingSolution`]: retime_retime::RetimingSolution
 //! [`MinCostFlow::solve_reference`]: retime_flow::MinCostFlow::solve_reference
+//! [`ClosureCertificate`]: retime_flow::ClosureCertificate
 
 #![warn(missing_docs)]
 
@@ -56,7 +64,7 @@ pub use certificate::{
     VerifySetup,
 };
 pub use error::VerifyError;
-pub use flowcheck::check_flow_solution;
+pub use flowcheck::{check_closure_certificate, check_flow_solution, retiming_closure};
 pub use mc::{mc_tolerance, mc_yields, McYield};
 
 /// Parses a raw `RETIME_VERIFY` value: trimmed and case-insensitive,

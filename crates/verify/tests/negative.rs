@@ -1,14 +1,20 @@
 //! Negative-path coverage: each kind of certificate corruption must be
 //! rejected with its own descriptive [`VerifyError`] variant — a flipped
-//! retiming label, a flipped EDL flag, and mis-counted area figures.
+//! retiming label, a flipped EDL flag, mis-counted area figures, and a
+//! min cut's optimality certificate that is tampered with or proves a
+//! closure that is not the inclusion-minimal optimum.
 
-use retime_circuits::paper_suite;
-use retime_core::{grar, GrarConfig};
+use retime_circuits::{paper_suite, Fig4};
+use retime_core::{classify_and_cut_set, grar, GrarConfig};
+use retime_flow::{Closure, ClosureCertificate};
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::NodeId;
-use retime_retime::RetimeOutcome;
-use retime_sta::DelayModel;
-use retime_verify::{verify_certificate, FlowKind, VerifyError, VerifyOptions, VerifySetup};
+use retime_netlist::{Cut, NodeId};
+use retime_retime::{Regions, RetimeOutcome, RetimingProblem, RetimingSolution, BREADTH_SCALE};
+use retime_sta::{DelayModel, TimingAnalysis};
+use retime_verify::{
+    check_closure_certificate, retiming_closure, verify_certificate, verify_retiming_solution,
+    FlowKind, VerifyError, VerifyOptions, VerifySetup,
+};
 
 /// A genuine G-RAR outcome on the smallest suite circuit, plus
 /// everything needed to re-verify it.
@@ -168,4 +174,113 @@ fn miscounted_area_is_rejected() {
         ),
         "expected AreaMismatch on total_area, got: {err}"
     );
+}
+
+/// The paper's worked example (Fig. 4/5) at `c = 2`, whose optimum
+/// moves free nodes: the G-RAR problem, the verifier's closure form of
+/// it, and that closure's genuine certificate.
+fn fig4_certified() -> (RetimingProblem, Closure, ClosureCertificate) {
+    let f = Fig4::new();
+    let sta = TimingAnalysis::with_delays(&f.cloud, f.delays.clone(), f.clock);
+    let (_, g) = classify_and_cut_set(&sta, &sta.backward(f.o9()));
+    let mut problem = RetimingProblem::build(&f.cloud, &Regions::compute(&sta).unwrap());
+    problem.add_pseudo_target(&g, 2 * BREADTH_SCALE);
+    let closure = retiming_closure(&problem);
+    let cert = closure.solve_certified().expect("feasible");
+    check_closure_certificate(&closure, &cert).expect("genuine certificate passes");
+    (problem, closure, cert)
+}
+
+/// Asserts that the checker rejects `cert` with a message containing
+/// `why`.
+fn assert_rejected(closure: &Closure, cert: &ClosureCertificate, why: &str) {
+    match check_closure_certificate(closure, cert) {
+        Err(VerifyError::FlowCertificate { detail }) => {
+            assert!(detail.contains(why), "expected {why:?}, got: {detail}")
+        }
+        other => panic!("expected a FlowCertificate rejection ({why}), got: {other:?}"),
+    }
+}
+
+#[test]
+fn flow_moved_off_an_arc_is_rejected() {
+    let (_, closure, cert) = fig4_certified();
+    // Every member keeps zero excess in a certificate that proves its
+    // cut minimum, so a unit taken off a requirement arc into a member
+    // leaves that member short.
+    let reqs = closure.requirements();
+    let i = (0..reqs.len())
+        .find(|&i| cert.requirement_flow[i] > 0 && cert.members[reqs[i].0])
+        .expect("some requirement arc feeds a member");
+    let mut mutated = cert.clone();
+    mutated.requirement_flow[i] -= 1;
+    assert_rejected(&closure, &mutated, "excess -1 < 0");
+    // A unit taken off a sink arc shrinks the sink inflow below the cut.
+    let v = (0..cert.weight_flow.len())
+        .find(|&v| closure.weights()[v] > 0 && cert.weight_flow[v] > 0)
+        .expect("some sink arc carries flow");
+    let mut mutated = cert.clone();
+    mutated.weight_flow[v] -= 1;
+    assert_rejected(&closure, &mutated, "sink inflow");
+}
+
+#[test]
+fn feasible_but_suboptimal_closure_is_rejected() {
+    let (problem, closure, cert) = fig4_certified();
+    // The forced-in nodes alone are a closure, and a strictly smaller
+    // one than the inclusion-minimal optimum, so a worse one.
+    let forced_in: Vec<bool> = cert.forced.iter().map(|&f| f == Some(true)).collect();
+    assert_ne!(forced_in, cert.members, "the optimum moves a free node");
+    let mut mutated = cert.clone();
+    mutated.members = forced_in.clone();
+    assert_rejected(&closure, &mutated, "differs from the members' cut capacity");
+
+    // The same closure, claimed as a retiming solution, is suboptimal.
+    let moved = forced_in[..problem.cloud_len()].to_vec();
+    let worse = RetimingSolution {
+        r: problem.full_assignment_for(&moved),
+        objective_scaled: problem.objective_scaled_for(&moved),
+        cut: Cut::from_raw(moved),
+        solver_time: Default::default(),
+    };
+    match verify_retiming_solution(&problem, &worse) {
+        Err(VerifyError::Suboptimal {
+            certificate,
+            optimum,
+        }) => assert!(optimum < certificate, "{optimum} < {certificate}"),
+        other => panic!("expected Suboptimal, got: {other:?}"),
+    }
+}
+
+#[test]
+fn dropped_forced_node_is_rejected() {
+    let (problem, closure, cert) = fig4_certified();
+    // The host is always forced out.
+    let mut mutated = cert.clone();
+    mutated.forced[problem.host()] = None;
+    assert_rejected(&closure, &mutated, "the forcing closes to Some(false)");
+    // A forced-in node dropped from the members.
+    if let Some(v) = (0..cert.forced.len()).find(|&v| cert.forced[v] == Some(true)) {
+        let mut mutated = cert.clone();
+        mutated.members[v] = false;
+        assert_rejected(&closure, &mutated, "breaks its forcing");
+    }
+}
+
+#[test]
+fn optimal_but_not_minimal_closure_is_rejected() {
+    // Node 0 gains 2 and requires node 1, which costs 2: the empty
+    // closure and {0, 1} both weigh 0, and the empty one is minimal.
+    let mut closure = Closure::new(2);
+    closure.set_weight(0, 2);
+    closure.set_weight(1, -2);
+    closure.require(0, 1);
+    let cert = closure.solve_certified().expect("feasible");
+    assert_eq!(cert.members, vec![false, false]);
+    check_closure_certificate(&closure, &cert).expect("genuine certificate passes");
+    // {0, 1} has the same weight and a cut of the same capacity; only
+    // the residual reach tells it apart.
+    let mut mutated = cert.clone();
+    mutated.members = vec![true, true];
+    assert_rejected(&closure, &mutated, "reaches the sink false");
 }

@@ -68,7 +68,6 @@ fn optimal_retiming_matches_paper() {
     let p_node = problem.add_pseudo_target(&g, 2 * BREADTH_SCALE);
     for (engine, sol) in [
         ("min cut", problem.solve()),
-        ("ssp", problem.solve_with(MinCostFlow::solve)),
         (
             "reference",
             problem.solve_with(MinCostFlow::solve_reference),

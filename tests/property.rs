@@ -331,7 +331,6 @@ proptest! {
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
             for sol in [
                 problem.solve(),
-                problem.solve_with(MinCostFlow::solve),
                 problem.solve_with(MinCostFlow::solve_reference),
             ] {
                 prop_assert_eq!(sol.expect("solves").objective_scaled, best);
@@ -378,7 +377,6 @@ proptest! {
         if let Some((best, _)) = exhaustive_best(&problem, 18) {
             for (engine, sol) in [
                 ("min cut", problem.solve()),
-                ("ssp", problem.solve_with(MinCostFlow::solve)),
                 ("reference", problem.solve_with(MinCostFlow::solve_reference)),
             ] {
                 prop_assert_eq!(sol.expect("solves").objective_scaled, best, "engine {}", engine);
