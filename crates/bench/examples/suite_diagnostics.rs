@@ -6,15 +6,16 @@
 //! RETIME_SUITE=small cargo run --release -p retime-bench --example suite_diagnostics
 //! ```
 
-use retime_bench::{load_suite, run_approaches};
+use retime_bench::{load_suite, run_approaches, RunConfig};
 use retime_core::classify_and_cut_set;
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{Cut, NodeKind};
 use retime_sta::{DelayModel, SinkClass, TimingAnalysis};
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let lib = Library::fdsoi28();
-    for case in load_suite(&lib) {
+    for case in load_suite(cfg.suite, &lib) {
         let cloud = &case.circuit.cloud;
         let sta = TimingAnalysis::new(cloud, &lib, case.clock, DelayModel::PathBased)
             .expect("sta builds");
@@ -35,7 +36,8 @@ fn main() {
         }
         let init = sta.cut_timing(&Cut::initial(cloud));
         let init_ed = init.error_detecting.iter().filter(|&&b| b).count();
-        let a = run_approaches(&case, &lib, EdlOverhead::HIGH).expect("flows run");
+        let a = run_approaches(&case, &lib, EdlOverhead::HIGH, DelayModel::PathBased)
+            .expect("flows run");
         println!(
             "{:8} P={:.3} always={always:4} never={never:4} target={target:4} avg|g|={:4.1} init_ed={init_ed:4} | \
              base s={:4} e={:4} | rvl s={:4} e={:4} | G s={:4} e={:4} (saved {})",

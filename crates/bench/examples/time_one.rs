@@ -11,19 +11,19 @@
 //! is printed to stderr on exit (`RETIME_TRACE_OUT=path` also writes the
 //! Chrome-trace JSON), like every table binary.
 
-use retime_bench::load_suite;
+use retime_bench::{build_case, RunConfig};
+use retime_circuits::paper_suite;
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use std::time::Instant;
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace);
     let lib = Library::fdsoi28();
     let name = std::env::args().nth(1).unwrap_or_else(|| "s35932".into());
-    std::env::set_var("RETIME_SUITE", "full");
-    let case = load_suite(&lib)
-        .into_iter()
-        .find(|c| c.circuit.spec.name == name)
-        .unwrap();
+    // Any suite circuit, whatever `RETIME_SUITE` selects.
+    let spec = paper_suite().into_iter().find(|s| s.name == name).unwrap();
+    let case = build_case(&spec, &lib);
     let t0 = Instant::now();
     let g = grar(
         &case.circuit.cloud,

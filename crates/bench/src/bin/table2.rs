@@ -3,7 +3,9 @@
 
 use std::time::Instant;
 
-use retime_bench::{f2, load_suite, map_cases, mean, pct_impr, print_table, Certification};
+use retime_bench::{
+    f2, load_suite, map_cases, pct_impr, print_table, rows_and_means, Certification, RunConfig,
+};
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::{AreaModel, RetimeOutcome};
@@ -11,10 +13,11 @@ use retime_sta::{DelayModel, TimingAnalysis};
 use retime_verify::FlowKind;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let per_case = map_cases(&cases, |case| {
+    let cases = load_suite(cfg.suite, &lib);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
         let mut row = vec![case.circuit.spec.name.to_string()];
         let mut imprs = [0.0f64; 3];
         for (k, c) in EdlOverhead::SWEEP.into_iter().enumerate() {
@@ -33,14 +36,17 @@ fn main() {
             )
             .expect("path-based G-RAR runs");
             // Each optimization run certifies against the delay model
-            // that drove it (under RETIME_VERIFY=1).
-            for (report, model, label) in [
-                (&mut gate, DelayModel::GateBased, "grar/gate"),
-                (&mut path, DelayModel::PathBased, "grar/path"),
-            ] {
-                Certification::of_case(case, c, FlowKind::Grar, label)
-                    .with_model(model)
-                    .expect_pass(&lib, &mut report.outcome);
+            // that drove it.
+            if cfg.verify {
+                for (report, model, label) in [
+                    (&mut gate, DelayModel::GateBased, "grar/gate"),
+                    (&mut path, DelayModel::PathBased, "grar/path"),
+                ] {
+                    Certification::of_case(case, c, FlowKind::Grar, label)
+                        .with_model(model)
+                        .run(&lib, &mut report.outcome)
+                        .expect("certificate accepted");
+                }
             }
             // As in the paper, both placements are signed off by the
             // accurate (path-based) timing engine; the gate-based model
@@ -64,27 +70,12 @@ fn main() {
             row.push(f2(impr));
         }
         (row, imprs)
-    });
-    let mut rows = Vec::new();
-    let mut avgs: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (row, imprs) in per_case {
-        for (k, i) in imprs.into_iter().enumerate() {
-            avgs[k].push(i);
-        }
-        rows.push(row);
+    }));
+    let mut avg = vec!["average".to_string()];
+    for m in means {
+        avg.extend([String::new(), String::new(), f2(m)]);
     }
-    rows.push(vec![
-        "average".into(),
-        String::new(),
-        String::new(),
-        f2(mean(&avgs[0])),
-        String::new(),
-        String::new(),
-        f2(mean(&avgs[1])),
-        String::new(),
-        String::new(),
-        f2(mean(&avgs[2])),
-    ]);
+    rows.push(avg);
     print_table(
         "Table II: gate-based vs path-based delay G-RAR (total area)",
         &[

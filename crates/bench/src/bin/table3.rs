@@ -1,15 +1,18 @@
 //! Table III: area comparison of the three virtual-library variants.
 
-use retime_bench::{f2, load_suite, map_cases, mean, print_table, Certification};
+use retime_bench::{
+    f2, load_suite, map_cases, print_table, rows_and_means, Certification, RunConfig,
+};
 use retime_liberty::{EdlOverhead, Library};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let per_case = map_cases(&cases, |case| {
+    let cases = load_suite(cfg.suite, &lib);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
         let mut row = vec![case.circuit.spec.name.to_string()];
         let mut areas = [0.0f64; 9];
         let mut col = 0;
@@ -22,28 +25,23 @@ fn main() {
                     &VlConfig::new(variant, c),
                 )
                 .expect("VL flow runs");
-                Certification::of_case(case, c, FlowKind::Vl, variant.name())
-                    .expect_pass(&lib, &mut rep.outcome);
+                if cfg.verify {
+                    Certification::of_case(case, c, FlowKind::Vl, variant.name())
+                        .run(&lib, &mut rep.outcome)
+                        .expect("certificate accepted");
+                }
                 areas[col] = rep.outcome.total_area;
                 row.push(f2(rep.outcome.total_area));
                 col += 1;
             }
         }
         (row, areas)
-    });
-    let mut rows = Vec::new();
-    let mut sums: Vec<Vec<f64>> = vec![Vec::new(); 9];
-    for (row, areas) in per_case {
-        for (col, a) in areas.into_iter().enumerate() {
-            sums[col].push(a);
-        }
-        rows.push(row);
-    }
-    let mut avg = vec!["average".to_string()];
-    for s in &sums {
-        avg.push(f2(mean(s)));
-    }
-    rows.push(avg);
+    }));
+    rows.push(
+        std::iter::once("average".to_string())
+            .chain(means.map(f2))
+            .collect(),
+    );
     print_table(
         "Table III: area comparison of virtual library approaches (total area)",
         &[

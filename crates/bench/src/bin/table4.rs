@@ -7,37 +7,21 @@
 //! jitter-sensitivity column `d yield / d σ_clock`.
 
 use retime_bench::{
-    delay_mode_from_env, f2, load_suite, map_cases, mean, print_table, table4_row, table4_stat_row,
+    area_average_row, area_row, load_suite, map_cases, print_table, rows_and_means,
+    table4_stat_row, RunConfig,
 };
 use retime_liberty::Library;
 use retime_sta::DelayModel;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let per_case = map_cases(&cases, |case| table4_row(case, &lib));
-    let mut rows = Vec::new();
-    let mut rvl_avg: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let mut g_avg: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (row, rvl_impr, g_impr) in per_case {
-        for k in 0..3 {
-            rvl_avg[k].push(rvl_impr[k]);
-            g_avg[k].push(g_impr[k]);
-        }
-        rows.push(row);
-    }
-    let mut avg = vec!["average".to_string()];
-    for k in 0..3 {
-        avg.extend([
-            String::new(),
-            String::new(),
-            f2(mean(&rvl_avg[k])),
-            String::new(),
-            f2(mean(&g_avg[k])),
-        ]);
-    }
-    rows.push(avg);
+    let cases = load_suite(cfg.suite, &lib);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
+        area_row(case, &lib, cfg.verify, |o| o.seq.total())
+    }));
+    rows.push(area_average_row(means));
     print_table(
         "Table IV: sequential logic area (Base vs RVL-RAR vs G-RAR)",
         &[
@@ -48,9 +32,10 @@ fn main() {
     );
     println!("(paper averages, G-RAR: 20.41 / 23.87 / 29.62 % for low / medium / high)");
 
-    let model = delay_mode_from_env();
-    if let DelayModel::Statistical(params) = model {
-        let stat_rows = map_cases(&cases, |case| table4_stat_row(case, &lib, model));
+    if let DelayModel::Statistical(params) = cfg.model {
+        let stat_rows = map_cases(&cases, |case| {
+            table4_stat_row(case, &lib, cfg.model, cfg.verify)
+        });
         print_table(
             &format!(
                 "Table IV (statistical, c=medium): yield-aware EDL at target yield {:.4}",

@@ -1,54 +1,19 @@
 //! Table V: total area — Base-Retiming vs RVL-RAR vs G-RAR.
 
-use retime_bench::{f2, load_suite, map_cases, mean, pct_impr, print_table, run_approaches};
-use retime_liberty::{EdlOverhead, Library};
+use retime_bench::{
+    area_average_row, area_row, load_suite, map_cases, print_table, rows_and_means, RunConfig,
+};
+use retime_liberty::Library;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let per_case = map_cases(&cases, |case| {
-        let mut row = vec![case.circuit.spec.name.to_string()];
-        let mut rvl_impr = [0.0f64; 3];
-        let mut g_impr = [0.0f64; 3];
-        for (k, c) in EdlOverhead::SWEEP.into_iter().enumerate() {
-            let a = run_approaches(case, &lib, c).expect("flows run");
-            let base = a.base.total_area;
-            let rvl = a.rvl.outcome.total_area;
-            let g = a.grar.outcome.total_area;
-            rvl_impr[k] = pct_impr(base, rvl);
-            g_impr[k] = pct_impr(base, g);
-            row.extend([
-                f2(base),
-                f2(rvl),
-                f2(pct_impr(base, rvl)),
-                f2(g),
-                f2(pct_impr(base, g)),
-            ]);
-        }
-        (row, rvl_impr, g_impr)
-    });
-    let mut rows = Vec::new();
-    let mut rvl_avg: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let mut g_avg: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (row, rvl_impr, g_impr) in per_case {
-        for k in 0..3 {
-            rvl_avg[k].push(rvl_impr[k]);
-            g_avg[k].push(g_impr[k]);
-        }
-        rows.push(row);
-    }
-    let mut avg = vec!["average".to_string()];
-    for k in 0..3 {
-        avg.extend([
-            String::new(),
-            String::new(),
-            f2(mean(&rvl_avg[k])),
-            String::new(),
-            f2(mean(&g_avg[k])),
-        ]);
-    }
-    rows.push(avg);
+    let cases = load_suite(cfg.suite, &lib);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
+        area_row(case, &lib, cfg.verify, |o| o.total_area)
+    }));
+    rows.push(area_average_row(means));
     print_table(
         "Table V: total area (Base vs RVL-RAR vs G-RAR)",
         &[

@@ -1,17 +1,19 @@
 //! Table VI: number of slave and error-detecting master latches decided
 //! by the three approaches.
 
-use retime_bench::{load_suite, map_cases, print_table, run_approaches};
+use retime_bench::{load_suite, map_cases, print_table, table_flows, RunConfig};
 use retime_liberty::{EdlOverhead, Library};
+use retime_sta::DelayModel;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
+    let cases = load_suite(cfg.suite, &lib);
     let per_case = map_cases(&cases, |case| {
         let mut per_c: Vec<[String; 6]> = Vec::new();
         for c in EdlOverhead::SWEEP {
-            let a = run_approaches(case, &lib, c).expect("flows run");
+            let a = table_flows(case, &lib, c, DelayModel::PathBased, cfg.verify);
             per_c.push([
                 a.base.seq.slaves.to_string(),
                 a.base.seq.edl.to_string(),

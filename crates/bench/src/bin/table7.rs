@@ -1,19 +1,21 @@
 //! Table VII: run-time comparison, plus the G-RAR phase breakdown
 //! backing the paper's "network simplex < 2 % of run-time" observation.
 
-use retime_bench::{f2, load_suite, map_cases, print_table, run_approaches};
+use retime_bench::{f2, load_suite, map_cases, print_table, table_flows, RunConfig};
 use retime_core::Stage;
 use retime_liberty::{EdlOverhead, Library};
+use retime_sta::DelayModel;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
+    let cases = load_suite(cfg.suite, &lib);
     let rows = map_cases(&cases, |case| {
         let mut row = vec![case.circuit.spec.name.to_string()];
         let mut solver_share: f64 = 0.0;
         for c in EdlOverhead::SWEEP {
-            let a = run_approaches(case, &lib, c).expect("flows run");
+            let a = table_flows(case, &lib, c, DelayModel::PathBased, cfg.verify);
             row.push(f2(a.base.stats.elapsed.as_secs_f64()));
             row.push(f2(a.rvl.outcome.stats.elapsed.as_secs_f64()));
             row.push(f2(a.grar.outcome.stats.elapsed.as_secs_f64()));

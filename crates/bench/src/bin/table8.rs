@@ -1,32 +1,27 @@
 //! Table VIII: error-rate (%) comparison by random-input timed
 //! simulation.
 
-use retime_bench::{load_suite, map_cases, mean, print_table, table8_row};
+use retime_bench::{f2, load_suite, map_cases, print_table, rows_and_means, table8_row, RunConfig};
 use retime_liberty::Library;
 use retime_sim::ErrorRateConfig;
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let cfg = ErrorRateConfig {
+    let cases = load_suite(cfg.suite, &lib);
+    let sim = ErrorRateConfig {
         cycles: 2000,
         seed: 0xE0_5EED,
     };
-    let per_case = map_cases(&cases, |case| table8_row(case, &lib, &cfg));
-    let mut rows = Vec::new();
-    let mut avgs: Vec<Vec<f64>> = vec![Vec::new(); 9];
-    for (row, rates) in per_case {
-        for (col, r) in rates.into_iter().enumerate() {
-            avgs[col].push(r);
-        }
-        rows.push(row);
-    }
-    let mut avg = vec!["average".to_string()];
-    for a in &avgs {
-        avg.push(format!("{:.2}", mean(a)));
-    }
-    rows.push(avg);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
+        table8_row(case, &lib, &sim, cfg.verify)
+    }));
+    rows.push(
+        std::iter::once("average".to_string())
+            .chain(means.map(f2))
+            .collect(),
+    );
     print_table(
         "Table VIII: error-rate (%) comparison",
         &[

@@ -1,16 +1,19 @@
 //! Table IX: fixed-master vs movable-master RVL-RAR.
 
-use retime_bench::{f2, load_suite, map_cases, mean, print_table, Certification};
+use retime_bench::{
+    f2, load_suite, map_cases, print_table, rows_and_means, Certification, RunConfig,
+};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::CombCloud;
 use retime_verify::FlowKind;
 use retime_vl::{forward_merge_pass, vl_retime, VlConfig, VlVariant};
 
 fn main() {
-    let _trace = retime_bench::trace_session();
+    let cfg = RunConfig::from_env();
+    let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
-    let cases = load_suite(&lib);
-    let per_case = map_cases(&cases, |case| {
+    let cases = load_suite(cfg.suite, &lib);
+    let (mut rows, means) = rows_and_means(map_cases(&cases, |case| {
         let mut row = vec![case.circuit.spec.name.to_string()];
         let mut case_diffs = [0.0f64; 3];
         // Movable masters: the forward merge pre-pass repositions master
@@ -34,19 +37,22 @@ fn main() {
             )
             .expect("movable RVL runs");
             // The movable run certifies against the merged netlist and
-            // its cloud — the circuit it actually retimed (under
-            // RETIME_VERIFY=1).
-            Certification::of_case(case, c, FlowKind::Vl, "rvl/fixed")
-                .expect_pass(&lib, &mut fixed.outcome);
-            Certification::of_netlist(
-                &moved_netlist,
-                &moved_cloud,
-                case.clock,
-                c,
-                FlowKind::Vl,
-                format!("{} [rvl/movable]", case.circuit.spec.name),
-            )
-            .expect_pass(&lib, &mut movable.outcome);
+            // its cloud — the circuit it actually retimed.
+            if cfg.verify {
+                Certification::of_case(case, c, FlowKind::Vl, "rvl/fixed")
+                    .run(&lib, &mut fixed.outcome)
+                    .expect("certificate accepted");
+                Certification::of_netlist(
+                    &moved_netlist,
+                    &moved_cloud,
+                    case.clock,
+                    c,
+                    FlowKind::Vl,
+                    format!("{} [rvl/movable]", case.circuit.spec.name),
+                )
+                .run(&lib, &mut movable.outcome)
+                .expect("certificate accepted");
+            }
             let fa = fixed.outcome.total_area;
             let ma = movable.outcome.total_area;
             let diff = if fa > 0.0 {
@@ -59,18 +65,10 @@ fn main() {
         }
         row.push(format!("({moves} master moves)"));
         (row, case_diffs)
-    });
-    let mut rows = Vec::new();
-    let mut diffs: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (row, case_diffs) in per_case {
-        for (k, d) in case_diffs.into_iter().enumerate() {
-            diffs[k].push(d);
-        }
-        rows.push(row);
-    }
+    }));
     let mut avg = vec!["average".to_string()];
-    for d in &diffs {
-        avg.extend([String::new(), String::new(), f2(mean(d))]);
+    for m in means {
+        avg.extend([String::new(), String::new(), f2(m)]);
     }
     rows.push(avg);
     print_table(

@@ -8,16 +8,20 @@
 //! cargo run --release -p retime-bench --bin table5
 //! ```
 //!
-//! The environment variable `RETIME_SUITE` selects the workload:
+//! Each binary parses one [`RunConfig`] first thing in `main`
+//! ([`RunConfig::from_env`]; every `RETIME_*` knob is listed in
+//! [`config`]) and passes it down. `RETIME_SUITE` selects the workload:
 //! `full` (default — all twelve circuits), `small` (≤ 200 flip-flops),
 //! or `tiny` (the four smallest; used by the smoke tests).
 //!
-//! With `RETIME_VERIFY=1`, every flow result additionally passes the
-//! independent certificate checker of `retime-verify` (ILP feasibility,
+//! With `RETIME_VERIFY=1`, the binaries certify every flow result with
+//! the independent checker of `retime-verify` (ILP feasibility,
 //! optimality for G-RAR, timing/EDL/area recount, and functional
-//! equivalence under random stimulus) before it is tabulated; the
-//! verification wall-clock shows up as the `verify` phase of each
-//! outcome's instrumentation.
+//! equivalence under random stimulus) before it is tabulated, through
+//! [`Approaches::certify`] or [`Certification::run`]; the verification
+//! wall-clock shows up as the `verify` phase of each outcome's
+//! instrumentation. The library's flow runners never certify on their
+//! own.
 //!
 //! With `RETIME_TRACE=1`, every table binary records hierarchical
 //! `retime-trace` spans and prints a self-time profile (top span names
@@ -32,6 +36,10 @@
 
 use std::time::Instant;
 
+pub mod config;
+
+pub use config::{RunConfig, SuiteMode};
+
 use retime_circuits::{paper_suite, SuiteCircuit};
 use retime_core::{grar, grar_with_sweep, GrarConfig, GrarReport};
 use retime_liberty::{EdlOverhead, Library};
@@ -40,7 +48,7 @@ use retime_retime::{
     base_retime, base_retime_sweep, flop_design_area, AreaModel, RetimeError, RetimeOutcome,
     RetimingSweep,
 };
-use retime_sta::{DelayModel, StatParams, TwoPhaseClock};
+use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::{
     verify_certificate, verify_retiming_solution, FlowKind, VerifyOptions, VerifySetup,
 };
@@ -56,78 +64,16 @@ pub struct BenchCase {
     pub setup_time: std::time::Duration,
 }
 
-/// Which slice of the paper suite a run works on (the `RETIME_SUITE`
-/// environment variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SuiteMode {
-    /// All twelve circuits (the default).
-    #[default]
-    Full,
-    /// Circuits with ≤ 200 flip-flops.
-    Small,
-    /// The four smallest circuits (smoke tests, CI).
-    Tiny,
-}
-
-impl SuiteMode {
-    /// Parses a raw `RETIME_SUITE` value. `Err` carries the one-line
-    /// warning to print — the same shape `RETIME_THREADS` uses (see
-    /// [`retime_engine::parse_thread_override`]), so the two knobs fail
-    /// the same way.
-    ///
-    /// # Errors
-    /// Returns the warning line when the value is unrecognized.
-    pub fn parse(raw: &str) -> Result<SuiteMode, String> {
-        match raw {
-            "full" => Ok(SuiteMode::Full),
-            "small" => Ok(SuiteMode::Small),
-            "tiny" => Ok(SuiteMode::Tiny),
-            other => Err(format!(
-                "warning: unrecognized RETIME_SUITE value {other:?}; \
-                 accepted values are \"full\", \"small\", or \"tiny\" — \
-                 running the full suite"
-            )),
-        }
-    }
-
-    /// The `RETIME_SUITE` selection, warning once on stderr for an
-    /// unrecognized value (falls back to the full suite).
-    pub fn from_env() -> SuiteMode {
-        match std::env::var("RETIME_SUITE") {
-            Ok(raw) => SuiteMode::parse(&raw).unwrap_or_else(|warning| {
-                eprintln!("{warning}");
-                SuiteMode::Full
-            }),
-            Err(_) => SuiteMode::Full,
-        }
-    }
-
-    /// Restricts the suite definition to this slice.
-    pub fn select(
-        self,
-        specs: Vec<retime_circuits::CircuitSpec>,
-    ) -> Vec<retime_circuits::CircuitSpec> {
-        match self {
-            SuiteMode::Full => specs,
-            SuiteMode::Small => specs.into_iter().filter(|s| s.flops <= 200).collect(),
-            SuiteMode::Tiny => specs.into_iter().take(4).collect(),
-        }
-    }
-}
-
-/// Loads the benchmark suite honoring `RETIME_SUITE`
-/// (`full` | `small` | `tiny`), building and calibrating the circuits in
-/// parallel (`RETIME_THREADS` caps the fan-out). Case order always
-/// follows the suite definition regardless of thread count.
-///
-/// An unrecognized `RETIME_SUITE` value falls back to the full suite
-/// with a warning on stderr.
+/// Loads the `suite` slice of the benchmark suite, building and
+/// calibrating the circuits in parallel (`RETIME_THREADS` caps the
+/// fan-out). Case order always follows the suite definition regardless
+/// of thread count.
 ///
 /// # Panics
 /// Panics if a circuit fails to build — the suite is deterministic, so
 /// this only happens on programming errors.
-pub fn load_suite(lib: &Library) -> Vec<BenchCase> {
-    let specs = SuiteMode::from_env().select(paper_suite());
+pub fn load_suite(suite: SuiteMode, lib: &Library) -> Vec<BenchCase> {
+    let specs = suite.select(paper_suite());
     retime_engine::parallel_map(0, &specs, |spec| build_case(spec, lib))
 }
 
@@ -159,25 +105,9 @@ pub struct Approaches {
     pub grar: GrarReport,
 }
 
-/// Whether `RETIME_VERIFY=1` requested self-certification of every flow
-/// result (one switch shared by all table binaries).
-pub fn verify_enabled() -> bool {
-    retime_verify::enabled()
-}
-
-/// Starts the shared trace session every table binary opens first thing
-/// in `main` — `RETIME_TRACE=1` turns span recording on,
-/// `RETIME_TRACE_OUT=path` additionally writes the Chrome-trace JSON
-/// (load it in <https://ui.perfetto.dev>). The returned guard must stay
-/// alive for the whole run; dropping it prints the self-time profile to
-/// stderr, so the table rows on stdout stay byte-identical either way.
-pub fn trace_session() -> retime_trace::TraceSession {
-    retime_trace::TraceSession::from_env()
-}
-
 /// One certification request against the independent checker of
-/// `retime-verify` — the single home of the `RETIME_VERIFY` plumbing
-/// that used to be hand-rolled in every table binary.
+/// `retime-verify`, which callers issue when [`RunConfig::verify`] is
+/// set.
 ///
 /// The common shape ([`Certification::of_case`]) certifies against a
 /// suite case's own netlist, clock, and the path-based delay model;
@@ -274,103 +204,82 @@ impl<'a> Certification<'a> {
         outcome.phases.merge(&report.phases);
         Ok(())
     }
+}
 
-    /// The table-binary guard: a no-op unless `RETIME_VERIFY=1`
-    /// requested certification, then [`Certification::run`].
+impl Approaches {
+    /// Certifies all three outcomes against `model`, the delay model
+    /// that drove them (statistical certificates include the exact
+    /// `StatSummary` replay and the Monte Carlo yield cross-check).
     ///
-    /// # Panics
-    /// Panics with the checker's diagnosis when the certificate is
-    /// rejected.
-    pub fn expect_pass(&self, lib: &Library, outcome: &mut RetimeOutcome) {
-        if verify_enabled() {
-            self.run(lib, outcome).expect("certificate accepted");
+    /// # Errors
+    /// Returns the first rejected certificate.
+    pub fn certify(
+        &mut self,
+        case: &BenchCase,
+        lib: &Library,
+        c: EdlOverhead,
+        model: DelayModel,
+    ) -> Result<(), RetimeError> {
+        for (kind, label, outcome) in [
+            (FlowKind::Base, "base", &mut self.base),
+            (FlowKind::Vl, "rvl", &mut self.rvl.outcome),
+            (FlowKind::Grar, "grar", &mut self.grar.outcome),
+        ] {
+            Certification::of_case(case, c, kind, label)
+                .with_model(model)
+                .run(lib, outcome)?;
         }
+        Ok(())
     }
 }
 
-/// The delay model the table binaries run under — the
-/// `RETIME_DELAY_MODE` environment knob: `path` (default), `gate`, or
-/// `statistical` (alias `stat`). Statistical mode starts from
-/// [`StatParams::DEFAULT`] and layers the `RETIME_YIELD` /
-/// `RETIME_SIGMA` / `RETIME_CLOCK_SIGMA` / `RETIME_STAT_SEED` knobs on
-/// top ([`retime_stat::params_from_env`]). An unrecognized value warns
-/// once on stderr and falls back to path-based, following the
-/// `RETIME_SUITE` convention.
-pub fn delay_mode_from_env() -> DelayModel {
-    match std::env::var("RETIME_DELAY_MODE") {
-        Ok(raw) => match raw.trim() {
-            "path" => DelayModel::PathBased,
-            "gate" => DelayModel::GateBased,
-            "statistical" | "stat" => {
-                DelayModel::Statistical(retime_stat::params_from_env(StatParams::DEFAULT))
-            }
-            other => {
-                eprintln!(
-                    "warning: unrecognized RETIME_DELAY_MODE value {other:?}; accepted values \
-                     are \"path\", \"gate\", or \"statistical\" — using the path-based model"
-                );
-                DelayModel::PathBased
-            }
-        },
-        Err(_) => DelayModel::PathBased,
-    }
-}
-
-/// Runs base retiming, RVL-RAR, and G-RAR on one case. With
-/// `RETIME_VERIFY=1`, each of the three results must additionally pass
-/// the independent certificate checker.
+/// Runs base retiming, RVL-RAR, and G-RAR on one case under `model`,
+/// uncertified (see [`Approaches::certify`]).
 ///
 /// # Errors
-/// Propagates flow failures and rejected certificates.
+/// Propagates flow failures.
 pub fn run_approaches(
-    case: &BenchCase,
-    lib: &Library,
-    c: EdlOverhead,
-) -> Result<Approaches, RetimeError> {
-    run_approaches_model(case, lib, c, DelayModel::PathBased)
-}
-
-/// [`run_approaches`] under an explicit delay model — the statistical
-/// Table IV section drives all three flows with
-/// `DelayModel::Statistical`, and `RETIME_VERIFY=1` certifies each
-/// outcome against the model that drove it (statistical certificates
-/// include the exact `StatSummary` replay and the Monte Carlo yield
-/// cross-check).
-///
-/// # Errors
-/// Propagates flow failures and rejected certificates.
-pub fn run_approaches_model(
     case: &BenchCase,
     lib: &Library,
     c: EdlOverhead,
     model: DelayModel,
 ) -> Result<Approaches, RetimeError> {
     let cloud = &case.circuit.cloud;
-    let mut base = base_retime(cloud, lib, case.clock, model, c)?;
-    let mut rvl = vl_retime(
+    let base = base_retime(cloud, lib, case.clock, model, c)?;
+    let rvl = vl_retime(
         cloud,
         lib,
         case.clock,
         &VlConfig::new(VlVariant::Rvl, c).with_model(model),
     )?;
-    let mut g = grar(
+    let grar = grar(
         cloud,
         lib,
         case.clock,
         &GrarConfig::new(c).with_model(model),
     )?;
-    if verify_enabled() {
-        Certification::of_case(case, c, FlowKind::Base, "base")
-            .with_model(model)
-            .run(lib, &mut base)?;
-        Certification::of_case(case, c, FlowKind::Vl, "rvl")
-            .with_model(model)
-            .run(lib, &mut rvl.outcome)?;
-        Certification::of_case(case, c, FlowKind::Grar, "grar")
-            .with_model(model)
-            .run(lib, &mut g.outcome)?;
+    Ok(Approaches { base, rvl, grar })
+}
+
+/// The table binaries' shape: [`run_approaches`], certified when
+/// `verify` is set ([`RunConfig::verify`]).
+///
+/// # Panics
+/// Panics if a flow fails (the suite circuits are always feasible) or a
+/// certificate is rejected.
+pub fn table_flows(
+    case: &BenchCase,
+    lib: &Library,
+    c: EdlOverhead,
+    model: DelayModel,
+    verify: bool,
+) -> Approaches {
+    let mut a = run_approaches(case, lib, c, model).expect("flows run");
+    if verify {
+        a.certify(case, lib, c, model)
+            .expect("certificate accepted");
     }
-    Ok(Approaches { base, rvl, grar: g })
+    a
 }
 
 /// Per-flow solved-instance memos carried across an overhead sweep on
@@ -414,16 +323,15 @@ impl WarmSlots {
     }
 }
 
-/// [`run_approaches`] with solved-instance memos threaded through all
-/// three flows — the overhead-sweep call sites (Table IV, the
-/// benchmark's sweep) keep one [`WarmSlots`] per case so a `c` probe
-/// whose instance did not change is answered from the memo. With
-/// `RETIME_VERIFY=1` every memo's solution is additionally certified
-/// optimal before the row is accepted.
+/// [`run_approaches`] under the path-based model with solved-instance
+/// memos threaded through all three flows — the overhead-sweep call
+/// sites (Table IV, the benchmark's sweep) keep one [`WarmSlots`] per
+/// case so a `c` probe whose instance did not change is answered from
+/// the memo. Uncertified, like [`run_approaches`]; certify the memos
+/// with [`WarmSlots::certify`].
 ///
 /// # Errors
-/// Propagates flow failures and rejected certificates, the memos'
-/// included.
+/// Propagates flow failures.
 pub fn run_approaches_with(
     case: &BenchCase,
     lib: &Library,
@@ -431,7 +339,7 @@ pub fn run_approaches_with(
     slots: &mut WarmSlots,
 ) -> Result<Approaches, RetimeError> {
     let cloud = &case.circuit.cloud;
-    let mut base = base_retime_sweep(
+    let base = base_retime_sweep(
         cloud,
         lib,
         case.clock,
@@ -439,35 +347,15 @@ pub fn run_approaches_with(
         c,
         &mut slots.base,
     )?;
-    let mut rvl = vl_retime_with_sweep(
+    let rvl = vl_retime_with_sweep(
         cloud,
         lib,
         case.clock,
         &VlConfig::new(VlVariant::Rvl, c),
         &mut slots.rvl,
     )?;
-    let mut g = grar_with_sweep(cloud, lib, case.clock, &GrarConfig::new(c), &mut slots.grar)?;
-    if verify_enabled() {
-        Certification::of_case(case, c, FlowKind::Base, "base").run(lib, &mut base)?;
-        Certification::of_case(case, c, FlowKind::Vl, "rvl").run(lib, &mut rvl.outcome)?;
-        Certification::of_case(case, c, FlowKind::Grar, "grar").run(lib, &mut g.outcome)?;
-        slots.certify()?;
-    }
-    Ok(Approaches { base, rvl, grar: g })
-}
-
-/// Runs all three flows on every case in parallel (`RETIME_THREADS` caps
-/// the fan-out). The result vector is index-aligned with `cases`, so
-/// table output order is deterministic regardless of thread count.
-///
-/// # Errors
-/// Each case reports its own flow failures.
-pub fn run_suite(
-    cases: &[BenchCase],
-    lib: &Library,
-    c: EdlOverhead,
-) -> Vec<Result<Approaches, RetimeError>> {
-    map_cases(cases, |case| run_approaches(case, lib, c))
+    let grar = grar_with_sweep(cloud, lib, case.clock, &GrarConfig::new(c), &mut slots.grar)?;
+    Ok(Approaches { base, rvl, grar })
 }
 
 /// Applies `f` to every case in parallel, preserving case order in the
@@ -505,35 +393,64 @@ pub fn table1_row(case: &BenchCase, lib: &Library, model: &AreaModel<'_>) -> Vec
     ]
 }
 
-/// The Table IV cells of one case — per EDL overhead of
-/// [`EdlOverhead::SWEEP`]: base, RVL, RVL improvement %, G-RAR, G-RAR
-/// improvement % — plus the raw per-overhead improvement percentages for
-/// the table's average row. Shared by the `table4` binary and the golden
-/// snapshot test.
+/// The cells of one case of the Table IV and V layout — per EDL
+/// overhead of [`EdlOverhead::SWEEP`]: base, RVL, RVL improvement %,
+/// G-RAR, G-RAR improvement % of `area` — plus the improvement
+/// percentages (RVL, G-RAR per overhead) for the table's average row.
+/// The sweep keeps one [`WarmSlots`] per case; with `verify`, every
+/// outcome and every memo's last solution is certified first. Table IV
+/// reads the sequential area, Table V the total area; shared by both
+/// binaries and the golden snapshot test.
 ///
 /// # Panics
-/// Panics if a flow fails (the suite circuits are always feasible).
-pub fn table4_row(case: &BenchCase, lib: &Library) -> (Vec<String>, [f64; 3], [f64; 3]) {
+/// Panics if a flow fails (the suite circuits are always feasible) or a
+/// certificate is rejected.
+pub fn area_row(
+    case: &BenchCase,
+    lib: &Library,
+    verify: bool,
+    area: fn(&RetimeOutcome) -> f64,
+) -> (Vec<String>, [f64; 6]) {
     let mut row = vec![case.circuit.spec.name.to_string()];
-    let mut rvl_impr = [0.0f64; 3];
-    let mut g_impr = [0.0f64; 3];
+    let mut impr = [0.0f64; 6];
     let mut slots = WarmSlots::default();
     for (k, c) in EdlOverhead::SWEEP.into_iter().enumerate() {
-        let a = run_approaches_with(case, lib, c, &mut slots).expect("flows run");
-        let base = a.base.seq.total();
-        let rvl = a.rvl.outcome.seq.total();
-        let g = a.grar.outcome.seq.total();
-        rvl_impr[k] = pct_impr(base, rvl);
-        g_impr[k] = pct_impr(base, g);
+        let mut a = run_approaches_with(case, lib, c, &mut slots).expect("flows run");
+        if verify {
+            a.certify(case, lib, c, DelayModel::PathBased)
+                .and_then(|()| slots.certify())
+                .expect("certificate accepted");
+        }
+        let base = area(&a.base);
+        let rvl = area(&a.rvl.outcome);
+        let g = area(&a.grar.outcome);
+        impr[2 * k] = pct_impr(base, rvl);
+        impr[2 * k + 1] = pct_impr(base, g);
         row.extend([
             f2(base),
             f2(rvl),
-            f2(pct_impr(base, rvl)),
+            f2(impr[2 * k]),
             f2(g),
-            f2(pct_impr(base, g)),
+            f2(impr[2 * k + 1]),
         ]);
     }
-    (row, rvl_impr, g_impr)
+    (row, impr)
+}
+
+/// The `average` row under [`area_row`]'s layout, from the means of its
+/// improvement percentages.
+pub fn area_average_row(means: [f64; 6]) -> Vec<String> {
+    let mut avg = vec!["average".to_string()];
+    for pair in means.chunks(2) {
+        avg.extend([
+            String::new(),
+            String::new(),
+            f2(pair[0]),
+            String::new(),
+            f2(pair[1]),
+        ]);
+    }
+    avg
 }
 
 /// The statistical Table IV cells of one case, at medium EDL overhead:
@@ -545,18 +462,24 @@ pub fn table4_row(case: &BenchCase, lib: &Library) -> (Vec<String>, [f64; 3], [f
 /// minimum is a constant ~0 and says nothing). `MinYield` is that
 /// endpoint's timing yield at the clock period and `dY/dsigc` its
 /// `d yield / d σ_clock` by finite difference (≤ 0, since more jitter
-/// can only hurt). Shared by the `table4` binary's statistical section
-/// and its golden snapshot test.
+/// can only hurt). With `verify`, the three outcomes are certified
+/// first. Shared by the `table4` binary's statistical section and its
+/// golden snapshot test.
 ///
 /// # Panics
-/// Panics if a flow fails, `model` is not statistical, or the outcome
-/// carries no summary.
-pub fn table4_stat_row(case: &BenchCase, lib: &Library, model: DelayModel) -> Vec<String> {
+/// Panics if a flow fails, a certificate is rejected, `model` is not
+/// statistical, or the outcome carries no summary.
+pub fn table4_stat_row(
+    case: &BenchCase,
+    lib: &Library,
+    model: DelayModel,
+    verify: bool,
+) -> Vec<String> {
     assert!(
         matches!(model, DelayModel::Statistical(_)),
         "table4_stat_row wants a statistical model"
     );
-    let a = run_approaches_model(case, lib, EdlOverhead::MEDIUM, model).expect("flows run");
+    let a = table_flows(case, lib, EdlOverhead::MEDIUM, model, verify);
     let outcome = &a.grar.outcome;
     let stat = outcome
         .stat
@@ -585,22 +508,24 @@ pub fn table4_stat_row(case: &BenchCase, lib: &Library, model: DelayModel) -> Ve
 /// and G-RAR per EDL overhead of [`EdlOverhead::SWEEP`], each flow
 /// simulated with its own final delays (including any legalization
 /// upsizing), as a signoff would. Returns the raw rates too, for the
-/// table's average row. Shared by the `table8` binary and the golden
-/// snapshot test.
+/// table's average row. With `verify`, the flows are certified first.
+/// Shared by the `table8` binary and the golden snapshot test.
 ///
 /// # Panics
-/// Panics if a flow fails (the suite circuits are always feasible).
+/// Panics if a flow fails (the suite circuits are always feasible) or a
+/// certificate is rejected.
 pub fn table8_row(
     case: &BenchCase,
     lib: &Library,
     cfg: &retime_sim::ErrorRateConfig,
+    verify: bool,
 ) -> (Vec<String>, [f64; 9]) {
     let cloud = &case.circuit.cloud;
     let mut row = vec![case.circuit.spec.name.to_string()];
     let mut rates = [0.0f64; 9];
     let mut col = 0;
     for c in EdlOverhead::SWEEP {
-        let a = run_approaches(case, lib, c).expect("flows run");
+        let a = table_flows(case, lib, c, DelayModel::PathBased, verify);
         for (cut, ed, delays) in [
             (&a.base.cut, &a.base.ed_sinks, &a.base.final_delays),
             (
@@ -681,18 +606,27 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// Splits per-case `(row, values)` pairs into the table rows and, per
+/// value column, the mean over the cases, for the table's average row.
+pub fn rows_and_means<const N: usize>(
+    per_case: Vec<(Vec<String>, [f64; N])>,
+) -> (Vec<Vec<String>>, [f64; N]) {
+    let means =
+        std::array::from_fn(|k| mean(&per_case.iter().map(|(_, v)| v[k]).collect::<Vec<_>>()));
+    (per_case.into_iter().map(|(row, _)| row).collect(), means)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tiny_suite_runs_all_flows() {
-        std::env::set_var("RETIME_SUITE", "tiny");
         let lib = Library::fdsoi28();
-        let cases = load_suite(&lib);
+        let cases = load_suite(SuiteMode::Tiny, &lib);
         assert_eq!(cases.len(), 4);
         for case in &cases {
-            let a = run_approaches(case, &lib, EdlOverhead::MEDIUM)
+            let a = run_approaches(case, &lib, EdlOverhead::MEDIUM, DelayModel::PathBased)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", case.circuit.spec.name));
             // The paper's headline ordering on sequential cost.
             assert!(
@@ -703,7 +637,6 @@ mod tests {
                 a.base.seq.total()
             );
         }
-        std::env::remove_var("RETIME_SUITE");
     }
 
     #[test]
@@ -723,51 +656,21 @@ mod tests {
                 a.grar.predicted_saved.to_string(),
             ]
         };
-        let first: Vec<Vec<String>> = run_suite(&cases, &lib, EdlOverhead::MEDIUM)
-            .iter()
-            .map(|r| row(r.as_ref().expect("flows run")))
-            .collect();
-        let second: Vec<Vec<String>> = run_suite(&cases, &lib, EdlOverhead::MEDIUM)
-            .iter()
-            .map(|r| row(r.as_ref().expect("flows run")))
-            .collect();
+        let run = || {
+            map_cases(&cases, |case| {
+                row(&table_flows(
+                    case,
+                    &lib,
+                    EdlOverhead::MEDIUM,
+                    DelayModel::PathBased,
+                    false,
+                ))
+            })
+        };
+        let first = run();
+        let second = run();
         assert_eq!(first, second);
         assert_eq!(first.len(), cases.len());
-    }
-
-    #[test]
-    fn suite_mode_parses_known_values() {
-        assert_eq!(SuiteMode::parse("full"), Ok(SuiteMode::Full));
-        assert_eq!(SuiteMode::parse("small"), Ok(SuiteMode::Small));
-        assert_eq!(SuiteMode::parse("tiny"), Ok(SuiteMode::Tiny));
-    }
-
-    #[test]
-    fn suite_mode_warns_on_garbage_like_thread_override() {
-        // The two env knobs fail the same way: a one-line
-        // `warning: unrecognized <VAR> value "<raw>"; …` message.
-        for raw in ["Tiny", "medium", ""] {
-            let warning = SuiteMode::parse(raw).unwrap_err();
-            assert!(
-                warning.starts_with("warning: unrecognized RETIME_SUITE value"),
-                "unexpected warning shape: {warning}"
-            );
-            assert!(warning.contains(&format!("{raw:?}")));
-        }
-        let threads = retime_engine::parse_thread_override("garbage").unwrap_err();
-        assert!(threads.starts_with("warning: unrecognized RETIME_THREADS value"));
-    }
-
-    #[test]
-    fn suite_mode_selects_slices() {
-        let all = paper_suite();
-        let n = all.len();
-        assert_eq!(SuiteMode::Full.select(paper_suite()).len(), n);
-        assert_eq!(SuiteMode::Tiny.select(paper_suite()).len(), 4);
-        assert!(SuiteMode::Small
-            .select(paper_suite())
-            .iter()
-            .all(|s| s.flops <= 200));
     }
 
     #[test]

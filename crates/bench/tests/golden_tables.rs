@@ -14,22 +14,15 @@
 use std::path::PathBuf;
 
 use retime_bench::{
-    build_case, map_cases, table1_row, table4_row, table4_stat_row, table8_row, BenchCase,
+    area_row, load_suite, map_cases, table1_row, table4_stat_row, table8_row, BenchCase, SuiteMode,
 };
-use retime_circuits::paper_suite;
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::AreaModel;
 use retime_sim::ErrorRateConfig;
 use retime_sta::{DelayModel, StatParams};
 
-/// The tiny suite, built directly (not via `RETIME_SUITE`, which other
-/// concurrently running tests may set).
 fn tiny_cases(lib: &Library) -> Vec<BenchCase> {
-    paper_suite()
-        .into_iter()
-        .take(4)
-        .map(|spec| build_case(&spec, lib))
-        .collect()
+    load_suite(SuiteMode::Tiny, lib)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -79,16 +72,17 @@ fn table1_rows_match_golden() {
 fn table4_rows_match_golden() {
     let lib = Library::fdsoi28();
     let cases = tiny_cases(&lib);
-    let rows: Vec<Vec<String>> = map_cases(&cases, |case| table4_row(case, &lib))
-        .into_iter()
-        .map(|(row, _, _)| row)
-        .collect();
+    let rows: Vec<Vec<String>> = map_cases(&cases, |case| {
+        area_row(case, &lib, false, |o| o.seq.total())
+    })
+    .into_iter()
+    .map(|(row, _)| row)
+    .collect();
     check_golden("table4_tiny.txt", &rows);
 }
 
 /// The statistical Table IV section on the tiny suite, pinned under the
-/// default statistical parameters (not `RETIME_DELAY_MODE`, which other
-/// concurrently running tests could perturb). The row includes the
+/// default statistical parameters. The row includes the
 /// yield, EDL-count, and jitter-sensitivity columns, so any drift in
 /// the canonical-form engine's numerics fails here first.
 #[test]
@@ -96,7 +90,7 @@ fn table4_stat_rows_match_golden() {
     let lib = Library::fdsoi28();
     let cases = tiny_cases(&lib);
     let model = DelayModel::Statistical(StatParams::DEFAULT);
-    let rows = map_cases(&cases, |case| table4_stat_row(case, &lib, model));
+    let rows = map_cases(&cases, |case| table4_stat_row(case, &lib, model, false));
     check_golden("table4_stat_tiny.txt", &rows);
 }
 
@@ -111,7 +105,7 @@ fn table8_rows_match_golden() {
         cycles: 2000,
         seed: 0xE0_5EED,
     };
-    let rows: Vec<Vec<String>> = map_cases(&cases, |case| table8_row(case, &lib, &cfg))
+    let rows: Vec<Vec<String>> = map_cases(&cases, |case| table8_row(case, &lib, &cfg, false))
         .into_iter()
         .map(|(row, _)| row)
         .collect();

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use retime_bench::{build_case, map_cases, table1_row, table4_row, BenchCase};
+use retime_bench::{area_row, build_case, map_cases, table1_row, BenchCase};
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{grar, grar_with_sweep, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
@@ -233,9 +233,9 @@ fn table_rows_are_bit_identical_with_tracing_on_and_off() {
 
     let table1 = |cases: &[BenchCase]| map_cases(cases, |case| table1_row(case, &lib, &model));
     let table4 = |cases: &[BenchCase]| -> Vec<Vec<String>> {
-        map_cases(cases, |case| table4_row(case, &lib))
+        map_cases(cases, |case| area_row(case, &lib, false, |o| o.seq.total()))
             .into_iter()
-            .map(|(row, _, _)| row)
+            .map(|(row, _)| row)
             .collect()
     };
 

@@ -5,10 +5,12 @@
 //! unslotted solve each time). The memo is a pure solver-level cache;
 //! if any outcome moves, a stale solution leaked into the result.
 
-use retime_bench::{build_case, map_cases, run_approaches, run_approaches_with, WarmSlots};
-use retime_circuits::paper_suite;
+use retime_bench::{
+    load_suite, map_cases, run_approaches, run_approaches_with, SuiteMode, WarmSlots,
+};
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::RetimeOutcome;
+use retime_sta::DelayModel;
 
 /// Asserts two flow outcomes are bit-identical in everything a table
 /// prints or a certificate checks.
@@ -30,19 +32,15 @@ fn assert_same(label: &str, warm: &RetimeOutcome, cold: &RetimeOutcome) {
 #[test]
 fn table4_sweep_with_warm_slots_matches_cold_runs() {
     let lib = Library::fdsoi28();
-    // The tiny suite, built directly rather than through `RETIME_SUITE`.
-    let cases: Vec<_> = paper_suite()
-        .into_iter()
-        .take(4)
-        .map(|spec| build_case(&spec, &lib))
-        .collect();
+    let cases = load_suite(SuiteMode::Tiny, &lib);
     let warm_paths = map_cases(&cases, |case| {
         let name = case.circuit.spec.name;
         let mut slots = WarmSlots::default();
         let mut warm_hits = 0;
         for c in EdlOverhead::SWEEP {
             let warm = run_approaches_with(case, &lib, c, &mut slots).expect("warm flows run");
-            let cold = run_approaches(case, &lib, c).expect("cold flows run");
+            let cold =
+                run_approaches(case, &lib, c, DelayModel::PathBased).expect("cold flows run");
             assert_same(&format!("{name} base c={c}"), &warm.base, &cold.base);
             assert_same(
                 &format!("{name} rvl c={c}"),

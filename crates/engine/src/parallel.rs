@@ -33,6 +33,10 @@ pub fn parse_thread_override(raw: &str) -> Result<usize, String> {
 /// positive integer, otherwise [`std::thread::available_parallelism`].
 /// `RETIME_THREADS=0` means auto too, mirroring the API convention.
 /// An unrecognized value warns once on stderr and falls back to auto.
+///
+/// This is the one environment read in the library crates (every other
+/// `RETIME_*` knob is parsed once per binary into
+/// `retime_bench::RunConfig`): a thread count never changes an output.
 pub fn thread_count() -> usize {
     if let Ok(v) = std::env::var("RETIME_THREADS") {
         match parse_thread_override(&v) {

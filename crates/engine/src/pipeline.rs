@@ -10,8 +10,11 @@ use std::time::{Duration, Instant};
 /// `Sta → Solve → Commit`, G-RAR inserts `Classify` (the per-target
 /// backward passes and cut-set construction that dominate its runtime),
 /// and the virtual-library flow adds its typing/freezing `Seed` pass and
-/// the post-retiming `Swap` step. When `RETIME_VERIFY=1`, every flow
-/// appends the independent certificate-checker `Verify` stage. Circuits
+/// the post-retiming `Swap` step. The flows never run `Verify`
+/// themselves: a caller that certifies (a table binary under
+/// `RETIME_VERIFY=1`, a `verify: true` serve job, `retime-convert
+/// --retime`) merges the independent checker's `Verify` stage into the
+/// outcome's instrumentation afterwards. Circuits
 /// that arrive as ordinary edge-triggered FF netlists first pass through
 /// the `Convert` front stage (`retime-convert`), which splits each FF
 /// into a master/slave latch pair before any retiming stage runs.

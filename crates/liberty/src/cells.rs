@@ -145,16 +145,6 @@ pub enum EdlStyle {
 }
 
 impl EdlStyle {
-    /// Typical amortized area overhead `c` of the style relative to a
-    /// normal latch (the paper's Section II-B range is 0.5–2×; the shadow
-    /// flip-flop sits at the costly end, the TDTB at the cheap end).
-    pub fn typical_overhead(self) -> f64 {
-        match self {
-            EdlStyle::ShadowMsff => 2.0,
-            EdlStyle::Tdtb => 0.5,
-        }
-    }
-
     /// Short human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -233,7 +223,6 @@ mod tests {
 
     #[test]
     fn edl_styles() {
-        assert!(EdlStyle::ShadowMsff.typical_overhead() > EdlStyle::Tdtb.typical_overhead());
         assert_eq!(EdlStyle::Tdtb.to_string(), "TDTB");
     }
 }

@@ -61,15 +61,6 @@ impl Cut {
         self.moved[v.index()]
     }
 
-    /// The paper's retiming value `r(v)`: −1 if moved, 0 otherwise.
-    pub fn retiming_value(&self, v: NodeId) -> i64 {
-        if self.moved[v.index()] {
-            -1
-        } else {
-            0
-        }
-    }
-
     /// Marks node `v` as moved (used by solvers assembling a cut).
     pub fn set_moved(&mut self, v: NodeId, moved: bool) {
         self.moved[v.index()] = moved;
@@ -412,9 +403,8 @@ z = BUFF(g3)
         let (_n, cloud) = pipeline();
         let mut cut = Cut::initial(&cloud);
         let a = cloud.find("a").unwrap();
-        assert_eq!(cut.retiming_value(a), 0);
+        assert!(!cut.is_moved(a));
         cut.set_moved(a, true);
-        assert_eq!(cut.retiming_value(a), -1);
         assert!(cut.is_moved(a));
     }
 }

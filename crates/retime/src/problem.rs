@@ -524,12 +524,6 @@ impl RetimingProblem {
         out.push_str("}\n");
         out
     }
-
-    /// The objective of the *initial* cut (all latches at the sources),
-    /// useful as a reference: `BREADTH_SCALE × #sources` minus nothing.
-    pub fn initial_objective_scaled(&self) -> i64 {
-        self.objective_scaled_for(&vec![false; self.n_cloud])
-    }
 }
 
 /// A solved-instance memo for the retiming solves of one warm slot.
@@ -646,7 +640,7 @@ z = NOT(h)
         let (cloud, regions) = setup(RECONVERGE, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         assert_eq!(
-            prob.initial_objective_scaled(),
+            prob.objective_scaled_for(&vec![false; cloud.len()]),
             BREADTH_SCALE * cloud.sources().len() as i64
         );
     }

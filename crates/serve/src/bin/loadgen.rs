@@ -527,6 +527,7 @@ fn main() {
                 config.cache.disk = Some(DiskCacheConfig {
                     dir: tmp.0.clone(),
                     max_bytes: 1 << 30,
+                    cache_fault: false,
                 });
                 Server::spawn(config).expect("spawn server")
             };

@@ -22,17 +22,22 @@
 //! one-line report is printed. Run it only while no daemon is serving
 //! from that directory.
 //!
+//! The environment is read once, into a `retime_bench::RunConfig`.
 //! With `RETIME_TRACE=1` (or `RETIME_TRACE_OUT=trace.json`) the daemon
 //! records per-job spans — queue-wait vs execute, linked by job id — and
 //! writes the Chrome-trace file plus a self-time profile on shutdown,
 //! alongside the Prometheus `metrics` the protocol already exposes.
+//! `RETIME_SERVE_CACHE_FAULT=abort-before-rename` arms the disk cache's
+//! crash-recovery fault hook.
 
 use std::io::Write;
 
+use retime_bench::RunConfig;
 use retime_serve::{Server, ServerConfig};
 
 fn main() {
-    let trace = retime_trace::TraceSession::from_env();
+    let run = RunConfig::from_env();
+    let trace = retime_trace::TraceSession::with_config(run.trace.clone());
     let mut config = ServerConfig::default();
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_max_bytes: u64 = 1 << 30;
@@ -90,6 +95,7 @@ fn main() {
         config.cache.disk = Some(retime_serve::DiskCacheConfig {
             dir,
             max_bytes: cache_max_bytes,
+            cache_fault: run.cache_fault,
         });
     }
 

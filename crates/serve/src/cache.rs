@@ -324,6 +324,7 @@ mod tests {
             disk: Some(DiskCacheConfig {
                 dir: tmp.0.clone(),
                 max_bytes: 1 << 20,
+                cache_fault: false,
             }),
         };
         let k = key("k");

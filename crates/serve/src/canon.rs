@@ -86,39 +86,54 @@ pub struct KeyConfig {
 }
 
 /// Content-addressed cache key: SHA-256 (hex) over the canonicalized
-/// netlist, the library identity, and the flow configuration.
+/// netlist, the library identity, and every field of the flow
+/// configuration. `KeyConfig` is destructured without `..`, so a field
+/// added to it fails to compile here until it is hashed.
 pub fn cache_key(canonical_netlist: &str, lib: &Library, cfg: &KeyConfig) -> String {
+    let KeyConfig {
+        flow,
+        overhead,
+        clock,
+        model,
+        verify,
+        convert,
+    } = cfg;
     let material = format!(
         "retime-serve-key-v2\nlib:{}\nflow:{}\nc:{:016x}\nclock:{:016x}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n{}",
         lib.name(),
-        cfg.flow.name(),
-        cfg.overhead.value().to_bits(),
-        cfg.clock.max_path_delay().to_bits(),
-        cfg.model,
-        cfg.verify,
-        cfg.convert,
+        flow.name(),
+        overhead.value().to_bits(),
+        clock.max_path_delay().to_bits(),
+        model,
+        verify,
+        convert,
         canonical_netlist,
     );
     sha256_hex(material.as_bytes())
 }
 
-/// Warm-basis pool key: the *structural* part of [`cache_key`] — the
-/// canonical netlist, library, flow, clock, and delay model, but **not**
-/// the EDL overhead `c` or the verify switch. Two submissions that
-/// differ only in `c` (an ECO overhead re-spin) build the same Eq. 14
-/// instance with different demands, so they share a warm key and the
-/// second resumes the first one's basis. A clock change alters the
-/// region pre-division (and thereby the instance structure), so it gets
-/// a fresh key. The `convert` switch is deliberately absent too: a
-/// converted submission's canonical text already differs from its FF
-/// source's, so the two can never alias a warm slot.
+/// Warm-slot key: the *structural* part of [`cache_key`]. Jobs that
+/// share it share one solved-instance memo (`RetimingSweep`), which
+/// answers a later job only when its Eq. 14 instance is identical. Left
+/// out by name below: `overhead` (base and RVL build the same instance
+/// for every `c`), `verify` (certification never changes the instance)
+/// and `convert` (a converted text never equals its FF source's). A
+/// clock change alters the region pre-division, so it is keyed.
 pub fn warm_key(canonical_netlist: &str, lib: &Library, cfg: &KeyConfig) -> String {
+    let KeyConfig {
+        flow,
+        overhead: _,
+        clock,
+        model,
+        verify: _,
+        convert: _,
+    } = cfg;
     let material = format!(
         "retime-serve-warmkey-v1\nlib:{}\nflow:{}\nclock:{:016x}\nmodel:{:?}\n--\n{}",
         lib.name(),
-        cfg.flow.name(),
-        cfg.clock.max_path_delay().to_bits(),
-        cfg.model,
+        flow.name(),
+        clock.max_path_delay().to_bits(),
+        model,
         canonical_netlist,
     );
     sha256_hex(material.as_bytes())

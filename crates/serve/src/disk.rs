@@ -25,10 +25,11 @@
 //! ordering survives a restart). [`shard_rel_path`] / [`key_of_rel_path`]
 //! are the pure key↔path maps the format proptests round-trip.
 //!
-//! Fault injection: setting `RETIME_SERVE_CACHE_FAULT=abort-before-rename`
-//! makes the first store abort the process between the temp-file write
-//! and the rename — the crash-recovery integration test uses this to
-//! manufacture a torn write deterministically.
+//! Fault injection: [`DiskCacheConfig::cache_fault`] (the daemon sets it
+//! from `RETIME_SERVE_CACHE_FAULT=abort-before-rename`) makes the first
+//! store abort the process between the temp-file write and the rename —
+//! the crash-recovery integration test uses this to manufacture a torn
+//! write deterministically.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -79,6 +80,9 @@ pub struct DiskCacheConfig {
     pub dir: PathBuf,
     /// Byte cap across all entry files; inserts past it evict LRU.
     pub max_bytes: u64,
+    /// Abort the process between a store's temp-file write and its
+    /// rename (crash-recovery tests only).
+    pub cache_fault: bool,
 }
 
 /// What startup recovery found in an existing cache directory.
@@ -156,6 +160,7 @@ pub struct DiskEntry {
 pub struct DiskCache {
     dir: PathBuf,
     max_bytes: u64,
+    cache_fault: bool,
     index: Mutex<Index>,
     tmp_seq: AtomicU64,
     evictions: AtomicU64,
@@ -175,6 +180,7 @@ impl DiskCache {
         let cache = DiskCache {
             dir: cfg.dir,
             max_bytes: cfg.max_bytes,
+            cache_fault: cfg.cache_fault,
             index: Mutex::new(Index::default()),
             tmp_seq: AtomicU64::new(1),
             evictions: AtomicU64::new(0),
@@ -298,7 +304,7 @@ impl DiskCache {
             f.write_all(payload.as_bytes())?;
             f.sync_all()?;
         }
-        if fault_abort_armed() {
+        if self.cache_fault {
             eprintln!("[retime-serve] cache fault injection: aborting before rename of {key}");
             std::process::abort();
         }
@@ -466,17 +472,6 @@ fn unix_now() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Whether the fault-injection env knob arms an abort before rename.
-fn fault_abort_armed() -> bool {
-    static ARMED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ARMED.get_or_init(|| {
-        matches!(
-            std::env::var("RETIME_SERVE_CACHE_FAULT").as_deref(),
-            Ok("abort-before-rename")
-        )
-    })
-}
-
 /// Reads and fully validates one entry file: header line parses, its
 /// key matches `key`, its length matches the payload, and the payload
 /// hashes to the recorded digest.
@@ -561,6 +556,7 @@ pub(crate) mod tests {
         DiskCache::open(DiskCacheConfig {
             dir: dir.to_path_buf(),
             max_bytes: cap,
+            cache_fault: false,
         })
         .expect("open disk cache")
     }

@@ -13,7 +13,7 @@ use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
 use retime_retime::{base_retime, RetimeError, RetimeOutcome};
-use retime_sta::{DelayModel, StatParams, TwoPhaseClock};
+use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
 
@@ -111,33 +111,35 @@ impl JobSpec {
         };
         // `model` with a `delay_mode` alias (the statistical docs use the
         // latter); statistical mode reads its four knobs with the
-        // `StatParams::DEFAULT` fallbacks.
+        // `StatParams::DEFAULT` fallbacks and `StatParams::checked`'s ranges.
         let model_field = v.get("model").or_else(|| v.get("delay_mode"));
         let model = match model_field.and_then(Json::as_str) {
             None | Some("path") => DelayModel::PathBased,
             Some("gate") => DelayModel::GateBased,
             Some("statistical") | Some("stat") => {
                 let d = StatParams::DEFAULT;
-                let frac = |key: &str, default: f64| -> Result<f64, String> {
-                    match v.get(key) {
-                        None => Ok(default),
-                        Some(Json::Num(x)) if *x >= 0.0 && *x < 1.0 => Ok(*x),
-                        Some(_) => Err(format!("`{key}` must be a fraction in [0, 1)")),
-                    }
-                };
-                let sigma = frac("sigma", d.sigma_frac())?;
-                let clock_sigma = frac("clock_sigma", d.clock_sigma_frac())?;
-                let yield_target = match v.get("yield") {
-                    None => d.yield_target(),
-                    Some(Json::Num(x)) if *x > 0.0 && *x < 1.0 => *x,
-                    Some(_) => return Err("`yield` must be a fraction in (0, 1)".into()),
+                let num = |key: &str, default: f64| match v.get(key) {
+                    None => default,
+                    Some(Json::Num(x)) => *x,
+                    Some(_) => f64::NAN,
                 };
                 let seed = match v.get("stat_seed") {
                     None => d.seed,
                     Some(Json::Num(x)) if *x >= 0.0 && x.fract() == 0.0 => *x as u64,
                     Some(_) => return Err("`stat_seed` must be a non-negative integer".into()),
                 };
-                DelayModel::Statistical(StatParams::new(sigma, clock_sigma, yield_target, seed))
+                let params = StatParams::checked(
+                    num("sigma", d.sigma_frac()),
+                    num("clock_sigma", d.clock_sigma_frac()),
+                    num("yield", d.yield_target()),
+                    seed,
+                )
+                .map_err(|e| match e {
+                    StatParamError::Sigma => "`sigma` must be a fraction in [0, 1)",
+                    StatParamError::ClockSigma => "`clock_sigma` must be a fraction in [0, 1)",
+                    StatParamError::Yield => "`yield` must be a fraction in (0, 1)",
+                })?;
+                DelayModel::Statistical(params)
             }
             Some(other) => {
                 return Err(format!(
@@ -577,6 +579,37 @@ mod tests {
             spec.model,
             DelayModel::Statistical(StatParams::new(0.05, 0.01, 0.999, 7))
         );
+    }
+
+    #[test]
+    fn env_and_ndjson_accept_the_same_statistical_ranges() {
+        use crate::json::obj;
+        use retime_bench::RunConfig;
+        // 1 − ε lies in [0, 1) but quantizes to exactly 1, so both
+        // front doors refuse it through `StatParams::checked`.
+        let boundaries = [0.0, 0.5, 1.0 - f64::EPSILON, 1.0, f64::NAN];
+        for (field, knob) in [
+            ("sigma", "RETIME_SIGMA"),
+            ("clock_sigma", "RETIME_CLOCK_SIGMA"),
+            ("yield", "RETIME_YIELD"),
+        ] {
+            for x in boundaries {
+                let json = obj(vec![
+                    ("circuit", Json::Str("s1196".into())),
+                    ("model", Json::Str("statistical".into())),
+                    (field, Json::Num(x)),
+                ]);
+                let ndjson = JobSpec::from_json(&json).map(|spec| spec.model).ok();
+                let (cfg, warnings) = RunConfig::parse([
+                    ("RETIME_DELAY_MODE".into(), "statistical".into()),
+                    (knob.into(), format!("{x:?}").into()),
+                ]);
+                let env = warnings.is_empty().then_some(cfg.model);
+                let accepted = x == 0.5 || (x == 0.0 && field != "yield");
+                assert_eq!(ndjson.is_some(), accepted, "NDJSON {field} = {x:?}");
+                assert_eq!(env, ndjson, "{knob} = {x:?} vs NDJSON {field}");
+            }
+        }
     }
 
     #[test]

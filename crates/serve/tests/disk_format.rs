@@ -61,6 +61,7 @@ fn open(dir: &TempDir, cap: u64) -> (DiskCache, RecoveryStats) {
     DiskCache::open(DiskCacheConfig {
         dir: dir.0.clone(),
         max_bytes: cap,
+        cache_fault: false,
     })
     .expect("open disk cache")
 }

@@ -60,4 +60,4 @@ pub use backward::{backward_through_gate, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::relaunch;
 pub use incremental::{IncrementalStats, IncrementalTiming};
-pub use model::{DelayModel, DelaySigma, NodeDelays, StaError, StatParams};
+pub use model::{DelayModel, DelaySigma, NodeDelays, StaError, StatParamError, StatParams};

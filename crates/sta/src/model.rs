@@ -211,24 +211,43 @@ impl StatParams {
     /// round-trip exactly for any input with ≤ 6 decimal places).
     ///
     /// # Panics
-    /// Panics when a fraction is outside `[0, 1]` or the yield target is
-    /// outside `(0, 1)`.
+    /// Panics on any value [`StatParams::checked`] rejects.
     pub fn new(sigma_frac: f64, clock_sigma_frac: f64, yield_target: f64, seed: u64) -> StatParams {
-        assert!(
-            (0.0..=1.0).contains(&sigma_frac) && (0.0..=1.0).contains(&clock_sigma_frac),
-            "sigma fractions must be in [0, 1]"
-        );
-        assert!(
-            yield_target > 0.0 && yield_target < 1.0,
-            "yield target must be in (0, 1)"
-        );
-        let ppm = |x: f64| (x * 1e6).round() as u32;
-        StatParams {
-            sigma_ppm: ppm(sigma_frac),
-            clock_sigma_ppm: ppm(clock_sigma_frac),
-            yield_ppm: ppm(yield_target),
+        StatParams::checked(sigma_frac, clock_sigma_frac, yield_target, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one validator of the statistical parameters, shared by every
+    /// front door (the `RETIME_*` knobs and serve's NDJSON fields): gate
+    /// and clock sigma must lie in `[0, 1)` and the yield target in
+    /// `(0, 1)`. The ranges apply to the quantized ppm values the model
+    /// runs on, so `1 − ε`, which rounds to 1, is refused like 1; NaN
+    /// and infinities are refused too.
+    ///
+    /// # Errors
+    /// Names the first field out of range.
+    pub fn checked(
+        sigma_frac: f64,
+        clock_sigma_frac: f64,
+        yield_target: f64,
+        seed: u64,
+    ) -> Result<StatParams, StatParamError> {
+        // NaN fails `x >= 0.0`, and an infinity `p < 1e6`.
+        let ppm = |x: f64| {
+            let p = (x * 1e6).round();
+            (x >= 0.0 && p < 1e6).then_some(p as u32)
+        };
+        let sigma_ppm = ppm(sigma_frac).ok_or(StatParamError::Sigma)?;
+        let clock_sigma_ppm = ppm(clock_sigma_frac).ok_or(StatParamError::ClockSigma)?;
+        let yield_ppm = ppm(yield_target)
+            .filter(|&p| p > 0)
+            .ok_or(StatParamError::Yield)?;
+        Ok(StatParams {
+            sigma_ppm,
+            clock_sigma_ppm,
+            yield_ppm,
             seed,
-        }
+        })
     }
 
     /// Gate sigma as a fraction of nominal delay. Dividing by the
@@ -250,9 +269,32 @@ impl StatParams {
     }
 }
 
+/// The field a [`StatParams::checked`] call refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatParamError {
+    /// Gate sigma outside `[0, 1)`.
+    Sigma,
+    /// Clock sigma outside `[0, 1)`.
+    ClockSigma,
+    /// Yield target outside `(0, 1)`.
+    Yield,
+}
+
+impl std::fmt::Display for StatParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            StatParamError::Sigma => "gate sigma must be a fraction in [0, 1)",
+            StatParamError::ClockSigma => "clock sigma must be a fraction in [0, 1)",
+            StatParamError::Yield => "yield target must be a fraction in (0, 1)",
+        })
+    }
+}
+
+impl std::error::Error for StatParamError {}
+
 /// The delay models compared in the paper's Table II, plus the
 /// statistical mode of the Li/Chen/Schlichtmann extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DelayModel {
     /// The DAC'17 predecessor's model \[16\]: every gate contributes its
     /// worst-case cell delay; rise/fall are not distinguished. Conservative
@@ -262,6 +304,8 @@ pub enum DelayModel {
     /// The journal version's model: pin-to-pin rise/fall arcs restricted to
     /// valid transition combinations, mirroring a commercial-grade timing
     /// engine. Strictly less pessimistic than [`DelayModel::GateBased`].
+    /// The default.
+    #[default]
     PathBased,
     /// First-order canonical-form statistical delays: nominal tables
     /// identical to [`DelayModel::GateBased`] plus per-node sigma split

@@ -13,6 +13,10 @@
 //! ([`retime_liberty::parse_sigma_extension`]), otherwise from the
 //! seeded fraction-of-nominal fallback baked into
 //! [`retime_sta::NodeDelays`] by [`retime_sta::DelayModel::Statistical`].
+//! The crate reads no environment: yield, sigmas and seed arrive as that
+//! model's [`retime_sta::StatParams`], which the binaries fill from the
+//! `RETIME_*` knobs through `retime_bench::RunConfig` and serve from a
+//! job's fields, both through [`retime_sta::StatParams::checked`].
 //!
 //! Propagation ([`propagate`]) mirrors the deterministic forward and
 //! backward passes operation-for-operation in canonical arithmetic,
@@ -50,11 +54,9 @@
 
 pub mod analyze;
 pub mod canon;
-pub mod env;
 pub mod normal;
 pub mod propagate;
 
 pub use analyze::{StatSummary, StatTiming, EPS};
 pub use canon::Canon;
-pub use env::params_from_env;
 pub use propagate::StatBackward;

@@ -48,14 +48,14 @@
 //!   JSON well-formedness, required fields, and proper per-thread span
 //!   nesting (the `trace-check` binary wraps it for CI).
 //!
-//! # Environment
+//! # Sessions
 //!
-//! [`TraceSession::from_env`] wires the whole thing to two knobs:
-//! `RETIME_TRACE=1` enables tracing and prints the self-time profile to
-//! stderr on exit; `RETIME_TRACE_OUT=path` (implies enabled) also
-//! writes the Chrome trace to `path`. Unrecognized `RETIME_TRACE`
-//! values warn once on stderr and fall back to disabled, the same
-//! warning shape `RETIME_SUITE` / `RETIME_THREADS` use.
+//! [`TraceSession::with_config`] wires the whole thing to a
+//! [`TraceConfig`]: `enabled` turns tracing on and prints the self-time
+//! profile to stderr on exit; `out` (implies enabled) also writes the
+//! Chrome trace there. This crate reads no environment: the binaries
+//! fill the config from `RETIME_TRACE` / `RETIME_TRACE_OUT` through
+//! `retime_bench::RunConfig`, which owns their warnings.
 
 pub mod json;
 
@@ -66,7 +66,7 @@ mod span;
 
 pub use export::{check_chrome_trace, chrome_trace, TraceCheck};
 pub use profile::{render_profile, self_time, ProfileLine};
-pub use session::{parse_trace_flag, TraceConfig, TraceSession};
+pub use session::{TraceConfig, TraceSession};
 pub use span::{
     attr_str, counter, counter_f64, enabled, event_us, now_us, set_enabled, span, take_records,
     SpanGuard, SpanRecord, Value,

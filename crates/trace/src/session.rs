@@ -1,6 +1,5 @@
-//! Environment wiring: `RETIME_TRACE` / `RETIME_TRACE_OUT` and the
-//! [`TraceSession`] every table binary (and the serve daemon) opens at
-//! startup.
+//! The [`TraceSession`] every table binary (and the serve daemon and
+//! `retime-convert`) opens at startup from its [`TraceConfig`].
 
 use std::path::PathBuf;
 
@@ -11,25 +10,9 @@ use crate::span::{set_enabled, take_records};
 /// Span names the profile table shows by default.
 const PROFILE_TOP: usize = 20;
 
-/// Parses a raw `RETIME_TRACE` value: `Ok(true)` for `1`/`true`/`on`,
-/// `Ok(false)` for `0`/`false`/`off`/empty, `Err(warning)` otherwise —
-/// the same one-line warning shape `RETIME_SUITE` and `RETIME_THREADS`
-/// use, so the three knobs fail the same way.
-///
-/// # Errors
-/// Returns the warning line to print when the value is unrecognized.
-pub fn parse_trace_flag(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Ok(true),
-        "" | "0" | "false" | "off" => Ok(false),
-        _ => Err(format!(
-            "warning: unrecognized RETIME_TRACE value {raw:?}; \
-             want 1/true/on or 0/false/off — tracing stays off"
-        )),
-    }
-}
-
-/// What the environment asked for.
+/// What a run asked of tracing. Binaries fill it from `RETIME_TRACE`
+/// and `RETIME_TRACE_OUT` through `retime_bench::RunConfig`; this crate
+/// reads no environment.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Tracing on (`RETIME_TRACE` truthy, or `RETIME_TRACE_OUT` set).
@@ -38,33 +21,11 @@ pub struct TraceConfig {
     pub out: Option<PathBuf>,
 }
 
-impl TraceConfig {
-    /// Reads `RETIME_TRACE` / `RETIME_TRACE_OUT`. An output path implies
-    /// enabled; an unrecognized `RETIME_TRACE` warns on stderr and is
-    /// treated as off.
-    pub fn from_env() -> TraceConfig {
-        let mut enabled = match std::env::var("RETIME_TRACE") {
-            Ok(raw) => parse_trace_flag(&raw).unwrap_or_else(|warning| {
-                eprintln!("{warning}");
-                false
-            }),
-            Err(_) => false,
-        };
-        let out = std::env::var_os("RETIME_TRACE_OUT")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        if out.is_some() {
-            enabled = true;
-        }
-        TraceConfig { enabled, out }
-    }
-}
-
-/// RAII wrapper a binary opens at startup: enables tracing per the
-/// environment, and on drop (or [`TraceSession::finish`]) drains the
-/// recorded spans, writes the Chrome trace to `RETIME_TRACE_OUT` when
-/// set, and prints the self-time profile to **stderr** — stdout rows
-/// stay byte-identical with tracing on or off.
+/// RAII wrapper a binary opens at startup: enables tracing per its
+/// [`TraceConfig`], and on drop (or [`TraceSession::finish`]) drains
+/// the recorded spans, writes the Chrome trace to the configured path
+/// when set, and prints the self-time profile to **stderr** — stdout
+/// rows stay byte-identical with tracing on or off.
 #[must_use = "dropping the session immediately finalizes the trace"]
 pub struct TraceSession {
     config: TraceConfig,
@@ -72,13 +33,6 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
-    /// Opens a session from `RETIME_TRACE` / `RETIME_TRACE_OUT`. When
-    /// neither asks for tracing this is inert (tracing stays disabled
-    /// and drop does nothing).
-    pub fn from_env() -> TraceSession {
-        TraceSession::with_config(TraceConfig::from_env())
-    }
-
     /// Opens a session with an explicit configuration.
     pub fn with_config(config: TraceConfig) -> TraceSession {
         if config.enabled {
@@ -139,28 +93,6 @@ impl Drop for TraceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_flag_parses_truthy_and_falsy() {
-        for raw in ["1", "true", "on", " ON "] {
-            assert_eq!(parse_trace_flag(raw), Ok(true), "raw: {raw}");
-        }
-        for raw in ["", "0", "false", "off"] {
-            assert_eq!(parse_trace_flag(raw), Ok(false), "raw: {raw}");
-        }
-    }
-
-    #[test]
-    fn trace_flag_warns_on_garbage() {
-        for raw in ["yes please", "2", "maybe"] {
-            let warning = parse_trace_flag(raw).unwrap_err();
-            assert!(
-                warning.starts_with("warning: unrecognized RETIME_TRACE value"),
-                "unexpected warning shape: {warning}"
-            );
-            assert!(warning.contains(&format!("{raw:?}")));
-        }
-    }
 
     #[test]
     fn inert_session_is_a_no_op() {

@@ -23,9 +23,9 @@
 //! for all three flows, optimality for G-RAR only.
 
 use retime_core::{classify_and_cut_set, classify_many, IlpFormulation};
-use retime_engine::{parallel_map_with, FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_engine::{parallel_map, parallel_map_with, FlowContext, PhaseTimings, Pipeline, Stage};
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{CombCloud, Netlist, NodeId, NodeKind};
+use retime_netlist::{CombCloud, Cut, Netlist, NodeId, NodeKind};
 use retime_retime::{
     stat_cut_summary, AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution,
     BREADTH_SCALE,
@@ -111,7 +111,8 @@ pub struct VerifyReport {
     /// Target masters found by the checker's own classification.
     pub targets: usize,
     /// Targets whose whole cut-set the certificate retimed through
-    /// (each independently confirmed non-error-detecting).
+    /// (each independently confirmed non-error-detecting; statistically,
+    /// at its canonical placement).
     pub targets_saved: usize,
     /// Stimulus cycles simulated without divergence.
     pub cycles: usize,
@@ -167,11 +168,17 @@ pub fn verify_certificate(
             let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
             let classified = reference_classes(&sta, &sinks, opts.threads);
             let c_scaled = (setup.overhead.value() * BREADTH_SCALE as f64).round() as i64;
+            let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
+            // Statistically, each target's g(t), aligned with `pseudos`.
+            let mut cut_sets = Vec::new();
             for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
                 match class {
                     SinkClass::Target => {
                         let p = problem.add_pseudo_target(&g, c_scaled);
                         ctx.data.pseudos.push((p, sink_idx));
+                        if stat_mode {
+                            cut_sets.push(g);
+                        }
                     }
                     SinkClass::NeverErrorDetecting => ctx.data.never_ed.push(sink_idx),
                     SinkClass::AlwaysErrorDetecting => {}
@@ -203,6 +210,23 @@ pub fn verify_certificate(
 
             if kind == FlowKind::Grar {
                 certify_optimal(&problem, &moved)?;
+                ctx.data.checks += 1;
+            }
+            if stat_mode {
+                let credited: Vec<(usize, Vec<NodeId>)> = ctx
+                    .data
+                    .pseudos
+                    .iter()
+                    .zip(cut_sets)
+                    .filter(|&(&(p, _), _)| full[p] == -1)
+                    .map(|(&(_, sink_idx), g)| (sink_idx, g))
+                    .collect();
+                let never_ed = &ctx.data.never_ed;
+                if let Some(i) = broken_stat_promise(&sta, &credited, never_ed, opts.threads) {
+                    return Err(VerifyError::CutSetInconsistent {
+                        sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                    });
+                }
                 ctx.data.checks += 1;
             }
             ctx.data.full = full;
@@ -311,30 +335,23 @@ pub fn verify_certificate(
                     recomputed: flags[i],
                 });
             }
-            // Cut-set soundness: a target whose whole g(t) was retimed
-            // through — and any never-ED sink — must time outside the
-            // resiliency window. Legalization only speeds gates up, so
-            // the classification's promise must survive it. In
-            // statistical mode the window test is the yield-aware rule,
-            // i.e. the recomputed stat flags, not the nominal arrivals.
-            let inside_window = |i: usize| -> bool {
-                if stat_mode {
-                    flags[i]
-                } else {
-                    fresh.error_detecting[i]
-                }
-            };
-            for &(p, sink_idx) in &ctx.data.pseudos {
-                if ctx.data.full[p] == -1 && inside_window(sink_idx) {
+            // Cut-set soundness under the deterministic models: a target
+            // whose whole g(t) was retimed through, and any never-ED
+            // sink, must time outside the window. This holds for every
+            // placement that moves g(t), and legalization only speeds
+            // gates up: both can only lower the max-plus sink arrival.
+            // The statistical promise is narrower and was checked with
+            // the labels (`broken_stat_promise`).
+            if !stat_mode {
+                let (pseudos, full) = (&ctx.data.pseudos, &ctx.data.full);
+                let credited = pseudos
+                    .iter()
+                    .filter(|&&(p, _)| full[p] == -1)
+                    .map(|&(_, i)| i);
+                let mut promised = credited.chain(ctx.data.never_ed.iter().copied());
+                if let Some(i) = promised.find(|&i| fresh.error_detecting[i]) {
                     return Err(VerifyError::CutSetInconsistent {
-                        sink: cloud.node(cloud.sinks()[sink_idx]).name.clone(),
-                    });
-                }
-            }
-            for &sink_idx in &ctx.data.never_ed {
-                if inside_window(sink_idx) {
-                    return Err(VerifyError::CutSetInconsistent {
-                        sink: cloud.node(cloud.sinks()[sink_idx]).name.clone(),
+                        sink: cloud.node(cloud.sinks()[i]).name.clone(),
                     });
                 }
             }
@@ -532,6 +549,42 @@ fn reference_classes(
             classify_and_cut_set(sta, bp)
         },
     )
+}
+
+/// The statistical cut-set promise, where it holds. Clark's max is not
+/// monotone in `m + z·σ`, so a cut past g(t) can lower a sink's mean yet
+/// pass more sigma (plasma's `rfK_30.d`). Each credited `(sink index,
+/// g(t))` must time outside the window with exactly the fan-in closure
+/// of g(t) moved, and each never-ED sink at the initial placement. Each
+/// placement is replayed as a whole-cloud [`Cut`] through
+/// [`stat_cut_summary`], not the classifier's cone walk. Returns the
+/// first sink that breaks its promise.
+fn broken_stat_promise(
+    sta: &TimingAnalysis<'_>,
+    credited: &[(usize, Vec<NodeId>)],
+    never_ed: &[usize],
+    threads: usize,
+) -> Option<usize> {
+    let _span = retime_trace::span("verify_stat_promises");
+    let cloud = sta.cloud();
+    let flags = |cut: &Cut| stat_cut_summary(cloud, sta.delays(), *sta.clock(), cut).0;
+    let canonical = |(i, g): &(usize, Vec<NodeId>)| {
+        let mut moved = vec![false; cloud.len()];
+        let mut stack = g.clone();
+        while let Some(v) = stack.pop() {
+            if !std::mem::replace(&mut moved[v.index()], true) {
+                stack.extend(&cloud.node(v).fanin);
+            }
+        }
+        let cut = Cut::from_moved(cloud, moved);
+        let legal = cut.validate(cloud).is_ok() && cut.check_paths(cloud);
+        (!legal || flags(&cut)[*i]).then_some(*i)
+    };
+    let initial = flags(&Cut::initial(cloud));
+    never_ed.iter().copied().find(|&i| initial[i]).or_else(|| {
+        let broken = parallel_map(threads, credited, canonical);
+        broken.into_iter().flatten().next()
+    })
 }
 
 fn internal(e: impl ToString) -> VerifyError {

@@ -54,8 +54,10 @@ pub enum VerifyError {
         recomputed: bool,
     },
     /// A target master whose whole cut-set `g(t)` was retimed through
-    /// still times inside the resiliency window — the pseudo-node reward
-    /// the solver collected was unsound.
+    /// still times inside the resiliency window (statistically: with
+    /// exactly the fan-in closure of `g(t)` moved), or a never
+    /// error-detecting sink does — the pseudo-node reward the solver
+    /// collected was unsound.
     CutSetInconsistent {
         /// The target sink's name.
         sink: String,

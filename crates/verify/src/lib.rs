@@ -38,9 +38,10 @@
 //! corrupted label, a mistyped EDL flag, and a miscounted area each
 //! report distinctly.
 //!
-//! The benchmark harness runs the checker on every flow of every table
-//! when `RETIME_VERIFY=1` (see [`enabled`]), publishing its wall-clock
-//! and counters through the shared `Stage::Verify` instrumentation.
+//! The table binaries run the checker on every flow of every table when
+//! `RETIME_VERIFY=1` (parsed once per binary by `retime_bench::RunConfig`;
+//! this crate reads no environment), publishing its wall-clock and
+//! counters through the shared `Stage::Verify` instrumentation.
 //! Under `retime-trace`, each check stage additionally runs in its own
 //! span (`verify_labels`, `verify_timing`, `verify_area`,
 //! `verify_equivalence`), and the optimality proof in a
@@ -66,61 +67,3 @@ pub use certificate::{
 pub use error::VerifyError;
 pub use flowcheck::{check_closure_certificate, check_flow_solution, retiming_closure};
 pub use mc::{mc_tolerance, mc_yields, McYield};
-
-/// Parses a raw `RETIME_VERIFY` value: trimmed and case-insensitive,
-/// `1`/`true`/`on` is on and `0`/`false`/`off` (or empty) is off. `Err`
-/// carries the one-line warning to print — the same shape `RETIME_TRACE`
-/// uses, so the knobs fail the same way.
-///
-/// # Errors
-/// Returns the warning line when the value is unrecognized.
-pub fn parse_verify_flag(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Ok(true),
-        "" | "0" | "false" | "off" => Ok(false),
-        _ => Err(format!(
-            "warning: unrecognized RETIME_VERIFY value {raw:?}; \
-             want 1/true/on or 0/false/off — certification stays off"
-        )),
-    }
-}
-
-/// Whether certificate verification was requested via the environment
-/// (`RETIME_VERIFY`, see [`parse_verify_flag`]). An unrecognized value
-/// warns once on stderr and is treated as off.
-pub fn enabled() -> bool {
-    let Ok(raw) = std::env::var("RETIME_VERIFY") else {
-        return false;
-    };
-    parse_verify_flag(&raw).unwrap_or_else(|warning| {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| eprintln!("{warning}"));
-        false
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_verify_flag;
-
-    #[test]
-    fn verify_flag_parses_trimmed_and_case_insensitively() {
-        for (raw, want) in [
-            ("1", Some(true)),
-            ("true", Some(true)),
-            ("TRUE", Some(true)),
-            (" 1", Some(true)),
-            ("On\n", Some(true)),
-            ("", Some(false)),
-            ("0", Some(false)),
-            ("off", Some(false)),
-            (" False ", Some(false)),
-            ("yes", None),
-            ("2", None),
-        ] {
-            assert_eq!(parse_verify_flag(raw).ok(), want, "{raw:?}");
-        }
-        let warning = parse_verify_flag("yes").unwrap_err();
-        assert!(warning.starts_with("warning: unrecognized RETIME_VERIFY value \"yes\""));
-    }
-}

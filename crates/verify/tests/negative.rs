@@ -1,16 +1,19 @@
 //! Negative-path coverage: each kind of certificate corruption must be
 //! rejected with its own descriptive [`VerifyError`] variant — a flipped
-//! retiming label, a flipped EDL flag, mis-counted area figures, and a
-//! min cut's optimality certificate that is tampered with or proves a
-//! closure that is not the inclusion-minimal optimum.
+//! retiming label, a flipped EDL flag, mis-counted area figures, a
+//! credited target that still times inside the window, and a min cut's
+//! optimality certificate that is tampered with or proves a closure
+//! that is not the inclusion-minimal optimum.
 
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{classify_and_cut_set, grar, GrarConfig};
 use retime_flow::{Closure, ClosureCertificate};
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{Cut, NodeId};
-use retime_retime::{Regions, RetimeOutcome, RetimingProblem, RetimingSolution, BREADTH_SCALE};
-use retime_sta::{DelayModel, TimingAnalysis};
+use retime_netlist::{Cut, NodeId, NodeKind};
+use retime_retime::{
+    AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution, BREADTH_SCALE,
+};
+use retime_sta::{DelayModel, SinkClass, TimingAnalysis};
 use retime_verify::{
     check_closure_certificate, retiming_closure, verify_certificate, verify_retiming_solution,
     FlowKind, VerifyError, VerifyOptions, VerifySetup,
@@ -26,8 +29,13 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
+    fixture_at(0)
+}
+
+/// [`fixture`] on the suite circuit at `index`.
+fn fixture_at(index: usize) -> Fixture {
     let lib = Library::fdsoi28();
-    let circuit = paper_suite()[0].build().expect("suite circuit builds");
+    let circuit = paper_suite()[index].build().expect("suite circuit builds");
     let clock = circuit
         .calibrated_clock(&lib, DelayModel::PathBased)
         .expect("clock calibrates");
@@ -174,6 +182,56 @@ fn miscounted_area_is_rejected() {
         ),
         "expected AreaMismatch on total_area, got: {err}"
     );
+}
+
+#[test]
+fn credited_target_inside_the_window_is_rejected() {
+    // s1238, where G-RAR saves targets (s1196 has none).
+    let fx = fixture_at(1);
+    let cloud = &fx.circuit.cloud;
+    let sta = TimingAnalysis::new(cloud, &fx.lib, fx.clock, DelayModel::PathBased).unwrap();
+    // A target whose whole g(t) the cut moved: G-RAR collected its
+    // reward, so the certificate promises it times outside the window.
+    let (i, t) = cloud
+        .sinks()
+        .iter()
+        .copied()
+        .enumerate()
+        .find(|&(_, t)| {
+            matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }) && {
+                let (class, g) = classify_and_cut_set(&sta, &sta.backward(t));
+                class == SinkClass::Target && g.iter().all(|&v| fx.outcome.cut.is_moved(v))
+            }
+        })
+        .expect("G-RAR saves some target");
+    // Slow the gates feeding it until it lands inside the window, with
+    // the stored timing and flags restated to match, so that every
+    // earlier check passes and only the promise is broken.
+    let mutated = (1..400)
+        .find_map(|step| {
+            let mut outcome = fx.outcome.clone();
+            for &v in &cloud.node(t).fanin {
+                outcome
+                    .final_delays
+                    .scale_node(v, 1.0 + 0.01 * f64::from(step));
+            }
+            let timing = TimingAnalysis::with_delays(cloud, outcome.final_delays.clone(), fx.clock)
+                .cut_timing(&outcome.cut);
+            if !timing.error_detecting[i] || !timing.is_feasible() {
+                return None;
+            }
+            outcome.ed_sinks =
+                AreaModel::new(&fx.lib, EdlOverhead::MEDIUM).ed_flags(cloud, &timing);
+            outcome.timing = timing;
+            Some(outcome)
+        })
+        .expect("some slowdown lands the target inside the window");
+    match fx.verify(&mutated, 0) {
+        Err(VerifyError::CutSetInconsistent { sink }) => {
+            assert_eq!(sink, cloud.node(t).name, "names the credited target")
+        }
+        other => panic!("expected CutSetInconsistent, got: {other:?}"),
+    }
 }
 
 /// The paper's worked example (Fig. 4/5) at `c = 2`, whose optimum
