@@ -5,10 +5,12 @@
 //! (each integration-test *file* is its own binary; tests in other files
 //! never see the flag flipped).
 //!
-//! * **Golden structure.** A fixed, single-threaded G-RAR run on the
-//!   paper's Fig. 4 instance is exported and compared against a golden
-//!   snapshot of the structure-stable fields only — span names, nesting
-//!   depth, and counter attributes. Timestamps, durations, ids, and
+//! * **Golden structure.** Fixed, single-threaded runs on the paper's
+//!   Fig. 4 instance — G-RAR (path-based, statistical, warm sweep), base
+//!   retiming, RVL-RAR, and the certificate check of the G-RAR result —
+//!   are exported and compared against golden snapshots of the
+//!   structure-stable fields only — span names, nesting depth, and
+//!   counter attributes. Timestamps, durations, ids, and
 //!   thread ids are normalized away. Regenerate after an intentional
 //!   change with
 //!   `UPDATE_GOLDEN=1 cargo test -p retime-bench --test trace_integration`.
@@ -27,9 +29,11 @@ use retime_bench::{area_row, build_case, map_cases, table1_row, BenchCase};
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{grar, grar_with_sweep, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
-use retime_retime::AreaModel;
+use retime_retime::{base_retime, AreaModel};
 use retime_sta::{DelayModel, StatParams, TimingAnalysis, TwoPhaseClock};
 use retime_trace::{SpanRecord, Value};
+use retime_verify::{verify_certificate, FlowKind, VerifyOptions, VerifySetup};
+use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 /// Serializes every test that records spans or toggles the global flag.
 static GATE: Mutex<()> = Mutex::new(());
@@ -218,6 +222,81 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     assert_eq!(check.events, records.len());
 
     check_golden("fig4_trace_warm.txt", &structure(&records));
+}
+
+/// Checks that `records` export as a valid Chrome trace and match the
+/// golden structure `name`.
+fn check_trace_golden(name: &str, records: &[SpanRecord]) {
+    assert!(!records.is_empty(), "the traced run recorded no spans");
+    let text = retime_trace::chrome_trace(records);
+    let check = retime_trace::check_chrome_trace(&text).expect("export validates");
+    assert_eq!(check.events, records.len());
+    check_golden(name, &structure(records));
+}
+
+#[test]
+fn fig4_base_trace_matches_golden_structure() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let fig = Fig4::new();
+    let lib = Library::fdsoi28();
+    let clock = feasible_clock(&fig.cloud, &lib);
+    let (_, records) = with_tracing(|| {
+        base_retime(
+            &fig.cloud,
+            &lib,
+            clock,
+            DelayModel::PathBased,
+            EdlOverhead::MEDIUM,
+        )
+        .expect("base retiming on fig4")
+    });
+    check_trace_golden("fig4_trace_base.txt", &records);
+}
+
+#[test]
+fn fig4_rvl_trace_matches_golden_structure() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let fig = Fig4::new();
+    let lib = Library::fdsoi28();
+    let clock = feasible_clock(&fig.cloud, &lib);
+    let (_, records) = with_tracing(|| {
+        vl_retime(
+            &fig.cloud,
+            &lib,
+            clock,
+            &VlConfig::new(VlVariant::Rvl, EdlOverhead::MEDIUM).with_threads(1),
+        )
+        .expect("RVL-RAR on fig4")
+    });
+    check_trace_golden("fig4_trace_rvl.txt", &records);
+}
+
+#[test]
+fn fig4_verify_trace_matches_golden_structure() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let fig = Fig4::new();
+    let lib = Library::fdsoi28();
+    let clock = feasible_clock(&fig.cloud, &lib);
+    let c = EdlOverhead::MEDIUM;
+    let report =
+        grar(&fig.cloud, &lib, clock, &GrarConfig::new(c).with_threads(1)).expect("grar on fig4");
+    let setup = VerifySetup {
+        netlist: &fig.netlist,
+        cloud: &fig.cloud,
+        lib: &lib,
+        clock,
+        model: DelayModel::PathBased,
+        overhead: c,
+    };
+    let opts = VerifyOptions {
+        threads: 1,
+        ..VerifyOptions::default()
+    };
+    let (_, records) = with_tracing(|| {
+        verify_certificate(&setup, FlowKind::Grar, &report.outcome, &opts)
+            .expect("the G-RAR result certifies")
+    });
+    check_trace_golden("fig4_trace_verify.txt", &records);
 }
 
 #[test]
