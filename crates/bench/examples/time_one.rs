@@ -33,6 +33,7 @@ fn main() {
     )
     .unwrap();
     let counters: Vec<String> = g
+        .outcome
         .phases
         .counters()
         .map(|(k, v)| format!("{k}={v}"))
@@ -40,7 +41,7 @@ fn main() {
     println!(
         "{name}: {:.2}s total; phases {}; counters {}; slaves={} edl={}",
         t0.elapsed().as_secs_f64(),
-        g.phases,
+        g.outcome.phases,
         counters.join(" "),
         g.outcome.seq.slaves,
         g.outcome.seq.edl

@@ -7,15 +7,15 @@
 //! φ2 (the element retiming later moves), mapped onto the calibrated
 //! latch cell of the target [`Library`].
 //!
-//! The pass runs as a [`Pipeline`] so it reports the same
-//! instrumentation as the flows — a `convert` front stage
+//! The pass runs its stages through [`PhaseTimings::stage`] so it
+//! reports the same instrumentation as the flows — a `convert` front stage
 //! ([`Stage::Convert`]) for the split and the structural invariant
 //! check, an `sta` stage for the conversion-time clock/borrowing
 //! constraint report, and a `verify` stage that proves the converted
 //! circuit functionally equivalent to its FF source by random
 //! simulation ([`retime_sim::equivalent`]).
 
-use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::Library;
 use retime_netlist::{CombCloud, Cut, Netlist};
 use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
@@ -112,16 +112,6 @@ pub struct Conversion {
     pub phases: PhaseTimings,
 }
 
-struct State<'a> {
-    src: &'a Netlist,
-    lib: &'a Library,
-    cfg: ConvertConfig,
-    netlist: Option<Netlist>,
-    cloud: Option<CombCloud>,
-    clock: Option<TwoPhaseClock>,
-    report: Option<ConvertReport>,
-}
-
 /// Converts an edge-triggered FF netlist into a two-phase master/slave
 /// latch circuit, validates the one-slave-per-master-to-master-path
 /// invariant, and reports the conversion-time constraints.
@@ -137,34 +127,36 @@ pub fn convert(
     lib: &Library,
     cfg: &ConvertConfig,
 ) -> Result<Conversion, ConvertError> {
-    let mut ctx = FlowContext::new(State {
-        src,
-        lib,
-        cfg: *cfg,
-        netlist: None,
-        cloud: None,
-        clock: None,
-        report: None,
-    });
-    Pipeline::<FlowContext<State>, ConvertError>::new()
-        .stage(Stage::Convert, stage_convert)
-        .stage(Stage::Sta, stage_sta)
-        .stage_if(cfg.check, Stage::Verify, stage_verify)
-        .run(&mut ctx)?;
-    let (state, phases) = ctx.into_parts();
+    let mut phases = PhaseTimings::new();
+    let (netlist, cloud) = phases.stage(Stage::Convert, |timings| split(src, timings))?;
+    let (clock, mut report) = phases.stage(Stage::Sta, |_| {
+        constraints(src, &netlist, &cloud, lib, cfg.clock)
+    })?;
+    if cfg.check {
+        // Prove the converted circuit bit-equivalent to its FF source
+        // over `cfg.cycles` random cycles.
+        phases.stage(Stage::Verify, |timings| {
+            if let Err(cycle) = retime_sim::equivalent(src, &netlist, cfg.cycles, cfg.seed)? {
+                return Err(ConvertError::NotEquivalent { cycle });
+            }
+            timings.count("convert_checked_cycles", cfg.cycles as u64);
+            Ok(())
+        })?;
+        report.checked_cycles = cfg.cycles;
+    }
     Ok(Conversion {
-        netlist: state.netlist.expect("convert stage ran"),
-        cloud: state.cloud.expect("convert stage ran"),
-        clock: state.clock.expect("sta stage ran"),
-        report: state.report.expect("sta stage ran"),
+        netlist,
+        cloud,
+        clock,
+        report,
         phases,
     })
 }
 
 /// Split every FF into a master/slave pair and validate the invariant:
 /// every master-to-master (host) path must cross exactly one slave.
-fn stage_convert(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
-    let ms = ctx.data.src.to_master_slave().map_err(|e| {
+fn split(src: &Netlist, timings: &mut PhaseTimings) -> Result<(Netlist, CombCloud), ConvertError> {
+    let ms = src.to_master_slave().map_err(|e| {
         ConvertError::Convert(format!("source is not an edge-triggered FF netlist: {e}"))
     })?;
     let cloud = CombCloud::extract(&ms)?;
@@ -176,20 +168,21 @@ fn stage_convert(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
         ));
     }
     let stats = ms.stats();
-    ctx.timings
-        .count("convert_ffs", ctx.data.src.stats().dffs as u64);
-    ctx.timings.count("convert_masters", stats.masters as u64);
-    ctx.timings.count("convert_slaves", stats.slaves as u64);
-    ctx.data.netlist = Some(ms);
-    ctx.data.cloud = Some(cloud);
-    Ok(())
+    timings.count("convert_ffs", src.stats().dffs as u64);
+    timings.count("convert_masters", stats.masters as u64);
+    timings.count("convert_slaves", stats.slaves as u64);
+    Ok((ms, cloud))
 }
 
-/// Report the conversion-time clock and borrowing constraints.
-fn stage_sta(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
-    let state = &mut ctx.data;
-    let cloud = state.cloud.as_ref().expect("convert stage ran");
-    let lib = state.lib;
+/// Report the conversion-time clock and borrowing constraints against
+/// `clock`, or against one derived from the critical path.
+fn constraints(
+    src: &Netlist,
+    ms: &Netlist,
+    cloud: &CombCloud,
+    lib: &Library,
+    clock: Option<TwoPhaseClock>,
+) -> Result<(TwoPhaseClock, ConvertReport), ConvertError> {
     let probe = TimingAnalysis::new(
         cloud,
         lib,
@@ -203,13 +196,13 @@ fn stage_sta(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
         .map(|&t| probe.df(t))
         .fold(0.0f64, f64::max);
     let latch = lib.latch();
-    let clock = state.cfg.clock.unwrap_or_else(|| {
+    let clock = clock.unwrap_or_else(|| {
         TwoPhaseClock::from_max_delay((crit + latch.d_to_q + latch.clk_to_q) / 0.7)
     });
-    let src_stats = state.src.stats();
-    let ms_stats = state.netlist.as_ref().expect("convert stage ran").stats();
+    let src_stats = src.stats();
+    let ms_stats = ms.stats();
     let max_path = clock.max_path_delay();
-    state.report = Some(ConvertReport {
+    let report = ConvertReport {
         ffs: src_stats.dffs,
         masters: ms_stats.masters,
         slaves: ms_stats.slaves,
@@ -223,26 +216,8 @@ fn stage_sta(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
         slave_close: clock.slave_close(),
         backward_limit: clock.backward_limit(),
         checked_cycles: 0,
-    });
-    state.clock = Some(clock);
-    Ok(())
-}
-
-/// Prove the converted circuit bit-equivalent to its FF source over
-/// `cfg.cycles` random cycles.
-fn stage_verify(ctx: &mut FlowContext<State<'_>>) -> Result<(), ConvertError> {
-    let state = &mut ctx.data;
-    let ms = state.netlist.as_ref().expect("convert stage ran");
-    let (cycles, seed) = (state.cfg.cycles, state.cfg.seed);
-    match retime_sim::equivalent(state.src, ms, cycles, seed)? {
-        Ok(()) => {}
-        Err(cycle) => return Err(ConvertError::NotEquivalent { cycle }),
-    }
-    if let Some(report) = state.report.as_mut() {
-        report.checked_cycles = cycles;
-    }
-    ctx.timings.count("convert_checked_cycles", cycles as u64);
-    Ok(())
+    };
+    Ok((clock, report))
 }
 
 #[cfg(test)]

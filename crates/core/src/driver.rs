@@ -1,6 +1,6 @@
-//! The end-to-end G-RAR driver, running as a
-//! `Sta → Classify → Solve → Commit` pipeline on the shared
-//! [`retime_engine`] flow-engine layer. The classification stage — the
+//! The end-to-end G-RAR driver, running its
+//! `Sta → Classify → Solve → Commit` stages through the shared
+//! [`retime_engine`] instrumentation. The classification stage — the
 //! per-target backward delays and cut-set construction the paper's
 //! profiling singles out as the dominant cost — settles what one forward
 //! pass can and fans the remaining cone sweeps out across worker
@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, NodeId, NodeKind};
 use retime_retime::{
@@ -57,7 +57,13 @@ impl GrarConfig {
 /// Result of a G-RAR run.
 #[derive(Debug, Clone)]
 pub struct GrarReport {
-    /// The placement, EDL decisions, and area bill.
+    /// The placement, EDL decisions, and area bill. Its `phases` carry
+    /// the per-stage instrumentation: `Stage::Classify` the per-endpoint
+    /// classification the paper's Table VII discussion singles out, with
+    /// its `endpoints`, `bounded`, `swept` and `targets` counters;
+    /// `Stage::Solve` the Eq. 14 minimum cut. On the large suite circuits
+    /// each takes a fifth to a half of a job (the paper's solve stayed
+    /// under 2 %).
     pub outcome: RetimeOutcome,
     /// Endpoints that are error-detecting regardless of retiming.
     pub always_ed: usize,
@@ -67,26 +73,6 @@ pub struct GrarReport {
     pub targets: usize,
     /// Targets predicted non-error-detecting by the flow solution.
     pub predicted_saved: usize,
-    /// Uniform per-stage instrumentation. `Stage::Classify` carries the
-    /// per-endpoint classification the paper's Table VII discussion
-    /// singles out, with its `endpoints`, `bounded`, `swept` and
-    /// `targets` counters; `Stage::Solve` the Eq. 14 minimum cut. On the
-    /// large suite circuits each takes a fifth to a half of a job (the
-    /// paper's solve stayed under 2 %).
-    pub phases: PhaseTimings,
-}
-
-#[derive(Default)]
-struct GrarState<'a> {
-    sta: Option<TimingAnalysis<'a>>,
-    problem: Option<RetimingProblem>,
-    /// `(pseudo flow node, sink idx)` per target master.
-    pseudos: Vec<(usize, usize)>,
-    always_ed: usize,
-    never_ed: usize,
-    sol: Option<RetimingSolution>,
-    predicted_saved: usize,
-    outcome: Option<RetimeOutcome>,
 }
 
 /// Runs G-RAR: resiliency-aware slave retiming minimizing total
@@ -127,7 +113,7 @@ pub fn grar_with_sweep(
     })
 }
 
-/// The G-RAR pipeline with its Eq. 14 solve supplied by the caller.
+/// The G-RAR flow with its Eq. 14 solve supplied by the caller.
 fn grar_impl(
     cloud: &CombCloud,
     lib: &Library,
@@ -137,86 +123,67 @@ fn grar_impl(
 ) -> Result<GrarReport, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("grar");
-    let mut ctx = FlowContext::new(GrarState::default());
+    let mut phases = PhaseTimings::new();
 
-    Pipeline::<FlowContext<GrarState<'_>>, RetimeError>::new()
-        .stage(Stage::Sta, |ctx| {
-            let sta = TimingAnalysis::new(cloud, lib, clock, cfg.model)?;
-            let regions = Regions::compute(&sta)?;
-            ctx.data.problem = Some(RetimingProblem::build(cloud, &regions));
-            ctx.data.sta = Some(sta);
-            Ok(())
-        })
-        .stage(Stage::Classify, |ctx| {
-            // Classify endpoints and add pseudo nodes for targets. Only
-            // master-backed sinks carry EDL area (a primary output's
-            // master belongs to the environment). The backward passes and
-            // cut-sets compute in parallel; the pseudo nodes are then
-            // added sequentially in sink order, so the constructed flow
-            // problem is identical to the sequential path's.
-            let state = &mut ctx.data;
-            let sta = state.sta.as_ref().expect("sta stage ran");
-            let problem = state.problem.as_mut().expect("sta stage ran");
-            let targets: Vec<(usize, NodeId)> = cloud
-                .sinks()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
-                .map(|(i, &t)| (i, t))
-                .collect();
-            let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-            let (classified, counts) =
-                crate::cutset::classify_many_counted(sta, &sinks, cfg.threads);
-            let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
-            for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
-                match class {
-                    SinkClass::AlwaysErrorDetecting => state.always_ed += 1,
-                    SinkClass::NeverErrorDetecting => state.never_ed += 1,
-                    SinkClass::Target => {
-                        let p = problem.add_pseudo_target(&g, c_scaled);
-                        state.pseudos.push((p, sink_idx));
-                    }
+    let (mut sta, mut problem) = phases.stage(Stage::Sta, |_| {
+        let sta = TimingAnalysis::new(cloud, lib, clock, cfg.model)?;
+        let regions = Regions::compute(&sta)?;
+        let problem = RetimingProblem::build(cloud, &regions);
+        Ok::<_, RetimeError>((sta, problem))
+    })?;
+    // Classify endpoints and add pseudo nodes for targets. Only
+    // master-backed sinks carry EDL area (a primary output's master
+    // belongs to the environment). The backward passes and cut-sets
+    // compute in parallel; the pseudo nodes are then added sequentially
+    // in sink order, so the constructed flow problem is identical to the
+    // sequential path's.
+    let (pseudos, always_ed, never_ed) = phases.stage(Stage::Classify, |timings| {
+        let targets: Vec<(usize, NodeId)> = cloud
+            .sinks()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .map(|(i, &t)| (i, t))
+            .collect();
+        let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
+        let (classified, counts) = crate::cutset::classify_many_counted(&sta, &sinks, cfg.threads);
+        let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
+        // `(pseudo flow node, sink idx)` per target master.
+        let mut pseudos = Vec::new();
+        let (mut always_ed, mut never_ed) = (0, 0);
+        for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
+            match class {
+                SinkClass::AlwaysErrorDetecting => always_ed += 1,
+                SinkClass::NeverErrorDetecting => never_ed += 1,
+                SinkClass::Target => {
+                    let p = problem.add_pseudo_target(&g, c_scaled);
+                    pseudos.push((p, sink_idx));
                 }
             }
-            ctx.timings.count("endpoints", sinks.len() as u64);
-            counts.record(&mut ctx.timings);
-            ctx.timings.count("targets", ctx.data.pseudos.len() as u64);
-            Ok(())
-        })
-        .stage(Stage::Solve, |ctx| {
-            let problem = ctx.data.problem.as_ref().expect("sta stage ran");
-            let sol = solve(problem, &mut ctx.timings)?;
-            ctx.timings.count("solver_invocations", 1);
-            ctx.data.sol = Some(sol);
-            Ok(())
-        })
-        .stage(Stage::Commit, |ctx| {
-            let state = &mut ctx.data;
-            let sol = state.sol.take().expect("solve stage ran");
-            state.predicted_saved = state
-                .pseudos
-                .iter()
-                .filter(|&&(p, _)| sol.r[p] == -1)
-                .count();
-            let model = AreaModel::new(lib, cfg.overhead);
-            let sta = state.sta.as_mut().expect("sta stage ran");
-            let outcome = RetimeOutcome::assemble(sta, &model, sol.cut, sol.solver_time, started)?;
-            outcome.legalize.record_counters(&mut ctx.timings);
-            ctx.data.outcome = Some(outcome);
-            Ok(())
-        })
-        .run(&mut ctx)?;
-
-    let (state, timings) = ctx.into_parts();
-    let mut outcome = state.outcome.expect("commit stage ran");
-    outcome.phases = timings.clone();
+        }
+        timings.count("endpoints", sinks.len() as u64);
+        counts.record(timings);
+        timings.count("targets", pseudos.len() as u64);
+        Ok::<_, RetimeError>((pseudos, always_ed, never_ed))
+    })?;
+    let sol = phases.stage(Stage::Solve, |timings| {
+        timings.count("solver_invocations", 1);
+        solve(&problem, timings)
+    })?;
+    let (mut outcome, predicted_saved) = phases.stage(Stage::Commit, |timings| {
+        let predicted_saved = pseudos.iter().filter(|&&(p, _)| sol.r[p] == -1).count();
+        let model = AreaModel::new(lib, cfg.overhead);
+        let outcome = RetimeOutcome::assemble(&mut sta, &model, sol.cut, sol.solver_time, started)?;
+        outcome.legalize.record_counters(timings);
+        Ok::<_, RetimeError>((outcome, predicted_saved))
+    })?;
+    outcome.phases = phases;
     Ok(GrarReport {
         outcome,
-        always_ed: state.always_ed,
-        never_ed: state.never_ed,
-        targets: state.pseudos.len(),
-        predicted_saved: state.predicted_saved,
-        phases: timings,
+        always_ed,
+        never_ed,
+        targets: pseudos.len(),
+        predicted_saved,
     })
 }
 
@@ -425,14 +392,14 @@ mod tests {
             &GrarConfig::new(EdlOverhead::MEDIUM),
         )
         .unwrap();
-        assert!(report.phases.total() > Duration::ZERO);
+        assert!(report.outcome.phases.total() > Duration::ZERO);
         // The G-RAR flow runs no seed/swap stages.
-        assert_eq!(report.phases.get(Stage::Seed), Duration::ZERO);
-        assert_eq!(report.phases.get(Stage::Swap), Duration::ZERO);
+        assert_eq!(report.outcome.phases.get(Stage::Seed), Duration::ZERO);
+        assert_eq!(report.outcome.phases.get(Stage::Swap), Duration::ZERO);
         // Only master-backed sinks count as endpoints (z's master is
         // external to the cloud).
-        assert!(report.phases.counter("endpoints") > 0);
-        assert!(report.phases.counter("endpoints") < cloud.sinks().len() as u64);
+        assert!(report.outcome.phases.counter("endpoints") > 0);
+        assert!(report.outcome.phases.counter("endpoints") < cloud.sinks().len() as u64);
     }
 
     #[test]
@@ -456,7 +423,7 @@ mod tests {
             assert_eq!(warm.predicted_saved, cold.predicted_saved);
             assert!((warm.outcome.total_area - cold.outcome.total_area).abs() < 1e-12);
             targets = warm.targets;
-            cold_solves += warm.phases.counter("cold_solves");
+            cold_solves += warm.outcome.phases.counter("cold_solves");
         }
         assert!(targets > 0, "clock must be tight enough to create targets");
         assert_eq!(

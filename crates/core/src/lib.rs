@@ -29,7 +29,7 @@
 //!   bit-identical across thread counts ([`GrarConfig::with_threads`],
 //!   `RETIME_THREADS`).
 //! * **Tracing is observation-only.** [`grar`] runs under a `grar` root
-//!   span with one child span per pipeline stage (counters become span
+//!   span with one child span per stage (counters become span
 //!   attributes); the flow never branches on the tracing state.
 //!
 //! # Example

@@ -9,12 +9,10 @@
 //!
 //! * [`Stage`] — the named phases a flow can execute,
 //! * [`PhaseTimings`] — the uniform per-stage wall-clock / counter
-//!   instrumentation every flow reports (the Table VII breakdown),
-//! * [`Pipeline`] — an ordered sequence of named stage closures executed
-//!   against a shared context, with per-stage timing recorded
-//!   automatically,
-//! * [`FlowContext`] — a thin wrapper pairing a flow's working state with
-//!   its [`PhaseTimings`],
+//!   instrumentation every flow reports (the Table VII breakdown); a
+//!   flow is straight-line code that runs each stage through
+//!   [`PhaseTimings::stage`], which times it and hands its values back
+//!   to the next stage as plain locals,
 //! * [`parallel`] — scoped-thread fan-out primitives (`std::thread::scope`,
 //!   no external dependencies) with deterministic, index-ordered results
 //!   and optional per-worker scratch ([`parallel_map_with`]); the worker
@@ -31,14 +29,14 @@
 //!   bit-identical; `RETIME_THREADS=1` forces the sequential reference
 //!   path, `0`/unset picks the machine's parallelism.
 //! * **Tracing is observation-only.** When `retime-trace` is enabled,
-//!   [`Pipeline::run`] wraps each stage in a span (counters become span
-//!   attributes); with tracing disabled the cost is one relaxed atomic
+//!   [`PhaseTimings::stage`] wraps each stage in a span (counters become
+//!   span attributes); with tracing disabled the cost is one relaxed atomic
 //!   load per stage, and results never depend on the tracing state.
 
 #![warn(missing_docs)]
 
 pub mod parallel;
-pub mod pipeline;
+mod phases;
 
 pub use parallel::{parallel_map, parallel_map_with, parse_thread_override, thread_count};
-pub use pipeline::{FlowContext, Instrument, PhaseTimings, Pipeline, Stage};
+pub use phases::{PhaseTimings, Stage};

@@ -1,11 +1,11 @@
 //! The **base retiming** flow: resiliency-unaware min-area retiming
 //! followed by arrival-based EDL assignment (the paper's baseline,
-//! Section VI-D). Runs as a `Sta → Solve → Commit` pipeline on the
-//! shared [`retime_engine`] flow-engine layer.
+//! Section VI-D). Runs its `Sta → Solve → Commit` stages through the
+//! shared [`retime_engine`] instrumentation.
 
 use std::time::{Duration, Instant};
 
-use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut};
 use retime_sta::{CutTiming, DelayModel, TimingAnalysis, TwoPhaseClock};
@@ -52,7 +52,7 @@ pub struct RetimeOutcome {
     /// Run-time bookkeeping.
     pub stats: RunStats,
     /// Uniform per-stage instrumentation, filled in by the flow's
-    /// pipeline run (every flow reports the same Table VII breakdown).
+    /// stages (every flow reports the same Table VII breakdown).
     pub phases: PhaseTimings,
     /// Statistical outcome summary (per-sink yields, jitter sensitivity)
     /// — `Some` exactly when the flow ran under
@@ -148,7 +148,7 @@ pub fn base_retime_sweep(
     })
 }
 
-/// The base pipeline with its Eq. 14 solve supplied by the caller.
+/// The base flow with its Eq. 14 solve supplied by the caller.
 fn base_retime_impl(
     cloud: &CombCloud,
     lib: &Library,
@@ -158,51 +158,30 @@ fn base_retime_impl(
     solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<RetimeOutcome, RetimeError> {
     let started = Instant::now();
-
-    #[derive(Default)]
-    struct BaseState<'a> {
-        sta: Option<TimingAnalysis<'a>>,
-        problem: Option<RetimingProblem>,
-        sol: Option<RetimingSolution>,
-        outcome: Option<RetimeOutcome>,
-    }
-
     let _flow_span = retime_trace::span("base_retime");
-    let mut ctx = FlowContext::new(BaseState::default());
-    Pipeline::<FlowContext<BaseState<'_>>, RetimeError>::new()
-        .stage(Stage::Sta, |ctx| {
-            let sta = TimingAnalysis::new(cloud, lib, clock, model)?;
-            let regions = Regions::compute(&sta)?;
-            let mut problem = RetimingProblem::build(cloud, &regions);
-            // The baseline models the built-in retiming command of a
-            // commercial tool: conservative, incremental movement.
-            problem.set_movement_penalty(crate::problem::COMMERCIAL_MOVEMENT_PENALTY);
-            ctx.data.sta = Some(sta);
-            ctx.data.problem = Some(problem);
-            Ok(())
-        })
-        .stage(Stage::Solve, |ctx| {
-            let problem = ctx.data.problem.as_ref().expect("sta stage ran");
-            let sol = solve(problem, &mut ctx.timings)?;
-            ctx.timings.count("solver_invocations", 1);
-            ctx.data.sol = Some(sol);
-            Ok(())
-        })
-        .stage(Stage::Commit, |ctx| {
-            let sta = ctx.data.sta.as_mut().expect("sta stage ran");
-            let sol = ctx.data.sol.take().expect("solve stage ran");
-            let area_model = AreaModel::new(lib, c);
-            let outcome =
-                RetimeOutcome::assemble(sta, &area_model, sol.cut, sol.solver_time, started)?;
-            outcome.legalize.record_counters(&mut ctx.timings);
-            ctx.data.outcome = Some(outcome);
-            Ok(())
-        })
-        .run(&mut ctx)?;
+    let mut phases = PhaseTimings::new();
 
-    let (state, timings) = ctx.into_parts();
-    let mut outcome = state.outcome.expect("commit stage ran");
-    outcome.phases = timings;
+    let (mut sta, problem) = phases.stage(Stage::Sta, |_| {
+        let sta = TimingAnalysis::new(cloud, lib, clock, model)?;
+        let regions = Regions::compute(&sta)?;
+        let mut problem = RetimingProblem::build(cloud, &regions);
+        // The baseline models the built-in retiming command of a
+        // commercial tool: conservative, incremental movement.
+        problem.set_movement_penalty(crate::problem::COMMERCIAL_MOVEMENT_PENALTY);
+        Ok::<_, RetimeError>((sta, problem))
+    })?;
+    let sol = phases.stage(Stage::Solve, |timings| {
+        timings.count("solver_invocations", 1);
+        solve(&problem, timings)
+    })?;
+    let mut outcome = phases.stage(Stage::Commit, |timings| {
+        let area_model = AreaModel::new(lib, c);
+        let outcome =
+            RetimeOutcome::assemble(&mut sta, &area_model, sol.cut, sol.solver_time, started)?;
+        outcome.legalize.record_counters(timings);
+        Ok::<_, RetimeError>(outcome)
+    })?;
+    outcome.phases = phases;
     Ok(outcome)
 }
 

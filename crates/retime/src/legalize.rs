@@ -12,9 +12,8 @@ use retime_sta::{IncrementalStats, IncrementalTiming, TimingAnalysis};
 use crate::area::AreaModel;
 use crate::error::RetimeError;
 
-/// Per-step speed-up of an upsized gate. Public so post-retiming stages
-/// (e.g. the VL swap loop) can replay a [`LegalizeReport`]'s upsizing
-/// into their own incremental timer bit-identically.
+/// Per-step speed-up of an upsized gate. Public so a [`LegalizeReport`]'s
+/// upsizing can be replayed into another timer bit-identically.
 pub const SPEEDUP: f64 = 0.88;
 /// Area multiplier paid per upsizing step, as a fraction of the gate area.
 const AREA_PENALTY: f64 = 0.30;

@@ -25,7 +25,7 @@
 //!
 //! All solvers and passes are deterministic; under `retime-trace`,
 //! [`base_retime`] runs under a `base_retime` root span with one child
-//! span per pipeline stage (tracing is observation-only and never
+//! span per stage (tracing is observation-only and never
 //! changes results).
 //!
 //! # Example

@@ -48,18 +48,6 @@ pub struct IncrementalStats {
     pub full_passes: u64,
 }
 
-impl IncrementalStats {
-    /// Counter-wise difference against an earlier snapshot (for
-    /// attributing work to one flow stage).
-    pub fn since(&self, earlier: &IncrementalStats) -> IncrementalStats {
-        IncrementalStats {
-            nodes_reevaluated: self.nodes_reevaluated - earlier.nodes_reevaluated,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            full_passes: self.full_passes - earlier.full_passes,
-        }
-    }
-}
-
 /// The two cached arrival views an edit can invalidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum View {

@@ -23,7 +23,7 @@
 //! for all three flows, optimality for G-RAR only.
 
 use retime_core::{classify_and_cut_set, classify_many, IlpFormulation};
-use retime_engine::{parallel_map, parallel_map_with, FlowContext, PhaseTimings, Pipeline, Stage};
+use retime_engine::{parallel_map, parallel_map_with, PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut, Netlist, NodeId, NodeKind};
 use retime_retime::{
@@ -122,17 +122,6 @@ pub struct VerifyReport {
     pub phases: PhaseTimings,
 }
 
-#[derive(Default)]
-struct CheckState {
-    problem: Option<RetimingProblem>,
-    full: Vec<i64>,
-    /// `(pseudo flow node, sink idx)` per target master, in sink order.
-    pseudos: Vec<(usize, usize)>,
-    /// Sink indices classified never-error-detecting.
-    never_ed: Vec<usize>,
-    checks: u64,
-}
-
 /// Independently re-validates a finished flow result. See the module
 /// docs for what is re-derived and from where.
 ///
@@ -146,300 +135,283 @@ pub fn verify_certificate(
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
     let cloud = setup.cloud;
-    let mut ctx = FlowContext::new(CheckState::default());
+    let mut phases = PhaseTimings::new();
+    let mut checks = 0;
 
-    Pipeline::<FlowContext<CheckState>, VerifyError>::new()
-        // Labels: rebuild regions + targets from scratch, check the cut
-        // and its retiming labels against the Eq. (10) ILP, and (G-RAR)
-        // certify optimality from a min cut's preflow.
-        .stage(Stage::Verify, |ctx| {
-            let _span = retime_trace::span("verify_labels");
-            let sta = TimingAnalysis::new(cloud, setup.lib, setup.clock, setup.model)
-                .map_err(internal)?;
-            let regions = Regions::compute(&sta).map_err(internal)?;
-            let mut problem = RetimingProblem::build(cloud, &regions);
-            let targets: Vec<(usize, NodeId)> = cloud
-                .sinks()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
-                .map(|(i, &t)| (i, t))
-                .collect();
-            let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-            let classified = reference_classes(&sta, &sinks, opts.threads);
-            let c_scaled = (setup.overhead.value() * BREADTH_SCALE as f64).round() as i64;
-            let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
-            // Statistically, each target's g(t), aligned with `pseudos`.
-            let mut cut_sets = Vec::new();
-            for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
-                match class {
-                    SinkClass::Target => {
-                        let p = problem.add_pseudo_target(&g, c_scaled);
-                        ctx.data.pseudos.push((p, sink_idx));
-                        if stat_mode {
-                            cut_sets.push(g);
-                        }
+    // Labels: rebuild regions + targets from scratch, check the cut and
+    // its retiming labels against the Eq. (10) ILP, and (G-RAR) certify
+    // optimality from a min cut's preflow. Yields, in sink order,
+    // `(pseudo flow node, sink idx)` per target master, the sinks
+    // classified never-error-detecting, and the full label assignment.
+    let (pseudos, never_ed, full) = phases.stage(Stage::Verify, |_| {
+        let _span = retime_trace::span("verify_labels");
+        let sta =
+            TimingAnalysis::new(cloud, setup.lib, setup.clock, setup.model).map_err(internal)?;
+        let regions = Regions::compute(&sta).map_err(internal)?;
+        let mut problem = RetimingProblem::build(cloud, &regions);
+        let targets: Vec<(usize, NodeId)> = cloud
+            .sinks()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .map(|(i, &t)| (i, t))
+            .collect();
+        let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
+        let classified = reference_classes(&sta, &sinks, opts.threads);
+        let c_scaled = (setup.overhead.value() * BREADTH_SCALE as f64).round() as i64;
+        let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
+        let (mut pseudos, mut never_ed) = (Vec::new(), Vec::new());
+        // Statistically, each target's g(t), aligned with `pseudos`.
+        let mut cut_sets = Vec::new();
+        for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
+            match class {
+                SinkClass::Target => {
+                    let p = problem.add_pseudo_target(&g, c_scaled);
+                    pseudos.push((p, sink_idx));
+                    if stat_mode {
+                        cut_sets.push(g);
                     }
-                    SinkClass::NeverErrorDetecting => ctx.data.never_ed.push(sink_idx),
-                    SinkClass::AlwaysErrorDetecting => {}
+                }
+                SinkClass::NeverErrorDetecting => never_ed.push(sink_idx),
+                SinkClass::AlwaysErrorDetecting => {}
+            }
+        }
+
+        outcome
+            .cut
+            .validate(cloud)
+            .map_err(|e| VerifyError::IllegalCut {
+                detail: e.to_string(),
+            })?;
+        if !outcome.cut.check_paths(cloud) {
+            return Err(VerifyError::IllegalCut {
+                detail: "a source→sink path does not cross exactly one slave latch".into(),
+            });
+        }
+        let moved: Vec<bool> = (0..cloud.len())
+            .map(|i| outcome.cut.is_moved(NodeId(i as u32)))
+            .collect();
+        let full = problem.full_assignment_for(&moved);
+        let ilp = IlpFormulation::from_problem(&problem);
+        if !ilp.is_feasible(&full) {
+            return Err(VerifyError::LabelInfeasible {
+                violated: first_violation(&ilp, &full),
+            });
+        }
+        checks += 3;
+
+        if kind == FlowKind::Grar {
+            certify_optimal(&problem, &moved)?;
+            checks += 1;
+        }
+        if stat_mode {
+            let credited: Vec<(usize, Vec<NodeId>)> = pseudos
+                .iter()
+                .zip(cut_sets)
+                .filter(|&(&(p, _), _)| full[p] == -1)
+                .map(|(&(_, sink_idx), g)| (sink_idx, g))
+                .collect();
+            if let Some(i) = broken_stat_promise(&sta, &credited, &never_ed, opts.threads) {
+                return Err(VerifyError::CutSetInconsistent {
+                    sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                });
+            }
+            checks += 1;
+        }
+        Ok((pseudos, never_ed, full))
+    })?;
+    // Timing + EDL typing: a from-scratch STA pass over the final
+    // (legalized) delays must reproduce the stored CutTiming exactly, the
+    // window must be legal, the EDL flags must match the arrival-based
+    // rule, and every reclaimed target must really land outside the
+    // window.
+    phases.stage(Stage::Verify, |_| {
+        let _span = retime_trace::span("verify_timing");
+        let fresh_sta =
+            TimingAnalysis::with_delays(cloud, outcome.final_delays.clone(), setup.clock);
+        let fresh = fresh_sta.cut_timing(&outcome.cut);
+        if let Some(&v) = fresh.setup_violations.first() {
+            return Err(VerifyError::WindowViolation {
+                kind: "setup",
+                node: cloud.node(v).name.clone(),
+            });
+        }
+        if let Some(&v) = fresh.capture_violations.first() {
+            return Err(VerifyError::WindowViolation {
+                kind: "capture",
+                node: cloud.node(v).name.clone(),
+            });
+        }
+        if fresh != outcome.timing {
+            return Err(VerifyError::TimingMismatch {
+                detail: timing_diff(cloud, &outcome.timing, &fresh),
+            });
+        }
+        // EDL typing. Deterministic modes re-apply the arrival-based
+        // rule; statistical mode re-runs the shared analytic funnel
+        // over the final delays (exact replay — must reproduce both
+        // the flags and the claimed `StatSummary` bit-for-bit) and
+        // then cross-checks the analytic yields against an
+        // independent plain Monte Carlo that shares no propagation
+        // code with the canonical-form engine.
+        let area_model = AreaModel::new(setup.lib, setup.overhead);
+        let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
+        let flags = if stat_mode {
+            let (flags, summary) =
+                stat_cut_summary(cloud, &outcome.final_delays, setup.clock, &outcome.cut);
+            match &outcome.stat {
+                Some(claimed) if *claimed == summary => {}
+                Some(_) => {
+                    return Err(VerifyError::TimingMismatch {
+                        detail: "statistical summary differs from an exact replay over the \
+                                     final delays"
+                            .into(),
+                    })
+                }
+                None => {
+                    return Err(VerifyError::TimingMismatch {
+                        detail: "statistical flow produced no StatSummary".into(),
+                    })
                 }
             }
-
+            if opts.mc_samples > 0 {
+                let mc = crate::mc::mc_yields(
+                    cloud,
+                    &outcome.final_delays,
+                    setup.clock,
+                    &outcome.cut,
+                    opts.mc_samples,
+                    opts.seed,
+                );
+                for (i, (&sampled, &analytic)) in mc.yields.iter().zip(&summary.yields).enumerate()
+                {
+                    let tolerance = crate::mc::mc_tolerance(analytic, mc.samples);
+                    if (sampled - analytic).abs() > tolerance {
+                        return Err(VerifyError::YieldMismatch {
+                            sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                            analytic,
+                            monte_carlo: sampled,
+                            tolerance,
+                        });
+                    }
+                }
+                checks += 1;
+            }
+            checks += 1;
+            flags
+        } else {
+            if outcome.stat.is_some() {
+                return Err(VerifyError::TimingMismatch {
+                    detail: "deterministic flow carries a StatSummary".into(),
+                });
+            }
+            area_model.ed_flags(cloud, &fresh)
+        };
+        if flags.len() != outcome.ed_sinks.len() {
+            return Err(internal(format!(
+                "certificate carries {} EDL flags for {} sinks",
+                outcome.ed_sinks.len(),
+                flags.len()
+            )));
+        }
+        if let Some(i) = (0..flags.len()).find(|&i| flags[i] != outcome.ed_sinks[i]) {
+            return Err(VerifyError::EdlFlagMismatch {
+                sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                claimed: outcome.ed_sinks[i],
+                recomputed: flags[i],
+            });
+        }
+        // Cut-set soundness under the deterministic models: a target
+        // whose whole g(t) was retimed through, and any never-ED
+        // sink, must time outside the window. This holds for every
+        // placement that moves g(t), and legalization only speeds
+        // gates up: both can only lower the max-plus sink arrival.
+        // The statistical promise is narrower and was checked with
+        // the labels (`broken_stat_promise`).
+        if !stat_mode {
+            let credited = pseudos
+                .iter()
+                .filter(|&&(p, _)| full[p] == -1)
+                .map(|&(_, i)| i);
+            let mut promised = credited.chain(never_ed.iter().copied());
+            if let Some(i) = promised.find(|&i| fresh.error_detecting[i]) {
+                return Err(VerifyError::CutSetInconsistent {
+                    sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                });
+            }
+        }
+        checks += 4;
+        Ok(())
+    })?;
+    // Area: recount the sequential breakdown and the combinational bill
+    // against the library.
+    phases.stage(Stage::Verify, |_| {
+        let _span = retime_trace::span("verify_area");
+        let area_model = AreaModel::new(setup.lib, setup.overhead);
+        let seq = area_model.sequential(cloud, &outcome.cut, &outcome.ed_sinks);
+        let counts: [(&'static str, usize, usize); 3] = [
+            ("slaves", outcome.seq.slaves, seq.slaves),
+            ("masters", outcome.seq.masters, seq.masters),
+            ("edl", outcome.seq.edl, seq.edl),
+        ];
+        for (field, claimed, recomputed) in counts {
+            if claimed != recomputed {
+                return Err(VerifyError::AreaMismatch {
+                    field,
+                    claimed: claimed as f64,
+                    recomputed: recomputed as f64,
+                });
+            }
+        }
+        let comb =
+            area_model.combinational(cloud).map_err(internal)? + outcome.legalize.area_penalty;
+        let figures: [(&'static str, f64, f64); 5] = [
+            ("slave_area", outcome.seq.slave_area, seq.slave_area),
+            ("master_area", outcome.seq.master_area, seq.master_area),
+            ("edl_area", outcome.seq.edl_area, seq.edl_area),
+            ("comb_area", outcome.comb_area, comb),
+            ("total_area", outcome.total_area, comb + seq.total()),
+        ];
+        for (field, claimed, recomputed) in figures {
+            if (claimed - recomputed).abs() > 1e-9 {
+                return Err(VerifyError::AreaMismatch {
+                    field,
+                    claimed,
+                    recomputed,
+                });
+            }
+        }
+        checks += 8;
+        Ok(())
+    })?;
+    // Functional equivalence: the retimed netlist must compute the same
+    // cycle-level outputs as the original under random stimulus.
+    phases.stage(Stage::Verify, |_| {
+        let _span = retime_trace::span("verify_equivalence");
+        if opts.cycles == 0 {
+            return Ok(());
+        }
+        let retimed =
             outcome
                 .cut
-                .validate(cloud)
+                .apply(cloud, setup.netlist)
                 .map_err(|e| VerifyError::IllegalCut {
                     detail: e.to_string(),
                 })?;
-            if !outcome.cut.check_paths(cloud) {
-                return Err(VerifyError::IllegalCut {
-                    detail: "a source→sink path does not cross exactly one slave latch".into(),
-                });
-            }
-            let moved: Vec<bool> = (0..cloud.len())
-                .map(|i| outcome.cut.is_moved(NodeId(i as u32)))
-                .collect();
-            let full = problem.full_assignment_for(&moved);
-            let ilp = IlpFormulation::from_problem(&problem);
-            if !ilp.is_feasible(&full) {
-                return Err(VerifyError::LabelInfeasible {
-                    violated: first_violation(&ilp, &full),
-                });
-            }
-            ctx.data.checks += 3;
+        match equivalent(setup.netlist, &retimed, opts.cycles, opts.seed).map_err(internal)? {
+            Ok(()) => {}
+            Err(cycle) => return Err(VerifyError::NotEquivalent { cycle }),
+        }
+        checks += 1;
+        Ok(())
+    })?;
 
-            if kind == FlowKind::Grar {
-                certify_optimal(&problem, &moved)?;
-                ctx.data.checks += 1;
-            }
-            if stat_mode {
-                let credited: Vec<(usize, Vec<NodeId>)> = ctx
-                    .data
-                    .pseudos
-                    .iter()
-                    .zip(cut_sets)
-                    .filter(|&(&(p, _), _)| full[p] == -1)
-                    .map(|(&(_, sink_idx), g)| (sink_idx, g))
-                    .collect();
-                let never_ed = &ctx.data.never_ed;
-                if let Some(i) = broken_stat_promise(&sta, &credited, never_ed, opts.threads) {
-                    return Err(VerifyError::CutSetInconsistent {
-                        sink: cloud.node(cloud.sinks()[i]).name.clone(),
-                    });
-                }
-                ctx.data.checks += 1;
-            }
-            ctx.data.full = full;
-            ctx.data.problem = Some(problem);
-            Ok(())
-        })
-        // Timing + EDL typing: a from-scratch STA pass over the final
-        // (legalized) delays must reproduce the stored CutTiming exactly,
-        // the window must be legal, the EDL flags must match the
-        // arrival-based rule, and every reclaimed target must really
-        // land outside the window.
-        .stage(Stage::Verify, |ctx| {
-            let _span = retime_trace::span("verify_timing");
-            let fresh_sta =
-                TimingAnalysis::with_delays(cloud, outcome.final_delays.clone(), setup.clock);
-            let fresh = fresh_sta.cut_timing(&outcome.cut);
-            if let Some(&v) = fresh.setup_violations.first() {
-                return Err(VerifyError::WindowViolation {
-                    kind: "setup",
-                    node: cloud.node(v).name.clone(),
-                });
-            }
-            if let Some(&v) = fresh.capture_violations.first() {
-                return Err(VerifyError::WindowViolation {
-                    kind: "capture",
-                    node: cloud.node(v).name.clone(),
-                });
-            }
-            if fresh != outcome.timing {
-                return Err(VerifyError::TimingMismatch {
-                    detail: timing_diff(cloud, &outcome.timing, &fresh),
-                });
-            }
-            // EDL typing. Deterministic modes re-apply the arrival-based
-            // rule; statistical mode re-runs the shared analytic funnel
-            // over the final delays (exact replay — must reproduce both
-            // the flags and the claimed `StatSummary` bit-for-bit) and
-            // then cross-checks the analytic yields against an
-            // independent plain Monte Carlo that shares no propagation
-            // code with the canonical-form engine.
-            let area_model = AreaModel::new(setup.lib, setup.overhead);
-            let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
-            let flags = if stat_mode {
-                let (flags, summary) =
-                    stat_cut_summary(cloud, &outcome.final_delays, setup.clock, &outcome.cut);
-                match &outcome.stat {
-                    Some(claimed) if *claimed == summary => {}
-                    Some(_) => {
-                        return Err(VerifyError::TimingMismatch {
-                            detail: "statistical summary differs from an exact replay over the \
-                                     final delays"
-                                .into(),
-                        })
-                    }
-                    None => {
-                        return Err(VerifyError::TimingMismatch {
-                            detail: "statistical flow produced no StatSummary".into(),
-                        })
-                    }
-                }
-                if opts.mc_samples > 0 {
-                    let mc = crate::mc::mc_yields(
-                        cloud,
-                        &outcome.final_delays,
-                        setup.clock,
-                        &outcome.cut,
-                        opts.mc_samples,
-                        opts.seed,
-                    );
-                    for (i, (&sampled, &analytic)) in
-                        mc.yields.iter().zip(&summary.yields).enumerate()
-                    {
-                        let tolerance = crate::mc::mc_tolerance(analytic, mc.samples);
-                        if (sampled - analytic).abs() > tolerance {
-                            return Err(VerifyError::YieldMismatch {
-                                sink: cloud.node(cloud.sinks()[i]).name.clone(),
-                                analytic,
-                                monte_carlo: sampled,
-                                tolerance,
-                            });
-                        }
-                    }
-                    ctx.data.checks += 1;
-                }
-                ctx.data.checks += 1;
-                flags
-            } else {
-                if outcome.stat.is_some() {
-                    return Err(VerifyError::TimingMismatch {
-                        detail: "deterministic flow carries a StatSummary".into(),
-                    });
-                }
-                area_model.ed_flags(cloud, &fresh)
-            };
-            if flags.len() != outcome.ed_sinks.len() {
-                return Err(internal(format!(
-                    "certificate carries {} EDL flags for {} sinks",
-                    outcome.ed_sinks.len(),
-                    flags.len()
-                )));
-            }
-            if let Some(i) = (0..flags.len()).find(|&i| flags[i] != outcome.ed_sinks[i]) {
-                return Err(VerifyError::EdlFlagMismatch {
-                    sink: cloud.node(cloud.sinks()[i]).name.clone(),
-                    claimed: outcome.ed_sinks[i],
-                    recomputed: flags[i],
-                });
-            }
-            // Cut-set soundness under the deterministic models: a target
-            // whose whole g(t) was retimed through, and any never-ED
-            // sink, must time outside the window. This holds for every
-            // placement that moves g(t), and legalization only speeds
-            // gates up: both can only lower the max-plus sink arrival.
-            // The statistical promise is narrower and was checked with
-            // the labels (`broken_stat_promise`).
-            if !stat_mode {
-                let (pseudos, full) = (&ctx.data.pseudos, &ctx.data.full);
-                let credited = pseudos
-                    .iter()
-                    .filter(|&&(p, _)| full[p] == -1)
-                    .map(|&(_, i)| i);
-                let mut promised = credited.chain(ctx.data.never_ed.iter().copied());
-                if let Some(i) = promised.find(|&i| fresh.error_detecting[i]) {
-                    return Err(VerifyError::CutSetInconsistent {
-                        sink: cloud.node(cloud.sinks()[i]).name.clone(),
-                    });
-                }
-            }
-            ctx.data.checks += 4;
-            Ok(())
-        })
-        // Area: recount the sequential breakdown and the combinational
-        // bill against the library.
-        .stage(Stage::Verify, |ctx| {
-            let _span = retime_trace::span("verify_area");
-            let area_model = AreaModel::new(setup.lib, setup.overhead);
-            let seq = area_model.sequential(cloud, &outcome.cut, &outcome.ed_sinks);
-            let counts: [(&'static str, usize, usize); 3] = [
-                ("slaves", outcome.seq.slaves, seq.slaves),
-                ("masters", outcome.seq.masters, seq.masters),
-                ("edl", outcome.seq.edl, seq.edl),
-            ];
-            for (field, claimed, recomputed) in counts {
-                if claimed != recomputed {
-                    return Err(VerifyError::AreaMismatch {
-                        field,
-                        claimed: claimed as f64,
-                        recomputed: recomputed as f64,
-                    });
-                }
-            }
-            let comb =
-                area_model.combinational(cloud).map_err(internal)? + outcome.legalize.area_penalty;
-            let figures: [(&'static str, f64, f64); 5] = [
-                ("slave_area", outcome.seq.slave_area, seq.slave_area),
-                ("master_area", outcome.seq.master_area, seq.master_area),
-                ("edl_area", outcome.seq.edl_area, seq.edl_area),
-                ("comb_area", outcome.comb_area, comb),
-                ("total_area", outcome.total_area, comb + seq.total()),
-            ];
-            for (field, claimed, recomputed) in figures {
-                if (claimed - recomputed).abs() > 1e-9 {
-                    return Err(VerifyError::AreaMismatch {
-                        field,
-                        claimed,
-                        recomputed,
-                    });
-                }
-            }
-            ctx.data.checks += 8;
-            Ok(())
-        })
-        // Functional equivalence: the retimed netlist must compute the
-        // same cycle-level outputs as the original under random stimulus.
-        .stage(Stage::Verify, |ctx| {
-            let _span = retime_trace::span("verify_equivalence");
-            if opts.cycles == 0 {
-                return Ok(());
-            }
-            let retimed =
-                outcome
-                    .cut
-                    .apply(cloud, setup.netlist)
-                    .map_err(|e| VerifyError::IllegalCut {
-                        detail: e.to_string(),
-                    })?;
-            match equivalent(setup.netlist, &retimed, opts.cycles, opts.seed).map_err(internal)? {
-                Ok(()) => {}
-                Err(cycle) => return Err(VerifyError::NotEquivalent { cycle }),
-            }
-            ctx.data.checks += 1;
-            Ok(())
-        })
-        .run(&mut ctx)?;
-
-    let (state, mut phases) = ctx.into_parts();
-    let targets_saved = state
-        .pseudos
-        .iter()
-        .filter(|&&(p, _)| state.full[p] == -1)
-        .count();
-    phases.count("verify_checks", state.checks);
-    phases.count("verify_targets", state.pseudos.len() as u64);
-    phases.count(
-        "verify_cycles",
-        if opts.cycles == 0 {
-            0
-        } else {
-            opts.cycles as u64
-        },
-    );
+    let targets_saved = pseudos.iter().filter(|&&(p, _)| full[p] == -1).count();
+    phases.count("verify_checks", checks);
+    phases.count("verify_targets", pseudos.len() as u64);
+    phases.count("verify_cycles", opts.cycles as u64);
     Ok(VerifyReport {
-        targets: state.pseudos.len(),
+        targets: pseudos.len(),
         targets_saved,
         cycles: opts.cycles,
         phases,
