@@ -21,6 +21,8 @@
 //!   observation-only.
 //! * **Free when off.** A suite G-RAR run with tracing disabled records
 //!   no span.
+//! * **Seed timing.** VL's seed stage times the initial cut (one
+//!   `cut_timing` span) under deterministic RVL only.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -269,6 +271,51 @@ fn fig4_rvl_trace_matches_golden_structure() {
         .expect("RVL-RAR on fig4")
     });
     check_trace_golden("fig4_trace_rvl.txt", &records);
+}
+
+/// Number of `name` spans nested (at any depth) under each `parent`
+/// span, in record order.
+fn nested_counts(records: &[SpanRecord], parent: &str, name: &str) -> Vec<usize> {
+    let mut counts = Vec::new();
+    for (i, r) in records.iter().enumerate() {
+        if r.name != parent {
+            continue;
+        }
+        let inside = records[i + 1..]
+            .iter()
+            .take_while(|c| c.depth > r.depth)
+            .filter(|c| c.name == name)
+            .count();
+        counts.push(inside);
+    }
+    counts
+}
+
+#[test]
+fn vl_seed_times_the_initial_cut_only_for_deterministic_rvl() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let fig = Fig4::new();
+    let lib = Library::fdsoi28();
+    let clock = feasible_clock(&fig.cloud, &lib);
+    let stat = DelayModel::Statistical(StatParams::DEFAULT);
+    for (variant, model, want) in [
+        (VlVariant::Evl, DelayModel::PathBased, 0),
+        (VlVariant::Nvl, DelayModel::PathBased, 0),
+        (VlVariant::Rvl, stat, 0),
+        (VlVariant::Rvl, DelayModel::PathBased, 1),
+    ] {
+        let cfg = VlConfig::new(variant, EdlOverhead::MEDIUM)
+            .with_model(model)
+            .with_threads(1);
+        let (_, records) =
+            with_tracing(|| vl_retime(&fig.cloud, &lib, clock, &cfg).expect("VL-RAR on fig4"));
+        assert_eq!(
+            nested_counts(&records, "seed", "cut_timing"),
+            [want],
+            "{} under {model:?}",
+            variant.name()
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! The stage spans of one `convert` call: a `convert`, an `sta` and a
-//! `verify` span, each carrying the counters its stage added. The
+//! The stage spans of one `convert` call: a `convert`, an `sta` (with
+//! its timing pass) and a `verify` span, each carrying the counters its
+//! stage added. The
 //! tracing flag is process-global, so this is the only test in its
 //! binary.
 
@@ -52,7 +53,7 @@ fn convert_traces_its_stages_with_their_counters() {
     assert_eq!(
         structure(&records),
         "convert convert_ffs=2 convert_masters=2 convert_slaves=2\n\
-         sta\n\
+         sta\n  sta_full_pass\n\
          verify convert_checked_cycles=256\n"
     );
 }

@@ -61,9 +61,10 @@ pub struct RetimeOutcome {
 }
 
 impl RetimeOutcome {
-    /// Assembles the outcome from a final cut: validates it, legalizes,
-    /// times it, assigns error-detecting masters by arrival, and totals
-    /// the area. Shared by the base, VL, and G-RAR flows.
+    /// Assembles the outcome from a final cut: validates it, legalizes
+    /// it (which leaves its timing under the final delays), assigns
+    /// error-detecting masters by arrival, and totals the area. Shared
+    /// by the base, VL, and G-RAR flows.
     ///
     /// # Errors
     /// Propagates cut, legalization, and library failures.
@@ -76,8 +77,7 @@ impl RetimeOutcome {
     ) -> Result<RetimeOutcome, RetimeError> {
         let cloud = sta.cloud();
         cut.validate(cloud)?;
-        let report = legalize(sta, &cut, model)?;
-        let timing = sta.cut_timing(&cut);
+        let (report, timing) = legalize(sta, &cut, model)?;
         // Statistical mode replaces the arrival-window EDL rule with the
         // yield-aware margined rule over the (legalized) canonical forms;
         // the nominal `timing` stays as-is for reporting and replay.

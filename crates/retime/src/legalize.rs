@@ -6,15 +6,14 @@
 //! model exactly that lever: gates on violating paths are sped up by a
 //! bounded upsizing factor, paying a proportional area penalty.
 
-use retime_netlist::{Cut, NodeId, NodeKind};
-use retime_sta::{IncrementalStats, IncrementalTiming, TimingAnalysis};
+use retime_netlist::{ConeWalk, Cut, NodeId, NodeKind};
+use retime_sta::{CutTiming, TimingAnalysis};
 
 use crate::area::AreaModel;
 use crate::error::RetimeError;
 
-/// Per-step speed-up of an upsized gate. Public so a [`LegalizeReport`]'s
-/// upsizing can be replayed into another timer bit-identically.
-pub const SPEEDUP: f64 = 0.88;
+/// Per-step speed-up of an upsized gate.
+const SPEEDUP: f64 = 0.88;
 /// Area multiplier paid per upsizing step, as a fraction of the gate area.
 const AREA_PENALTY: f64 = 0.30;
 /// Maximum upsizing rounds before giving up.
@@ -29,11 +28,6 @@ pub struct LegalizeReport {
     pub area_penalty: f64,
     /// Rounds used.
     pub rounds: usize,
-    /// Whether all violations were cleared.
-    pub clean: bool,
-    /// Incremental-STA work counters of the legalization rounds
-    /// (re-evaluated nodes, memo hits, full passes).
-    pub sta: IncrementalStats,
 }
 
 impl LegalizeReport {
@@ -42,109 +36,78 @@ impl LegalizeReport {
     pub fn record_counters(&self, timings: &mut retime_engine::PhaseTimings) {
         timings.count("legalize_rounds", self.rounds as u64);
         timings.count("legalize_upsized", self.upsized.len() as u64);
-        timings.count("sta_reevaluated", self.sta.nodes_reevaluated);
-        timings.count("sta_cache_hits", self.sta.cache_hits);
-        timings.count("sta_full_passes", self.sta.full_passes);
     }
 }
 
 /// Repairs residual violations of constraints (6)/(7) for a fixed cut by
 /// upsizing gates on violating paths. Mutates the delay tables inside
 /// `sta` (exactly like a size-only incremental compile would) and returns
-/// what it did.
+/// what it did, with the timing of `cut` under the final tables.
 ///
-/// The rounds run on an [`IncrementalTiming`] engine, so each round pays
-/// only for the fan-out cones of the gates upsized in the previous round
-/// instead of a full-cloud forward pass per gate; the upsizing is then
-/// replayed into `sta` in one batch (same per-node scaling sequence, so
-/// the caller's tables are bit-identical to the incremental engine's).
+/// Each round times the cut, marks every gate in the union of the
+/// violations' fan-in cones, and speeds them up in one
+/// [`TimingAnalysis::update_delays`].
 ///
 /// # Errors
 /// Returns [`RetimeError::Internal`] if violations persist after the
 /// round budget (the placement is then genuinely infeasible, which the
-/// region construction should have prevented).
+/// region construction should have prevented). The upsizing applied so
+/// far stays in `sta`.
 pub fn legalize(
     sta: &mut TimingAnalysis<'_>,
     cut: &Cut,
     model: &AreaModel<'_>,
-) -> Result<LegalizeReport, RetimeError> {
-    let mut inc = IncrementalTiming::from_analysis(sta, cut.clone());
-    let mut report = LegalizeReport {
-        clean: true,
-        ..Default::default()
-    };
-    let result = legalize_rounds(&mut inc, model, &mut report);
-    report.sta = inc.stats();
-    // Replay the upsizing into the caller's analysis — even on failure,
-    // matching the historical behavior of sizing `sta` in place.
-    if !report.upsized.is_empty() {
-        sta.update_delays(|d| {
-            for &g in &report.upsized {
-                d.scale_node(g, SPEEDUP);
-            }
-        });
-    }
-    result.map(|()| report)
-}
-
-/// The upsizing loop, run entirely against the incremental engine.
-fn legalize_rounds(
-    inc: &mut IncrementalTiming<'_>,
-    model: &AreaModel<'_>,
-    report: &mut LegalizeReport,
-) -> Result<(), RetimeError> {
-    let cloud = inc.cloud();
-    for round in 0..MAX_ROUNDS {
-        let timing = inc.cut_timing();
+) -> Result<(LegalizeReport, CutTiming), RetimeError> {
+    let cloud = sta.cloud();
+    let mut report = LegalizeReport::default();
+    let mut walk = ConeWalk::new(cloud);
+    for round in 0..=MAX_ROUNDS {
+        let timing = sta.cut_timing(cut);
         if timing.is_feasible() {
-            report.clean = true;
             report.rounds = round;
-            return Ok(());
+            return Ok((report, timing));
         }
-        report.clean = false;
-        report.rounds = round + 1;
+        if round == MAX_ROUNDS {
+            break;
+        }
         // Collect gates to upsize: the drivers of violating latch
         // positions (constraint 6) and the gates in the fan-in cones of
         // violating sinks that lie past a latch (constraint 7 in arrival
         // form). A simple, bounded heuristic: upsize every gate in the
         // fan-in cone of each violation.
-        let mut marked: Vec<NodeId> = Vec::new();
-        for &v in timing
+        let violations = timing
             .setup_violations
             .iter()
-            .chain(timing.capture_violations.iter())
-        {
-            for w in cloud.fanin_cone(v) {
-                if matches!(cloud.node(w).kind, NodeKind::Gate { .. }) {
-                    marked.push(w);
-                }
-            }
-        }
-        marked.sort_unstable();
-        marked.dedup();
+            .chain(&timing.capture_violations)
+            .copied();
+        let mut marked: Vec<NodeId> = walk
+            .walk(cloud, violations)
+            .iter()
+            .copied()
+            .filter(|&w| cloud.node(w).is_gate())
+            .collect();
         if marked.is_empty() {
             break;
         }
+        marked.sort_unstable();
         for &g in &marked {
             let node = cloud.node(g);
             let gate = match node.kind {
                 NodeKind::Gate { gate, .. } => gate,
                 _ => unreachable!("marked gates only"),
             };
-            let cell_area = area_of(model, gate, node.fanin.len());
-            report.area_penalty += cell_area * AREA_PENALTY;
-            inc.scale_node(g, SPEEDUP);
-            report.upsized.push(g);
+            report.area_penalty += area_of(model, gate, node.fanin.len()) * AREA_PENALTY;
         }
+        sta.update_delays(|d| {
+            for &g in &marked {
+                d.scale_node(g, SPEEDUP);
+            }
+        });
+        report.upsized.extend(marked);
     }
-    if inc.cut_timing().is_feasible() {
-        report.clean = true;
-        Ok(())
-    } else {
-        Err(RetimeError::Internal(
-            "legalization could not clear timing violations".into(),
-        ))
-    }
+    Err(RetimeError::Internal(
+        "legalization could not clear timing violations".into(),
+    ))
 }
 
 fn area_of(model: &AreaModel<'_>, gate: retime_netlist::Gate, fanin: usize) -> f64 {
@@ -188,10 +151,10 @@ mod tests {
         .unwrap();
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
         let cut = Cut::initial(&cloud);
-        let report = legalize(&mut sta, &cut, &model).unwrap();
-        assert!(report.clean);
+        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
         assert_eq!(report.rounds, 0);
         assert_eq!(report.area_penalty, 0.0);
+        assert_eq!(timing, sta.cut_timing(&cut));
     }
 
     #[test]
@@ -239,11 +202,11 @@ mod tests {
             "the chosen clock must start out violated"
         );
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
-        let report = legalize(&mut sta, &cut, &model).unwrap();
-        assert!(report.clean);
+        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
         assert!(report.rounds > 0);
         assert!(report.area_penalty > 0.0);
-        assert!(sta.cut_timing(&cut).is_feasible());
+        assert!(timing.is_feasible());
+        assert_eq!(timing, sta.cut_timing(&cut));
     }
 
     #[test]
@@ -307,18 +270,26 @@ mod tests {
         let cut = Cut::initial(&cloud);
         assert!(!sta.cut_timing(&cut).is_feasible());
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
-        let report = legalize(&mut sta, &cut, &model).unwrap();
-        assert!(report.clean);
+        let fresh = sta.delays().clone();
+        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
         assert!(report.rounds >= 2, "one 0.88x round cannot meet 0.82x");
-        // Every round upsizes all three gates of the single violating cone.
-        assert_eq!(report.upsized.len(), 3 * report.rounds);
+        // Every round upsizes all three gates of the single violating
+        // cone, in node order.
+        let gates: Vec<NodeId> = (0..cloud.len() as u32)
+            .map(NodeId)
+            .filter(|&v| cloud.node(v).is_gate())
+            .collect();
+        assert_eq!(gates.len(), 3);
+        assert_eq!(report.upsized, gates.repeat(report.rounds));
         assert!(report.area_penalty > 0.0);
-        // The rounds ran incrementally: one construction-time full pass,
-        // then dirty-region repairs only.
-        assert_eq!(report.sta.full_passes, 1);
-        assert!(report.sta.nodes_reevaluated > 0);
-        // The upsizing was synced back into the caller's analysis.
-        assert!(sta.cut_timing(&cut).is_feasible());
+        // The caller's delay tables carry one speed-up per round on each
+        // upsized gate, and the returned timing is theirs.
+        for &g in &gates {
+            let want = (0..report.rounds).fold(fresh.arc(g), |arc, _| arc.scale(SPEEDUP));
+            assert_eq!(sta.delays().arc(g), want);
+        }
+        assert!(timing.is_feasible());
+        assert_eq!(timing, sta.cut_timing(&cut));
     }
 
     #[test]

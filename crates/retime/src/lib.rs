@@ -64,7 +64,7 @@ pub mod statistical;
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
 pub use error::RetimeError;
-pub use legalize::{legalize, LegalizeReport, SPEEDUP as LEGALIZE_SPEEDUP};
+pub use legalize::{legalize, LegalizeReport};
 pub use problem::{
     RetimingProblem, RetimingSolution, RetimingSweep, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };

@@ -82,8 +82,7 @@ impl<'a> TimingAnalysis<'a> {
         delays: NodeDelays,
         clock: TwoPhaseClock,
     ) -> TimingAnalysis<'a> {
-        let arrivals = pure_arrivals(cloud, &delays);
-        let db_any = db_to_any_sink(cloud, &delays);
+        let (arrivals, db_any) = full_pass(cloud, &delays);
         TimingAnalysis {
             cloud,
             clock,
@@ -93,8 +92,8 @@ impl<'a> TimingAnalysis<'a> {
         }
     }
 
-    /// The analysed cloud (borrowed for the cloud's own lifetime, so
-    /// derived engines like `IncrementalTiming` can outlive `self`).
+    /// The analysed cloud (borrowed for the cloud's own lifetime, so a
+    /// caller can hold it while it edits `self`, as legalization does).
     pub fn cloud(&self) -> &'a CombCloud {
         self.cloud
     }
@@ -113,8 +112,7 @@ impl<'a> TimingAnalysis<'a> {
     /// [`NodeDelays::scale_node`] during legalization).
     pub fn update_delays(&mut self, f: impl FnOnce(&mut NodeDelays)) {
         f(&mut self.delays);
-        self.arrivals = pure_arrivals(self.cloud, &self.delays);
-        self.db_any = db_to_any_sink(self.cloud, &self.delays);
+        (self.arrivals, self.db_any) = full_pass(self.cloud, &self.delays);
     }
 
     /// The paper's `D^f(v)`: worst pure combinational arrival at the
@@ -249,6 +247,7 @@ impl<'a> TimingAnalysis<'a> {
     /// Full timing of a concrete cut: per-sink arrivals, EDL requirements,
     /// and violations of constraints (6)/(7).
     pub fn cut_timing(&self, cut: &Cut) -> CutTiming {
+        let _span = retime_trace::span("cut_timing");
         let arr = arrivals_with_cut(self.cloud, &self.delays, &self.clock, cut);
         let pi = self.clock.period();
         let pmax = self.clock.max_path_delay();
@@ -284,6 +283,13 @@ impl<'a> TimingAnalysis<'a> {
             capture_violations,
         }
     }
+}
+
+/// The cached whole-cloud passes: pure arrivals `D^f` and the worst
+/// backward delay to any sink.
+fn full_pass(cloud: &CombCloud, delays: &NodeDelays) -> (Vec<DelayArc>, Vec<Option<DelayArc>>) {
+    let _span = retime_trace::span("sta_full_pass");
+    (pure_arrivals(cloud, delays), db_to_any_sink(cloud, delays))
 }
 
 #[cfg(test)]

@@ -21,14 +21,14 @@
 //! # Invariants
 //!
 //! * **Determinism.** Arrival folds follow the stored fanin order, and
-//!   [`IncrementalTiming`] repairs are bit-identical to a from-scratch
-//!   pass (differentially tested in `tests/property.rs`), so results
+//!   every pass is a from-scratch pass over the whole cloud, so results
 //!   never depend on edit history or thread count.
 //! * **Tracing is observation-only.** Under `retime-trace`,
-//!   [`IncrementalTiming`] emits `cut_timing` spans (cache hit/miss
-//!   counters), `sta_repair_pure`/`sta_repair_cut` spans (seed and
-//!   re-evaluation counts), and `sta_full_pass` spans for rebuilds; the
-//!   timing math never branches on the tracing state.
+//!   [`TimingAnalysis`] opens an `sta_full_pass` span around the forward
+//!   and backward passes of [`TimingAnalysis::with_delays`] and
+//!   [`TimingAnalysis::update_delays`], and a `cut_timing` span around
+//!   each [`TimingAnalysis::cut_timing`]; the timing math never branches
+//!   on the tracing state.
 //!
 //! # Example
 //!
@@ -52,12 +52,10 @@ pub mod analysis;
 pub mod backward;
 pub mod clock;
 pub mod forward;
-pub mod incremental;
 pub mod model;
 
 pub use analysis::{CutTiming, SinkClass, TimingAnalysis};
 pub use backward::{backward_through_gate, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::relaunch;
-pub use incremental::{IncrementalStats, IncrementalTiming};
 pub use model::{DelayModel, DelaySigma, NodeDelays, StaError, StatParamError, StatParams};

@@ -3,7 +3,7 @@
 //!
 //! The flat [`PhaseTimings`](../retime_engine) counters answer "how long
 //! did each stage take"; this crate answers "where inside the stage" —
-//! min-cut push/relabel work, incremental-STA repair rounds,
+//! min-cut push/relabel work, STA full passes and cut timings,
 //! per-check verification, per-job service work. It is std-only and
 //! sits below every other workspace crate, so any layer can emit spans.
 //!

@@ -171,14 +171,22 @@ fn vl_retime_impl(
     let (typed, typed_ed, frozen_nodes) = phases.stage(Stage::Seed, |timings| {
         // 1. Initial typing per master-backed sink. Near-criticality for
         //    RVL typing follows the paper's Table I definition: arrival
-        //    with the *initial* slave placement past Π.
-        let initial = Cut::initial(cloud);
-        let initial_timing = sta.cut_timing(&initial);
-        // Statistical mode types by the margined initial arrival (the
-        // yield-aware near-criticality rule); at sigma = 0 the margined
-        // flags are bitwise the deterministic ones.
-        let stat_flags = matches!(cfg.model, DelayModel::Statistical(_))
-            .then(|| retime_retime::stat_cut_summary(cloud, sta.delays(), clock, &initial).0);
+        //    with the *initial* slave placement past Π. Statistical mode
+        //    types by the margined initial arrival (the yield-aware
+        //    near-criticality rule); at sigma = 0 the margined flags are
+        //    bitwise the deterministic ones. EVL and NVL time nothing.
+        let rvl_flags: Vec<bool> = match (cfg.variant, cfg.model) {
+            (VlVariant::Rvl, DelayModel::Statistical(_)) => {
+                retime_retime::stat_cut_summary(cloud, sta.delays(), clock, &Cut::initial(cloud)).0
+            }
+            (VlVariant::Rvl, _) => sta
+                .cut_timing(&Cut::initial(cloud))
+                .sink_arrivals
+                .iter()
+                .map(|&a| a > pi + 1e-9)
+                .collect(),
+            _ => Vec::new(),
+        };
         let typed: Vec<(usize, NodeId, bool)> = cloud
             .sinks()
             .iter()
@@ -188,10 +196,7 @@ fn vl_retime_impl(
                 let ed = match cfg.variant {
                     VlVariant::Evl => true,
                     VlVariant::Nvl => false,
-                    VlVariant::Rvl => match &stat_flags {
-                        Some(flags) => flags[i],
-                        None => initial_timing.sink_arrivals[i] > pi + 1e-9,
-                    },
+                    VlVariant::Rvl => rvl_flags[i],
                 };
                 (i, t, ed)
             })

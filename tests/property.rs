@@ -10,10 +10,10 @@ use resilient_retiming::grar::{
 };
 use resilient_retiming::liberty::{EdlOverhead, Library};
 use resilient_retiming::netlist::{CombCloud, Cut, NodeId, NodeKind};
-use resilient_retiming::retime::{Regions, RetimingProblem, BREADTH_SCALE, LEGALIZE_SPEEDUP};
+use resilient_retiming::retime::{legalize, AreaModel, Regions, RetimingProblem, BREADTH_SCALE};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
-    BackwardPass, DelayModel, IncrementalTiming, NodeDelays, SinkClass, StatParams, TimingAnalysis,
+    BackwardPass, CutTiming, DelayModel, NodeDelays, SinkClass, StatParams, TimingAnalysis,
     TwoPhaseClock,
 };
 use resilient_retiming::verify::{verify_retiming_solution, VerifyError};
@@ -577,14 +577,16 @@ proptest! {
     }
 
     #[test]
-    fn incremental_sta_matches_full_recompute(cfg in small_config()) {
-        // The dirty-region engine must stay bit-identical to a fresh
-        // from-scratch analysis after every edit in a random sequence of
-        // delay scalings and cut moves — arrivals, EDL flags, and both
-        // violation sets.
+    fn legalized_timing_matches_fresh_analysis(cfg in small_config()) {
+        // `legalize` hands its final `CutTiming` to the flow's outcome
+        // instead of timing the cut again, so that timing must be the
+        // one a fresh analysis of the final delay tables gives, bit for
+        // bit — after a run that upsizes nothing and after one that
+        // upsizes in rounds.
         let n = cfg.generate().expect("generates");
         let cloud = CombCloud::extract(&n).expect("extracts");
         let lib = Library::fdsoi28();
+        let model = AreaModel::new(&lib, EdlOverhead::LOW);
         let sta0 = TimingAnalysis::new(
             &cloud,
             &lib,
@@ -592,79 +594,19 @@ proptest! {
             DelayModel::PathBased,
         ).expect("sta builds");
         let crit = cloud.sinks().iter().map(|&t| sta0.df(t)).fold(0.0f64, f64::max);
-        // Tight enough that EDL flags and violations actually flip as
-        // delays and latch positions change.
-        let clock = TwoPhaseClock::from_max_delay(crit * 0.85 + 0.05);
-        let mut inc = IncrementalTiming::new(
-            &cloud,
-            &lib,
-            clock,
-            DelayModel::PathBased,
-            Cut::initial(&cloud),
-        ).expect("engine builds");
-
-        // Deterministic pseudo-random op sequence seeded by the config.
-        let gates: Vec<NodeId> = (0..cloud.len())
-            .map(|i| NodeId(i as u32))
-            .filter(|&v| matches!(cloud.node(v).kind, NodeKind::Gate { .. }))
-            .collect();
-        prop_assert!(!gates.is_empty(), "configs always synthesize gates");
-        let mut rng = cfg.seed | 1;
-        let mut next = || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        // Snapshots of (delays, cut, timing) after each step, re-verified
-        // across thread counts below.
-        let mut snapshots: Vec<(NodeDelays, Cut)> = Vec::new();
-        let mut results = Vec::new();
-        for step in 0..12 {
-            if step % 3 == 2 {
-                // Cut move: grow the moved set by the fan-in closure of a
-                // random non-sink node (closures never contain sinks, so
-                // the cut stays valid).
-                let v = NodeId((next() as usize % cloud.len()) as u32);
-                if cloud.node(v).is_sink() {
-                    continue;
-                }
-                let mut cut = inc.cut().clone();
-                for u in cloud.fanin_cone(v) {
-                    cut.set_moved(u, true);
-                }
-                cut.validate(&cloud).expect("closure cuts are valid");
-                inc.set_cut(&cut);
-            } else {
-                // Delay edit: scale a random gate up or down.
-                let g = gates[next() as usize % gates.len()];
-                let k = [0.8, 0.9, 1.1, 1.25][next() as usize % 4];
-                inc.scale_node(g, k);
-            }
-            let got = inc.cut_timing();
-            let fresh = TimingAnalysis::with_delays(&cloud, inc.delays().clone(), clock);
-            let want = fresh.cut_timing(inc.cut());
-            // Equal as values, and bit-identical as floats (`==` alone
-            // would let -0.0 pass for 0.0).
-            prop_assert_eq!(&got, &want, "divergence at step {}", step);
-            for (a, b) in got.sink_arrivals.iter().zip(&want.sink_arrivals) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            snapshots.push((inc.delays().clone(), inc.cut().clone()));
-            results.push(got);
-        }
-        prop_assert_eq!(inc.stats().full_passes, 1, "repairs must stay incremental");
-        // The same snapshots re-timed under different RETIME_THREADS-style
-        // fan-outs must reproduce the incremental results bit-for-bit
-        // (fresh analyses are per-item, so index-ordered parallel_map
-        // keeps them deterministic).
-        for threads in [1usize, 4, 0] {
-            let replayed = resilient_retiming::engine::parallel_map(
-                threads,
-                &snapshots,
-                |(delays, cut)| {
-                    TimingAnalysis::with_delays(&cloud, delays.clone(), clock).cut_timing(cut)
-                },
-            );
-            prop_assert_eq!(&replayed, &results, "threads={}", threads);
+        let cut = Cut::initial(&cloud);
+        // A relaxed clock needs no upsizing; the tight one makes the
+        // initial placement violate (7), so legalization runs rounds.
+        for (p, tight) in [(crit * 2.0 + 1.0, false), (crit * 0.85 + 0.05, true)] {
+            let clock = TwoPhaseClock::from_max_delay(p);
+            let mut sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased)
+                .expect("sta builds");
+            prop_assert_eq!(!sta.cut_timing(&cut).is_feasible(), tight);
+            let (report, got) = legalize(&mut sta, &cut, &model).expect("legalizes");
+            prop_assert_eq!(report.rounds >= 1, tight);
+            let want = TimingAnalysis::with_delays(&cloud, sta.delays().clone(), clock)
+                .cut_timing(&cut);
+            assert_cut_timing_bits(&got, &want);
         }
     }
 
@@ -699,12 +641,21 @@ proptest! {
     }
 }
 
-/// A legalization-style replay on s1423: six rounds each upsize eight
-/// gates spread across the netlist by `LEGALIZE_SPEEDUP` and re-query
-/// the cut timing. The dirty-region engine must match a full
-/// re-propagation bit for bit after every round.
+/// `CutTiming` equality, with the sink arrivals also compared as bits
+/// (`==` alone would let -0.0 pass for 0.0).
+fn assert_cut_timing_bits(got: &CutTiming, want: &CutTiming) {
+    assert_eq!(got, want);
+    for (a, b) in got.sink_arrivals.iter().zip(&want.sink_arrivals) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+/// Legalization of G-RAR's own placement on s1423 at its calibrated
+/// clock takes two upsizing rounds. The timing `legalize` returns must
+/// be a fresh analysis's timing of the final delay tables, and the G-RAR
+/// flow must report exactly that timing and those tables.
 #[test]
-fn incremental_sta_matches_full_recompute_on_s1423() {
+fn legalized_timing_matches_fresh_analysis_on_s1423() {
     let lib = Library::fdsoi28();
     let circuit = paper_suite()
         .into_iter()
@@ -716,33 +667,17 @@ fn incremental_sta_matches_full_recompute_on_s1423() {
     let clock = circuit
         .calibrated_clock(&lib, DelayModel::PathBased)
         .expect("calibrates");
-    let gates: Vec<NodeId> = (0..cloud.len())
-        .map(|i| NodeId(i as u32))
-        .filter(|&v| matches!(cloud.node(v).kind, NodeKind::Gate { .. }))
-        .collect();
-    let stride = gates.len() / 8;
-    let cut = Cut::initial(cloud);
-    let mut full =
+    let c = EdlOverhead::LOW;
+    let flow = grar(cloud, &lib, clock, &GrarConfig::new(c)).expect("G-RAR runs");
+    let cut = &flow.outcome.cut;
+    let mut sta =
         TimingAnalysis::new(cloud, &lib, clock, DelayModel::PathBased).expect("sta builds");
-    let mut inc = IncrementalTiming::new(cloud, &lib, clock, DelayModel::PathBased, cut.clone())
-        .expect("engine builds");
-    for round in 0..6 {
-        let batch: Vec<NodeId> = (0..8)
-            .map(|k| gates[(round * 131 + k * stride) % gates.len()])
-            .collect();
-        full.update_delays(|d| {
-            for &g in &batch {
-                d.scale_node(g, LEGALIZE_SPEEDUP);
-            }
-        });
-        for &g in &batch {
-            inc.scale_node(g, LEGALIZE_SPEEDUP);
-        }
-        let (got, want) = (inc.cut_timing(), full.cut_timing(&cut));
-        assert_eq!(got, want, "round {round}");
-        for (a, b) in got.sink_arrivals.iter().zip(&want.sink_arrivals) {
-            assert_eq!(a.to_bits(), b.to_bits(), "round {round}");
-        }
-    }
-    assert_eq!(inc.stats().full_passes, 1, "repairs must stay incremental");
+    assert!(!sta.cut_timing(cut).is_feasible());
+    let (report, got) = legalize(&mut sta, cut, &AreaModel::new(&lib, c)).expect("legalizes");
+    assert!(report.rounds >= 2, "{} rounds", report.rounds);
+    let want = TimingAnalysis::with_delays(cloud, sta.delays().clone(), clock).cut_timing(cut);
+    assert_cut_timing_bits(&got, &want);
+    assert_eq!(report, flow.outcome.legalize);
+    assert_eq!(sta.delays(), &flow.outcome.final_delays);
+    assert_cut_timing_bits(&flow.outcome.timing, &want);
 }
