@@ -45,8 +45,8 @@ use retime_core::{grar, grar_with_sweep, GrarConfig, GrarReport};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist};
 use retime_retime::{
-    base_retime, base_retime_sweep, flop_design_area, AreaModel, RetimeError, RetimeOutcome,
-    RetimingSweep,
+    base_retime, base_retime_sweep, flop_design_area, AreaModel, BasisSlot, FlowBasis, RetimeError,
+    RetimeOutcome, RetimingSweep,
 };
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::{
@@ -282,22 +282,30 @@ pub fn table_flows(
     a
 }
 
-/// Per-flow solved-instance memos carried across an overhead sweep on
-/// one case. Base retiming and RVL-RAR build the same Eq. 14 instance
-/// for every `c` (their cuts do not depend on it), so each probe after
-/// the first is a memo hit; G-RAR's pseudo overhead moves demands, so
-/// its probes solve cold.
+/// What an overhead sweep on one case keeps between its probes.
+///
+/// The overhead `c` moves only G-RAR's pseudo-target weights and the
+/// area bill, so the slots hold the case's [`FlowBasis`] (its timing
+/// analysis, regions and sink classifications), which every flow run
+/// shares, and the first probe's base and RVL-RAR results, which later
+/// probes re-price ([`RetimeOutcome::repriced`]) instead of re-running.
+/// G-RAR runs at every `c` and classifies nothing twice. Each flow also
+/// keeps a solved-instance memo; G-RAR's pseudo overhead moves its
+/// demands, so its probes solve cold unless it has no targets.
+///
+/// The slots borrow the case's cloud and the library. A probe for
+/// another case, library or clock clears them all first.
 #[derive(Default)]
-pub struct WarmSlots {
-    /// Base retiming's memo.
-    pub base: Option<RetimingSweep>,
-    /// RVL-RAR's memo.
-    pub rvl: Option<RetimingSweep>,
-    /// G-RAR's memo.
-    pub grar: Option<RetimingSweep>,
+pub struct WarmSlots<'a> {
+    basis: Option<FlowBasis<'a>>,
+    base: Option<RetimingSweep>,
+    rvl: Option<RetimingSweep>,
+    grar: Option<RetimingSweep>,
+    base_outcome: Option<RetimeOutcome>,
+    rvl_report: Option<VlReport>,
 }
 
-impl WarmSlots {
+impl WarmSlots<'_> {
     /// Certifies every memo's last solution against its problem
     /// ([`verify_retiming_solution`]): the labels must satisfy the ILP,
     /// agree with the cut and the objective, and reach the optimum a
@@ -323,38 +331,71 @@ impl WarmSlots {
     }
 }
 
-/// [`run_approaches`] under the path-based model with solved-instance
-/// memos threaded through all three flows — the overhead-sweep call
-/// sites (Table IV, the benchmark's sweep) keep one [`WarmSlots`] per
-/// case so a `c` probe whose instance did not change is answered from
-/// the memo. Uncertified, like [`run_approaches`]; certify the memos
-/// with [`WarmSlots::certify`].
+/// [`run_approaches`] under the path-based model for one probe of an
+/// overhead sweep — the call sites (Table IV and V, the benchmark's
+/// sweep) keep one [`WarmSlots`] per case. Every probe runs G-RAR on
+/// the shared basis; the first probe then runs base retiming and
+/// RVL-RAR and keeps their results, and later probes re-price them at
+/// the new `c`. Every outcome is bit-identical to [`run_approaches`]'
+/// at the same `c`. Uncertified, like [`run_approaches`]; certify the
+/// memos with [`WarmSlots::certify`].
 ///
 /// # Errors
 /// Propagates flow failures.
-pub fn run_approaches_with(
-    case: &BenchCase,
-    lib: &Library,
+pub fn run_approaches_with<'a>(
+    case: &'a BenchCase,
+    lib: &'a Library,
     c: EdlOverhead,
-    slots: &mut WarmSlots,
+    slots: &mut WarmSlots<'a>,
 ) -> Result<Approaches, RetimeError> {
     let cloud = &case.circuit.cloud;
-    let base = base_retime_sweep(
+    let model = DelayModel::PathBased;
+    if !slots
+        .basis
+        .as_ref()
+        .is_some_and(|b| b.is_for(cloud, lib, case.clock, model))
+    {
+        *slots = WarmSlots::default();
+    }
+    // G-RAR first: its min cut is the largest allocation of a probe,
+    // and it then runs while no other result of the probe is alive.
+    let grar = grar_with_sweep(
         cloud,
         lib,
         case.clock,
-        DelayModel::PathBased,
-        c,
-        &mut slots.base,
+        &GrarConfig::new(c),
+        &mut slots.grar,
+        BasisSlot::Shared(&mut slots.basis),
     )?;
-    let rvl = vl_retime_with_sweep(
-        cloud,
-        lib,
-        case.clock,
-        &VlConfig::new(VlVariant::Rvl, c),
-        &mut slots.rvl,
-    )?;
-    let grar = grar_with_sweep(cloud, lib, case.clock, &GrarConfig::new(c), &mut slots.grar)?;
+    let area = AreaModel::new(lib, c);
+    let base = match &slots.base_outcome {
+        Some(first) => first.repriced(cloud, &area),
+        None => base_retime_sweep(
+            cloud,
+            lib,
+            case.clock,
+            model,
+            c,
+            &mut slots.base,
+            BasisSlot::Shared(&mut slots.basis),
+        )?,
+    };
+    let rvl = match &slots.rvl_report {
+        Some(first) => VlReport {
+            outcome: first.outcome.repriced(cloud, &area),
+            ..*first
+        },
+        None => vl_retime_with_sweep(
+            cloud,
+            lib,
+            case.clock,
+            &VlConfig::new(VlVariant::Rvl, c),
+            &mut slots.rvl,
+            BasisSlot::Shared(&mut slots.basis),
+        )?,
+    };
+    slots.base_outcome.get_or_insert_with(|| base.clone());
+    slots.rvl_report.get_or_insert_with(|| rvl.clone());
     Ok(Approaches { base, rvl, grar })
 }
 

@@ -23,15 +23,20 @@
 //!   no span.
 //! * **Seed timing.** VL's seed stage times the initial cut (one
 //!   `cut_timing` span) under deterministic RVL only.
+//! * **One analysis per sweep.** A Table IV sweep on one case runs one
+//!   whole-cloud pass outside its commits and classifies each
+//!   master-backed sink once.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use retime_bench::{area_row, build_case, map_cases, table1_row, BenchCase};
+use retime_bench::{
+    area_row, build_case, map_cases, run_approaches_with, table1_row, BenchCase, WarmSlots,
+};
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{grar, grar_with_sweep, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
-use retime_retime::{base_retime, AreaModel};
+use retime_retime::{base_retime, AreaModel, BasisSlot};
 use retime_sta::{DelayModel, StatParams, TimingAnalysis, TwoPhaseClock};
 use retime_trace::{SpanRecord, Value};
 use retime_verify::{verify_certificate, FlowKind, VerifyOptions, VerifySetup};
@@ -196,11 +201,15 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     let fig = Fig4::new();
     let lib = Library::fdsoi28();
     let clock = feasible_clock(&fig.cloud, &lib);
-    // The overhead sweep through one persistent warm slot: every probe
-    // goes through the memo's `solve_warm` span — the golden pins its
-    // `path` attribute (`cold` on the first probe, with the simplex
-    // nested inside; `hit` on the re-spins, whose instance is unchanged).
+    // The overhead sweep through one persistent warm slot and one shared
+    // basis: every probe goes through the memo's `solve_warm` span — the
+    // golden pins its `path` attribute (`cold` on the first probe, with
+    // the min cut nested inside; `hit` on the re-spins, whose instance
+    // is unchanged). Only the first probe's `sta` stage runs a full
+    // pass, and the later probes' `classify` stages read the endpoint
+    // from the basis (`cached`).
     let mut slot = None;
+    let mut basis = None;
     let (_, records) = with_tracing(|| {
         for c in EdlOverhead::SWEEP {
             grar_with_sweep(
@@ -209,6 +218,7 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
                 clock,
                 &GrarConfig::new(c).with_threads(1),
                 &mut slot,
+                BasisSlot::Shared(&mut basis),
             )
             .expect("grar warm sweep on fig4");
         }
@@ -316,6 +326,63 @@ fn vl_seed_times_the_initial_cut_only_for_deterministic_rvl() {
             variant.name()
         );
     }
+}
+
+/// Sum of the `name` counter over the spans called `span`.
+fn counter_sum(records: &[SpanRecord], span: &str, name: &str) -> u64 {
+    records
+        .iter()
+        .filter(|r| r.name == span)
+        .flat_map(|r| &r.attrs)
+        .filter_map(|(k, v)| match v {
+            Value::U64(n) if *k == name => Some(*n),
+            _ => None,
+        })
+        .sum()
+}
+
+/// A Table IV sweep on one suite case analyses the case once: one
+/// whole-cloud pass outside the commits (which legalize copies), and
+/// each master-backed sink classified once across RVL-RAR and the
+/// three G-RAR probes.
+#[test]
+fn table4_sweep_analyses_each_case_once() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let lib = Library::fdsoi28();
+    let spec = paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1423")
+        .expect("s1423 in suite");
+    let case = build_case(&spec, &lib);
+    let (_, records) = with_tracing(|| {
+        let mut slots = WarmSlots::default();
+        for c in EdlOverhead::SWEEP {
+            run_approaches_with(&case, &lib, c, &mut slots).expect("flows run");
+        }
+    });
+    let passes = records.iter().filter(|r| r.name == "sta_full_pass").count();
+    let in_commit: usize = nested_counts(&records, "commit", "sta_full_pass")
+        .iter()
+        .sum();
+    assert_eq!(passes - in_commit, 1, "sta_full_pass spans outside commit");
+
+    // Classification requests: every master-backed sink per G-RAR probe
+    // (`endpoints`), and RVL-RAR's non-ED-typed masters. The ones not
+    // answered from the basis (`cached`) are the sinks classified.
+    let masters = retime_retime::master_backed_sinks(&case.circuit.cloud).len() as u64;
+    let grar_probes = records.iter().filter(|r| r.name == "grar").count() as u64;
+    let vl_runs = records.iter().filter(|r| r.name == "vl_retime").count() as u64;
+    assert_eq!((grar_probes, vl_runs), (3, 1), "base and RVL-RAR re-price");
+    let requests = counter_sum(&records, "classify", "endpoints") + vl_runs * masters
+        - counter_sum(&records, "seed", "typed_ed");
+    let cached = counter_sum(&records, "classify", "cached");
+    assert_eq!(
+        requests - cached,
+        masters,
+        "each master-backed sink classified once"
+    );
+    // The re-priced probes report a memo hit, as before.
+    assert_eq!(counter_sum(&records, "solve", "solver_invocations"), 9);
 }
 
 #[test]

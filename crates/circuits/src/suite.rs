@@ -10,7 +10,7 @@
 
 use retime_liberty::Library;
 use retime_netlist::{CombCloud, Netlist, NetlistError, NodeKind};
-use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{critical_delay, DelayModel, TimingAnalysis, TwoPhaseClock};
 
 use crate::rtl::plasma_like;
 use crate::synth::SynthConfig;
@@ -108,13 +108,7 @@ impl SuiteCircuit {
         lib: &Library,
         model: DelayModel,
     ) -> Result<TwoPhaseClock, retime_sta::StaError> {
-        let sta = TimingAnalysis::new(&self.cloud, lib, TwoPhaseClock::from_max_delay(1.0), model)?;
-        let crit = self
-            .cloud
-            .sinks()
-            .iter()
-            .map(|&t| sta.df(t))
-            .fold(0.0f64, f64::max);
+        let crit = critical_delay(&self.cloud, lib, model)?;
         let latch = lib.latch();
         let p = if self.spec.hard > 0 {
             // Tight clock: the full-depth tails sit at the edge of the
@@ -170,17 +164,7 @@ pub fn relaxed_clock(
     cloud: &CombCloud,
     lib: &Library,
 ) -> Result<TwoPhaseClock, retime_sta::StaError> {
-    let sta = TimingAnalysis::new(
-        cloud,
-        lib,
-        TwoPhaseClock::from_max_delay(1.0),
-        DelayModel::PathBased,
-    )?;
-    let crit = cloud
-        .sinks()
-        .iter()
-        .map(|&t| sta.df(t))
-        .fold(0.0f64, f64::max);
+    let crit = critical_delay(cloud, lib, DelayModel::PathBased)?;
     let latch = lib.latch();
     Ok(TwoPhaseClock::from_max_delay(
         (crit + latch.d_to_q + latch.clk_to_q) / 0.7,
@@ -298,6 +282,69 @@ mod tests {
             "calibrated NCE {nce} too far from target {}",
             spec.nce
         );
+    }
+
+    /// The calibration's critical delay as it was computed before
+    /// `critical_delay`: a whole `TimingAnalysis`, read at the sinks.
+    fn df_max(cloud: &CombCloud, lib: &Library, model: DelayModel) -> f64 {
+        let sta =
+            TimingAnalysis::new(cloud, lib, TwoPhaseClock::from_max_delay(1.0), model).unwrap();
+        cloud
+            .sinks()
+            .iter()
+            .map(|&t| sta.df(t))
+            .fold(0.0f64, f64::max)
+    }
+
+    #[test]
+    fn calibration_matches_the_whole_analysis_bit_for_bit() {
+        let lib = Library::fdsoi28();
+        let s35932 = paper_suite()
+            .into_iter()
+            .find(|s| s.name == "s35932")
+            .unwrap();
+        // The benchmark's scaled input: s35932 four times over.
+        let synth4x = CircuitSpec {
+            name: "synth4x",
+            flops: s35932.flops * 4,
+            nce: s35932.nce * 4,
+            gates: s35932.gates * 4,
+            inputs: s35932.inputs * 4,
+            outputs: s35932.outputs * 4,
+            seed: 0x4_35932,
+            ..s35932
+        };
+        for spec in paper_suite().into_iter().chain([synth4x]) {
+            let c = spec.build().unwrap();
+            for model in [DelayModel::PathBased, DelayModel::GateBased] {
+                let old = df_max(&c.cloud, &lib, model);
+                let new = critical_delay(&c.cloud, &lib, model).unwrap();
+                assert_eq!(new.to_bits(), old.to_bits(), "{} {model:?}", spec.name);
+            }
+            let latch = lib.latch();
+            let old = df_max(&c.cloud, &lib, DelayModel::PathBased);
+            let p = if spec.hard > 0 {
+                old / 0.95
+            } else {
+                (old + latch.d_to_q + latch.clk_to_q) / 0.7
+            };
+            let clock = c.calibrated_clock(&lib, DelayModel::PathBased).unwrap();
+            let bits = |k: TwoPhaseClock| (k.period().to_bits(), k.max_path_delay().to_bits());
+            assert_eq!(
+                bits(clock),
+                bits(TwoPhaseClock::from_max_delay(p)),
+                "{}",
+                spec.name
+            );
+            let relaxed = relaxed_clock(&c.cloud, &lib).unwrap();
+            let p = (old + latch.d_to_q + latch.clk_to_q) / 0.7;
+            assert_eq!(
+                bits(relaxed),
+                bits(TwoPhaseClock::from_max_delay(p)),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]

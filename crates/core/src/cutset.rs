@@ -43,12 +43,18 @@
 //! max is order-sensitive), so it classifies each sink by the
 //! definitional [`classify_and_cut_set_stat`] over a reused
 //! [`StatBackward`].
+//!
+//! A sink's class and cut-set are a pure function of the timing
+//! analysis, so the flows classify through [`classify_cached`], which
+//! on the shared basis of an overhead sweep runs
+//! [`classify_many_counted`] only on the sinks not classified yet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use retime_engine::PhaseTimings;
 use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CombCloud, ConeWalk, NodeId};
+use retime_retime::OpenBasis;
 use retime_sta::{
     backward_through_gate, relaunch, BackwardPass, DelayModel, SinkClass, TimingAnalysis,
 };
@@ -265,7 +271,7 @@ pub fn initial_rounding_bound(nodes: usize, forward: f64, period: f64) -> f64 {
     2.0 * (nodes as f64 + 2.0) * f64::EPSILON * forward.abs().max(period)
 }
 
-/// What one [`classify_many_counted`] call did.
+/// What one [`classify_many_counted`] or [`classify_cached`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassifyCounts {
     /// Never-error-detecting sinks settled by the forward bound, without
@@ -273,14 +279,18 @@ pub struct ClassifyCounts {
     pub bounded: u64,
     /// Cone nodes visited by the per-sink sweeps.
     pub swept: u64,
+    /// Sinks answered from a basis's cache ([`classify_cached`]; always
+    /// 0 from [`classify_many_counted`]).
+    pub cached: u64,
 }
 
 impl ClassifyCounts {
-    /// Adds both counts to a stage's instrumentation, as the `bounded`
-    /// and `swept` counters.
+    /// Adds the counts to a stage's instrumentation, as the `bounded`,
+    /// `swept` and `cached` counters.
     pub fn record(self, timings: &mut PhaseTimings) {
         timings.count("bounded", self.bounded);
         timings.count("swept", self.swept);
+        timings.count("cached", self.cached);
     }
 }
 
@@ -578,8 +588,8 @@ pub fn classify_many_counted(
             },
         );
         let counts = ClassifyCounts {
-            bounded: 0,
             swept: swept.into_inner(),
+            ..ClassifyCounts::default()
         };
         return (classified, counts);
     }
@@ -635,7 +645,50 @@ pub fn classify_many_counted(
     let counts = ClassifyCounts {
         bounded: (targets.len() - open.len()) as u64,
         swept: swept.into_inner(),
+        cached: 0,
     };
+    (classified, counts)
+}
+
+/// [`classify_many_counted`] on an open basis's analysis. A basis shared
+/// by the runs of a sweep ([`OpenBasis::Shared`]) caches every class:
+/// the kernel runs once, over the targets it has not classified yet,
+/// and the rest are copied from the cache, bit-identical to a fresh
+/// classification. A basis built for one run keeps no cache, since
+/// nothing would read it again. The counts cover the new work, plus the
+/// targets answered from the cache (`cached`).
+///
+/// # Panics
+/// Panics if any target is not a sink.
+pub fn classify_cached(
+    basis: &mut OpenBasis<'_, '_>,
+    targets: &[NodeId],
+    threads: usize,
+) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
+    let OpenBasis::Shared(shared) = basis else {
+        return classify_many_counted(basis.sta(), targets, threads);
+    };
+    let open: Vec<NodeId> = targets
+        .iter()
+        .copied()
+        .filter(|&t| shared.class_of(t).is_none())
+        .collect();
+    let mut counts = ClassifyCounts::default();
+    if !open.is_empty() {
+        let classified;
+        (classified, counts) = classify_many_counted(shared.sta(), &open, threads);
+        for (&t, (class, g)) in open.iter().zip(classified) {
+            shared.cache_class(t, class, g);
+        }
+    }
+    counts.cached = (targets.len() - open.len()) as u64;
+    let classified = targets
+        .iter()
+        .map(|&t| {
+            let (class, g) = shared.class_of(t).expect("every target is cached");
+            (class, g.to_vec())
+        })
+        .collect();
     (classified, counts)
 }
 
@@ -644,6 +697,7 @@ mod tests {
     use super::*;
     use retime_liberty::Library;
     use retime_netlist::{bench, CombCloud};
+    use retime_retime::BasisSlot;
     use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
 
     fn chain(len: usize) -> CombCloud {
@@ -713,8 +767,64 @@ mod tests {
             let (got, counts) = classify_many_counted(&sta, &[t], 1);
             assert_eq!(got[0].0, class);
             assert_eq!(got[0], classify_and_cut_set(&sta, &sta.backward(t)));
-            assert_eq!(counts, ClassifyCounts { bounded, swept });
+            let cached = 0;
+            assert_eq!(
+                counts,
+                ClassifyCounts {
+                    bounded,
+                    swept,
+                    cached
+                }
+            );
         }
+    }
+
+    #[test]
+    fn cached_classification_matches_a_fresh_one() {
+        let lib = Library::fdsoi28();
+        let spec = retime_circuits::paper_suite()
+            .into_iter()
+            .find(|s| s.name == "s1423")
+            .expect("in suite");
+        let circuit = spec.build().unwrap();
+        let model = DelayModel::PathBased;
+        let clock = circuit.calibrated_clock(&lib, model).unwrap();
+        let cloud = &circuit.cloud;
+        let sinks = cloud.sinks();
+        let sta = TimingAnalysis::new(cloud, &lib, clock, model).unwrap();
+        let fresh = classify_many(&sta, sinks, 1);
+        let mut slot = None;
+        let mut classify = |targets: &[NodeId], threads| {
+            let mut basis = BasisSlot::Shared(&mut slot)
+                .open(cloud, &lib, clock, model)
+                .unwrap();
+            classify_cached(&mut basis, targets, threads)
+        };
+        // Every other sink first, then all of them: the second call
+        // classifies only the rest, the third nothing.
+        let half: Vec<NodeId> = sinks.iter().copied().step_by(2).collect();
+        let (got, counts) = classify(&half, 1);
+        assert_eq!(counts.cached, 0);
+        assert_eq!(got, fresh.iter().step_by(2).cloned().collect::<Vec<_>>());
+        let (got, counts) = classify(sinks, 2);
+        assert_eq!(counts.cached, half.len() as u64);
+        assert!(counts.bounded as usize <= sinks.len() - half.len());
+        assert_eq!(got, fresh);
+        let (got, counts) = classify(sinks, 1);
+        assert_eq!(
+            counts,
+            ClassifyCounts {
+                cached: sinks.len() as u64,
+                ..ClassifyCounts::default()
+            }
+        );
+        assert_eq!(got, fresh);
+        // A basis built for one run classifies everything and caches
+        // nothing.
+        let mut one_run = BasisSlot::Fresh.open(cloud, &lib, clock, model).unwrap();
+        let (got, counts) = classify_cached(&mut one_run, sinks, 1);
+        assert_eq!((got, counts), classify_many_counted(&sta, sinks, 1));
+        assert!(one_run.class_of(sinks[0]).is_none());
     }
 
     #[test]

@@ -12,10 +12,10 @@ use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, NodeId, NodeKind};
 use retime_retime::{
-    AreaModel, Regions, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
+    AreaModel, BasisSlot, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
     RetimingSweep, BREADTH_SCALE,
 };
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{DelayModel, SinkClass, TwoPhaseClock};
 
 /// Configuration of a G-RAR run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,57 +86,65 @@ pub fn grar(
     clock: TwoPhaseClock,
     cfg: &GrarConfig,
 ) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, |problem, _| problem.solve())
+    grar_impl(cloud, lib, clock, cfg, BasisSlot::Fresh, |problem, _| {
+        problem.solve()
+    })
 }
 
-/// [`grar`] with a persistent warm slot: the flow solve goes through
-/// the slot's [`RetimingSweep`] memo, which answers a call whose Eq. 14
-/// instance is identical to the last one solved and solves any other
-/// cold, exactly as [`grar`] would. Across the `c ∈ {0.5, 1.0, 2.0}`
-/// overhead sweep of Table IV the pseudo-target demands move with `c`,
-/// so a run with targets solves cold each time; a run without targets
-/// hits. The per-call counters land in the report's `Stage::Solve`
-/// instrumentation (`warm_hits`, `cold_solves`).
+/// [`grar`] with a persistent warm slot, taking its timing analysis,
+/// regions and sink classifications from `basis`: the flow solve goes
+/// through the slot's [`RetimingSweep`] memo, which answers a call
+/// whose Eq. 14 instance is identical to the last one solved and
+/// solves any other cold, exactly as [`grar`] would. Across the
+/// `c ∈ {0.5, 1.0, 2.0}` overhead sweep of Table IV a shared basis
+/// ([`BasisSlot::Shared`]) classifies each sink once; the pseudo-target
+/// demands move with `c`, so a run with targets solves cold each time,
+/// and a run without targets hits. The per-call counters land in the
+/// report's instrumentation (`cached` under `Stage::Classify`,
+/// `warm_hits` and `cold_solves` under `Stage::Solve`).
 ///
 /// # Errors
 /// The same failures as [`grar`].
-pub fn grar_with_sweep(
-    cloud: &CombCloud,
-    lib: &Library,
+pub fn grar_with_sweep<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     cfg: &GrarConfig,
     slot: &mut Option<RetimingSweep>,
+    basis: BasisSlot<'_, 'a>,
 ) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, |problem, timings| {
+    grar_impl(cloud, lib, clock, cfg, basis, |problem, timings| {
         slot.get_or_insert_with(RetimingSweep::default)
             .solve_for(problem, timings)
     })
 }
 
-/// The G-RAR flow with its Eq. 14 solve supplied by the caller.
-fn grar_impl(
-    cloud: &CombCloud,
-    lib: &Library,
+/// The G-RAR flow with its basis and its Eq. 14 solve supplied by the
+/// caller.
+fn grar_impl<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     cfg: &GrarConfig,
+    basis: BasisSlot<'_, 'a>,
     solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<GrarReport, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("grar");
     let mut phases = PhaseTimings::new();
 
-    let (mut sta, mut problem) = phases.stage(Stage::Sta, |_| {
-        let sta = TimingAnalysis::new(cloud, lib, clock, cfg.model)?;
-        let regions = Regions::compute(&sta)?;
-        let problem = RetimingProblem::build(cloud, &regions);
-        Ok::<_, RetimeError>((sta, problem))
+    let (mut basis, mut problem) = phases.stage(Stage::Sta, |_| {
+        let basis = basis.open(cloud, lib, clock, cfg.model)?;
+        let problem = RetimingProblem::build(cloud, basis.regions());
+        Ok::<_, RetimeError>((basis, problem))
     })?;
     // Classify endpoints and add pseudo nodes for targets. Only
     // master-backed sinks carry EDL area (a primary output's master
-    // belongs to the environment). The backward passes and cut-sets
-    // compute in parallel; the pseudo nodes are then added sequentially
-    // in sink order, so the constructed flow problem is identical to the
-    // sequential path's.
+    // belongs to the environment). The backward passes and cut-sets of
+    // the sinks the basis has not classified yet compute in parallel;
+    // the pseudo nodes are then added sequentially in sink order, so
+    // the constructed flow problem is identical to the sequential
+    // path's.
     let (pseudos, always_ed, never_ed) = phases.stage(Stage::Classify, |timings| {
         let targets: Vec<(usize, NodeId)> = cloud
             .sinks()
@@ -146,7 +154,7 @@ fn grar_impl(
             .map(|(i, &t)| (i, t))
             .collect();
         let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-        let (classified, counts) = crate::cutset::classify_many_counted(&sta, &sinks, cfg.threads);
+        let (classified, counts) = crate::cutset::classify_cached(&mut basis, &sinks, cfg.threads);
         let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
         // `(pseudo flow node, sink idx)` per target master.
         let mut pseudos = Vec::new();
@@ -173,6 +181,7 @@ fn grar_impl(
     let (mut outcome, predicted_saved) = phases.stage(Stage::Commit, |timings| {
         let predicted_saved = pseudos.iter().filter(|&&(p, _)| sol.r[p] == -1).count();
         let model = AreaModel::new(lib, cfg.overhead);
+        let mut sta = basis.into_sta();
         let outcome = RetimeOutcome::assemble(&mut sta, &model, sol.cut, sol.solver_time, started)?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>((outcome, predicted_saved))
@@ -192,7 +201,8 @@ mod tests {
     use super::*;
     use retime_flow::MinCostFlow;
     use retime_netlist::bench;
-    use retime_retime::{base_retime, COMMERCIAL_MOVEMENT_PENALTY};
+    use retime_retime::{base_retime, Regions, COMMERCIAL_MOVEMENT_PENALTY};
+    use retime_sta::TimingAnalysis;
     use std::time::Duration;
 
     /// A two-cone circuit: one deep cone (needs EDL unless latches move)
@@ -274,7 +284,8 @@ mod tests {
         let clock = TwoPhaseClock::from_max_delay(p);
         let cfg = GrarConfig::new(EdlOverhead::MEDIUM);
         let run = |solve: fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
-            let report = grar_impl(&cloud, &lib, clock, &cfg, |p, _| solve(p)).unwrap();
+            let fresh = BasisSlot::Fresh;
+            let report = grar_impl(&cloud, &lib, clock, &cfg, fresh, |p, _| solve(p)).unwrap();
             report.outcome.seq.total()
         };
         let production = run(RetimingProblem::solve);
@@ -332,7 +343,7 @@ mod tests {
                 assert_eq!(sol.r, labels, "{name} {flow}: labels");
             };
             let mut slot = None;
-            grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot).unwrap();
+            grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, BasisSlot::Fresh).unwrap();
             let (problem, sol) = slot.as_ref().unwrap().last_solved().unwrap();
             certify("grar", problem, sol);
             let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
@@ -412,24 +423,38 @@ mod tests {
         let p = crit(&cloud, &lib) * 2.0;
         let clock = TwoPhaseClock::from_max_delay(p);
         let mut slot = None;
+        let mut basis = None;
         let mut targets = 0;
-        let mut cold_solves = 0;
+        let mut probes = PhaseTimings::new();
         for c in EdlOverhead::SWEEP {
             let cfg = GrarConfig::new(c);
             let cold = grar(&cloud, &lib, clock, &cfg).unwrap();
-            let warm = grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot).unwrap();
+            let shared = BasisSlot::Shared(&mut basis);
+            let warm = grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, shared).unwrap();
             assert_eq!(warm.outcome.cut, cold.outcome.cut, "cut at {c}");
             assert_eq!(warm.outcome.ed_sinks, cold.outcome.ed_sinks);
+            assert_eq!(warm.outcome.final_delays, cold.outcome.final_delays);
             assert_eq!(warm.predicted_saved, cold.predicted_saved);
-            assert!((warm.outcome.total_area - cold.outcome.total_area).abs() < 1e-12);
+            assert_eq!(
+                warm.outcome.total_area.to_bits(),
+                cold.outcome.total_area.to_bits()
+            );
             targets = warm.targets;
-            cold_solves += warm.outcome.phases.counter("cold_solves");
+            probes.merge(&warm.outcome.phases);
         }
         assert!(targets > 0, "clock must be tight enough to create targets");
         assert_eq!(
-            cold_solves, 3,
+            probes.counter("cold_solves"),
+            3,
             "each overhead moves the pseudo-target demands"
         );
+        // The shared basis classifies each endpoint once; the later
+        // probes read every class from its cache.
+        let endpoints = probes.counter("endpoints");
+        assert_eq!(probes.counter("cached"), endpoints * 2 / 3);
+        // Legalization upsized copies: the basis stays pristine.
+        let pristine = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+        assert_eq!(basis.unwrap().sta().delays(), pristine.delays());
         let sweep = slot.expect("slot primed");
         // The memo certifies against the problem as last solved.
         let (problem, warm) = sweep.last_solved().expect("probe ran");

@@ -3,6 +3,7 @@
 //! Section VI-D). Runs its `Sta → Solve → Commit` stages through the
 //! shared [`retime_engine`] instrumentation.
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use retime_engine::{PhaseTimings, Stage};
@@ -11,10 +12,10 @@ use retime_netlist::{CombCloud, Cut};
 use retime_sta::{CutTiming, DelayModel, TimingAnalysis, TwoPhaseClock};
 
 use crate::area::{AreaModel, SeqBreakdown};
+use crate::basis::BasisSlot;
 use crate::error::RetimeError;
 use crate::legalize::{legalize, LegalizeReport};
 use crate::problem::{RetimingProblem, RetimingSolution, RetimingSweep};
-use crate::regions::Regions;
 
 /// Run-time bookkeeping of a retiming flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,6 +110,49 @@ impl RetimeOutcome {
             stat,
         })
     }
+
+    /// This outcome billed at `model`'s EDL overhead instead: the same
+    /// cut, flags, timing and legalization, with only the sequential
+    /// breakdown and `total_area = comb_area + seq.total()` recomputed
+    /// (the formula of [`RetimeOutcome::assemble`], so the values are
+    /// bit-identical to a fresh run at that overhead). Valid for base
+    /// retiming and the virtual-library flow, whose placement and flags
+    /// do not depend on the overhead; G-RAR's do.
+    ///
+    /// The new outcome's instrumentation is the re-pricing's own, under
+    /// a `reprice` span: a `solve` stage counting one solver invocation
+    /// answered from memory (`solver_invocations` and `warm_hits`), as a
+    /// memo hit does, and a `commit` stage doing the arithmetic.
+    pub fn repriced(&self, cloud: &CombCloud, model: &AreaModel<'_>) -> RetimeOutcome {
+        let started = Instant::now();
+        let _span = retime_trace::span("reprice");
+        let mut phases = PhaseTimings::new();
+        let Ok(()) = phases.stage(Stage::Solve, |timings| {
+            timings.count("solver_invocations", 1);
+            timings.count("warm_hits", 1);
+            Ok::<_, Infallible>(())
+        });
+        let Ok((seq, total_area)) = phases.stage(Stage::Commit, |_| {
+            let seq = model.sequential(cloud, &self.cut, &self.ed_sinks);
+            Ok::<_, Infallible>((seq, self.comb_area + seq.total()))
+        });
+        RetimeOutcome {
+            cut: self.cut.clone(),
+            ed_sinks: self.ed_sinks.clone(),
+            seq,
+            comb_area: self.comb_area,
+            total_area,
+            timing: self.timing.clone(),
+            legalize: self.legalize.clone(),
+            final_delays: self.final_delays.clone(),
+            stats: RunStats {
+                elapsed: started.elapsed(),
+                solver: Duration::ZERO,
+            },
+            phases,
+            stat: self.stat.clone(),
+        }
+    }
 }
 
 /// Runs resiliency-unaware min-area retiming: minimizes the number of
@@ -124,51 +168,63 @@ pub fn base_retime(
     model: DelayModel,
     c: EdlOverhead,
 ) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(cloud, lib, clock, model, c, |problem, _| problem.solve())
+    base_retime_impl(
+        cloud,
+        lib,
+        clock,
+        model,
+        c,
+        BasisSlot::Fresh,
+        |problem, _| problem.solve(),
+    )
 }
 
-/// [`base_retime`] with a persistent warm slot. The base problem does
-/// not depend on the EDL overhead (it only prices the area bill), so
-/// across a `c` sweep the flow instance is identical and every probe
-/// after the first is answered verbatim from the slot's memo.
+/// [`base_retime`] with a persistent warm slot, taking its timing
+/// analysis and regions from `basis`. The base problem does not depend
+/// on the EDL overhead (it only prices the area bill), so across a `c`
+/// sweep the flow instance is identical and every probe after the
+/// first is answered verbatim from the slot's memo (a sweep can skip
+/// even that with [`RetimeOutcome::repriced`]).
 ///
 /// # Errors
 /// Propagates infeasible clocking, STA, and solver failures.
-pub fn base_retime_sweep(
-    cloud: &CombCloud,
-    lib: &Library,
+pub fn base_retime_sweep<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     model: DelayModel,
     c: EdlOverhead,
     slot: &mut Option<RetimingSweep>,
+    basis: BasisSlot<'_, 'a>,
 ) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(cloud, lib, clock, model, c, |problem, timings| {
+    base_retime_impl(cloud, lib, clock, model, c, basis, |problem, timings| {
         slot.get_or_insert_with(RetimingSweep::default)
             .solve_for(problem, timings)
     })
 }
 
-/// The base flow with its Eq. 14 solve supplied by the caller.
-fn base_retime_impl(
-    cloud: &CombCloud,
-    lib: &Library,
+/// The base flow with its basis and its Eq. 14 solve supplied by the
+/// caller.
+fn base_retime_impl<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     model: DelayModel,
     c: EdlOverhead,
+    basis: BasisSlot<'_, 'a>,
     solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<RetimeOutcome, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("base_retime");
     let mut phases = PhaseTimings::new();
 
-    let (mut sta, problem) = phases.stage(Stage::Sta, |_| {
-        let sta = TimingAnalysis::new(cloud, lib, clock, model)?;
-        let regions = Regions::compute(&sta)?;
-        let mut problem = RetimingProblem::build(cloud, &regions);
+    let (basis, problem) = phases.stage(Stage::Sta, |_| {
+        let basis = basis.open(cloud, lib, clock, model)?;
+        let mut problem = RetimingProblem::build(cloud, basis.regions());
         // The baseline models the built-in retiming command of a
         // commercial tool: conservative, incremental movement.
         problem.set_movement_penalty(crate::problem::COMMERCIAL_MOVEMENT_PENALTY);
-        Ok::<_, RetimeError>((sta, problem))
+        Ok::<_, RetimeError>((basis, problem))
     })?;
     let sol = phases.stage(Stage::Solve, |timings| {
         timings.count("solver_invocations", 1);
@@ -176,6 +232,7 @@ fn base_retime_impl(
     })?;
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         let area_model = AreaModel::new(lib, c);
+        let mut sta = basis.into_sta();
         let outcome =
             RetimeOutcome::assemble(&mut sta, &area_model, sol.cut, sol.solver_time, started)?;
         outcome.legalize.record_counters(timings);
@@ -292,9 +349,16 @@ z = BUFF(g4)
         let clock = TwoPhaseClock::from_max_delay(50.0);
         let run = |solve: fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
             let c = EdlOverhead::MEDIUM;
-            base_retime_impl(&cloud, &lib, clock, DelayModel::PathBased, c, |p, _| {
-                solve(p)
-            })
+            let fresh = BasisSlot::Fresh;
+            base_retime_impl(
+                &cloud,
+                &lib,
+                clock,
+                DelayModel::PathBased,
+                c,
+                fresh,
+                |p, _| solve(p),
+            )
             .unwrap()
             .seq
             .slaves

@@ -1,0 +1,261 @@
+//! The overhead-independent analysis of one circuit, shared by the flow
+//! runs of an EDL-overhead sweep.
+//!
+//! The overhead `c` reaches a flow only through G-RAR's pseudo-target
+//! weights and the area bill. The timing analysis, the legality regions
+//! and each sink's classification are the same at every `c`, so a
+//! [`FlowBasis`] computes them once per circuit, clock and delay model,
+//! and every run of a sweep reads them through [`BasisSlot::Shared`].
+//! A one-shot run uses [`BasisSlot::Fresh`]: it builds its own basis,
+//! caches no classification, and legalizes that very analysis, with no
+//! copy.
+
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+
+use retime_liberty::Library;
+use retime_netlist::{CombCloud, NodeId};
+use retime_sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+
+use crate::error::RetimeError;
+use crate::regions::Regions;
+
+/// The pristine timing analysis of one circuit under one clock and delay
+/// model, its legality [`Regions`], and a cache of sink classifications
+/// (`SinkClass` plus the cut-set `g(t)`), which the flows of a sweep
+/// fill as they classify (`retime_core::classify_cached`).
+///
+/// The basis borrows the cloud and the library, so while it lives
+/// neither can change: a pointer match is a value match
+/// ([`FlowBasis::is_for`]).
+#[derive(Debug)]
+pub struct FlowBasis<'a> {
+    lib: &'a Library,
+    sta: TimingAnalysis<'a>,
+    regions: Regions,
+    classes: HashMap<NodeId, (SinkClass, Vec<NodeId>)>,
+}
+
+impl<'a> FlowBasis<'a> {
+    /// Runs the timing analysis and computes the regions.
+    fn new(
+        cloud: &'a CombCloud,
+        lib: &'a Library,
+        clock: TwoPhaseClock,
+        model: DelayModel,
+    ) -> Result<FlowBasis<'a>, RetimeError> {
+        let sta = TimingAnalysis::new(cloud, lib, clock, model)?;
+        let regions = Regions::compute(&sta)?;
+        Ok(FlowBasis {
+            lib,
+            sta,
+            regions,
+            classes: HashMap::new(),
+        })
+    }
+
+    /// Whether this basis was built for exactly these inputs: the same
+    /// cloud and library (by address) under an equal clock and model.
+    pub fn is_for(
+        &self,
+        cloud: &CombCloud,
+        lib: &Library,
+        clock: TwoPhaseClock,
+        model: DelayModel,
+    ) -> bool {
+        std::ptr::eq(self.sta.cloud(), cloud)
+            && std::ptr::eq(self.lib, lib)
+            && *self.sta.clock() == clock
+            && self.sta.delays().model() == model
+    }
+
+    /// The pristine timing analysis (no legalization upsizing).
+    pub fn sta(&self) -> &TimingAnalysis<'a> {
+        &self.sta
+    }
+
+    /// The legality regions of the pristine analysis.
+    pub fn regions(&self) -> &Regions {
+        &self.regions
+    }
+
+    /// The cached classification of sink `t`, if a flow has classified
+    /// it on this basis.
+    pub fn class_of(&self, t: NodeId) -> Option<(SinkClass, &[NodeId])> {
+        self.classes
+            .get(&t)
+            .map(|(class, g)| (*class, g.as_slice()))
+    }
+
+    /// Caches the classification of sink `t`. A sink's class and cut-set
+    /// are a pure function of the analysis, so a later call for the same
+    /// sink stores the same value.
+    pub fn cache_class(&mut self, t: NodeId, class: SinkClass, cut_set: Vec<NodeId>) {
+        self.classes.insert(t, (class, cut_set));
+    }
+}
+
+/// Where a flow run takes its [`FlowBasis`] from. The run opens it in
+/// its `sta` stage ([`BasisSlot::open`]).
+#[derive(Debug)]
+pub enum BasisSlot<'s, 'a> {
+    /// Build a basis for this run alone; its commit legalizes the
+    /// analysis in place.
+    Fresh,
+    /// A basis shared by the runs of a sweep: reused when it was built
+    /// for the run's cloud, library, clock and model, else (re)built in
+    /// place. Each commit legalizes a copy, so the basis stays pristine.
+    Shared(&'s mut Option<FlowBasis<'a>>),
+}
+
+impl<'s, 'a> BasisSlot<'s, 'a> {
+    /// The basis for `(cloud, lib, clock, model)`: the shared one when it
+    /// matches, else a newly built one.
+    ///
+    /// # Errors
+    /// Propagates STA failures and
+    /// [`RetimeError::InfeasibleClocking`]; a shared slot is then left
+    /// empty.
+    pub fn open(
+        self,
+        cloud: &'a CombCloud,
+        lib: &'a Library,
+        clock: TwoPhaseClock,
+        model: DelayModel,
+    ) -> Result<OpenBasis<'s, 'a>, RetimeError> {
+        match self {
+            BasisSlot::Fresh => Ok(OpenBasis::Owned(Box::new(FlowBasis::new(
+                cloud, lib, clock, model,
+            )?))),
+            BasisSlot::Shared(slot) => {
+                if !slot
+                    .as_ref()
+                    .is_some_and(|b| b.is_for(cloud, lib, clock, model))
+                {
+                    // Drop the stale basis first: it frees its memory
+                    // before the new one is built, and a failed build
+                    // leaves the slot empty.
+                    *slot = None;
+                    *slot = Some(FlowBasis::new(cloud, lib, clock, model)?);
+                }
+                Ok(OpenBasis::Shared(
+                    slot.as_mut().expect("the slot was just filled"),
+                ))
+            }
+        }
+    }
+}
+
+/// A flow run's open [`FlowBasis`]; dereferences to it.
+#[derive(Debug)]
+pub enum OpenBasis<'s, 'a> {
+    /// Built for this run ([`BasisSlot::Fresh`]).
+    Owned(Box<FlowBasis<'a>>),
+    /// Shared with the other runs of a sweep ([`BasisSlot::Shared`]).
+    Shared(&'s mut FlowBasis<'a>),
+}
+
+impl<'a> OpenBasis<'_, 'a> {
+    /// The analysis a commit legalizes: the basis's own when the run
+    /// built it, a copy when it is shared.
+    pub fn into_sta(self) -> TimingAnalysis<'a> {
+        match self {
+            OpenBasis::Owned(basis) => basis.sta,
+            OpenBasis::Shared(basis) => basis.sta.clone(),
+        }
+    }
+}
+
+impl<'a> Deref for OpenBasis<'_, 'a> {
+    type Target = FlowBasis<'a>;
+
+    fn deref(&self) -> &FlowBasis<'a> {
+        match self {
+            OpenBasis::Owned(basis) => basis,
+            OpenBasis::Shared(basis) => basis,
+        }
+    }
+}
+
+impl<'a> DerefMut for OpenBasis<'_, 'a> {
+    fn deref_mut(&mut self) -> &mut FlowBasis<'a> {
+        match self {
+            OpenBasis::Owned(basis) => basis,
+            OpenBasis::Shared(basis) => basis,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use retime_liberty::Library;
+    use retime_netlist::bench;
+
+    fn cloud() -> CombCloud {
+        let n = bench::parse(
+            "b",
+            "INPUT(a)\nOUTPUT(z)\nq = DFF(g)\ng = NOT(a)\nz = NOT(q)\n",
+        )
+        .unwrap();
+        CombCloud::extract(&n).unwrap()
+    }
+
+    #[test]
+    fn shared_slot_is_reused_only_for_the_same_inputs() {
+        let (a, b) = (cloud(), cloud());
+        let lib = Library::fdsoi28();
+        let clock = TwoPhaseClock::from_max_delay(5.0);
+        let model = DelayModel::PathBased;
+        let mut slot = None;
+        let sink = a.sinks()[0];
+        {
+            let mut basis = BasisSlot::Shared(&mut slot)
+                .open(&a, &lib, clock, model)
+                .unwrap();
+            basis.cache_class(sink, SinkClass::NeverErrorDetecting, Vec::new());
+        }
+        // Same inputs: the cache survives.
+        let basis = BasisSlot::Shared(&mut slot)
+            .open(&a, &lib, clock, model)
+            .unwrap();
+        assert!(basis.class_of(sink).is_some());
+        // An equal but distinct cloud, another clock, another model:
+        // each rebuilds, so the cache is gone.
+        let other_clock = TwoPhaseClock::from_max_delay(6.0);
+        for (cloud, clock, model) in [
+            (&b, clock, model),
+            (&a, other_clock, model),
+            (&a, clock, DelayModel::GateBased),
+        ] {
+            let mut basis = BasisSlot::Shared(&mut slot)
+                .open(cloud, &lib, clock, model)
+                .unwrap();
+            assert!(basis.is_for(cloud, &lib, clock, model));
+            assert!(basis.class_of(cloud.sinks()[0]).is_none());
+            basis.cache_class(cloud.sinks()[0], SinkClass::Target, Vec::new());
+        }
+    }
+
+    #[test]
+    fn shared_commit_copies_and_fresh_commit_moves() {
+        let a = cloud();
+        let lib = Library::fdsoi28();
+        let clock = TwoPhaseClock::from_max_delay(5.0);
+        let model = DelayModel::PathBased;
+        let mut slot = None;
+        let mut sta = BasisSlot::Shared(&mut slot)
+            .open(&a, &lib, clock, model)
+            .unwrap()
+            .into_sta();
+        let g = a.find("g").unwrap();
+        sta.update_delays(|d| d.scale_node(g, 0.5));
+        let pristine = slot.as_ref().unwrap().sta();
+        assert!(pristine.df(g) > sta.df(g), "the shared analysis moved");
+        let fresh = BasisSlot::Fresh
+            .open(&a, &lib, clock, model)
+            .unwrap()
+            .into_sta();
+        assert_eq!(fresh.df(g), pristine.df(g));
+    }
+}

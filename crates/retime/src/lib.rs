@@ -55,6 +55,7 @@
 
 pub mod area;
 pub mod base;
+pub mod basis;
 pub mod error;
 pub mod legalize;
 pub mod problem;
@@ -63,6 +64,7 @@ pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
+pub use basis::{BasisSlot, FlowBasis, OpenBasis};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport};
 pub use problem::{

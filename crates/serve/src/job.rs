@@ -12,7 +12,7 @@ use retime_convert::ConvertConfig;
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
-use retime_retime::{base_retime, RetimeError, RetimeOutcome};
+use retime_retime::{base_retime, BasisSlot, RetimeError, RetimeOutcome};
 use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
@@ -399,9 +399,15 @@ pub fn execute_with_slot(
 ) -> Result<JobOutput, RetimeError> {
     let cloud = &circuit.cloud;
     let mut outcome = match cfg.flow {
-        FlowKind::Base => {
-            retime_retime::base_retime_sweep(cloud, lib, cfg.clock, cfg.model, cfg.overhead, slot)?
-        }
+        FlowKind::Base => retime_retime::base_retime_sweep(
+            cloud,
+            lib,
+            cfg.clock,
+            cfg.model,
+            cfg.overhead,
+            slot,
+            BasisSlot::Fresh,
+        )?,
         FlowKind::Grar => {
             retime_core::grar_with_sweep(
                 cloud,
@@ -409,6 +415,7 @@ pub fn execute_with_slot(
                 cfg.clock,
                 &GrarConfig::new(cfg.overhead).with_model(cfg.model),
                 slot,
+                BasisSlot::Fresh,
             )?
             .outcome
         }
@@ -419,6 +426,7 @@ pub fn execute_with_slot(
                 cfg.clock,
                 &VlConfig::new(VlVariant::Rvl, cfg.overhead).with_model(cfg.model),
                 slot,
+                BasisSlot::Fresh,
             )?
             .outcome
         }

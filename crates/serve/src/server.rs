@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use retime_engine::{parallel_map, thread_count};
@@ -168,10 +168,12 @@ pub struct Server;
 impl Server {
     /// Binds the listener, opens the cache (running disk recovery when
     /// `--cache-dir` is configured), and starts the worker pool, the
-    /// reactors, and the acceptor.
+    /// reactors, and the acceptor. Returns once every one of those
+    /// threads is running, so a started server's thread set is fixed.
     ///
     /// # Errors
-    /// Propagates bind and cache-open failures.
+    /// Propagates bind and cache-open failures, and a worker pool that
+    /// died before all its workers started.
     pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -208,13 +210,24 @@ impl Server {
             open_connections: AtomicU64::new(0),
         });
 
+        // The pool thread starts its workers itself; each reports in
+        // before it takes jobs, and `spawn` waits for all of them.
+        let (ready, workers_up) = mpsc::channel();
         let pool = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let slots: Vec<usize> = (0..shared.workers).collect();
-                parallel_map(shared.workers, &slots, |_| worker_loop(&shared));
+                parallel_map(shared.workers, &slots, |_| {
+                    let _ = ready.send(());
+                    worker_loop(&shared);
+                });
             })
         };
+        for _ in 0..workers {
+            workers_up
+                .recv()
+                .map_err(|_| std::io::Error::other("the worker pool failed to start"))?;
+        }
 
         let mut posts = Vec::with_capacity(n_reactors);
         let mut reactor_threads = Vec::with_capacity(n_reactors);

@@ -285,6 +285,28 @@ impl<'a> TimingAnalysis<'a> {
     }
 }
 
+/// The critical delay of `cloud` under `model`: the worst pure arrival
+/// `D^f(t)` over its sinks (0 without sinks), bit-identical to the
+/// maximum of [`TimingAnalysis::df`] over them. Looks the delays up and
+/// runs the forward pass only — no backward pass, no clock. Clock
+/// calibration needs nothing more.
+///
+/// # Errors
+/// Returns [`StaError::Library`] if a gate function is unmapped.
+pub fn critical_delay(
+    cloud: &CombCloud,
+    lib: &Library,
+    model: DelayModel,
+) -> Result<f64, StaError> {
+    let delays = NodeDelays::from_library(cloud, lib, model)?;
+    let arrivals = pure_arrivals(cloud, &delays);
+    Ok(cloud
+        .sinks()
+        .iter()
+        .map(|&t| arrivals[t.index()].max())
+        .fold(0.0f64, f64::max))
+}
+
 /// The cached whole-cloud passes: pure arrivals `D^f` and the worst
 /// backward delay to any sink.
 fn full_pass(cloud: &CombCloud, delays: &NodeDelays) -> (Vec<DelayArc>, Vec<Option<DelayArc>>) {
@@ -418,6 +440,23 @@ z = NAND(g4, a)
                 let wi = sta.worst_initial(&sta.backward(t));
                 assert!((arr[t.index()].max() - wi).abs() <= 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn critical_delay_is_the_worst_sink_df() {
+        let (n, clock) = setup(0.5);
+        let cloud = CombCloud::extract(&n).unwrap();
+        let lib = Library::fdsoi28();
+        for model in [DelayModel::PathBased, DelayModel::GateBased] {
+            let sta = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
+            let worst = cloud
+                .sinks()
+                .iter()
+                .map(|&t| sta.df(t))
+                .fold(0.0f64, f64::max);
+            let crit = critical_delay(&cloud, &lib, model).unwrap();
+            assert_eq!(crit.to_bits(), worst.to_bits(), "{model:?}");
         }
     }
 

@@ -54,7 +54,7 @@ pub mod clock;
 pub mod forward;
 pub mod model;
 
-pub use analysis::{CutTiming, SinkClass, TimingAnalysis};
+pub use analysis::{critical_delay, CutTiming, SinkClass, TimingAnalysis};
 pub use backward::{backward_through_gate, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::relaunch;

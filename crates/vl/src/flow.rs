@@ -1,20 +1,20 @@
 //! The EVL/NVL/RVL virtual-library retiming flows, running their
 //! `Sta → Seed → Classify → Solve → Commit → Swap` stages through the
 //! shared [`retime_engine`] instrumentation. The classification of non-ED-typed
-//! masters fans out across worker threads
-//! ([`classify_many_counted`]).
+//! masters fans out across worker threads, through the basis's cache
+//! ([`classify_cached`]).
 
 use std::time::Instant;
 
-use retime_core::classify_many_counted;
+use retime_core::classify_cached;
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
 use retime_retime::{
-    AreaModel, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
+    AreaModel, BasisSlot, Region, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
     RetimingSweep,
 };
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{DelayModel, SinkClass, TwoPhaseClock};
 
 /// The three initial-typing variants of Section V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,39 +119,46 @@ pub fn vl_retime(
     clock: TwoPhaseClock,
     cfg: &VlConfig,
 ) -> Result<VlReport, RetimeError> {
-    vl_retime_impl(cloud, lib, clock, cfg, |problem, _| problem.solve())
+    vl_retime_impl(cloud, lib, clock, cfg, BasisSlot::Fresh, |problem, _| {
+        problem.solve()
+    })
 }
 
-/// [`vl_retime`] with a persistent warm slot. The virtual-library
-/// solve does not depend on the EDL overhead at all (the overhead only
-/// prices the area bill), so across a `c` sweep with a fixed variant the
-/// flow instance is *identical* and every probe after the first is
-/// answered verbatim from the slot's memo (`warm_hits`); any other
-/// instance solves cold. Per-call counters land in the report's
-/// `Stage::Solve` instrumentation.
+/// [`vl_retime`] with a persistent warm slot, taking its timing
+/// analysis, regions and sink classifications from `basis`. The
+/// virtual-library solve does not depend on the EDL overhead at all
+/// (the overhead only prices the area bill), so across a `c` sweep with
+/// a fixed variant the flow instance is *identical* and every probe
+/// after the first is answered verbatim from the slot's memo
+/// (`warm_hits`); any other instance solves cold. Per-call counters
+/// land in the report's `Stage::Solve` instrumentation. A sweep can
+/// skip the re-run altogether by re-pricing the first report's outcome
+/// ([`RetimeOutcome::repriced`]).
 ///
 /// # Errors
 /// The same failures as [`vl_retime`].
-pub fn vl_retime_with_sweep(
-    cloud: &CombCloud,
-    lib: &Library,
+pub fn vl_retime_with_sweep<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     cfg: &VlConfig,
     slot: &mut Option<RetimingSweep>,
+    basis: BasisSlot<'_, 'a>,
 ) -> Result<VlReport, RetimeError> {
-    vl_retime_impl(cloud, lib, clock, cfg, |problem, timings| {
+    vl_retime_impl(cloud, lib, clock, cfg, basis, |problem, timings| {
         slot.get_or_insert_with(RetimingSweep::default)
             .solve_for(problem, timings)
     })
 }
 
-/// The virtual-library flow with its Eq. 14 solve supplied by the
-/// caller.
-fn vl_retime_impl(
-    cloud: &CombCloud,
-    lib: &Library,
+/// The virtual-library flow with its basis and its Eq. 14 solve
+/// supplied by the caller.
+fn vl_retime_impl<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
     clock: TwoPhaseClock,
     cfg: &VlConfig,
+    basis: BasisSlot<'_, 'a>,
     solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<VlReport, RetimeError> {
     let started = Instant::now();
@@ -159,12 +166,13 @@ fn vl_retime_impl(
     let _flow_span = retime_trace::span("vl_retime");
     let mut phases = PhaseTimings::new();
 
-    // `regions` starts as the legality regions and is tightened by the
-    // seed and classify stages; `base_regions` keeps the original.
-    let (mut sta, base_regions, mut regions) = phases.stage(Stage::Sta, |_| {
-        let sta = TimingAnalysis::new(cloud, lib, clock, cfg.model)?;
-        let base_regions = Regions::compute(&sta)?;
-        Ok::<_, RetimeError>((sta, base_regions.clone(), base_regions))
+    // `regions` starts as a copy of the basis's legality regions and is
+    // tightened by the seed and classify stages; the basis keeps the
+    // original.
+    let (mut basis, mut regions) = phases.stage(Stage::Sta, |_| {
+        let basis = basis.open(cloud, lib, clock, cfg.model)?;
+        let regions = basis.regions().clone();
+        Ok::<_, RetimeError>((basis, regions))
     })?;
     // `(sink idx, sink node, typed error-detecting)` per master-backed
     // sink.
@@ -177,9 +185,11 @@ fn vl_retime_impl(
         //    bitwise the deterministic ones. EVL and NVL time nothing.
         let rvl_flags: Vec<bool> = match (cfg.variant, cfg.model) {
             (VlVariant::Rvl, DelayModel::Statistical(_)) => {
-                retime_retime::stat_cut_summary(cloud, sta.delays(), clock, &Cut::initial(cloud)).0
+                let delays = basis.sta().delays();
+                retime_retime::stat_cut_summary(cloud, delays, clock, &Cut::initial(cloud)).0
             }
-            (VlVariant::Rvl, _) => sta
+            (VlVariant::Rvl, _) => basis
+                .sta()
                 .cut_timing(&Cut::initial(cloud))
                 .sink_arrivals
                 .iter()
@@ -211,7 +221,7 @@ fn vl_retime_impl(
         let mut frozen = ConeWalk::new(cloud);
         let ed_sinks = typed.iter().filter(|&&(_, _, ed)| ed);
         for &v in frozen.walk(cloud, ed_sinks.map(|&(_, t, _)| t)) {
-            if base_regions.of(v) == Region::Free {
+            if basis.regions().of(v) == Region::Free {
                 regions.set(v, Region::Forbidden);
                 frozen_nodes += 1;
             }
@@ -231,7 +241,7 @@ fn vl_retime_impl(
             .filter(|&&(_, _, ed)| !ed)
             .map(|&(_, t, _)| t)
             .collect();
-        let (classified, counts) = classify_many_counted(&sta, &non_ed, cfg.threads);
+        let (classified, counts) = classify_cached(&mut basis, &non_ed, cfg.threads);
         counts.record(timings);
         let (mut forced_targets, mut failed_targets) = (0, 0);
         let mut walk = ConeWalk::new(cloud);
@@ -246,7 +256,7 @@ fn vl_retime_impl(
                     let closure = walk.walk(cloud, g);
                     let ok = closure
                         .iter()
-                        .all(|&u| base_regions.of(u) != Region::Forbidden);
+                        .all(|&u| basis.regions().of(u) != Region::Forbidden);
                     if ok {
                         for &u in closure {
                             regions.set(u, Region::Mandatory);
@@ -274,6 +284,7 @@ fn vl_retime_impl(
     let area_model = AreaModel::new(lib, cfg.overhead);
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         // 5. Assemble; `assemble` types EDL by actual arrival.
+        let mut sta = basis.into_sta();
         let outcome =
             RetimeOutcome::assemble(&mut sta, &area_model, sol.cut, sol.solver_time, started)?;
         outcome.legalize.record_counters(timings);
@@ -317,6 +328,7 @@ mod tests {
     use super::*;
     use retime_netlist::bench;
     use retime_retime::base_retime;
+    use retime_sta::TimingAnalysis;
 
     fn testbench() -> CombCloud {
         let mut src = String::from(
@@ -529,11 +541,13 @@ mod tests {
         let lib = Library::fdsoi28();
         let clock = clock_for(&cloud, &lib, 1.1);
         let mut slot = None;
+        let mut basis = None;
         let mut probes = PhaseTimings::new();
         for c in EdlOverhead::SWEEP {
             let cfg = VlConfig::new(VlVariant::Rvl, c);
             let cold = vl_retime(&cloud, &lib, clock, &cfg).unwrap();
-            let warm = vl_retime_with_sweep(&cloud, &lib, clock, &cfg, &mut slot).unwrap();
+            let shared = BasisSlot::Shared(&mut basis);
+            let warm = vl_retime_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, shared).unwrap();
             assert_eq!(warm.outcome.cut, cold.outcome.cut, "cut at {c}");
             assert_eq!(warm.outcome.ed_sinks, cold.outcome.ed_sinks);
             assert_eq!(warm.swapped, cold.swapped);
@@ -546,6 +560,12 @@ mod tests {
             2,
             "overhead-only re-runs are verbatim hits"
         );
+        // The first probe classified the non-ED-typed masters; the
+        // later ones read them from the shared basis.
+        let masters = retime_retime::master_backed_sinks(&cloud).len() as u64;
+        let non_ed = masters - probes.counter("typed_ed") / 3;
+        assert!(non_ed > 0);
+        assert_eq!(probes.counter("cached"), 2 * non_ed);
     }
 
     #[test]
