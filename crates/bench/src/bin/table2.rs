@@ -9,7 +9,7 @@ use retime_bench::{
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::{AreaModel, RetimeOutcome};
-use retime_sta::{DelayModel, TimingAnalysis};
+use retime_sta::{DelayModel, NodeDelays};
 use retime_verify::FlowKind;
 
 fn main() {
@@ -51,12 +51,14 @@ fn main() {
             // As in the paper, both placements are signed off by the
             // accurate (path-based) timing engine; the gate-based model
             // only drove the *optimization*.
-            let mut signoff =
-                TimingAnalysis::new(&case.circuit.cloud, &lib, case.clock, DelayModel::PathBased)
-                    .expect("signoff sta");
+            let signoff =
+                NodeDelays::from_library(&case.circuit.cloud, &lib, DelayModel::PathBased)
+                    .expect("signoff delays");
             let model = AreaModel::new(&lib, c);
             let gate_signed = RetimeOutcome::assemble(
-                &mut signoff,
+                &case.circuit.cloud,
+                case.clock,
+                signoff,
                 &model,
                 gate.outcome.cut.clone(),
                 std::time::Duration::ZERO,

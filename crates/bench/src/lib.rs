@@ -41,7 +41,7 @@ pub mod config;
 pub use config::{RunConfig, SuiteMode};
 
 use retime_circuits::{paper_suite, SuiteCircuit};
-use retime_core::{grar, grar_with_sweep, GrarConfig, GrarReport};
+use retime_core::{grar, grar_with_basis, GrarConfig, GrarReport};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist};
 use retime_retime::{
@@ -289,9 +289,10 @@ pub fn table_flows(
 /// analysis, regions and sink classifications), which every flow run
 /// shares, and the first probe's base and RVL-RAR results, which later
 /// probes re-price ([`RetimeOutcome::repriced`]) instead of re-running.
-/// G-RAR runs at every `c` and classifies nothing twice. Each flow also
-/// keeps a solved-instance memo; G-RAR's pseudo overhead moves its
-/// demands, so its probes solve cold unless it has no targets.
+/// The basis also keeps G-RAR's Eq. 14 instance with its solved min
+/// cut: each later G-RAR probe re-prices the pseudo targets and resumes
+/// the cut ([`grar_with_basis`]). Base retiming and RVL-RAR each keep a
+/// solved-instance memo of their one run.
 ///
 /// The slots borrow the case's cloud and the library. A probe for
 /// another case, library or clock clears them all first.
@@ -300,27 +301,38 @@ pub struct WarmSlots<'a> {
     basis: Option<FlowBasis<'a>>,
     base: Option<RetimingSweep>,
     rvl: Option<RetimingSweep>,
-    grar: Option<RetimingSweep>,
     base_outcome: Option<RetimeOutcome>,
     rvl_report: Option<VlReport>,
 }
 
 impl WarmSlots<'_> {
-    /// Certifies every memo's last solution against its problem
-    /// ([`verify_retiming_solution`]): the labels must satisfy the ILP,
-    /// agree with the cut and the objective, and reach the optimum a
-    /// checked min-cut certificate proves.
+    /// Certifies the last solution of every flow against its problem
+    /// ([`verify_retiming_solution`]): the base and RVL-RAR memos', and
+    /// G-RAR's kept instance as last solved. The labels must satisfy the
+    /// ILP, agree with the cut and the objective, and reach the optimum
+    /// a checked min-cut certificate proves.
     ///
     /// # Errors
     /// Surfaces a rejected certificate as an internal error naming the
     /// offending flow.
     pub fn certify(&self) -> Result<(), RetimeError> {
-        for (label, slot) in [
-            ("base", &self.base),
-            ("rvl", &self.rvl),
-            ("grar", &self.grar),
+        let grar = self
+            .basis
+            .as_ref()
+            .and_then(FlowBasis::targeted)
+            .and_then(|kept| kept.problem.last_solved());
+        for (label, solved) in [
+            (
+                "base",
+                self.base.as_ref().and_then(RetimingSweep::last_solved),
+            ),
+            (
+                "rvl",
+                self.rvl.as_ref().and_then(RetimingSweep::last_solved),
+            ),
+            ("grar", grar),
         ] {
-            let Some((problem, warm)) = slot.as_ref().and_then(RetimingSweep::last_solved) else {
+            let Some((problem, warm)) = solved else {
                 continue;
             };
             verify_retiming_solution(problem, warm).map_err(|e| {
@@ -338,7 +350,7 @@ impl WarmSlots<'_> {
 /// RVL-RAR and keeps their results, and later probes re-price them at
 /// the new `c`. Every outcome is bit-identical to [`run_approaches`]'
 /// at the same `c`. Uncertified, like [`run_approaches`]; certify the
-/// memos with [`WarmSlots::certify`].
+/// kept solutions with [`WarmSlots::certify`].
 ///
 /// # Errors
 /// Propagates flow failures.
@@ -359,12 +371,11 @@ pub fn run_approaches_with<'a>(
     }
     // G-RAR first: its min cut is the largest allocation of a probe,
     // and it then runs while no other result of the probe is alive.
-    let grar = grar_with_sweep(
+    let grar = grar_with_basis(
         cloud,
         lib,
         case.clock,
         &GrarConfig::new(c),
-        &mut slots.grar,
         BasisSlot::Shared(&mut slots.basis),
     )?;
     let area = AreaModel::new(lib, c);

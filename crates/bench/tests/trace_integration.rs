@@ -24,8 +24,10 @@
 //! * **Seed timing.** VL's seed stage times the initial cut (one
 //!   `cut_timing` span) under deterministic RVL only.
 //! * **One analysis per sweep.** A Table IV sweep on one case runs one
-//!   whole-cloud pass outside its commits and classifies each
+//!   whole-cloud pass, none in its commits, and classifies each
 //!   master-backed sink once.
+//! * **One min cut per sweep.** The sweep's later G-RAR probes resume
+//!   the first probe's min cut, with less work and without the memo.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -34,7 +36,7 @@ use retime_bench::{
     area_row, build_case, map_cases, run_approaches_with, table1_row, BenchCase, WarmSlots,
 };
 use retime_circuits::{paper_suite, Fig4};
-use retime_core::{grar, grar_with_sweep, GrarConfig};
+use retime_core::{grar, grar_with_basis, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_retime::{base_retime, AreaModel, BasisSlot};
 use retime_sta::{DelayModel, StatParams, TimingAnalysis, TwoPhaseClock};
@@ -201,23 +203,20 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     let fig = Fig4::new();
     let lib = Library::fdsoi28();
     let clock = feasible_clock(&fig.cloud, &lib);
-    // The overhead sweep through one persistent warm slot and one shared
-    // basis: every probe goes through the memo's `solve_warm` span — the
-    // golden pins its `path` attribute (`cold` on the first probe, with
-    // the min cut nested inside; `hit` on the re-spins, whose instance
-    // is unchanged). Only the first probe's `sta` stage runs a full
-    // pass, and the later probes' `classify` stages read the endpoint
-    // from the basis (`cached`).
-    let mut slot = None;
+    // The overhead sweep on one shared basis, which keeps G-RAR's
+    // instance: the first probe solves it from nothing (`cold_solves`),
+    // and each later probe re-prices it and resumes the kept min cut
+    // (`warm_hits`), with no `solve_warm` memo span. Only the first
+    // probe's `sta` stage runs a full pass, and the later probes'
+    // `classify` stages read the endpoint from the basis (`cached`).
     let mut basis = None;
     let (_, records) = with_tracing(|| {
         for c in EdlOverhead::SWEEP {
-            grar_with_sweep(
+            grar_with_basis(
                 &fig.cloud,
                 &lib,
                 clock,
                 &GrarConfig::new(c).with_threads(1),
-                &mut slot,
                 BasisSlot::Shared(&mut basis),
             )
             .expect("grar warm sweep on fig4");
@@ -225,8 +224,8 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     });
     assert!(!records.is_empty(), "the traced sweep recorded no spans");
     assert!(
-        records.iter().any(|r| r.name == "solve_warm"),
-        "every slotted probe must route through the memo"
+        records.iter().all(|r| r.name != "solve_warm"),
+        "a shared basis answers G-RAR without the memo"
     );
 
     let text = retime_trace::chrome_trace(&records);
@@ -342,9 +341,9 @@ fn counter_sum(records: &[SpanRecord], span: &str, name: &str) -> u64 {
 }
 
 /// A Table IV sweep on one suite case analyses the case once: one
-/// whole-cloud pass outside the commits (which legalize copies), and
-/// each master-backed sink classified once across RVL-RAR and the
-/// three G-RAR probes.
+/// whole-cloud pass, none in the commits (which legalize copies of the
+/// delay tables), and each master-backed sink classified once across
+/// RVL-RAR and the three G-RAR probes.
 #[test]
 fn table4_sweep_analyses_each_case_once() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -383,6 +382,90 @@ fn table4_sweep_analyses_each_case_once() {
     );
     // The re-priced probes report a memo hit, as before.
     assert_eq!(counter_sum(&records, "solve", "solver_invocations"), 9);
+}
+
+/// The spans nested (at any depth) under `records[i]`, on its thread.
+fn descendants(records: &[SpanRecord], i: usize) -> impl Iterator<Item = &SpanRecord> {
+    let root = &records[i];
+    records[i + 1..]
+        .iter()
+        .filter(move |r| r.tid == root.tid)
+        .take_while(move |r| r.depth > root.depth)
+}
+
+/// The `name` counter of one span (0 when absent).
+fn counter(r: &SpanRecord, name: &str) -> u64 {
+    r.attrs
+        .iter()
+        .find_map(|(k, v)| match v {
+            Value::U64(n) if *k == name => Some(*n),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
+/// A Table IV sweep on a case with targets keeps G-RAR's instance in
+/// the shared basis: the first probe solves its min cut from nothing,
+/// and the two later probes re-price the pseudo targets and resume that
+/// cut, each with less work, and none through the `solve_warm` memo.
+/// The commits legalize delay tables alone: no whole-cloud pass.
+#[test]
+fn table4_sweep_resumes_the_grar_min_cut() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let lib = Library::fdsoi28();
+    let spec = paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1423")
+        .expect("s1423 in suite");
+    let case = build_case(&spec, &lib);
+    let (_, records) = with_tracing(|| {
+        let mut slots = WarmSlots::default();
+        for c in EdlOverhead::SWEEP {
+            run_approaches_with(&case, &lib, c, &mut slots).expect("flows run");
+        }
+    });
+    // `(min cuts, pushes + relabels, cold_solves, warm_hits, targets)`
+    // per G-RAR probe.
+    let probes: Vec<(usize, u64, u64, u64, u64)> = (0..records.len())
+        .filter(|&i| records[i].name == "grar")
+        .map(|i| {
+            let inner: Vec<&SpanRecord> = descendants(&records, i).collect();
+            assert!(inner.iter().all(|r| r.name != "solve_warm"));
+            let cuts: Vec<&&SpanRecord> = inner.iter().filter(|r| r.name == "min_cut").collect();
+            let work = cuts
+                .iter()
+                .map(|r| counter(r, "pushes") + counter(r, "relabels"))
+                .sum();
+            let stage = |name: &str, key: &str| {
+                inner
+                    .iter()
+                    .filter(|r| r.name == name)
+                    .map(|r| counter(r, key))
+                    .sum::<u64>()
+            };
+            (
+                cuts.len(),
+                work,
+                stage("solve", "cold_solves"),
+                stage("solve", "warm_hits"),
+                stage("classify", "targets"),
+            )
+        })
+        .collect();
+    assert_eq!(probes.len(), 3);
+    let (_, first, ..) = probes[0];
+    for (k, &(cuts, work, cold, warm, targets)) in probes.iter().enumerate() {
+        assert_eq!(cuts, 1, "probe {k}: one min cut");
+        assert!(targets > 0, "probe {k}: s1423 has targets");
+        assert_eq!((cold, warm), if k == 0 { (1, 0) } else { (0, 1) });
+        if k > 0 {
+            assert!(work < first, "probe {k}: resumed {work} vs cold {first}");
+        }
+    }
+    let in_commit: usize = nested_counts(&records, "commit", "sta_full_pass")
+        .iter()
+        .sum();
+    assert_eq!(in_commit, 0, "sta_full_pass spans under commit");
 }
 
 #[test]

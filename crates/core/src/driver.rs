@@ -12,9 +12,11 @@ use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, NodeId, NodeKind};
 use retime_retime::{
-    AreaModel, BasisSlot, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
-    RetimingSweep, BREADTH_SCALE,
+    AreaModel, BasisSlot, OpenBasis, ParametricProblem, RetimeError, RetimeOutcome,
+    RetimingProblem, RetimingSweep, TargetedInstance, BREADTH_SCALE,
 };
+
+use crate::cutset::ClassifyCounts;
 use retime_sta::{DelayModel, SinkClass, TwoPhaseClock};
 
 /// Configuration of a G-RAR run.
@@ -86,22 +88,40 @@ pub fn grar(
     clock: TwoPhaseClock,
     cfg: &GrarConfig,
 ) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, BasisSlot::Fresh, |problem, _| {
-        problem.solve()
-    })
+    grar_with_basis(cloud, lib, clock, cfg, BasisSlot::Fresh)
 }
 
-/// [`grar`] with a persistent warm slot, taking its timing analysis,
-/// regions and sink classifications from `basis`: the flow solve goes
-/// through the slot's [`RetimingSweep`] memo, which answers a call
-/// whose Eq. 14 instance is identical to the last one solved and
-/// solves any other cold, exactly as [`grar`] would. Across the
-/// `c ∈ {0.5, 1.0, 2.0}` overhead sweep of Table IV a shared basis
-/// ([`BasisSlot::Shared`]) classifies each sink once; the pseudo-target
-/// demands move with `c`, so a run with targets solves cold each time,
-/// and a run without targets hits. The per-call counters land in the
-/// report's instrumentation (`cached` under `Stage::Classify`,
-/// `warm_hits` and `cold_solves` under `Stage::Solve`).
+/// [`grar`] taking its timing analysis, regions and sink
+/// classifications from `basis`. A shared basis
+/// ([`BasisSlot::Shared`]) also keeps G-RAR's Eq. 14 instance
+/// ([`TargetedInstance`]): the first run on it classifies the sinks,
+/// builds the instance and solves it from nothing; every later run — the
+/// other overheads of Table IV's `c ∈ {0.5, 1.0, 2.0}` sweep — re-prices
+/// the pseudo targets at its own `c` and resumes the kept minimum cut.
+/// The result is bit-identical to [`grar`]'s at the same `c`. The
+/// report's instrumentation counts a resumed solve as `warm_hits` and a
+/// solve from nothing as `cold_solves` under `Stage::Solve`, and the
+/// sinks read from the basis as `cached` under `Stage::Classify`.
+///
+/// # Errors
+/// The same failures as [`grar`].
+pub fn grar_with_basis<'a>(
+    cloud: &'a CombCloud,
+    lib: &'a Library,
+    clock: TwoPhaseClock,
+    cfg: &GrarConfig,
+    basis: BasisSlot<'_, 'a>,
+) -> Result<GrarReport, RetimeError> {
+    grar_impl(cloud, lib, clock, cfg, basis, None)
+}
+
+/// [`grar_with_basis`] with a solved-instance memo for runs on a fresh
+/// basis: the flow solve goes through the slot's [`RetimingSweep`],
+/// which answers a call whose Eq. 14 instance is identical to the last
+/// one solved and solves any other cold, exactly as [`grar`] would. Its
+/// `warm_hits` and `cold_solves` land under `Stage::Solve`. On a shared
+/// basis the basis's kept instance answers instead, as in
+/// [`grar_with_basis`], and `slot` is left alone.
 ///
 /// # Errors
 /// The same failures as [`grar`].
@@ -113,39 +133,43 @@ pub fn grar_with_sweep<'a>(
     slot: &mut Option<RetimingSweep>,
     basis: BasisSlot<'_, 'a>,
 ) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, basis, |problem, timings| {
-        slot.get_or_insert_with(RetimingSweep::default)
-            .solve_for(problem, timings)
-    })
+    grar_impl(cloud, lib, clock, cfg, basis, Some(slot))
 }
 
-/// The G-RAR flow with its basis and its Eq. 14 solve supplied by the
-/// caller.
+/// The G-RAR flow on `basis`, solving through `memo` when the basis is
+/// the run's own and a memo is given.
 fn grar_impl<'a>(
     cloud: &'a CombCloud,
     lib: &'a Library,
     clock: TwoPhaseClock,
     cfg: &GrarConfig,
     basis: BasisSlot<'_, 'a>,
-    solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
+    memo: Option<&mut Option<RetimingSweep>>,
 ) -> Result<GrarReport, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("grar");
     let mut phases = PhaseTimings::new();
+    let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
 
-    let (mut basis, mut problem) = phases.stage(Stage::Sta, |_| {
+    // A basis that kept G-RAR's instance needs no new one.
+    let (mut basis, problem) = phases.stage(Stage::Sta, |_| {
         let basis = basis.open(cloud, lib, clock, cfg.model)?;
-        let problem = RetimingProblem::build(cloud, basis.regions());
+        let problem = basis
+            .targeted()
+            .is_none()
+            .then(|| RetimingProblem::build(cloud, basis.regions()));
         Ok::<_, RetimeError>((basis, problem))
     })?;
+    let shared = matches!(basis, OpenBasis::Shared(_));
     // Classify endpoints and add pseudo nodes for targets. Only
     // master-backed sinks carry EDL area (a primary output's master
     // belongs to the environment). The backward passes and cut-sets of
     // the sinks the basis has not classified yet compute in parallel;
     // the pseudo nodes are then added sequentially in sink order, so
     // the constructed flow problem is identical to the sequential
-    // path's.
-    let (pseudos, always_ed, never_ed) = phases.stage(Stage::Classify, |timings| {
+    // path's. A kept instance has them all: its pseudo nodes are
+    // re-priced at this run's overhead instead.
+    phases.stage(Stage::Classify, |timings| {
         let targets: Vec<(usize, NodeId)> = cloud
             .sinks()
             .iter()
@@ -153,10 +177,23 @@ fn grar_impl<'a>(
             .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
             .map(|(i, &t)| (i, t))
             .collect();
+        timings.count("endpoints", targets.len() as u64);
+        let Some(mut problem) = problem else {
+            let kept = basis.targeted_slot().as_mut().expect("a kept instance");
+            for &(p, _) in &kept.pseudos {
+                kept.problem.set_pseudo_overhead(p, c_scaled);
+            }
+            let cached = targets.len() as u64;
+            ClassifyCounts {
+                cached,
+                ..ClassifyCounts::default()
+            }
+            .record(timings);
+            timings.count("targets", kept.pseudos.len() as u64);
+            return Ok::<_, RetimeError>(());
+        };
         let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
         let (classified, counts) = crate::cutset::classify_cached(&mut basis, &sinks, cfg.threads);
-        let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
-        // `(pseudo flow node, sink idx)` per target master.
         let mut pseudos = Vec::new();
         let (mut always_ed, mut never_ed) = (0, 0);
         for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
@@ -169,29 +206,65 @@ fn grar_impl<'a>(
                 }
             }
         }
-        timings.count("endpoints", sinks.len() as u64);
         counts.record(timings);
         timings.count("targets", pseudos.len() as u64);
-        Ok::<_, RetimeError>((pseudos, always_ed, never_ed))
+        *basis.targeted_slot() = Some(TargetedInstance {
+            problem: ParametricProblem::new(problem),
+            pseudos,
+            always_ed,
+            never_ed,
+        });
+        Ok(())
     })?;
+    let kept = basis
+        .targeted_slot()
+        .as_mut()
+        .expect("classify keeps the instance");
+    // Only a shared basis keeps the closure for a later run to resume.
+    // A run's own basis solves its instance once and frees the closure
+    // before the label checks, as an unslotted solve does.
     let sol = phases.stage(Stage::Solve, |timings| {
         timings.count("solver_invocations", 1);
-        solve(&problem, timings)
+        if shared {
+            let resumed = kept.problem.resumes();
+            timings.count("warm_hits", u64::from(resumed));
+            timings.count("cold_solves", u64::from(!resumed));
+            return kept.problem.solve().cloned();
+        }
+        match memo {
+            Some(memo) => memo
+                .get_or_insert_with(RetimingSweep::default)
+                .solve_for(kept.problem.problem(), timings),
+            None => kept.problem.problem().solve(),
+        }
     })?;
-    let (mut outcome, predicted_saved) = phases.stage(Stage::Commit, |timings| {
-        let predicted_saved = pseudos.iter().filter(|&&(p, _)| sol.r[p] == -1).count();
+    let predicted_saved = kept
+        .pseudos
+        .iter()
+        .filter(|&&(p, _)| sol.r[p] == -1)
+        .count();
+    let (targets, always_ed, never_ed) = (kept.pseudos.len(), kept.always_ed, kept.never_ed);
+    let mut outcome = phases.stage(Stage::Commit, |timings| {
         let model = AreaModel::new(lib, cfg.overhead);
-        let mut sta = basis.into_sta();
-        let outcome = RetimeOutcome::assemble(&mut sta, &model, sol.cut, sol.solver_time, started)?;
+        let delays = basis.into_delays();
+        let outcome = RetimeOutcome::assemble(
+            cloud,
+            clock,
+            delays,
+            &model,
+            sol.cut,
+            sol.solver_time,
+            started,
+        )?;
         outcome.legalize.record_counters(timings);
-        Ok::<_, RetimeError>((outcome, predicted_saved))
+        Ok::<_, RetimeError>(outcome)
     })?;
     outcome.phases = phases;
     Ok(GrarReport {
         outcome,
         always_ed,
         never_ed,
-        targets: pseudos.len(),
+        targets,
         predicted_saved,
     })
 }
@@ -201,7 +274,7 @@ mod tests {
     use super::*;
     use retime_flow::MinCostFlow;
     use retime_netlist::bench;
-    use retime_retime::{base_retime, Regions, COMMERCIAL_MOVEMENT_PENALTY};
+    use retime_retime::{base_retime, Regions, RetimingSolution, COMMERCIAL_MOVEMENT_PENALTY};
     use retime_sta::TimingAnalysis;
     use std::time::Duration;
 
@@ -283,14 +356,16 @@ mod tests {
         let p = crit(&cloud, &lib) * 1.25;
         let clock = TwoPhaseClock::from_max_delay(p);
         let cfg = GrarConfig::new(EdlOverhead::MEDIUM);
-        let run = |solve: fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
-            let fresh = BasisSlot::Fresh;
-            let report = grar_impl(&cloud, &lib, clock, &cfg, fresh, |p, _| solve(p)).unwrap();
-            report.outcome.seq.total()
-        };
-        let production = run(RetimingProblem::solve);
-        let reference = run(|p| p.solve_with(MinCostFlow::solve_reference));
-        assert!((production - reference).abs() < 1e-9);
+        // The flow's own instance, kept in a shared basis, solved by the
+        // reference engine: the same optimum, and the flow's cut.
+        let mut basis = None;
+        let report =
+            grar_with_basis(&cloud, &lib, clock, &cfg, BasisSlot::Shared(&mut basis)).unwrap();
+        let kept = basis.as_ref().unwrap().targeted().unwrap();
+        let (problem, production) = kept.problem.last_solved().unwrap();
+        let reference = problem.solve_with(MinCostFlow::solve_reference).unwrap();
+        assert_eq!(production.objective_scaled, reference.objective_scaled);
+        assert_eq!(production.cut, report.outcome.cut);
 
         // Larger instances, where the reference engine is too slow: the
         // min cut certifies itself instead. On the G-RAR problem exactly
@@ -335,16 +410,17 @@ mod tests {
         });
         for (name, cloud, clock) in suite.chain(loops) {
             let certify = |flow: &str, p: &RetimingProblem, sol: &RetimingSolution| {
-                let closure = retime_verify::retiming_closure(p);
+                let mut closure = retime_verify::retiming_closure(p);
                 let cert = closure.solve_certified().unwrap();
                 retime_verify::check_closure_certificate(&closure, &cert)
                     .unwrap_or_else(|e| panic!("{name} {flow}: {e}"));
                 let labels: Vec<i64> = cert.members.iter().map(|&m| -i64::from(m)).collect();
                 assert_eq!(sol.r, labels, "{name} {flow}: labels");
             };
-            let mut slot = None;
-            grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, BasisSlot::Fresh).unwrap();
-            let (problem, sol) = slot.as_ref().unwrap().last_solved().unwrap();
+            let mut basis = None;
+            grar_with_basis(&cloud, &lib, clock, &cfg, BasisSlot::Shared(&mut basis)).unwrap();
+            let kept = basis.as_ref().unwrap().targeted().unwrap();
+            let (problem, sol) = kept.problem.last_solved().unwrap();
             certify("grar", problem, sol);
             let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
             let mut base = RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap());
@@ -431,6 +507,9 @@ mod tests {
             let cold = grar(&cloud, &lib, clock, &cfg).unwrap();
             let shared = BasisSlot::Shared(&mut basis);
             let warm = grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, shared).unwrap();
+            assert_eq!(warm.targets, cold.targets);
+            assert_eq!(warm.always_ed, cold.always_ed);
+            assert_eq!(warm.never_ed, cold.never_ed);
             assert_eq!(warm.outcome.cut, cold.outcome.cut, "cut at {c}");
             assert_eq!(warm.outcome.ed_sinks, cold.outcome.ed_sinks);
             assert_eq!(warm.outcome.final_delays, cold.outcome.final_delays);
@@ -443,21 +522,22 @@ mod tests {
             probes.merge(&warm.outcome.phases);
         }
         assert!(targets > 0, "clock must be tight enough to create targets");
-        assert_eq!(
-            probes.counter("cold_solves"),
-            3,
-            "each overhead moves the pseudo-target demands"
-        );
+        // The first probe solves from nothing; each later one re-prices
+        // the pseudo targets and resumes the kept cut.
+        assert_eq!(probes.counter("cold_solves"), 1);
+        assert_eq!(probes.counter("warm_hits"), 2);
+        assert!(slot.is_none(), "a shared basis leaves the memo alone");
         // The shared basis classifies each endpoint once; the later
         // probes read every class from its cache.
         let endpoints = probes.counter("endpoints");
         assert_eq!(probes.counter("cached"), endpoints * 2 / 3);
         // Legalization upsized copies: the basis stays pristine.
         let pristine = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
-        assert_eq!(basis.unwrap().sta().delays(), pristine.delays());
-        let sweep = slot.expect("slot primed");
-        // The memo certifies against the problem as last solved.
-        let (problem, warm) = sweep.last_solved().expect("probe ran");
+        let basis = basis.unwrap();
+        assert_eq!(basis.sta().delays(), pristine.delays());
+        // The kept instance certifies as last solved, at c = 2.
+        let kept = basis.targeted().expect("G-RAR kept its instance");
+        let (problem, warm) = kept.problem.last_solved().expect("probe ran");
         retime_verify::verify_retiming_solution(problem, warm).unwrap();
     }
 

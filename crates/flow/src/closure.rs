@@ -16,6 +16,16 @@
 //! built reversed and solved by [`MaxFlow`]; the nodes that reach the
 //! reversed sink in the residual graph are the inclusion-minimal optimal
 //! source side of the original network.
+//!
+//! A [`Closure`] keeps that network and its maximum preflow after a
+//! solve. Re-weighting a free node whose weight keeps its sign re-prices
+//! the node's weight arc in place, and the next solve resumes the kept
+//! preflow (see [`MaxFlow::set_capacity`]). In the reversed network a
+//! positive weight is an arc *into* the solver's sink, so raising it is
+//! the monotone case of parametric maximum flow. Any other edit —
+//! a weight that changes sign, a new requirement or forcing — drops the
+//! network, and the next solve builds it again and starts from nothing.
+//! Either way the answer is the unique inclusion-minimal optimum.
 
 use crate::csr::CsrIndex;
 use crate::error::FlowError;
@@ -48,21 +58,37 @@ pub struct ClosureCertificate {
     pub requirement_flow: Vec<i64>,
 }
 
-/// What the one shared solve leaves behind.
-struct SolvedCut {
+/// The cut network of the free nodes, kept with its preflow between
+/// solves.
+#[derive(Debug, Clone)]
+struct Network {
+    /// Each node's forced membership (see [`ClosureCertificate::forced`]).
     fixed: Vec<Option<bool>>,
+    /// Each free node's node in `g`; `u32::MAX` for fixed nodes. (Node
+    /// and arc ids fit `u32`, as in [`MaxFlow`].)
+    id: Vec<u32>,
+    /// Each free nonzero-weight node's weight arc in `g`; `u32::MAX`
+    /// for the rest.
+    weight_arc: Vec<u32>,
+    /// The reversed network: `src` stands for the original sink, `snk`
+    /// for the original source.
     g: MaxFlow,
-    members: Vec<bool>,
-    weight: i64,
+    src: usize,
+    snk: usize,
 }
 
 /// A maximum-weight closure problem.
+///
+/// After a solve it keeps its cut network and maximum preflow, so that
+/// solving again after [`Closure::set_weight`] resumes the last cut (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct Closure {
     weights: Vec<i64>,
     requirements: Vec<(usize, usize)>,
     forced_in: Vec<usize>,
     forced_out: Vec<usize>,
+    network: Option<Network>,
 }
 
 impl Closure {
@@ -73,27 +99,41 @@ impl Closure {
             requirements: Vec::new(),
             forced_in: Vec::new(),
             forced_out: Vec::new(),
+            network: None,
         }
     }
 
     /// Sets the weight gained by including node `v` in the closure
-    /// (may be negative).
+    /// (may be negative). When a solve has kept its network, a free node
+    /// whose weight keeps its sign has its weight arc re-priced in place;
+    /// a sign change drops the network.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn set_weight(&mut self, v: usize, w: i64) {
-        self.weights[v] = w;
+        let old = std::mem::replace(&mut self.weights[v], w);
+        let Some(net) = &mut self.network else {
+            return;
+        };
+        if net.fixed[v].is_some() {
+            // Fixed nodes have no arc: their weight only enters the total.
+        } else if old.signum() != w.signum() {
+            self.network = None;
+        } else if w != 0 {
+            net.g.set_capacity(net.weight_arc[v] as usize, w.abs());
+        }
     }
 
-    /// Adds to a node's weight.
+    /// Adds to a node's weight, as [`Closure::set_weight`] does.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn add_weight(&mut self, v: usize, w: i64) {
-        self.weights[v] += w;
+        self.set_weight(v, self.weights[v] + w);
     }
 
-    /// Declares that selecting `v` requires selecting `u`.
+    /// Declares that selecting `v` requires selecting `u`. Drops a kept
+    /// network.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range.
@@ -101,25 +141,35 @@ impl Closure {
         assert!(v < self.weights.len() && u < self.weights.len());
         if v != u {
             self.requirements.push((v, u));
+            self.network = None;
         }
     }
 
-    /// Forces `v` into the closure (with its requirements).
+    /// Forces `v` into the closure (with its requirements). Drops a kept
+    /// network.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn force_in(&mut self, v: usize) {
         assert!(v < self.weights.len());
         self.forced_in.push(v);
+        self.network = None;
     }
 
-    /// Forces `v` out of the closure.
+    /// Forces `v` out of the closure. Drops a kept network.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn force_out(&mut self, v: usize) {
         assert!(v < self.weights.len());
         self.forced_out.push(v);
+        self.network = None;
+    }
+
+    /// Whether the next solve resumes a kept preflow rather than
+    /// starting from nothing.
+    pub fn has_preflow(&self) -> bool {
+        self.network.as_ref().is_some_and(|net| net.g.has_preflow())
     }
 
     /// Solves the problem, returning the total weight of the optimum
@@ -129,9 +179,8 @@ impl Closure {
     /// # Errors
     /// Returns [`FlowError::Infeasible`] when a forced-in node
     /// transitively requires a forced-out node.
-    pub fn solve(&self) -> Result<(i64, Vec<bool>), FlowError> {
-        let cut = self.solve_cut()?;
-        Ok((cut.weight, cut.members))
+    pub fn solve(&mut self) -> Result<(i64, Vec<bool>), FlowError> {
+        self.solve_cut()
     }
 
     /// [`Closure::solve`], plus the maximum preflow the minimum cut ends
@@ -141,12 +190,13 @@ impl Closure {
     ///
     /// # Errors
     /// The same as [`Closure::solve`].
-    pub fn solve_certified(&self) -> Result<ClosureCertificate, FlowError> {
-        let cut = self.solve_cut()?;
-        // `solve_cut` adds the weight arcs of the free nodes in node
+    pub fn solve_certified(&mut self) -> Result<ClosureCertificate, FlowError> {
+        let (_, members) = self.solve_cut()?;
+        let net = self.network.as_ref().expect("a solve keeps its network");
+        // `build_network` adds the weight arcs of the free nodes in node
         // order, then the requirement arcs between free nodes in
         // requirement order; the flows come back in that order.
-        let mut flows = cut.g.flows().into_iter();
+        let mut flows = net.g.flows().into_iter();
         let mut arc_flow = |has_arc: bool| {
             if has_arc {
                 flows.next().expect("one flow per arc")
@@ -154,7 +204,7 @@ impl Closure {
                 0
             }
         };
-        let free = |v: usize| cut.fixed[v].is_none();
+        let free = |v: usize| net.fixed[v].is_none();
         let weight_flow = (0..self.weights.len())
             .map(|v| arc_flow(free(v) && self.weights[v] != 0))
             .collect();
@@ -165,8 +215,8 @@ impl Closure {
             .collect();
         debug_assert!(flows.next().is_none(), "every arc flow reported");
         Ok(ClosureCertificate {
-            members: cut.members,
-            forced: cut.fixed,
+            members,
+            forced: net.fixed.clone(),
             weight_flow,
             requirement_flow,
         })
@@ -194,40 +244,18 @@ impl Closure {
     }
 
     /// The one solve behind [`Closure::solve`] and
-    /// [`Closure::solve_certified`].
-    fn solve_cut(&self) -> Result<SolvedCut, FlowError> {
-        let n = self.weights.len();
-        let fixed = self.propagate_forcing()?;
-        // Free nodes get compact ids; `src` and `snk` stand for the
-        // original sink and source, since the network is reversed.
-        let mut id = vec![usize::MAX; n];
-        let mut free = 0;
-        for v in (0..n).filter(|&v| fixed[v].is_none()) {
-            id[v] = free;
-            free += 1;
+    /// [`Closure::solve_certified`]: builds the network unless one is
+    /// kept, and solves it.
+    fn solve_cut(&mut self) -> Result<(i64, Vec<bool>), FlowError> {
+        if self.network.is_none() {
+            self.network = Some(self.build_network()?);
         }
-        let (src, snk) = (free, free + 1);
-        let mut g = MaxFlow::new(free + 2);
-        for v in (0..n).filter(|&v| fixed[v].is_none()) {
-            let w = self.weights[v];
-            if w > 0 {
-                g.add_edge(id[v], snk, w);
-            } else if w < 0 {
-                g.add_edge(src, id[v], -w);
-            }
-        }
-        for &(v, u) in &self.requirements {
-            // Requirements out of a fixed node are settled: a forced-in
-            // node's are forced in, and a free node never requires a
-            // forced-out one.
-            if fixed[v].is_none() && fixed[u].is_none() {
-                g.add_edge(id[u], id[v], INF_CAP);
-            }
-        }
-        let cut = g.solve(src, snk).expect("endpoints in range");
-        let side = g.sink_side(snk);
-        let members: Vec<bool> = (0..n)
-            .map(|v| fixed[v].unwrap_or_else(|| side[id[v]]))
+        let net = self.network.as_mut().expect("built above");
+        let cut = net.g.solve(net.src, net.snk).expect("endpoints in range");
+        let side = net.g.sink_side(net.snk);
+        let fixed = &net.fixed;
+        let members: Vec<bool> = (0..self.weights.len())
+            .map(|v| fixed[v].unwrap_or_else(|| side[net.id[v] as usize]))
             .collect();
         let weight = members
             .iter()
@@ -237,7 +265,7 @@ impl Closure {
             .sum();
         debug_assert_eq!(
             weight,
-            (0..n)
+            (0..self.weights.len())
                 .map(|v| match fixed[v] {
                     Some(true) => self.weights[v],
                     Some(false) => 0,
@@ -247,11 +275,49 @@ impl Closure {
                 - cut,
             "closure weight = forced-in weight + free positive weight − cut"
         );
-        Ok(SolvedCut {
+        Ok((weight, members))
+    }
+
+    /// The reversed cut network of the free nodes: a weight arc per free
+    /// nonzero-weight node, in node order, then an uncapacitated arc per
+    /// requirement between free nodes, in requirement order.
+    fn build_network(&self) -> Result<Network, FlowError> {
+        let n = self.weights.len();
+        let fixed = self.propagate_forcing()?;
+        // Free nodes get compact ids; `src` and `snk` stand for the
+        // original sink and source, since the network is reversed.
+        let mut id = vec![u32::MAX; n];
+        let mut free = 0;
+        for v in (0..n).filter(|&v| fixed[v].is_none()) {
+            id[v] = free as u32;
+            free += 1;
+        }
+        let (src, snk) = (free, free + 1);
+        let mut g = MaxFlow::new(free + 2);
+        let mut weight_arc = vec![u32::MAX; n];
+        for v in (0..n).filter(|&v| fixed[v].is_none()) {
+            let w = self.weights[v];
+            if w > 0 {
+                weight_arc[v] = g.add_edge(id[v] as usize, snk, w) as u32;
+            } else if w < 0 {
+                weight_arc[v] = g.add_edge(src, id[v] as usize, -w) as u32;
+            }
+        }
+        for &(v, u) in &self.requirements {
+            // Requirements out of a fixed node are settled: a forced-in
+            // node's are forced in, and a free node never requires a
+            // forced-out one.
+            if fixed[v].is_none() && fixed[u].is_none() {
+                g.add_edge(id[u] as usize, id[v] as usize, INF_CAP);
+            }
+        }
+        Ok(Network {
             fixed,
+            id,
+            weight_arc,
             g,
-            members,
-            weight,
+            src,
+            snk,
         })
     }
 
@@ -345,6 +411,29 @@ mod tests {
         assert_eq!(cert.weight_flow, vec![0; 3]);
         assert_eq!(cert.requirement_flow, vec![0]);
         assert_eq!(cert.members, vec![true, true, false]);
+    }
+
+    #[test]
+    fn reweighting_keeps_the_network_unless_a_sign_changes() {
+        let mut c = Closure::new(3);
+        c.set_weight(0, 5);
+        c.set_weight(1, -8);
+        c.set_weight(2, -10);
+        c.require(0, 1);
+        assert!(!c.has_preflow());
+        assert_eq!(c.solve().unwrap(), (0, vec![false; 3]));
+        assert!(c.has_preflow());
+        // A gain that grows keeps the preflow, and the resumed cut now
+        // takes the chain.
+        c.set_weight(0, 9);
+        assert!(c.has_preflow());
+        assert_eq!(c.solve().unwrap(), (1, vec![true, true, false]));
+        // A gain that turns into a cost drops the network.
+        c.set_weight(0, -1);
+        assert!(!c.has_preflow());
+        assert_eq!(c.solve().unwrap(), (0, vec![false; 3]));
+        c.require(2, 0);
+        assert!(!c.has_preflow());
     }
 
     #[test]

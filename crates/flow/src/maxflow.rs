@@ -8,6 +8,15 @@
 //! minimum cut, the same set any maximum flow's residual graph yields.
 //! Callers that want the minimal *source* side solve the reversed
 //! network (see [`crate::Closure`]).
+//!
+//! The solver keeps its preflow. [`MaxFlow::set_capacity`] edits one
+//! arc in place, and the next solve between the same terminals resumes
+//! the kept preflow instead of starting from nothing: the parametric
+//! maximum flow of Gallo, Grigoriadis and Tarjan (SIAM J. Comput. 1989),
+//! where arcs only grow between solves. Any preflow is a valid start
+//! for push-relabel, and the sink side of a maximum preflow does not
+//! depend on which one the solver reaches, so a resumed solve returns
+//! the same cut as a solve from nothing.
 
 use std::sync::OnceLock;
 
@@ -25,14 +34,19 @@ pub const INF_CAP: i64 = i64::MAX / 4;
 /// Edges live in a flat paired array (`e ^ 1` is the residual reverse of
 /// `e`); adjacency is a lazily-built [`CsrIndex`], invalidated by
 /// [`MaxFlow::add_edge`] and reused across repeated solves, cut queries
-/// and flow reads. Each solve starts from the
-/// edge capacities, so solving again answers for the whole network.
+/// and flow reads. The residual capacities of the last solve's maximum
+/// preflow are kept: [`MaxFlow::set_capacity`] re-prices one edge
+/// against them, and the next [`MaxFlow::solve`] between the same
+/// terminals resumes them.
 #[derive(Debug, Clone)]
 pub struct MaxFlow {
     n: usize,
     head: Vec<u32>,
     cap: Vec<i64>,
+    /// Residual capacities of the kept preflow; empty when none is kept.
     residual: Vec<i64>,
+    /// The source and sink of the kept preflow, if one is kept.
+    kept: Option<(usize, usize)>,
     index: OnceLock<CsrIndex>,
 }
 
@@ -44,15 +58,19 @@ impl MaxFlow {
             head: Vec::new(),
             cap: Vec::new(),
             residual: Vec::new(),
+            kept: None,
             index: OnceLock::new(),
         }
     }
 
-    /// Adds a directed edge with the given capacity.
+    /// Adds a directed edge with the given capacity and returns its id:
+    /// the number of edges added before it, the index
+    /// [`MaxFlow::set_capacity`] and [`MaxFlow::flows`] use. Drops any
+    /// kept preflow.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range or the capacity is negative.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
+    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> usize {
         assert!(from < self.n && to < self.n, "edge endpoint out of range");
         assert!(cap >= 0, "capacity must be non-negative");
         self.head.push(to as u32);
@@ -60,7 +78,45 @@ impl MaxFlow {
         self.head.push(from as u32);
         self.cap.push(0);
         self.residual.clear();
+        self.kept = None;
         self.index = OnceLock::new();
+        self.cap.len() / 2 - 1
+    }
+
+    /// Sets the capacity of edge `edge` (an id from
+    /// [`MaxFlow::add_edge`]) in place. The kept preflow survives when the
+    /// edge still carries its flow: the capacity rose, or fell to no less
+    /// than the flow. An edge into the last solve's sink may also fall
+    /// below its flow: the flow is cut to the new capacity, and the
+    /// difference stays at the edge's tail as excess, which is still a
+    /// preflow. Any other cut below the flow drops the preflow, and the
+    /// next solve starts from nothing.
+    ///
+    /// # Panics
+    /// Panics if `edge` is out of range or the capacity is negative.
+    pub fn set_capacity(&mut self, edge: usize, cap: i64) {
+        assert!(cap >= 0, "capacity must be non-negative");
+        let e = 2 * edge;
+        let old = std::mem::replace(&mut self.cap[e], cap);
+        let Some((_, t)) = self.kept else {
+            return;
+        };
+        let flow = old - self.residual[e];
+        if cap >= flow {
+            self.residual[e] = cap - flow;
+        } else if self.head[e] as usize == t {
+            self.residual[e] = 0;
+            self.residual[e ^ 1] = cap;
+        } else {
+            self.residual.clear();
+            self.kept = None;
+        }
+    }
+
+    /// Whether a preflow is kept, so that the next [`MaxFlow::solve`]
+    /// between the last solve's terminals resumes it.
+    pub fn has_preflow(&self) -> bool {
+        self.kept.is_some()
     }
 
     /// The CSR adjacency index, built on first use. Directed-edge ids at
@@ -78,6 +134,13 @@ impl MaxFlow {
     /// [`MaxFlow::sink_side`] and [`MaxFlow::flows`]). Traces as a `min_cut` span carrying the
     /// `pushes`, `relabels` and `global_relabels` it took.
     ///
+    /// A solve between the terminals of a kept preflow resumes it: the
+    /// excess its flows leave at each node stays, and whatever source
+    /// capacity is left is pushed out. Otherwise the solve starts from
+    /// the empty preflow. Both then run the same loop: one global
+    /// relabel, every node with excess and a label below `n` active, and
+    /// FIFO discharges until none is.
+    ///
     /// # Errors
     /// Returns [`FlowError::BadNode`] for out-of-range endpoints.
     pub fn solve(&mut self, s: usize, t: usize) -> Result<i64, FlowError> {
@@ -94,10 +157,14 @@ impl MaxFlow {
         }
         self.index();
         let _span = retime_trace::span("min_cut");
-        self.residual.clone_from(&self.cap);
+        if self.kept != Some((s, t)) {
+            self.residual.clone_from(&self.cap);
+        }
+        self.kept = Some((s, t));
         let MaxFlow {
             n,
             head,
+            cap: capacity,
             residual: cap,
             index,
             ..
@@ -105,6 +172,14 @@ impl MaxFlow {
         let n = *n;
         let index = index.get().expect("index built above");
         let mut excess = vec![0i64; n];
+        // The excess the kept flows leave (none on the empty preflow).
+        for e in (0..cap.len()).step_by(2) {
+            let flow = capacity[e] - cap[e];
+            if flow != 0 {
+                excess[head[e] as usize] += flow;
+                excess[head[e ^ 1] as usize] -= flow;
+            }
+        }
         for &e in index.out(s) {
             let e = e as usize;
             let c = std::mem::take(&mut cap[e]);
@@ -169,13 +244,15 @@ impl MaxFlow {
         Ok(excess[t])
     }
 
-    /// The flow on every edge after the last [`MaxFlow::solve`], in the
-    /// order the edges were added: a maximum preflow, conserving at every
-    /// node except that nodes may keep excess.
+    /// The flow on every edge of the kept preflow, in the order the
+    /// edges were added. Right after a [`MaxFlow::solve`] it is a maximum
+    /// preflow, conserving at every node except that nodes may keep
+    /// excess.
     ///
     /// # Panics
-    /// Panics if the network has not been solved since its last edge
-    /// was added.
+    /// Panics if no preflow is kept: the network has not been solved
+    /// since its last edge was added, or [`MaxFlow::set_capacity`]
+    /// dropped the preflow.
     pub fn flows(&self) -> Vec<i64> {
         assert_eq!(self.residual.len(), self.cap.len(), "solve first");
         (0..self.cap.len())
@@ -184,13 +261,12 @@ impl MaxFlow {
             .collect()
     }
 
-    /// Nodes that reach `t` in the residual graph of the last
-    /// [`MaxFlow::solve`]: after `solve(_, t)`, the inclusion-minimal sink
-    /// side of a minimum cut.
+    /// Nodes that reach `t` in the residual graph of the kept preflow:
+    /// right after `solve(_, t)`, the inclusion-minimal sink side of a
+    /// minimum cut.
     ///
     /// # Panics
-    /// Panics if the network has not been solved since its last edge
-    /// was added.
+    /// Panics if no preflow is kept (see [`MaxFlow::flows`]).
     pub fn sink_side(&self, t: usize) -> Vec<bool> {
         assert_eq!(self.residual.len(), self.cap.len(), "solve first");
         distances_to(&self.head, &self.residual, self.index(), t)
@@ -289,6 +365,71 @@ mod tests {
         assert_eq!(g.solve(0, 2).unwrap(), 0);
         g.add_edge(1, 2, 2);
         assert_eq!(g.solve(0, 2).unwrap(), 2);
+    }
+
+    /// The network of `classic_diamond` under capacities `caps`, solved
+    /// from nothing.
+    fn diamond(caps: [i64; 5]) -> MaxFlow {
+        let mut g = MaxFlow::new(4);
+        for ((u, v), c) in [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)]
+            .into_iter()
+            .zip(caps)
+        {
+            g.add_edge(u, v, c);
+        }
+        g.solve(0, 3).unwrap();
+        g
+    }
+
+    #[test]
+    fn raised_capacities_resume_the_preflow() {
+        let mut g = diamond([3, 2, 2, 3, 1]);
+        // Raise a source arc and a sink arc: both keep the preflow.
+        g.set_capacity(1, 4);
+        g.set_capacity(2, 5);
+        assert!(g.has_preflow());
+        assert_eq!(g.solve(0, 3).unwrap(), 6);
+        assert_eq!(g.sink_side(3), diamond([3, 4, 5, 3, 1]).sink_side(3));
+    }
+
+    #[test]
+    fn sink_arc_lowered_below_its_flow_keeps_a_preflow() {
+        let mut g = diamond([3, 2, 2, 3, 1]);
+        // Edge 3 (2 → 3) carries 3 units; cut it to 1. The two units it
+        // can no longer pass stay at node 2 as excess.
+        assert_eq!(g.flows()[3], 3);
+        g.set_capacity(3, 1);
+        assert!(g.has_preflow());
+        let f = g.flows();
+        assert_eq!(f[3], 1);
+        assert_eq!(f[1] + f[4] - f[3], 2, "node 2 holds the excess");
+        assert_eq!(g.solve(0, 3).unwrap(), 3);
+        assert_eq!(g.sink_side(3), diamond([3, 2, 2, 1, 1]).sink_side(3));
+    }
+
+    #[test]
+    fn interior_arc_lowered_below_its_flow_drops_the_preflow() {
+        let mut g = diamond([3, 2, 2, 3, 1]);
+        // Edge 4 (1 → 2) carries a unit in every maximum flow.
+        assert_eq!(g.flows()[4], 1);
+        g.set_capacity(4, 0);
+        assert!(!g.has_preflow());
+        assert_eq!(g.solve(0, 3).unwrap(), 4);
+        let cold = diamond([3, 2, 2, 3, 0]);
+        assert_eq!(g.flows(), cold.flows(), "solved from nothing");
+        assert_eq!(g.sink_side(3), cold.sink_side(3));
+    }
+
+    #[test]
+    fn other_terminals_start_from_nothing() {
+        let mut g = diamond([3, 2, 2, 3, 1]);
+        assert_eq!(g.solve(0, 2).unwrap(), 3);
+        let mut cold = MaxFlow::new(4);
+        for (u, v, c) in [(0, 1, 3), (0, 2, 2), (1, 3, 2), (2, 3, 3), (1, 2, 1)] {
+            cold.add_edge(u, v, c);
+        }
+        cold.solve(0, 2).unwrap();
+        assert_eq!(g.flows(), cold.flows());
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! * with a preflow certificate that passes the verifier's linear-time
 //!   [`retime_verify::check_closure_certificate`], and reports the same
 //!   closure.
+//!
+//! A second property drives one [`Closure`] through a sequence of
+//! re-weightings — gains that rise, weights that fall, unchanged
+//! weights, weights that change sign — solving after each. Whether the
+//! solve resumed the kept preflow or rebuilt the network, its answer
+//! must be bit-identical to a fresh closure's, and its certificate must
+//! pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -95,7 +102,7 @@ proptest! {
     fn closure_is_the_minimal_optimum(n in 1usize..=10, seed in any::<u64>()) {
         let inst = Instance::random(n, seed);
         let closures = inst.closures();
-        let closure = inst.closure();
+        let mut closure = inst.closure();
         let result = closure.solve();
         let certified = closure.solve_certified();
         prop_assert_eq!(
@@ -127,6 +134,54 @@ proptest! {
             if w == best {
                 prop_assert_eq!(set & mask, mask, "optimum {:b} omits part of {:b}", set, mask);
             }
+        }
+    }
+
+    #[test]
+    fn resumed_solves_match_cold_solves(
+        n in 1usize..=10,
+        seed in any::<u64>(),
+        steps in 1usize..8,
+    ) {
+        let mut inst = Instance::random(n, seed);
+        let mut warm = inst.closure();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut solved = false;
+        for step in 0..steps {
+            let kind = rng.random_range(0..4u32);
+            for v in 0..n {
+                let w = inst.weights[v];
+                inst.weights[v] = match kind {
+                    // Gains rise: each weight arc into the sink grows.
+                    0 if w > 0 && rng.random_bool(0.5) => w + rng.random_range(1..=4i64),
+                    // Weights fall, keeping their sign: gains may drop
+                    // below the flow they carry, costs grow.
+                    1 if w > 0 && rng.random_bool(0.5) => rng.random_range(1..=w),
+                    1 if w < 0 && rng.random_bool(0.5) => w - rng.random_range(1..=2i64),
+                    // Any weight, sign changes included.
+                    3 if rng.random_bool(0.3) => rng.random_range(-4..=4i64),
+                    // Unchanged.
+                    _ => w,
+                };
+                warm.set_weight(v, inst.weights[v]);
+            }
+            if solved && matches!(kind, 0 | 2) {
+                prop_assert!(warm.has_preflow(), "step {} must resume", step);
+            }
+            let cold = inst.closure().solve();
+            let certified = warm.solve_certified();
+            solved = certified.is_ok();
+            prop_assert_eq!(
+                certified.clone().map(|c| c.members),
+                cold.clone().map(|(_, members)| members),
+                "step {}", step
+            );
+            if let Ok(cert) = &certified {
+                if let Err(err) = check_closure_certificate(&warm, cert) {
+                    panic!("step {step}: certificate rejected: {err}");
+                }
+            }
+            prop_assert_eq!(warm.solve(), cold, "step {}", step);
         }
     }
 }

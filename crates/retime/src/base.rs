@@ -9,12 +9,12 @@ use std::time::{Duration, Instant};
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut};
-use retime_sta::{CutTiming, DelayModel, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{CutTiming, DelayModel, NodeDelays, TwoPhaseClock};
 
 use crate::area::{AreaModel, SeqBreakdown};
 use crate::basis::BasisSlot;
 use crate::error::RetimeError;
-use crate::legalize::{legalize, LegalizeReport};
+use crate::legalize::{legalize_delays, LegalizeReport};
 use crate::problem::{RetimingProblem, RetimingSolution, RetimingSweep};
 
 /// Run-time bookkeeping of a retiming flow.
@@ -63,35 +63,39 @@ pub struct RetimeOutcome {
 
 impl RetimeOutcome {
     /// Assembles the outcome from a final cut: validates it, legalizes
-    /// it (which leaves its timing under the final delays), assigns
-    /// error-detecting masters by arrival, and totals the area. Shared
-    /// by the base, VL, and G-RAR flows.
+    /// it on `delays` (which leaves its timing under the final delays),
+    /// assigns error-detecting masters by arrival, and totals the area.
+    /// Shared by the base, VL, and G-RAR flows. It times the cut with
+    /// forward passes over the delay tables alone
+    /// ([`retime_sta::cut_timing`]), so it needs no analysis, and the
+    /// upsized tables become the outcome's `final_delays`.
     ///
     /// # Errors
     /// Propagates cut, legalization, and library failures.
     pub fn assemble(
-        sta: &mut TimingAnalysis<'_>,
+        cloud: &CombCloud,
+        clock: TwoPhaseClock,
+        mut delays: NodeDelays,
         model: &AreaModel<'_>,
         cut: Cut,
         solver: Duration,
         started: Instant,
     ) -> Result<RetimeOutcome, RetimeError> {
-        let cloud = sta.cloud();
         cut.validate(cloud)?;
-        let (report, timing) = legalize(sta, &cut, model)?;
+        let (report, timing) = legalize_delays(cloud, &clock, &mut delays, &cut, model)?;
         // Statistical mode replaces the arrival-window EDL rule with the
         // yield-aware margined rule over the (legalized) canonical forms;
         // the nominal `timing` stays as-is for reporting and replay.
-        let (ed_sinks, stat) = match sta.delays().model() {
+        let (ed_sinks, stat) = match delays.model() {
             DelayModel::Statistical(_) => {
                 let (ed, summary) =
-                    crate::statistical::stat_cut_summary(cloud, sta.delays(), *sta.clock(), &cut);
+                    crate::statistical::stat_cut_summary(cloud, &delays, clock, &cut);
                 (ed, Some(summary))
             }
-            _ => (model.ed_flags(sta.cloud(), &timing), None),
+            _ => (model.ed_flags(cloud, &timing), None),
         };
-        let seq = model.sequential(sta.cloud(), &cut, &ed_sinks);
-        let comb_area = model.combinational(sta.cloud())? + report.area_penalty;
+        let seq = model.sequential(cloud, &cut, &ed_sinks);
+        let comb_area = model.combinational(cloud)? + report.area_penalty;
         let total_area = comb_area + seq.total();
         Ok(RetimeOutcome {
             cut,
@@ -101,7 +105,7 @@ impl RetimeOutcome {
             total_area,
             timing,
             legalize: report,
-            final_delays: sta.delays().clone(),
+            final_delays: delays,
             stats: RunStats {
                 elapsed: started.elapsed(),
                 solver,
@@ -232,9 +236,16 @@ fn base_retime_impl<'a>(
     })?;
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         let area_model = AreaModel::new(lib, c);
-        let mut sta = basis.into_sta();
-        let outcome =
-            RetimeOutcome::assemble(&mut sta, &area_model, sol.cut, sol.solver_time, started)?;
+        let delays = basis.into_delays();
+        let outcome = RetimeOutcome::assemble(
+            cloud,
+            clock,
+            delays,
+            &area_model,
+            sol.cut,
+            sol.solver_time,
+            started,
+        )?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>(outcome)
     })?;
@@ -246,6 +257,7 @@ fn base_retime_impl<'a>(
 mod tests {
     use super::*;
     use retime_netlist::bench;
+    use retime_sta::TimingAnalysis;
 
     fn pipeline() -> CombCloud {
         let n = bench::parse(

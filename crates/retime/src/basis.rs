@@ -6,24 +6,44 @@
 //! and each sink's classification are the same at every `c`, so a
 //! [`FlowBasis`] computes them once per circuit, clock and delay model,
 //! and every run of a sweep reads them through [`BasisSlot::Shared`].
-//! A one-shot run uses [`BasisSlot::Fresh`]: it builds its own basis,
-//! caches no classification, and legalizes that very analysis, with no
-//! copy.
+//! A shared basis also keeps G-RAR's targeted instance
+//! ([`TargetedInstance`]), which later probes re-price and resume
+//! instead of rebuilding. A one-shot run uses [`BasisSlot::Fresh`]: it
+//! builds its own basis, caches no classification, and legalizes that
+//! very analysis's delay tables, with no copy.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 use retime_liberty::Library;
 use retime_netlist::{CombCloud, NodeId};
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{DelayModel, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 use crate::error::RetimeError;
+use crate::problem::ParametricProblem;
 use crate::regions::Regions;
 
+/// G-RAR's Eq. 14 instance for one case, as its first run built it: the
+/// instance with one pseudo node per target master, kept with its
+/// solved closure, and the classification counts the run reported.
+/// Only the pseudo nodes' overheads depend on `c`.
+#[derive(Debug)]
+pub struct TargetedInstance {
+    /// The instance, its closure and its last solution.
+    pub problem: ParametricProblem,
+    /// `(pseudo flow node, sink index)` per target master, in sink order.
+    pub pseudos: Vec<(usize, usize)>,
+    /// Endpoints that are error-detecting regardless of retiming.
+    pub always_ed: usize,
+    /// Endpoints that can never need error detection.
+    pub never_ed: usize,
+}
+
 /// The pristine timing analysis of one circuit under one clock and delay
-/// model, its legality [`Regions`], and a cache of sink classifications
+/// model, its legality [`Regions`], a cache of sink classifications
 /// (`SinkClass` plus the cut-set `g(t)`), which the flows of a sweep
-/// fill as they classify (`retime_core::classify_cached`).
+/// fill as they classify (`retime_core::classify_cached`), and G-RAR's
+/// [`TargetedInstance`] once a G-RAR run has built it.
 ///
 /// The basis borrows the cloud and the library, so while it lives
 /// neither can change: a pointer match is a value match
@@ -34,6 +54,7 @@ pub struct FlowBasis<'a> {
     sta: TimingAnalysis<'a>,
     regions: Regions,
     classes: HashMap<NodeId, (SinkClass, Vec<NodeId>)>,
+    targeted: Option<TargetedInstance>,
 }
 
 impl<'a> FlowBasis<'a> {
@@ -51,6 +72,7 @@ impl<'a> FlowBasis<'a> {
             sta,
             regions,
             classes: HashMap::new(),
+            targeted: None,
         })
     }
 
@@ -93,6 +115,18 @@ impl<'a> FlowBasis<'a> {
     pub fn cache_class(&mut self, t: NodeId, class: SinkClass, cut_set: Vec<NodeId>) {
         self.classes.insert(t, (class, cut_set));
     }
+
+    /// G-RAR's kept instance, if a G-RAR run has built it on this basis.
+    pub fn targeted(&self) -> Option<&TargetedInstance> {
+        self.targeted.as_ref()
+    }
+
+    /// The slot G-RAR keeps its instance in. The instance is a function
+    /// of the analysis and the regions, except for the pseudo overheads,
+    /// which each run sets.
+    pub fn targeted_slot(&mut self) -> &mut Option<TargetedInstance> {
+        &mut self.targeted
+    }
 }
 
 /// Where a flow run takes its [`FlowBasis`] from. The run opens it in
@@ -104,7 +138,8 @@ pub enum BasisSlot<'s, 'a> {
     Fresh,
     /// A basis shared by the runs of a sweep: reused when it was built
     /// for the run's cloud, library, clock and model, else (re)built in
-    /// place. Each commit legalizes a copy, so the basis stays pristine.
+    /// place. Each commit legalizes a copy of the delay tables, so the
+    /// basis stays pristine.
     Shared(&'s mut Option<FlowBasis<'a>>),
 }
 
@@ -155,13 +190,13 @@ pub enum OpenBasis<'s, 'a> {
     Shared(&'s mut FlowBasis<'a>),
 }
 
-impl<'a> OpenBasis<'_, 'a> {
-    /// The analysis a commit legalizes: the basis's own when the run
-    /// built it, a copy when it is shared.
-    pub fn into_sta(self) -> TimingAnalysis<'a> {
+impl OpenBasis<'_, '_> {
+    /// The delay tables a commit legalizes: the analysis's own when the
+    /// run built the basis, a copy when it is shared.
+    pub fn into_delays(self) -> NodeDelays {
         match self {
-            OpenBasis::Owned(basis) => basis.sta,
-            OpenBasis::Shared(basis) => basis.sta.clone(),
+            OpenBasis::Owned(basis) => basis.sta.into_delays(),
+            OpenBasis::Shared(basis) => basis.sta.delays().clone(),
         }
     }
 }
@@ -244,18 +279,21 @@ mod tests {
         let clock = TwoPhaseClock::from_max_delay(5.0);
         let model = DelayModel::PathBased;
         let mut slot = None;
-        let mut sta = BasisSlot::Shared(&mut slot)
+        let mut delays = BasisSlot::Shared(&mut slot)
             .open(&a, &lib, clock, model)
             .unwrap()
-            .into_sta();
+            .into_delays();
         let g = a.find("g").unwrap();
-        sta.update_delays(|d| d.scale_node(g, 0.5));
-        let pristine = slot.as_ref().unwrap().sta();
-        assert!(pristine.df(g) > sta.df(g), "the shared analysis moved");
+        delays.scale_node(g, 0.5);
+        let pristine = slot.as_ref().unwrap().sta().delays();
+        assert!(
+            pristine.max_delay(g) > delays.max_delay(g),
+            "the copy moved"
+        );
         let fresh = BasisSlot::Fresh
             .open(&a, &lib, clock, model)
             .unwrap()
-            .into_sta();
-        assert_eq!(fresh.df(g), pristine.df(g));
+            .into_delays();
+        assert_eq!(&fresh, pristine);
     }
 }

@@ -6,8 +6,8 @@
 //! model exactly that lever: gates on violating paths are sped up by a
 //! bounded upsizing factor, paying a proportional area penalty.
 
-use retime_netlist::{ConeWalk, Cut, NodeId, NodeKind};
-use retime_sta::{CutTiming, TimingAnalysis};
+use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
+use retime_sta::{cut_timing, CutTiming, NodeDelays, TimingAnalysis, TwoPhaseClock};
 
 use crate::area::AreaModel;
 use crate::error::RetimeError;
@@ -40,16 +40,16 @@ impl LegalizeReport {
 }
 
 /// Repairs residual violations of constraints (6)/(7) for a fixed cut by
-/// upsizing gates on violating paths. Mutates the delay tables inside
-/// `sta` (exactly like a size-only incremental compile would) and returns
-/// what it did, with the timing of `cut` under the final tables.
-///
-/// Each round times the cut, marks every gate in the union of the
-/// violations' fan-in cones, and speeds them up in one
-/// [`TimingAnalysis::update_delays`].
+/// upsizing gates on violating paths. Mutates the delay tables of `sta`
+/// (exactly like a size-only incremental compile would), re-analyses
+/// them once if anything was upsized, and returns what it did, with the
+/// timing of `cut` under the final tables. The flows legalize their
+/// delay tables alone, without an analysis to keep up to date (see
+/// [`RetimeOutcome::assemble`](crate::RetimeOutcome::assemble)).
 ///
 /// # Errors
-/// Returns [`RetimeError::Internal`] if violations persist after the
+/// Rejects an invalid cut ([`Cut::validate`]). Returns
+/// [`RetimeError::Internal`] if violations persist after the
 /// round budget (the placement is then genuinely infeasible, which the
 /// region construction should have prevented). The upsizing applied so
 /// far stays in `sta`.
@@ -58,11 +58,30 @@ pub fn legalize(
     cut: &Cut,
     model: &AreaModel<'_>,
 ) -> Result<(LegalizeReport, CutTiming), RetimeError> {
-    let cloud = sta.cloud();
+    cut.validate(sta.cloud())?;
+    let mut delays = sta.delays().clone();
+    let result = legalize_delays(sta.cloud(), sta.clock(), &mut delays, cut, model);
+    if &delays != sta.delays() {
+        *sta = TimingAnalysis::with_delays(sta.cloud(), delays, *sta.clock());
+    }
+    result
+}
+
+/// [`legalize`] on bare delay tables, for a valid `cut`: each round
+/// times it with the forward-only [`cut_timing`], marks every gate in
+/// the union of the violations' fan-in cones, and speeds them up in
+/// `delays`.
+pub(crate) fn legalize_delays(
+    cloud: &CombCloud,
+    clock: &TwoPhaseClock,
+    delays: &mut NodeDelays,
+    cut: &Cut,
+    model: &AreaModel<'_>,
+) -> Result<(LegalizeReport, CutTiming), RetimeError> {
     let mut report = LegalizeReport::default();
     let mut walk = ConeWalk::new(cloud);
     for round in 0..=MAX_ROUNDS {
-        let timing = sta.cut_timing(cut);
+        let timing = cut_timing(cloud, delays, clock, cut);
         if timing.is_feasible() {
             report.rounds = round;
             return Ok((report, timing));
@@ -97,12 +116,8 @@ pub fn legalize(
                 _ => unreachable!("marked gates only"),
             };
             report.area_penalty += area_of(model, gate, node.fanin.len()) * AREA_PENALTY;
+            delays.scale_node(g, SPEEDUP);
         }
-        sta.update_delays(|d| {
-            for &g in &marked {
-                d.scale_node(g, SPEEDUP);
-            }
-        });
         report.upsized.extend(marked);
     }
     Err(RetimeError::Internal(

@@ -64,11 +64,12 @@ pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
-pub use basis::{BasisSlot, FlowBasis, OpenBasis};
+pub use basis::{BasisSlot, FlowBasis, OpenBasis, TargetedInstance};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport};
 pub use problem::{
-    RetimingProblem, RetimingSolution, RetimingSweep, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
+    ParametricProblem, RetimingProblem, RetimingSolution, RetimingSweep, BREADTH_SCALE,
+    COMMERCIAL_MOVEMENT_PENALTY,
 };
 pub use regions::{Region, Regions};
 pub use retime_engine::{PhaseTimings, Stage};

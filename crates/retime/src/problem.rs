@@ -66,6 +66,9 @@ pub struct RetimingProblem {
     /// retimers; it can never flip a real comparison because the smallest
     /// genuine objective difference is `BREADTH_SCALE / k ≫ n`.
     movement_penalty: i64,
+    /// The `−c` host edge of each pseudo node, in node order. Pseudo
+    /// nodes are the last flow nodes: nothing adds a node after them.
+    pseudo_host_edges: Vec<usize>,
 }
 
 /// An optimal retiming.
@@ -148,6 +151,7 @@ impl RetimingProblem {
             host,
             n_cloud: n,
             movement_penalty: 1,
+            pseudo_host_edges: Vec::new(),
         }
     }
 
@@ -205,6 +209,7 @@ impl RetimingProblem {
                 beta: 0,
             });
         }
+        self.pseudo_host_edges.push(self.edges.len());
         self.edges.push(PEdge {
             from: p,
             to: self.host,
@@ -212,6 +217,25 @@ impl RetimingProblem {
             beta: -c_scaled,
         });
         p
+    }
+
+    /// Re-prices the pseudo node `p` (from
+    /// [`RetimingProblem::add_pseudo_target`]) at the EDL overhead
+    /// `c_scaled`, in place, and returns its previous overhead. Only the
+    /// breadth of `p`'s host edge changes, so only the objective
+    /// coefficients of `p` (`+c`) and the host (`−c`) move.
+    ///
+    /// # Panics
+    /// Panics if `p` is not a pseudo node or `c_scaled` is negative.
+    pub fn set_pseudo_overhead(&mut self, p: usize, c_scaled: i64) -> i64 {
+        assert!(c_scaled >= 0, "EDL overhead must be non-negative");
+        let first = self.kinds.len() - self.pseudo_host_edges.len();
+        assert!(
+            (first..self.kinds.len()).contains(&p),
+            "flow node {p} is not a pseudo node"
+        );
+        let e = self.pseudo_host_edges[p - first];
+        -std::mem::replace(&mut self.edges[e].beta, -c_scaled)
     }
 
     /// Number of cloud nodes (the flow-node prefix).
@@ -254,8 +278,9 @@ impl RetimingProblem {
     /// the difference constraints (a bug, guarded rather than assumed).
     pub fn solve(&self) -> Result<RetimingSolution, RetimeError> {
         let start = Instant::now();
-        let r = self.closure_labels()?;
-        self.finish_solution(r, start.elapsed())
+        // The closure is dropped before the labels are allocated.
+        let members = solve_closure(&mut self.closure())?;
+        self.finish_solution(labels(&members), start.elapsed())
     }
 
     /// Solves the Eq. (14) flow dual with an explicit min-cost-flow
@@ -356,7 +381,7 @@ impl RetimingProblem {
     /// The moved set as a maximum-weight closure: selecting `v` means
     /// `r(v) = −1` and gains its Eq. 14 demand. The host is forced out,
     /// so its weight does not matter.
-    fn closure_labels(&self) -> Result<Vec<i64>, RetimeError> {
+    fn closure(&self) -> Closure {
         let mut cl = Closure::new(self.kinds.len());
         for (v, d) in self.flow_demands().into_iter().enumerate() {
             cl.set_weight(v, d);
@@ -380,13 +405,7 @@ impl RetimingProblem {
                 cl.force_out(v);
             }
         }
-        let (_w, members) = cl.solve().map_err(|e| match e {
-            FlowError::Infeasible => {
-                RetimeError::Internal("closure infeasible despite consistent regions".into())
-            }
-            other => RetimeError::Flow(other),
-        })?;
-        Ok(members.iter().map(|&m| if m { -1 } else { 0 }).collect())
+        cl
     }
 
     /// Evaluates the scaled objective of an arbitrary cloud assignment,
@@ -526,16 +545,115 @@ impl RetimingProblem {
     }
 }
 
+/// Solves the closure form of a retiming instance (resuming its kept
+/// preflow, if any): the moved set.
+fn solve_closure(cl: &mut Closure) -> Result<Vec<bool>, RetimeError> {
+    let (_w, members) = cl.solve().map_err(|e| match e {
+        FlowError::Infeasible => {
+            RetimeError::Internal("closure infeasible despite consistent regions".into())
+        }
+        other => RetimeError::Flow(other),
+    })?;
+    Ok(members)
+}
+
+/// The labels of a moved set: `r(v) = −1` for a moved node, else 0.
+fn labels(members: &[bool]) -> Vec<i64> {
+    members.iter().map(|&m| if m { -1 } else { 0 }).collect()
+}
+
+/// A retiming instance kept with its closure form and last solution
+/// across the probes of an EDL-overhead sweep.
+///
+/// The overhead `c` reaches the instance only through its pseudo nodes'
+/// host edges. [`ParametricProblem::set_pseudo_overhead`] re-prices them
+/// in place, which re-weights the kept closure, and the next
+/// [`ParametricProblem::solve`] resumes the last maximum preflow instead
+/// of building and solving the closure from nothing. Raising `c` only
+/// raises weight arcs into the cut's sink: the monotone case of
+/// parametric maximum flow. The answer is the same inclusion-minimal
+/// optimum a cold [`RetimingProblem::solve`] returns, and it passes the
+/// same label checks.
+#[derive(Debug, Clone)]
+pub struct ParametricProblem {
+    problem: RetimingProblem,
+    closure: Option<Closure>,
+    last: Option<RetimingSolution>,
+}
+
+impl ParametricProblem {
+    /// Keeps `problem`; its closure is built by the first solve.
+    pub fn new(problem: RetimingProblem) -> ParametricProblem {
+        ParametricProblem {
+            problem,
+            closure: None,
+            last: None,
+        }
+    }
+
+    /// The instance as it stands.
+    pub fn problem(&self) -> &RetimingProblem {
+        &self.problem
+    }
+
+    /// [`RetimingProblem::set_pseudo_overhead`], carried over to the
+    /// kept closure: the pseudo node's weight and the host's move by the
+    /// change in `c`. Forgets the last solution, which answered another
+    /// instance.
+    ///
+    /// # Panics
+    /// As [`RetimingProblem::set_pseudo_overhead`].
+    pub fn set_pseudo_overhead(&mut self, p: usize, c_scaled: i64) {
+        let delta = c_scaled - self.problem.set_pseudo_overhead(p, c_scaled);
+        if let Some(cl) = &mut self.closure {
+            cl.add_weight(p, delta);
+            cl.add_weight(self.problem.host, -delta);
+        }
+        self.last = None;
+    }
+
+    /// Whether the next solve resumes a kept preflow rather than
+    /// starting from nothing.
+    pub fn resumes(&self) -> bool {
+        self.closure.as_ref().is_some_and(Closure::has_preflow)
+    }
+
+    /// Solves the instance, resuming the kept closure when there is one,
+    /// and keeps the solution.
+    ///
+    /// # Errors
+    /// As [`RetimingProblem::solve`].
+    pub fn solve(&mut self) -> Result<&RetimingSolution, RetimeError> {
+        let start = Instant::now();
+        self.last = None;
+        let cl = self.closure.get_or_insert_with(|| self.problem.closure());
+        let members = solve_closure(cl)?;
+        let sol = self
+            .problem
+            .finish_solution(labels(&members), start.elapsed())?;
+        Ok(self.last.insert(sol))
+    }
+
+    /// The instance and its solution, when the last solve succeeded and
+    /// nothing was re-priced since — what harnesses hand to
+    /// `retime_verify::verify_retiming_solution`.
+    pub fn last_solved(&self) -> Option<(&RetimingProblem, &RetimingSolution)> {
+        self.last.as_ref().map(|sol| (&self.problem, sol))
+    }
+}
+
 /// A solved-instance memo for the retiming solves of one warm slot.
 ///
 /// The memo keeps the last problem it solved and its solution. A probe
 /// whose problem is identical — same nodes, edges, bounds and movement
 /// penalty — gets the cached labels back, re-checked against the
 /// problem; any other probe is solved with [`RetimingProblem::solve`],
-/// exactly as an unslotted flow would, and replaces the memo. Table
-/// IV's base and RVL flows do not depend on the EDL overhead, so across
-/// the `c ∈ {0.5, 1, 2}` sweep every probe after the first is a hit;
-/// G-RAR's overhead moves its pseudo-node weights, so its probes miss.
+/// exactly as an unslotted flow would, and replaces the memo. Base
+/// retiming and the VL flows do not depend on the EDL overhead, so an
+/// unchanged re-run is a hit. G-RAR's overhead moves its pseudo-node
+/// weights, so its probes at a new `c` miss; an overhead sweep on a
+/// shared basis keeps G-RAR's instance as a [`ParametricProblem`]
+/// instead, and resumes it.
 #[derive(Debug, Default)]
 pub struct RetimingSweep {
     last: Option<(RetimingProblem, RetimingSolution)>,
@@ -661,6 +779,34 @@ z = NOT(h)
         assert_eq!(sol.objective_scaled, BREADTH_SCALE - c_scaled);
         assert!(sol.cut.is_moved(g));
         assert!(sol.cut.is_moved(c));
+    }
+
+    #[test]
+    fn parametric_solves_match_cold_solves_at_every_overhead() {
+        let (cloud, regions) = setup(RECONVERGE, 100.0);
+        let mut prob = RetimingProblem::build(&cloud, &regions);
+        let gates = [cloud.find("g").unwrap(), cloud.find("c").unwrap()];
+        let p = prob.add_pseudo_target(&gates, 0);
+        let mut kept = ParametricProblem::new(prob.clone());
+        let scale = BREADTH_SCALE / 4;
+        let mut prev = 0;
+        // Rising, repeated, falling, and back to zero (a sign change).
+        for c in [1, 2, 2, 8, 3, 0, 5].map(|c| c * scale) {
+            assert_eq!(prob.set_pseudo_overhead(p, c), prev);
+            kept.set_pseudo_overhead(p, c);
+            assert!(
+                kept.last_solved().is_none(),
+                "re-pricing forgets the solution"
+            );
+            assert_eq!(kept.problem(), &prob);
+            // Once solved, a weight that keeps its sign resumes.
+            assert_eq!(kept.resumes(), prev > 0 && c > 0);
+            prev = c;
+            let cold = prob.solve().unwrap();
+            let warm = kept.solve().unwrap();
+            assert_eq!(warm.r, cold.r, "labels at c = {c}");
+            assert_eq!(warm.objective_scaled, cold.objective_scaled);
+        }
     }
 
     #[test]

@@ -108,11 +108,10 @@ impl<'a> TimingAnalysis<'a> {
         &self.delays
     }
 
-    /// Rebuilds cached arrivals after delay edits (e.g.
-    /// [`NodeDelays::scale_node`] during legalization).
-    pub fn update_delays(&mut self, f: impl FnOnce(&mut NodeDelays)) {
-        f(&mut self.delays);
-        (self.arrivals, self.db_any) = full_pass(self.cloud, &self.delays);
+    /// The delay tables, dropping the passes computed over them (what a
+    /// flow's commit legalizes, see [`cut_timing`]).
+    pub fn into_delays(self) -> NodeDelays {
+        self.delays
     }
 
     /// The paper's `D^f(v)`: worst pure combinational arrival at the
@@ -249,39 +248,78 @@ impl<'a> TimingAnalysis<'a> {
     pub fn cut_timing(&self, cut: &Cut) -> CutTiming {
         let _span = retime_trace::span("cut_timing");
         let arr = arrivals_with_cut(self.cloud, &self.delays, &self.clock, cut);
-        let pi = self.clock.period();
-        let pmax = self.clock.max_path_delay();
-        let sink_arrivals: Vec<f64> = self
-            .cloud
-            .sinks()
-            .iter()
-            .map(|&t| arr[t.index()].max())
-            .collect();
-        let error_detecting: Vec<bool> = sink_arrivals.iter().map(|&a| a > pi + EPS).collect();
-        let capture_violations: Vec<NodeId> = self
-            .cloud
-            .sinks()
-            .iter()
-            .copied()
-            .zip(&sink_arrivals)
-            .filter(|&(_, &a)| a > pmax + EPS)
-            .map(|(t, _)| t)
-            .collect();
-        // Constraint (6): data must reach every placed slave before it
-        // closes. The slave at node v sees the *pure* arrival at v
-        // (exactly one latch per path, and it is this one).
-        let close = self.clock.slave_close();
-        let setup_violations: Vec<NodeId> = cut
-            .latch_positions(self.cloud)
-            .into_iter()
-            .filter(|&v| self.df(v) > close + EPS)
-            .collect();
-        CutTiming {
-            sink_arrivals,
-            error_detecting,
-            setup_violations,
-            capture_violations,
+        timing_of(self.cloud, &self.clock, cut, &arr, |v| self.df(v))
+    }
+}
+
+/// [`TimingAnalysis::cut_timing`] from the delay tables alone: one
+/// forward pass with the cut's latches, and no pure-arrival or backward
+/// pass. In a valid cut every fanin of a moved node is moved, so the
+/// arrival at a moved node crosses no latch and is its pure arrival
+/// `D^f`, bit for bit; an unmoved source's `D^f` is the launch. Those
+/// are the latch positions constraint (6) reads. Opens a `cut_timing`
+/// span.
+///
+/// # Panics
+/// Debug builds panic if `cut` is not valid ([`Cut::validate`]).
+pub fn cut_timing(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    cut: &Cut,
+) -> CutTiming {
+    let _span = retime_trace::span("cut_timing");
+    debug_assert!(cut.validate(cloud).is_ok(), "cut_timing needs a valid cut");
+    let arr = arrivals_with_cut(cloud, delays, clock, cut);
+    let launch = delays.launch();
+    timing_of(cloud, clock, cut, &arr, |v| {
+        if cut.is_moved(v) {
+            arr[v.index()].max()
+        } else {
+            launch
         }
+    })
+}
+
+/// The [`CutTiming`] of `cut` from its arrivals `arr`, with `df` giving
+/// the pure arrival `D^f` at each latch position.
+fn timing_of(
+    cloud: &CombCloud,
+    clock: &TwoPhaseClock,
+    cut: &Cut,
+    arr: &[DelayArc],
+    df: impl Fn(NodeId) -> f64,
+) -> CutTiming {
+    let pi = clock.period();
+    let pmax = clock.max_path_delay();
+    let sink_arrivals: Vec<f64> = cloud
+        .sinks()
+        .iter()
+        .map(|&t| arr[t.index()].max())
+        .collect();
+    let error_detecting: Vec<bool> = sink_arrivals.iter().map(|&a| a > pi + EPS).collect();
+    let capture_violations: Vec<NodeId> = cloud
+        .sinks()
+        .iter()
+        .copied()
+        .zip(&sink_arrivals)
+        .filter(|&(_, &a)| a > pmax + EPS)
+        .map(|(t, _)| t)
+        .collect();
+    // Constraint (6): data must reach every placed slave before it
+    // closes. The slave at node v sees the *pure* arrival at v
+    // (exactly one latch per path, and it is this one).
+    let close = clock.slave_close();
+    let setup_violations: Vec<NodeId> = cut
+        .latch_positions(cloud)
+        .into_iter()
+        .filter(|&v| df(v) > close + EPS)
+        .collect();
+    CutTiming {
+        sink_arrivals,
+        error_detecting,
+        setup_violations,
+        capture_violations,
     }
 }
 
@@ -461,15 +499,35 @@ z = NAND(g4, a)
     }
 
     #[test]
-    fn update_delays_refreshes_arrivals() {
-        let (n, clock) = setup(0.5);
+    fn delay_only_cut_timing_matches_the_analysis() {
+        // Cuts whose latch positions are moved gates, unmoved sources and
+        // both, under relaxed and tight clocks, so that constraint (6)
+        // both holds and fails.
+        let (n, _) = setup(0.5);
         let cloud = CombCloud::extract(&n).unwrap();
         let lib = Library::fdsoi28();
-        let mut sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
-        let t = cloud.sinks()[0];
-        let before = sta.df(t);
-        let g1 = cloud.find("g1").unwrap();
-        sta.update_delays(|d| d.scale_node(g1, 0.5));
-        assert!(sta.df(t) < before);
+        let mut cuts = vec![Cut::initial(&cloud)];
+        for moved in [&["a", "b", "g1"][..], &["a", "b", "g1", "g2", "g3"]] {
+            let mut cut = Cut::initial(&cloud);
+            for name in moved {
+                cut.set_moved(cloud.find(name).unwrap(), true);
+            }
+            cut.validate(&cloud).unwrap();
+            cuts.push(cut);
+        }
+        let mut setup_violated = false;
+        for p in [0.02, 0.1, 0.5] {
+            let clock = TwoPhaseClock::from_max_delay(p);
+            for model in [DelayModel::PathBased, DelayModel::GateBased] {
+                let sta = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
+                for cut in &cuts {
+                    let want = sta.cut_timing(cut);
+                    let got = cut_timing(&cloud, sta.delays(), &clock, cut);
+                    assert_eq!(got, want, "P = {p}, {model:?}");
+                    setup_violated |= !want.setup_violations.is_empty();
+                }
+            }
+        }
+        assert!(setup_violated, "some cut must violate constraint (6)");
     }
 }

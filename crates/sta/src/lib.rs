@@ -25,10 +25,10 @@
 //!   never depend on edit history or thread count.
 //! * **Tracing is observation-only.** Under `retime-trace`,
 //!   [`TimingAnalysis`] opens an `sta_full_pass` span around the forward
-//!   and backward passes of [`TimingAnalysis::with_delays`] and
-//!   [`TimingAnalysis::update_delays`], and a `cut_timing` span around
-//!   each [`TimingAnalysis::cut_timing`]; the timing math never branches
-//!   on the tracing state.
+//!   and backward passes of [`TimingAnalysis::with_delays`], and a
+//!   `cut_timing` span around each [`TimingAnalysis::cut_timing`] and
+//!   each delay-only [`cut_timing`]; the timing math never branches on
+//!   the tracing state.
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@ pub mod clock;
 pub mod forward;
 pub mod model;
 
-pub use analysis::{critical_delay, CutTiming, SinkClass, TimingAnalysis};
+pub use analysis::{critical_delay, cut_timing, CutTiming, SinkClass, TimingAnalysis};
 pub use backward::{backward_through_gate, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::relaunch;

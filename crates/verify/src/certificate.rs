@@ -470,7 +470,7 @@ pub fn verify_retiming_solution(
 /// the certified maximum. Runs in a `verify_optimality` span.
 fn certify_optimal(problem: &RetimingProblem, moved: &[bool]) -> Result<(), VerifyError> {
     let _span = retime_trace::span("verify_optimality");
-    let closure = retiming_closure(problem);
+    let mut closure = retiming_closure(problem);
     let cert = closure.solve_certified().map_err(internal)?;
     check_closure_certificate(&closure, &cert)?;
     let (w, labels) = (closure.weights(), problem.full_assignment_for(moved));

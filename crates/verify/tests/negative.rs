@@ -243,7 +243,7 @@ fn fig4_certified() -> (RetimingProblem, Closure, ClosureCertificate) {
     let (_, g) = classify_and_cut_set(&sta, &sta.backward(f.o9()));
     let mut problem = RetimingProblem::build(&f.cloud, &Regions::compute(&sta).unwrap());
     problem.add_pseudo_target(&g, 2 * BREADTH_SCALE);
-    let closure = retiming_closure(&problem);
+    let mut closure = retiming_closure(&problem);
     let cert = closure.solve_certified().expect("feasible");
     check_closure_certificate(&closure, &cert).expect("genuine certificate passes");
     (problem, closure, cert)

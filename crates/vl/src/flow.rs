@@ -284,9 +284,16 @@ fn vl_retime_impl<'a>(
     let area_model = AreaModel::new(lib, cfg.overhead);
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         // 5. Assemble; `assemble` types EDL by actual arrival.
-        let mut sta = basis.into_sta();
-        let outcome =
-            RetimeOutcome::assemble(&mut sta, &area_model, sol.cut, sol.solver_time, started)?;
+        let delays = basis.into_delays();
+        let outcome = RetimeOutcome::assemble(
+            cloud,
+            clock,
+            delays,
+            &area_model,
+            sol.cut,
+            sol.solver_time,
+            started,
+        )?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>(outcome)
     })?;

@@ -211,7 +211,7 @@ fn alternate_engines_full_flow() {
     let report = grar(&cloud, &lib, clock, &GrarConfig::new(c)).unwrap();
 
     let commit = |solve: &dyn Fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
-        let mut sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+        let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
         let mut problem = RetimingProblem::build(&cloud, &Regions::compute(&sta).unwrap());
         let sinks: Vec<NodeId> = cloud
             .sinks()
@@ -227,9 +227,18 @@ fn alternate_engines_full_flow() {
         }
         let sol = solve(&problem).unwrap();
         let model = AreaModel::new(&lib, c);
-        RetimeOutcome::assemble(&mut sta, &model, sol.cut, sol.solver_time, Instant::now())
-            .unwrap()
-            .total_area
+        let delays = sta.into_delays();
+        RetimeOutcome::assemble(
+            &cloud,
+            clock,
+            delays,
+            &model,
+            sol.cut,
+            sol.solver_time,
+            Instant::now(),
+        )
+        .unwrap()
+        .total_area
     };
     for total in [
         commit(&|p| p.solve()),
