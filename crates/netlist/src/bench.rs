@@ -14,7 +14,9 @@
 //! Forward references are allowed (a gate may use a net defined later),
 //! matching the official benchmark files.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::cell::{CellId, Gate};
 use crate::error::NetlistError;
@@ -37,18 +39,23 @@ use crate::netlist::Netlist;
 /// # }
 /// ```
 pub fn parse(name: &str, src: &str) -> Result<Netlist, NetlistError> {
-    enum Item {
-        Input(String),
-        Output(String),
+    /// One statement, its names borrowed from `src`.
+    enum Item<'a> {
+        Input(&'a str),
+        Output(&'a str),
+        /// A gate: its output net, its type, and its fan-in names as a
+        /// range of the shared `fanins` list.
         Gate {
-            out: String,
+            out: &'a str,
             gate: Gate,
-            ins: Vec<String>,
+            ins: Range<usize>,
         },
     }
-    let mut items: Vec<(usize, Item)> = Vec::new();
+    let statements = src.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut items: Vec<(usize, Item<'_>)> = Vec::with_capacity(statements);
+    let mut fanins: Vec<&str> = Vec::with_capacity(2 * statements);
     for (lineno, raw) in src.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
+        let line = raw.split_once('#').map_or(raw, |(code, _)| code).trim();
         if line.is_empty() {
             continue;
         }
@@ -58,11 +65,11 @@ pub fn parse(name: &str, src: &str) -> Result<Netlist, NetlistError> {
             message: m.to_string(),
         };
         if let Some(rest) = strip_call(line, "INPUT") {
-            items.push((lno, Item::Input(rest.trim().to_string())));
+            items.push((lno, Item::Input(rest.trim())));
         } else if let Some(rest) = strip_call(line, "OUTPUT") {
-            items.push((lno, Item::Output(rest.trim().to_string())));
+            items.push((lno, Item::Output(rest.trim())));
         } else if let Some(eq) = line.find('=') {
-            let out = line[..eq].trim().to_string();
+            let out = line[..eq].trim();
             let rhs = line[eq + 1..].trim();
             let open = rhs.find('(').ok_or_else(|| perr("missing `(` in gate"))?;
             if !rhs.ends_with(')') {
@@ -71,81 +78,78 @@ pub fn parse(name: &str, src: &str) -> Result<Netlist, NetlistError> {
             let gname = rhs[..open].trim();
             let gate = Gate::from_bench_name(gname)
                 .ok_or_else(|| perr(&format!("unknown gate type `{gname}`")))?;
-            let ins: Vec<String> = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
+            let first = fanins.len();
+            fanins.extend(
+                rhs[open + 1..rhs.len() - 1]
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty()),
+            );
             if out.is_empty() {
                 return Err(perr("empty output net name"));
             }
+            let ins = first..fanins.len();
             items.push((lno, Item::Gate { out, gate, ins }));
         } else {
             return Err(perr("unrecognized statement"));
         }
     }
 
-    // Two-pass construction to support forward references.
-    let mut n = Netlist::new(name);
-    let mut ids: HashMap<String, CellId> = HashMap::new();
-    for (lno, item) in &items {
-        match item {
-            Item::Input(net) => {
-                if ids.contains_key(net) {
-                    return Err(NetlistError::Parse {
-                        line: *lno,
-                        message: format!("net `{net}` defined twice"),
-                    });
-                }
-                ids.insert(net.clone(), n.add_input(net.clone()));
-            }
-            Item::Gate { out, gate, ins } => {
-                if ids.contains_key(out) {
-                    return Err(NetlistError::Parse {
-                        line: *lno,
-                        message: format!("net `{out}` defined twice"),
-                    });
-                }
-                // Placeholder fanin filled in the second pass; arity is
-                // checked now against the declared input count.
+    // Bind every net before resolving any fan-in, so forward references
+    // read. Gates get placeholder fan-ins of the declared width here.
+    let mut n = Netlist::with_capacity(name, items.len());
+    let mut ids: HashMap<&str, CellId> = HashMap::with_capacity(items.len());
+    let mut gate_ids: Vec<CellId> = Vec::with_capacity(items.len());
+    let mut placeholder: Vec<CellId> = Vec::new();
+    for &(lno, ref item) in &items {
+        let (net, slot) = match *item {
+            Item::Input(net) | Item::Gate { out: net, .. } => (net, ids.entry(net)),
+            Item::Output(_) => continue,
+        };
+        let Entry::Vacant(slot) = slot else {
+            return Err(NetlistError::Parse {
+                line: lno,
+                message: format!("net `{net}` defined twice"),
+            });
+        };
+        let id = match *item {
+            Item::Gate { gate, ref ins, .. } => {
                 let (lo, hi) = gate.arity();
                 if ins.len() < lo || ins.len() > hi {
                     return Err(NetlistError::BadArity {
-                        cell: out.clone(),
+                        cell: net.to_string(),
                         got: ins.len(),
                     });
                 }
-                let id = n.add_gate(out.clone(), *gate, &vec![CellId(0); ins.len()])?;
-                ids.insert(out.clone(), id);
+                placeholder.resize(placeholder.len().max(ins.len()), CellId(0));
+                let id = n.add_gate(net, gate, &placeholder[..ins.len()])?;
+                gate_ids.push(id);
+                id
             }
-            Item::Output(_) => {}
-        }
+            _ => n.add_input(net),
+        };
+        slot.insert(id);
     }
-    // Resolve fanins and outputs.
-    let mut gate_idx = 0usize;
-    for (_lno, item) in &items {
-        if let Item::Gate { out, ins, .. } = item {
-            let _ = gate_idx;
-            gate_idx += 1;
-            let id = ids[out];
-            let resolved: Result<Vec<CellId>, NetlistError> = ins
-                .iter()
-                .map(|net| {
-                    ids.get(net)
-                        .copied()
-                        .ok_or_else(|| NetlistError::UnknownName(net.clone()))
-                })
-                .collect();
-            set_fanin(&mut n, id, resolved?);
+    // Resolve fan-ins, in statement and pin order, then outputs.
+    let gates = items.iter().filter_map(|(_, item)| match item {
+        Item::Gate { ins, .. } => Some(ins),
+        _ => None,
+    });
+    for (&id, ins) in gate_ids.iter().zip(gates) {
+        for (pin, &net) in n.fanin_mut(id).iter_mut().zip(&fanins[ins.clone()]) {
+            *pin = ids
+                .get(net)
+                .copied()
+                .ok_or_else(|| NetlistError::UnknownName(net.to_string()))?;
         }
     }
     let mut po_no = 0usize;
-    for (_lno, item) in &items {
-        if let Item::Output(net) = item {
+    for (_, item) in &items {
+        if let Item::Output(net) = *item {
             let drv = ids
                 .get(net)
                 .copied()
-                .ok_or_else(|| NetlistError::UnknownName(net.clone()))?;
+                .ok_or_else(|| NetlistError::UnknownName(net.to_string()))?;
             // Ordinal suffix: the same net may legitimately be observed by
             // several outputs.
             n.add_output(format!("{net}__po{po_no}"), drv)?;
@@ -156,20 +160,14 @@ pub fn parse(name: &str, src: &str) -> Result<Netlist, NetlistError> {
     Ok(n)
 }
 
+/// `rest` of a `KW(rest)` statement, with the keyword matched
+/// case-insensitively in place.
 fn strip_call<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
-    let upper = line.to_ascii_uppercase();
-    if upper.starts_with(kw) {
-        let rest = line[kw.len()..].trim();
-        rest.strip_prefix('(')?.strip_suffix(')')
-    } else {
-        None
+    let head = line.get(..kw.len())?;
+    if !head.eq_ignore_ascii_case(kw) {
+        return None;
     }
-}
-
-// Netlist keeps fanin private; this helper lives here via a crate-internal
-// accessor implemented on Netlist.
-fn set_fanin(n: &mut Netlist, id: CellId, fanin: Vec<CellId>) {
-    n.set_fanin_internal(id, fanin);
+    line[kw.len()..].trim().strip_prefix('(')?.strip_suffix(')')
 }
 
 /// Writes a netlist in `.bench` syntax.

@@ -54,6 +54,17 @@ impl Netlist {
         }
     }
 
+    /// Creates an empty netlist with room for `cells` cells.
+    pub fn with_capacity(name: impl Into<String>, cells: usize) -> Self {
+        Netlist {
+            name: name.into(),
+            cells: Vec::with_capacity(cells),
+            by_name: HashMap::with_capacity(cells),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
     /// The design name.
     pub fn name(&self) -> &str {
         &self.name
@@ -175,6 +186,13 @@ impl Netlist {
     /// must resolve forward references after all cells exist).
     pub(crate) fn set_fanin_internal(&mut self, id: CellId, fanin: Vec<CellId>) {
         self.cells[id.index()].fanin = fanin;
+    }
+
+    /// A cell's fanin pins, to fill in place (crate-internal; the
+    /// `.bench` reader resolves forward references into the
+    /// placeholders it added the gate with).
+    pub(crate) fn fanin_mut(&mut self, id: CellId) -> &mut [CellId] {
+        &mut self.cells[id.index()].fanin
     }
 
     /// Replaces a cell's entire fanin list, checking arity.

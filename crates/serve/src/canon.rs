@@ -8,63 +8,108 @@
 //! Fan-in order inside a gate is semantic (it is pin order) and is
 //! preserved.
 //!
-//! The cache key is a SHA-256 over a versioned preamble — library name,
-//! flow, EDL overhead bits, clock bits, delay model, verify switch, and
-//! (since v2) the edge-triggered → two-phase `convert` switch —
-//! followed by the canonical netlist text. Float parameters contribute
-//! their exact IEEE-754 bits, so "c = 1.0" and "c = 1.0000001" never
-//! alias.
+//! The cache key (v3) is a SHA-256 over a versioned preamble — library
+//! name, the circuit's origin (suite or inline), flow, EDL overhead
+//! bits, the clock as [`KeyClock`] names it, delay model, verify switch,
+//! and the edge-triggered → two-phase `convert` switch — followed by the
+//! canonical text of the *submitted* circuit, before any conversion. Float parameters contribute their
+//! exact IEEE-754 bits, so "c = 1.0" and "c = 1.0000001" never alias.
+//! Everything the key hashes is known after one parse of the
+//! submission, so a cache hit costs that parse, [`canonical_bench`] and
+//! the hash; the clock derivation and the conversion run on a miss only.
+
+use std::cmp::Ordering;
 
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::Netlist;
+use retime_netlist::{Cell, CellId, Netlist};
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::FlowKind;
 
-use crate::hash::sha256_hex;
+use crate::hash::{sha256_hex, Sha256};
 
 /// Canonical `.bench` form of a netlist: `INPUT` lines sorted by name,
 /// `OUTPUT` lines sorted by driver name, gate/latch statements sorted by
-/// output name; whitespace and comments normalized away. Parsing the
-/// canonical text reproduces the same canonical text.
+/// their text (which starts with the output name); whitespace and
+/// comments normalized away. Parsing the canonical text reproduces the
+/// same canonical text.
 pub fn canonical_bench(n: &Netlist) -> String {
-    let mut inputs: Vec<&str> = n
-        .inputs()
-        .iter()
-        .map(|&i| n.cell(i).name.as_str())
-        .collect();
+    let name = |id: CellId| n.cell(id).name.as_str();
+    let mut inputs: Vec<&str> = n.inputs().iter().map(|&i| name(i)).collect();
     inputs.sort_unstable();
-
     let mut outputs: Vec<&str> = n
         .outputs()
         .iter()
-        .map(|&o| n.cell(n.cell(o).fanin[0]).name.as_str())
+        .map(|&o| name(n.cell(o).fanin[0]))
         .collect();
     outputs.sort_unstable();
-
-    let mut gates: Vec<String> = n
+    let mut gates: Vec<(&Cell, &str)> = n
         .cells()
         .iter()
-        .filter_map(|c| {
-            c.gate.bench_name().map(|kw| {
-                let ins: Vec<&str> = c.fanin.iter().map(|&f| n.cell(f).name.as_str()).collect();
-                format!("{} = {}({})", c.name, kw, ins.join(", "))
-            })
-        })
+        .filter_map(|c| c.gate.bench_name().map(|kw| (c, kw)))
         .collect();
-    gates.sort_unstable();
+    gates.sort_unstable_by(|&a, &b| cmp_gate_lines(n, a, b));
 
-    let mut out = String::new();
+    let pins = |c: &Cell| -> usize {
+        c.fanin.iter().map(|&f| n.cell(f).name.len()).sum::<usize>()
+            + 2 * c.fanin.len().saturating_sub(1)
+    };
+    let len = inputs.iter().map(|i| i.len() + 8).sum::<usize>()
+        + outputs.iter().map(|o| o.len() + 9).sum::<usize>()
+        + gates
+            .iter()
+            .map(|&(c, kw)| c.name.len() + kw.len() + pins(c) + 6)
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
     for name in inputs {
-        out.push_str(&format!("INPUT({name})\n"));
+        out.push_str("INPUT(");
+        out.push_str(name);
+        out.push_str(")\n");
     }
     for name in outputs {
-        out.push_str(&format!("OUTPUT({name})\n"));
+        out.push_str("OUTPUT(");
+        out.push_str(name);
+        out.push_str(")\n");
     }
-    for line in gates {
-        out.push_str(&line);
-        out.push('\n');
+    for (c, kw) in gates {
+        out.push_str(&c.name);
+        out.push_str(" = ");
+        out.push_str(kw);
+        out.push('(');
+        for (i, &f) in c.fanin.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&n.cell(f).name);
+        }
+        out.push_str(")\n");
     }
     out
+}
+
+/// Orders two gates as their statement lines `name = KW(a, b)` sort.
+/// Names that differ within the shorter one decide alone; when one name
+/// prefixes the other, the lines are compared byte by byte.
+fn cmp_gate_lines(n: &Netlist, (a, ka): (&Cell, &str), (b, kb): (&Cell, &str)) -> Ordering {
+    let common = a.name.len().min(b.name.len());
+    match a.name.as_bytes()[..common].cmp(&b.name.as_bytes()[..common]) {
+        Ordering::Equal => gate_line_bytes(n, a, ka).cmp(gate_line_bytes(n, b, kb)),
+        decided => decided,
+    }
+}
+
+/// The bytes of a gate's canonical statement, without its newline.
+fn gate_line_bytes<'a>(n: &'a Netlist, c: &'a Cell, kw: &'a str) -> impl Iterator<Item = u8> + 'a {
+    let pins = c.fanin.iter().enumerate().flat_map(move |(i, &f)| {
+        let sep: &[u8] = if i == 0 { b"" } else { b", " };
+        sep.iter().chain(n.cell(f).name.as_bytes()).copied()
+    });
+    c.name
+        .bytes()
+        .chain(*b" = ")
+        .chain(kw.bytes())
+        .chain(*b"(")
+        .chain(pins)
+        .chain(*b")")
 }
 
 /// Everything besides the circuit that determines a job's result.
@@ -85,31 +130,104 @@ pub struct KeyConfig {
     pub convert: bool,
 }
 
-/// Content-addressed cache key: SHA-256 (hex) over the canonicalized
-/// netlist, the library identity, and every field of the flow
-/// configuration. `KeyConfig` is destructured without `..`, so a field
-/// added to it fails to compile here until it is hashed.
-pub fn cache_key(canonical_netlist: &str, lib: &Library, cfg: &KeyConfig) -> String {
-    let KeyConfig {
+/// How a cache key names a job's clock.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KeyClock {
+    /// The clock `relaxed_clock` derives from the keyed text: a pure
+    /// function of the canonical text and the library, so the key names
+    /// it (`derived`) instead of hashing its bits, and can be computed
+    /// before the clock is.
+    Derived,
+    /// A clock fixed apart from the text — a submitted override, or a
+    /// suite circuit's calibrated clock, which its text does not
+    /// determine — keyed by its exact bits.
+    Fixed(TwoPhaseClock),
+}
+
+/// What a cache key hashes besides the canonical text: the fields of a
+/// [`KeyConfig`], with the clock as [`KeyClock`] names it, and where the
+/// circuit came from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyMaterial {
+    /// Whether the circuit is a suite build. A suite job runs on the
+    /// generator's netlist, not on a re-parse of its canonical text, so
+    /// its results differ from those of an inline submission of the
+    /// same text even under the same clock.
+    pub suite: bool,
+    /// Which flow runs.
+    pub flow: FlowKind,
+    /// EDL area overhead `c`.
+    pub overhead: EdlOverhead,
+    /// The clock, as the key names it.
+    pub clock: KeyClock,
+    /// Delay model driving the optimization.
+    pub model: DelayModel,
+    /// Whether the job routes through certification.
+    pub verify: bool,
+    /// Whether the keyed text is converted before the flow runs.
+    pub convert: bool,
+}
+
+impl From<&KeyConfig> for KeyMaterial {
+    /// A config for inline text, keyed with its clock's exact bits.
+    fn from(cfg: &KeyConfig) -> KeyMaterial {
+        KeyMaterial {
+            suite: false,
+            flow: cfg.flow,
+            overhead: cfg.overhead,
+            clock: KeyClock::Fixed(cfg.clock),
+            model: cfg.model,
+            verify: cfg.verify,
+            convert: cfg.convert,
+        }
+    }
+}
+
+/// Content-addressed cache key (v3): SHA-256 (hex) over a versioned
+/// preamble — the library identity, the circuit's origin (suite or
+/// inline) and every other field of the key material — followed by `canonical_source`, the canonical text of the submitted
+/// circuit (before conversion; `convert` is in the preamble). The
+/// preamble and the text stream into the hash; neither is copied.
+/// `KeyMaterial` is destructured without `..`, so a field added to it
+/// fails to compile here until it is hashed.
+///
+/// A [`KeyClock::Derived`] clock is named, not hashed: a key promises
+/// that the clock derivation (`retime_circuits::relaxed_clock`) gives
+/// the same bits it gave when the entry was stored. A change to clock
+/// derivation therefore needs a bump of the key version, as any change
+/// to the flows' results does for persisted entries.
+///
+/// Keys from older versions never equal a v3 key (the version is the
+/// first line of the material), so v2 entries left in a cache directory
+/// are misses, never wrong hits.
+pub fn cache_key(canonical_source: &str, lib: &Library, key: impl Into<KeyMaterial>) -> String {
+    let KeyMaterial {
+        suite,
         flow,
         overhead,
         clock,
         model,
         verify,
         convert,
-    } = cfg;
-    let material = format!(
-        "retime-serve-key-v2\nlib:{}\nflow:{}\nc:{:016x}\nclock:{:016x}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n{}",
+    } = key.into();
+    let clock = match clock {
+        KeyClock::Derived => "derived".to_string(),
+        KeyClock::Fixed(clock) => format!("{:016x}", clock.max_path_delay().to_bits()),
+    };
+    let preamble = format!(
+        "retime-serve-key-v3\nlib:{}\ncircuit:{}\nflow:{}\nc:{:016x}\nclock:{clock}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n",
         lib.name(),
+        if suite { "suite" } else { "inline" },
         flow.name(),
         overhead.value().to_bits(),
-        clock.max_path_delay().to_bits(),
         model,
         verify,
         convert,
-        canonical_netlist,
     );
-    sha256_hex(material.as_bytes())
+    Sha256::new()
+        .update(preamble.as_bytes())
+        .update(canonical_source.as_bytes())
+        .finish_hex()
 }
 
 /// Warm-slot key: the *structural* part of [`cache_key`]. Jobs that
@@ -188,6 +306,117 @@ z = BUFF(g2)
             &bench::parse("x", "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(b, a)\n").unwrap(),
         );
         assert_ne!(ab, ba);
+    }
+
+    /// The canonical form as it was first written: one `format!`ed line
+    /// per gate, the lines sorted as strings and joined.
+    fn reference_canonical(n: &Netlist) -> String {
+        let mut inputs: Vec<&str> = n
+            .inputs()
+            .iter()
+            .map(|&i| n.cell(i).name.as_str())
+            .collect();
+        inputs.sort_unstable();
+        let mut outputs: Vec<&str> = n
+            .outputs()
+            .iter()
+            .map(|&o| n.cell(n.cell(o).fanin[0]).name.as_str())
+            .collect();
+        outputs.sort_unstable();
+        let mut gates: Vec<String> = n
+            .cells()
+            .iter()
+            .filter_map(|c| {
+                c.gate.bench_name().map(|kw| {
+                    let ins: Vec<&str> = c.fanin.iter().map(|&f| n.cell(f).name.as_str()).collect();
+                    format!("{} = {}({})", c.name, kw, ins.join(", "))
+                })
+            })
+            .collect();
+        gates.sort_unstable();
+        let mut out = String::new();
+        for name in inputs {
+            out.push_str(&format!("INPUT({name})\n"));
+        }
+        for name in outputs {
+            out.push_str(&format!("OUTPUT({name})\n"));
+        }
+        for line in gates {
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn canonical_form_is_the_sorted_statement_text() {
+        let canon = canonical_bench(&bench::parse("x", MESSY).unwrap());
+        assert_eq!(canon, TIDY);
+        assert_eq!(canon.len(), canon.capacity(), "pre-sized exactly");
+    }
+
+    /// Names where one prefixes another sort by their whole statement
+    /// text, as the line-sorting form did: `g1 ! = …` sorts before
+    /// `g1 = …` because `!` < `=`.
+    #[test]
+    fn prefix_names_sort_by_statement_text() {
+        let src = "INPUT(a)\nOUTPUT(g1)\ng1 = NOT(a)\ng1 ! = BUFF(g1)\n\
+                   g1\t2 = AND(g1, a)\ng10 = OR(a, g)\ng = XOR(a, g1)\nq = DFF(g1 !)\n";
+        let n = bench::parse("x", src).unwrap();
+        let canon = canonical_bench(&n);
+        assert_eq!(canon, reference_canonical(&n));
+        assert!(canon.find("g1 ! = ").unwrap() < canon.find("g1 = ").unwrap());
+    }
+
+    #[test]
+    fn canonical_form_matches_the_line_sorting_form_on_the_suite() {
+        for spec in retime_circuits::paper_suite().iter().take(6) {
+            let circuit = spec.build().unwrap();
+            for n in [
+                &circuit.netlist,
+                &circuit.netlist.to_master_slave().unwrap(),
+            ] {
+                assert_eq!(canonical_bench(n), reference_canonical(n), "{}", spec.name);
+            }
+        }
+    }
+
+    /// A v3 key names a derived clock; it never equals the key of the
+    /// same job with the derived clock's bits, nor the v2 key.
+    #[test]
+    fn derived_clock_keys_apart_from_any_fixed_clock() {
+        let lib = Library::fdsoi28();
+        let canon = canonical_bench(&bench::parse("x", TIDY).unwrap());
+        let cfg = KeyConfig {
+            flow: FlowKind::Grar,
+            overhead: EdlOverhead::MEDIUM,
+            clock: TwoPhaseClock::from_max_delay(10.0),
+            model: DelayModel::PathBased,
+            verify: false,
+            convert: false,
+        };
+        let fixed = cache_key(&canon, &lib, &cfg);
+        let derived = cache_key(
+            &canon,
+            &lib,
+            KeyMaterial {
+                clock: KeyClock::Derived,
+                ..KeyMaterial::from(&cfg)
+            },
+        );
+        assert_ne!(fixed, derived);
+        let v2 = sha256_hex(
+            format!(
+                "retime-serve-key-v2\nlib:{}\nflow:grar\nc:{:016x}\nclock:{:016x}\nmodel:{:?}\nverify:false\nconvert:false\n--\n{canon}",
+                lib.name(),
+                cfg.overhead.value().to_bits(),
+                cfg.clock.max_path_delay().to_bits(),
+                cfg.model,
+            )
+            .as_bytes(),
+        );
+        assert_ne!(fixed, v2);
+        assert_ne!(derived, v2);
     }
 
     #[test]

@@ -13,71 +13,149 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Incremental SHA-256: feed the message in any number of pieces with
+/// [`Sha256::update`], then [`Sha256::finish`]. The digest depends only
+/// on the concatenated bytes, never on how they were split, so a key can
+/// stream its preamble and its text without first copying them into one
+/// buffer.
+#[derive(Debug, Clone)]
+pub struct Sha256 {
+    h: [u32; 8],
+    /// Bytes of a partial block not yet compressed.
+    block: [u8; 64],
+    filled: usize,
+    /// Total message length in bytes.
+    len: u64,
+}
+
+impl Default for Sha256 {
+    fn default() -> Sha256 {
+        Sha256::new()
+    }
+}
+
+impl Sha256 {
+    /// A hasher over the empty message.
+    pub fn new() -> Sha256 {
+        Sha256 {
+            h: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            block: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the message.
+    pub fn update(&mut self, mut data: &[u8]) -> &mut Sha256 {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = data.len().min(64 - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return self;
+            }
+            let block = self.block;
+            compress(&mut self.h, &block);
+            self.filled = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block.try_into().expect("64-byte block"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+        self
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> [u8; 32] {
+        // Padding: 0x80, zeros, 64-bit big-endian bit length.
+        let mut h = self.h;
+        let mut tail = [0u8; 128];
+        tail[..self.filled].copy_from_slice(&self.block[..self.filled]);
+        tail[self.filled] = 0x80;
+        let end = if self.filled < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        for block in tail[..end].chunks_exact(64) {
+            compress(&mut h, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// [`Sha256::finish`] in lower hex.
+    pub fn finish_hex(&self) -> String {
+        hex(&self.finish())
+    }
+}
+
+/// One SHA-256 compression round of `block` into the state `h`.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (t, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().unwrap());
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for t in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *slot = slot.wrapping_add(v);
+    }
+}
+
 /// SHA-256 digest of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
+    Sha256::new().update(data).finish()
+}
 
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut message = data.to_vec();
-    message.push(0x80);
-    while message.len() % 64 != 56 {
-        message.push(0);
-    }
-    message.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for block in message.chunks_exact(64) {
-        for (t, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().unwrap());
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for t in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
-    }
-
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+fn hex(digest: &[u8; 32]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(64);
+    for &b in digest {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
 
 /// Lower-hex SHA-256 digest of `data`.
 pub fn sha256_hex(data: &[u8]) -> String {
-    sha256(data).iter().map(|b| format!("{b:02x}")).collect()
+    hex(&sha256(data))
 }
 
 #[cfg(test)]
@@ -98,6 +176,25 @@ mod tests {
             sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    /// Any split of the message into pieces gives the one-shot digest,
+    /// across the 55/56/64-byte padding edges.
+    #[test]
+    fn streamed_pieces_match_one_shot() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 300] {
+            let whole = sha256(&data[..len]);
+            for split in [0, 1, 3, 55, 64, 100] {
+                let split = split.min(len);
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                for piece in data[split..len].chunks(13) {
+                    h.update(piece);
+                }
+                assert_eq!(h.finish(), whole, "len {len}, split {split}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Job specification, circuit resolution, and flow execution.
 //!
 //! A submitted job names a circuit (suite name or inline `.bench` text),
-//! a flow, an overhead, and options. Resolution turns that into a built
-//! circuit with a clock and a canonical netlist text; execution runs the
-//! named flow through the same entry points the table binaries use and
-//! renders the deterministic result payload the cache stores.
+//! a flow, an overhead, and options. Resolution runs in two steps. The
+//! key step reads inline text once into its canonical form
+//! ([`read_inline`]), which with the options is all the cache key needs
+//! ([`inline_key`]). The build step — the canonical re-parse, the cloud,
+//! the derived clock, and the optional conversion ([`build_inline`],
+//! [`build_suite`]) — runs only when the key misses the cache.
+//! [`resolve_spec`] runs both, as the daemon does on a miss. Execution
+//! runs the named flow through the same entry points the table binaries
+//! use and renders the deterministic result payload the cache stores.
 
 use retime_bench::{build_case, Certification};
 use retime_circuits::paper_suite;
@@ -17,7 +22,7 @@ use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
 
-use crate::canon::{cache_key, canonical_bench, KeyConfig};
+use crate::canon::{cache_key, canonical_bench, KeyClock, KeyConfig, KeyMaterial};
 use crate::hash::sha256_hex;
 use crate::json::{obj, Json};
 
@@ -191,7 +196,7 @@ impl JobSpec {
 }
 
 /// A resolved circuit: built netlist, retiming view, default clock, and
-/// canonical text (the cache-key input).
+/// canonical texts.
 #[derive(Debug)]
 pub struct ResolvedCircuit {
     /// Display name.
@@ -202,105 +207,231 @@ pub struct ResolvedCircuit {
     pub cloud: CombCloud,
     /// Calibrated (suite) or derived (inline) clock.
     pub clock: TwoPhaseClock,
-    /// Canonical `.bench` text.
+    /// Canonical `.bench` text of the circuit the flow runs on: the
+    /// converted circuit when the job converts (the warm-slot key input).
+    pub canonical: String,
+    /// Canonical `.bench` text of the submitted circuit, before any
+    /// conversion (the cache-key input).
+    pub source_canonical: String,
+}
+
+/// The key step's product for an inline submission: its text read once
+/// and canonicalized. It is everything the cache key hashes of the
+/// circuit, and all [`build_inline`] needs to build it.
+#[derive(Debug, Clone)]
+pub struct InlineSource {
+    /// Display name.
+    pub name: String,
+    /// Canonical `.bench` text of the submitted circuit.
     pub canonical: String,
 }
 
-/// Resolves a [`CircuitRef`]: suite names build and calibrate the
-/// matching Table I circuit (exactly like the table binaries); inline
-/// text is parsed, canonicalized, and **re-parsed from its canonical
-/// form**, so the flow result depends only on the cache key, never on
-/// the submitted statement order.
+/// Key step for inline text: one parse (`.bench`, or EDIF through
+/// `retime-convert`'s parser), then [`canonical_bench`]. Opens `parse`
+/// and `canonicalize` spans.
+///
+/// # Errors
+/// Returns the parser's diagnosis.
+pub fn read_inline(name: &str, text: &str, format: InputFormat) -> Result<InlineSource, String> {
+    let parsed = {
+        let _parse = retime_trace::span("parse");
+        match format {
+            InputFormat::Bench => {
+                bench::parse(name, text).map_err(|e| format!("netlist parse error: {e}"))?
+            }
+            InputFormat::Edif => {
+                retime_convert::edif::parse(text).map_err(|e| format!("EDIF parse error: {e}"))?
+            }
+        }
+    };
+    let _canonicalize = retime_trace::span("canonicalize");
+    Ok(InlineSource {
+        name: name.to_string(),
+        canonical: canonical_bench(&parsed),
+    })
+}
+
+/// Build step for inline text, run on a cache miss only: **re-parse the
+/// canonical text**, so the flow result depends only on the cache key —
+/// never on the submitted statement order, and never on which format
+/// (`.bench` or EDIF) carried the circuit in — then extract the cloud,
+/// derive the clock, and, with `convert`, convert. Opens a `build` span
+/// holding `parse`, `extract`, `clock` and the conversion's `convert`.
+///
+/// # Errors
+/// Returns a one-line diagnosis for re-parse, extraction, clock
+/// derivation, or conversion failures, in that order.
+pub fn build_inline(
+    source: InlineSource,
+    convert: bool,
+    lib: &Library,
+) -> Result<ResolvedCircuit, String> {
+    let _build = retime_trace::span("build");
+    let netlist = {
+        let _parse = retime_trace::span("parse");
+        bench::parse(&source.name, &source.canonical)
+            .map_err(|e| format!("canonical re-parse error: {e}"))?
+    };
+    let cloud = {
+        let _extract = retime_trace::span("extract");
+        CombCloud::extract(&netlist).map_err(|e| format!("cloud extraction: {e}"))?
+    };
+    let clock = {
+        let _clock = retime_trace::span("clock");
+        retime_circuits::relaxed_clock(&cloud, lib).map_err(|e| format!("clock derivation: {e}"))?
+    };
+    let InlineSource { name, canonical } = source;
+    finish_build(name, netlist, cloud, clock, canonical, convert, lib)
+}
+
+/// Build step for a suite circuit: build and calibrate the matching
+/// Table I circuit exactly like the table binaries, then convert it
+/// when asked. Opens a `build` span.
+///
+/// # Errors
+/// Returns a one-line diagnosis for an unknown name or a failed
+/// conversion.
+pub fn build_suite(name: &str, convert: bool, lib: &Library) -> Result<ResolvedCircuit, String> {
+    let spec = paper_suite()
+        .into_iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| format!("unknown suite circuit {name:?}"))?;
+    let _build = retime_trace::span("build");
+    let case = build_case(&spec, lib);
+    let canonical = canonical_bench(&case.circuit.netlist);
+    finish_build(
+        name.to_string(),
+        case.circuit.netlist,
+        case.circuit.cloud,
+        case.clock,
+        canonical,
+        convert,
+        lib,
+    )
+}
+
+/// Shared tail of the build steps: with `convert`, split the
+/// edge-triggered circuit into a two-phase master/slave circuit under
+/// its own clock (equivalence-proven by simulation); the result keeps
+/// the source's canonical text as its cache-key input.
+fn finish_build(
+    name: String,
+    netlist: Netlist,
+    cloud: CombCloud,
+    clock: TwoPhaseClock,
+    source_canonical: String,
+    convert: bool,
+    lib: &Library,
+) -> Result<ResolvedCircuit, String> {
+    if !convert {
+        return Ok(ResolvedCircuit {
+            name,
+            netlist,
+            cloud,
+            clock,
+            canonical: source_canonical.clone(),
+            source_canonical,
+        });
+    }
+    let cfg = ConvertConfig {
+        clock: Some(clock),
+        ..ConvertConfig::default()
+    };
+    let conv = retime_convert::convert(&netlist, lib, &cfg)
+        .map_err(|e| format!("conversion failed: {e}"))?;
+    Ok(ResolvedCircuit {
+        name,
+        canonical: canonical_bench(&conv.netlist),
+        netlist: conv.netlist,
+        cloud: conv.cloud,
+        clock: conv.clock,
+        source_canonical,
+    })
+}
+
+/// Resolves a [`CircuitRef`] read as `.bench` and left unconverted:
+/// [`resolve_spec`] without the spec's options.
 ///
 /// # Errors
 /// Returns a one-line diagnosis for unknown suite names, parse errors,
 /// or STA failures while deriving a clock.
 pub fn resolve_circuit(circuit: &CircuitRef, lib: &Library) -> Result<ResolvedCircuit, String> {
-    match circuit {
-        CircuitRef::Suite(name) => {
-            let spec = paper_suite()
-                .into_iter()
-                .find(|s| s.name == name.as_str())
-                .ok_or_else(|| format!("unknown suite circuit {name:?}"))?;
-            let case = build_case(&spec, lib);
-            let canonical = canonical_bench(&case.circuit.netlist);
-            Ok(ResolvedCircuit {
-                name: name.clone(),
-                netlist: case.circuit.netlist,
-                cloud: case.circuit.cloud,
-                clock: case.clock,
-                canonical,
-            })
-        }
-        CircuitRef::Inline { name, text } => {
-            let parsed =
-                bench::parse(name, text).map_err(|e| format!("netlist parse error: {e}"))?;
-            resolve_parsed(name, &parsed, lib)
-        }
-    }
+    resolve(circuit, InputFormat::Bench, false, lib)
 }
 
-/// Shared inline tail: canonicalize a parsed netlist and **re-parse it
-/// from its canonical form**, so the flow result depends only on the
-/// cache key — never on the submitted statement order, and never on
-/// which format (`.bench` or EDIF) carried the circuit in. An EDIF
-/// submission and a `.bench` submission of the same circuit land on the
-/// same canonical text and therefore the same cache entry.
-fn resolve_parsed(name: &str, parsed: &Netlist, lib: &Library) -> Result<ResolvedCircuit, String> {
-    let canonical = canonical_bench(parsed);
-    let netlist =
-        bench::parse(name, &canonical).map_err(|e| format!("canonical re-parse error: {e}"))?;
-    let cloud = CombCloud::extract(&netlist).map_err(|e| format!("cloud extraction: {e}"))?;
-    let clock = retime_circuits::relaxed_clock(&cloud, lib)
-        .map_err(|e| format!("clock derivation: {e}"))?;
-    Ok(ResolvedCircuit {
-        name: name.to_string(),
-        netlist,
-        cloud,
-        clock,
-        canonical,
-    })
-}
-
-/// Resolves a full submission: [`resolve_circuit`] extended with the
-/// spec's input `format` (EDIF inline text goes through
-/// `retime-convert`'s parser) and its `convert` switch (the resolved
-/// edge-triggered circuit is split into a two-phase master/slave
-/// circuit before the flow sees it, equivalence-proven by simulation).
-/// The returned canonical text is of the circuit the flow actually runs
-/// on, so converted and unconverted submissions of the same source can
-/// never alias a cache entry even before [`KeyConfig::convert`]
-/// separates their keys.
+/// Resolves a full submission the way the daemon does on a cache miss:
+/// the key step ([`read_inline`]) and then the build step
+/// ([`build_inline`]) for inline text, or [`build_suite`] for a suite
+/// name. The spec's `format` picks the inline parser, and its `convert`
+/// switch splits the circuit into a two-phase master/slave circuit
+/// before the flow sees it. [`prepare`] on the result gives the
+/// daemon's cache key.
 ///
 /// # Errors
 /// Returns a one-line diagnosis for parse, conversion, equivalence, or
 /// STA failures.
 pub fn resolve_spec(spec: &JobSpec, lib: &Library) -> Result<ResolvedCircuit, String> {
-    let base = match (&spec.circuit, spec.format) {
-        (CircuitRef::Inline { name, text }, InputFormat::Edif) => {
-            let parsed =
-                retime_convert::edif::parse(text).map_err(|e| format!("EDIF parse error: {e}"))?;
-            resolve_parsed(name, &parsed, lib)?
+    resolve(&spec.circuit, spec.format, spec.convert, lib)
+}
+
+fn resolve(
+    circuit: &CircuitRef,
+    format: InputFormat,
+    convert: bool,
+    lib: &Library,
+) -> Result<ResolvedCircuit, String> {
+    match circuit {
+        CircuitRef::Suite(name) => build_suite(name, convert, lib),
+        CircuitRef::Inline { name, text } => {
+            build_inline(read_inline(name, text, format)?, convert, lib)
         }
-        _ => resolve_circuit(&spec.circuit, lib)?,
-    };
-    if !spec.convert {
-        return Ok(base);
     }
-    let cfg = ConvertConfig {
-        clock: Some(base.clock),
-        ..ConvertConfig::default()
-    };
-    let conv = retime_convert::convert(&base.netlist, lib, &cfg)
-        .map_err(|e| format!("conversion failed: {e}"))?;
-    let canonical = canonical_bench(&conv.netlist);
-    Ok(ResolvedCircuit {
-        name: base.name,
-        netlist: conv.netlist,
-        cloud: conv.cloud,
-        clock: conv.clock,
-        canonical,
-    })
+}
+
+impl JobSpec {
+    /// The flow configuration this spec runs under on a circuit whose
+    /// own (calibrated or derived) clock is `circuit_clock`.
+    pub fn key_config(&self, circuit_clock: TwoPhaseClock) -> KeyConfig {
+        KeyConfig {
+            flow: self.flow,
+            overhead: self.overhead,
+            clock: self
+                .clock
+                .map_or(circuit_clock, TwoPhaseClock::from_max_delay),
+            model: self.model,
+            verify: self.verify,
+            convert: self.convert,
+        }
+    }
+
+    /// What the cache key hashes of this spec besides the circuit text.
+    /// The clock is an override's bits, else `calibrated` (a suite
+    /// circuit's clock, which its text does not determine) by its bits,
+    /// else [`KeyClock::Derived`].
+    pub fn key_material(&self, calibrated: Option<TwoPhaseClock>) -> KeyMaterial {
+        let clock = match (self.clock, calibrated) {
+            (Some(ns), _) => KeyClock::Fixed(TwoPhaseClock::from_max_delay(ns)),
+            (None, Some(clock)) => KeyClock::Fixed(clock),
+            (None, None) => KeyClock::Derived,
+        };
+        KeyMaterial {
+            suite: matches!(self.circuit, CircuitRef::Suite(_)),
+            flow: self.flow,
+            overhead: self.overhead,
+            clock,
+            model: self.model,
+            verify: self.verify,
+            convert: self.convert,
+        }
+    }
+}
+
+/// The cache key of an inline submission from its key step alone: the
+/// key [`prepare`] gives once [`build_inline`] has run. Opens a `key`
+/// span.
+pub fn inline_key(spec: &JobSpec, source: &InlineSource, lib: &Library) -> String {
+    let _key = retime_trace::span("key");
+    cache_key(&source.canonical, lib, spec.key_material(None))
 }
 
 /// The flow configuration a job resolves to, plus its cache key.
@@ -315,19 +446,15 @@ pub struct PreparedJob {
 /// Combines a resolved circuit with the job options into the final flow
 /// configuration and its cache key.
 pub fn prepare(spec: &JobSpec, circuit: &ResolvedCircuit, lib: &Library) -> PreparedJob {
-    let clock = spec
-        .clock
-        .map_or(circuit.clock, TwoPhaseClock::from_max_delay);
-    let key_config = KeyConfig {
-        flow: spec.flow,
-        overhead: spec.overhead,
-        clock,
-        model: spec.model,
-        verify: spec.verify,
-        convert: spec.convert,
-    };
-    let key = cache_key(&circuit.canonical, lib, &key_config);
-    PreparedJob { key_config, key }
+    let calibrated = matches!(spec.circuit, CircuitRef::Suite(_)).then_some(circuit.clock);
+    PreparedJob {
+        key_config: spec.key_config(circuit.clock),
+        key: cache_key(
+            &circuit.source_canonical,
+            lib,
+            spec.key_material(calibrated),
+        ),
+    }
 }
 
 /// One executed (or cache-served) job result.
@@ -665,6 +792,20 @@ mod tests {
         assert_eq!(converted.netlist.stats().dffs, 0);
         assert_eq!(converted.netlist.stats().masters, 1);
         assert_ne!(plain.canonical, converted.canonical);
+        // Both key the submitted text; the convert switch separates them.
+        assert_eq!(plain.source_canonical, converted.source_canonical);
+        assert_ne!(
+            prepare(&base, &plain, &lib).key,
+            prepare(
+                &JobSpec {
+                    convert: true,
+                    ..base.clone()
+                },
+                &converted,
+                &lib
+            )
+            .key
+        );
         // The conversion keeps the FF circuit's derived clock.
         assert_eq!(
             plain.clock.max_path_delay().to_bits(),
@@ -707,6 +848,54 @@ mod tests {
             prepare(&as_bench, &a, &lib).key,
             prepare(&as_edif, &b, &lib).key
         );
+    }
+
+    /// Resolution reports the first failing step with its text: parse
+    /// errors (from the key step), then the build's extraction, clock
+    /// and conversion errors.
+    #[test]
+    fn resolution_errors_keep_their_text_and_order() {
+        let lib = Library::fdsoi28();
+        let spec = |text: &str, format, convert| JobSpec {
+            circuit: CircuitRef::Inline {
+                name: "t".into(),
+                text: text.into(),
+            },
+            flow: FlowKind::Grar,
+            overhead: EdlOverhead::MEDIUM,
+            model: DelayModel::PathBased,
+            clock: None,
+            verify: false,
+            format,
+            convert,
+        };
+        let latch = "INPUT(a)\nOUTPUT(q)\nm = LATCHM(a)\nq = LATCHS(m)\n";
+        for (spec, want) in [
+            (
+                spec("INPUT(a)\nz = FOO(a)\n", InputFormat::Bench, true),
+                "netlist parse error: parse error at line 2: unknown gate type `FOO`",
+            ),
+            (
+                spec(
+                    "INPUT(a)\nx = AND(a, y)\ny = OR(a, x)\nOUTPUT(x)\n",
+                    InputFormat::Bench,
+                    true,
+                ),
+                "netlist parse error: combinational cycle through cell `x`",
+            ),
+            (
+                spec("(edif", InputFormat::Edif, true),
+                "EDIF parse error: truncated input at line 1: 1 unclosed `(`",
+            ),
+            (
+                spec(latch, InputFormat::Bench, true),
+                "conversion failed: conversion error: source is not an edge-triggered FF \
+                 netlist: wrong sequential style: netlist already contains latches",
+            ),
+        ] {
+            assert_eq!(resolve_spec(&spec, &lib).unwrap_err(), want);
+        }
+        assert!(resolve_spec(&spec(latch, InputFormat::Bench, false), &lib).is_ok());
     }
 
     #[test]

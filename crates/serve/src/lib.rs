@@ -13,9 +13,11 @@
 //!
 //! 1. **Content-addressed caching** ([`canon`], [`cache`], [`disk`]): a
 //!    job's key is the SHA-256 of its canonicalized netlist plus library
-//!    and flow configuration. Re-submitting the same circuit — even with
-//!    shuffled statements or different whitespace — is answered from the
-//!    cache, byte-identical to the first run, with zero solver work.
+//!    and flow configuration, computed from one parse of the submission
+//!    ([`job::read_inline`]); the circuit is built only on a miss.
+//!    Re-submitting the same circuit — even with shuffled statements or
+//!    different whitespace — is answered from the cache, byte-identical
+//!    to the first run, with zero solver work.
 //!    With `--cache-dir` the cache gains a persistent sharded disk tier
 //!    (temp-file + fsync + atomic rename; startup recovery quarantines
 //!    torn writes), so restarts keep their warm results too.
@@ -32,10 +34,12 @@
 //!    per-flow per-stage wall-clock (the service view of Table VII), and
 //!    rejection counts export in Prometheus text format. Alongside the
 //!    metrics, the daemon records `retime-trace` spans when
-//!    `RETIME_TRACE`/`RETIME_TRACE_OUT` is set: one `job` root span per
-//!    executed job (job id, circuit, and flow attached as attributes)
-//!    with the queue-wait vs execute split as child spans, exported as
-//!    Chrome-trace JSON on shutdown.
+//!    `RETIME_TRACE`/`RETIME_TRACE_OUT` is set: one `submit` span per
+//!    submission on its reactor (`parse`, `canonicalize`, `key`, and on a
+//!    miss `build`), and one `job` root span per executed job (job id,
+//!    circuit, and flow attached as attributes) with the queue-wait vs
+//!    execute split as child spans, exported as Chrome-trace JSON on
+//!    shutdown.
 //!
 //! Submissions may also arrive as EDIF 2.0.0 (`"format":"edif"` with an
 //! inline `netlist`) and may ask for the edge-triggered → two-phase
@@ -73,13 +77,14 @@ pub mod server;
 pub mod warm;
 
 pub use cache::{CacheConfig, CacheStats, CachedResult, HitTier, ResultCache};
-pub use canon::{cache_key, canonical_bench, warm_key, KeyConfig};
+pub use canon::{cache_key, canonical_bench, warm_key, KeyClock, KeyConfig, KeyMaterial};
 pub use client::Client;
 pub use disk::{gc, shard_rel_path, DiskCache, DiskCacheConfig, GcReport, RecoveryStats};
-pub use hash::{sha256, sha256_hex};
+pub use hash::{sha256, sha256_hex, Sha256};
 pub use job::{
-    execute, execute_with_slot, prepare, render_payload, resolve_circuit, resolve_spec, CircuitRef,
-    InputFormat, JobOutput, JobSpec,
+    build_inline, build_suite, execute, execute_with_slot, inline_key, prepare, read_inline,
+    render_payload, resolve_circuit, resolve_spec, CircuitRef, InlineSource, InputFormat,
+    JobOutput, JobSpec,
 };
 pub use metrics::Metrics;
 pub use queue::{JobQueue, PushError};

@@ -40,7 +40,10 @@ use retime_liberty::Library;
 
 use crate::cache::{CacheConfig, CachedResult, ResultCache};
 use crate::canon::{warm_key, KeyConfig};
-use crate::job::{execute_with_slot, prepare, resolve_spec, CircuitRef, JobSpec, ResolvedCircuit};
+use crate::job::{
+    build_inline, build_suite, execute_with_slot, inline_key, prepare, read_inline, CircuitRef,
+    InlineSource, JobSpec, ResolvedCircuit,
+};
 use crate::json::{obj, parse, Json};
 use crate::metrics::Metrics;
 use crate::queue::{JobQueue, PushError};
@@ -508,34 +511,47 @@ fn dispatch(shared: &Shared, reactor: usize, conn: u64, line: &str) -> LineReply
     LineReply::Now(reply.render())
 }
 
-/// Resolves a submission, reusing prior suite builds (inline netlists
-/// are resolved fresh — their canonical form already dedups the cache
-/// key). Suite builds are stored per `(name, convert)` so a converted
-/// two-phase build never aliases the edge-triggered one.
-fn resolve_shared(shared: &Shared, spec: &JobSpec) -> Result<Arc<ResolvedCircuit>, String> {
-    if let CircuitRef::Suite(name) = &spec.circuit {
-        let store_key = (name.clone(), spec.convert);
-        if let Some(hit) = shared
+/// Builds a suite submission once per `(name, convert)` and shares the
+/// build: a suite's calibrated clock is key material, so its key needs
+/// the build. The converted two-phase build never aliases the
+/// edge-triggered one.
+fn suite_shared(
+    shared: &Shared,
+    name: &str,
+    convert: bool,
+) -> Result<Arc<ResolvedCircuit>, String> {
+    let store_key = (name.to_string(), convert);
+    if let Some(hit) = shared
+        .suite_store
+        .lock()
+        .expect("suite lock")
+        .get(&store_key)
+    {
+        return Ok(Arc::clone(hit));
+    }
+    let built = Arc::new(build_suite(name, convert, &shared.lib)?);
+    Ok(Arc::clone(
+        shared
             .suite_store
             .lock()
             .expect("suite lock")
-            .get(&store_key)
-        {
-            return Ok(Arc::clone(hit));
-        }
-        let resolved = Arc::new(resolve_spec(spec, &shared.lib)?);
-        return Ok(Arc::clone(
-            shared
-                .suite_store
-                .lock()
-                .expect("suite lock")
-                .entry(store_key)
-                .or_insert(resolved),
-        ));
-    }
-    Ok(Arc::new(resolve_spec(spec, &shared.lib)?))
+            .entry(store_key)
+            .or_insert(built),
+    ))
 }
 
+/// A submission after its key step.
+enum Keyed {
+    /// A suite build, ready to run under its config.
+    Built(Arc<ResolvedCircuit>, KeyConfig),
+    /// Inline text read as far as its key; built on a miss.
+    Inline(InlineSource),
+}
+
+/// Key step, then the cache lookup, then — on a miss only — the build
+/// step on this thread (the workers only run flows). Error replies come
+/// in the build's order: parse errors from the key step, then
+/// extraction and clock errors, then conversion errors.
 fn handle_submit(shared: &Shared, v: &Json) -> Json {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply("shutting_down");
@@ -555,20 +571,39 @@ fn handle_submit(shared: &Shared, v: &Json) -> Json {
             .inc("retime_serve_convert_submissions_total", "", 1);
     }
 
-    let circuit = match resolve_shared(shared, &spec) {
-        Ok(c) => c,
+    let _submit = retime_trace::span("submit");
+    retime_trace::attr_str(
+        "circuit",
+        match &spec.circuit {
+            CircuitRef::Suite(name) | CircuitRef::Inline { name, .. } => name,
+        },
+    );
+    let keyed = match &spec.circuit {
+        CircuitRef::Suite(name) => suite_shared(shared, name, spec.convert).map(|circuit| {
+            let _key = retime_trace::span("key");
+            let prepared = prepare(&spec, &circuit, &shared.lib);
+            (prepared.key, Keyed::Built(circuit, prepared.key_config))
+        }),
+        CircuitRef::Inline { name, text } => read_inline(name, text, spec.format).map(|source| {
+            (
+                inline_key(&spec, &source, &shared.lib),
+                Keyed::Inline(source),
+            )
+        }),
+    };
+    let (key, keyed) = match keyed {
+        Ok(keyed) => keyed,
         Err(e) => return error_reply(&e),
     };
-    let prepared = prepare(&spec, &circuit, &shared.lib);
 
-    if let Some(hit) = shared.cache.lookup(&prepared.key) {
+    if let Some(hit) = shared.cache.lookup(&key) {
         shared.metrics.inc("retime_serve_cache_hits_total", "", 1);
         let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
         shared.jobs.lock().expect("jobs lock").records.insert(
             id,
             JobRecord {
                 cached: true,
-                key: prepared.key.clone(),
+                key: key.clone(),
                 state: JobState::Done {
                     payload: hit,
                     solver_invocations: 0,
@@ -580,11 +615,21 @@ fn handle_submit(shared: &Shared, v: &Json) -> Json {
             ("id", Json::Num(id as f64)),
             ("status", Json::Str("done".to_string())),
             ("cached", Json::Bool(true)),
-            ("key", Json::Str(prepared.key)),
+            ("key", Json::Str(key)),
         ]);
     }
     shared.metrics.inc("retime_serve_cache_misses_total", "", 1);
 
+    let (circuit, cfg) = match keyed {
+        Keyed::Built(circuit, cfg) => (circuit, cfg),
+        Keyed::Inline(source) => match build_inline(source, spec.convert, &shared.lib) {
+            Ok(circuit) => {
+                let cfg = spec.key_config(circuit.clock);
+                (Arc::new(circuit), cfg)
+            }
+            Err(e) => return error_reply(&e),
+        },
+    };
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let retry_after_ms = shared
         .metrics
@@ -593,11 +638,11 @@ fn handle_submit(shared: &Shared, v: &Json) -> Json {
         id,
         JobRecord {
             cached: false,
-            key: prepared.key.clone(),
+            key: key.clone(),
             state: JobState::Queued(Box::new(QueuedWork {
-                cfg: prepared.key_config,
+                cfg,
                 circuit,
-                key: prepared.key.clone(),
+                key: key.clone(),
                 flow,
                 enqueued_us: retime_trace::now_us(),
             })),
@@ -609,7 +654,7 @@ fn handle_submit(shared: &Shared, v: &Json) -> Json {
             ("id", Json::Num(id as f64)),
             ("status", Json::Str("queued".to_string())),
             ("cached", Json::Bool(false)),
-            ("key", Json::Str(prepared.key)),
+            ("key", Json::Str(key)),
         ]),
         Err(err) => {
             shared.jobs.lock().expect("jobs lock").records.remove(&id);

@@ -18,7 +18,10 @@ use rand::{Rng, SeedableRng};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::bench;
 use retime_serve::canon::{cache_key, canonical_bench, KeyConfig};
-use retime_serve::job::{prepare, resolve_circuit, CircuitRef, InputFormat, JobSpec};
+use retime_serve::job::{
+    inline_key, prepare, read_inline, resolve_circuit, resolve_spec, CircuitRef, InputFormat,
+    JobSpec,
+};
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::FlowKind;
 
@@ -233,4 +236,211 @@ fn keys_are_identical_across_thread_counts() {
         None => std::env::remove_var("RETIME_THREADS"),
     }
     assert_eq!(keys[0], keys[1]);
+}
+
+/// A small edge-triggered circuit, fast to convert and retime.
+const S27_LIKE: &str = "\
+INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+OUTPUT(G17)
+G5 = DFF(G10)
+G6 = DFF(G11)
+G10 = NOR(G0, G14)
+G11 = NOR(G5, G9)
+G9 = NAND(G1, G2)
+G14 = NOT(G6)
+G17 = NOR(G11, G14)
+";
+
+fn inline_spec(text: &str) -> JobSpec {
+    JobSpec {
+        circuit: CircuitRef::Inline {
+            name: "t".to_string(),
+            text: text.to_string(),
+        },
+        flow: FlowKind::Grar,
+        overhead: EdlOverhead::MEDIUM,
+        model: DelayModel::PathBased,
+        clock: None,
+        verify: false,
+        format: InputFormat::Bench,
+        convert: false,
+    }
+}
+
+fn key_of(spec: &JobSpec, lib: &Library) -> String {
+    prepare(spec, &resolve_spec(spec, lib).expect("resolves"), lib).key
+}
+
+/// Naming a clock equal to the derived one runs the same job, yet keys
+/// apart: the key names a derived clock, it never hashes its bits.
+#[test]
+fn explicit_clock_equal_to_the_derived_one_keys_apart() {
+    let lib = Library::fdsoi28();
+    let spec = inline_spec(S27_LIKE);
+    let resolved = resolve_spec(&spec, &lib).expect("resolves");
+    let pinned = JobSpec {
+        clock: Some(resolved.clock.max_path_delay()),
+        ..spec.clone()
+    };
+    let derived = prepare(&spec, &resolved, &lib);
+    let explicit = prepare(&pinned, &resolved, &lib);
+    assert_eq!(
+        derived.key_config.clock.max_path_delay().to_bits(),
+        explicit.key_config.clock.max_path_delay().to_bits()
+    );
+    assert_ne!(derived.key, explicit.key);
+}
+
+/// A suite circuit and an inline submission of its canonical text run
+/// on different netlists (the generator's, and a re-parse), so they key
+/// apart, with the suite's clock or with the same explicit clock.
+#[test]
+fn suite_circuit_and_its_canonical_text_key_apart() {
+    let lib = Library::fdsoi28();
+    let suite = JobSpec {
+        circuit: CircuitRef::Suite("s1196".to_string()),
+        ..inline_spec("")
+    };
+    let built = resolve_spec(&suite, &lib).expect("resolves");
+    let inline = inline_spec(&built.canonical);
+    assert_ne!(key_of(&suite, &lib), key_of(&inline, &lib));
+    let clock = Some(built.clock.max_path_delay());
+    assert_ne!(
+        key_of(&JobSpec { clock, ..suite }, &lib),
+        key_of(&JobSpec { clock, ..inline }, &lib)
+    );
+}
+
+/// Converting is a key dimension; the key hashes the source text with
+/// the switch, so the conversion need not run to compute it.
+#[test]
+fn convert_switch_keys_apart() {
+    let lib = Library::fdsoi28();
+    let plain = inline_spec(S27_LIKE);
+    let converted = JobSpec {
+        convert: true,
+        ..plain.clone()
+    };
+    let a = resolve_spec(&plain, &lib).expect("resolves");
+    let b = resolve_spec(&converted, &lib).expect("converts");
+    assert_eq!(a.source_canonical, b.source_canonical);
+    assert_ne!(a.canonical, b.canonical);
+    assert_ne!(
+        prepare(&plain, &a, &lib).key,
+        prepare(&converted, &b, &lib).key
+    );
+}
+
+/// EDIF and `.bench` carriers of one circuit share a key, converted or
+/// not, and the key step alone gives it.
+#[test]
+fn edif_and_bench_share_a_key() {
+    let lib = Library::fdsoi28();
+    let edif = retime_convert::edif::write(&bench::parse("t", S27_LIKE).expect("parses"));
+    for convert in [false, true] {
+        let as_bench = JobSpec {
+            convert,
+            ..inline_spec(S27_LIKE)
+        };
+        let as_edif = JobSpec {
+            format: InputFormat::Edif,
+            ..inline_spec(&edif)
+        };
+        let as_edif = JobSpec { convert, ..as_edif };
+        let key = key_of(&as_bench, &lib);
+        assert_eq!(key, key_of(&as_edif, &lib), "convert={convert}");
+        let source = read_inline("t", &edif, InputFormat::Edif).expect("reads");
+        assert_eq!(key, inline_key(&as_edif, &source, &lib));
+    }
+}
+
+/// The daemon keys every submission exactly as `prepare(resolve_spec)`
+/// does, and answers it with `execute`'s payload: inline `.bench` and
+/// EDIF, and suite names, each with and without conversion and with and
+/// without an explicit clock.
+#[test]
+fn daemon_keys_match_prepare_for_every_submission_shape() {
+    use retime_serve::json::{obj, parse, Json};
+    use retime_serve::{execute, Client, Server, ServerConfig};
+
+    let lib = Library::fdsoi28();
+    let handle = Server::spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let edif = retime_convert::edif::write(&bench::parse("t", S27_LIKE).expect("parses"));
+    let circuits = [
+        ("netlist", S27_LIKE, "bench"),
+        ("netlist", edif.as_str(), "edif"),
+        ("circuit", "s1196", "bench"),
+    ];
+    for (field, circuit, format) in circuits {
+        for convert in [false, true] {
+            for clock in [None, Some(0.5)] {
+                let mut fields = vec![
+                    ("cmd", Json::Str("submit".into())),
+                    (field, Json::Str(circuit.into())),
+                    ("format", Json::Str(format.into())),
+                    ("flow", Json::Str("base".into())),
+                    ("convert", Json::Bool(convert)),
+                ];
+                if let Some(ns) = clock {
+                    fields.push(("clock", Json::Num(ns)));
+                }
+                let line = obj(fields).render();
+                let what = format!("{field}/{format} convert={convert} clock={clock:?}");
+                let spec = JobSpec::from_json(&parse(&line).expect("json")).expect("spec");
+                let resolved = resolve_spec(&spec, &lib).expect("resolves");
+                let prepared = prepare(&spec, &resolved, &lib);
+                let direct = execute(&prepared.key_config, &resolved, &lib).expect("runs");
+
+                let reply = client.request_line(&line).expect("submit");
+                assert_eq!(
+                    reply.get("key").and_then(Json::as_str),
+                    Some(prepared.key.as_str()),
+                    "{what}: {}",
+                    reply.render()
+                );
+                let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+                let done = client.wait_result(id).expect("result");
+                assert_eq!(
+                    done.get("payload_sha256").and_then(Json::as_str),
+                    Some(direct.payload_sha256.as_str()),
+                    "{what}: {}",
+                    done.render()
+                );
+            }
+        }
+    }
+    client.shutdown().expect("shutdown");
+    handle.wait();
+}
+
+/// The cache key names a derived clock instead of hashing its bits, so
+/// it promises that clock derivation gives the bits it gave when each
+/// entry was stored. This pins those bits for one inline fixture.
+#[test]
+fn derived_clock_bits_are_pinned() {
+    let lib = Library::fdsoi28();
+    let spec = retime_circuits::paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1196")
+        .expect("suite circuit");
+    let text = bench::write(&spec.build().expect("builds").netlist);
+    let resolved = resolve_spec(&inline_spec(&text), &lib).expect("resolves");
+    let bits = resolved.clock.max_path_delay().to_bits();
+    assert_eq!(
+        bits,
+        0x3fe3_fa26_08c6_f2d8,
+        "the derived clock of the inline s1196 text moved ({bits:#018x}, {} ns). \
+         Cache keys name a derived clock instead of hashing it, so a change to \
+         clock derivation (`relaxed_clock`, its STA or the library) must bump the \
+         cache key version in `retime_serve::canon::cache_key`; a change to the \
+         s1196 generator only needs this pin updated.",
+        resolved.clock.max_path_delay()
+    );
 }

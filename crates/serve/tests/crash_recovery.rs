@@ -243,3 +243,108 @@ fn torn_write_is_quarantined_and_survivors_serve_bit_identical() {
     recovered.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// The key this job had under the v2 scheme: the same fields, the
+/// derived clock's bits, and the canonical text, behind the v2 preamble.
+fn v2_key(netlist: &str) -> String {
+    let lib = retime_liberty::Library::fdsoi28();
+    let spec = JobSpec::from_json(&parse(&submit_line(netlist)).unwrap()).unwrap();
+    let resolved = resolve_circuit(&spec.circuit, &lib).unwrap();
+    let cfg = prepare(&spec, &resolved, &lib).key_config;
+    retime_serve::sha256_hex(
+        format!(
+            "retime-serve-key-v2\nlib:{}\nflow:{}\nc:{:016x}\nclock:{:016x}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n{}",
+            lib.name(),
+            cfg.flow.name(),
+            cfg.overhead.value().to_bits(),
+            cfg.clock.max_path_delay().to_bits(),
+            cfg.model,
+            cfg.verify,
+            cfg.convert,
+            resolved.canonical,
+        )
+        .as_bytes(),
+    )
+}
+
+/// A cache directory written under the v2 key scheme restarts into a
+/// miss for the same job — never a hit on the old entry, whose payload
+/// is planted poisoned here — and then stores and serves the v3 entry.
+#[test]
+fn v2_entries_restart_into_misses_and_v3_entries_replace_them() {
+    use retime_serve::{shard_rel_path, DiskCache, DiskCacheConfig};
+
+    let cache_dir = std::env::temp_dir().join(format!("retime-v2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let netlist = NETLISTS[0];
+    let old_key = v2_key(netlist);
+    {
+        let (disk, _) = DiskCache::open(DiskCacheConfig {
+            dir: cache_dir.clone(),
+            max_bytes: 1 << 20,
+            cache_fault: false,
+        })
+        .expect("open cache dir");
+        let poisoned = "{\"poisoned\":true}";
+        disk.store(
+            &old_key,
+            poisoned,
+            &retime_serve::sha256_hex(poisoned.as_bytes()),
+        )
+        .expect("plant v2 entry");
+    }
+
+    let daemon = start_daemon(&cache_dir, None);
+    let mut client = daemon.client();
+    let metrics = client.metrics_text().expect("metrics");
+    assert!(
+        metrics.contains("retime_serve_cache_recovered_total 1\n"),
+        "the v2 entry is a valid file and is re-admitted: {metrics}"
+    );
+    let reply = client.request_line(&submit_line(netlist)).expect("submit");
+    assert_eq!(
+        reply.get("cached"),
+        Some(&Json::Bool(false)),
+        "{}",
+        reply.render()
+    );
+    let key = reply
+        .get("key")
+        .and_then(Json::as_str)
+        .expect("key")
+        .to_string();
+    assert_ne!(key, old_key);
+    let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+    let result = client.wait_result(id).expect("result");
+    let sha = direct_sha(netlist);
+    assert_eq!(
+        result.get("payload_sha256").and_then(Json::as_str),
+        Some(sha.as_str()),
+        "{}",
+        result.render()
+    );
+    drop(client);
+    daemon.shutdown();
+    assert!(
+        cache_dir.join(shard_rel_path(&key)).is_file(),
+        "the v3 entry is stored"
+    );
+
+    // After a restart the v3 entry is a disk hit.
+    let restarted = start_daemon(&cache_dir, None);
+    let mut client = restarted.client();
+    let result = run_job(&mut client, netlist);
+    assert_eq!(
+        result.get("cached"),
+        Some(&Json::Bool(true)),
+        "{}",
+        result.render()
+    );
+    assert_eq!(
+        result.get("payload_sha256").and_then(Json::as_str),
+        Some(sha.as_str())
+    );
+    drop(client);
+    restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}

@@ -282,3 +282,111 @@ fn shutdown_drains_queued_jobs_then_exits() {
 
     handle.wait();
 }
+
+/// The submit path in spans: every submission runs the key step
+/// (`parse`, `canonicalize`, `key`) on the reactor; only a miss adds a
+/// `build` (`parse`, `extract`, `clock`, and the conversion's spans when
+/// converting) and a worker `job`. A hit, converted or not, opens no `build`, no
+/// `convert` and no timing pass. Tracing is process-global, so the
+/// spans of this test's submissions are picked out by circuit name.
+#[test]
+fn submit_spans_key_every_time_and_build_on_a_miss_only() {
+    use retime_trace::{SpanRecord, Value};
+    use std::collections::HashMap;
+
+    const NAME: &str = "span-probe";
+    let circuit_is = |r: &SpanRecord| {
+        r.attrs
+            .iter()
+            .any(|(k, v)| *k == "circuit" && *v == Value::Str(NAME.to_string()))
+    };
+    let (handle, addr) = spawn(1, 8);
+    let mut client = Client::connect(&addr).expect("connect");
+    let netlist = "INPUT(a)\\nINPUT(b)\\nOUTPUT(z)\\nq = DFF(g)\\ng = NOR(a, b)\\nz = OR(g, q)\\n";
+    retime_trace::set_enabled(true);
+    let mut cached = Vec::new();
+    for convert in [false, false, true, true] {
+        let reply = client
+            .request_line(&format!(
+                r#"{{"cmd":"submit","netlist":"{netlist}","name":"{NAME}","convert":{convert}}}"#
+            ))
+            .expect("submit");
+        let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+        let done = client.wait_result(id).expect("result");
+        assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
+        cached.push(reply.get("cached") == Some(&Json::Bool(true)));
+    }
+    retime_trace::set_enabled(false);
+    client.shutdown().expect("shutdown");
+    handle.wait();
+    assert_eq!(cached, [false, true, false, true]);
+
+    let records = retime_trace::take_records();
+    let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
+    let children = |id: u64| -> Vec<&'static str> {
+        records
+            .iter()
+            .filter(|r| r.parent == id)
+            .map(|r| r.name)
+            .collect()
+    };
+    let under = |r: &SpanRecord, root: u64| {
+        let mut at = r.parent;
+        while at != 0 {
+            if at == root {
+                return true;
+            }
+            at = by_id.get(&at).map_or(0, |p| p.parent);
+        }
+        false
+    };
+    let submits: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.name == "submit" && circuit_is(r))
+        .collect();
+    assert_eq!(submits.len(), 4, "one submit span per submission");
+    for (submit, (hit, convert)) in
+        submits
+            .iter()
+            .zip([(false, false), (true, false), (false, true), (true, true)])
+    {
+        let below: Vec<&str> = records
+            .iter()
+            .filter(|r| under(r, submit.id))
+            .map(|r| r.name)
+            .collect();
+        let what = format!("hit={hit} convert={convert}: {below:?}");
+        if hit {
+            assert_eq!(
+                children(submit.id),
+                ["parse", "canonicalize", "key"],
+                "{what}"
+            );
+            for absent in ["build", "convert", "sta_full_pass"] {
+                assert!(!below.contains(&absent), "{what}");
+            }
+        } else {
+            assert_eq!(
+                children(submit.id),
+                ["parse", "canonicalize", "key", "build"],
+                "{what}"
+            );
+            assert_eq!(below.iter().filter(|&&n| n == "build").count(), 1, "{what}");
+            let build = records
+                .iter()
+                .find(|r| r.name == "build" && r.parent == submit.id)
+                .expect("build span");
+            let mut want = vec!["parse", "extract", "clock"];
+            if convert {
+                // `retime_convert::convert`'s own stage spans.
+                want.extend(["convert", "sta", "verify"]);
+            }
+            assert_eq!(children(build.id), want, "{what}");
+        }
+    }
+    let jobs = records
+        .iter()
+        .filter(|r| r.name == "job" && circuit_is(r))
+        .count();
+    assert_eq!(jobs, 2, "only the misses reach a worker");
+}
