@@ -41,6 +41,7 @@ pub mod cloud;
 pub mod cone;
 pub mod cut;
 pub mod error;
+mod names;
 pub mod netlist;
 
 pub use cell::{Cell, CellId, Gate};

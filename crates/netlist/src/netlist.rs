@@ -1,9 +1,8 @@
 //! The [`Netlist`] container and its construction / validation API.
 
-use std::collections::HashMap;
-
 use crate::cell::{Cell, CellId, Gate};
 use crate::error::NetlistError;
+use crate::names::NameMap;
 
 /// A gate-level netlist.
 ///
@@ -20,7 +19,7 @@ use crate::error::NetlistError;
 pub struct Netlist {
     name: String,
     cells: Vec<Cell>,
-    by_name: HashMap<String, CellId>,
+    by_name: NameMap<String, CellId>,
     inputs: Vec<CellId>,
     outputs: Vec<CellId>,
 }
@@ -48,21 +47,38 @@ impl Netlist {
         Netlist {
             name: name.into(),
             cells: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: NameMap::default(),
             inputs: Vec::new(),
             outputs: Vec::new(),
         }
     }
 
-    /// Creates an empty netlist with room for `cells` cells.
-    pub fn with_capacity(name: impl Into<String>, cells: usize) -> Self {
-        Netlist {
-            name: name.into(),
-            cells: Vec::with_capacity(cells),
-            by_name: HashMap::with_capacity(cells),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
+    /// A netlist from finished cells (crate-internal; the `.bench`
+    /// reader builds its cells from a checked statement table). Names
+    /// are bound in cell order, so the first repeated name is the error.
+    /// Arity and acyclicity are the caller's to have checked.
+    pub(crate) fn from_cells(
+        name: &str,
+        cells: Vec<Cell>,
+        inputs: Vec<CellId>,
+        outputs: Vec<CellId>,
+    ) -> Result<Netlist, NetlistError> {
+        let mut by_name = NameMap::with_capacity_and_hasher(cells.len(), Default::default());
+        for (i, cell) in cells.iter().enumerate() {
+            if by_name
+                .insert(cell.name.clone(), CellId(i as u32))
+                .is_some()
+            {
+                return Err(NetlistError::DuplicateName(cell.name.clone()));
+            }
         }
+        Ok(Netlist {
+            name: name.to_string(),
+            cells,
+            by_name,
+            inputs,
+            outputs,
+        })
     }
 
     /// The design name.
@@ -186,13 +202,6 @@ impl Netlist {
     /// must resolve forward references after all cells exist).
     pub(crate) fn set_fanin_internal(&mut self, id: CellId, fanin: Vec<CellId>) {
         self.cells[id.index()].fanin = fanin;
-    }
-
-    /// A cell's fanin pins, to fill in place (crate-internal; the
-    /// `.bench` reader resolves forward references into the
-    /// placeholders it added the gate with).
-    pub(crate) fn fanin_mut(&mut self, id: CellId) -> &mut [CellId] {
-        &mut self.cells[id.index()].fanin
     }
 
     /// Replaces a cell's entire fanin list, checking arity.

@@ -17,9 +17,10 @@
 //! `--cache-max-bytes` (default 1 GiB).
 //!
 //! `--cache-gc` (with `--cache-dir`) compacts the directory offline
-//! instead of serving: orphaned `.tmp-*` leftovers are deleted, every
-//! entry's digest is re-verified (corrupt ones are quarantined), and a
-//! one-line report is printed. Run it only while no daemon is serving
+//! instead of serving: orphaned `.tmp-*` leftovers and entries of
+//! another cache-key version are deleted, every entry's digest is
+//! re-verified (corrupt ones are quarantined), and a one-line report is
+//! printed. Run it only while no daemon is serving
 //! from that directory.
 //!
 //! The environment is read once, into a `retime_bench::RunConfig`.

@@ -2,26 +2,25 @@
 //!
 //! Two submissions of the *same* circuit must land on the same cache
 //! entry even when their `.bench` sources differ in statement order,
-//! spacing, or comments. The canonical form fixes that: parse the
+//! spacing, or comments. The canonical form fixes that: read the
 //! source, then re-emit it with inputs, outputs, and gates each sorted
 //! by name and every statement printed in the writer's normal form.
 //! Fan-in order inside a gate is semantic (it is pin order) and is
 //! preserved.
 //!
-//! The cache key (v3) is a SHA-256 over a versioned preamble — library
-//! name, the circuit's origin (suite or inline), flow, EDL overhead
-//! bits, the clock as [`KeyClock`] names it, delay model, verify switch,
-//! and the edge-triggered → two-phase `convert` switch — followed by the
-//! canonical text of the *submitted* circuit, before any conversion. Float parameters contribute their
-//! exact IEEE-754 bits, so "c = 1.0" and "c = 1.0000001" never alias.
-//! Everything the key hashes is known after one parse of the
-//! submission, so a cache hit costs that parse, [`canonical_bench`] and
-//! the hash; the clock derivation and the conversion run on a miss only.
-
-use std::cmp::Ordering;
+//! The cache key (v4) is a SHA-256 over a versioned preamble — library
+//! name, the circuit's origin (suite or inline), its display name, flow,
+//! EDL overhead bits, the clock as [`KeyClock`] names it, delay model,
+//! verify switch, and the edge-triggered → two-phase `convert` switch —
+//! followed by the canonical text of the *submitted* circuit, before any
+//! conversion. Float parameters contribute their exact IEEE-754 bits, so
+//! "c = 1.0" and "c = 1.0000001" never alias. The display name is keyed
+//! because the payload carries it. Everything the key hashes is known
+//! after one read of the submission, so a cache hit costs that read, the
+//! canonical text and the hash; the clock derivation and the conversion
+//! run on a miss only.
 
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{Cell, CellId, Netlist};
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::FlowKind;
 
@@ -31,86 +30,16 @@ use crate::hash::{sha256_hex, Sha256};
 /// `OUTPUT` lines sorted by driver name, gate/latch statements sorted by
 /// their text (which starts with the output name); whitespace and
 /// comments normalized away. Parsing the canonical text reproduces the
-/// same canonical text.
-pub fn canonical_bench(n: &Netlist) -> String {
-    let name = |id: CellId| n.cell(id).name.as_str();
-    let mut inputs: Vec<&str> = n.inputs().iter().map(|&i| name(i)).collect();
-    inputs.sort_unstable();
-    let mut outputs: Vec<&str> = n
-        .outputs()
-        .iter()
-        .map(|&o| name(n.cell(o).fanin[0]))
-        .collect();
-    outputs.sort_unstable();
-    let mut gates: Vec<(&Cell, &str)> = n
-        .cells()
-        .iter()
-        .filter_map(|c| c.gate.bench_name().map(|kw| (c, kw)))
-        .collect();
-    gates.sort_unstable_by(|&a, &b| cmp_gate_lines(n, a, b));
+/// same canonical text. It is the `.bench` reader's one canonical
+/// writer ([`retime_netlist::bench::Table::write`]), so the text the
+/// daemon keys a `.bench` submission by, straight from its statement
+/// table, is this text.
+pub use retime_netlist::bench::canonical as canonical_bench;
 
-    let pins = |c: &Cell| -> usize {
-        c.fanin.iter().map(|&f| n.cell(f).name.len()).sum::<usize>()
-            + 2 * c.fanin.len().saturating_sub(1)
-    };
-    let len = inputs.iter().map(|i| i.len() + 8).sum::<usize>()
-        + outputs.iter().map(|o| o.len() + 9).sum::<usize>()
-        + gates
-            .iter()
-            .map(|&(c, kw)| c.name.len() + kw.len() + pins(c) + 6)
-            .sum::<usize>();
-    let mut out = String::with_capacity(len);
-    for name in inputs {
-        out.push_str("INPUT(");
-        out.push_str(name);
-        out.push_str(")\n");
-    }
-    for name in outputs {
-        out.push_str("OUTPUT(");
-        out.push_str(name);
-        out.push_str(")\n");
-    }
-    for (c, kw) in gates {
-        out.push_str(&c.name);
-        out.push_str(" = ");
-        out.push_str(kw);
-        out.push('(');
-        for (i, &f) in c.fanin.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&n.cell(f).name);
-        }
-        out.push_str(")\n");
-    }
-    out
-}
-
-/// Orders two gates as their statement lines `name = KW(a, b)` sort.
-/// Names that differ within the shorter one decide alone; when one name
-/// prefixes the other, the lines are compared byte by byte.
-fn cmp_gate_lines(n: &Netlist, (a, ka): (&Cell, &str), (b, kb): (&Cell, &str)) -> Ordering {
-    let common = a.name.len().min(b.name.len());
-    match a.name.as_bytes()[..common].cmp(&b.name.as_bytes()[..common]) {
-        Ordering::Equal => gate_line_bytes(n, a, ka).cmp(gate_line_bytes(n, b, kb)),
-        decided => decided,
-    }
-}
-
-/// The bytes of a gate's canonical statement, without its newline.
-fn gate_line_bytes<'a>(n: &'a Netlist, c: &'a Cell, kw: &'a str) -> impl Iterator<Item = u8> + 'a {
-    let pins = c.fanin.iter().enumerate().flat_map(move |(i, &f)| {
-        let sep: &[u8] = if i == 0 { b"" } else { b", " };
-        sep.iter().chain(n.cell(f).name.as_bytes()).copied()
-    });
-    c.name
-        .bytes()
-        .chain(*b" = ")
-        .chain(kw.bytes())
-        .chain(*b"(")
-        .chain(pins)
-        .chain(*b")")
-}
+/// The cache key's version: the first line of the key material, and
+/// the tag every disk-cache entry header carries, so recovery can drop
+/// entries no key of this version can reach.
+pub const KEY_VERSION: &str = "retime-serve-key-v4";
 
 /// Everything besides the circuit that determines a job's result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,15 +74,17 @@ pub enum KeyClock {
 }
 
 /// What a cache key hashes besides the canonical text: the fields of a
-/// [`KeyConfig`], with the clock as [`KeyClock`] names it, and where the
-/// circuit came from.
+/// [`KeyConfig`], with the clock as [`KeyClock`] names it, where the
+/// circuit came from, and the name its payload carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KeyMaterial {
+pub struct KeyMaterial<'a> {
     /// Whether the circuit is a suite build. A suite job runs on the
-    /// generator's netlist, not on a re-parse of its canonical text, so
+    /// generator's netlist, not on a build from its canonical text, so
     /// its results differ from those of an inline submission of the
     /// same text even under the same clock.
     pub suite: bool,
+    /// The circuit's display name: the payload's `circuit` field.
+    pub name: &'a str,
     /// Which flow runs.
     pub flow: FlowKind,
     /// EDL area overhead `c`.
@@ -168,11 +99,13 @@ pub struct KeyMaterial {
     pub convert: bool,
 }
 
-impl From<&KeyConfig> for KeyMaterial {
-    /// A config for inline text, keyed with its clock's exact bits.
-    fn from(cfg: &KeyConfig) -> KeyMaterial {
+impl From<&KeyConfig> for KeyMaterial<'static> {
+    /// A config for inline text submitted without a name (so named
+    /// `inline`), keyed with its clock's exact bits.
+    fn from(cfg: &KeyConfig) -> KeyMaterial<'static> {
         KeyMaterial {
             suite: false,
+            name: "inline",
             flow: cfg.flow,
             overhead: cfg.overhead,
             clock: KeyClock::Fixed(cfg.clock),
@@ -183,26 +116,33 @@ impl From<&KeyConfig> for KeyMaterial {
     }
 }
 
-/// Content-addressed cache key (v3): SHA-256 (hex) over a versioned
+/// Content-addressed cache key (v4): SHA-256 (hex) over a versioned
 /// preamble — the library identity, the circuit's origin (suite or
-/// inline) and every other field of the key material — followed by `canonical_source`, the canonical text of the submitted
+/// inline), its display name and every other field of the key material
+/// — followed by `canonical_source`, the canonical text of the submitted
 /// circuit (before conversion; `convert` is in the preamble). The
-/// preamble and the text stream into the hash; neither is copied.
-/// `KeyMaterial` is destructured without `..`, so a field added to it
-/// fails to compile here until it is hashed.
+/// preamble and the text stream into the hash; neither is copied. The
+/// name is written with its byte length, so no name can pose as other
+/// fields. `KeyMaterial` is destructured without `..`, so a field added
+/// to it fails to compile here until it is hashed.
 ///
 /// A [`KeyClock::Derived`] clock is named, not hashed: a key promises
 /// that the clock derivation (`retime_circuits::relaxed_clock`) gives
 /// the same bits it gave when the entry was stored. A change to clock
-/// derivation therefore needs a bump of the key version, as any change
+/// derivation therefore needs a bump of [`KEY_VERSION`], as any change
 /// to the flows' results does for persisted entries.
 ///
-/// Keys from older versions never equal a v3 key (the version is the
-/// first line of the material), so v2 entries left in a cache directory
-/// are misses, never wrong hits.
-pub fn cache_key(canonical_source: &str, lib: &Library, key: impl Into<KeyMaterial>) -> String {
+/// Keys from older versions never equal a v4 key (the version is the
+/// first line of the material), so older entries are never wrong hits;
+/// disk recovery drops them by their header's version tag.
+pub fn cache_key<'a>(
+    canonical_source: &str,
+    lib: &Library,
+    key: impl Into<KeyMaterial<'a>>,
+) -> String {
     let KeyMaterial {
         suite,
+        name,
         flow,
         overhead,
         clock,
@@ -215,9 +155,10 @@ pub fn cache_key(canonical_source: &str, lib: &Library, key: impl Into<KeyMateri
         KeyClock::Fixed(clock) => format!("{:016x}", clock.max_path_delay().to_bits()),
     };
     let preamble = format!(
-        "retime-serve-key-v3\nlib:{}\ncircuit:{}\nflow:{}\nc:{:016x}\nclock:{clock}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n",
+        "{KEY_VERSION}\nlib:{}\ncircuit:{}\nname:{}:{name}\nflow:{}\nc:{:016x}\nclock:{clock}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n",
         lib.name(),
         if suite { "suite" } else { "inline" },
+        name.len(),
         flow.name(),
         overhead.value().to_bits(),
         model,
@@ -260,7 +201,7 @@ pub fn warm_key(canonical_netlist: &str, lib: &Library, cfg: &KeyConfig) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retime_netlist::bench;
+    use retime_netlist::{bench, Netlist};
 
     const MESSY: &str = "\
 # a comment
@@ -381,8 +322,8 @@ z = BUFF(g2)
         }
     }
 
-    /// A v3 key names a derived clock; it never equals the key of the
-    /// same job with the derived clock's bits, nor the v2 key.
+    /// A v4 key names a derived clock; it never equals the key of the
+    /// same job with the derived clock's bits, nor the v2 or v3 key.
     #[test]
     fn derived_clock_keys_apart_from_any_fixed_clock() {
         let lib = Library::fdsoi28();
@@ -415,8 +356,48 @@ z = BUFF(g2)
             )
             .as_bytes(),
         );
-        assert_ne!(fixed, v2);
-        assert_ne!(derived, v2);
+        let v3 = sha256_hex(
+            format!(
+                "retime-serve-key-v3\nlib:{}\ncircuit:inline\nflow:grar\nc:{:016x}\nclock:derived\nmodel:{:?}\nverify:false\nconvert:false\n--\n{canon}",
+                lib.name(),
+                cfg.overhead.value().to_bits(),
+                cfg.model,
+            )
+            .as_bytes(),
+        );
+        for old in [v2, v3] {
+            assert_ne!(fixed, old);
+            assert_ne!(derived, old);
+        }
+    }
+
+    /// The display name is key material; a config alone keys as a
+    /// submission named `inline`.
+    #[test]
+    fn name_is_keyed() {
+        let lib = Library::fdsoi28();
+        let canon = canonical_bench(&bench::parse("x", TIDY).unwrap());
+        let cfg = KeyConfig {
+            flow: FlowKind::Grar,
+            overhead: EdlOverhead::MEDIUM,
+            clock: TwoPhaseClock::from_max_delay(10.0),
+            model: DelayModel::PathBased,
+            verify: false,
+            convert: false,
+        };
+        let named = |name| {
+            cache_key(
+                &canon,
+                &lib,
+                KeyMaterial {
+                    name,
+                    ..KeyMaterial::from(&cfg)
+                },
+            )
+        };
+        assert_eq!(named("inline"), cache_key(&canon, &lib, &cfg));
+        assert_ne!(named("first"), named("second"));
+        assert_ne!(named(""), named("inline"));
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! <root>/quarantine/…          ← torn/corrupt files found on startup
 //! ```
 //!
-//! Every entry file is a one-line JSON header — the key, the payload's
-//! SHA-256, the payload byte length, and the write timestamp — followed
-//! by the raw payload bytes. The write protocol is crash-safe:
+//! Every entry file is a one-line JSON header — the key, the cache-key
+//! version ([`KEY_VERSION`]), the payload's SHA-256, the payload byte
+//! length, and the write timestamp — followed by the raw payload bytes. The write protocol is crash-safe:
 //! serialize into `<final>.tmp-<seq>`, `fsync` the temp file, atomically
 //! `rename` it over the final path, then `fsync` the shard directory. A
 //! crash at any point leaves either the old state or the new state plus
 //! possibly a torn `.tmp-*` file; startup recovery
 //! ([`DiskCache::open`]) validates every `.entry` (header parses, name
 //! matches key, digest matches payload) into the index and moves
-//! everything else into `quarantine/`, counting both outcomes.
+//! everything else into `quarantine/`, counting both outcomes. An entry
+//! of another key version is deleted and counted as discarded: no key
+//! of this version can reach it, so it must not hold disk budget.
 //!
 //! The in-memory index mirrors the directory: key → byte size + LRU
 //! stamp. Inserts past the byte cap evict strictly least-recently-used
@@ -39,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
+use crate::canon::KEY_VERSION;
 use crate::hash::sha256_hex;
 use crate::json::{obj, parse, Json};
 
@@ -90,7 +93,8 @@ pub struct DiskCacheConfig {
 pub struct RecoveryStats {
     /// Valid entries admitted into the index.
     pub recovered: u64,
-    /// Torn temp files and corrupt entries moved to `quarantine/`.
+    /// Torn temp files and corrupt entries moved to `quarantine/`, and
+    /// entries of another key version deleted.
     pub discarded: u64,
 }
 
@@ -198,15 +202,19 @@ impl DiskCache {
             for file in fs::read_dir(shard.path())? {
                 let file = file?;
                 let rel = PathBuf::from(name).join(file.file_name());
-                match cache.validate(&file.path(), &rel) {
-                    Some((key, bytes)) => {
+                match validate(&file.path(), &rel) {
+                    Ok((key, bytes)) => {
                         let mtime = file
                             .metadata()
                             .and_then(|m| m.modified())
                             .unwrap_or(SystemTime::UNIX_EPOCH);
                         valid.push((mtime, key, bytes));
                     }
-                    None => {
+                    Err(Unusable::Stale) => {
+                        let _ = fs::remove_file(file.path());
+                        stats.discarded += 1;
+                    }
+                    Err(Unusable::Corrupt) => {
                         cache.quarantine(&file.path());
                         stats.discarded += 1;
                     }
@@ -221,17 +229,6 @@ impl DiskCache {
         }
         drop(index);
         Ok((cache, stats))
-    }
-
-    /// Checks one scanned file: committed suffix, header parses, name
-    /// matches the header key, digest matches the payload. Returns the
-    /// key and file size, or `None` for anything quarantine-worthy.
-    fn validate(&self, path: &Path, rel: &Path) -> Option<(String, u64)> {
-        let key = key_of_rel_path(rel)?;
-        let entry = read_entry(path, &key).ok()?;
-        let bytes = fs::metadata(path).ok()?.len();
-        let _ = entry;
-        Some((key, bytes))
     }
 
     fn quarantine(&self, path: &Path) {
@@ -286,6 +283,7 @@ impl DiskCache {
 
         let header = obj(vec![
             ("key", Json::Str(key.to_string())),
+            ("key_version", Json::Str(KEY_VERSION.to_string())),
             ("sha256", Json::Str(payload_sha256.to_string())),
             ("len", Json::Num(payload.len() as f64)),
             ("created_unix", Json::Num(unix_now() as f64)),
@@ -388,6 +386,8 @@ pub struct GcReport {
     pub kept_bytes: u64,
     /// Orphaned `.tmp-*` files deleted.
     pub temps_removed: u64,
+    /// Entries of another key version deleted (no key reaches them).
+    pub stale_removed: u64,
     /// Corrupt, misnamed, or foreign shard files moved to
     /// `quarantine/` (the same policy startup recovery applies).
     pub quarantined: u64,
@@ -400,17 +400,23 @@ impl std::fmt::Display for GcReport {
         write!(
             f,
             "kept {} entries ({} bytes), removed {} orphaned temp files, \
+             removed {} entries of another key version, \
              quarantined {} corrupt entries, skipped {} foreign files",
-            self.kept, self.kept_bytes, self.temps_removed, self.quarantined, self.skipped
+            self.kept,
+            self.kept_bytes,
+            self.temps_removed,
+            self.stale_removed,
+            self.quarantined,
+            self.skipped
         )
     }
 }
 
 /// Offline cache-directory compaction (`retime-serve --cache-gc`): walk
 /// every shard, delete orphaned `.tmp-*` leftovers from interrupted
-/// writes, re-verify each `.entry`'s header and payload digest (moving
-/// anything corrupt or misnamed into `quarantine/`), and report what
-/// was kept. The same validation startup recovery applies, runnable
+/// writes and entries of another key version, re-verify each `.entry`'s
+/// header and payload digest (moving anything corrupt or misnamed into
+/// `quarantine/`), and report what was kept. The same validation startup recovery applies, runnable
 /// without starting a server and without loading payloads into memory
 /// beyond one at a time. Must not run concurrently with a serving
 /// process on the same directory — a temp file about to be renamed
@@ -450,16 +456,20 @@ pub fn gc(dir: &Path) -> io::Result<GcReport> {
                 continue;
             }
             let rel = PathBuf::from(&shard_name).join(name);
-            let valid = key_of_rel_path(&rel)
-                .and_then(|key| read_entry(&path, &key).ok().map(|_| ()))
-                .is_some();
-            if valid {
-                report.kept += 1;
-                report.kept_bytes += fs::metadata(&path)?.len();
-            } else {
-                fs::create_dir_all(&pen)?;
-                fs::rename(&path, pen.join(name))?;
-                report.quarantined += 1;
+            match validate(&path, &rel) {
+                Ok((_, bytes)) => {
+                    report.kept += 1;
+                    report.kept_bytes += bytes;
+                }
+                Err(Unusable::Stale) => {
+                    fs::remove_file(&path)?;
+                    report.stale_removed += 1;
+                }
+                Err(Unusable::Corrupt) => {
+                    fs::create_dir_all(&pen)?;
+                    fs::rename(&path, pen.join(name))?;
+                    report.quarantined += 1;
+                }
             }
         }
     }
@@ -472,9 +482,35 @@ fn unix_now() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
+/// Why an entry file cannot be served.
+#[derive(Debug)]
+enum Unusable {
+    /// Written under another cache-key version: well formed, but no key
+    /// of this version can reach it.
+    Stale,
+    /// Unreadable, torn, misnamed or corrupt.
+    Corrupt,
+}
+
+/// Checks one scanned file: committed suffix, header parses, name
+/// matches the header key, key version is this one, digest matches the
+/// payload. Returns the key and file size.
+fn validate(path: &Path, rel: &Path) -> Result<(String, u64), Unusable> {
+    let key = key_of_rel_path(rel).ok_or(Unusable::Corrupt)?;
+    match read_entry(path, &key) {
+        Ok(_) => {
+            let bytes = fs::metadata(path).map_err(|_| Unusable::Corrupt)?.len();
+            Ok((key, bytes))
+        }
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => Err(Unusable::Stale),
+        Err(_) => Err(Unusable::Corrupt),
+    }
+}
+
 /// Reads and fully validates one entry file: header line parses, its
 /// key matches `key`, its length matches the payload, and the payload
-/// hashes to the recorded digest.
+/// hashes to the recorded digest. A well-formed header of another key
+/// version is an [`io::ErrorKind::Unsupported`] error.
 fn read_entry(path: &Path, key: &str) -> io::Result<DiskEntry> {
     let mut raw = Vec::new();
     fs::File::open(path)?.read_to_end(&mut raw)?;
@@ -486,6 +522,12 @@ fn read_entry(path: &Path, key: &str) -> io::Result<DiskEntry> {
     let header = parse(header_text).map_err(|_| corrupt("unparseable header"))?;
     if header.get("key").and_then(Json::as_str) != Some(key) {
         return Err(corrupt("header key mismatch"));
+    }
+    if header.get("key_version").and_then(Json::as_str) != Some(KEY_VERSION) {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "cache entry of another key version",
+        ));
     }
     let sha = header
         .get("sha256")
@@ -607,14 +649,22 @@ pub(crate) mod tests {
     #[test]
     fn eviction_is_lru_and_respects_cap() {
         let tmp = TempDir::new("evict");
-        let (cache, _) = open(&tmp.0, 600);
-        let payload = "x".repeat(100); // file size ≈ 100 + header
+        let payload = "x".repeat(100);
+        // Room for two entries of this payload, not three.
+        let entry = {
+            let probe = TempDir::new("evict-probe");
+            let (cache, _) = open(&probe.0, u64::MAX);
+            store(&cache, &key(1), &payload);
+            cache.total_bytes()
+        };
+        let cap = 2 * entry + entry / 2;
+        let (cache, _) = open(&tmp.0, cap);
         store(&cache, &key(1), &payload);
         store(&cache, &key(2), &payload);
         // Touch key 1 so key 2 is now LRU.
         cache.load(&key(1)).expect("hit");
         store(&cache, &key(3), &payload);
-        assert!(cache.total_bytes() <= 600);
+        assert!(cache.total_bytes() <= cap);
         assert!(cache.load(&key(2)).is_none(), "LRU entry evicted");
         assert!(cache.load(&key(1)).is_some());
         assert!(cache.load(&key(3)).is_some());
@@ -693,5 +743,61 @@ pub(crate) mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(pen.len(), 2, "{pen:?}");
+    }
+
+    /// Rewrites an entry's header as an older key version wrote it.
+    fn downgrade(path: &Path, version: Option<&str>) {
+        let text = fs::read_to_string(path).unwrap();
+        let stamp = format!(",\"key_version\":\"{KEY_VERSION}\"");
+        assert!(text.contains(&stamp), "{text}");
+        let old = version.map_or(String::new(), |v| format!(",\"key_version\":\"{v}\""));
+        fs::write(path, text.replacen(&stamp, &old, 1)).unwrap();
+    }
+
+    /// An entry of another key version is deleted on open: not
+    /// recovered, counted as discarded, and out of the byte total.
+    #[test]
+    fn entries_of_another_key_version_are_dropped_on_open() {
+        let tmp = TempDir::new("stale");
+        let (cache, _) = open(&tmp.0, 1 << 20);
+        let (k1, k2, k3) = (key(1), key(2), key(3));
+        store(&cache, &k1, "current");
+        store(&cache, &k2, "written by v3");
+        store(&cache, &k3, "from the future");
+        let kept_bytes = cache.sizes()[&k1];
+        drop(cache);
+        downgrade(&tmp.0.join(shard_rel_path(&k2)), None);
+        downgrade(
+            &tmp.0.join(shard_rel_path(&k3)),
+            Some("retime-serve-key-v5"),
+        );
+
+        let (reopened, stats) = open(&tmp.0, 1 << 20);
+        assert_eq!(
+            stats,
+            RecoveryStats {
+                recovered: 1,
+                discarded: 2
+            }
+        );
+        assert_eq!(reopened.total_bytes(), kept_bytes);
+        assert!(reopened.load(&k2).is_none());
+        for k in [&k2, &k3] {
+            assert!(!tmp.0.join(shard_rel_path(k)).exists());
+        }
+        assert!(!tmp.0.join(QUARANTINE_DIR).exists(), "stale is not corrupt");
+        drop(reopened);
+
+        // `gc` drops them too, and says so.
+        store(&open(&tmp.0, 1 << 20).0, &k2, "written by v3");
+        downgrade(&tmp.0.join(shard_rel_path(&k2)), None);
+        let report = gc(&tmp.0).unwrap();
+        assert_eq!(
+            (report.kept, report.stale_removed, report.quarantined),
+            (1, 1, 0)
+        );
+        assert!(report
+            .to_string()
+            .contains("removed 1 entries of another key version"));
     }
 }

@@ -4,12 +4,14 @@
 //! a flow, an overhead, and options. Resolution runs in two steps. The
 //! key step reads inline text once into its canonical form
 //! ([`read_inline`]), which with the options is all the cache key needs
-//! ([`inline_key`]). The build step — the canonical re-parse, the cloud,
-//! the derived clock, and the optional conversion ([`build_inline`],
-//! [`build_suite`]) — runs only when the key misses the cache.
-//! [`resolve_spec`] runs both, as the daemon does on a miss. Execution
-//! runs the named flow through the same entry points the table binaries
-//! use and renders the deterministic result payload the cache stores.
+//! ([`inline_key`]). The build step — the netlist in canonical order,
+//! the cloud, the derived clock, and the optional conversion
+//! ([`build_inline`], [`build_suite`]) — runs only when the key misses
+//! the cache; a `.bench` build reads no text, it builds from the key
+//! step's statement table. [`resolve_spec`] runs both, as the daemon
+//! does on a miss. Execution runs the named flow through the same entry
+//! points the table binaries use and renders the deterministic result
+//! payload the cache stores.
 
 use retime_bench::{build_case, Certification};
 use retime_circuits::paper_suite;
@@ -218,60 +220,101 @@ pub struct ResolvedCircuit {
 /// The key step's product for an inline submission: its text read once
 /// and canonicalized. It is everything the cache key hashes of the
 /// circuit, and all [`build_inline`] needs to build it.
-#[derive(Debug, Clone)]
-pub struct InlineSource {
+#[derive(Debug)]
+pub struct InlineSource<'a> {
     /// Display name.
-    pub name: String,
+    pub name: &'a str,
     /// Canonical `.bench` text of the submitted circuit.
     pub canonical: String,
+    /// How the build gets the netlist.
+    read: Read<'a>,
 }
 
-/// Key step for inline text: one parse (`.bench`, or EDIF through
-/// `retime-convert`'s parser), then [`canonical_bench`]. Opens `parse`
-/// and `canonicalize` spans.
+/// What a build starts from, by input format.
+#[derive(Debug)]
+enum Read<'a> {
+    /// A `.bench` submission's statement table and its canonical order.
+    Bench(bench::Table<'a>, bench::Order),
+    /// An EDIF submission: the build reads the canonical text.
+    Edif,
+}
+
+/// Key step for inline text. `.bench` text is read once into its
+/// statement table (`parse` span) and written in canonical order
+/// (`canonicalize` span); no netlist is built. EDIF text is parsed
+/// through `retime-convert`'s parser and canonicalized with
+/// [`canonical_bench`].
 ///
 /// # Errors
-/// Returns the parser's diagnosis.
-pub fn read_inline(name: &str, text: &str, format: InputFormat) -> Result<InlineSource, String> {
-    let parsed = {
-        let _parse = retime_trace::span("parse");
-        match format {
-            InputFormat::Bench => {
-                bench::parse(name, text).map_err(|e| format!("netlist parse error: {e}"))?
-            }
-            InputFormat::Edif => {
+/// Returns the reader's diagnosis.
+pub fn read_inline<'a>(
+    name: &'a str,
+    text: &'a str,
+    format: InputFormat,
+) -> Result<InlineSource<'a>, String> {
+    let (canonical, read) = match format {
+        InputFormat::Bench => {
+            let table = {
+                let _parse = retime_trace::span("parse");
+                bench::read(text).map_err(|e| format!("netlist parse error: {e}"))?
+            };
+            let _canonicalize = retime_trace::span("canonicalize");
+            let order = table.canonical_order();
+            (table.write(&order), Read::Bench(table, order))
+        }
+        InputFormat::Edif => {
+            let parsed = {
+                let _parse = retime_trace::span("parse");
                 retime_convert::edif::parse(text).map_err(|e| format!("EDIF parse error: {e}"))?
-            }
+            };
+            let _canonicalize = retime_trace::span("canonicalize");
+            (canonical_bench(&parsed), Read::Edif)
         }
     };
-    let _canonicalize = retime_trace::span("canonicalize");
     Ok(InlineSource {
-        name: name.to_string(),
-        canonical: canonical_bench(&parsed),
+        name,
+        canonical,
+        read,
     })
 }
 
-/// Build step for inline text, run on a cache miss only: **re-parse the
-/// canonical text**, so the flow result depends only on the cache key —
-/// never on the submitted statement order, and never on which format
-/// (`.bench` or EDIF) carried the circuit in — then extract the cloud,
-/// derive the clock, and, with `convert`, convert. Opens a `build` span
-/// holding `parse`, `extract`, `clock` and the conversion's `convert`.
+/// Build step for inline text, run on a cache miss only: build the
+/// netlist **in canonical order**, so the flow result depends only on
+/// the cache key — never on the submitted statement order, and never on
+/// which format (`.bench` or EDIF) carried the circuit in — then extract
+/// the cloud, derive the clock, and, with `convert`, convert. A `.bench`
+/// netlist is built from the key step's table (a `to_netlist` span): it
+/// is the netlist a parse of the canonical text gives. An EDIF netlist
+/// is that parse (a `parse` span). All of it runs under a `build` span,
+/// with `extract`, `clock` and the conversion's `convert`.
 ///
 /// # Errors
-/// Returns a one-line diagnosis for re-parse, extraction, clock
-/// derivation, or conversion failures, in that order.
+/// Returns a one-line diagnosis for the canonical build, extraction,
+/// clock derivation, or conversion failures, in that order.
 pub fn build_inline(
-    source: InlineSource,
+    source: InlineSource<'_>,
     convert: bool,
     lib: &Library,
 ) -> Result<ResolvedCircuit, String> {
     let _build = retime_trace::span("build");
-    let netlist = {
-        let _parse = retime_trace::span("parse");
-        bench::parse(&source.name, &source.canonical)
-            .map_err(|e| format!("canonical re-parse error: {e}"))?
-    };
+    let InlineSource {
+        name,
+        canonical,
+        read,
+    } = source;
+    let netlist = match read {
+        Read::Bench(table, order) => {
+            let _to_netlist = retime_trace::span("to_netlist");
+            table.to_netlist(name, &order)
+        }
+        Read::Edif => {
+            let _parse = retime_trace::span("parse");
+            bench::parse(name, &canonical)
+        }
+    }
+    // The text a parse of the canonical text gave: the table build
+    // fails exactly where that parse did.
+    .map_err(|e| format!("canonical re-parse error: {e}"))?;
     let cloud = {
         let _extract = retime_trace::span("extract");
         CombCloud::extract(&netlist).map_err(|e| format!("cloud extraction: {e}"))?
@@ -280,8 +323,15 @@ pub fn build_inline(
         let _clock = retime_trace::span("clock");
         retime_circuits::relaxed_clock(&cloud, lib).map_err(|e| format!("clock derivation: {e}"))?
     };
-    let InlineSource { name, canonical } = source;
-    finish_build(name, netlist, cloud, clock, canonical, convert, lib)
+    finish_build(
+        name.to_string(),
+        netlist,
+        cloud,
+        clock,
+        canonical,
+        convert,
+        lib,
+    )
 }
 
 /// Build step for a suite circuit: build and calibrate the matching
@@ -408,14 +458,19 @@ impl JobSpec {
     /// The clock is an override's bits, else `calibrated` (a suite
     /// circuit's clock, which its text does not determine) by its bits,
     /// else [`KeyClock::Derived`].
-    pub fn key_material(&self, calibrated: Option<TwoPhaseClock>) -> KeyMaterial {
+    pub fn key_material(&self, calibrated: Option<TwoPhaseClock>) -> KeyMaterial<'_> {
         let clock = match (self.clock, calibrated) {
             (Some(ns), _) => KeyClock::Fixed(TwoPhaseClock::from_max_delay(ns)),
             (None, Some(clock)) => KeyClock::Fixed(clock),
             (None, None) => KeyClock::Derived,
         };
+        let (suite, name) = match &self.circuit {
+            CircuitRef::Suite(name) => (true, name),
+            CircuitRef::Inline { name, .. } => (false, name),
+        };
         KeyMaterial {
-            suite: matches!(self.circuit, CircuitRef::Suite(_)),
+            suite,
+            name,
             flow: self.flow,
             overhead: self.overhead,
             clock,
@@ -429,7 +484,7 @@ impl JobSpec {
 /// The cache key of an inline submission from its key step alone: the
 /// key [`prepare`] gives once [`build_inline`] has run. Opens a `key`
 /// span.
-pub fn inline_key(spec: &JobSpec, source: &InlineSource, lib: &Library) -> String {
+pub fn inline_key(spec: &JobSpec, source: &InlineSource<'_>, lib: &Library) -> String {
     let _key = retime_trace::span("key");
     cache_key(&source.canonical, lib, spec.key_material(None))
 }

@@ -164,7 +164,7 @@ pub fn reactor_pair(idx: usize) -> io::Result<(ReactorPost, ReactorCore)> {
 
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    read_buf: LineBuf,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Currently registered with `EPOLLOUT` interest.
@@ -239,7 +239,7 @@ impl ReactorCore {
                             id,
                             Conn {
                                 stream,
-                                read_buf: Vec::new(),
+                                read_buf: LineBuf::default(),
                                 write_buf: Vec::new(),
                                 write_pos: 0,
                                 want_write: false,
@@ -304,6 +304,44 @@ fn push_reply<S: Service>(
     conn.closing && pending(conn) == 0
 }
 
+/// A connection's unread request bytes, and how far they are known to
+/// hold no newline, so each byte is searched once however slowly its
+/// line arrives.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// `bytes[..scanned]` holds no newline after the last line taken.
+    scanned: usize,
+    /// Bytes searched for a newline so far.
+    #[cfg(test)]
+    searched: usize,
+}
+
+impl LineBuf {
+    /// The index of the newline ending the line that starts at `start`,
+    /// once that line is complete.
+    fn newline_from(&mut self, start: usize) -> Option<usize> {
+        let from = self.scanned.max(start);
+        let found = self.bytes[from..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|rel| from + rel);
+        let scanned = found.map_or(self.bytes.len(), |nl| nl + 1);
+        #[cfg(test)]
+        {
+            self.searched += scanned - from;
+        }
+        self.scanned = scanned;
+        found
+    }
+
+    /// Drops the first `n` bytes: the lines taken.
+    fn consume(&mut self, n: usize) {
+        self.bytes.drain(..n);
+        self.scanned -= n;
+    }
+}
+
 /// Reads everything available, dispatches complete lines, and queues
 /// replies; `true` means the connection must be dropped.
 fn handle_readable<S: Service>(
@@ -321,7 +359,7 @@ fn handle_readable<S: Service>(
                 eof = true;
                 break;
             }
-            Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => conn.read_buf.bytes.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
@@ -331,11 +369,10 @@ fn handle_readable<S: Service>(
     // Process every complete line with a cursor, then compact once.
     let mut start = 0;
     while !conn.closing {
-        let Some(rel) = conn.read_buf[start..].iter().position(|&b| b == b'\n') else {
+        let Some(end) = conn.read_buf.newline_from(start) else {
             break;
         };
-        let end = start + rel;
-        let outcome = match std::str::from_utf8(&conn.read_buf[start..end]) {
+        let outcome = match std::str::from_utf8(&conn.read_buf.bytes[start..end]) {
             Ok(line) if line.trim().is_empty() => None,
             Ok(line) => Some(service.handle_line(reactor, token, line)),
             Err(_) => Some(LineReply::Fatal(
@@ -360,9 +397,9 @@ fn handle_readable<S: Service>(
             }
         }
     }
-    conn.read_buf.drain(..start);
+    conn.read_buf.consume(start);
 
-    if !conn.closing && conn.read_buf.len() > limits.max_line_bytes {
+    if !conn.closing && conn.read_buf.bytes.len() > limits.max_line_bytes {
         conn.closing = true;
         let reply = "{\"ok\":false,\"error\":\"request line too long\"}\n";
         if push_reply(service, conn, reply.as_bytes(), limits) {
@@ -405,5 +442,56 @@ fn update_interest(epoll: &Epoll, token: u64, conn: &mut Conn) {
         if epoll.modify(conn.stream.as_raw_fd(), mask, token).is_ok() {
             conn.want_write = needs_write;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Takes every complete line, as `handle_readable` does.
+    fn take_lines(buf: &mut LineBuf) -> Vec<Vec<u8>> {
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while let Some(end) = buf.newline_from(start) {
+            lines.push(buf.bytes[start..end].to_vec());
+            start = end + 1;
+        }
+        buf.consume(start);
+        lines
+    }
+
+    /// A line trickled in 16 KiB pieces is searched once in all, not
+    /// once per piece from its start.
+    #[test]
+    fn a_trickled_line_is_searched_once() {
+        const PIECE: usize = 16 << 10;
+        const LINE: usize = 4 << 20;
+        let mut buf = LineBuf::default();
+        let piece = vec![b'x'; PIECE];
+        for _ in 0..LINE / PIECE {
+            buf.bytes.extend_from_slice(&piece);
+            assert!(take_lines(&mut buf).is_empty());
+        }
+        assert_eq!(buf.searched, LINE);
+        buf.bytes.extend_from_slice(b"\nnext");
+        let lines = take_lines(&mut buf);
+        assert_eq!(lines.len(), 1);
+        assert_eq!(lines[0].len(), LINE);
+        assert_eq!(buf.bytes, b"next");
+        assert!(buf.searched <= LINE + 5, "searched {}", buf.searched);
+    }
+
+    #[test]
+    fn lines_split_across_reads_come_out_whole() {
+        let mut buf = LineBuf::default();
+        let mut got = Vec::new();
+        for chunk in [&b"ab"[..], b"c\nde", b"", b"f\n\ng", b"h\n"] {
+            buf.bytes.extend_from_slice(chunk);
+            got.extend(take_lines(&mut buf));
+        }
+        assert_eq!(got, [&b"abc"[..], b"def", b"", b"gh"]);
+        assert!(buf.bytes.is_empty());
+        assert_eq!(buf.searched, "abc\ndef\n\ngh\n".len());
     }
 }

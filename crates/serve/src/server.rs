@@ -474,14 +474,24 @@ fn error_reply(msg: &str) -> Json {
     ])
 }
 
-/// Parses one request line and routes it to the command handler.
+/// Parses one request line and routes it to the command handler. The
+/// JSON parse, and a submission's [`JobSpec`], run under a `request`
+/// span that names the command.
 fn dispatch(shared: &Shared, reactor: usize, conn: u64, line: &str) -> LineReply {
+    let request = retime_trace::span("request");
     let v = match parse(line) {
         Ok(v) => v,
         Err(e) => return LineReply::Now(error_reply(&format!("bad request: {e}")).render()),
     };
-    let reply = match v.get("cmd").and_then(Json::as_str) {
-        Some("submit") => handle_submit(shared, &v),
+    let cmd = v.get("cmd").and_then(Json::as_str);
+    retime_trace::attr_str("cmd", cmd.unwrap_or_default());
+    if cmd == Some("submit") {
+        let spec = JobSpec::from_json(&v);
+        drop(request);
+        return LineReply::Now(handle_submit(shared, spec).render());
+    }
+    drop(request);
+    let reply = match cmd {
         Some("status") => handle_status(shared, &v),
         Some("result") => return handle_result(shared, reactor, conn, &v),
         Some("metrics") => handle_metrics(shared),
@@ -541,22 +551,22 @@ fn suite_shared(
 }
 
 /// A submission after its key step.
-enum Keyed {
+enum Keyed<'a> {
     /// A suite build, ready to run under its config.
     Built(Arc<ResolvedCircuit>, KeyConfig),
     /// Inline text read as far as its key; built on a miss.
-    Inline(InlineSource),
+    Inline(InlineSource<'a>),
 }
 
 /// Key step, then the cache lookup, then — on a miss only — the build
 /// step on this thread (the workers only run flows). Error replies come
 /// in the build's order: parse errors from the key step, then
 /// extraction and clock errors, then conversion errors.
-fn handle_submit(shared: &Shared, v: &Json) -> Json {
+fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply("shutting_down");
     }
-    let spec = match JobSpec::from_json(v) {
+    let spec = match spec {
         Ok(spec) => spec,
         Err(e) => return error_reply(&e),
     };

@@ -444,3 +444,51 @@ fn derived_clock_bits_are_pinned() {
         resolved.clock.max_path_delay()
     );
 }
+
+/// The payload carries the display name, so the key does: the same text
+/// under two names is two misses, and each payload names its own
+/// submission; a repeat under either name is a hit on its own entry.
+#[test]
+fn the_same_text_under_two_names_keys_apart() {
+    use retime_serve::json::{obj, Json};
+    use retime_serve::{Client, Server, ServerConfig};
+
+    let handle = Server::spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let mut keys = Vec::new();
+    for (name, cached) in [("first", false), ("second", false), ("first", true)] {
+        let line = obj(vec![
+            ("cmd", Json::Str("submit".into())),
+            ("netlist", Json::Str(S27_LIKE.into())),
+            ("name", Json::Str(name.into())),
+            ("flow", Json::Str("base".into())),
+        ])
+        .render();
+        let reply = client.request_line(&line).expect("submit");
+        assert_eq!(
+            reply.get("cached"),
+            Some(&Json::Bool(cached)),
+            "{name}: {}",
+            reply.render()
+        );
+        keys.push(reply.get("key").and_then(Json::as_str).map(str::to_string));
+        let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+        let done = client.wait_result(id).expect("result");
+        assert_eq!(
+            done.get("result")
+                .and_then(|r| r.get("circuit"))
+                .and_then(Json::as_str),
+            Some(name),
+            "{}",
+            done.render()
+        );
+    }
+    assert_ne!(keys[0], keys[1]);
+    assert_eq!(keys[0], keys[2]);
+    client.shutdown().expect("shutdown");
+    handle.wait();
+}

@@ -244,63 +244,66 @@ fn torn_write_is_quarantined_and_survivors_serve_bit_identical() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
-/// The key this job had under the v2 scheme: the same fields, the
-/// derived clock's bits, and the canonical text, behind the v2 preamble.
-fn v2_key(netlist: &str) -> String {
+/// The key this job had under the v3 scheme: the same fields, with the
+/// derived clock named and no display name, and the canonical text,
+/// behind the v3 preamble.
+fn v3_key(netlist: &str) -> String {
     let lib = retime_liberty::Library::fdsoi28();
     let spec = JobSpec::from_json(&parse(&submit_line(netlist)).unwrap()).unwrap();
     let resolved = resolve_circuit(&spec.circuit, &lib).unwrap();
     let cfg = prepare(&spec, &resolved, &lib).key_config;
     retime_serve::sha256_hex(
         format!(
-            "retime-serve-key-v2\nlib:{}\nflow:{}\nc:{:016x}\nclock:{:016x}\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n{}",
+            "retime-serve-key-v3\nlib:{}\ncircuit:inline\nflow:{}\nc:{:016x}\nclock:derived\nmodel:{:?}\nverify:{}\nconvert:{}\n--\n{}",
             lib.name(),
             cfg.flow.name(),
             cfg.overhead.value().to_bits(),
-            cfg.clock.max_path_delay().to_bits(),
             cfg.model,
             cfg.verify,
             cfg.convert,
-            resolved.canonical,
+            resolved.source_canonical,
         )
         .as_bytes(),
     )
 }
 
-/// A cache directory written under the v2 key scheme restarts into a
-/// miss for the same job — never a hit on the old entry, whose payload
-/// is planted poisoned here — and then stores and serves the v3 entry.
+/// A cache directory written under the v3 key scheme restarts with its
+/// entry dropped — not re-admitted, not counted against the disk budget,
+/// and never a hit (its payload is planted poisoned here) — and then
+/// stores and serves the v4 entry.
 #[test]
-fn v2_entries_restart_into_misses_and_v3_entries_replace_them() {
-    use retime_serve::{shard_rel_path, DiskCache, DiskCacheConfig};
+fn v3_entries_are_dropped_on_restart_and_v4_entries_replace_them() {
+    use retime_serve::shard_rel_path;
 
-    let cache_dir = std::env::temp_dir().join(format!("retime-v2-{}", std::process::id()));
+    let cache_dir = std::env::temp_dir().join(format!("retime-v3-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let netlist = NETLISTS[0];
-    let old_key = v2_key(netlist);
+    let old_key = v3_key(netlist);
+    let old_path = cache_dir.join(shard_rel_path(&old_key));
     {
-        let (disk, _) = DiskCache::open(DiskCacheConfig {
-            dir: cache_dir.clone(),
-            max_bytes: 1 << 20,
-            cache_fault: false,
-        })
-        .expect("open cache dir");
+        // An entry as v3 wrote it: a header without a key version.
         let poisoned = "{\"poisoned\":true}";
-        disk.store(
-            &old_key,
-            poisoned,
-            &retime_serve::sha256_hex(poisoned.as_bytes()),
-        )
-        .expect("plant v2 entry");
+        let header = format!(
+            "{{\"key\":\"{old_key}\",\"sha256\":\"{}\",\"len\":{},\"created_unix\":1}}\n",
+            retime_serve::sha256_hex(poisoned.as_bytes()),
+            poisoned.len(),
+        );
+        std::fs::create_dir_all(old_path.parent().unwrap()).unwrap();
+        std::fs::write(&old_path, header + poisoned).expect("plant v3 entry");
     }
 
     let daemon = start_daemon(&cache_dir, None);
     let mut client = daemon.client();
     let metrics = client.metrics_text().expect("metrics");
-    assert!(
-        metrics.contains("retime_serve_cache_recovered_total 1\n"),
-        "the v2 entry is a valid file and is re-admitted: {metrics}"
-    );
+    for line in [
+        "retime_serve_cache_recovered_total 0\n",
+        "retime_serve_cache_discarded_total 1\n",
+        "retime_serve_cache_disk_entries 0\n",
+        "retime_serve_cache_disk_bytes 0\n",
+    ] {
+        assert!(metrics.contains(line), "{line}: {metrics}");
+    }
+    assert!(!old_path.exists(), "the v3 entry is deleted");
     let reply = client.request_line(&submit_line(netlist)).expect("submit");
     assert_eq!(
         reply.get("cached"),
@@ -327,10 +330,10 @@ fn v2_entries_restart_into_misses_and_v3_entries_replace_them() {
     daemon.shutdown();
     assert!(
         cache_dir.join(shard_rel_path(&key)).is_file(),
-        "the v3 entry is stored"
+        "the v4 entry is stored"
     );
 
-    // After a restart the v3 entry is a disk hit.
+    // After a restart the v4 entry is a disk hit.
     let restarted = start_daemon(&cache_dir, None);
     let mut client = restarted.client();
     let result = run_job(&mut client, netlist);

@@ -283,9 +283,11 @@ fn shutdown_drains_queued_jobs_then_exits() {
     handle.wait();
 }
 
-/// The submit path in spans: every submission runs the key step
+/// The submit path in spans: every request line's JSON parse and spec
+/// run in a `request` span; every submission runs the key step
 /// (`parse`, `canonicalize`, `key`) on the reactor; only a miss adds a
-/// `build` (`parse`, `extract`, `clock`, and the conversion's spans when
+/// `build` (`to_netlist` from the key step's table — no second
+/// `parse` — then `extract`, `clock`, and the conversion's spans when
 /// converting) and a worker `job`. A hit, converted or not, opens no `build`, no
 /// `convert` and no timing pass. Tracing is process-global, so the
 /// spans of this test's submissions are picked out by circuit name.
@@ -376,13 +378,38 @@ fn submit_spans_key_every_time_and_build_on_a_miss_only() {
                 .iter()
                 .find(|r| r.name == "build" && r.parent == submit.id)
                 .expect("build span");
-            let mut want = vec!["parse", "extract", "clock"];
+            // A `.bench` miss builds from the key step's table: no
+            // second parse.
+            let mut want = vec!["to_netlist", "extract", "clock"];
             if convert {
                 // `retime_convert::convert`'s own stage spans.
                 want.extend(["convert", "sta", "verify"]);
             }
             assert_eq!(children(build.id), want, "{what}");
+            assert!(
+                !records
+                    .iter()
+                    .any(|r| r.name == "parse" && under(r, build.id)),
+                "{what}"
+            );
         }
+        // The request's JSON parse and spec run in a `request` span,
+        // the last one on the reactor before the submit.
+        let request = records
+            .iter()
+            .filter(|r| r.name == "request" && r.tid == submit.tid && r.seq < submit.seq)
+            .max_by_key(|r| r.seq)
+            .expect("request span");
+        assert_eq!(request.depth, submit.depth, "{what}");
+        assert!(
+            request.start_us + request.dur_us <= submit.start_us,
+            "{what}"
+        );
+        assert_eq!(
+            request.attrs,
+            [("cmd", Value::Str("submit".to_string()))],
+            "{what}"
+        );
     }
     let jobs = records
         .iter()

@@ -260,13 +260,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or escape in one call,
+        // validating it as UTF-8 once.
+        let run = *pos + run_len(&bytes[*pos..]);
+        let text = std::str::from_utf8(&bytes[*pos..run])
+            .map_err(|e| format!("bad utf8 at byte {}", *pos + e.valid_up_to()))?;
+        out.push_str(text);
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -293,30 +300,33 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b.is_ascii() => {
-                out.push(char::from(b));
-                *pos += 1;
-            }
-            Some(&lead) => {
-                // Decode one multi-byte UTF-8 scalar: validate only the
-                // bytes its lead byte announces, never the rest of the
-                // input (which would make a long string quadratic).
-                let width = match lead {
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => return Err(format!("bad utf8 at byte {pos}")),
-                };
-                let end = (*pos + width).min(bytes.len());
-                let ch = std::str::from_utf8(&bytes[*pos..end])
-                    .ok()
-                    .and_then(|s| s.chars().next())
-                    .ok_or_else(|| format!("bad utf8 at byte {pos}"))?;
-                out.push(ch);
-                *pos = end;
-            }
         }
     }
+}
+
+/// Length of the prefix of `bytes` before the first `"` or `\\`, eight
+/// bytes per step: a byte equal to the target zeroes its lane of the XOR,
+/// and the borrow trick flags the lowest zero lane exactly.
+fn run_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_lanes = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let hits =
+            zero_lanes(w ^ (ONES * u64::from(b'"'))) | zero_lanes(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(tail.len())
 }
 
 /// Shorthand for building an object in field order.
@@ -332,6 +342,9 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_is_a_fixed_point() {
@@ -409,5 +422,67 @@ mod tests {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(1.25).render(), "1.25");
         assert_eq!(Json::Num(-0.5).render(), "-0.5");
+    }
+
+    /// A string of `len` scalars drawn from escapes, control characters,
+    /// multi-byte scalars and plain ASCII runs.
+    fn tricky(seed: u64, len: usize) -> String {
+        const POOL: &[&str] = &[
+            "\"",
+            "\\",
+            "/",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{8}",
+            "\u{c}",
+            "\u{1f}",
+            "\u{7f}",
+            "é",
+            "€",
+            "𝄞",
+            "\u{fffd}",
+            "\u{2028}",
+            "a",
+            "INPUT(G1)\n",
+            "G10 = NAND(G0, G1)",
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| POOL[rng.random_range(0..POOL.len())])
+            .collect()
+    }
+
+    /// The word-at-a-time scan stops where a byte-at-a-time one does,
+    /// for a target at every offset among near misses.
+    #[test]
+    fn run_len_finds_the_first_quote_or_backslash() {
+        for target in [b'"', b'\\'] {
+            for at in 0..40 {
+                let mut bytes: Vec<u8> = (0..40u8)
+                    .map(|i| [0x21, 0x23, 0xa2, 0x5b, 0x5d, 0xdc, 0x00, 0xff][usize::from(i % 8)])
+                    .collect();
+                bytes[at] = target;
+                if at + 3 < 40 {
+                    bytes[at + 3] = b'"';
+                }
+                assert_eq!(run_len(&bytes), at);
+                assert_eq!(run_len(&bytes[..at]), at);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip_through_render(seed in any::<u64>(), len in 0usize..200) {
+            let s = tricky(seed, len);
+            let rendered = Json::Str(s.clone()).render();
+            prop_assert_eq!(parse(&rendered), Ok(Json::Str(s.clone())));
+            let field = obj(vec![("netlist", Json::Str(s.clone()))]).render();
+            prop_assert_eq!(parse(&field).unwrap().get("netlist"), Some(&Json::Str(s)));
+        }
     }
 }
