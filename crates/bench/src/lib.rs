@@ -45,14 +45,14 @@ use retime_core::{grar, grar_with_basis, GrarConfig, GrarReport};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist};
 use retime_retime::{
-    base_retime, base_retime_sweep, flop_design_area, AreaModel, BasisSlot, FlowBasis, RetimeError,
-    RetimeOutcome, RetimingSweep,
+    base_retime, base_retime_with_basis, flop_design_area, AreaModel, BasisSlot, FlowBasis,
+    RetimeError, RetimeOutcome,
 };
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::{
     verify_certificate, verify_retiming_solution, FlowKind, VerifyOptions, VerifySetup,
 };
-use retime_vl::{vl_retime, vl_retime_with_sweep, VlConfig, VlReport, VlVariant};
+use retime_vl::{vl_retime, vl_retime_with_basis, VlConfig, VlReport, VlVariant};
 
 /// A suite circuit with its calibrated clock.
 pub struct BenchCase {
@@ -291,55 +291,38 @@ pub fn table_flows(
 /// probes re-price ([`RetimeOutcome::repriced`]) instead of re-running.
 /// The basis also keeps G-RAR's Eq. 14 instance with its solved min
 /// cut: each later G-RAR probe re-prices the pseudo targets and resumes
-/// the cut ([`grar_with_basis`]). Base retiming and RVL-RAR each keep a
-/// solved-instance memo of their one run.
+/// the cut ([`grar_with_basis`]).
 ///
 /// The slots borrow the case's cloud and the library. A probe for
 /// another case, library or clock clears them all first.
 #[derive(Default)]
 pub struct WarmSlots<'a> {
     basis: Option<FlowBasis<'a>>,
-    base: Option<RetimingSweep>,
-    rvl: Option<RetimingSweep>,
     base_outcome: Option<RetimeOutcome>,
     rvl_report: Option<VlReport>,
 }
 
 impl WarmSlots<'_> {
-    /// Certifies the last solution of every flow against its problem
-    /// ([`verify_retiming_solution`]): the base and RVL-RAR memos', and
-    /// G-RAR's kept instance as last solved. The labels must satisfy the
-    /// ILP, agree with the cut and the objective, and reach the optimum
-    /// a checked min-cut certificate proves.
+    /// Certifies G-RAR's kept instance as last solved against its
+    /// problem ([`verify_retiming_solution`]): the resumed labels must
+    /// satisfy the ILP, agree with the cut and the objective, and reach
+    /// the optimum a checked min-cut certificate proves. Base retiming
+    /// and RVL-RAR keep no instance; their one run per case is certified
+    /// through [`Approaches::certify`].
     ///
     /// # Errors
-    /// Surfaces a rejected certificate as an internal error naming the
-    /// offending flow.
+    /// Surfaces a rejected certificate as an internal error.
     pub fn certify(&self) -> Result<(), RetimeError> {
         let grar = self
             .basis
             .as_ref()
             .and_then(FlowBasis::targeted)
             .and_then(|kept| kept.problem.last_solved());
-        for (label, solved) in [
-            (
-                "base",
-                self.base.as_ref().and_then(RetimingSweep::last_solved),
-            ),
-            (
-                "rvl",
-                self.rvl.as_ref().and_then(RetimingSweep::last_solved),
-            ),
-            ("grar", grar),
-        ] {
-            let Some((problem, warm)) = solved else {
-                continue;
-            };
-            verify_retiming_solution(problem, warm).map_err(|e| {
-                RetimeError::Internal(format!("{label} warm certificate rejected: {e}"))
-            })?;
-        }
-        Ok(())
+        let Some((problem, warm)) = grar else {
+            return Ok(());
+        };
+        verify_retiming_solution(problem, warm)
+            .map_err(|e| RetimeError::Internal(format!("grar warm certificate rejected: {e}")))
     }
 }
 
@@ -350,7 +333,7 @@ impl WarmSlots<'_> {
 /// RVL-RAR and keeps their results, and later probes re-price them at
 /// the new `c`. Every outcome is bit-identical to [`run_approaches`]'
 /// at the same `c`. Uncertified, like [`run_approaches`]; certify the
-/// kept solutions with [`WarmSlots::certify`].
+/// kept G-RAR solution with [`WarmSlots::certify`].
 ///
 /// # Errors
 /// Propagates flow failures.
@@ -381,13 +364,12 @@ pub fn run_approaches_with<'a>(
     let area = AreaModel::new(lib, c);
     let base = match &slots.base_outcome {
         Some(first) => first.repriced(cloud, &area),
-        None => base_retime_sweep(
+        None => base_retime_with_basis(
             cloud,
             lib,
             case.clock,
             model,
             c,
-            &mut slots.base,
             BasisSlot::Shared(&mut slots.basis),
         )?,
     };
@@ -396,12 +378,11 @@ pub fn run_approaches_with<'a>(
             outcome: first.outcome.repriced(cloud, &area),
             ..*first
         },
-        None => vl_retime_with_sweep(
+        None => vl_retime_with_basis(
             cloud,
             lib,
             case.clock,
             &VlConfig::new(VlVariant::Rvl, c),
-            &mut slots.rvl,
             BasisSlot::Shared(&mut slots.basis),
         )?,
     };
@@ -450,7 +431,7 @@ pub fn table1_row(case: &BenchCase, lib: &Library, model: &AreaModel<'_>) -> Vec
 /// G-RAR, G-RAR improvement % of `area` — plus the improvement
 /// percentages (RVL, G-RAR per overhead) for the table's average row.
 /// The sweep keeps one [`WarmSlots`] per case; with `verify`, every
-/// outcome and every memo's last solution is certified first. Table IV
+/// outcome and G-RAR's kept solution are certified first. Table IV
 /// reads the sequential area, Table V the total area; shared by both
 /// binaries and the golden snapshot test.
 ///

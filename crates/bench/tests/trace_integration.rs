@@ -27,7 +27,7 @@
 //!   whole-cloud pass, none in its commits, and classifies each
 //!   master-backed sink once.
 //! * **One min cut per sweep.** The sweep's later G-RAR probes resume
-//!   the first probe's min cut, with less work and without the memo.
+//!   the first probe's min cut, with less work.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -206,7 +206,7 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
     // The overhead sweep on one shared basis, which keeps G-RAR's
     // instance: the first probe solves it from nothing (`cold_solves`),
     // and each later probe re-prices it and resumes the kept min cut
-    // (`warm_hits`), with no `solve_warm` memo span. Only the first
+    // (`warm_hits`). Only the first
     // probe's `sta` stage runs a full pass, and the later probes'
     // `classify` stages read the endpoint from the basis (`cached`).
     let mut basis = None;
@@ -223,10 +223,6 @@ fn fig4_warm_sweep_trace_matches_golden_structure() {
         }
     });
     assert!(!records.is_empty(), "the traced sweep recorded no spans");
-    assert!(
-        records.iter().all(|r| r.name != "solve_warm"),
-        "a shared basis answers G-RAR without the memo"
-    );
 
     let text = retime_trace::chrome_trace(&records);
     let check = retime_trace::check_chrome_trace(&text).expect("export validates");
@@ -380,7 +376,8 @@ fn table4_sweep_analyses_each_case_once() {
         masters,
         "each master-backed sink classified once"
     );
-    // The re-priced probes report a memo hit, as before.
+    // The re-priced probes each report one solver invocation answered
+    // from memory.
     assert_eq!(counter_sum(&records, "solve", "solver_invocations"), 9);
 }
 
@@ -407,7 +404,7 @@ fn counter(r: &SpanRecord, name: &str) -> u64 {
 /// A Table IV sweep on a case with targets keeps G-RAR's instance in
 /// the shared basis: the first probe solves its min cut from nothing,
 /// and the two later probes re-price the pseudo targets and resume that
-/// cut, each with less work, and none through the `solve_warm` memo.
+/// cut, each with less work.
 /// The commits legalize delay tables alone: no whole-cloud pass.
 #[test]
 fn table4_sweep_resumes_the_grar_min_cut() {
@@ -430,7 +427,6 @@ fn table4_sweep_resumes_the_grar_min_cut() {
         .filter(|&i| records[i].name == "grar")
         .map(|i| {
             let inner: Vec<&SpanRecord> = descendants(&records, i).collect();
-            assert!(inner.iter().all(|r| r.name != "solve_warm"));
             let cuts: Vec<&&SpanRecord> = inner.iter().filter(|r| r.name == "min_cut").collect();
             let work = cuts
                 .iter()

@@ -1,9 +1,9 @@
 //! Warm-slot bit-identity: the Table IV overhead sweep, run the way the
 //! `table4` binary runs it (one [`WarmSlots`] per case: one shared
 //! timing basis, base retiming and RVL-RAR re-priced after the first
-//! probe, G-RAR classifying nothing twice, solved-instance memos), must
-//! produce the same outcomes as cold per-overhead runs (a fresh
-//! analysis and an unslotted solve each time). If any outcome moves, a
+//! probe, G-RAR classifying nothing twice and resuming one min cut),
+//! must produce the same outcomes as cold per-overhead runs (a fresh
+//! analysis and a solve from nothing each time). If any outcome moves, a
 //! stale basis, result or solution leaked into it.
 
 use retime_bench::{

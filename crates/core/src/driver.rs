@@ -13,7 +13,7 @@ use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, NodeId, NodeKind};
 use retime_retime::{
     AreaModel, BasisSlot, OpenBasis, ParametricProblem, RetimeError, RetimeOutcome,
-    RetimingProblem, RetimingSweep, TargetedInstance, BREADTH_SCALE,
+    RetimingProblem, TargetedInstance, BREADTH_SCALE,
 };
 
 use crate::cutset::ClassifyCounts;
@@ -112,40 +112,6 @@ pub fn grar_with_basis<'a>(
     cfg: &GrarConfig,
     basis: BasisSlot<'_, 'a>,
 ) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, basis, None)
-}
-
-/// [`grar_with_basis`] with a solved-instance memo for runs on a fresh
-/// basis: the flow solve goes through the slot's [`RetimingSweep`],
-/// which answers a call whose Eq. 14 instance is identical to the last
-/// one solved and solves any other cold, exactly as [`grar`] would. Its
-/// `warm_hits` and `cold_solves` land under `Stage::Solve`. On a shared
-/// basis the basis's kept instance answers instead, as in
-/// [`grar_with_basis`], and `slot` is left alone.
-///
-/// # Errors
-/// The same failures as [`grar`].
-pub fn grar_with_sweep<'a>(
-    cloud: &'a CombCloud,
-    lib: &'a Library,
-    clock: TwoPhaseClock,
-    cfg: &GrarConfig,
-    slot: &mut Option<RetimingSweep>,
-    basis: BasisSlot<'_, 'a>,
-) -> Result<GrarReport, RetimeError> {
-    grar_impl(cloud, lib, clock, cfg, basis, Some(slot))
-}
-
-/// The G-RAR flow on `basis`, solving through `memo` when the basis is
-/// the run's own and a memo is given.
-fn grar_impl<'a>(
-    cloud: &'a CombCloud,
-    lib: &'a Library,
-    clock: TwoPhaseClock,
-    cfg: &GrarConfig,
-    basis: BasisSlot<'_, 'a>,
-    memo: Option<&mut Option<RetimingSweep>>,
-) -> Result<GrarReport, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("grar");
     let mut phases = PhaseTimings::new();
@@ -221,8 +187,9 @@ fn grar_impl<'a>(
         .as_mut()
         .expect("classify keeps the instance");
     // Only a shared basis keeps the closure for a later run to resume.
-    // A run's own basis solves its instance once and frees the closure
-    // before the label checks, as an unslotted solve does.
+    // A run's own basis solves its instance once with
+    // `RetimingProblem::solve`, which frees the closure before the label
+    // checks.
     let sol = phases.stage(Stage::Solve, |timings| {
         timings.count("solver_invocations", 1);
         if shared {
@@ -231,12 +198,7 @@ fn grar_impl<'a>(
             timings.count("cold_solves", u64::from(!resumed));
             return kept.problem.solve().cloned();
         }
-        match memo {
-            Some(memo) => memo
-                .get_or_insert_with(RetimingSweep::default)
-                .solve_for(kept.problem.problem(), timings),
-            None => kept.problem.problem().solve(),
-        }
+        kept.problem.problem().solve()
     })?;
     let predicted_saved = kept
         .pseudos
@@ -498,7 +460,6 @@ mod tests {
         // the flow instance through the pseudo node's demand.
         let p = crit(&cloud, &lib) * 2.0;
         let clock = TwoPhaseClock::from_max_delay(p);
-        let mut slot = None;
         let mut basis = None;
         let mut targets = 0;
         let mut probes = PhaseTimings::new();
@@ -506,7 +467,7 @@ mod tests {
             let cfg = GrarConfig::new(c);
             let cold = grar(&cloud, &lib, clock, &cfg).unwrap();
             let shared = BasisSlot::Shared(&mut basis);
-            let warm = grar_with_sweep(&cloud, &lib, clock, &cfg, &mut slot, shared).unwrap();
+            let warm = grar_with_basis(&cloud, &lib, clock, &cfg, shared).unwrap();
             assert_eq!(warm.targets, cold.targets);
             assert_eq!(warm.always_ed, cold.always_ed);
             assert_eq!(warm.never_ed, cold.never_ed);
@@ -526,7 +487,6 @@ mod tests {
         // the pseudo targets and resumes the kept cut.
         assert_eq!(probes.counter("cold_solves"), 1);
         assert_eq!(probes.counter("warm_hits"), 2);
-        assert!(slot.is_none(), "a shared basis leaves the memo alone");
         // The shared basis classifies each endpoint once; the later
         // probes read every class from its cache.
         let endpoints = probes.counter("endpoints");

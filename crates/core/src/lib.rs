@@ -64,7 +64,7 @@ pub use cutset::{
     classify_and_cut_set, classify_and_cut_set_stat, classify_cached, classify_many,
     classify_many_counted, cut_set, cut_set_stat, initial_rounding_bound, ClassifyCounts,
 };
-pub use driver::{grar, grar_with_basis, grar_with_sweep, GrarConfig, GrarReport};
+pub use driver::{grar, grar_with_basis, GrarConfig, GrarReport};
 pub use edl::{insert_error_detection, EdlInsertion};
 pub use ilp::{exhaustive_best, IlpFormulation};
 pub use retime_engine::{PhaseTimings, Stage};

@@ -15,7 +15,7 @@ use crate::area::{AreaModel, SeqBreakdown};
 use crate::basis::BasisSlot;
 use crate::error::RetimeError;
 use crate::legalize::{legalize_delays, LegalizeReport};
-use crate::problem::{RetimingProblem, RetimingSolution, RetimingSweep};
+use crate::problem::RetimingProblem;
 
 /// Run-time bookkeeping of a retiming flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,7 +126,8 @@ impl RetimeOutcome {
     /// The new outcome's instrumentation is the re-pricing's own, under
     /// a `reprice` span: a `solve` stage counting one solver invocation
     /// answered from memory (`solver_invocations` and `warm_hits`), as a
-    /// memo hit does, and a `commit` stage doing the arithmetic.
+    /// resumed G-RAR probe on a shared basis does, and a `commit` stage
+    /// doing the arithmetic.
     pub fn repriced(&self, cloud: &CombCloud, model: &AreaModel<'_>) -> RetimeOutcome {
         let started = Instant::now();
         let _span = retime_trace::span("reprice");
@@ -172,51 +173,24 @@ pub fn base_retime(
     model: DelayModel,
     c: EdlOverhead,
 ) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(
-        cloud,
-        lib,
-        clock,
-        model,
-        c,
-        BasisSlot::Fresh,
-        |problem, _| problem.solve(),
-    )
+    base_retime_with_basis(cloud, lib, clock, model, c, BasisSlot::Fresh)
 }
 
-/// [`base_retime`] with a persistent warm slot, taking its timing
-/// analysis and regions from `basis`. The base problem does not depend
-/// on the EDL overhead (it only prices the area bill), so across a `c`
-/// sweep the flow instance is identical and every probe after the
-/// first is answered verbatim from the slot's memo (a sweep can skip
-/// even that with [`RetimeOutcome::repriced`]).
+/// [`base_retime`] taking its timing analysis and regions from `basis`.
+/// The base problem does not depend on the EDL overhead (it only prices
+/// the area bill), so an overhead sweep can skip the re-runs altogether
+/// with [`RetimeOutcome::repriced`]. The result is bit-identical to
+/// [`base_retime`]'s.
 ///
 /// # Errors
 /// Propagates infeasible clocking, STA, and solver failures.
-pub fn base_retime_sweep<'a>(
-    cloud: &'a CombCloud,
-    lib: &'a Library,
-    clock: TwoPhaseClock,
-    model: DelayModel,
-    c: EdlOverhead,
-    slot: &mut Option<RetimingSweep>,
-    basis: BasisSlot<'_, 'a>,
-) -> Result<RetimeOutcome, RetimeError> {
-    base_retime_impl(cloud, lib, clock, model, c, basis, |problem, timings| {
-        slot.get_or_insert_with(RetimingSweep::default)
-            .solve_for(problem, timings)
-    })
-}
-
-/// The base flow with its basis and its Eq. 14 solve supplied by the
-/// caller.
-fn base_retime_impl<'a>(
+pub fn base_retime_with_basis<'a>(
     cloud: &'a CombCloud,
     lib: &'a Library,
     clock: TwoPhaseClock,
     model: DelayModel,
     c: EdlOverhead,
     basis: BasisSlot<'_, 'a>,
-    solve: impl FnOnce(&RetimingProblem, &mut PhaseTimings) -> Result<RetimingSolution, RetimeError>,
 ) -> Result<RetimeOutcome, RetimeError> {
     let started = Instant::now();
     let _flow_span = retime_trace::span("base_retime");
@@ -232,7 +206,7 @@ fn base_retime_impl<'a>(
     })?;
     let sol = phases.stage(Stage::Solve, |timings| {
         timings.count("solver_invocations", 1);
-        solve(&problem, timings)
+        problem.solve()
     })?;
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         let area_model = AreaModel::new(lib, c);
@@ -356,29 +330,19 @@ z = BUFF(g4)
 
     #[test]
     fn engines_give_same_area() {
+        // The reference engine on the base instance (the flow's regions
+        // and movement penalty) places as many slaves as the flow.
         let cloud = pipeline();
         let lib = Library::fdsoi28();
         let clock = TwoPhaseClock::from_max_delay(50.0);
-        let run = |solve: fn(&RetimingProblem) -> Result<RetimingSolution, RetimeError>| {
-            let c = EdlOverhead::MEDIUM;
-            let fresh = BasisSlot::Fresh;
-            base_retime_impl(
-                &cloud,
-                &lib,
-                clock,
-                DelayModel::PathBased,
-                c,
-                fresh,
-                |p, _| solve(p),
-            )
-            .unwrap()
-            .seq
-            .slaves
-        };
-        let production = run(RetimingProblem::solve);
-        assert_eq!(
-            production,
-            run(|p| p.solve_with(retime_flow::MinCostFlow::solve_reference))
-        );
+        let model = DelayModel::PathBased;
+        let out = base_retime(&cloud, &lib, clock, model, EdlOverhead::MEDIUM).unwrap();
+        let sta = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
+        let mut problem = RetimingProblem::build(&cloud, &crate::Regions::compute(&sta).unwrap());
+        problem.set_movement_penalty(crate::problem::COMMERCIAL_MOVEMENT_PENALTY);
+        let reference = problem
+            .solve_with(retime_flow::MinCostFlow::solve_reference)
+            .unwrap();
+        assert_eq!(out.seq.slaves, reference.cut.slave_count(&cloud));
     }
 }

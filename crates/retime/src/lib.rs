@@ -63,12 +63,12 @@ pub mod regions;
 pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
-pub use base::{base_retime, base_retime_sweep, RetimeOutcome, RunStats};
+pub use base::{base_retime, base_retime_with_basis, RetimeOutcome, RunStats};
 pub use basis::{BasisSlot, FlowBasis, OpenBasis, TargetedInstance};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport};
 pub use problem::{
-    ParametricProblem, RetimingProblem, RetimingSolution, RetimingSweep, BREADTH_SCALE,
+    ParametricProblem, RetimingProblem, RetimingSolution, BREADTH_SCALE,
     COMMERCIAL_MOVEMENT_PENALTY,
 };
 pub use regions::{Region, Regions};

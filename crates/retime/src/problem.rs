@@ -4,7 +4,6 @@
 
 use std::time::{Duration, Instant};
 
-use retime_engine::PhaseTimings;
 use retime_flow::{Closure, FlowError, FlowSolution, MinCostFlow};
 use retime_netlist::{CombCloud, Cut, NodeId};
 
@@ -445,8 +444,8 @@ impl RetimingProblem {
             r[v] = if m { -1 } else { 0 };
         }
         // CSR over the positive-breadth fanout edges, built in one pass —
-        // this runs on every solve, memo hits included, so letting each
-        // mirror rescan the whole edge list would dominate the re-solve.
+        // this runs on every solve, resumed ones included, so letting
+        // each mirror rescan the whole edge list would dominate a resume.
         let mut first = vec![0usize; n + 1];
         for e in &self.edges {
             if e.beta > 0 {
@@ -639,64 +638,6 @@ impl ParametricProblem {
     /// `retime_verify::verify_retiming_solution`.
     pub fn last_solved(&self) -> Option<(&RetimingProblem, &RetimingSolution)> {
         self.last.as_ref().map(|sol| (&self.problem, sol))
-    }
-}
-
-/// A solved-instance memo for the retiming solves of one warm slot.
-///
-/// The memo keeps the last problem it solved and its solution. A probe
-/// whose problem is identical — same nodes, edges, bounds and movement
-/// penalty — gets the cached labels back, re-checked against the
-/// problem; any other probe is solved with [`RetimingProblem::solve`],
-/// exactly as an unslotted flow would, and replaces the memo. Base
-/// retiming and the VL flows do not depend on the EDL overhead, so an
-/// unchanged re-run is a hit. G-RAR's overhead moves its pseudo-node
-/// weights, so its probes at a new `c` miss; an overhead sweep on a
-/// shared basis keeps G-RAR's instance as a [`ParametricProblem`]
-/// instead, and resumes it.
-#[derive(Debug, Default)]
-pub struct RetimingSweep {
-    last: Option<(RetimingProblem, RetimingSolution)>,
-}
-
-impl RetimingSweep {
-    /// Solves `prob`, from the memo when it is identical to the last
-    /// problem solved, else with [`RetimingProblem::solve`]. Adds the
-    /// probe's `warm_hits` / `cold_solves` to `timings`.
-    ///
-    /// # Errors
-    /// The solver's failures, and [`RetimeError::Internal`] when the
-    /// labels violate `prob`'s bounds or difference constraints —
-    /// whether they were solved now or came from the memo.
-    pub fn solve_for(
-        &mut self,
-        prob: &RetimingProblem,
-        timings: &mut PhaseTimings,
-    ) -> Result<RetimingSolution, RetimeError> {
-        let start = Instant::now();
-        let _span = retime_trace::span("solve_warm");
-        let hit = matches!(&self.last, Some((cached, _)) if cached == prob);
-        timings.count("warm_hits", u64::from(hit));
-        timings.count("cold_solves", u64::from(!hit));
-        if hit {
-            retime_trace::attr_str("path", "hit");
-            let (_, sol) = self.last.as_ref().expect("hit implies a memo");
-            return prob.finish_solution(sol.r.clone(), start.elapsed());
-        }
-        retime_trace::attr_str("path", "cold");
-        // Free the old memo before the solve allocates; a failed solve
-        // leaves the memo empty.
-        self.last = None;
-        let sol = prob.solve()?;
-        self.last = Some((prob.clone(), sol.clone()));
-        Ok(sol)
-    }
-
-    /// The last problem solved and its solution, when a probe has run —
-    /// what harnesses hand to `retime_verify::verify_retiming_solution`
-    /// to certify the memo.
-    pub fn last_solved(&self) -> Option<(&RetimingProblem, &RetimingSolution)> {
-        self.last.as_ref().map(|(prob, sol)| (prob, sol))
     }
 }
 
@@ -976,50 +917,5 @@ w = BUFF(b)
                 .sum();
             assert_eq!(c, fanin - fanout, "node {v}");
         }
-    }
-
-    /// Two circuits with the same node and edge counts but different
-    /// wiring: a memo that compared counts only would answer the second
-    /// with a solution of the first's instance.
-    const WIRED_A: &str = "INPUT(i0)\nINPUT(i1)\nINPUT(i2)\nOUTPUT(g3)\nOUTPUT(g4)\n\
-        g0 = NOT(i0)\ng1 = AND(i1, i2)\ng2 = OR(i2, g1)\ng3 = NOT(g0)\ng4 = AND(g2, g0)\n";
-    const WIRED_B: &str = "INPUT(i0)\nINPUT(i1)\nINPUT(i2)\nOUTPUT(g3)\nOUTPUT(g4)\n\
-        g0 = AND(i1, i2)\ng1 = NOT(i1)\ng2 = NAND(i2, g0)\ng3 = NOT(i0)\ng4 = AND(g1, g2)\n";
-
-    #[test]
-    fn memo_poisoned_in_a_slot_surfaces_as_an_error() {
-        let (cloud, regions) = setup(RECONVERGE, 100.0);
-        let prob = RetimingProblem::build(&cloud, &regions);
-        let mut sweep = RetimingSweep::default();
-        let mut timings = PhaseTimings::new();
-        sweep.solve_for(&prob, &mut timings).unwrap();
-        // Shift one cloud node's label far out of its region bounds; the
-        // unchanged problem is then answered from the memo, and the
-        // bounds guard in `finish_solution` must reject it.
-        sweep.last.as_mut().unwrap().1.r[0] += 1_000;
-        let err = sweep.solve_for(&prob, &mut timings).unwrap_err();
-        assert!(matches!(err, RetimeError::Internal(_)), "{err}");
-        assert_eq!(timings.counter("cold_solves"), 1);
-    }
-
-    #[test]
-    fn memo_slot_serves_differently_wired_circuits() {
-        let (cloud_a, regions_a) = setup(WIRED_A, 100.0);
-        let (cloud_b, regions_b) = setup(WIRED_B, 100.0);
-        let a = RetimingProblem::build(&cloud_a, &regions_a);
-        let b = RetimingProblem::build(&cloud_b, &regions_b);
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edges.len(), b.edges.len());
-        assert_ne!(a.edge_list(), b.edge_list(), "the wiring must differ");
-        let mut sweep = RetimingSweep::default();
-        let mut timings = PhaseTimings::new();
-        for prob in [&a, &b, &a] {
-            let sol = sweep.solve_for(prob, &mut timings).unwrap();
-            let cold = prob.solve().unwrap();
-            assert_eq!(sol.r, cold.r);
-            assert_eq!(sol.objective_scaled, cold.objective_scaled);
-        }
-        assert_eq!(timings.counter("cold_solves"), 3);
-        assert_eq!(timings.counter("warm_hits"), 0);
     }
 }

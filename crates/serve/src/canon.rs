@@ -24,7 +24,7 @@ use retime_liberty::{EdlOverhead, Library};
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::FlowKind;
 
-use crate::hash::{sha256_hex, Sha256};
+use crate::hash::Sha256;
 
 /// Canonical `.bench` form of a netlist: `INPUT` lines sorted by name,
 /// `OUTPUT` lines sorted by driver name, gate/latch statements sorted by
@@ -171,36 +171,10 @@ pub fn cache_key<'a>(
         .finish_hex()
 }
 
-/// Warm-slot key: the *structural* part of [`cache_key`]. Jobs that
-/// share it share one solved-instance memo (`RetimingSweep`), which
-/// answers a later job only when its Eq. 14 instance is identical. Left
-/// out by name below: `overhead` (base and RVL build the same instance
-/// for every `c`), `verify` (certification never changes the instance)
-/// and `convert` (a converted text never equals its FF source's). A
-/// clock change alters the region pre-division, so it is keyed.
-pub fn warm_key(canonical_netlist: &str, lib: &Library, cfg: &KeyConfig) -> String {
-    let KeyConfig {
-        flow,
-        overhead: _,
-        clock,
-        model,
-        verify: _,
-        convert: _,
-    } = cfg;
-    let material = format!(
-        "retime-serve-warmkey-v1\nlib:{}\nflow:{}\nclock:{:016x}\nmodel:{:?}\n--\n{}",
-        lib.name(),
-        flow.name(),
-        clock.max_path_delay().to_bits(),
-        model,
-        canonical_netlist,
-    );
-    sha256_hex(material.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::sha256_hex;
     use retime_netlist::{bench, Netlist};
 
     const MESSY: &str = "\
@@ -444,54 +418,5 @@ z = BUFF(g2)
         }
         // Same config, same text → same key.
         assert_eq!(k0, cache_key(&canon, &lib, &base));
-    }
-
-    #[test]
-    fn warm_key_ignores_overhead_and_verify_but_not_structure() {
-        let lib = Library::fdsoi28();
-        let canon = canonical_bench(&bench::parse("x", TIDY).unwrap());
-        let base = KeyConfig {
-            flow: FlowKind::Grar,
-            overhead: EdlOverhead::MEDIUM,
-            clock: TwoPhaseClock::from_max_delay(10.0),
-            model: DelayModel::PathBased,
-            verify: false,
-            convert: false,
-        };
-        let k0 = warm_key(&canon, &lib, &base);
-        // An ECO overhead re-spin (and flipping verification) lands on
-        // the same warm slot…
-        for alias in [
-            KeyConfig {
-                overhead: EdlOverhead::HIGH,
-                ..base
-            },
-            KeyConfig {
-                verify: true,
-                ..base
-            },
-        ] {
-            assert_eq!(k0, warm_key(&canon, &lib, &alias), "{alias:?}");
-        }
-        // …while anything that changes the instance structure does not.
-        for variant in [
-            KeyConfig {
-                flow: FlowKind::Base,
-                ..base
-            },
-            KeyConfig {
-                clock: TwoPhaseClock::from_max_delay(11.0),
-                ..base
-            },
-            KeyConfig {
-                model: DelayModel::GateBased,
-                ..base
-            },
-        ] {
-            assert_ne!(k0, warm_key(&canon, &lib, &variant), "{variant:?}");
-        }
-        let other =
-            canonical_bench(&bench::parse("x", "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap());
-        assert_ne!(k0, warm_key(&other, &lib, &base));
     }
 }

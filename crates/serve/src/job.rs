@@ -19,7 +19,7 @@ use retime_convert::ConvertConfig;
 use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
-use retime_retime::{base_retime, BasisSlot, RetimeError, RetimeOutcome};
+use retime_retime::{base_retime, RetimeError, RetimeOutcome};
 use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
@@ -77,25 +77,39 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Parses a `submit` command object.
+    /// Parses a `submit` command object, copying an inline netlist's text
+    /// out of it.
     ///
     /// # Errors
     /// Returns a one-line diagnosis for missing or malformed fields.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let circuit = match (v.get("circuit"), v.get("netlist")) {
+        JobSpec::from_owned_json(v.clone())
+    }
+
+    /// [`JobSpec::from_json`] on a request the caller gives up: an inline
+    /// netlist's text is moved out of it, not copied.
+    ///
+    /// # Errors
+    /// The diagnoses of [`JobSpec::from_json`], in the same order.
+    pub(crate) fn from_owned_json(mut v: Json) -> Result<JobSpec, String> {
+        let mut circuit = match (v.get("circuit"), v.get("netlist")) {
             (Some(c), None) => CircuitRef::Suite(
                 c.as_str()
                     .ok_or("`circuit` must be a suite circuit name")?
                     .to_string(),
             ),
-            (None, Some(t)) => CircuitRef::Inline {
-                name: v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("inline")
-                    .to_string(),
-                text: t.as_str().ok_or("`netlist` must be a string")?.to_string(),
-            },
+            (None, Some(t)) => {
+                t.as_str().ok_or("`netlist` must be a string")?;
+                CircuitRef::Inline {
+                    name: v
+                        .get("name")
+                        .and_then(Json::as_str)
+                        .unwrap_or("inline")
+                        .to_string(),
+                    // Moved out of `v` once every field has parsed.
+                    text: String::new(),
+                }
+            }
             (Some(_), Some(_)) => return Err("give either `circuit` or `netlist`, not both".into()),
             (None, None) => return Err("missing `circuit` (suite name) or `netlist` (text)".into()),
         };
@@ -179,6 +193,11 @@ impl JobSpec {
             Some(Json::Bool(b)) => *b,
             Some(_) => return Err("`convert` must be a boolean".into()),
         };
+        if let (CircuitRef::Inline { text, .. }, Json::Obj(fields)) = (&mut circuit, &mut v) {
+            if let Some((_, Json::Str(t))) = fields.iter_mut().find(|(k, _)| k == "netlist") {
+                *text = std::mem::take(t);
+            }
+        }
         Ok(JobSpec {
             circuit,
             flow,
@@ -198,7 +217,7 @@ impl JobSpec {
 }
 
 /// A resolved circuit: built netlist, retiming view, default clock, and
-/// canonical texts.
+/// the canonical text of the submission.
 #[derive(Debug)]
 pub struct ResolvedCircuit {
     /// Display name.
@@ -209,9 +228,6 @@ pub struct ResolvedCircuit {
     pub cloud: CombCloud,
     /// Calibrated (suite) or derived (inline) clock.
     pub clock: TwoPhaseClock,
-    /// Canonical `.bench` text of the circuit the flow runs on: the
-    /// converted circuit when the job converts (the warm-slot key input).
-    pub canonical: String,
     /// Canonical `.bench` text of the submitted circuit, before any
     /// conversion (the cache-key input).
     pub source_canonical: String,
@@ -379,7 +395,6 @@ fn finish_build(
             netlist,
             cloud,
             clock,
-            canonical: source_canonical.clone(),
             source_canonical,
         });
     }
@@ -391,7 +406,6 @@ fn finish_build(
         .map_err(|e| format!("conversion failed: {e}"))?;
     Ok(ResolvedCircuit {
         name,
-        canonical: canonical_bench(&conv.netlist),
         netlist: conv.netlist,
         cloud: conv.cloud,
         clock: conv.clock,
@@ -558,75 +572,6 @@ pub fn execute(
             .outcome
         }
     };
-    finish_execution(cfg, circuit, lib, &mut outcome, None)
-}
-
-/// [`execute`] with a warm slot threaded through the flow's
-/// min-cost-flow solve — the worker pool's path for ECO re-submissions
-/// (see [`crate::warm::WarmPool`]). A `None` slot solves cold and leaves
-/// a memo of the solved instance behind for the next job with the same
-/// [`crate::canon::warm_key`]; a job whose instance matches the memo is
-/// answered from it. Results are bit-identical to [`execute`] either
-/// way, and with `verify:true` the memo's flow solution is additionally
-/// certified optimal from a checked min-cut certificate.
-///
-/// # Errors
-/// Propagates flow failures, rejected certificates, and warm/cold
-/// mismatches.
-pub fn execute_with_slot(
-    cfg: &KeyConfig,
-    circuit: &ResolvedCircuit,
-    lib: &Library,
-    slot: &mut Option<retime_retime::RetimingSweep>,
-) -> Result<JobOutput, RetimeError> {
-    let cloud = &circuit.cloud;
-    let mut outcome = match cfg.flow {
-        FlowKind::Base => retime_retime::base_retime_sweep(
-            cloud,
-            lib,
-            cfg.clock,
-            cfg.model,
-            cfg.overhead,
-            slot,
-            BasisSlot::Fresh,
-        )?,
-        FlowKind::Grar => {
-            retime_core::grar_with_sweep(
-                cloud,
-                lib,
-                cfg.clock,
-                &GrarConfig::new(cfg.overhead).with_model(cfg.model),
-                slot,
-                BasisSlot::Fresh,
-            )?
-            .outcome
-        }
-        FlowKind::Vl => {
-            retime_vl::vl_retime_with_sweep(
-                cloud,
-                lib,
-                cfg.clock,
-                &VlConfig::new(VlVariant::Rvl, cfg.overhead).with_model(cfg.model),
-                slot,
-                BasisSlot::Fresh,
-            )?
-            .outcome
-        }
-    };
-    finish_execution(cfg, circuit, lib, &mut outcome, slot.as_ref())
-}
-
-/// Shared tail of [`execute`] / [`execute_with_slot`]: optional
-/// certification (including the memo's answer, proved optimal by a
-/// checked min-cut certificate, when a slot produced the solution) and
-/// payload rendering.
-fn finish_execution(
-    cfg: &KeyConfig,
-    circuit: &ResolvedCircuit,
-    lib: &Library,
-    outcome: &mut RetimeOutcome,
-    sweep: Option<&retime_retime::RetimingSweep>,
-) -> Result<JobOutput, RetimeError> {
     if cfg.verify {
         Certification::of_netlist(
             &circuit.netlist,
@@ -637,19 +582,15 @@ fn finish_execution(
             format!("{} [serve/{}]", circuit.name, cfg.flow.name()),
         )
         .with_model(cfg.model)
-        .run(lib, outcome)?;
-        if let Some((problem, warm)) = sweep.and_then(retime_retime::RetimingSweep::last_solved) {
-            retime_verify::verify_retiming_solution(problem, warm)
-                .map_err(|e| RetimeError::Internal(format!("warm certificate rejected: {e}")))?;
-        }
+        .run(lib, &mut outcome)?;
     }
-    let payload = render_payload(&circuit.name, cfg, &circuit.cloud, outcome);
+    let payload = render_payload(&circuit.name, cfg, &circuit.cloud, &outcome);
     let payload_sha256 = sha256_hex(payload.as_bytes());
     Ok(JobOutput {
         payload,
         payload_sha256,
         solver_invocations: outcome.phases.counter("solver_invocations"),
-        phases: outcome.phases.clone(),
+        phases: outcome.phases,
     })
 }
 
@@ -846,7 +787,10 @@ mod tests {
         assert_eq!(plain.netlist.stats().dffs, 1);
         assert_eq!(converted.netlist.stats().dffs, 0);
         assert_eq!(converted.netlist.stats().masters, 1);
-        assert_ne!(plain.canonical, converted.canonical);
+        assert_ne!(
+            canonical_bench(&plain.netlist),
+            canonical_bench(&converted.netlist)
+        );
         // Both key the submitted text; the convert switch separates them.
         assert_eq!(plain.source_canonical, converted.source_canonical);
         assert_ne!(
@@ -898,7 +842,7 @@ mod tests {
         let b = resolve_spec(&as_edif, &lib).unwrap();
         // Same circuit, either carrier format → same canonical text →
         // same cache key.
-        assert_eq!(a.canonical, b.canonical);
+        assert_eq!(a.source_canonical, b.source_canonical);
         assert_eq!(
             prepare(&as_bench, &a, &lib).key,
             prepare(&as_edif, &b, &lib).key
@@ -982,7 +926,7 @@ mod tests {
             &lib,
         )
         .unwrap();
-        assert_eq!(a.canonical, b.canonical);
+        assert_eq!(a.source_canonical, b.source_canonical);
         assert_eq!(
             a.clock.max_path_delay().to_bits(),
             b.clock.max_path_delay().to_bits()

@@ -74,17 +74,15 @@ pub mod metrics;
 pub mod queue;
 pub mod reactor;
 pub mod server;
-pub mod warm;
 
 pub use cache::{CacheConfig, CacheStats, CachedResult, HitTier, ResultCache};
-pub use canon::{cache_key, canonical_bench, warm_key, KeyClock, KeyConfig, KeyMaterial};
+pub use canon::{cache_key, canonical_bench, KeyClock, KeyConfig, KeyMaterial};
 pub use client::Client;
 pub use disk::{gc, shard_rel_path, DiskCache, DiskCacheConfig, GcReport, RecoveryStats};
 pub use hash::{sha256, sha256_hex, Sha256};
 pub use job::{
-    build_inline, build_suite, execute, execute_with_slot, inline_key, prepare, read_inline,
-    render_payload, resolve_circuit, resolve_spec, CircuitRef, InlineSource, InputFormat,
-    JobOutput, JobSpec,
+    build_inline, build_suite, execute, inline_key, prepare, read_inline, render_payload,
+    resolve_circuit, resolve_spec, CircuitRef, InlineSource, InputFormat, JobOutput, JobSpec,
 };
 pub use metrics::Metrics;
 pub use queue::{JobQueue, PushError};
@@ -95,4 +93,3 @@ pub use reactor::ConnLimits;
 pub use retime_trace::json;
 pub use retime_trace::json::Json;
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use warm::WarmPool;

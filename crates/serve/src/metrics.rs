@@ -105,21 +105,6 @@ const FAMILIES: &[(&str, &str, &str)] = &[
         "Wall-clock per flow stage, by flow and stage.",
     ),
     (
-        "retime_serve_warm_resumed_jobs_total",
-        "counter",
-        "Jobs that checked out a warm memo from the ECO pool, by flow.",
-    ),
-    (
-        "retime_serve_warm_hits_total",
-        "counter",
-        "Warm-slot solves answered verbatim from an unchanged instance, by flow.",
-    ),
-    (
-        "retime_serve_warm_cold_solves_total",
-        "counter",
-        "Warm-slot solves that ran cold, by flow.",
-    ),
-    (
         "retime_serve_queue_depth",
         "gauge",
         "Jobs currently queued.",
@@ -153,11 +138,6 @@ const FAMILIES: &[(&str, &str, &str)] = &[
         "retime_serve_reactors",
         "gauge",
         "I/O reactor threads in the event loop.",
-    ),
-    (
-        "retime_serve_warm_pool_entries",
-        "gauge",
-        "Idle warm memos parked in the ECO pool.",
     ),
 ];
 

@@ -39,10 +39,10 @@ use retime_engine::{parallel_map, thread_count};
 use retime_liberty::Library;
 
 use crate::cache::{CacheConfig, CachedResult, ResultCache};
-use crate::canon::{warm_key, KeyConfig};
+use crate::canon::KeyConfig;
 use crate::job::{
-    build_inline, build_suite, execute_with_slot, inline_key, prepare, read_inline, CircuitRef,
-    InlineSource, JobSpec, ResolvedCircuit,
+    build_inline, build_suite, execute, inline_key, prepare, read_inline, CircuitRef, InlineSource,
+    JobSpec, ResolvedCircuit,
 };
 use crate::json::{obj, parse, Json};
 use crate::metrics::Metrics;
@@ -143,7 +143,6 @@ struct Shared {
     cache: ResultCache,
     metrics: Metrics,
     jobs: Mutex<JobTable>,
-    warm: crate::warm::WarmPool,
     /// Prior suite builds, keyed by `(name, converted)` — the converted
     /// two-phase build of a suite circuit is a different circuit than
     /// its edge-triggered build and must never be served in its place.
@@ -203,7 +202,6 @@ impl Server {
             cache,
             metrics: Metrics::new(),
             jobs: Mutex::new(JobTable::default()),
-            warm: crate::warm::WarmPool::default(),
             suite_store: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             workers,
@@ -362,18 +360,10 @@ fn worker_loop(shared: &Shared) {
             }
         }
         let label = format!("flow=\"{}\"", work.flow);
-        // ECO warm start: check out the memo a job with the same
-        // circuit/flow/clock/model (any overhead) left behind.
-        let slot_key = warm_key(&work.circuit.canonical, &shared.lib, &work.cfg);
-        let mut slot = shared.warm.checkout(&slot_key);
-        let resumed = slot.is_some();
         let executed = {
             let _exec = retime_trace::span("execute");
-            execute_with_slot(&work.cfg, &work.circuit, &shared.lib, &mut slot)
+            execute(&work.cfg, &work.circuit, &shared.lib)
         };
-        if let Some(sweep) = slot.take() {
-            shared.warm.checkin(&slot_key, sweep);
-        }
         drop(job_span);
         let state = match executed {
             Ok(output) => {
@@ -382,20 +372,6 @@ fn worker_loop(shared: &Shared) {
                 shared
                     .metrics
                     .inc("retime_serve_jobs_completed_total", &label, 1);
-                if resumed {
-                    shared
-                        .metrics
-                        .inc("retime_serve_warm_resumed_jobs_total", &label, 1);
-                }
-                for (family, counter) in [
-                    ("retime_serve_warm_hits_total", "warm_hits"),
-                    ("retime_serve_warm_cold_solves_total", "cold_solves"),
-                ] {
-                    let n = output.phases.counter(counter);
-                    if n > 0 {
-                        shared.metrics.inc(family, &label, n);
-                    }
-                }
                 if work.cfg.verify {
                     shared
                         .metrics
@@ -486,7 +462,7 @@ fn dispatch(shared: &Shared, reactor: usize, conn: u64, line: &str) -> LineReply
     let cmd = v.get("cmd").and_then(Json::as_str);
     retime_trace::attr_str("cmd", cmd.unwrap_or_default());
     if cmd == Some("submit") {
-        let spec = JobSpec::from_json(&v);
+        let spec = JobSpec::from_owned_json(v);
         drop(request);
         return LineReply::Now(handle_submit(shared, spec).render());
     }
@@ -808,7 +784,6 @@ fn handle_metrics(shared: &Shared) -> Json {
             "retime_serve_cache_disk_errors_total",
             stats.disk_errors as f64,
         ),
-        ("retime_serve_warm_pool_entries", shared.warm.len() as f64),
         (
             "retime_serve_open_connections",
             shared.open_connections.load(Ordering::Relaxed) as f64,

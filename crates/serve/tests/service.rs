@@ -1,6 +1,7 @@
 //! End-to-end service tests over a real loopback socket: the
 //! content-addressed cache contract (repeat submission → zero solver
-//! work, byte-identical payload, matching a direct flow call), exact
+//! work, byte-identical payload, matching a direct flow call; an
+//! overhead re-spin → a miss matching a direct call at its `c`), exact
 //! backpressure accounting at the queue bound, inline-netlist dedup
 //! across statement order, and drain-then-exit shutdown.
 
@@ -36,9 +37,11 @@ fn submit_and_wait(client: &mut Client, circuit: &str, flow: &str) -> Json {
     client.wait_result(id).expect("result")
 }
 
-/// The tentpole contract: a repeat submission is answered from the cache
+/// The cache contract: a repeat submission is answered from the cache
 /// with `solver_invocations == 0` and a payload byte-identical both to
-/// the first run and to a direct (serverless) flow call.
+/// the first run and to a direct (serverless) flow call; a re-spin at
+/// another overhead is computed afresh and matches a direct call at
+/// that overhead.
 #[test]
 fn repeat_submission_is_served_from_cache_bit_identical() {
     let (handle, addr) = spawn(2, 16);
@@ -83,31 +86,54 @@ fn repeat_submission_is_served_from_cache_bit_identical() {
     );
 
     // The served payload matches a direct flow call, bit for bit.
-    let spec = JobSpec {
-        circuit: CircuitRef::Suite("s1488".to_string()),
-        flow: FlowKind::Grar,
-        overhead: EdlOverhead::MEDIUM,
-        model: DelayModel::PathBased,
-        clock: None,
-        verify: false,
-        format: InputFormat::Bench,
-        convert: false,
-    };
     let lib = retime_liberty::Library::fdsoi28();
-    let circuit = resolve_circuit(&spec.circuit, &lib).expect("resolves");
-    let prepared = prepare(&spec, &circuit, &lib);
-    let direct = execute(&prepared.key_config, &circuit, &lib).expect("direct flow call");
-    assert_eq!(direct.payload, first_payload);
-    assert_eq!(direct.payload_sha256, first_sha);
+    let direct = |overhead| {
+        let spec = JobSpec {
+            circuit: CircuitRef::Suite("s1488".to_string()),
+            flow: FlowKind::Grar,
+            overhead,
+            model: DelayModel::PathBased,
+            clock: None,
+            verify: false,
+            format: InputFormat::Bench,
+            convert: false,
+        };
+        let circuit = resolve_circuit(&spec.circuit, &lib).expect("resolves");
+        let prepared = prepare(&spec, &circuit, &lib);
+        execute(&prepared.key_config, &circuit, &lib).expect("direct flow call")
+    };
+    let medium = direct(EdlOverhead::MEDIUM);
+    assert_eq!(medium.payload, first_payload);
+    assert_eq!(medium.payload_sha256, first_sha);
 
-    // Metrics saw exactly one hit and one miss.
+    // An overhead re-spin of the same circuit is a miss (the key hashes
+    // `c`), and its payload matches a direct flow call at that `c`.
+    let reply = client
+        .submit_suite("s1488", "grar", "high")
+        .expect("submit");
+    assert_eq!(reply.get("cached"), Some(&Json::Bool(false)));
+    let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+    let respin = client.wait_result(id).expect("result");
+    assert_eq!(respin.get("status").and_then(Json::as_str), Some("done"));
+    let high = direct(EdlOverhead::HIGH);
+    assert_eq!(
+        respin.get("result").expect("payload").render(),
+        high.payload
+    );
+    assert_eq!(
+        respin.get("payload_sha256").and_then(Json::as_str),
+        Some(high.payload_sha256.as_str())
+    );
+    assert_ne!(high.payload_sha256, first_sha);
+
+    // Metrics saw exactly one hit and two misses.
     let metrics = client.metrics_text().expect("metrics");
     assert!(
         metrics.contains("retime_serve_cache_hits_total 1\n"),
         "{metrics}"
     );
     assert!(
-        metrics.contains("retime_serve_cache_misses_total 1\n"),
+        metrics.contains("retime_serve_cache_misses_total 2\n"),
         "{metrics}"
     );
 

@@ -8,19 +8,26 @@
 //! rebuilt and the labels checked against it, timing and EDL typing are
 //! recomputed from the outcome's final (legalized) delays, the area
 //! bill is recounted against the library, and the retimed netlist is
-//! simulated against the original. For G-RAR — whose movement penalty
-//! is a pure tie-break — the checker additionally certifies optimality,
-//! not just feasibility: it solves its own closure form of the problem
-//! ([`retiming_closure`]) as a certified minimum cut, checks the cut's
-//! preflow certificate in linear time ([`check_closure_certificate`]),
-//! and demands that the outcome reach the certified optimum. The solver
-//! that produces the certificate is not trusted; only the check is.
+//! simulated against the original. For G-RAR and base retiming the
+//! checker additionally certifies optimality, not just feasibility: it
+//! rebuilds the instance the flow solved — G-RAR's with its pseudo
+//! targets (its movement penalty is a pure tie-break), base retiming's
+//! with no targets under the commercial movement penalty — solves its
+//! own closure form of it ([`retiming_closure`]) as a certified minimum
+//! cut, checks the cut's preflow certificate in linear time
+//! ([`check_closure_certificate`]), and demands that the outcome reach
+//! the certified optimum. The solver that produces the certificate is
+//! not trusted; only the check is.
 //!
 //! Soundness across flows: the virtual-library flow only *tightens*
 //! retiming regions (Free → Forbidden when freezing cones, Free →
 //! Mandatory when forcing targets), so every flow's cut must satisfy the
 //! base region bounds the checker rebuilds — ILP feasibility is checked
-//! for all three flows, optimality for G-RAR only.
+//! for all three flows, optimality for G-RAR and base retiming. The
+//! tightened regions depend on the flow's typing, which the checker
+//! does not replay, so a virtual-library result is not proved optimal
+//! here; `retime-vl`'s tests certify RVL-RAR's instance solves with
+//! [`verify_retiming_solution`].
 
 use retime_core::{classify_and_cut_set, classify_many, IlpFormulation};
 use retime_engine::{parallel_map, parallel_map_with, PhaseTimings, Stage};
@@ -28,7 +35,7 @@ use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut, Netlist, NodeId, NodeKind};
 use retime_retime::{
     stat_cut_summary, AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution,
-    BREADTH_SCALE,
+    BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };
 use retime_sim::equivalent;
 use retime_sta::{BackwardPass, CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
@@ -39,13 +46,13 @@ use crate::flowcheck::{check_closure_certificate, retiming_closure};
 /// Which flow produced the certificate under check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowKind {
-    /// Resiliency-unaware base retiming.
+    /// Resiliency-unaware base retiming, certified optimal for its
+    /// instance under the commercial movement penalty.
     Base,
-    /// G-RAR — the only flow whose objective the checker certifies
-    /// optimal (base and VL bias the solve with the commercial movement
-    /// penalty and tightened regions).
+    /// G-RAR, certified optimal for its Eq. 14 instance.
     Grar,
-    /// A virtual-library variant (EVL/NVL/RVL).
+    /// A virtual-library variant (EVL/NVL/RVL), whose tightened regions
+    /// the checker cannot rebuild: feasibility only.
     Vl,
 }
 
@@ -139,8 +146,8 @@ pub fn verify_certificate(
     let mut checks = 0;
 
     // Labels: rebuild regions + targets from scratch, check the cut and
-    // its retiming labels against the Eq. (10) ILP, and (G-RAR) certify
-    // optimality from a min cut's preflow. Yields, in sink order,
+    // its retiming labels against the Eq. (10) ILP, and (G-RAR, base)
+    // certify optimality from a min cut's preflow. Yields, in sink order,
     // `(pseudo flow node, sink idx)` per target master, the sinks
     // classified never-error-detecting, and the full label assignment.
     let (pseudos, never_ed, full) = phases.stage(Stage::Verify, |_| {
@@ -200,10 +207,12 @@ pub fn verify_certificate(
         }
         checks += 3;
 
-        if kind == FlowKind::Grar {
-            certify_optimal(&problem, &moved)?;
-            checks += 1;
+        match kind {
+            FlowKind::Grar => certify_optimal(&problem, &moved)?,
+            FlowKind::Base => certify_optimal(&base_instance(cloud, &regions), &moved)?,
+            FlowKind::Vl => {}
         }
+        checks += u64::from(kind != FlowKind::Vl);
         if stat_mode {
             let credited: Vec<(usize, Vec<NodeId>)> = pseudos
                 .iter()
@@ -461,6 +470,14 @@ pub fn verify_retiming_solution(
         });
     }
     certify_optimal(problem, &moved)
+}
+
+/// The base flow's instance: the regions with no pseudo targets, under
+/// the commercial movement penalty.
+fn base_instance(cloud: &CombCloud, regions: &Regions) -> RetimingProblem {
+    let mut problem = RetimingProblem::build(cloud, regions);
+    problem.set_movement_penalty(COMMERCIAL_MOVEMENT_PENALTY);
+    problem
 }
 
 /// Proves the cloud assignment `moved` an optimum of `problem`. The

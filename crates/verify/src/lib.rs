@@ -4,19 +4,20 @@
 //! virtual-library variants) emits a [`RetimeOutcome`] that *claims* a
 //! lot: a legal slave-latch placement, an ILP-feasible set of retiming
 //! labels, an arrival-consistent EDL assignment, a balanced area bill,
-//! and — for G-RAR — an optimal objective. This crate re-validates
+//! and — for G-RAR and base retiming — an optimal objective. This crate re-validates
 //! those claims from scratch, sharing as little machinery with the
 //! flows as possible:
 //!
 //! * [`verify_certificate`] — the end-to-end checker: rebuilds regions,
 //!   cut-sets, and the Eq. (10) ILP from a fresh STA pass, recomputes
 //!   timing and EDL typing from the final delays, recounts the area
-//!   against the library, proves G-RAR optimal from a certified
-//!   minimum cut, and simulates the retimed netlist against the
+//!   against the library, proves G-RAR and base retiming optimal from a
+//!   certified minimum cut, and simulates the retimed netlist against the
 //!   original under random stimulus.
 //! * [`verify_retiming_solution`] — the same label/objective/optimality
-//!   checks on a raw [`RetimingSolution`]; harnesses also use it to
-//!   certify the answer a warm slot's memo served.
+//!   checks on a raw [`RetimingSolution`]; tests use it to certify the
+//!   instances the checker cannot rebuild (RVL-RAR's tightened regions)
+//!   and the G-RAR instance an overhead sweep kept and resumed.
 //! * [`check_closure_certificate`] — linear-time proof that a minimum
 //!   cut's closure is the inclusion-minimal optimum, from the maximum
 //!   preflow the cut ends with ([`ClosureCertificate`]), checked

@@ -1,9 +1,10 @@
 //! Negative-path coverage: each kind of certificate corruption must be
 //! rejected with its own descriptive [`VerifyError`] variant — a flipped
 //! retiming label, a flipped EDL flag, mis-counted area figures, a
-//! credited target that still times inside the window, and a min cut's
-//! optimality certificate that is tampered with or proves a closure
-//! that is not the inclusion-minimal optimum.
+//! credited target that still times inside the window, a raw retiming
+//! solution whose labels leave their bounds, and a min cut's optimality
+//! certificate that is tampered with or proves a closure that is not the
+//! inclusion-minimal optimum.
 
 use retime_circuits::{paper_suite, Fig4};
 use retime_core::{classify_and_cut_set, grar, GrarConfig};
@@ -307,6 +308,21 @@ fn feasible_but_suboptimal_closure_is_rejected() {
             optimum,
         }) => assert!(optimum < certificate, "{optimum} < {certificate}"),
         other => panic!("expected Suboptimal, got: {other:?}"),
+    }
+}
+
+#[test]
+fn poisoned_solution_labels_are_rejected() {
+    let (problem, _, _) = fig4_certified();
+    let sol = problem.solve().expect("feasible");
+    verify_retiming_solution(&problem, &sol).expect("the genuine solution certifies");
+    // Push one label out of its region bounds: every label is −1 or 0,
+    // so two below it is out of range either way.
+    let mut poisoned = sol.clone();
+    poisoned.r[0] -= 2;
+    match verify_retiming_solution(&problem, &poisoned) {
+        Err(VerifyError::LabelInfeasible { .. }) => {}
+        other => panic!("expected LabelInfeasible, got: {other:?}"),
     }
 }
 

@@ -45,5 +45,5 @@
 pub mod flow;
 pub mod movable;
 
-pub use flow::{vl_retime, vl_retime_with_sweep, VlConfig, VlReport, VlVariant};
+pub use flow::{vl_retime, vl_retime_with_basis, VlConfig, VlReport, VlVariant};
 pub use movable::forward_merge_pass;
