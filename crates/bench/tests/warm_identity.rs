@@ -153,3 +153,40 @@ fn warm_slots_reused_across_cases_and_clocks_match_cold_runs() {
         probe(case, &lib, c, &mut slots);
     }
 }
+
+/// Every solve of every flow counts as either `cold_solves` (from
+/// nothing) or `warm_hits` (re-priced or resumed), so the two add up to
+/// `solver_invocations`: one cold solve per flow in a one-shot run, and
+/// in a Table IV sweep one cold solve per flow on the case with every
+/// later probe warm.
+#[test]
+fn every_solve_counts_as_cold_or_warm() {
+    let lib = Library::fdsoi28();
+    let spec = paper_suite()
+        .into_iter()
+        .find(|s| s.name == "s1423")
+        .expect("s1423 in suite");
+    let case = build_case(&spec, &lib);
+    // `(cold_solves, warm_hits, solver_invocations)` of each flow.
+    let counts = |a: &Approaches| {
+        [&a.base, &a.rvl.outcome, &a.grar.outcome].map(|o| {
+            let n = |name| o.phases.counter(name);
+            (n("cold_solves"), n("warm_hits"), n("solver_invocations"))
+        })
+    };
+    let one_shot = run_approaches(&case, &lib, EdlOverhead::MEDIUM, DelayModel::PathBased)
+        .expect("cold flows run");
+    assert_eq!(counts(&one_shot), [(1, 0, 1); 3], "base, RVL-RAR, G-RAR");
+
+    let mut slots = WarmSlots::default();
+    let mut total = (0, 0, 0);
+    for (k, c) in EdlOverhead::SWEEP.into_iter().enumerate() {
+        let warm = run_approaches_with(&case, &lib, c, &mut slots).expect("warm flows run");
+        let want = if k == 0 { (1, 0, 1) } else { (0, 1, 1) };
+        assert_eq!(counts(&warm), [want; 3], "probe {k}");
+        for (cold, hits, invocations) in counts(&warm) {
+            total = (total.0 + cold, total.1 + hits, total.2 + invocations);
+        }
+    }
+    assert_eq!(total, (3, 6, 9));
+}

@@ -21,7 +21,7 @@
 //! The genuine ISCAS89 netlists are not redistributable here; the suite
 //! is a *synthetic substitution* calibrated to the published per-circuit
 //! statistics (flip-flop count, area scale, NCE count — see `DESIGN.md`).
-//! Real `.bench`/BLIF files drop in unchanged through
+//! Real `.bench` files drop in unchanged through
 //! [`retime_netlist::bench`].
 
 pub mod fig4;
@@ -31,5 +31,5 @@ pub mod synth;
 
 pub use fig4::Fig4;
 pub use rtl::{plasma_like, RtlBuilder};
-pub use suite::{paper_suite, relaxed_clock, small_suite, CircuitSpec, SuiteCircuit};
+pub use suite::{paper_suite, relaxed_clock, CircuitSpec, SuiteCircuit};
 pub use synth::{inverter_loop, SynthConfig};

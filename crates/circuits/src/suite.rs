@@ -231,15 +231,6 @@ pub fn paper_suite() -> Vec<CircuitSpec> {
     ]
 }
 
-/// The small-to-medium prefix of the suite (fast enough for unit
-/// tests).
-pub fn small_suite() -> Vec<CircuitSpec> {
-    paper_suite()
-        .into_iter()
-        .filter(|s| s.flops <= 200)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,8 @@
 //! EDIF 2.0.0 netlist reader and writer.
 //!
 //! The reader lowers a structural EDIF 2.0.0 description into a
-//! [`retime_netlist::Netlist`], sitting alongside the `.bench` and BLIF
-//! paths as the third input format of the pipeline. It understands the
+//! [`retime_netlist::Netlist`], sitting alongside the `.bench` reader
+//! as the second input format of the pipeline. It understands the
 //! subset every structural-netlist EDIF uses:
 //!
 //! * `(edif name … (library … (cell … (view … (interface …)

@@ -10,7 +10,7 @@
 //! * [`edif`] — an EDIF 2.0.0 reader built on an interned-[`Atom`]
 //!   symbol table ([`Interner`]) and a depth-limited, panic-free
 //!   s-expression parser ([`sexpr`]), lowering onto
-//!   [`retime_netlist::Netlist`] alongside the `.bench`/BLIF paths;
+//!   [`retime_netlist::Netlist`] alongside the `.bench` path;
 //!   plus a deterministic writer so netlists round-trip.
 //! * [`mod@convert`] — the conversion pass: split each FF into a master
 //!   latch (φ1, fixed) and slave latch (φ2, movable), map FF cells to

@@ -198,6 +198,7 @@ pub fn grar_with_basis<'a>(
             timings.count("cold_solves", u64::from(!resumed));
             return kept.problem.solve().cloned();
         }
+        timings.count("cold_solves", 1);
         kept.problem.problem().solve()
     })?;
     let predicted_saved = kept

@@ -57,7 +57,6 @@
 
 pub mod cutset;
 pub mod driver;
-pub mod edl;
 pub mod ilp;
 
 pub use cutset::{
@@ -65,6 +64,5 @@ pub use cutset::{
     classify_many_counted, cut_set, cut_set_stat, initial_rounding_bound, ClassifyCounts,
 };
 pub use driver::{grar, grar_with_basis, GrarConfig, GrarReport};
-pub use edl::{insert_error_detection, EdlInsertion};
 pub use ilp::{exhaustive_best, IlpFormulation};
 pub use retime_engine::{PhaseTimings, Stage};

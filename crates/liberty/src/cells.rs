@@ -1,7 +1,4 @@
-//! Cell descriptors: combinational cells, flip-flops, latches, and
-//! error-detecting latch styles.
-
-use std::fmt;
+//! Cell descriptors: combinational cells, flip-flops and latches.
 
 /// A rise/fall delay pair, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -132,34 +129,6 @@ pub struct LatchCell {
     pub setup: f64,
 }
 
-/// Error-detecting latch circuit styles (paper Fig. 2, after Bowman et
-/// al. \[1\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdlStyle {
-    /// Time-borrowing latch with a shadow master-slave flip-flop: the MSFF
-    /// samples data at the window opening and an XOR flags discrepancies.
-    ShadowMsff,
-    /// Transition-detecting time-borrowing latch: conventional latch, XOR
-    /// transition detector, and an asymmetric C-element holding the error.
-    Tdtb,
-}
-
-impl EdlStyle {
-    /// Short human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdlStyle::ShadowMsff => "shadow-MSFF",
-            EdlStyle::Tdtb => "TDTB",
-        }
-    }
-}
-
-impl fmt::Display for EdlStyle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,10 +188,5 @@ mod tests {
         assert_eq!(s.fall, 0.7);
         assert_eq!(s.max(), 0.7);
         assert_eq!(b.scale(2.0).fall, 0.4);
-    }
-
-    #[test]
-    fn edl_styles() {
-        assert_eq!(EdlStyle::Tdtb.to_string(), "TDTB");
     }
 }

@@ -8,11 +8,12 @@
 //!   ([`FlipFlopCell`], [`LatchCell`]) — the latch's D-to-Q delay differs
 //!   from its clock-to-Q delay, which Section III notes can vary by up to
 //!   40 % in a modern library,
-//! * error-detecting latch styles (Fig. 2) and the amortized EDL area
-//!   overhead [`EdlOverhead`] `c` swept over {0.5, 1.0, 2.0},
-//! * the **virtual library** of Section V ([`VirtualLibrary`]): three latch
-//!   groups distinguishing error-detecting (larger area), non-error-
-//!   detecting (tighter setup), and normal latches.
+//! * the amortized error-detecting latch (EDL) area overhead
+//!   [`EdlOverhead`] `c`, swept over {0.5, 1.0, 2.0}.
+//!
+//! The virtual library of Section V is not a cell table here: the
+//! `retime-vl` crate implements it as latch typing and region
+//! constraints on the retiming instance.
 //!
 //! The built-in [`Library::fdsoi28`] library is calibrated so that a latch
 //! is ≈43 % of a flip-flop's area, matching the ratio reported in the
@@ -32,11 +33,7 @@
 pub mod cells;
 pub mod library;
 pub mod overhead;
-pub mod sigma;
-pub mod virtual_lib;
 
-pub use cells::{CombCell, DelayArc, EdlStyle, FlipFlopCell, LatchCell, Sense};
+pub use cells::{CombCell, DelayArc, FlipFlopCell, LatchCell, Sense};
 pub use library::{Library, LibraryError};
 pub use overhead::EdlOverhead;
-pub use sigma::{parse_sigma_extension, SigmaError, SigmaSpec, SigmaTable};
-pub use virtual_lib::{LatchGroup, VirtualLatch, VirtualLibrary};

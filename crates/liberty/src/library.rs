@@ -5,7 +5,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::cells::{CombCell, DelayArc, FlipFlopCell, LatchCell, Sense};
-use crate::sigma::SigmaTable;
 
 /// Errors raised by library queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +37,6 @@ pub struct Library {
     cells: HashMap<GateName, CombCell>,
     flip_flop: FlipFlopCell,
     latch: LatchCell,
-    sigma: Option<SigmaTable>,
 }
 
 impl Library {
@@ -54,22 +52,7 @@ impl Library {
             cells: cells.into_iter().collect(),
             flip_flop,
             latch,
-            sigma: None,
         }
-    }
-
-    /// Attaches a parsed Liberty sigma extension
-    /// ([`crate::parse_sigma_extension`]); the statistical delay mode
-    /// reads per-cell variation from it instead of its seeded fallback.
-    #[must_use]
-    pub fn with_sigma(mut self, sigma: SigmaTable) -> Library {
-        self.sigma = Some(sigma);
-        self
-    }
-
-    /// The attached sigma extension, if any.
-    pub fn sigma(&self) -> Option<&SigmaTable> {
-        self.sigma.as_ref()
     }
 
     /// The library name.

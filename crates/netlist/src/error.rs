@@ -22,7 +22,7 @@ pub enum NetlistError {
         /// Name of a cell on the cycle.
         witness: String,
     },
-    /// A parse error in `.bench` or BLIF input.
+    /// A parse error in `.bench` input.
     Parse {
         /// 1-based line number.
         line: usize,

@@ -5,8 +5,7 @@
 //!
 //! * [`Netlist`] — a flip-flop based gate-level netlist (the form in which
 //!   benchmark circuits such as ISCAS89 are distributed),
-//! * parsers and writers for the ISCAS89 [`mod@bench`] format and a structural
-//!   subset of [`blif`],
+//! * a reader and a canonical writer for the ISCAS89 [`mod@bench`] format,
 //! * [`CombCloud`] — the combinational retiming view obtained by
 //!   cutting the circuit at its flip-flops (Section III of the paper):
 //!   inputs are (fixed) master-latch outputs, outputs are (fixed)
@@ -35,7 +34,6 @@
 //! ```
 
 pub mod bench;
-pub mod blif;
 pub mod cell;
 pub mod cloud;
 pub mod cone;

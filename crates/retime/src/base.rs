@@ -14,7 +14,7 @@ use retime_sta::{CutTiming, DelayModel, NodeDelays, TwoPhaseClock};
 use crate::area::{AreaModel, SeqBreakdown};
 use crate::basis::BasisSlot;
 use crate::error::RetimeError;
-use crate::legalize::{legalize_delays, LegalizeReport};
+use crate::legalize::{legalize, LegalizeReport};
 use crate::problem::RetimingProblem;
 
 /// Run-time bookkeeping of a retiming flow.
@@ -81,8 +81,7 @@ impl RetimeOutcome {
         solver: Duration,
         started: Instant,
     ) -> Result<RetimeOutcome, RetimeError> {
-        cut.validate(cloud)?;
-        let (report, timing) = legalize_delays(cloud, &clock, &mut delays, &cut, model)?;
+        let (report, timing) = legalize(cloud, &clock, &mut delays, &cut, model)?;
         // Statistical mode replaces the arrival-window EDL rule with the
         // yield-aware margined rule over the (legalized) canonical forms;
         // the nominal `timing` stays as-is for reporting and replay.
@@ -206,6 +205,7 @@ pub fn base_retime_with_basis<'a>(
     })?;
     let sol = phases.stage(Stage::Solve, |timings| {
         timings.count("solver_invocations", 1);
+        timings.count("cold_solves", 1);
         problem.solve()
     })?;
     let mut outcome = phases.stage(Stage::Commit, |timings| {

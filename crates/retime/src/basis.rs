@@ -134,7 +134,13 @@ impl<'a> FlowBasis<'a> {
 #[derive(Debug)]
 pub enum BasisSlot<'s, 'a> {
     /// Build a basis for this run alone; its commit legalizes the
-    /// analysis in place.
+    /// analysis in place. It stays apart from `Shared` on purpose: a
+    /// one-shot run on a throwaway shared slot would keep the analysis,
+    /// the class cache and G-RAR's closure alive through its commit, and
+    /// on six alternating 10 s `grar_cold` benchmark pairs (2 vCPU) that
+    /// raised the median `peak_rss_mb` from 55.0 to 59.0 (+7 %, worse in
+    /// 6 of 6) and lowered the median `jobs_per_s` from 32.1 to 31.1
+    /// (lower in 6 of 6).
     Fresh,
     /// A basis shared by the runs of a sweep: reused when it was built
     /// for the run's cloud, library, clock and model, else (re)built in

@@ -7,7 +7,7 @@
 //! bounded upsizing factor, paying a proportional area penalty.
 
 use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
-use retime_sta::{cut_timing, CutTiming, NodeDelays, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{cut_timing, CutTiming, NodeDelays, TwoPhaseClock};
 
 use crate::area::AreaModel;
 use crate::error::RetimeError;
@@ -40,44 +40,27 @@ impl LegalizeReport {
 }
 
 /// Repairs residual violations of constraints (6)/(7) for a fixed cut by
-/// upsizing gates on violating paths. Mutates the delay tables of `sta`
-/// (exactly like a size-only incremental compile would), re-analyses
-/// them once if anything was upsized, and returns what it did, with the
-/// timing of `cut` under the final tables. The flows legalize their
-/// delay tables alone, without an analysis to keep up to date (see
-/// [`RetimeOutcome::assemble`](crate::RetimeOutcome::assemble)).
+/// upsizing gates on violating paths, the way a size-only incremental
+/// compile would: each round times `cut` with the forward-only
+/// [`cut_timing`], marks every gate in the union of the violations'
+/// fan-in cones, and speeds them up in `delays`. Returns what it did,
+/// with the timing of `cut` under the final tables. The flows call it
+/// through [`RetimeOutcome::assemble`](crate::RetimeOutcome::assemble).
 ///
 /// # Errors
 /// Rejects an invalid cut ([`Cut::validate`]). Returns
 /// [`RetimeError::Internal`] if violations persist after the
 /// round budget (the placement is then genuinely infeasible, which the
 /// region construction should have prevented). The upsizing applied so
-/// far stays in `sta`.
+/// far stays in `delays`.
 pub fn legalize(
-    sta: &mut TimingAnalysis<'_>,
-    cut: &Cut,
-    model: &AreaModel<'_>,
-) -> Result<(LegalizeReport, CutTiming), RetimeError> {
-    cut.validate(sta.cloud())?;
-    let mut delays = sta.delays().clone();
-    let result = legalize_delays(sta.cloud(), sta.clock(), &mut delays, cut, model);
-    if &delays != sta.delays() {
-        *sta = TimingAnalysis::with_delays(sta.cloud(), delays, *sta.clock());
-    }
-    result
-}
-
-/// [`legalize`] on bare delay tables, for a valid `cut`: each round
-/// times it with the forward-only [`cut_timing`], marks every gate in
-/// the union of the violations' fan-in cones, and speeds them up in
-/// `delays`.
-pub(crate) fn legalize_delays(
     cloud: &CombCloud,
     clock: &TwoPhaseClock,
     delays: &mut NodeDelays,
     cut: &Cut,
     model: &AreaModel<'_>,
 ) -> Result<(LegalizeReport, CutTiming), RetimeError> {
+    cut.validate(cloud)?;
     let mut report = LegalizeReport::default();
     let mut walk = ConeWalk::new(cloud);
     for round in 0..=MAX_ROUNDS {
@@ -150,26 +133,35 @@ mod tests {
     use super::*;
     use retime_liberty::{EdlOverhead, Library};
     use retime_netlist::{bench, CombCloud};
-    use retime_sta::{DelayModel, TwoPhaseClock};
+    use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
+
+    fn path_delays(cloud: &CombCloud, lib: &Library) -> NodeDelays {
+        NodeDelays::from_library(cloud, lib, DelayModel::PathBased).unwrap()
+    }
+
+    /// The timing of `cut` by a fresh analysis of `delays`.
+    fn analysed(
+        cloud: &CombCloud,
+        delays: &NodeDelays,
+        clock: TwoPhaseClock,
+        cut: &Cut,
+    ) -> CutTiming {
+        TimingAnalysis::with_delays(cloud, delays.clone(), clock).cut_timing(cut)
+    }
 
     #[test]
     fn clean_placement_is_noop() {
         let n = bench::parse("c", "INPUT(a)\nOUTPUT(z)\ng = NOT(a)\nz = BUFF(g)\n").unwrap();
         let cloud = CombCloud::extract(&n).unwrap();
         let lib = Library::fdsoi28();
-        let mut sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(10.0),
-            DelayModel::PathBased,
-        )
-        .unwrap();
+        let clock = TwoPhaseClock::from_max_delay(10.0);
+        let mut delays = path_delays(&cloud, &lib);
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
         let cut = Cut::initial(&cloud);
-        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
+        let (report, timing) = legalize(&cloud, &clock, &mut delays, &cut, &model).unwrap();
         assert_eq!(report.rounds, 0);
         assert_eq!(report.area_penalty, 0.0);
-        assert_eq!(timing, sta.cut_timing(&cut));
+        assert_eq!(timing, analysed(&cloud, &delays, clock, &cut));
     }
 
     #[test]
@@ -204,24 +196,19 @@ mod tests {
         let lo = floor + 0.45 * path;
         let hi = floor + path;
         let p = 0.5 * (lo + hi);
-        let mut sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(p),
-            DelayModel::PathBased,
-        )
-        .unwrap();
+        let clock = TwoPhaseClock::from_max_delay(p);
+        let mut delays = path_delays(&cloud, &lib);
         let cut = Cut::initial(&cloud);
         assert!(
-            !sta.cut_timing(&cut).is_feasible(),
+            !analysed(&cloud, &delays, clock, &cut).is_feasible(),
             "the chosen clock must start out violated"
         );
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
-        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
+        let (report, timing) = legalize(&cloud, &clock, &mut delays, &cut, &model).unwrap();
         assert!(report.rounds > 0);
         assert!(report.area_penalty > 0.0);
         assert!(timing.is_feasible());
-        assert_eq!(timing, sta.cut_timing(&cut));
+        assert_eq!(timing, analysed(&cloud, &delays, clock, &cut));
     }
 
     #[test]
@@ -229,26 +216,20 @@ mod tests {
         let n = bench::parse("i", "INPUT(a)\nOUTPUT(z)\ng1 = NOT(a)\nz = BUFF(g1)\n").unwrap();
         let cloud = CombCloud::extract(&n).unwrap();
         let lib = Library::fdsoi28();
-        let mut sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(0.001),
-            DelayModel::PathBased,
-        )
-        .unwrap();
+        let clock = TwoPhaseClock::from_max_delay(0.001);
+        let mut delays = path_delays(&cloud, &lib);
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
         let cut = Cut::initial(&cloud);
         assert!(matches!(
-            legalize(&mut sta, &cut, &model),
+            legalize(&cloud, &clock, &mut delays, &cut, &model),
             Err(RetimeError::Internal(_))
         ));
         // The budget path ran: the full MAX_ROUNDS of upsizing were
-        // applied (and synced back) before giving up.
-        let fresh =
-            retime_sta::NodeDelays::from_library(&cloud, &lib, DelayModel::PathBased).unwrap();
+        // applied to the caller's tables before giving up.
+        let fresh = path_delays(&cloud, &lib);
         let g1 = cloud.find("g1").unwrap();
         let expect = fresh.arc(g1).max() * SPEEDUP.powi(MAX_ROUNDS as i32);
-        assert!((sta.delays().arc(g1).max() - expect).abs() < 1e-12);
+        assert!((delays.arc(g1).max() - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -275,18 +256,13 @@ mod tests {
         let path = ref_sta.df(t) - launch;
         let floor = launch + lib.latch().d_to_q;
         let p = floor + 0.82 * path;
-        let mut sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(p),
-            DelayModel::PathBased,
-        )
-        .unwrap();
+        let clock = TwoPhaseClock::from_max_delay(p);
+        let mut delays = path_delays(&cloud, &lib);
         let cut = Cut::initial(&cloud);
-        assert!(!sta.cut_timing(&cut).is_feasible());
+        assert!(!analysed(&cloud, &delays, clock, &cut).is_feasible());
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
-        let fresh = sta.delays().clone();
-        let (report, timing) = legalize(&mut sta, &cut, &model).unwrap();
+        let fresh = delays.clone();
+        let (report, timing) = legalize(&cloud, &clock, &mut delays, &cut, &model).unwrap();
         assert!(report.rounds >= 2, "one 0.88x round cannot meet 0.82x");
         // Every round upsizes all three gates of the single violating
         // cone, in node order.
@@ -301,10 +277,10 @@ mod tests {
         // upsized gate, and the returned timing is theirs.
         for &g in &gates {
             let want = (0..report.rounds).fold(fresh.arc(g), |arc, _| arc.scale(SPEEDUP));
-            assert_eq!(sta.delays().arc(g), want);
+            assert_eq!(delays.arc(g), want);
         }
         assert!(timing.is_feasible());
-        assert_eq!(timing, sta.cut_timing(&cut));
+        assert_eq!(timing, analysed(&cloud, &delays, clock, &cut));
     }
 
     #[test]
@@ -316,25 +292,16 @@ mod tests {
         let n = bench::parse("gf", "INPUT(a)\nOUTPUT(q1)\nq1 = DFF(a)\n").unwrap();
         let cloud = CombCloud::extract(&n).unwrap();
         let lib = Library::fdsoi28();
-        let mut sta = TimingAnalysis::new(
-            &cloud,
-            &lib,
-            TwoPhaseClock::from_max_delay(0.001),
-            DelayModel::PathBased,
-        )
-        .unwrap();
+        let clock = TwoPhaseClock::from_max_delay(0.001);
+        let mut delays = path_delays(&cloud, &lib);
         let model = AreaModel::new(&lib, EdlOverhead::LOW);
         let cut = Cut::initial(&cloud);
-        assert!(!sta.cut_timing(&cut).is_feasible());
-        let fresh = sta.delays().clone();
+        assert!(!analysed(&cloud, &delays, clock, &cut).is_feasible());
+        let fresh = delays.clone();
         assert!(matches!(
-            legalize(&mut sta, &cut, &model),
+            legalize(&cloud, &clock, &mut delays, &cut, &model),
             Err(RetimeError::Internal(_))
         ));
-        assert_eq!(
-            sta.delays(),
-            &fresh,
-            "the break path must not upsize anything"
-        );
+        assert_eq!(delays, fresh, "the break path must not upsize anything");
     }
 }

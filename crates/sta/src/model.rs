@@ -85,25 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn statistical_sigma_prefers_library_extension() {
-        let c = cloud();
-        let table = retime_liberty::SigmaTable::uniform(
-            "t",
-            retime_liberty::SigmaSpec {
-                global: 0.10,
-                local: 0.0,
-            },
-        );
-        let lib = Library::fdsoi28().with_sigma(table);
-        let st = NodeDelays::from_library(&c, &lib, DelayModel::Statistical(StatParams::DEFAULT))
-            .unwrap();
-        let g = c.find("g").unwrap();
-        let sigma = st.sigma(g);
-        assert!((sigma.global - 0.10 * st.max_delay(g)).abs() < 1e-12);
-        assert_eq!(sigma.local, 0.0);
-    }
-
-    #[test]
     fn scale_node_scales_sigma() {
         let c = cloud();
         let lib = Library::fdsoi28();
@@ -186,8 +167,8 @@ mod tests {
 /// parts-per-million of their base quantity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatParams {
-    /// Gate-delay sigma as ppm of the nominal delay (the seeded fallback
-    /// when the library carries no sigma extension).
+    /// Gate-delay sigma as ppm of the nominal delay, jittered per gate
+    /// by a seeded hash.
     pub sigma_ppm: u32,
     /// Clock-period sigma (jitter) as ppm of the period.
     pub clock_sigma_ppm: u32,
@@ -310,11 +291,9 @@ pub enum DelayModel {
     /// First-order canonical-form statistical delays: nominal tables
     /// identical to [`DelayModel::GateBased`] plus per-node sigma split
     /// into a globally correlated and an independent local component
-    /// (from the library's Liberty sigma extension when attached,
-    /// otherwise the seeded fraction-of-nominal fallback in
-    /// [`StatParams`]). With `sigma_ppm == clock_sigma_ppm == 0` every
-    /// downstream decision collapses bit-identically onto the
-    /// gate-based mode.
+    /// (the seeded fraction of nominal in [`StatParams`]). With
+    /// `sigma_ppm == clock_sigma_ppm == 0` every downstream decision
+    /// collapses bit-identically onto the gate-based mode.
     Statistical(StatParams),
 }
 
@@ -439,23 +418,14 @@ impl NodeDelays {
                         let d = cell.max_delay(fanin, fanout);
                         arcs[i] = DelayArc::symmetric(d);
                         senses[i] = Sense::Positive;
-                        let (global_frac, local_frac) = match lib.sigma() {
-                            Some(table) => {
-                                let spec = table.for_cell(&cell.name);
-                                (spec.global, spec.local)
-                            }
-                            None => {
-                                // Seeded fallback: the configured
-                                // fraction of nominal, jittered per gate
-                                // in [0.75, 1.25], split 0.6/0.8 into
-                                // global/local (0.6² + 0.8² = 1).
-                                let f = params.sigma_frac() * sigma_jitter(params.seed, i);
-                                (0.6 * f, 0.8 * f)
-                            }
-                        };
+                        // Seeded sigma: the configured fraction of
+                        // nominal, jittered per gate in [0.75, 1.25],
+                        // split 0.6/0.8 into global/local
+                        // (0.6² + 0.8² = 1).
+                        let f = params.sigma_frac() * sigma_jitter(params.seed, i);
                         sigmas[i] = DelaySigma {
-                            global: global_frac * d,
-                            local: local_frac * d,
+                            global: 0.6 * f * d,
+                            local: 0.8 * f * d,
                         };
                     }
                 }

@@ -360,7 +360,7 @@ z = NAND(g4, a)
     }
 
     #[test]
-    fn margins_grow_with_sigma() {
+    fn margins_grow_as_sigma_widens() {
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
         let zero = delays(

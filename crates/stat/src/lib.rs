@@ -9,9 +9,7 @@
 //! Each gate delay is a Gaussian `m + g·G + r·R_v` ([`Canon`]): a
 //! nominal mean, a globally-correlated sigma component (one shared
 //! process variable for the die), and an independent residual. Sigmas
-//! come from a Liberty `sigma_extension` when the library carries one
-//! ([`retime_liberty::parse_sigma_extension`]), otherwise from the
-//! seeded fraction-of-nominal fallback baked into
+//! are the seeded fraction of nominal baked into
 //! [`retime_sta::NodeDelays`] by [`retime_sta::DelayModel::Statistical`].
 //! The crate reads no environment: yield, sigmas and seed arrive as that
 //! model's [`retime_sta::StatParams`], which the binaries fill from the

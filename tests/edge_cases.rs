@@ -6,7 +6,7 @@ use std::time::Instant;
 use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{classify_many, grar, GrarConfig};
 use resilient_retiming::liberty::{EdlOverhead, Library};
-use resilient_retiming::netlist::{bench, blif, CombCloud, Cut, Gate, Netlist, NodeId, NodeKind};
+use resilient_retiming::netlist::{bench, CombCloud, Cut, Gate, Netlist, NodeId, NodeKind};
 use resilient_retiming::retime::{
     base_retime, AreaModel, Regions, RetimeError, RetimeOutcome, RetimingProblem, RetimingSolution,
     BREADTH_SCALE,
@@ -136,13 +136,6 @@ fn failure_injection_parsers() {
     ] {
         assert!(bench::parse("bad", bad).is_err(), "accepted: {bad:?}");
     }
-    for bad in [
-        ".model m\n.inputs a\n.outputs z\n.names a z\n- 1\n1 0\n.end\n", // inconsistent cover
-        ".model m\n.gate AND a=b\n.end\n",                               // unsupported construct
-        ".model m\n.inputs a\n.outputs z\n.latch a\n.end\n",             // short .latch
-    ] {
-        assert!(blif::parse(bad).is_err(), "accepted: {bad:?}");
-    }
 }
 
 /// Infeasible clocking surfaces as a typed error from every flow.
@@ -246,36 +239,4 @@ fn alternate_engines_full_flow() {
     ] {
         assert!((report.outcome.total_area - total).abs() < 1e-9);
     }
-}
-
-/// A BLIF-sourced circuit runs through the whole pipeline.
-#[test]
-fn blif_to_grar() {
-    let src = "\
-.model top
-.inputs a b
-.outputs y
-.latch n2 q re clk 0
-.names a b n1
-11 1
-.names n1 q n2
-10 1
-01 1
-.names q y
-0 1
-.end
-";
-    let n = blif::parse(src).unwrap();
-    let cloud = CombCloud::extract(&n).unwrap();
-    let lib = Library::fdsoi28();
-    let report = grar(
-        &cloud,
-        &lib,
-        TwoPhaseClock::from_max_delay(5.0),
-        &GrarConfig::new(EdlOverhead::LOW),
-    )
-    .unwrap();
-    assert!(report.outcome.timing.is_feasible());
-    let retimed = report.outcome.cut.apply(&cloud, &n).unwrap();
-    assert_eq!(equivalent(&n, &retimed, 64, 17).unwrap(), Ok(()));
 }

@@ -599,13 +599,14 @@ proptest! {
         // initial placement violate (7), so legalization runs rounds.
         for (p, tight) in [(crit * 2.0 + 1.0, false), (crit * 0.85 + 0.05, true)] {
             let clock = TwoPhaseClock::from_max_delay(p);
-            let mut sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased)
+            let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased)
                 .expect("sta builds");
             prop_assert_eq!(!sta.cut_timing(&cut).is_feasible(), tight);
-            let (report, got) = legalize(&mut sta, &cut, &model).expect("legalizes");
+            let mut delays = sta.delays().clone();
+            let (report, got) =
+                legalize(&cloud, &clock, &mut delays, &cut, &model).expect("legalizes");
             prop_assert_eq!(report.rounds >= 1, tight);
-            let want = TimingAnalysis::with_delays(&cloud, sta.delays().clone(), clock)
-                .cut_timing(&cut);
+            let want = TimingAnalysis::with_delays(&cloud, delays, clock).cut_timing(&cut);
             assert_cut_timing_bits(&got, &want);
         }
     }
@@ -670,14 +671,15 @@ fn legalized_timing_matches_fresh_analysis_on_s1423() {
     let c = EdlOverhead::LOW;
     let flow = grar(cloud, &lib, clock, &GrarConfig::new(c)).expect("G-RAR runs");
     let cut = &flow.outcome.cut;
-    let mut sta =
-        TimingAnalysis::new(cloud, &lib, clock, DelayModel::PathBased).expect("sta builds");
+    let sta = TimingAnalysis::new(cloud, &lib, clock, DelayModel::PathBased).expect("sta builds");
     assert!(!sta.cut_timing(cut).is_feasible());
-    let (report, got) = legalize(&mut sta, cut, &AreaModel::new(&lib, c)).expect("legalizes");
+    let mut delays = sta.delays().clone();
+    let (report, got) =
+        legalize(cloud, &clock, &mut delays, cut, &AreaModel::new(&lib, c)).expect("legalizes");
     assert!(report.rounds >= 2, "{} rounds", report.rounds);
-    let want = TimingAnalysis::with_delays(cloud, sta.delays().clone(), clock).cut_timing(cut);
+    let want = TimingAnalysis::with_delays(cloud, delays.clone(), clock).cut_timing(cut);
     assert_cut_timing_bits(&got, &want);
     assert_eq!(report, flow.outcome.legalize);
-    assert_eq!(sta.delays(), &flow.outcome.final_delays);
+    assert_eq!(delays, flow.outcome.final_delays);
     assert_cut_timing_bits(&flow.outcome.timing, &want);
 }
