@@ -1,6 +1,6 @@
 //! A small blocking client for the NDJSON protocol — used by the
-//! `retime-client` binary, the throughput bench, and the integration
-//! tests.
+//! `retime-client` binary, `bench_e2e`'s `serve_inline` workload, and
+//! the integration tests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

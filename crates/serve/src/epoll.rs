@@ -29,7 +29,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CLOEXEC: usize = 0o2000000;
 const EPOLL_CTL_ADD: usize = 1;
-const EPOLL_CTL_DEL: usize = 2;
 const EPOLL_CTL_MOD: usize = 3;
 
 /// One readiness notification: the event mask and the registrant's
@@ -151,8 +150,6 @@ impl Epoll {
             events,
             data: token,
         };
-        // DEL ignores the event argument but older kernels want it
-        // non-null; passing it unconditionally is harmless.
         check(unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -181,14 +178,6 @@ impl Epoll {
     /// Propagates `epoll_ctl` failure.
     pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Deregisters a fd.
-    ///
-    /// # Errors
-    /// Propagates `epoll_ctl` failure.
-    pub fn del(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until readiness (or `timeout_ms`; `-1` waits forever) and
@@ -313,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn modify_and_del_change_interest() {
+    fn modify_changes_interest() {
         let epoll = Epoll::new().unwrap();
         let (mut a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
@@ -328,9 +317,6 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
         assert_eq!(events[0].token(), 2);
         assert!(events[0].events() & EPOLLOUT != 0);
-
-        epoll.del(b.as_raw_fd()).unwrap();
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //!    With `--cache-dir` the cache gains a persistent sharded disk tier
 //!    (temp-file + fsync + atomic rename; startup recovery quarantines
 //!    torn writes), so restarts keep their warm results too.
-//! 2. **Nonblocking I/O** ([`epoll`], [`reactor`]): connections live on
-//!    a few reactor threads driving an epoll loop over nonblocking
-//!    sockets with per-connection NDJSON buffers. Idle and slow clients
-//!    cost buffers, not threads; stalled readers are disconnected at a
-//!    write-buffer cap instead of buffering without bound.
+//! 2. **Nonblocking I/O** (a crate-private epoll wrapper, [`reactor`]):
+//!    connections live on a few reactor threads driving an epoll loop
+//!    over nonblocking sockets with per-connection NDJSON buffers. Idle
+//!    and slow clients cost buffers, not threads; stalled readers are
+//!    disconnected at a write-buffer cap instead of buffering without
+//!    bound.
 //! 3. **Backpressure** ([`queue`]): the job queue is bounded; a
 //!    submission past the bound gets a structured `overloaded` reply
 //!    carrying `retry_after_ms` estimated from observed job wall-clock,
@@ -67,7 +68,7 @@ pub mod cache;
 pub mod canon;
 pub mod client;
 pub mod disk;
-pub mod epoll;
+mod epoll;
 pub mod hash;
 pub mod job;
 pub mod metrics;

@@ -1,9 +1,9 @@
 //! Nonblocking I/O reactors: the event-loop half of the daemon.
 //!
 //! The server runs one acceptor plus N reactor threads. Each reactor
-//! owns an [`Epoll`] instance and a set of
-//! nonblocking connections with per-connection NDJSON read/write
-//! buffers, so a thousand idle or slow clients cost zero threads — the
+//! owns an epoll instance and a set of nonblocking connections with
+//! per-connection NDJSON read/write buffers, so a thousand idle or slow
+//! clients cost zero threads — the
 //! only per-connection state is a buffer pair and an epoll
 //! registration. Protocol handling stays outside this module: a reactor
 //! calls back into its [`Service`] for every complete request line and

@@ -3,7 +3,8 @@
 //! work, byte-identical payload, matching a direct flow call; an
 //! overhead re-spin → a miss matching a direct call at its `c`), exact
 //! backpressure accounting at the queue bound, inline-netlist dedup
-//! across statement order, and drain-then-exit shutdown.
+//! across statement order, drain-then-exit shutdown, and a restarted
+//! daemon serving many concurrent connections from its disk tier.
 
 use retime_liberty::EdlOverhead;
 use retime_serve::job::{execute, prepare, resolve_circuit, CircuitRef, InputFormat, JobSpec};
@@ -442,4 +443,264 @@ fn submit_spans_key_every_time_and_build_on_a_miss_only() {
         .filter(|r| r.name == "job" && circuit_is(r))
         .count();
     assert_eq!(jobs, 2, "only the misses reach a worker");
+}
+
+/// A scratch cache directory, removed on drop.
+struct TempCacheDir(std::path::PathBuf);
+
+impl TempCacheDir {
+    fn new(tag: &str) -> TempCacheDir {
+        let dir = std::env::temp_dir().join(format!("retime-{tag}-{}", std::process::id()));
+        // A leftover from a crashed run would warm the priming daemon.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create cache dir");
+        TempCacheDir(dir)
+    }
+}
+
+impl Drop for TempCacheDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The value of an unlabelled metric in Prometheus text.
+fn metric(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in metrics:\n{text}"))
+}
+
+/// One client socket of the many-connection drive: nonblocking, with
+/// its own unsent bytes, unread reply bytes and in-flight request.
+struct Conn {
+    stream: std::net::TcpStream,
+    out: Vec<u8>,
+    inbuf: Vec<u8>,
+    /// Mix index of the request in flight.
+    job: usize,
+    /// Requests started on this connection so far.
+    started: usize,
+    /// The submit was answered; its `result` reply is outstanding.
+    awaiting_result: bool,
+}
+
+impl Conn {
+    fn send(&mut self, line: &str) {
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+    }
+
+    /// Writes what the socket takes now; true if any byte went out.
+    fn flush(&mut self, idx: usize) -> bool {
+        use std::io::{ErrorKind, Write};
+        let mut wrote = false;
+        while !self.out.is_empty() {
+            match (&self.stream).write(&self.out) {
+                Ok(0) => panic!("connection {idx} stopped taking bytes"),
+                Ok(n) => {
+                    self.out.drain(..n);
+                    wrote = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("write on connection {idx} failed: {e}"),
+            }
+        }
+        wrote
+    }
+
+    /// Reads what has arrived and returns the complete reply lines.
+    fn read_lines(&mut self, idx: usize) -> Vec<String> {
+        use std::io::{ErrorKind, Read};
+        let mut chunk = [0u8; 16384];
+        loop {
+            match (&self.stream).read(&mut chunk) {
+                Ok(0) => panic!("the server dropped connection {idx}"),
+                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("read on connection {idx} failed: {e}"),
+            }
+        }
+        let mut lines = Vec::new();
+        while let Some(end) = self.inbuf.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = self.inbuf.drain(..=end).collect();
+            lines.push(String::from_utf8(line).expect("reply is UTF-8"));
+        }
+        lines
+    }
+}
+
+/// A daemon restarted on a primed cache directory serves many
+/// connections at once from disk. One thread opens 256 nonblocking
+/// sockets (128 on each of the default two reactors) and writes a
+/// submit on every one before it reads any reply, so every connection
+/// is open with one request in flight; it then
+/// drives 4 requests per connection by round-robin reads. Every
+/// request is answered, none is rejected and no connection is dropped.
+/// Every reply is a solver-free cache hit whose payload digest equals a
+/// direct in-process `execute` of the same spec.
+#[test]
+fn restarted_daemon_serves_many_concurrent_connections_from_disk() {
+    use retime_serve::json::parse;
+    use retime_serve::{CacheConfig, DiskCacheConfig};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    const CONNECTIONS: usize = 256;
+    const ROUNDS: usize = 4;
+
+    // The four smallest suite circuits under base retiming and G-RAR,
+    // each with the digest a direct in-process run produces.
+    let lib = retime_liberty::Library::fdsoi28();
+    let mut suite = retime_circuits::paper_suite();
+    suite.sort_by_key(|s| s.flops);
+    let mix: Vec<(String, String)> = suite
+        .iter()
+        .take(4)
+        .flat_map(|s| ["base", "grar"].map(|flow| (s.name, flow)))
+        .map(|(circuit, flow)| {
+            let line =
+                format!(r#"{{"cmd":"submit","circuit":"{circuit}","flow":"{flow}","c":"medium"}}"#);
+            let spec = JobSpec::from_json(&parse(&line).expect("parses")).expect("valid spec");
+            let resolved =
+                resolve_circuit(&CircuitRef::Suite(circuit.to_string()), &lib).expect("resolves");
+            let prepared = prepare(&spec, &resolved, &lib);
+            let sha = execute(&prepared.key_config, &resolved, &lib)
+                .expect("direct flow call")
+                .payload_sha256;
+            (line, sha)
+        })
+        .collect();
+
+    let cache_dir = TempCacheDir::new("many-conns");
+    let spawn_on_disk = || {
+        Server::spawn(ServerConfig {
+            cache: CacheConfig {
+                disk: Some(DiskCacheConfig {
+                    dir: cache_dir.0.clone(),
+                    max_bytes: 1 << 30,
+                    cache_fault: false,
+                }),
+                ..CacheConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("server spawns")
+    };
+
+    // Prime the disk tier, then stop that daemon.
+    let first = spawn_on_disk();
+    let mut client = Client::connect(&first.addr().to_string()).expect("connect");
+    for (line, _) in &mix {
+        let reply = client.request_line(line).expect("submit");
+        assert_eq!(reply.get("cached"), Some(&Json::Bool(false)), "{line}");
+        let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+        let result = client.wait_result(id).expect("result");
+        assert_eq!(result.get("status").and_then(Json::as_str), Some("done"));
+    }
+    drop(client);
+    first.shutdown();
+    first.wait();
+
+    // A second daemon on the same directory; every socket is open and
+    // holds a submit before any reply is read.
+    let second = spawn_on_disk();
+    let addr = second.addr().to_string();
+    let mut conns: Vec<Conn> = (0..CONNECTIONS)
+        .map(|idx| {
+            let stream = TcpStream::connect(&addr).expect("connect");
+            stream.set_nonblocking(true).expect("nonblocking");
+            let mut conn = Conn {
+                stream,
+                out: Vec::new(),
+                inbuf: Vec::new(),
+                job: idx % mix.len(),
+                started: 1,
+                awaiting_result: false,
+            };
+            conn.send(&mix[conn.job].0);
+            conn
+        })
+        .collect();
+    for (idx, conn) in conns.iter_mut().enumerate() {
+        conn.flush(idx);
+    }
+
+    let total = CONNECTIONS * ROUNDS;
+    let mut answered = 0;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while answered < total {
+        assert!(
+            Instant::now() < deadline,
+            "only {answered} of {total} requests answered in 60 s"
+        );
+        let mut progressed = false;
+        for (idx, conn) in conns.iter_mut().enumerate() {
+            progressed |= conn.flush(idx);
+            for line in conn.read_lines(idx) {
+                progressed = true;
+                let reply = parse(&line).expect("reply parses");
+                if conn.awaiting_result {
+                    assert_eq!(
+                        reply.get("status").and_then(Json::as_str),
+                        Some("done"),
+                        "{line}"
+                    );
+                    assert_eq!(
+                        reply.get("solver_invocations").and_then(Json::as_u64),
+                        Some(0),
+                        "a restart-warm hit ran the solver: {line}"
+                    );
+                    assert_eq!(
+                        reply.get("payload_sha256").and_then(Json::as_str),
+                        Some(mix[conn.job].1.as_str()),
+                        "served payload differs from a direct execute"
+                    );
+                    answered += 1;
+                    conn.awaiting_result = false;
+                    if conn.started < ROUNDS {
+                        conn.job = (idx + conn.started) % mix.len();
+                        conn.started += 1;
+                        conn.send(&mix[conn.job].0);
+                    }
+                } else {
+                    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{line}");
+                    assert!(
+                        reply.get("cached") == Some(&Json::Bool(true))
+                            && reply.get("status").and_then(Json::as_str) == Some("done"),
+                        "expected a restart-warm cache hit: {line}"
+                    );
+                    let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+                    conn.send(&format!(r#"{{"cmd":"result","id":{id}}}"#));
+                    conn.awaiting_result = true;
+                }
+            }
+        }
+        if !progressed {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    // Every socket is still open, and the disk tier answered each key.
+    let mut client = Client::connect(&addr).expect("connect");
+    let metrics = client.metrics_text().expect("metrics");
+    assert_eq!(
+        metric(&metrics, "retime_serve_open_connections"),
+        (CONNECTIONS + 1) as f64
+    );
+    assert_eq!(
+        metric(&metrics, "retime_serve_cache_hits_total"),
+        total as f64
+    );
+    assert_eq!(metric(&metrics, "retime_serve_cache_misses_total"), 0.0);
+    assert!(
+        metric(&metrics, "retime_serve_cache_disk_hits_total") >= mix.len() as f64,
+        "{metrics}"
+    );
+    drop(conns);
+    client.shutdown().expect("shutdown");
+    second.wait();
 }

@@ -7,15 +7,12 @@
 #   4. scrape the metrics hit counter,
 #   5. shut the daemon down gracefully and check it exits,
 #   6. restart it on the same --cache-dir and assert the first
-#      submission is already a disk hit with the same payload digest,
-#   7. run a small serve-loadgen pass against the restarted daemon and
-#      validate the BENCH json it writes.
-# Binaries default to the release profile; override with SERVE=/CLIENT=/LOADGEN=.
+#      submission is already a disk hit with the same payload digest.
+# Binaries default to the release profile; override with SERVE=/CLIENT=.
 set -euo pipefail
 
 SERVE=${SERVE:-target/release/retime-serve}
 CLIENT=${CLIENT:-target/release/retime-client}
-LOADGEN=${LOADGEN:-target/release/serve-loadgen}
 BANNER=$(mktemp)
 CACHE_DIR=$(mktemp -d)
 
@@ -105,18 +102,8 @@ echo "$third" | grep -q '"solver_invocations":0' \
 "$CLIENT" --addr "$ADDR" metrics | grep -q '^retime_serve_cache_recovered_total 2$' \
   || { echo "FAIL: recovery did not count both persisted entries"; exit 1; }
 
-# --- Small loadgen pass against the restarted (disk-warm) daemon. ---
-BENCH_JSON=$(mktemp)
-"$LOADGEN" --addr "$ADDR" --connections 50 --requests 200 --json "$BENCH_JSON"
-for field in p50_ms p99_ms p999_ms saturation_jobs_per_sec; do
-  grep -q "\"$field\":" "$BENCH_JSON" \
-    || { echo "FAIL: BENCH json missing $field"; rm -f "$BENCH_JSON"; exit 1; }
-done
-cat "$BENCH_JSON"
-rm -f "$BENCH_JSON"
-
 "$CLIENT" --addr "$ADDR" shutdown | grep -q '"draining":true' \
   || { echo "FAIL: restarted daemon shutdown was not acknowledged"; exit 1; }
 wait "$SERVER_PID"
 trap 'rm -rf "$BANNER" "$CACHE_DIR"' EXIT
-echo "PASS: restart-warm disk hit, loadgen smoke, and graceful shutdown"
+echo "PASS: restart-warm disk hit and graceful shutdown"
