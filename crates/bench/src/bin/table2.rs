@@ -1,8 +1,6 @@
 //! Table II: total area comparison between gate-based and path-based
 //! delay G-RAR, across the three EDL overheads.
 
-use std::time::Instant;
-
 use retime_bench::{
     f2, load_suite, map_cases, pct_impr, print_table, rows_and_means, Certification, RunConfig,
 };
@@ -61,8 +59,6 @@ fn main() {
                 signoff,
                 &model,
                 gate.outcome.cut.clone(),
-                std::time::Duration::ZERO,
-                Instant::now(),
             )
             .expect("gate placement signs off");
             let impr = pct_impr(gate_signed.total_area, path.outcome.total_area);

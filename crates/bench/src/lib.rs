@@ -233,6 +233,37 @@ impl Approaches {
     }
 }
 
+/// Runs one flow on `cloud` under `model`, uncertified, through the
+/// library entry point a direct call uses: [`base_retime`], RVL-RAR
+/// ([`vl_retime`] with [`VlVariant::Rvl`]) or [`grar`]. The one
+/// [`FlowKind`] dispatch of the serve daemon, `retime-convert --retime`
+/// and their tests.
+///
+/// # Errors
+/// Propagates flow failures.
+pub fn run_flow(
+    flow: FlowKind,
+    cloud: &CombCloud,
+    lib: &Library,
+    clock: TwoPhaseClock,
+    model: DelayModel,
+    c: EdlOverhead,
+) -> Result<RetimeOutcome, RetimeError> {
+    match flow {
+        FlowKind::Base => base_retime(cloud, lib, clock, model, c),
+        FlowKind::Vl => vl_retime(
+            cloud,
+            lib,
+            clock,
+            &VlConfig::new(VlVariant::Rvl, c).with_model(model),
+        )
+        .map(|r| r.outcome),
+        FlowKind::Grar => {
+            grar(cloud, lib, clock, &GrarConfig::new(c).with_model(model)).map(|r| r.outcome)
+        }
+    }
+}
+
 /// Runs base retiming, RVL-RAR, and G-RAR on one case under `model`,
 /// uncertified (see [`Approaches::certify`]).
 ///

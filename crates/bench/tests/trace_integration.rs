@@ -156,9 +156,8 @@ fn fig4_statistical_grar_trace_matches_golden_structure() {
     let clock = feasible_clock(&fig.cloud, &lib);
     // The same fixed run under the statistical delay model: the golden
     // additionally pins the canonical-form propagation spans — every
-    // cut timed during the flow emits a `stat_cut_arrivals` span whose
-    // `iterations` counter must stay at the proven reduced-iteration
-    // bound of two sweeps.
+    // cut timed during the flow emits one `stat_cut_arrivals` span (a
+    // single topological sweep, so it carries no counter).
     let (_, records) = with_tracing(|| {
         grar(
             &fig.cloud,
@@ -170,25 +169,10 @@ fn fig4_statistical_grar_trace_matches_golden_structure() {
         )
         .expect("statistical grar on fig4")
     });
-    let stat_spans: Vec<&SpanRecord> = records
-        .iter()
-        .filter(|r| r.name == "stat_cut_arrivals")
-        .collect();
     assert!(
-        !stat_spans.is_empty(),
+        records.iter().any(|r| r.name == "stat_cut_arrivals"),
         "statistical mode must trace its canonical propagation"
     );
-    for span in stat_spans {
-        let iterations = span.attrs.iter().find_map(|(k, v)| match v {
-            Value::U64(n) if *k == "iterations" => Some(*n),
-            _ => None,
-        });
-        assert!(
-            matches!(iterations, Some(1..=2)),
-            "reduced-iteration bound violated: {:?}",
-            span.attrs
-        );
-    }
 
     let text = retime_trace::chrome_trace(&records);
     let check = retime_trace::check_chrome_trace(&text).expect("export validates");

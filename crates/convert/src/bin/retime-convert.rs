@@ -27,15 +27,12 @@
 
 use std::path::Path;
 
-use retime_bench::{f2, pct_impr, print_table, Certification, RunConfig};
+use retime_bench::{f2, pct_impr, print_table, run_flow, Certification, RunConfig};
 use retime_convert::{convert, Conversion, ConvertConfig};
-use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, Netlist};
-use retime_retime::base_retime;
 use retime_sta::{DelayModel, TwoPhaseClock};
 use retime_verify::FlowKind;
-use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 struct Options {
     input: String,
@@ -172,14 +169,7 @@ fn retime_row(name: &str, conv: &Conversion, lib: &Library, opts: &Options) -> R
     let mut rows = Vec::new();
     let mut base_area = 0.0;
     for kind in [FlowKind::Base, FlowKind::Vl, FlowKind::Grar] {
-        let mut outcome =
-            match kind {
-                FlowKind::Base => base_retime(cloud, lib, clock, model, c),
-                FlowKind::Vl => vl_retime(cloud, lib, clock, &VlConfig::new(VlVariant::Rvl, c))
-                    .map(|r| r.outcome),
-                FlowKind::Grar => grar(cloud, lib, clock, &GrarConfig::new(c).with_model(model))
-                    .map(|r| r.outcome),
-            }
+        let mut outcome = run_flow(kind, cloud, lib, clock, model, c)
             .map_err(|e| format!("{} failed on the converted circuit: {e}", kind.name()))?;
         if opts.verify {
             Certification::of_netlist(

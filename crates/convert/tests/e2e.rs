@@ -3,15 +3,12 @@
 //! flows, and every result is certified *unconditionally* (this suite
 //! does not depend on `RETIME_VERIFY` being set in the environment).
 
-use retime_bench::Certification;
+use retime_bench::{run_flow, Certification};
 use retime_circuits::SynthConfig;
 use retime_convert::{convert, edif, ConvertConfig};
-use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
-use retime_retime::base_retime;
 use retime_sta::DelayModel;
 use retime_verify::FlowKind;
-use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 fn synth(seed: u64, flops: usize, gates: usize) -> retime_netlist::Netlist {
     SynthConfig {
@@ -46,14 +43,7 @@ fn converted_circuit_flows_and_certifies_through_all_three_flows() {
     let clock = conv.clock;
     let mut base_area = f64::NAN;
     for kind in [FlowKind::Base, FlowKind::Vl, FlowKind::Grar] {
-        let mut outcome =
-            match kind {
-                FlowKind::Base => base_retime(cloud, &lib, clock, model, c),
-                FlowKind::Vl => vl_retime(cloud, &lib, clock, &VlConfig::new(VlVariant::Rvl, c))
-                    .map(|r| r.outcome),
-                FlowKind::Grar => grar(cloud, &lib, clock, &GrarConfig::new(c).with_model(model))
-                    .map(|r| r.outcome),
-            }
+        let mut outcome = run_flow(kind, cloud, &lib, clock, model, c)
             .unwrap_or_else(|e| panic!("{} failed on the converted circuit: {e}", kind.name()));
 
         Certification::of_netlist(

@@ -42,7 +42,7 @@
 //! The statistical model has no such forward/backward duality (Clark's
 //! max is order-sensitive), so it classifies each sink by the
 //! definitional [`classify_and_cut_set_stat`] over a reused
-//! [`StatBackward`].
+//! canonical [`BackwardPass`].
 //!
 //! A sink's class and cut-set are a pure function of the timing
 //! analysis, so the flows classify through [`classify_cached`], which
@@ -58,7 +58,7 @@ use retime_retime::OpenBasis;
 use retime_sta::{
     backward_through_gate, relaunch, BackwardPass, DelayModel, SinkClass, TimingAnalysis,
 };
-use retime_stat::{Canon, StatBackward, StatTiming};
+use retime_stat::{Canon, StatTiming};
 
 /// Small tolerance absorbing floating-point noise against `Π`.
 const EPS: f64 = 1e-9;
@@ -195,7 +195,7 @@ impl CanonicalCut {
 /// `m + Φ⁻¹(yield target)·σ_tot`, so "beyond the frontier" means "meets
 /// the period at the target yield". At sigma = 0 the margined arrivals
 /// are bitwise the deterministic ones and the two frontiers coincide.
-pub fn cut_set_stat(st: &StatTiming<'_>, sb: &StatBackward) -> Vec<NodeId> {
+pub fn cut_set_stat(st: &StatTiming<'_>, sb: &BackwardPass<Canon>) -> Vec<NodeId> {
     let pi = st.period();
     let cloud = st.cloud();
     let mut out = Vec::new();
@@ -230,14 +230,14 @@ pub fn cut_set_stat(st: &StatTiming<'_>, sb: &StatBackward) -> Vec<NodeId> {
 /// tests the margined with-cut sink arrival.
 pub fn classify_and_cut_set_stat(
     st: &StatTiming<'_>,
-    sb: &StatBackward,
+    sb: &BackwardPass<Canon>,
 ) -> (SinkClass, Vec<NodeId>) {
     classify_stat(st, sb, &mut CanonicalCut::new(st.cloud()))
 }
 
 fn classify_stat(
     st: &StatTiming<'_>,
-    sb: &StatBackward,
+    sb: &BackwardPass<Canon>,
     cc: &mut CanonicalCut,
 ) -> (SinkClass, Vec<NodeId>) {
     let pi = st.period();
@@ -545,8 +545,8 @@ impl Sweep {
 ///
 /// Under [`DelayModel::Statistical`] the statistical mirrors run
 /// instead: one shared [`StatTiming`] (the canonical pure arrivals are
-/// common to every target) and one reusable [`StatBackward`] + margined
-/// classification scratch per worker.
+/// common to every target), and per worker one reusable canonical
+/// [`BackwardPass`] with the margined classification scratch.
 ///
 /// # Panics
 /// Panics if any target is not a sink.
@@ -580,7 +580,7 @@ pub fn classify_many_counted(
         let classified = retime_engine::parallel_map_with(
             threads,
             targets,
-            || (StatBackward::new(cloud), CanonicalCut::new(cloud)),
+            || (BackwardPass::<Canon>::new(cloud), CanonicalCut::new(cloud)),
             |(sb, cc), &t| {
                 sb.rerun(cloud, delays, t);
                 swept.fetch_add(sb.cone().len() as u64, Ordering::Relaxed);

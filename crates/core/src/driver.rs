@@ -6,8 +6,6 @@
 //! pass can and fans the remaining cone sweeps out across worker
 //! threads ([`classify_many`](crate::cutset::classify_many)).
 
-use std::time::Instant;
-
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, NodeId, NodeKind};
@@ -112,7 +110,6 @@ pub fn grar_with_basis<'a>(
     cfg: &GrarConfig,
     basis: BasisSlot<'_, 'a>,
 ) -> Result<GrarReport, RetimeError> {
-    let started = Instant::now();
     let _flow_span = retime_trace::span("grar");
     let mut phases = PhaseTimings::new();
     let c_scaled = (cfg.overhead.value() * BREADTH_SCALE as f64).round() as i64;
@@ -210,15 +207,7 @@ pub fn grar_with_basis<'a>(
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         let model = AreaModel::new(lib, cfg.overhead);
         let delays = basis.into_delays();
-        let outcome = RetimeOutcome::assemble(
-            cloud,
-            clock,
-            delays,
-            &model,
-            sol.cut,
-            sol.solver_time,
-            started,
-        )?;
+        let outcome = RetimeOutcome::assemble(cloud, clock, delays, &model, sol.cut)?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>(outcome)
     })?;

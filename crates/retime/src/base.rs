@@ -4,7 +4,6 @@
 //! shared [`retime_engine`] instrumentation.
 
 use std::convert::Infallible;
-use std::time::{Duration, Instant};
 
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
@@ -16,16 +15,6 @@ use crate::basis::BasisSlot;
 use crate::error::RetimeError;
 use crate::legalize::{legalize, LegalizeReport};
 use crate::problem::RetimingProblem;
-
-/// Run-time bookkeeping of a retiming flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStats {
-    /// Wall-clock time of the whole flow.
-    pub elapsed: Duration,
-    /// Portion spent in the flow/closure solver (the paper reports the
-    /// network-simplex step takes < 2 % of G-RAR's run-time).
-    pub solver: Duration,
-}
 
 /// Result of a retiming flow (base, VL, or G-RAR): the placement, the EDL
 /// decisions, and the area bill.
@@ -50,8 +39,6 @@ pub struct RetimeOutcome {
     /// The final delay tables (including legalization upsizing) — what a
     /// signoff or error-rate simulation of this outcome must use.
     pub final_delays: retime_sta::NodeDelays,
-    /// Run-time bookkeeping.
-    pub stats: RunStats,
     /// Uniform per-stage instrumentation, filled in by the flow's
     /// stages (every flow reports the same Table VII breakdown).
     pub phases: PhaseTimings,
@@ -78,8 +65,6 @@ impl RetimeOutcome {
         mut delays: NodeDelays,
         model: &AreaModel<'_>,
         cut: Cut,
-        solver: Duration,
-        started: Instant,
     ) -> Result<RetimeOutcome, RetimeError> {
         let (report, timing) = legalize(cloud, &clock, &mut delays, &cut, model)?;
         // Statistical mode replaces the arrival-window EDL rule with the
@@ -105,10 +90,6 @@ impl RetimeOutcome {
             timing,
             legalize: report,
             final_delays: delays,
-            stats: RunStats {
-                elapsed: started.elapsed(),
-                solver,
-            },
             phases: PhaseTimings::new(),
             stat,
         })
@@ -128,7 +109,6 @@ impl RetimeOutcome {
     /// resumed G-RAR probe on a shared basis does, and a `commit` stage
     /// doing the arithmetic.
     pub fn repriced(&self, cloud: &CombCloud, model: &AreaModel<'_>) -> RetimeOutcome {
-        let started = Instant::now();
         let _span = retime_trace::span("reprice");
         let mut phases = PhaseTimings::new();
         let Ok(()) = phases.stage(Stage::Solve, |timings| {
@@ -149,10 +129,6 @@ impl RetimeOutcome {
             timing: self.timing.clone(),
             legalize: self.legalize.clone(),
             final_delays: self.final_delays.clone(),
-            stats: RunStats {
-                elapsed: started.elapsed(),
-                solver: Duration::ZERO,
-            },
             phases,
             stat: self.stat.clone(),
         }
@@ -191,7 +167,6 @@ pub fn base_retime_with_basis<'a>(
     c: EdlOverhead,
     basis: BasisSlot<'_, 'a>,
 ) -> Result<RetimeOutcome, RetimeError> {
-    let started = Instant::now();
     let _flow_span = retime_trace::span("base_retime");
     let mut phases = PhaseTimings::new();
 
@@ -211,15 +186,7 @@ pub fn base_retime_with_basis<'a>(
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         let area_model = AreaModel::new(lib, c);
         let delays = basis.into_delays();
-        let outcome = RetimeOutcome::assemble(
-            cloud,
-            clock,
-            delays,
-            &area_model,
-            sol.cut,
-            sol.solver_time,
-            started,
-        )?;
+        let outcome = RetimeOutcome::assemble(cloud, clock, delays, &area_model, sol.cut)?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>(outcome)
     })?;
@@ -229,6 +196,8 @@ pub fn base_retime_with_basis<'a>(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use retime_netlist::bench;
     use retime_sta::TimingAnalysis;

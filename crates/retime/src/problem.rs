@@ -2,8 +2,6 @@
 //! equivalent closure formulation the production solve runs as one
 //! minimum cut.
 
-use std::time::{Duration, Instant};
-
 use retime_flow::{Closure, FlowError, FlowSolution, MinCostFlow};
 use retime_netlist::{CombCloud, Cut, NodeId};
 
@@ -80,8 +78,6 @@ pub struct RetimingSolution {
     /// Objective value in units of `latch_area / BREADTH_SCALE`
     /// (latch cost minus saved EDL overhead).
     pub objective_scaled: i64,
-    /// Time spent inside the solver.
-    pub solver_time: Duration,
 }
 
 impl RetimingProblem {
@@ -276,10 +272,9 @@ impl RetimingProblem {
     /// node in that requires a node forced out, or if the labels violate
     /// the difference constraints (a bug, guarded rather than assumed).
     pub fn solve(&self) -> Result<RetimingSolution, RetimeError> {
-        let start = Instant::now();
         // The closure is dropped before the labels are allocated.
         let members = solve_closure(&mut self.closure())?;
-        self.finish_solution(labels(&members), start.elapsed())
+        self.finish_solution(labels(&members))
     }
 
     /// Solves the Eq. (14) flow dual with an explicit min-cost-flow
@@ -294,20 +289,15 @@ impl RetimingProblem {
         &self,
         engine: impl FnOnce(&MinCostFlow) -> Result<FlowSolution, FlowError>,
     ) -> Result<RetimingSolution, RetimeError> {
-        let start = Instant::now();
         let y = engine(&self.flow_instance())?.potentials;
         // r(v) = y(host) − y(v).
         let r = y.iter().map(|&yv| y[self.host] - yv).collect();
-        self.finish_solution(r, start.elapsed())
+        self.finish_solution(r)
     }
 
     /// Validates a solver's label vector (bounds + difference
     /// constraints) and packages it as a [`RetimingSolution`].
-    fn finish_solution(
-        &self,
-        r: Vec<i64>,
-        solver_time: Duration,
-    ) -> Result<RetimingSolution, RetimeError> {
+    fn finish_solution(&self, r: Vec<i64>) -> Result<RetimingSolution, RetimeError> {
         for (v, &(lo, hi)) in self.bounds.iter().enumerate() {
             if r[v] < lo || r[v] > hi {
                 return Err(RetimeError::Internal(format!(
@@ -330,7 +320,6 @@ impl RetimingProblem {
             cut: Cut::from_raw(moved),
             r,
             objective_scaled,
-            solver_time,
         })
     }
 
@@ -623,13 +612,10 @@ impl ParametricProblem {
     /// # Errors
     /// As [`RetimingProblem::solve`].
     pub fn solve(&mut self) -> Result<&RetimingSolution, RetimeError> {
-        let start = Instant::now();
         self.last = None;
         let cl = self.closure.get_or_insert_with(|| self.problem.closure());
         let members = solve_closure(cl)?;
-        let sol = self
-            .problem
-            .finish_solution(labels(&members), start.elapsed())?;
+        let sol = self.problem.finish_solution(labels(&members))?;
         Ok(self.last.insert(sol))
     }
 

@@ -15,12 +15,12 @@
 //! counted and swallowed — persistence is an accelerator, never a
 //! correctness dependency.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::disk::{DiskCache, DiskCacheConfig, RecoveryStats};
 use crate::job::JobOutput;
+use crate::lru::Lru;
 
 /// A cached result: the deterministic payload and its digest.
 #[derive(Debug)]
@@ -58,45 +58,6 @@ pub enum HitTier {
     Disk,
 }
 
-#[derive(Default)]
-struct MemTier {
-    entries: HashMap<String, (Arc<CachedResult>, u64)>,
-    /// seq → key, LRU order.
-    order: BTreeMap<u64, String>,
-    next_seq: u64,
-}
-
-impl MemTier {
-    fn get(&mut self, key: &str) -> Option<Arc<CachedResult>> {
-        let next = self.next_seq;
-        let (value, seq) = self.entries.get_mut(key)?;
-        self.order.remove(seq);
-        *seq = next;
-        self.order.insert(next, key.to_string());
-        self.next_seq += 1;
-        Some(Arc::clone(value))
-    }
-
-    fn insert(&mut self, key: &str, value: Arc<CachedResult>, cap: usize) -> u64 {
-        if let Some((_, seq)) = self.entries.remove(key) {
-            self.order.remove(&seq);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(key.to_string(), (value, seq));
-        self.order.insert(seq, key.to_string());
-        let mut evicted = 0;
-        while cap != 0 && self.entries.len() > cap {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            self.entries.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// Counter snapshot of the cache's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -118,8 +79,8 @@ pub struct CacheStats {
 
 /// Thread-safe tiered content-addressed store.
 pub struct ResultCache {
-    mem: Mutex<MemTier>,
-    memory_entries: usize,
+    /// The memory tier: every entry weighs 1 against the entry cap.
+    mem: Mutex<Lru<Arc<CachedResult>>>,
     disk: Option<DiskCache>,
     recovery: RecoveryStats,
     memory_hits: AtomicU64,
@@ -159,9 +120,12 @@ impl ResultCache {
             }
             None => (None, RecoveryStats::default()),
         };
+        let cap = match config.memory_entries {
+            0 => u64::MAX,
+            n => n as u64,
+        };
         Ok(ResultCache {
-            mem: Mutex::new(MemTier::default()),
-            memory_entries: config.memory_entries,
+            mem: Mutex::new(Lru::new(cap)),
             disk,
             recovery,
             memory_hits: AtomicU64::new(0),
@@ -180,7 +144,7 @@ impl ResultCache {
 
     /// [`ResultCache::lookup`] that also reports which tier answered.
     pub fn lookup_tiered(&self, key: &str) -> Option<(Arc<CachedResult>, HitTier)> {
-        if let Some(hit) = self.mem.lock().expect("cache lock").get(key) {
+        if let Some(hit) = self.mem.lock().expect("cache lock").get(key).cloned() {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some((hit, HitTier::Memory));
         }
@@ -190,12 +154,7 @@ impl ResultCache {
                     payload: entry.payload,
                     payload_sha256: entry.payload_sha256,
                 });
-                let evicted = self.mem.lock().expect("cache lock").insert(
-                    key,
-                    Arc::clone(&value),
-                    self.memory_entries,
-                );
-                self.memory_evictions.fetch_add(evicted, Ordering::Relaxed);
+                self.remember(key, Arc::clone(&value));
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hit_age_secs
                     .fetch_add(entry.age_secs, Ordering::Relaxed);
@@ -213,12 +172,7 @@ impl ResultCache {
             payload: output.payload.clone(),
             payload_sha256: output.payload_sha256.clone(),
         });
-        let evicted = self
-            .mem
-            .lock()
-            .expect("cache lock")
-            .insert(key, value, self.memory_entries);
-        self.memory_evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.remember(key, value);
         if let Some(disk) = &self.disk {
             if let Err(e) = disk.store(key, &output.payload, &output.payload_sha256) {
                 self.disk_errors.fetch_add(1, Ordering::Relaxed);
@@ -227,9 +181,22 @@ impl ResultCache {
         }
     }
 
+    /// Puts a value into the memory tier, evicting LRU entries past the
+    /// entry cap.
+    fn remember(&self, key: &str, value: Arc<CachedResult>) {
+        let mut mem = self.mem.lock().expect("cache lock");
+        mem.insert(key, value, 1);
+        let mut evicted = 0;
+        while mem.pop_over_cap().is_some() {
+            evicted += 1;
+        }
+        drop(mem);
+        self.memory_evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
     /// Memory-tier entries resident.
     pub fn len(&self) -> usize {
-        self.mem.lock().expect("cache lock").entries.len()
+        self.mem.lock().expect("cache lock").len()
     }
 
     /// Whether the memory tier is empty.

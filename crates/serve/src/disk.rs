@@ -21,10 +21,12 @@
 //! of another key version is deleted and counted as discarded: no key
 //! of this version can reach it, so it must not hold disk budget.
 //!
-//! The in-memory index mirrors the directory: key → byte size + LRU
-//! stamp. Inserts past the byte cap evict strictly least-recently-used
-//! entries (loads refresh recency, and touch the file's mtime so the
-//! ordering survives a restart). [`shard_rel_path`] / [`key_of_rel_path`]
+//! The in-memory index mirrors the directory: the serve crate's one LRU,
+//! each key weighted by its file's bytes. Inserts past the byte cap
+//! evict strictly least-recently-used entries (loads refresh recency,
+//! and touch the file's mtime so the ordering survives a restart).
+//! Startup recovery and the offline [`gc`] share one shard walk that
+//! judges every file; each applies its own policy to the verdicts. [`shard_rel_path`] / [`key_of_rel_path`]
 //! are the pure key↔path maps the format proptests round-trip.
 //!
 //! Fault injection: [`DiskCacheConfig::cache_fault`] (the daemon sets it
@@ -33,7 +35,7 @@
 //! the crash-recovery integration test uses this to manufacture a torn
 //! write deterministically.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -44,6 +46,7 @@ use std::time::SystemTime;
 use crate::canon::KEY_VERSION;
 use crate::hash::sha256_hex;
 use crate::json::{obj, parse, Json};
+use crate::lru::Lru;
 
 /// Suffix of a committed entry file.
 pub const ENTRY_SUFFIX: &str = ".entry";
@@ -98,57 +101,6 @@ pub struct RecoveryStats {
     pub discarded: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    bytes: u64,
-    /// LRU stamp: larger = more recently used.
-    seq: u64,
-}
-
-#[derive(Default)]
-struct Index {
-    entries: HashMap<String, IndexEntry>,
-    /// seq → key, the eviction order. Kept in lockstep with `entries`.
-    order: BTreeMap<u64, String>,
-    total_bytes: u64,
-    next_seq: u64,
-}
-
-impl Index {
-    fn touch(&mut self, key: &str) {
-        if let Some(e) = self.entries.get_mut(key) {
-            self.order.remove(&e.seq);
-            e.seq = self.next_seq;
-            self.order.insert(e.seq, key.to_string());
-            self.next_seq += 1;
-        }
-    }
-
-    fn insert(&mut self, key: &str, bytes: u64) {
-        if let Some(old) = self.entries.remove(key) {
-            self.order.remove(&old.seq);
-            self.total_bytes -= old.bytes;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries
-            .insert(key.to_string(), IndexEntry { bytes, seq });
-        self.order.insert(seq, key.to_string());
-        self.total_bytes += bytes;
-    }
-
-    fn remove(&mut self, key: &str) -> Option<u64> {
-        let e = self.entries.remove(key)?;
-        self.order.remove(&e.seq);
-        self.total_bytes -= e.bytes;
-        Some(e.bytes)
-    }
-
-    fn lru_key(&self) -> Option<String> {
-        self.order.values().next().cloned()
-    }
-}
-
 /// A validated entry read back from disk.
 #[derive(Debug)]
 pub struct DiskEntry {
@@ -163,9 +115,10 @@ pub struct DiskEntry {
 /// The persistent store: sharded directory plus in-memory LRU index.
 pub struct DiskCache {
     dir: PathBuf,
-    max_bytes: u64,
     cache_fault: bool,
-    index: Mutex<Index>,
+    /// Every indexed entry, weighted by its file's bytes against the
+    /// byte cap.
+    index: Mutex<Lru<()>>,
     tmp_seq: AtomicU64,
     evictions: AtomicU64,
 }
@@ -183,86 +136,63 @@ impl DiskCache {
         fs::create_dir_all(&cfg.dir)?;
         let cache = DiskCache {
             dir: cfg.dir,
-            max_bytes: cfg.max_bytes,
             cache_fault: cfg.cache_fault,
-            index: Mutex::new(Index::default()),
+            index: Mutex::new(Lru::new(cfg.max_bytes)),
             tmp_seq: AtomicU64::new(1),
             evictions: AtomicU64::new(0),
         };
         let mut stats = RecoveryStats::default();
         // (mtime, key, bytes) of every valid entry, admitted in age order.
         let mut valid: Vec<(SystemTime, String, u64)> = Vec::new();
-        for shard in fs::read_dir(&cache.dir)? {
-            let shard = shard?;
-            let name = shard.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !shard.file_type()?.is_dir() || name == QUARANTINE_DIR {
-                continue;
-            }
-            for file in fs::read_dir(shard.path())? {
-                let file = file?;
-                let rel = PathBuf::from(name).join(file.file_name());
-                match validate(&file.path(), &rel) {
-                    Ok((key, bytes)) => {
-                        let mtime = file
-                            .metadata()
-                            .and_then(|m| m.modified())
-                            .unwrap_or(SystemTime::UNIX_EPOCH);
-                        valid.push((mtime, key, bytes));
-                    }
-                    Err(Unusable::Stale) => {
-                        let _ = fs::remove_file(file.path());
-                        stats.discarded += 1;
-                    }
-                    Err(Unusable::Corrupt) => {
-                        cache.quarantine(&file.path());
-                        stats.discarded += 1;
-                    }
+        walk_shards(&cache.dir, |path, found| {
+            match found {
+                Found::Entry { key, bytes } => {
+                    let mtime = fs::symlink_metadata(path)
+                        .and_then(|m| m.modified())
+                        .unwrap_or(SystemTime::UNIX_EPOCH);
+                    valid.push((mtime, key, bytes));
                 }
+                Found::Stale => {
+                    let _ = fs::remove_file(path);
+                    stats.discarded += 1;
+                }
+                Found::Temp | Found::Corrupt => {
+                    let _ = quarantine(&cache.dir, path);
+                    stats.discarded += 1;
+                }
+                Found::Foreign => {}
             }
-        }
+            Ok(())
+        })?;
         valid.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let mut index = cache.index.lock().expect("disk index lock");
         for (_, key, bytes) in valid {
-            index.insert(&key, bytes);
+            index.insert(&key, (), bytes);
             stats.recovered += 1;
         }
         drop(index);
         Ok((cache, stats))
     }
 
-    fn quarantine(&self, path: &Path) {
-        let pen = self.dir.join(QUARANTINE_DIR);
-        let _ = fs::create_dir_all(&pen);
-        if let Some(name) = path.file_name() {
-            let _ = fs::rename(path, pen.join(name));
-        }
-    }
-
     /// Loads and verifies a key's entry, refreshing its LRU recency (in
     /// memory and on the file's mtime). Returns `None` on miss; a
     /// corrupt entry is quarantined and reads as a miss.
     pub fn load(&self, key: &str) -> Option<DiskEntry> {
-        {
-            let index = self.index.lock().expect("disk index lock");
-            index.entries.get(key)?;
+        if !self.index.lock().expect("disk index lock").contains(key) {
+            return None;
         }
         let path = self.dir.join(shard_rel_path(key));
         match read_entry(&path, key) {
             Ok(entry) => {
-                let mut index = self.index.lock().expect("disk index lock");
-                index.touch(key);
-                drop(index);
+                self.index.lock().expect("disk index lock").get(key);
                 if let Ok(f) = fs::OpenOptions::new().append(true).open(&path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 Some(entry)
             }
             Err(_) => {
-                let mut index = self.index.lock().expect("disk index lock");
-                index.remove(key);
-                drop(index);
-                self.quarantine(&path);
+                self.index.lock().expect("disk index lock").remove(key);
+                let _ = quarantine(&self.dir, &path);
                 None
             }
         }
@@ -314,11 +244,9 @@ impl DiskCache {
 
         let bytes = fs::metadata(&final_path)?.len();
         let mut index = self.index.lock().expect("disk index lock");
-        index.insert(key, bytes);
+        index.insert(key, (), bytes);
         let mut evicted = 0;
-        while index.total_bytes > self.max_bytes {
-            let Some(victim) = index.lru_key() else { break };
-            index.remove(&victim);
+        while let Some(victim) = index.pop_over_cap() {
             let _ = fs::remove_file(self.dir.join(shard_rel_path(&victim)));
             evicted += 1;
         }
@@ -329,7 +257,7 @@ impl DiskCache {
 
     /// Entries currently indexed.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("disk index lock").entries.len()
+        self.index.lock().expect("disk index lock").len()
     }
 
     /// Whether the cache holds no entries.
@@ -339,7 +267,7 @@ impl DiskCache {
 
     /// Total bytes of all indexed entry files.
     pub fn total_bytes(&self) -> u64 {
-        self.index.lock().expect("disk index lock").total_bytes
+        self.index.lock().expect("disk index lock").weight()
     }
 
     /// Lifetime eviction count.
@@ -353,8 +281,7 @@ impl DiskCache {
         self.index
             .lock()
             .expect("disk index lock")
-            .order
-            .values()
+            .keys()
             .cloned()
             .collect()
     }
@@ -364,9 +291,8 @@ impl DiskCache {
         self.index
             .lock()
             .expect("disk index lock")
-            .entries
-            .iter()
-            .map(|(k, e)| (k.clone(), e.bytes))
+            .weights()
+            .map(|(k, bytes)| (k.clone(), bytes))
             .collect()
     }
 
@@ -391,7 +317,7 @@ pub struct GcReport {
     /// Corrupt, misnamed, or foreign shard files moved to
     /// `quarantine/` (the same policy startup recovery applies).
     pub quarantined: u64,
-    /// Top-level non-shard files left untouched (not ours to judge).
+    /// Top-level non-shard entries left untouched (not ours to judge).
     pub skipped: u64,
 }
 
@@ -427,53 +353,94 @@ impl std::fmt::Display for GcReport {
 /// handled, not fatal.
 pub fn gc(dir: &Path) -> io::Result<GcReport> {
     let mut report = GcReport::default();
-    let pen = dir.join(QUARANTINE_DIR);
+    walk_shards(dir, |path, found| {
+        match found {
+            Found::Entry { bytes, .. } => {
+                report.kept += 1;
+                report.kept_bytes += bytes;
+            }
+            Found::Temp => {
+                fs::remove_file(path)?;
+                report.temps_removed += 1;
+            }
+            Found::Stale => {
+                fs::remove_file(path)?;
+                report.stale_removed += 1;
+            }
+            Found::Corrupt => {
+                quarantine(dir, path)?;
+                report.quarantined += 1;
+            }
+            Found::Foreign => report.skipped += 1,
+        }
+        Ok(())
+    })?;
+    Ok(report)
+}
+
+/// The verdict of the shard walk on one path under the cache root.
+enum Found {
+    /// A valid entry of this key version: its key and file size.
+    Entry { key: String, bytes: u64 },
+    /// An in-flight temp file: a crash leftover, unless a store is
+    /// running.
+    Temp,
+    /// An entry written under another cache-key version: well formed,
+    /// but no key of this version can reach it.
+    Stale,
+    /// A shard file that is unreadable, torn, misnamed or corrupt.
+    Corrupt,
+    /// A top-level entry that is not a shard directory: not ours to
+    /// judge.
+    Foreign,
+}
+
+/// Walks the cache root `dir` and calls `visit` on every shard file,
+/// and on every top-level entry that is no shard, with its verdict.
+/// The quarantine directory is not entered. Validating an entry reads
+/// one payload at a time.
+///
+/// # Errors
+/// Propagates directory scan failures and `visit`'s errors.
+fn walk_shards(
+    dir: &Path,
+    mut visit: impl FnMut(&Path, Found) -> io::Result<()>,
+) -> io::Result<()> {
     for shard in fs::read_dir(dir)? {
         let shard = shard?;
-        let shard_name = shard.file_name();
-        let Some(shard_name) = shard_name.to_str().map(str::to_string) else {
-            report.skipped += 1;
-            continue;
+        let name = shard.file_name();
+        let shard_name = match name.to_str() {
+            Some(name) if shard.file_type()?.is_dir() => name,
+            _ => {
+                visit(&shard.path(), Found::Foreign)?;
+                continue;
+            }
         };
-        if !shard.file_type()?.is_dir() {
-            report.skipped += 1;
-            continue;
-        }
         if shard_name == QUARANTINE_DIR {
             continue;
         }
         for file in fs::read_dir(shard.path())? {
             let file = file?;
-            let path = file.path();
             let name = file.file_name();
-            let Some(name) = name.to_str() else {
-                report.skipped += 1;
-                continue;
+            let found = if name.to_str().is_some_and(|n| n.contains(TMP_INFIX)) {
+                Found::Temp
+            } else {
+                judge(&file.path(), &Path::new(shard_name).join(name))
             };
-            if name.contains(TMP_INFIX) {
-                fs::remove_file(&path)?;
-                report.temps_removed += 1;
-                continue;
-            }
-            let rel = PathBuf::from(&shard_name).join(name);
-            match validate(&path, &rel) {
-                Ok((_, bytes)) => {
-                    report.kept += 1;
-                    report.kept_bytes += bytes;
-                }
-                Err(Unusable::Stale) => {
-                    fs::remove_file(&path)?;
-                    report.stale_removed += 1;
-                }
-                Err(Unusable::Corrupt) => {
-                    fs::create_dir_all(&pen)?;
-                    fs::rename(&path, pen.join(name))?;
-                    report.quarantined += 1;
-                }
-            }
+            visit(&file.path(), found)?;
         }
     }
-    Ok(report)
+    Ok(())
+}
+
+/// Moves `path` into the quarantine directory of the cache root `dir`.
+fn quarantine(dir: &Path, path: &Path) -> io::Result<()> {
+    let pen = dir.join(QUARANTINE_DIR);
+    fs::create_dir_all(&pen)?;
+    match path.file_name() {
+        Some(name) => fs::rename(path, pen.join(name)),
+        None => Ok(()),
+    }
 }
 
 fn unix_now() -> u64 {
@@ -482,28 +449,23 @@ fn unix_now() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Why an entry file cannot be served.
-#[derive(Debug)]
-enum Unusable {
-    /// Written under another cache-key version: well formed, but no key
-    /// of this version can reach it.
-    Stale,
-    /// Unreadable, torn, misnamed or corrupt.
-    Corrupt,
-}
-
-/// Checks one scanned file: committed suffix, header parses, name
-/// matches the header key, key version is this one, digest matches the
-/// payload. Returns the key and file size.
-fn validate(path: &Path, rel: &Path) -> Result<(String, u64), Unusable> {
-    let key = key_of_rel_path(rel).ok_or(Unusable::Corrupt)?;
+/// Judges one shard file at `path`, relative path `rel`: committed
+/// suffix, header parses, name matches the header key, key version is
+/// this one, digest matches the payload.
+fn judge(path: &Path, rel: &Path) -> Found {
+    let Some(key) = key_of_rel_path(rel) else {
+        return Found::Corrupt;
+    };
     match read_entry(path, &key) {
-        Ok(_) => {
-            let bytes = fs::metadata(path).map_err(|_| Unusable::Corrupt)?.len();
-            Ok((key, bytes))
-        }
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => Err(Unusable::Stale),
-        Err(_) => Err(Unusable::Corrupt),
+        Ok(_) => match fs::metadata(path) {
+            Ok(meta) => Found::Entry {
+                key,
+                bytes: meta.len(),
+            },
+            Err(_) => Found::Corrupt,
+        },
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => Found::Stale,
+        Err(_) => Found::Corrupt,
     }
 }
 
@@ -712,6 +674,28 @@ pub(crate) mod tests {
         assert_eq!(again.kept, 1);
         assert_eq!(again.temps_removed, 0);
         assert_eq!(again.quarantined, 0);
+    }
+
+    /// Recovery and `gc` judge a shard file through the same walk: a
+    /// name that is not UTF-8 is no entry of ours, and both quarantine it.
+    #[test]
+    fn non_utf8_shard_files_are_quarantined_by_gc_and_recovery() {
+        use std::os::unix::ffi::OsStrExt;
+        let tmp = TempDir::new("non-utf8");
+        let (cache, _) = open(&tmp.0, 1 << 20);
+        let k = key(1);
+        store(&cache, &k, "keep me");
+        drop(cache);
+        let odd = std::ffi::OsStr::from_bytes(b"\xff.entry");
+        let shard = tmp.0.join(&k[..2]);
+        fs::write(shard.join(odd), b"junk").unwrap();
+        let (reopened, stats) = open(&tmp.0, 1 << 20);
+        assert_eq!((stats.recovered, stats.discarded), (1, 1));
+        drop(reopened);
+        fs::write(shard.join(odd), b"junk").unwrap();
+        let report = gc(&tmp.0).unwrap();
+        assert_eq!((report.kept, report.quarantined, report.skipped), (1, 1, 0));
+        assert!(!shard.join(odd).exists());
     }
 
     #[test]

@@ -13,16 +13,14 @@
 //! points the table binaries use and renders the deterministic result
 //! payload the cache stores.
 
-use retime_bench::{build_case, Certification};
+use retime_bench::{build_case, run_flow, Certification};
 use retime_circuits::paper_suite;
 use retime_convert::ConvertConfig;
-use retime_core::{grar, GrarConfig};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{bench, CombCloud, Netlist, NodeId};
-use retime_retime::{base_retime, RetimeError, RetimeOutcome};
+use retime_retime::{RetimeError, RetimeOutcome};
 use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
-use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 use crate::canon::{cache_key, canonical_bench, KeyClock, KeyConfig, KeyMaterial};
 use crate::hash::sha256_hex;
@@ -539,9 +537,10 @@ pub struct JobOutput {
     pub phases: retime_engine::PhaseTimings,
 }
 
-/// Runs the configured flow on a resolved circuit — the same entry
-/// points (`base_retime` / `grar` / `vl_retime`) a direct call uses, so
-/// a cached payload is bit-identical to a fresh one.
+/// Runs the configured flow on a resolved circuit through
+/// [`retime_bench::run_flow`] — the same entry points (`base_retime` /
+/// `grar` / `vl_retime`) a direct call uses, so a cached payload is
+/// bit-identical to a fresh one.
 ///
 /// # Errors
 /// Propagates flow failures and rejected certificates.
@@ -550,28 +549,14 @@ pub fn execute(
     circuit: &ResolvedCircuit,
     lib: &Library,
 ) -> Result<JobOutput, RetimeError> {
-    let cloud = &circuit.cloud;
-    let mut outcome = match cfg.flow {
-        FlowKind::Base => base_retime(cloud, lib, cfg.clock, cfg.model, cfg.overhead)?,
-        FlowKind::Grar => {
-            grar(
-                cloud,
-                lib,
-                cfg.clock,
-                &GrarConfig::new(cfg.overhead).with_model(cfg.model),
-            )?
-            .outcome
-        }
-        FlowKind::Vl => {
-            vl_retime(
-                cloud,
-                lib,
-                cfg.clock,
-                &VlConfig::new(VlVariant::Rvl, cfg.overhead).with_model(cfg.model),
-            )?
-            .outcome
-        }
-    };
+    let mut outcome = run_flow(
+        cfg.flow,
+        &circuit.cloud,
+        lib,
+        cfg.clock,
+        cfg.model,
+        cfg.overhead,
+    )?;
     if cfg.verify {
         Certification::of_netlist(
             &circuit.netlist,

@@ -71,6 +71,7 @@ pub mod disk;
 mod epoll;
 pub mod hash;
 pub mod job;
+mod lru;
 pub mod metrics;
 pub mod queue;
 pub mod reactor;

@@ -337,7 +337,7 @@ pub fn critical_delay(
     model: DelayModel,
 ) -> Result<f64, StaError> {
     let delays = NodeDelays::from_library(cloud, lib, model)?;
-    let arrivals = pure_arrivals(cloud, &delays);
+    let arrivals: Vec<DelayArc> = pure_arrivals(cloud, &delays);
     Ok(cloud
         .sinks()
         .iter()

@@ -1,9 +1,10 @@
-//! Per-endpoint backward delay analysis: the paper's `D^b(v, t)`.
+//! Per-endpoint backward delay analysis: the paper's `D^b(v, t)`, generic
+//! over the [`Arrival`] value the forward pass carries.
 
 use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CombCloud, ConeWalk, NodeId};
 
-use crate::forward::arc_max;
+use crate::forward::Arrival;
 use crate::model::NodeDelays;
 
 /// Result of a backward pass from one sink `t`.
@@ -18,23 +19,27 @@ use crate::model::NodeDelays;
 ///   through `v` to `t` (the `d(v) + D^b(v, t)` term of Eq. 5 with valid
 ///   rise/fall pairing), per input polarity at `v`.
 ///
+/// The values are [`DelayArc`]s by default; `BackwardPass<Canon>` (with
+/// `retime-stat`'s canonical forms) carries path sigma alongside the
+/// mean.
+///
 /// The pass touches only the cone: it walks `FIC(t)` with a
 /// [`ConeWalk`] and sweeps it in the walk's order (every node after all
 /// of its in-cone fanouts). A pass is reusable — [`BackwardPass::rerun`]
 /// clears just the previous cone's slots — so one pass per worker
 /// serves every target at O(cone) cost each.
 #[derive(Debug, Clone)]
-pub struct BackwardPass {
+pub struct BackwardPass<A = DelayArc> {
     sink: NodeId,
     cone: ConeWalk,
-    from_output: Vec<Option<DelayArc>>,
-    through: Vec<Option<DelayArc>>,
+    from_output: Vec<Option<A>>,
+    through: Vec<Option<A>>,
 }
 
-impl BackwardPass {
+impl<A: Arrival> BackwardPass<A> {
     /// An empty pass sized for `cloud`, covering no node until the first
     /// [`BackwardPass::rerun`].
-    pub fn new(cloud: &CombCloud) -> BackwardPass {
+    pub fn new(cloud: &CombCloud) -> BackwardPass<A> {
         BackwardPass {
             sink: NodeId(u32::MAX),
             cone: ConeWalk::new(cloud),
@@ -47,7 +52,7 @@ impl BackwardPass {
     ///
     /// # Panics
     /// Panics if `t` is not a sink of the cloud.
-    pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> BackwardPass {
+    pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> BackwardPass<A> {
         let mut bp = BackwardPass::new(cloud);
         bp.rerun(cloud, delays, t);
         bp
@@ -71,25 +76,13 @@ impl BackwardPass {
         let cone = self.cone.walk(cloud, [t]);
         // The sink itself: a latch placed directly on the edge into t has
         // no further gate delay.
-        self.through[t.index()] = Some(DelayArc::default());
+        self.through[t.index()] = Some(A::default());
         for &v in &cone[1..] {
-            let node = cloud.node(v);
-            // Fanouts fold in stored order; those outside the cone have
-            // no `through` and are skipped.
-            let mut best: Option<DelayArc> = None;
-            for &w in &node.fanout {
-                if let Some(thr) = self.through[w.index()] {
-                    best = Some(match best {
-                        None => thr,
-                        Some(acc) => arc_max(acc, thr),
-                    });
-                }
-            }
-            let fo = best.expect("a cone node has an in-cone fanout");
+            let fo =
+                worst_fanout(cloud, &self.through, v).expect("a cone node has an in-cone fanout");
             self.from_output[v.index()] = Some(fo);
-            if node.is_gate() {
-                self.through[v.index()] =
-                    Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
+            if cloud.node(v).is_gate() {
+                self.through[v.index()] = Some(fo.back_through_gate(delays, v));
             }
         }
     }
@@ -107,18 +100,13 @@ impl BackwardPass {
 
     /// `D^b(v, t)` per output polarity of `v`; `None` when `v` is not in
     /// the fan-in cone of the sink.
-    pub fn from_output(&self, v: NodeId) -> Option<DelayArc> {
+    pub fn from_output(&self, v: NodeId) -> Option<A> {
         self.from_output[v.index()]
-    }
-
-    /// Scalar `D^b(v, t)` (worst polarity).
-    pub fn db(&self, v: NodeId) -> Option<f64> {
-        self.from_output[v.index()].map(DelayArc::max)
     }
 
     /// Delay from `v`'s inputs through `v` to the sink, per input polarity.
     /// Defined for gate nodes in the cone and for the sink itself (zero).
-    pub fn through(&self, v: NodeId) -> Option<DelayArc> {
+    pub fn through(&self, v: NodeId) -> Option<A> {
         self.through[v.index()]
     }
 
@@ -126,6 +114,25 @@ impl BackwardPass {
     pub fn in_cone(&self, v: NodeId) -> bool {
         self.cone.contains(v)
     }
+}
+
+impl BackwardPass<DelayArc> {
+    /// Scalar `D^b(v, t)` (worst polarity).
+    pub fn db(&self, v: NodeId) -> Option<f64> {
+        self.from_output[v.index()].map(DelayArc::max)
+    }
+}
+
+/// The merge of `through` over `v`'s fanouts in stored order, skipping
+/// those without a value (outside the cone, or not reaching a sink);
+/// `None` when no fanout has one.
+fn worst_fanout<A: Arrival>(cloud: &CombCloud, through: &[Option<A>], v: NodeId) -> Option<A> {
+    cloud
+        .node(v)
+        .fanout
+        .iter()
+        .filter_map(|w| through[w.index()])
+        .reduce(A::merge)
 }
 
 /// Backward counterpart of the forward gate step: given the
@@ -155,32 +162,21 @@ pub fn backward_through_gate(fo: DelayArc, arc: DelayArc, sense: Sense) -> Delay
 
 /// Worst backward delay to **any** sink, per node (a single reverse sweep).
 /// Used for the `V_m` region test `∃t: D^b(v,t) > φ2 + γ2 + φ1`.
-pub(crate) fn db_to_any_sink(cloud: &CombCloud, delays: &NodeDelays) -> Vec<Option<DelayArc>> {
+pub fn db_to_any_sink<A: Arrival>(cloud: &CombCloud, delays: &NodeDelays) -> Vec<Option<A>> {
     let n = cloud.len();
-    let mut from_output: Vec<Option<DelayArc>> = vec![None; n];
-    let mut through: Vec<Option<DelayArc>> = vec![None; n];
+    let mut from_output: Vec<Option<A>> = vec![None; n];
+    let mut through: Vec<Option<A>> = vec![None; n];
     for &t in cloud.sinks() {
-        through[t.index()] = Some(DelayArc::default());
+        through[t.index()] = Some(A::default());
     }
     for &v in cloud.topo().iter().rev() {
-        let node = cloud.node(v);
-        if node.is_sink() {
+        if cloud.node(v).is_sink() {
             continue;
         }
-        let mut best: Option<DelayArc> = None;
-        for &w in &node.fanout {
-            if let Some(thr) = through[w.index()] {
-                best = Some(match best {
-                    None => thr,
-                    Some(acc) => arc_max(acc, thr),
-                });
-            }
-        }
-        if let Some(fo) = best {
+        if let Some(fo) = worst_fanout(cloud, &through, v) {
             from_output[v.index()] = Some(fo);
-            if node.is_gate() {
-                through[v.index()] =
-                    Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
+            if cloud.node(v).is_gate() {
+                through[v.index()] = Some(fo.back_through_gate(delays, v));
             }
         }
     }
@@ -258,7 +254,7 @@ z = BUFF(a)
         let (cloud, _) = setup();
         let lib = Library::fdsoi28();
         let delays = NodeDelays::from_library(&cloud, &lib, DelayModel::GateBased).unwrap();
-        let arr = crate::forward::pure_arrivals(&cloud, &delays);
+        let arr: Vec<DelayArc> = crate::forward::pure_arrivals(&cloud, &delays);
         for &t in cloud.sinks() {
             let bp = BackwardPass::run(&cloud, &delays, t);
             let at = arr[t.index()].max();
@@ -283,7 +279,7 @@ z = BUFF(a)
     #[test]
     fn any_sink_db_is_max_over_sinks() {
         let (cloud, delays) = setup();
-        let all = db_to_any_sink(&cloud, &delays);
+        let all: Vec<Option<DelayArc>> = db_to_any_sink(&cloud, &delays);
         let passes: Vec<BackwardPass> = cloud
             .sinks()
             .iter()
@@ -358,6 +354,6 @@ z = BUFF(a)
     fn non_sink_rejected() {
         let (cloud, delays) = setup();
         let g1 = cloud.find("g1").unwrap();
-        let _ = BackwardPass::run(&cloud, &delays, g1);
+        let _ = BackwardPass::<DelayArc>::run(&cloud, &delays, g1);
     }
 }

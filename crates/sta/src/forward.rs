@@ -1,4 +1,6 @@
-//! Forward arrival-time propagation.
+//! Forward arrival-time propagation, generic over the [`Arrival`] value
+//! it carries: per-transition [`DelayArc`]s here, canonical forms in
+//! `retime-stat`. The same sweeps serve both delay models.
 
 use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
@@ -6,13 +8,62 @@ use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
 use crate::clock::TwoPhaseClock;
 use crate::model::NodeDelays;
 
-/// Combines input arrivals through a gate, honouring unateness (the
-/// "valid combinations of rise and fall delays" of Section VI-B):
+/// A value the forward and backward timing passes propagate: the
+/// arrival (or delay-to-sink) at one node, with the five operations the
+/// passes need. [`Default`] is the zero delay.
+///
+/// The passes fold fanins and fanouts in stored order, left to right
+/// (`acc.merge(next)`), so an order-sensitive merge such as Clark's max
+/// gets the same operands in the same order on every run.
+pub trait Arrival: Copy + Default {
+    /// The master clock-to-Q launch at a source.
+    fn launch(delays: &NodeDelays) -> Self;
+    /// Merges two pins' arrivals (the worst of the two).
+    fn merge(self, other: Self) -> Self;
+    /// Forward gate step: the arrival at gate `v`'s output, given the
+    /// merged arrival `self` at its inputs.
+    fn through_gate(self, delays: &NodeDelays, v: NodeId) -> Self;
+    /// Backward gate step: the delay from gate `v`'s inputs to the sink,
+    /// given the delay-to-sink `self` at its output.
+    fn back_through_gate(self, delays: &NodeDelays, v: NodeId) -> Self;
+    /// The arrival at a slave latch's output, given the arrival `self`
+    /// at its D pin.
+    fn relaunch(self, clock: &TwoPhaseClock, delays: &NodeDelays) -> Self;
+}
+
+/// Per-transition arrivals, honouring unateness (the "valid
+/// combinations of rise and fall delays" of Section VI-B).
+impl Arrival for DelayArc {
+    fn launch(delays: &NodeDelays) -> DelayArc {
+        DelayArc::symmetric(delays.launch())
+    }
+
+    fn merge(self, other: DelayArc) -> DelayArc {
+        DelayArc {
+            rise: self.rise.max(other.rise),
+            fall: self.fall.max(other.fall),
+        }
+    }
+
+    fn through_gate(self, delays: &NodeDelays, v: NodeId) -> DelayArc {
+        through_gate(self, delays.arc(v), delays.sense(v))
+    }
+
+    fn back_through_gate(self, delays: &NodeDelays, v: NodeId) -> DelayArc {
+        crate::backward::backward_through_gate(self, delays.arc(v), delays.sense(v))
+    }
+
+    fn relaunch(self, clock: &TwoPhaseClock, delays: &NodeDelays) -> DelayArc {
+        relaunch(self, clock, delays)
+    }
+}
+
+/// Combines input arrivals through a gate, honouring unateness:
 ///
 /// * positive-unate: output rise ← input rise,
 /// * negative-unate: output rise ← input fall,
 /// * non-unate: output rise ← worst input transition.
-pub(crate) fn through_gate(input: DelayArc, arc: DelayArc, sense: Sense) -> DelayArc {
+fn through_gate(input: DelayArc, arc: DelayArc, sense: Sense) -> DelayArc {
     match sense {
         Sense::Positive => DelayArc {
             rise: input.rise + arc.rise,
@@ -29,14 +80,6 @@ pub(crate) fn through_gate(input: DelayArc, arc: DelayArc, sense: Sense) -> Dela
                 fall: w + arc.fall,
             }
         }
-    }
-}
-
-/// Element-wise max of two arcs (merging arrivals from different pins).
-pub(crate) fn arc_max(a: DelayArc, b: DelayArc) -> DelayArc {
-    DelayArc {
-        rise: a.rise.max(b.rise),
-        fall: a.fall.max(b.fall),
     }
 }
 
@@ -57,9 +100,9 @@ pub fn relaunch(input: DelayArc, clock: &TwoPhaseClock, delays: &NodeDelays) -> 
 ///
 /// This is the quantity queried from the synthesis tool in Section VI-B
 /// ("the latest arrival time of any fanout of u").
-pub(crate) fn pure_arrivals(cloud: &CombCloud, delays: &NodeDelays) -> Vec<DelayArc> {
-    let launch = DelayArc::symmetric(delays.launch());
-    let mut arr = vec![DelayArc::default(); cloud.len()];
+pub fn pure_arrivals<A: Arrival>(cloud: &CombCloud, delays: &NodeDelays) -> Vec<A> {
+    let launch = A::launch(delays);
+    let mut arr = vec![A::default(); cloud.len()];
     propagate(
         cloud,
         delays,
@@ -72,14 +115,16 @@ pub(crate) fn pure_arrivals(cloud: &CombCloud, delays: &NodeDelays) -> Vec<Delay
 }
 
 /// Computes arrivals with slave latches at the positions of `cut`:
-/// data crossing a latched edge is re-launched per [`relaunch`].
-pub(crate) fn arrivals_with_cut(
+/// data crossing a latched edge is re-launched ([`Arrival::relaunch`]).
+/// The cloud is acyclic (latch loops are cut at the masters), so one
+/// sweep in topological order is exact.
+pub fn arrivals_with_cut<A: Arrival>(
     cloud: &CombCloud,
     delays: &NodeDelays,
     clock: &TwoPhaseClock,
     cut: &Cut,
-) -> Vec<DelayArc> {
-    let mut arr = vec![DelayArc::default(); cloud.len()];
+) -> Vec<A> {
+    let mut arr = vec![A::default(); cloud.len()];
     arrivals_with_moved(
         cloud,
         delays,
@@ -96,18 +141,18 @@ pub(crate) fn arrivals_with_cut(
 /// `order` must list every fanin of a node before the node — the whole
 /// cloud's topological order, or the reverse of a fan-in cone walk, in
 /// which case slots outside the cone are left untouched.
-pub(crate) fn arrivals_with_moved(
+pub fn arrivals_with_moved<A: Arrival>(
     cloud: &CombCloud,
     delays: &NodeDelays,
     clock: &TwoPhaseClock,
     order: impl Iterator<Item = NodeId>,
     moved: impl Fn(NodeId) -> bool,
-    arr: &mut [DelayArc],
+    arr: &mut [A],
 ) {
-    let launch = DelayArc::symmetric(delays.launch());
+    let launch = A::launch(delays);
     // An unmoved source keeps its slave at the source position:
     // everything downstream sees the re-launched value.
-    let relaunched = relaunch(launch, clock, delays);
+    let relaunched = launch.relaunch(clock, delays);
     propagate(
         cloud,
         delays,
@@ -116,7 +161,7 @@ pub(crate) fn arrivals_with_moved(
         |s| if moved(s) { launch } else { relaunched },
         |e, a| {
             if moved(e.from) && !moved(e.to) {
-                relaunch(a, clock, delays)
+                a.relaunch(clock, delays)
             } else {
                 a
             }
@@ -126,15 +171,15 @@ pub(crate) fn arrivals_with_moved(
 
 /// Shared propagation core over `order` (fanins before each node).
 /// `source_fn` gives each source's launch value; `edge_fn` transforms the
-/// value crossing each edge (identity for pure arrivals, [`relaunch`] on
+/// value crossing each edge (identity for pure arrivals, a relaunch on
 /// latched edges).
-fn propagate(
+fn propagate<A: Arrival>(
     cloud: &CombCloud,
     delays: &NodeDelays,
     order: impl Iterator<Item = NodeId>,
-    arr: &mut [DelayArc],
-    source_fn: impl Fn(NodeId) -> DelayArc,
-    edge_fn: impl Fn(CloudEdge, DelayArc) -> DelayArc,
+    arr: &mut [A],
+    source_fn: impl Fn(NodeId) -> A,
+    edge_fn: impl Fn(CloudEdge, A) -> A,
 ) {
     for v in order {
         let node = cloud.node(v);
@@ -142,17 +187,17 @@ fn propagate(
             arr[v.index()] = source_fn(v);
             continue;
         }
-        let mut input: Option<DelayArc> = None;
+        let mut input: Option<A> = None;
         for &u in &node.fanin {
             let via = edge_fn(CloudEdge { from: u, to: v }, arr[u.index()]);
             input = Some(match input {
                 None => via,
-                Some(acc) => arc_max(acc, via),
+                Some(acc) => acc.merge(via),
             });
         }
         let input = input.unwrap_or_default();
         arr[v.index()] = if node.is_gate() {
-            through_gate(input, delays.arc(v), delays.sense(v))
+            input.through_gate(delays, v)
         } else {
             // Sink: capture the driver's arrival unchanged.
             input
@@ -182,7 +227,7 @@ mod tests {
     #[test]
     fn pure_arrival_monotone_along_paths() {
         let (cloud, delays, _) = setup();
-        let arr = pure_arrivals(&cloud, &delays);
+        let arr: Vec<DelayArc> = pure_arrivals(&cloud, &delays);
         for e in cloud.edges() {
             assert!(
                 arr[e.to.index()].max() >= arr[e.from.index()].max() - 1e-12,
@@ -228,8 +273,8 @@ mod tests {
     fn initial_cut_arrival_exceeds_pure() {
         let (cloud, delays, clock) = setup();
         let cut = Cut::initial(&cloud);
-        let pure = pure_arrivals(&cloud, &delays);
-        let cutted = arrivals_with_cut(&cloud, &delays, &clock, &cut);
+        let pure: Vec<DelayArc> = pure_arrivals(&cloud, &delays);
+        let cutted: Vec<DelayArc> = arrivals_with_cut(&cloud, &delays, &clock, &cut);
         for &t in cloud.sinks() {
             assert!(cutted[t.index()].max() >= pure[t.index()].max());
         }
@@ -244,9 +289,9 @@ mod tests {
             cut.set_moved(cloud.find(name).unwrap(), true);
         }
         cut.validate(&cloud).unwrap();
-        let arr = arrivals_with_cut(&cloud, &delays, &clock, &cut);
+        let arr: Vec<DelayArc> = arrivals_with_cut(&cloud, &delays, &clock, &cut);
         // Arrival at g1 is now pure (no latch crossed yet).
-        let pure = pure_arrivals(&cloud, &delays);
+        let pure: Vec<DelayArc> = pure_arrivals(&cloud, &delays);
         let g1 = cloud.find("g1").unwrap();
         assert_eq!(arr[g1.index()].max(), pure[g1.index()].max());
     }

@@ -7,7 +7,9 @@
 //! * the two-phase clock model `Π = ⟨φ1, γ1, φ2, γ2⟩` with resiliency
 //!   window `φ1` ([`TwoPhaseClock`], paper Fig. 1),
 //! * forward arrival times `D^f(v)` and per-endpoint backward delays
-//!   `D^b(v, t)` over a [`retime_netlist::CombCloud`],
+//!   `D^b(v, t)` over a [`retime_netlist::CombCloud`], generic over the
+//!   [`Arrival`] value they carry (per-transition delay arcs here,
+//!   `retime-stat`'s canonical forms in statistical mode),
 //! * both delay models compared in the paper's Table II:
 //!   [`DelayModel::GateBased`] (sum of worst-case cell delays, as in the
 //!   DAC'17 predecessor \[16\]) and [`DelayModel::PathBased`] (pin-to-pin
@@ -55,7 +57,7 @@ pub mod forward;
 pub mod model;
 
 pub use analysis::{critical_delay, cut_timing, CutTiming, SinkClass, TimingAnalysis};
-pub use backward::{backward_through_gate, BackwardPass};
+pub use backward::{backward_through_gate, db_to_any_sink, BackwardPass};
 pub use clock::TwoPhaseClock;
-pub use forward::relaunch;
+pub use forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, relaunch, Arrival};
 pub use model::{DelayModel, DelaySigma, NodeDelays, StaError, StatParamError, StatParams};

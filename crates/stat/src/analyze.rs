@@ -12,14 +12,14 @@
 //! differential tests pin across all three flows.
 
 use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
-use retime_sta::{DelayModel, NodeDelays, StatParams, TwoPhaseClock};
+use retime_sta::{
+    arrivals_with_cut, arrivals_with_moved, db_to_any_sink, pure_arrivals, BackwardPass,
+    DelayModel, NodeDelays, StatParams, TwoPhaseClock,
+};
 
 use crate::canon::Canon;
 use crate::normal::{cdf, quantile};
-use crate::propagate::{
-    arrivals_with_cut, arrivals_with_moved, db_to_any_sink, pure_arrivals, relaunch_canon,
-    StatBackward,
-};
+use crate::propagate::relaunch_canon;
 
 /// Tolerance for comparisons against clock edges — identical to the
 /// deterministic analysis so margined comparisons degrade bitwise.
@@ -156,15 +156,15 @@ impl<'a> StatTiming<'a> {
     ///
     /// # Panics
     /// Panics if `t` is not a sink.
-    pub fn backward(&self, t: NodeId) -> StatBackward {
-        StatBackward::run(self.cloud, self.delays, t)
+    pub fn backward(&self, t: NodeId) -> BackwardPass<Canon> {
+        BackwardPass::run(self.cloud, self.delays, t)
     }
 
     /// Canonical Eq. (5) arrival with a slave on edge `(u, v)`:
     /// `max(open + through, D^f(u) + d_q + through)` — the canonical
     /// mirror of the deterministic `a_value`. `None` when `v` does not
     /// reach the sink of `bp`.
-    pub fn a_value_canon(&self, u: NodeId, v: NodeId, bp: &StatBackward) -> Option<Canon> {
+    pub fn a_value_canon(&self, u: NodeId, v: NodeId, bp: &BackwardPass<Canon>) -> Option<Canon> {
         let through = bp.through(v)?;
         let open = self.clock.slave_open() + self.delays.latch_ckq();
         let dq = self.delays.latch_dq();
@@ -175,13 +175,13 @@ impl<'a> StatTiming<'a> {
     }
 
     /// Margined form of [`StatTiming::a_value_canon`].
-    pub fn a_value_margined(&self, u: NodeId, v: NodeId, bp: &StatBackward) -> Option<f64> {
+    pub fn a_value_margined(&self, u: NodeId, v: NodeId, bp: &BackwardPass<Canon>) -> Option<f64> {
         self.a_value_canon(u, v, bp).map(|c| self.margined(&c))
     }
 
     /// Canonical arrival with the slave at source `s` (the host/initial
     /// position): re-launched master output plus canonical `D^b(s, t)`.
-    pub fn a_host_canon(&self, s: NodeId, bp: &StatBackward) -> Option<Canon> {
+    pub fn a_host_canon(&self, s: NodeId, bp: &BackwardPass<Canon>) -> Option<Canon> {
         let fo = if s == bp.sink() {
             return None;
         } else {
@@ -193,14 +193,14 @@ impl<'a> StatTiming<'a> {
     }
 
     /// Margined form of [`StatTiming::a_host_canon`].
-    pub fn a_host_margined(&self, s: NodeId, bp: &StatBackward) -> Option<f64> {
+    pub fn a_host_margined(&self, s: NodeId, bp: &BackwardPass<Canon>) -> Option<f64> {
         self.a_host_canon(s, bp).map(|c| self.margined(&c))
     }
 
     /// Worst margined initial-placement arrival over the sources of the
     /// sink's cone — the statistical counterpart of
     /// [`retime_sta::TimingAnalysis::worst_initial`].
-    pub fn worst_initial_margined(&self, bp: &StatBackward) -> f64 {
+    pub fn worst_initial_margined(&self, bp: &BackwardPass<Canon>) -> f64 {
         bp.cone()
             .iter()
             .filter(|&&s| self.cloud.node(s).is_source())
@@ -215,7 +215,7 @@ impl<'a> StatTiming<'a> {
     /// `arr` is cloud-sized scratch; only the cone's slots are written.
     pub fn sink_canon_with_moved(
         &self,
-        bp: &StatBackward,
+        bp: &BackwardPass<Canon>,
         moved: &ConeWalk,
         arr: &mut [Canon],
     ) -> Canon {
@@ -230,9 +230,13 @@ impl<'a> StatTiming<'a> {
         arr[bp.sink().index()]
     }
 
-    /// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`.
+    /// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`:
+    /// one topological sweep, under a `stat_cut_arrivals` span.
     pub fn cut_sink_canons(&self, cut: &Cut) -> Vec<Canon> {
-        let arr = arrivals_with_cut(self.cloud, self.delays, &self.clock, cut);
+        let arr: Vec<Canon> = {
+            let _span = retime_trace::span("stat_cut_arrivals");
+            arrivals_with_cut(self.cloud, self.delays, &self.clock, cut)
+        };
         self.cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
     }
 

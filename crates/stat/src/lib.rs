@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! Statistical static timing for two-phase latch-based resilient
-//! circuits: first-order canonical delay forms, reduced-iteration
-//! canonical propagation over the latch graph, per-sink timing yield,
-//! and the yield-aware error-detecting-latch rule.
+//! circuits: first-order canonical delay forms, canonical propagation
+//! over the latch graph, per-sink timing yield, and the yield-aware
+//! error-detecting-latch rule.
 //!
 //! # Model
 //!
@@ -16,11 +16,12 @@
 //! `RETIME_*` knobs through `retime_bench::RunConfig` and serve from a
 //! job's fields, both through [`retime_sta::StatParams::checked`].
 //!
-//! Propagation ([`propagate`]) mirrors the deterministic forward and
-//! backward passes operation-for-operation in canonical arithmetic,
-//! following the reduced-iteration scheme of Li/Chen/Schlichtmann:
-//! latch loops are graph-transformed away, then canonical max/add is
-//! iterated to a fixed point with a proven two-sweep bound.
+//! Propagation has no code of its own: [`propagate`] implements
+//! [`retime_sta::Arrival`] for [`Canon`], so the deterministic forward
+//! sweeps and backward passes of `retime-sta` run in canonical
+//! arithmetic. As in the reduced-iteration scheme of
+//! Li/Chen/Schlichtmann, latch loops are graph-transformed away; the
+//! cloud is acyclic, so one topological sweep is exact.
 //!
 //! The [`StatTiming`] facade derives margined arrivals
 //! (`m + Φ⁻¹(target)·σ_tot`, folding clock sigma into `σ_tot`), per-sink
@@ -57,4 +58,3 @@ pub mod propagate;
 
 pub use analyze::{StatSummary, StatTiming, EPS};
 pub use canon::Canon;
-pub use propagate::StatBackward;

@@ -300,7 +300,6 @@ fn feasible_but_suboptimal_closure_is_rejected() {
         r: problem.full_assignment_for(&moved),
         objective_scaled: problem.objective_scaled_for(&moved),
         cut: Cut::from_raw(moved),
-        solver_time: Default::default(),
     };
     match verify_retiming_solution(&problem, &worse) {
         Err(VerifyError::Suboptimal {

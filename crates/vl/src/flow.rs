@@ -4,8 +4,6 @@
 //! masters fans out across worker threads, through the basis's cache
 //! ([`classify_cached`]).
 
-use std::time::Instant;
-
 use retime_core::classify_cached;
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
@@ -138,7 +136,6 @@ pub fn vl_retime_with_basis<'a>(
     cfg: &VlConfig,
     basis: BasisSlot<'_, 'a>,
 ) -> Result<VlReport, RetimeError> {
-    let started = Instant::now();
     let _flow_span = retime_trace::span("vl_retime");
     let mut phases = PhaseTimings::new();
     let front = type_masters(cloud, lib, clock, cfg, basis, &mut phases)?;
@@ -152,15 +149,7 @@ pub fn vl_retime_with_basis<'a>(
     let mut outcome = phases.stage(Stage::Commit, |timings| {
         // 5. Assemble; `assemble` types EDL by actual arrival.
         let delays = front.basis.into_delays();
-        let outcome = RetimeOutcome::assemble(
-            cloud,
-            clock,
-            delays,
-            &area_model,
-            sol.cut,
-            sol.solver_time,
-            started,
-        )?;
+        let outcome = RetimeOutcome::assemble(cloud, clock, delays, &area_model, sol.cut)?;
         outcome.legalize.record_counters(timings);
         Ok::<_, RetimeError>(outcome)
     })?;

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 base.seq.edl,
                 base.seq.total(),
                 base.total_area,
-                base.stats.elapsed.as_secs_f64(),
+                base.phases.total().as_secs_f64(),
             ),
             (
                 "RVL ",
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 rvl.outcome.seq.edl,
                 rvl.outcome.seq.total(),
                 rvl.outcome.total_area,
-                rvl.outcome.stats.elapsed.as_secs_f64(),
+                rvl.outcome.phases.total().as_secs_f64(),
             ),
             (
                 "G   ",
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 g.outcome.seq.edl,
                 g.outcome.seq.total(),
                 g.outcome.total_area,
-                g.outcome.stats.elapsed.as_secs_f64(),
+                g.outcome.phases.total().as_secs_f64(),
             ),
         ] {
             println!(

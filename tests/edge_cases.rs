@@ -1,8 +1,6 @@
 //! Edge-case integration tests: parallel edges, degenerate structures,
 //! wide fanout, and failure injection.
 
-use std::time::Instant;
-
 use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{classify_many, grar, GrarConfig};
 use resilient_retiming::liberty::{EdlOverhead, Library};
@@ -221,17 +219,9 @@ fn alternate_engines_full_flow() {
         let sol = solve(&problem).unwrap();
         let model = AreaModel::new(&lib, c);
         let delays = sta.into_delays();
-        RetimeOutcome::assemble(
-            &cloud,
-            clock,
-            delays,
-            &model,
-            sol.cut,
-            sol.solver_time,
-            Instant::now(),
-        )
-        .unwrap()
-        .total_area
+        RetimeOutcome::assemble(&cloud, clock, delays, &model, sol.cut)
+            .unwrap()
+            .total_area
     };
     for total in [
         commit(&|p| p.solve()),

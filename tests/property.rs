@@ -9,7 +9,7 @@ use resilient_retiming::grar::{
     classify_and_cut_set, classify_many, exhaustive_best, grar, GrarConfig,
 };
 use resilient_retiming::liberty::{EdlOverhead, Library};
-use resilient_retiming::netlist::{CombCloud, Cut, NodeId, NodeKind};
+use resilient_retiming::netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
 use resilient_retiming::retime::{legalize, AreaModel, Regions, RetimingProblem, BREADTH_SCALE};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
@@ -17,7 +17,7 @@ use resilient_retiming::sta::{
     TwoPhaseClock,
 };
 use resilient_retiming::verify::{verify_retiming_solution, VerifyError};
-use retime_stat::{StatBackward, StatTiming};
+use retime_stat::{Canon, StatTiming};
 
 /// A frozen copy of the whole-cloud classification that cone-local
 /// classification replaced: every backward pass sweeps the entire
@@ -553,7 +553,7 @@ proptest! {
             // reference sweep.
             let delays = NodeDelays::from_library(&cloud, &lib, model).expect("delays");
             let mut det = BackwardPass::new(&cloud);
-            let mut stat = StatBackward::new(&cloud);
+            let mut stat = BackwardPass::<Canon>::new(&cloud);
             for &a in cloud.sinks() {
                 for &b in cloud.sinks() {
                     for t in [a, b] {
@@ -570,6 +570,76 @@ proptest! {
                             prop_assert_eq!(stat.from_output(v), want_stat.from_output[i]);
                             prop_assert_eq!(stat.through(v), want_stat.through[i]);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stat_cut_arrivals_match_gate_based_at_sigma_zero(
+        cfg in small_config(),
+        pick_bits in any::<u64>(),
+    ) {
+        // The statistical with-cut pass is the deterministic sweep over
+        // canonical forms: at sigma = 0 its means are the gate-based
+        // sink arrivals bit for bit, on the initial cut and on the legal
+        // cuts moving the fan-in closures of random nodes. The
+        // cone-local arrival of each sink equals its whole-cloud entry,
+        // with and without sigma.
+        let n = cfg.generate().expect("generates");
+        let cloud = CombCloud::extract(&n).expect("extracts");
+        let lib = Library::fdsoi28();
+        // Four random nodes, 16 bits each; cut k moves the closures of
+        // the first k.
+        let picks: Vec<NodeId> = (0..4)
+            .map(|i| NodeId((pick_bits >> (16 * i)) as u32 % 0x1_0000 % cloud.len() as u32))
+            .collect();
+        let mut cuts = vec![(Cut::initial(&cloud), ConeWalk::new(&cloud))];
+        for k in 1..=picks.len() {
+            let mut moved = ConeWalk::new(&cloud);
+            moved.walk(&cloud, picks[..k].iter().copied());
+            if !moved.is_valid_moved_set(&cloud) {
+                continue;
+            }
+            let mut cut = Cut::initial(&cloud);
+            for &v in moved.order() {
+                cut.set_moved(v, true);
+            }
+            prop_assert!(cut.validate(&cloud).is_ok());
+            cuts.push((cut, moved));
+        }
+        let crit = TimingAnalysis::new(
+            &cloud,
+            &lib,
+            TwoPhaseClock::from_max_delay(1.0),
+            DelayModel::GateBased,
+        ).expect("sta builds");
+        let crit = cloud.sinks().iter().map(|&t| crit.df(t)).fold(0.0f64, f64::max);
+        let zero = DelayModel::Statistical(StatParams::new(0.0, 0.0, 0.9987, cfg.seed));
+        for factor in [2.0, 0.9] {
+            let clock = TwoPhaseClock::from_max_delay(crit * factor + 0.05);
+            let det = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::GateBased)
+                .expect("sta builds");
+            for model in [zero, DelayModel::Statistical(StatParams::DEFAULT)] {
+                let delays = NodeDelays::from_library(&cloud, &lib, model).expect("delays");
+                let st = StatTiming::new(&cloud, &delays, clock);
+                let mut arr = vec![Canon::default(); cloud.len()];
+                for (cut, moved) in &cuts {
+                    let canons = st.cut_sink_canons(cut);
+                    if model == zero {
+                        let want = det.cut_timing(cut).sink_arrivals;
+                        for (c, a) in canons.iter().zip(&want) {
+                            prop_assert_eq!(c.m.to_bits(), a.to_bits());
+                            prop_assert_eq!(c.sigma(), 0.0);
+                        }
+                    }
+                    for (&t, whole) in cloud.sinks().iter().zip(&canons) {
+                        let local = st.sink_canon_with_moved(&st.backward(t), moved, &mut arr);
+                        prop_assert_eq!(
+                            [local.m, local.g, local.r].map(f64::to_bits),
+                            [whole.m, whole.g, whole.r].map(f64::to_bits)
+                        );
                     }
                 }
             }
