@@ -9,7 +9,7 @@ use retime_liberty::{EdlOverhead, Library};
 use retime_sta::DelayModel;
 
 fn main() {
-    let cfg = RunConfig::from_env();
+    let cfg = RunConfig::from_env_path_based();
     let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
     let cases = load_suite(cfg.suite, &lib);
@@ -18,9 +18,9 @@ fn main() {
         let mut solver_share: f64 = 0.0;
         for c in EdlOverhead::SWEEP {
             let a = table_flows(case, &lib, c, DelayModel::PathBased, cfg.verify);
-            row.push(f2(flow_time(&a.base.phases).as_secs_f64()));
-            row.push(f2(flow_time(&a.rvl.outcome.phases).as_secs_f64()));
-            row.push(f2(flow_time(&a.grar.outcome.phases).as_secs_f64()));
+            row.push(f2(ms(flow_time(&a.base.phases))));
+            row.push(f2(ms(flow_time(&a.rvl.outcome.phases))));
+            row.push(f2(ms(flow_time(&a.grar.outcome.phases))));
             let phases = &a.grar.outcome.phases;
             let flow = flow_time(phases);
             if !flow.is_zero() {
@@ -32,7 +32,7 @@ fn main() {
         row
     });
     print_table(
-        "Table VII: run-time (s) comparison (plus worst G-RAR solver share)",
+        "Table VII: run-time (ms) comparison (plus worst G-RAR solver share)",
         &[
             "Circuit", "Base(L)", "RVL(L)", "G(L)", "Base(M)", "RVL(M)", "G(M)", "Base(H)",
             "RVL(H)", "G(H)", "solver%",
@@ -46,4 +46,8 @@ fn main() {
 /// checker's `Verify` stage.
 fn flow_time(phases: &PhaseTimings) -> Duration {
     phases.total() - phases.get(Stage::Verify)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }

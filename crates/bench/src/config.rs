@@ -7,9 +7,12 @@
 //! gives their values, defaults and effects.
 //!
 //! The four statistical knobs are read only when `RETIME_DELAY_MODE`
-//! selects the statistical model. A value outside its accepted set, and
-//! any other `RETIME_*` name, gets a one-line
-//! `warning: unrecognized …` on stderr and falls back to the default.
+//! selects the statistical model, and only `table4` reads the delay
+//! model at all: the other tables parse through
+//! [`RunConfig::from_env_path_based`], which warns once when
+//! `RETIME_DELAY_MODE` is set. A value outside its accepted set, and any
+//! other `RETIME_*` name, gets a one-line `warning: unrecognized …` on
+//! stderr and falls back to the default.
 
 use std::collections::BTreeMap;
 use std::ffi::OsString;
@@ -82,13 +85,31 @@ impl RunConfig {
     /// prints its warnings on stderr. Call it once, first thing in
     /// `main`.
     pub fn from_env() -> RunConfig {
-        let (config, warnings) = RunConfig::parse(
-            std::env::vars_os().map(|(k, v)| (k.to_string_lossy().into_owned(), v)),
-        );
-        for warning in warnings {
-            eprintln!("{warning}");
+        warn(RunConfig::parse(env_vars()))
+    }
+
+    /// [`RunConfig::from_env`] for a table binary that runs only the
+    /// path-based model (every table but `table4`): the delay-model knobs
+    /// are not read, and a set `RETIME_DELAY_MODE` gets one warning
+    /// saying so instead of any warning about its value.
+    pub fn from_env_path_based() -> RunConfig {
+        warn(RunConfig::parse_path_based(env_vars()))
+    }
+
+    /// The pure half of [`RunConfig::from_env_path_based`].
+    fn parse_path_based(
+        vars: impl IntoIterator<Item = (String, OsString)>,
+    ) -> (RunConfig, Vec<String>) {
+        let mut set = false;
+        let vars = vars.into_iter().filter(|(k, _)| {
+            set |= k == "RETIME_DELAY_MODE";
+            !MODEL_KNOBS.contains(&k.as_str())
+        });
+        let (config, mut warnings) = RunConfig::parse(vars.collect::<Vec<_>>());
+        if set {
+            warnings.insert(0, MODEL_IGNORED.to_string());
         }
-        config
+        (config, warnings)
     }
 
     /// Builds the configuration from `(name, value)` pairs, returning it
@@ -169,6 +190,33 @@ impl RunConfig {
         (config, env.warnings)
     }
 }
+
+/// The process environment as `(name, value)` pairs.
+fn env_vars() -> impl Iterator<Item = (String, OsString)> {
+    std::env::vars_os().map(|(k, v)| (k.to_string_lossy().into_owned(), v))
+}
+
+/// Prints a parse's warnings on stderr and returns its configuration.
+fn warn((config, warnings): (RunConfig, Vec<String>)) -> RunConfig {
+    for warning in warnings {
+        eprintln!("{warning}");
+    }
+    config
+}
+
+/// The knobs that choose the delay model: `RETIME_DELAY_MODE` and the
+/// statistical knobs it enables.
+const MODEL_KNOBS: [&str; 5] = [
+    "RETIME_DELAY_MODE",
+    "RETIME_YIELD",
+    "RETIME_SIGMA",
+    "RETIME_CLOCK_SIGMA",
+    "RETIME_STAT_SEED",
+];
+
+/// The warning of a path-based-only table run with `RETIME_DELAY_MODE`.
+const MODEL_IGNORED: &str = "warning: RETIME_DELAY_MODE is read by table4 only; this table runs \
+                             the path-based model — ignored";
 
 /// The `RETIME_*` variables being parsed, and the warnings so far.
 struct Env {
@@ -459,6 +507,41 @@ mod tests {
         assert_eq!(cfg.trace.out, Some(PathBuf::from(raw)));
         assert!(cfg.trace.enabled);
         assert!(warnings.is_empty(), "{warnings:?}");
+    }
+
+    /// A path-based-only table reads every knob but the delay model's,
+    /// and a set `RETIME_DELAY_MODE` gets exactly one warning, whatever
+    /// its value and the statistical knobs beside it.
+    #[test]
+    fn path_based_tables_warn_once_that_the_model_is_ignored() {
+        let parse = |vars: &[(&str, &str)]| {
+            RunConfig::parse_path_based(vars.iter().map(|&(k, v)| (k.into(), v.into())))
+        };
+        let tiny = RunConfig {
+            suite: SuiteMode::Tiny,
+            ..RunConfig::default()
+        };
+        assert_eq!(parse(&[("RETIME_SUITE", "tiny")]), (tiny.clone(), vec![]));
+        // Statistical knobs alone are unread, as under `parse`.
+        assert_eq!(
+            parse(&[("RETIME_SUITE", "tiny"), ("RETIME_YIELD", "2")]),
+            (tiny.clone(), vec![])
+        );
+        for mode in ["path", "gate", "statistical", "fast"] {
+            let got = parse(&[
+                ("RETIME_SUITE", "tiny"),
+                ("RETIME_DELAY_MODE", mode),
+                ("RETIME_YIELD", "0.5"),
+                ("RETIME_SIGMA", "oops"),
+            ]);
+            assert_eq!(
+                got,
+                (tiny.clone(), vec![MODEL_IGNORED.to_string()]),
+                "{mode}"
+            );
+        }
+        assert!(MODEL_IGNORED.starts_with("warning: RETIME_DELAY_MODE "));
+        assert!(!MODEL_IGNORED.contains('\n'));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! because the payload carries it. Everything the key hashes is known
 //! after one read of the submission, so a cache hit costs that read, the
 //! canonical text and the hash; the clock derivation and the conversion
-//! run on a miss only.
+//! run on a miss only, on the worker that runs the job.
 
 use retime_liberty::{EdlOverhead, Library};
 use retime_sta::{DelayModel, TwoPhaseClock};

@@ -8,10 +8,13 @@
 //! the cloud, the derived clock, and the optional conversion
 //! ([`build_inline`], [`build_suite`]) — runs only when the key misses
 //! the cache; a `.bench` build reads no text, it builds from the key
-//! step's statement table. [`resolve_spec`] runs both, as the daemon
-//! does on a miss. Execution runs the named flow through the same entry
-//! points the table binaries use and renders the deterministic result
-//! payload the cache stores.
+//! step's statement table. An inline build comes in two halves: the
+//! owned canonical netlist ([`canonical_netlist`], the last step that
+//! borrows the submitted text) and the rest ([`build_canonical`]), which
+//! the daemon runs on a worker. [`resolve_spec`] runs every step in one
+//! call. Execution runs the named flow through the same entry points the
+//! table binaries use and renders the deterministic result payload the
+//! cache stores.
 
 use retime_bench::{build_case, run_flow, Certification};
 use retime_circuits::paper_suite;
@@ -292,25 +295,30 @@ pub fn read_inline<'a>(
     })
 }
 
-/// Build step for inline text, run on a cache miss only: build the
-/// netlist **in canonical order**, so the flow result depends only on
-/// the cache key — never on the submitted statement order, and never on
-/// which format (`.bench` or EDIF) carried the circuit in — then extract
-/// the cloud, derive the clock, and, with `convert`, convert. A `.bench`
-/// netlist is built from the key step's table (a `to_netlist` span): it
-/// is the netlist a parse of the canonical text gives. An EDIF netlist
-/// is that parse (a `parse` span). All of it runs under a `build` span,
-/// with `extract`, `clock` and the conversion's `convert`.
+/// An inline submission's netlist in canonical order, owned: what a miss
+/// hands from the key step's thread to the thread that builds it.
+#[derive(Debug)]
+pub struct CanonicalNetlist {
+    /// Display name.
+    pub name: String,
+    /// The circuit, built in canonical statement order.
+    pub netlist: Netlist,
+    /// Canonical `.bench` text of the submitted circuit.
+    pub canonical: String,
+}
+
+/// First half of the build step for inline text, run on a cache miss
+/// only: build the netlist **in canonical order**, so the flow result
+/// depends only on the cache key — never on the submitted statement
+/// order, and never on which format (`.bench` or EDIF) carried the
+/// circuit in. A `.bench` netlist is built from the key step's table (a
+/// `to_netlist` span): it is the netlist a parse of the canonical text
+/// gives. An EDIF netlist is that parse (a `parse` span). This is the
+/// last step that borrows the submitted text.
 ///
 /// # Errors
-/// Returns a one-line diagnosis for the canonical build, extraction,
-/// clock derivation, or conversion failures, in that order.
-pub fn build_inline(
-    source: InlineSource<'_>,
-    convert: bool,
-    lib: &Library,
-) -> Result<ResolvedCircuit, String> {
-    let _build = retime_trace::span("build");
+/// Returns a one-line diagnosis when the canonical build fails.
+pub fn canonical_netlist(source: InlineSource<'_>) -> Result<CanonicalNetlist, String> {
     let InlineSource {
         name,
         canonical,
@@ -329,6 +337,33 @@ pub fn build_inline(
     // The text a parse of the canonical text gave: the table build
     // fails exactly where that parse did.
     .map_err(|e| format!("canonical re-parse error: {e}"))?;
+    Ok(CanonicalNetlist {
+        name: name.to_string(),
+        netlist,
+        canonical,
+    })
+}
+
+/// Second half of the build step for inline text: extract the cloud,
+/// derive the clock, and, with `convert`, convert. Reads nothing of the
+/// submission but the owned [`CanonicalNetlist`], so the daemon runs it
+/// on a worker. Opens a `build` span with `extract`, `clock` and the
+/// conversion's `convert`.
+///
+/// # Errors
+/// Returns a one-line diagnosis for extraction, clock derivation, or
+/// conversion failures, in that order.
+pub fn build_canonical(
+    source: CanonicalNetlist,
+    convert: bool,
+    lib: &Library,
+) -> Result<ResolvedCircuit, String> {
+    let _build = retime_trace::span("build");
+    let CanonicalNetlist {
+        name,
+        netlist,
+        canonical,
+    } = source;
     let cloud = {
         let _extract = retime_trace::span("extract");
         CombCloud::extract(&netlist).map_err(|e| format!("cloud extraction: {e}"))?
@@ -337,15 +372,21 @@ pub fn build_inline(
         let _clock = retime_trace::span("clock");
         retime_circuits::relaxed_clock(&cloud, lib).map_err(|e| format!("clock derivation: {e}"))?
     };
-    finish_build(
-        name.to_string(),
-        netlist,
-        cloud,
-        clock,
-        canonical,
-        convert,
-        lib,
-    )
+    finish_build(name, netlist, cloud, clock, canonical, convert, lib)
+}
+
+/// The whole build step for inline text: [`canonical_netlist`], then
+/// [`build_canonical`].
+///
+/// # Errors
+/// Returns a one-line diagnosis for the canonical build, extraction,
+/// clock derivation, or conversion failures, in that order.
+pub fn build_inline(
+    source: InlineSource<'_>,
+    convert: bool,
+    lib: &Library,
+) -> Result<ResolvedCircuit, String> {
+    build_canonical(canonical_netlist(source)?, convert, lib)
 }
 
 /// Build step for a suite circuit: build and calibrate the matching
@@ -421,8 +462,8 @@ pub fn resolve_circuit(circuit: &CircuitRef, lib: &Library) -> Result<ResolvedCi
     resolve(circuit, InputFormat::Bench, false, lib)
 }
 
-/// Resolves a full submission the way the daemon does on a cache miss:
-/// the key step ([`read_inline`]) and then the build step
+/// Resolves a full submission the way the daemon does on a cache miss,
+/// on one thread: the key step ([`read_inline`]) and then the build step
 /// ([`build_inline`]) for inline text, or [`build_suite`] for a suite
 /// name. The spec's `format` picks the inline parser, and its `convert`
 /// switch splits the circuit into a two-phase master/slave circuit
@@ -880,6 +921,23 @@ mod tests {
             assert_eq!(resolve_spec(&spec, &lib).unwrap_err(), want);
         }
         assert!(resolve_spec(&spec(latch, InputFormat::Bench, false), &lib).is_ok());
+    }
+
+    /// The daemon's split of the build: the half that borrows the text
+    /// takes every circuit that reads, and the conversion error comes
+    /// from the owned half, with the text `resolve_spec` gives.
+    #[test]
+    fn build_errors_come_from_the_owned_half() {
+        let lib = Library::fdsoi28();
+        let latch = "INPUT(a)\nOUTPUT(q)\nm = LATCHM(a)\nq = LATCHS(m)\n";
+        let source = read_inline("t", latch, InputFormat::Bench).unwrap();
+        let owned = canonical_netlist(source).unwrap();
+        assert_eq!(owned.canonical, canonical_bench(&owned.netlist));
+        assert_eq!(
+            build_canonical(owned, true, &lib).unwrap_err(),
+            "conversion failed: conversion error: source is not an edge-triggered FF \
+             netlist: wrong sequential style: netlist already contains latches"
+        );
     }
 
     #[test]

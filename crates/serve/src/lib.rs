@@ -14,7 +14,8 @@
 //! 1. **Content-addressed caching** ([`canon`], [`cache`], [`disk`]): a
 //!    job's key is the SHA-256 of its canonicalized netlist plus library
 //!    and flow configuration, computed from one parse of the submission
-//!    ([`job::read_inline`]); the circuit is built only on a miss.
+//!    ([`job::read_inline`]); the circuit is built only on a miss, on a
+//!    worker once the reactor has its canonical netlist.
 //!    Re-submitting the same circuit — even with shuffled statements or
 //!    different whitespace — is answered from the cache, byte-identical
 //!    to the first run, with zero solver work.
@@ -37,10 +38,10 @@
 //!    metrics, the daemon records `retime-trace` spans when
 //!    `RETIME_TRACE`/`RETIME_TRACE_OUT` is set: one `submit` span per
 //!    submission on its reactor (`parse`, `canonicalize`, `key`, and on a
-//!    miss `build`), and one `job` root span per executed job (job id,
-//!    circuit, and flow attached as attributes) with the queue-wait vs
-//!    execute split as child spans, exported as Chrome-trace JSON on
-//!    shutdown.
+//!    miss `to_netlist`), and one `job` root span per executed job (job
+//!    id, circuit, and flow attached as attributes) with the queue wait,
+//!    an inline miss's `build` and the `execute` as child spans, exported
+//!    as Chrome-trace JSON on shutdown.
 //!
 //! Submissions may also arrive as EDIF 2.0.0 (`"format":"edif"` with an
 //! inline `netlist`) and may ask for the edge-triggered → two-phase
@@ -83,8 +84,9 @@ pub use client::Client;
 pub use disk::{gc, shard_rel_path, DiskCache, DiskCacheConfig, GcReport, RecoveryStats};
 pub use hash::{sha256, sha256_hex, Sha256};
 pub use job::{
-    build_inline, build_suite, execute, inline_key, prepare, read_inline, render_payload,
-    resolve_circuit, resolve_spec, CircuitRef, InlineSource, InputFormat, JobOutput, JobSpec,
+    build_canonical, build_inline, build_suite, canonical_netlist, execute, inline_key, prepare,
+    read_inline, render_payload, resolve_circuit, resolve_spec, CanonicalNetlist, CircuitRef,
+    InlineSource, InputFormat, JobOutput, JobSpec,
 };
 pub use metrics::Metrics;
 pub use queue::{JobQueue, PushError};

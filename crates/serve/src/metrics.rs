@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use retime_engine::{PhaseTimings, Stage};
 
@@ -183,12 +184,14 @@ impl Metrics {
     }
 
     /// Folds a finished job's instrumentation into the per-flow stage
-    /// series and the solver/backoff accumulators.
-    pub fn observe_job(&self, flow: &str, phases: &PhaseTimings) {
+    /// series and the solver/backoff accumulators. `busy` is the
+    /// worker's wall-clock on the job, an inline miss's build included,
+    /// which the flow's `phases` do not cover.
+    pub fn observe_job(&self, flow: &str, phases: &PhaseTimings, busy: Duration) {
         let mut micros = self.micros.lock().expect("metrics lock");
         for stage in Stage::ALL {
             let d = phases.get(stage);
-            if d != std::time::Duration::ZERO {
+            if d != Duration::ZERO {
                 let key = series(
                     "retime_serve_phase_seconds_total",
                     &format!("flow=\"{flow}\",stage=\"{}\"", stage.name()),
@@ -203,7 +206,7 @@ impl Metrics {
             phases.counter("solver_invocations"),
         );
         self.job_micros
-            .fetch_add(phases.total().as_micros() as u64, Ordering::Relaxed);
+            .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
         self.jobs_done.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -275,7 +278,6 @@ fn family_of(key: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn counters_accumulate_per_series() {
@@ -295,7 +297,7 @@ mod tests {
         let mut phases = PhaseTimings::new();
         phases.add(Stage::Solve, Duration::from_millis(1500));
         phases.count("solver_invocations", 2);
-        m.observe_job("grar", &phases);
+        m.observe_job("grar", &phases, phases.total());
         let text = m.render(&[("retime_serve_queue_depth", 3.0)]);
         assert!(text.contains("# TYPE retime_serve_cache_hits_total counter"));
         assert!(text.contains("retime_serve_cache_hits_total 4\n"));
@@ -313,15 +315,16 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(m.retry_after_ms(0, 2), 200);
         let mut phases = PhaseTimings::new();
-        phases.add(Stage::Sta, Duration::from_millis(400));
-        m.observe_job("grar", &phases);
+        phases.add(Stage::Sta, Duration::from_millis(300));
+        // The worker's whole time counts, the build before the flow too.
+        m.observe_job("grar", &phases, Duration::from_millis(400));
         // Backlog of 3 ahead, 2 workers → 2 waves × 400 ms.
         assert_eq!(m.retry_after_ms(3, 2), 800);
         // Clamped below.
         let quick = Metrics::new();
         let mut fast = PhaseTimings::new();
         fast.add(Stage::Sta, Duration::from_micros(1000));
-        quick.observe_job("grar", &fast);
+        quick.observe_job("grar", &fast, fast.total());
         assert_eq!(quick.retry_after_ms(0, 4), 50);
     }
 }

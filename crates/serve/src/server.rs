@@ -12,7 +12,9 @@
 //!
 //! * `submit` — name a circuit (suite name or inline `.bench` text), a
 //!   flow, an overhead; the reply is `queued`, `done` (cache hit), or a
-//!   structured `overloaded` rejection with `retry_after_ms`.
+//!   structured `overloaded` rejection with `retry_after_ms`. The
+//!   reactor only reads and keys a submission; a miss is built on the
+//!   worker, so a build error is a `failed` job, not a `submit` error.
 //! * `status` / `result` — poll or (with `"wait": true`) subscribe to a
 //!   job. A waited `result` does not block the reactor: the connection
 //!   is parked in a waiter table and the reply is injected when the
@@ -39,10 +41,9 @@ use retime_engine::{parallel_map, thread_count};
 use retime_liberty::Library;
 
 use crate::cache::{CacheConfig, CachedResult, ResultCache};
-use crate::canon::KeyConfig;
 use crate::job::{
-    build_inline, build_suite, execute, inline_key, prepare, read_inline, CircuitRef, InlineSource,
-    JobSpec, ResolvedCircuit,
+    build_canonical, build_suite, canonical_netlist, execute, inline_key, prepare, read_inline,
+    CanonicalNetlist, CircuitRef, InlineSource, JobSpec, ResolvedCircuit,
 };
 use crate::json::{obj, parse, Json};
 use crate::metrics::Metrics;
@@ -86,13 +87,30 @@ impl Default for ServerConfig {
 
 /// What a queued job still needs to run.
 struct QueuedWork {
-    cfg: KeyConfig,
-    circuit: Arc<ResolvedCircuit>,
+    /// The submission's options; an inline text is already dropped.
+    spec: JobSpec,
+    circuit: Pending,
     key: String,
-    flow: &'static str,
     /// Trace timestamp of the submit (0 when tracing is disabled); lets
     /// the worker emit the queue-wait vs execute split under the job span.
     enqueued_us: u64,
+}
+
+/// A queued job's circuit, as far as the reactor built it.
+enum Pending {
+    /// A suite build, shared by its submissions.
+    Built(Arc<ResolvedCircuit>),
+    /// An inline netlist in canonical order; the worker builds the rest.
+    Canonical(CanonicalNetlist),
+}
+
+impl Pending {
+    fn name(&self) -> &str {
+        match self {
+            Pending::Built(circuit) => &circuit.name,
+            Pending::Canonical(source) => &source.name,
+        }
+    }
 }
 
 enum JobState {
@@ -339,17 +357,19 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(work) = work else { continue };
+        let flow = work.spec.flow_name();
         if shared.verbose {
             eprintln!(
                 "[retime-serve] job {id}: running {} / {}",
-                work.circuit.name, work.flow
+                work.circuit.name(),
+                flow
             );
         }
         let job_span = retime_trace::span("job");
         if retime_trace::enabled() {
             retime_trace::attr_str("job_id", &id.to_string());
-            retime_trace::attr_str("circuit", &work.circuit.name);
-            retime_trace::attr_str("flow", work.flow);
+            retime_trace::attr_str("circuit", work.circuit.name());
+            retime_trace::attr_str("flow", flow);
             if work.enqueued_us != 0 {
                 let picked_up = retime_trace::now_us();
                 retime_trace::event_us(
@@ -359,20 +379,32 @@ fn worker_loop(shared: &Shared) {
                 );
             }
         }
-        let label = format!("flow=\"{}\"", work.flow);
-        let executed = {
-            let _exec = retime_trace::span("execute");
-            execute(&work.cfg, &work.circuit, &shared.lib)
+        let label = format!("flow=\"{flow}\"");
+        // An inline miss finishes its build here; a failed build fails
+        // the job with the build's error text and is never cached.
+        let started = std::time::Instant::now();
+        let circuit = match work.circuit {
+            Pending::Built(circuit) => Ok(circuit),
+            Pending::Canonical(source) => {
+                build_canonical(source, work.spec.convert, &shared.lib).map(Arc::new)
+            }
         };
+        let executed = circuit.and_then(|circuit| {
+            let cfg = work.spec.key_config(circuit.clock);
+            let _exec = retime_trace::span("execute");
+            execute(&cfg, &circuit, &shared.lib).map_err(|e| e.to_string())
+        });
         drop(job_span);
         let state = match executed {
             Ok(output) => {
                 shared.cache.store(&work.key, &output);
-                shared.metrics.observe_job(work.flow, &output.phases);
+                shared
+                    .metrics
+                    .observe_job(flow, &output.phases, started.elapsed());
                 shared
                     .metrics
                     .inc("retime_serve_jobs_completed_total", &label, 1);
-                if work.cfg.verify {
+                if work.spec.verify {
                     shared
                         .metrics
                         .inc("retime_serve_verified_jobs_total", "", 1);
@@ -389,9 +421,7 @@ fn worker_loop(shared: &Shared) {
                 shared
                     .metrics
                     .inc("retime_serve_jobs_failed_total", &label, 1);
-                JobState::Failed {
-                    error: e.to_string(),
-                }
+                JobState::Failed { error: e }
             }
         };
         // Publish, then wake every parked `result --wait`: the waiter
@@ -528,21 +558,23 @@ fn suite_shared(
 
 /// A submission after its key step.
 enum Keyed<'a> {
-    /// A suite build, ready to run under its config.
-    Built(Arc<ResolvedCircuit>, KeyConfig),
+    /// A suite build, ready to run.
+    Built(Arc<ResolvedCircuit>),
     /// Inline text read as far as its key; built on a miss.
     Inline(InlineSource<'a>),
 }
 
-/// Key step, then the cache lookup, then — on a miss only — the build
-/// step on this thread (the workers only run flows). Error replies come
-/// in the build's order: parse errors from the key step, then
-/// extraction and clock errors, then conversion errors.
+/// Key step, then the cache lookup, then — on a miss only — the inline
+/// netlist in canonical order ([`canonical_netlist`]), the last step
+/// that borrows the request text; the worker that takes the job builds
+/// the rest and runs the flow. Read errors (the key step's parse and the
+/// canonical build) come back from `submit`; extraction, clock and
+/// conversion errors come back as a `failed` job with the same text.
 fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply("shutting_down");
     }
-    let spec = match spec {
+    let mut spec = match spec {
         Ok(spec) => spec,
         Err(e) => return error_reply(&e),
     };
@@ -567,8 +599,10 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     let keyed = match &spec.circuit {
         CircuitRef::Suite(name) => suite_shared(shared, name, spec.convert).map(|circuit| {
             let _key = retime_trace::span("key");
-            let prepared = prepare(&spec, &circuit, &shared.lib);
-            (prepared.key, Keyed::Built(circuit, prepared.key_config))
+            (
+                prepare(&spec, &circuit, &shared.lib).key,
+                Keyed::Built(circuit),
+            )
         }),
         CircuitRef::Inline { name, text } => read_inline(name, text, spec.format).map(|source| {
             (
@@ -606,16 +640,17 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     }
     shared.metrics.inc("retime_serve_cache_misses_total", "", 1);
 
-    let (circuit, cfg) = match keyed {
-        Keyed::Built(circuit, cfg) => (circuit, cfg),
-        Keyed::Inline(source) => match build_inline(source, spec.convert, &shared.lib) {
-            Ok(circuit) => {
-                let cfg = spec.key_config(circuit.clock);
-                (Arc::new(circuit), cfg)
-            }
+    let circuit = match keyed {
+        Keyed::Built(circuit) => Pending::Built(circuit),
+        Keyed::Inline(source) => match canonical_netlist(source) {
+            Ok(source) => Pending::Canonical(source),
             Err(e) => return error_reply(&e),
         },
     };
+    // The worker needs the options, not the submitted text.
+    if let CircuitRef::Inline { text, .. } = &mut spec.circuit {
+        *text = String::new();
+    }
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let retry_after_ms = shared
         .metrics
@@ -626,10 +661,9 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
             cached: false,
             key: key.clone(),
             state: JobState::Queued(Box::new(QueuedWork {
-                cfg,
+                spec,
                 circuit,
                 key: key.clone(),
-                flow,
                 enqueued_us: retime_trace::now_us(),
             })),
         },

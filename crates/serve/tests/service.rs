@@ -312,12 +312,13 @@ fn shutdown_drains_queued_jobs_then_exits() {
 
 /// The submit path in spans: every request line's JSON parse and spec
 /// run in a `request` span; every submission runs the key step
-/// (`parse`, `canonicalize`, `key`) on the reactor; only a miss adds a
-/// `build` (`to_netlist` from the key step's table — no second
-/// `parse` — then `extract`, `clock`, and the conversion's spans when
-/// converting) and a worker `job`. A hit, converted or not, opens no `build`, no
-/// `convert` and no timing pass. Tracing is process-global, so the
-/// spans of this test's submissions are picked out by circuit name.
+/// (`parse`, `canonicalize`, `key`) on the reactor; only a miss adds the
+/// canonical netlist (`to_netlist` from the key step's table — no second
+/// `parse`) on the reactor and a worker `job`, whose `build` (`extract`,
+/// `clock`, and the conversion's spans when converting) runs before its
+/// `execute`. A hit, converted or not, opens no `build`, no `convert`
+/// and no timing pass. Tracing is process-global, so the spans of this
+/// test's submissions are picked out by circuit name.
 #[test]
 fn submit_spans_key_every_time_and_build_on_a_miss_only() {
     use retime_trace::{SpanRecord, Value};
@@ -391,34 +392,15 @@ fn submit_spans_key_every_time_and_build_on_a_miss_only() {
                 ["parse", "canonicalize", "key"],
                 "{what}"
             );
-            for absent in ["build", "convert", "sta_full_pass"] {
-                assert!(!below.contains(&absent), "{what}");
-            }
         } else {
             assert_eq!(
                 children(submit.id),
-                ["parse", "canonicalize", "key", "build"],
+                ["parse", "canonicalize", "key", "to_netlist"],
                 "{what}"
             );
-            assert_eq!(below.iter().filter(|&&n| n == "build").count(), 1, "{what}");
-            let build = records
-                .iter()
-                .find(|r| r.name == "build" && r.parent == submit.id)
-                .expect("build span");
-            // A `.bench` miss builds from the key step's table: no
-            // second parse.
-            let mut want = vec!["to_netlist", "extract", "clock"];
-            if convert {
-                // `retime_convert::convert`'s own stage spans.
-                want.extend(["convert", "sta", "verify"]);
-            }
-            assert_eq!(children(build.id), want, "{what}");
-            assert!(
-                !records
-                    .iter()
-                    .any(|r| r.name == "parse" && under(r, build.id)),
-                "{what}"
-            );
+        }
+        for absent in ["build", "extract", "clock", "convert", "sta_full_pass"] {
+            assert!(!below.contains(&absent), "{what}");
         }
         // The request's JSON parse and spec run in a `request` span,
         // the last one on the reactor before the submit.
@@ -438,11 +420,82 @@ fn submit_spans_key_every_time_and_build_on_a_miss_only() {
             "{what}"
         );
     }
-    let jobs = records
+    let jobs: Vec<&SpanRecord> = records
         .iter()
         .filter(|r| r.name == "job" && circuit_is(r))
-        .count();
-    assert_eq!(jobs, 2, "only the misses reach a worker");
+        .collect();
+    assert_eq!(jobs.len(), 2, "only the misses reach a worker");
+    for (job, convert) in jobs.iter().zip([false, true]) {
+        let what = format!("convert={convert}");
+        assert!(submits.iter().all(|s| s.tid != job.tid), "{what}");
+        let steps: Vec<&str> = children(job.id)
+            .into_iter()
+            .filter(|&n| n != "queue_wait")
+            .collect();
+        assert_eq!(steps, ["build", "execute"], "{what}");
+        let build = records
+            .iter()
+            .find(|r| r.name == "build" && r.parent == job.id)
+            .expect("build span");
+        // The build starts from the reactor's canonical netlist: no
+        // parse and no `to_netlist` on the worker.
+        let mut want = vec!["extract", "clock"];
+        if convert {
+            // `retime_convert::convert`'s own stage spans.
+            want.extend(["convert", "sta", "verify"]);
+        }
+        assert_eq!(children(build.id), want, "{what}");
+    }
+}
+
+/// A build error reaches the client as a `failed` job: a latch circuit
+/// submitted with `"convert":true` reads and keys, so `submit` queues it,
+/// and its conversion fails on the worker with the build's own text. The
+/// failure counts as a failed job, is never cached (a resubmission
+/// misses again), and leaves the daemon serving the next request.
+#[test]
+fn a_failed_build_is_a_failed_job_and_never_cached() {
+    const FAILED: &str = "retime_serve_jobs_failed_total{flow=\"grar\"}";
+    let failed = |client: &mut Client| {
+        let text = client.metrics_text().expect("metrics");
+        text.lines()
+            .find_map(|l| l.strip_prefix(FAILED)?.strip_prefix(' '))
+            .map_or(0.0, |v| v.parse().expect("number"))
+    };
+    let (handle, addr) = spawn(1, 8);
+    let mut client = Client::connect(&addr).expect("connect");
+    let latch = "INPUT(a)\\nOUTPUT(q)\\nm = LATCHM(a)\\nq = LATCHS(m)\\n";
+    let before = failed(&mut client);
+    for attempt in 0..2 {
+        let reply = client
+            .request_line(&format!(
+                r#"{{"cmd":"submit","netlist":"{latch}","name":"latch","convert":true}}"#
+            ))
+            .expect("submit");
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some("queued"),
+            "attempt {attempt}: {}",
+            reply.render()
+        );
+        assert_eq!(reply.get("cached"), Some(&Json::Bool(false)));
+        let id = reply.get("id").and_then(Json::as_u64).expect("job id");
+        let result = client.wait_result(id).expect("result");
+        assert_eq!(result.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(result.get("status").and_then(Json::as_str), Some("failed"));
+        assert_eq!(
+            result.get("error").and_then(Json::as_str),
+            Some(
+                "conversion failed: conversion error: source is not an edge-triggered FF \
+                 netlist: wrong sequential style: netlist already contains latches"
+            )
+        );
+        assert_eq!(failed(&mut client), before + f64::from(attempt + 1));
+    }
+    let done = submit_and_wait(&mut client, "s1196", "base");
+    assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
+    client.shutdown().expect("shutdown");
+    handle.wait();
 }
 
 /// A scratch cache directory, removed on drop.
