@@ -549,13 +549,14 @@ pub fn table4_stat_row(
         .stat
         .as_ref()
         .expect("statistical mode attaches a summary");
-    let st = retime_stat::StatTiming::new(&case.circuit.cloud, &outcome.final_delays, case.clock);
-    let canons = st.cut_sink_canons(&outcome.cut);
+    let (cloud, delays) = (&case.circuit.cloud, &outcome.final_delays);
+    let margin = retime_stat::StatMargin::new(delays, &case.clock);
+    let canons = retime_stat::cut_sink_canons(cloud, delays, &case.clock, &outcome.cut);
     let worst_uncovered = (0..canons.len())
-        .filter(|&i| !st.needs_edl(&canons[i]))
+        .filter(|&i| !margin.needs_edl(&canons[i]))
         .min_by(|&i, &j| stat.yields[i].total_cmp(&stat.yields[j]));
     let (cov_yield, cov_sens) = worst_uncovered.map_or((1.0, 0.0), |i| {
-        (stat.yields[i], st.jitter_sensitivity(&canons[i]))
+        (stat.yields[i], margin.jitter_sensitivity(&canons[i]))
     });
     vec![
         case.circuit.spec.name.to_string(),

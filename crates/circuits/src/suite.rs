@@ -10,7 +10,7 @@
 
 use retime_liberty::Library;
 use retime_netlist::{CombCloud, Netlist, NetlistError, NodeKind};
-use retime_sta::{critical_delay, DelayModel, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{critical_delay, DelayModel, TimingAnalysis, TwoPhaseClock, EPS};
 
 use crate::rtl::plasma_like;
 use crate::synth::SynthConfig;
@@ -146,7 +146,7 @@ impl SuiteCircuit {
             .enumerate()
             .filter(|&(i, &t)| {
                 matches!(self.cloud.node(t).kind, NodeKind::Sink { master: Some(_) })
-                    && timing.sink_arrivals[i] > pi + 1e-9
+                    && timing.sink_arrivals[i] > pi + EPS
             })
             .count())
     }

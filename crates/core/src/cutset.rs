@@ -1,14 +1,18 @@
-//! The target-master cut-set `g(t)` of Eqs. (8)–(9), in both the
-//! deterministic and the statistical (margined-arrival) formulations.
+//! The target-master cut-set `g(t)` of Eqs. (8)–(9), written once for
+//! both delay models.
 //!
 //! [`cut_set`] and [`classify_and_cut_set`] are the definitions, stated
-//! on a [`BackwardPass`]: [`TimingAnalysis::worst_initial`] decides
-//! "never error-detecting", the frontier scan builds `g(t)`, and the
-//! canonical cut — the fan-in closure of `g(t)` — must legally place
-//! the slaves and bring the sink's arrival within `Π`.
+//! on a [`BackwardPass`] and generic over the analysis's [`Arrival`]:
+//! [`TimingAnalysis::worst_initial`] decides "never error-detecting",
+//! the frontier scan builds `g(t)`, and the canonical cut — the fan-in
+//! closure of `g(t)` — must legally place the slaves and bring the
+//! sink's arrival within `Π`. Every comparison reads the analysis's
+//! margined values, so under the statistical model (`A = Canon`) "within
+//! `Π`" means "within `Π` at the target yield". [`classify_each`] runs
+//! the definition sink by sink over one reused backward pass per worker.
 //!
 //! [`classify_many`] computes the same `(class, g(t))` pairs in two
-//! steps under the deterministic models.
+//! steps under the per-transition arithmetic.
 //!
 //! 1. **Forward bound.** One whole-cloud forward pass with every slave at
 //!    its source ([`TimingAnalysis::initial_arrivals`]) gives each sink
@@ -41,27 +45,22 @@
 //!
 //! The statistical model has no such forward/backward duality (Clark's
 //! max is order-sensitive), so it classifies each sink by the
-//! definitional [`classify_and_cut_set_stat`] over a reused
-//! canonical [`BackwardPass`].
+//! definition itself, through [`classify_each`].
 //!
 //! A sink's class and cut-set are a pure function of the timing
 //! analysis, so the flows classify through [`classify_cached`], which
-//! on the shared basis of an overhead sweep runs
-//! [`classify_many_counted`] only on the sinks not classified yet.
+//! picks the kernel of the basis's arithmetic and, on the shared basis
+//! of an overhead sweep, runs it only on the sinks not classified yet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use retime_engine::PhaseTimings;
 use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CombCloud, ConeWalk, NodeId};
-use retime_retime::OpenBasis;
+use retime_retime::{FlowTiming, OpenBasis};
 use retime_sta::{
-    backward_through_gate, relaunch, BackwardPass, DelayModel, SinkClass, TimingAnalysis,
+    backward_through_gate, relaunch, Arrival, BackwardPass, SinkClass, TimingAnalysis, EPS,
 };
-use retime_stat::{Canon, StatTiming};
-
-/// Small tolerance absorbing floating-point noise against `Π`.
-const EPS: f64 = 1e-9;
 
 /// Computes `g(t)` for the sink of `bp`:
 ///
@@ -74,11 +73,16 @@ const EPS: f64 = 1e-9;
 /// edge: the latch sitting at the source itself
 /// ([`TimingAnalysis::a_host`]).
 ///
+/// Every arrival is the analysis's margined value, so the statistical
+/// frontier means "meets the period at the target yield"; at sigma = 0
+/// the margined arrivals are bitwise the deterministic ones and the two
+/// frontiers coincide.
+///
 /// Returns an empty set when the master is unconditionally error-detecting
 /// (even the latest placements exceed `Π`) or unconditionally safe (even
 /// the source placements meet `Π`) — callers should have classified the
-/// sink first ([`TimingAnalysis::classify_sink`]).
-pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
+/// sink first ([`classify_and_cut_set`]).
+pub fn cut_set<A: Arrival>(sta: &TimingAnalysis<'_, A>, bp: &BackwardPass<A>) -> Vec<NodeId> {
     let pi = sta.clock().period();
     let cloud = sta.cloud();
     let mut out = Vec::new();
@@ -116,12 +120,12 @@ pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
 /// the cut the pseudo node promises, including tap branches whose safe
 /// positions lie beyond the frontier. `cone` is the sink's fan-in cone,
 /// sink first; `moved` and `arr` are cloud-sized scratch.
-fn canonical_cut_meets(
-    sta: &TimingAnalysis<'_>,
+fn canonical_cut_meets<A: Arrival>(
+    sta: &TimingAnalysis<'_, A>,
     cone: &[NodeId],
     g: &[NodeId],
     moved: &mut ConeWalk,
-    arr: &mut [DelayArc],
+    arr: &mut [A],
 ) -> bool {
     let cloud = sta.cloud();
     moved.walk(cloud, g.iter().copied());
@@ -129,8 +133,8 @@ fn canonical_cut_meets(
         && sta.sink_arrival_with_moved(cone, moved, arr) <= sta.clock().period() + EPS
 }
 
-/// Authoritative endpoint classification for G-RAR, refining
-/// [`TimingAnalysis::classify_sink`] with the full Eq. (5) model:
+/// Authoritative endpoint classification for G-RAR, with the full
+/// Eq. (5) model:
 ///
 /// * **never** error-detecting: even the initial (source) placements meet
 ///   `Π`;
@@ -138,15 +142,31 @@ fn canonical_cut_meets(
 ///   `t`* — only then does "all slaves beyond `g(t)`" guarantee a
 ///   non-error-detecting master, making the pseudo-node reward sound;
 /// * **always** error-detecting otherwise (including the case where the
-///   latch D-to-Q delay alone pushes every placement past `Π`, which the
-///   coarse pure-path test misses).
+///   latch D-to-Q delay alone pushes every placement past `Π`, which a
+///   pure-path test would miss).
 ///
-/// This is the definition [`classify_many`] must reproduce bit for bit.
-/// A sink that reaches the soundness check allocates cloud-sized
-/// scratch for it.
-pub fn classify_and_cut_set(
-    sta: &TimingAnalysis<'_>,
-    bp: &BackwardPass,
+/// On the statistical analysis every test reads margined arrivals, and
+/// the canonical-cut check re-propagates the cut in canonical
+/// arithmetic. This is the definition [`classify_many`] must reproduce
+/// bit for bit. A sink that reaches the soundness check allocates
+/// cloud-sized scratch for it.
+pub fn classify_and_cut_set<A: Arrival>(
+    sta: &TimingAnalysis<'_, A>,
+    bp: &BackwardPass<A>,
+) -> (SinkClass, Vec<NodeId>) {
+    classify_with(sta, bp, &mut None)
+}
+
+/// The canonical-cut check's scratch: the moved set and a cloud-sized
+/// arrival buffer of which only the sink's cone is ever written.
+type CutScratch<A> = Option<(ConeWalk, Vec<A>)>;
+
+/// [`classify_and_cut_set`], keeping the soundness check's scratch in
+/// `scratch` (allocated on first use) for the next call.
+fn classify_with<A: Arrival>(
+    sta: &TimingAnalysis<'_, A>,
+    bp: &BackwardPass<A>,
+    scratch: &mut CutScratch<A>,
 ) -> (SinkClass, Vec<NodeId>) {
     let pi = sta.clock().period();
     if sta.worst_initial(bp) <= pi + EPS {
@@ -157,106 +177,46 @@ pub fn classify_and_cut_set(
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
     let cloud = sta.cloud();
-    let mut moved = ConeWalk::new(cloud);
-    let mut arr = vec![DelayArc::default(); cloud.len()];
-    if canonical_cut_meets(sta, bp.cone(), &g, &mut moved, &mut arr) {
+    let (moved, arr) =
+        scratch.get_or_insert_with(|| (ConeWalk::new(cloud), vec![A::default(); cloud.len()]));
+    if canonical_cut_meets(sta, bp.cone(), &g, moved, arr) {
         (SinkClass::Target, g)
     } else {
         (SinkClass::AlwaysErrorDetecting, Vec::new())
     }
 }
 
-/// Scratch for the statistical canonical-cut soundness check: the moved
-/// set (the fan-in closure of `g(t)`) and a cloud-sized canonical
-/// arrival buffer of which only the sink's cone is ever written.
-struct CanonicalCut {
-    moved: ConeWalk,
-    arr: Vec<Canon>,
-}
-
-impl CanonicalCut {
-    fn new(cloud: &CombCloud) -> Self {
-        CanonicalCut {
-            moved: ConeWalk::new(cloud),
-            arr: vec![Canon::default(); cloud.len()],
-        }
-    }
-
-    /// Moves exactly the union of `g`'s fan-in closures (the minimal
-    /// movement past the frontier); `false` if that is not a legal cut.
-    fn place(&mut self, cloud: &CombCloud, g: &[NodeId]) -> bool {
-        self.moved.walk(cloud, g.iter().copied());
-        self.moved.is_valid_moved_set(cloud)
-    }
-}
-
-/// Statistical mirror of [`cut_set`]: the same frontier construction with
-/// every placement arrival replaced by its *margined* value
-/// `m + Φ⁻¹(yield target)·σ_tot`, so "beyond the frontier" means "meets
-/// the period at the target yield". At sigma = 0 the margined arrivals
-/// are bitwise the deterministic ones and the two frontiers coincide.
-pub fn cut_set_stat(st: &StatTiming<'_>, sb: &BackwardPass<Canon>) -> Vec<NodeId> {
-    let pi = st.period();
-    let cloud = st.cloud();
-    let mut out = Vec::new();
-    for &v in &sb.cone()[1..] {
-        let node = cloud.node(v);
-        let ok_beyond = node
-            .fanout
-            .iter()
-            .any(|&n| matches!(st.a_value_margined(v, n, sb), Some(a) if a <= pi + EPS));
-        if !ok_beyond {
-            continue;
-        }
-        let bad_before = if node.is_source() {
-            matches!(st.a_host_margined(v, sb), Some(a) if a > pi + EPS)
-        } else {
-            node.fanin
-                .iter()
-                .any(|&k| matches!(st.a_value_margined(k, v, sb), Some(a) if a > pi + EPS))
-        };
-        if bad_before {
-            out.push(v);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Statistical mirror of [`classify_and_cut_set`]: classification by
-/// margined arrivals — **never** error-detecting means even the initial
-/// placements meet `Π` *at the target yield*, and the canonical-cut
-/// soundness check re-propagates the cut in canonical arithmetic and
-/// tests the margined with-cut sink arrival.
-pub fn classify_and_cut_set_stat(
-    st: &StatTiming<'_>,
-    sb: &BackwardPass<Canon>,
-) -> (SinkClass, Vec<NodeId>) {
-    classify_stat(st, sb, &mut CanonicalCut::new(st.cloud()))
-}
-
-fn classify_stat(
-    st: &StatTiming<'_>,
-    sb: &BackwardPass<Canon>,
-    cc: &mut CanonicalCut,
-) -> (SinkClass, Vec<NodeId>) {
-    let pi = st.period();
-    if st.worst_initial_margined(sb) <= pi + EPS {
-        return (SinkClass::NeverErrorDetecting, Vec::new());
-    }
-    let g = cut_set_stat(st, sb);
-    if g.is_empty() {
-        return (SinkClass::AlwaysErrorDetecting, Vec::new());
-    }
-    if !cc.place(st.cloud(), &g) {
-        return (SinkClass::AlwaysErrorDetecting, Vec::new());
-    }
-    let arrival = st.sink_canon_with_moved(sb, &cc.moved, &mut cc.arr);
-    if st.margined(&arrival) <= pi + EPS {
-        (SinkClass::Target, g)
-    } else {
-        (SinkClass::AlwaysErrorDetecting, Vec::new())
-    }
+/// [`classify_and_cut_set`] for every target, index-aligned with
+/// `targets`: one reusable [`BackwardPass`] and check scratch per worker
+/// across `threads` workers (`0` = auto), each sink costing O(its cone).
+/// The counts report the swept cone nodes; nothing is settled by bound.
+/// The statistical flows classify with it, and the verifier checks the
+/// production kernel against it.
+///
+/// # Panics
+/// Panics if any target is not a sink.
+pub fn classify_each<A: Arrival>(
+    sta: &TimingAnalysis<'_, A>,
+    targets: &[NodeId],
+    threads: usize,
+) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
+    let cloud = sta.cloud();
+    let swept = AtomicU64::new(0);
+    let classified = retime_engine::parallel_map_with(
+        threads,
+        targets,
+        || (BackwardPass::new(cloud), None),
+        |(bp, scratch), &t| {
+            bp.rerun(cloud, sta.delays(), t);
+            swept.fetch_add(bp.cone().len() as u64, Ordering::Relaxed);
+            classify_with(sta, bp, scratch)
+        },
+    );
+    let counts = ClassifyCounts {
+        swept: swept.into_inner(),
+        ..ClassifyCounts::default()
+    };
+    (classified, counts)
 }
 
 /// How far a sink's forward initial arrival `forward` (from
@@ -530,23 +490,19 @@ impl Sweep {
     }
 }
 
-/// Batch form of [`classify_and_cut_set`]: classifies every target sink,
-/// bit-identical to the definition. Under the deterministic models it
-/// runs the two steps of the module docs: one forward pass settles the
-/// sinks the rounding bound proves never error-detecting, and every
-/// other sink gets one fused sweep of its cone, fanned out across
-/// `threads` workers (`0` = auto, honoring `RETIME_THREADS`) with
-/// [`retime_engine::parallel_map_with`]. Each worker owns one
-/// cloud-sized scratch, so a swept sink costs O(its cone).
+/// Batch form of [`classify_and_cut_set`] for the per-transition
+/// analysis: classifies every target sink, bit-identical to the
+/// definition. It runs the two steps of the module docs: one forward
+/// pass settles the sinks the rounding bound proves never
+/// error-detecting, and every other sink gets one fused sweep of its
+/// cone, fanned out across `threads` workers (`0` = auto, honoring
+/// `RETIME_THREADS`) with [`retime_engine::parallel_map_with`]. Each
+/// worker owns one cloud-sized scratch, so a swept sink costs O(its
+/// cone). The statistical analysis classifies with [`classify_each`].
 ///
 /// Results are index-aligned with `targets`; parallel and sequential runs
 /// produce bit-identical classes and cut-sets (asserted by the
 /// `parallel_classify_matches_sequential` property test).
-///
-/// Under [`DelayModel::Statistical`] the statistical mirrors run
-/// instead: one shared [`StatTiming`] (the canonical pure arrivals are
-/// common to every target), and per worker one reusable canonical
-/// [`BackwardPass`] with the margined classification scratch.
 ///
 /// # Panics
 /// Panics if any target is not a sink.
@@ -559,8 +515,7 @@ pub fn classify_many(
 }
 
 /// [`classify_many`], also reporting how much of the work the forward
-/// bound saved ([`ClassifyCounts`]; the statistical branch settles
-/// nothing by bound and counts its swept cones).
+/// bound saved ([`ClassifyCounts`]).
 ///
 /// # Panics
 /// Panics if any target is not a sink.
@@ -573,26 +528,7 @@ pub fn classify_many_counted(
     for &t in targets {
         assert!(cloud.node(t).is_sink(), "{t} is not a sink");
     }
-    let delays = sta.delays();
     let swept = AtomicU64::new(0);
-    if matches!(delays.model(), DelayModel::Statistical(_)) {
-        let st = StatTiming::new(cloud, delays, *sta.clock());
-        let classified = retime_engine::parallel_map_with(
-            threads,
-            targets,
-            || (BackwardPass::<Canon>::new(cloud), CanonicalCut::new(cloud)),
-            |(sb, cc), &t| {
-                sb.rerun(cloud, delays, t);
-                swept.fetch_add(sb.cone().len() as u64, Ordering::Relaxed);
-                classify_stat(&st, sb, cc)
-            },
-        );
-        let counts = ClassifyCounts {
-            swept: swept.into_inner(),
-            ..ClassifyCounts::default()
-        };
-        return (classified, counts);
-    }
     if targets.is_empty() {
         return (Vec::new(), ClassifyCounts::default());
     }
@@ -650,8 +586,23 @@ pub fn classify_many_counted(
     (classified, counts)
 }
 
-/// [`classify_many_counted`] on an open basis's analysis. A basis shared
-/// by the runs of a sweep ([`OpenBasis::Shared`]) caches every class:
+/// Classifies `targets` on a basis's analysis with the kernel of its
+/// arithmetic.
+fn classify_timing(
+    sta: &FlowTiming<'_>,
+    targets: &[NodeId],
+    threads: usize,
+) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
+    match sta {
+        FlowTiming::Nominal(sta) => classify_many_counted(sta, targets, threads),
+        FlowTiming::Statistical(sta) => classify_each(sta, targets, threads),
+    }
+}
+
+/// Classifies `targets` on an open basis's analysis: with
+/// [`classify_many_counted`] per transition, with [`classify_each`] on
+/// canonical forms. A basis shared by the runs of a sweep
+/// ([`OpenBasis::Shared`]) caches every class:
 /// the kernel runs once, over the targets it has not classified yet,
 /// and the rest are copied from the cache, bit-identical to a fresh
 /// classification. A basis built for one run keeps no cache, since
@@ -666,7 +617,7 @@ pub fn classify_cached(
     threads: usize,
 ) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
     let OpenBasis::Shared(shared) = basis else {
-        return classify_many_counted(basis.sta(), targets, threads);
+        return classify_timing(basis.sta(), targets, threads);
     };
     let open: Vec<NodeId> = targets
         .iter()
@@ -676,7 +627,7 @@ pub fn classify_cached(
     let mut counts = ClassifyCounts::default();
     if !open.is_empty() {
         let classified;
-        (classified, counts) = classify_many_counted(shared.sta(), &open, threads);
+        (classified, counts) = classify_timing(shared.sta(), &open, threads);
         for (&t, (class, g)) in open.iter().zip(classified) {
             shared.cache_class(t, class, g);
         }
@@ -698,7 +649,8 @@ mod tests {
     use retime_liberty::Library;
     use retime_netlist::{bench, CombCloud};
     use retime_retime::BasisSlot;
-    use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
+    use retime_sta::{DelayModel, NodeDelays, TimingAnalysis, TwoPhaseClock};
+    use retime_stat::Canon;
 
     fn chain(len: usize) -> CombCloud {
         let mut src = String::from("INPUT(a)\nOUTPUT(z)\ng1 = NOT(a)\n");
@@ -854,7 +806,10 @@ mod tests {
         .unwrap();
         let t = cloud.sinks()[0];
         let bp = sta.backward(t);
-        assert_eq!(sta.classify_sink(t, &bp), SinkClass::NeverErrorDetecting);
+        assert_eq!(
+            classify_and_cut_set(&sta, &bp),
+            (SinkClass::NeverErrorDetecting, Vec::new())
+        );
         assert!(cut_set(&sta, &bp).is_empty());
     }
 
@@ -875,8 +830,25 @@ mod tests {
         let clock = TwoPhaseClock::from_max_delay(crit * 0.8);
         let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
         let bp = sta.backward(t);
-        assert_eq!(sta.classify_sink(t, &bp), SinkClass::AlwaysErrorDetecting);
+        assert_eq!(
+            classify_and_cut_set(&sta, &bp),
+            (SinkClass::AlwaysErrorDetecting, Vec::new())
+        );
         assert!(cut_set(&sta, &bp).is_empty());
+    }
+
+    /// The statistical analysis of `cloud` under `clock` and `model`.
+    fn canonical<'a>(
+        cloud: &'a CombCloud,
+        lib: &Library,
+        clock: TwoPhaseClock,
+        model: DelayModel,
+    ) -> TimingAnalysis<'a, Canon> {
+        TimingAnalysis::run(
+            cloud,
+            NodeDelays::from_library(cloud, lib, model).unwrap(),
+            clock,
+        )
     }
 
     #[test]
@@ -894,23 +866,30 @@ mod tests {
         let crit = sta0.df(t);
         let zero = DelayModel::Statistical(retime_sta::StatParams::new(0.0, 0.0, 0.9987, 3));
         // Sweep periods crossing never/target/always so every class is hit.
+        let mut seen = Vec::new();
         for scale in [0.8, 1.0, 1.3, 1.8, 4.0] {
             let clock = TwoPhaseClock::from_max_delay(scale * (crit + lib.latch().d_to_q) / 0.7);
             let det = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::GateBased).unwrap();
-            let sat = TimingAnalysis::new(&cloud, &lib, clock, zero).unwrap();
-            let bp = det.backward(t);
-            let st = StatTiming::new(sat.cloud(), sat.delays(), clock);
-            let sb = st.backward(t);
+            let sat = canonical(&cloud, &lib, clock, zero);
+            let want = classify_and_cut_set(&det, &det.backward(t));
             assert_eq!(
-                classify_and_cut_set(&det, &bp),
-                classify_and_cut_set_stat(&st, &sb),
+                want,
+                classify_and_cut_set(&sat, &sat.backward(t)),
                 "scale {scale}"
             );
             assert_eq!(
                 classify_many(&det, &[t], 1),
-                classify_many(&sat, &[t], 1),
-                "classify_many dispatch at scale {scale}"
+                classify_each(&sat, &[t], 1).0,
+                "batch at scale {scale}"
             );
+            seen.push(want.0);
+        }
+        for class in [
+            SinkClass::NeverErrorDetecting,
+            SinkClass::Target,
+            SinkClass::AlwaysErrorDetecting,
+        ] {
+            assert!(seen.contains(&class), "{class:?} never hit");
         }
     }
 
@@ -933,12 +912,9 @@ mod tests {
         for scale in [1.0, 1.3, 1.8, 4.0] {
             let clock = TwoPhaseClock::from_max_delay(scale * (crit + lib.latch().d_to_q) / 0.7);
             let det = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::GateBased).unwrap();
-            let sat = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
-            let bp = det.backward(t);
-            let st = StatTiming::new(sat.cloud(), sat.delays(), clock);
-            let sb = st.backward(t);
-            let (dc, _) = classify_and_cut_set(&det, &bp);
-            let (sc, _) = classify_and_cut_set_stat(&st, &sb);
+            let sat = canonical(&cloud, &lib, clock, model);
+            let (dc, _) = classify_and_cut_set(&det, &det.backward(t));
+            let (sc, _) = classify_and_cut_set(&sat, &sat.backward(t));
             let rank = |c: SinkClass| match c {
                 SinkClass::NeverErrorDetecting => 0,
                 SinkClass::Target => 1,
@@ -946,6 +922,50 @@ mod tests {
             };
             assert!(rank(sc) >= rank(dc), "scale {scale}: {dc:?} -> {sc:?}");
         }
+    }
+
+    /// Five gates between two inputs and one output.
+    fn five_gates() -> CombCloud {
+        let n = bench::parse(
+            "t",
+            "\
+INPUT(a)
+INPUT(b)
+OUTPUT(z)
+g1 = NAND(a, b)
+g2 = NOT(g1)
+g3 = NAND(g2, b)
+g4 = NOT(g3)
+z = NAND(g4, a)
+",
+        )
+        .unwrap();
+        CombCloud::extract(&n).unwrap()
+    }
+
+    #[test]
+    fn classify_fast_circuit_never_ed() {
+        // A very relaxed clock: nothing is near-critical.
+        let cloud = five_gates();
+        let clock = TwoPhaseClock::from_max_delay(10.0);
+        let sta =
+            TimingAnalysis::new(&cloud, &Library::fdsoi28(), clock, DelayModel::PathBased).unwrap();
+        for &t in cloud.sinks() {
+            let (class, _) = classify_and_cut_set(&sta, &sta.backward(t));
+            assert_eq!(class, SinkClass::NeverErrorDetecting);
+        }
+    }
+
+    #[test]
+    fn classify_tight_circuit_always_ed() {
+        // A clock so tight the pure path exceeds Π.
+        let cloud = five_gates();
+        let clock = TwoPhaseClock::from_max_delay(0.05);
+        let sta =
+            TimingAnalysis::new(&cloud, &Library::fdsoi28(), clock, DelayModel::PathBased).unwrap();
+        let t = cloud.sinks()[0];
+        let (class, _) = classify_and_cut_set(&sta, &sta.backward(t));
+        assert_eq!(class, SinkClass::AlwaysErrorDetecting);
     }
 
     #[test]

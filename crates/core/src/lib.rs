@@ -60,8 +60,8 @@ pub mod driver;
 pub mod ilp;
 
 pub use cutset::{
-    classify_and_cut_set, classify_and_cut_set_stat, classify_cached, classify_many,
-    classify_many_counted, cut_set, cut_set_stat, initial_rounding_bound, ClassifyCounts,
+    classify_and_cut_set, classify_cached, classify_each, classify_many, classify_many_counted,
+    cut_set, initial_rounding_bound, ClassifyCounts,
 };
 pub use driver::{grar, grar_with_basis, GrarConfig, GrarReport};
 pub use ilp::{exhaustive_best, IlpFormulation};

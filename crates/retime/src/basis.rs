@@ -17,7 +17,8 @@ use std::ops::{Deref, DerefMut};
 
 use retime_liberty::Library;
 use retime_netlist::{CombCloud, NodeId};
-use retime_sta::{DelayModel, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{DelayModel, NodeDelays, SinkClass, StaError, TimingAnalysis, TwoPhaseClock};
+use retime_stat::Canon;
 
 use crate::error::RetimeError;
 use crate::problem::ParametricProblem;
@@ -39,11 +40,92 @@ pub struct TargetedInstance {
     pub never_ed: usize,
 }
 
+/// The timing analysis of one circuit in the arithmetic of its delay
+/// model: per-transition [`retime_liberty::DelayArc`]s under the path-
+/// and gate-based models, canonical forms under the statistical one.
+/// Only the statistical analysis runs canonical passes, and it runs no
+/// per-transition one.
+#[derive(Debug, Clone)]
+pub enum FlowTiming<'a> {
+    /// The path- or gate-based analysis.
+    Nominal(TimingAnalysis<'a>),
+    /// The statistical analysis, margined at the yield target.
+    Statistical(TimingAnalysis<'a, Canon>),
+}
+
+impl<'a> FlowTiming<'a> {
+    /// Looks the delays up and runs the analysis of `model`.
+    ///
+    /// # Errors
+    /// Returns [`StaError::Library`] if a gate function is unmapped.
+    pub fn new(
+        cloud: &'a CombCloud,
+        lib: &Library,
+        clock: TwoPhaseClock,
+        model: DelayModel,
+    ) -> Result<FlowTiming<'a>, StaError> {
+        let delays = NodeDelays::from_library(cloud, lib, model)?;
+        Ok(match model {
+            DelayModel::Statistical(_) => {
+                FlowTiming::Statistical(TimingAnalysis::run(cloud, delays, clock))
+            }
+            DelayModel::GateBased | DelayModel::PathBased => {
+                FlowTiming::Nominal(TimingAnalysis::run(cloud, delays, clock))
+            }
+        })
+    }
+
+    /// The analysed cloud.
+    pub fn cloud(&self) -> &'a CombCloud {
+        match self {
+            FlowTiming::Nominal(sta) => sta.cloud(),
+            FlowTiming::Statistical(sta) => sta.cloud(),
+        }
+    }
+
+    /// The clock model.
+    pub fn clock(&self) -> &TwoPhaseClock {
+        match self {
+            FlowTiming::Nominal(sta) => sta.clock(),
+            FlowTiming::Statistical(sta) => sta.clock(),
+        }
+    }
+
+    /// The delay tables.
+    pub fn delays(&self) -> &NodeDelays {
+        match self {
+            FlowTiming::Nominal(sta) => sta.delays(),
+            FlowTiming::Statistical(sta) => sta.delays(),
+        }
+    }
+
+    /// The delay tables, dropping the passes computed over them.
+    pub fn into_delays(self) -> NodeDelays {
+        match self {
+            FlowTiming::Nominal(sta) => sta.into_delays(),
+            FlowTiming::Statistical(sta) => sta.into_delays(),
+        }
+    }
+
+    /// The legality regions of the analysis ([`Regions::compute`]).
+    ///
+    /// # Errors
+    /// Returns [`RetimeError::InfeasibleClocking`] when some node has no
+    /// legal slave position.
+    pub fn regions(&self) -> Result<Regions, RetimeError> {
+        match self {
+            FlowTiming::Nominal(sta) => Regions::compute(sta),
+            FlowTiming::Statistical(sta) => Regions::compute(sta),
+        }
+    }
+}
+
 /// The pristine timing analysis of one circuit under one clock and delay
-/// model, its legality [`Regions`], a cache of sink classifications
-/// (`SinkClass` plus the cut-set `g(t)`), which the flows of a sweep
-/// fill as they classify (`retime_core::classify_cached`), and G-RAR's
-/// [`TargetedInstance`] once a G-RAR run has built it.
+/// model ([`FlowTiming`]), its legality [`Regions`], a cache of sink
+/// classifications (`SinkClass` plus the cut-set `g(t)`), which the
+/// flows of a sweep fill as they classify
+/// (`retime_core::classify_cached`), and G-RAR's [`TargetedInstance`]
+/// once a G-RAR run has built it.
 ///
 /// The basis borrows the cloud and the library, so while it lives
 /// neither can change: a pointer match is a value match
@@ -51,7 +133,7 @@ pub struct TargetedInstance {
 #[derive(Debug)]
 pub struct FlowBasis<'a> {
     lib: &'a Library,
-    sta: TimingAnalysis<'a>,
+    sta: FlowTiming<'a>,
     regions: Regions,
     classes: HashMap<NodeId, (SinkClass, Vec<NodeId>)>,
     targeted: Option<TargetedInstance>,
@@ -65,8 +147,8 @@ impl<'a> FlowBasis<'a> {
         clock: TwoPhaseClock,
         model: DelayModel,
     ) -> Result<FlowBasis<'a>, RetimeError> {
-        let sta = TimingAnalysis::new(cloud, lib, clock, model)?;
-        let regions = Regions::compute(&sta)?;
+        let sta = FlowTiming::new(cloud, lib, clock, model)?;
+        let regions = sta.regions()?;
         Ok(FlowBasis {
             lib,
             sta,
@@ -92,7 +174,7 @@ impl<'a> FlowBasis<'a> {
     }
 
     /// The pristine timing analysis (no legalization upsizing).
-    pub fn sta(&self) -> &TimingAnalysis<'a> {
+    pub fn sta(&self) -> &FlowTiming<'a> {
         &self.sta
     }
 

@@ -64,7 +64,7 @@ pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_with_basis, RetimeOutcome};
-pub use basis::{BasisSlot, FlowBasis, OpenBasis, TargetedInstance};
+pub use basis::{BasisSlot, FlowBasis, FlowTiming, OpenBasis, TargetedInstance};
 pub use error::RetimeError;
 pub use legalize::{legalize, LegalizeReport};
 pub use problem::{

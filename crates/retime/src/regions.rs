@@ -1,8 +1,7 @@
 //! Retiming regions `V_m` / `V_n` / `V_r` (paper Section IV-B).
 
 use retime_netlist::NodeId;
-use retime_sta::{DelayModel, TimingAnalysis};
-use retime_stat::StatTiming;
+use retime_sta::{Arrival, TimingAnalysis, EPS};
 
 use crate::error::RetimeError;
 
@@ -28,25 +27,24 @@ pub struct Regions {
 }
 
 impl Regions {
-    /// Computes the regions from a timing analysis.
+    /// Computes the regions from a timing analysis, comparing its
+    /// margined `D^f` and any-sink `D^b` against the borrowing limits.
     ///
-    /// In statistical delay mode the same region tests run on *margined*
-    /// arrivals (`m + Φ⁻¹(yield target)·σ_tot`), so nodes whose delay
-    /// distributions would violate a borrowing limit at the target yield
-    /// are excluded up front. With all sigmas zero the margined values
-    /// are bitwise the deterministic ones.
+    /// On the statistical analysis (`TimingAnalysis<Canon>`) those are
+    /// *margined* arrivals (`m + Φ⁻¹(yield target)·σ_tot`), so nodes
+    /// whose delay distributions would violate a borrowing limit at the
+    /// target yield are excluded up front. With all sigmas zero the
+    /// margined values are bitwise the deterministic ones.
     ///
     /// # Errors
     /// Returns [`RetimeError::InfeasibleClocking`] when a node falls into
     /// both `V_m` and `V_n` — no legal slave position exists for the given
     /// clock.
-    pub fn compute(sta: &TimingAnalysis<'_>) -> Result<Regions, RetimeError> {
+    pub fn compute<A: Arrival>(sta: &TimingAnalysis<'_, A>) -> Result<Regions, RetimeError> {
         let cloud = sta.cloud();
         let clock = sta.clock();
         let fwd_limit = clock.slave_close();
         let bwd_limit = clock.backward_limit();
-        let stat = matches!(sta.delays().model(), DelayModel::Statistical(_))
-            .then(|| StatTiming::new(cloud, sta.delays(), *clock));
         let mut region = vec![Region::Free; cloud.len()];
         for (i, node) in cloud.nodes().iter().enumerate() {
             let v = NodeId(i as u32);
@@ -54,12 +52,8 @@ impl Regions {
                 region[i] = Region::Forbidden;
                 continue;
             }
-            let (df, db_any) = match &stat {
-                Some(st) => (st.df_margined(v), st.db_any_margined(v)),
-                None => (sta.df(v), sta.db_any(v)),
-            };
-            let mandatory = db_any.is_some_and(|db| db > bwd_limit + 1e-9);
-            let forbidden = df > fwd_limit + 1e-9;
+            let mandatory = sta.db_any(v).is_some_and(|db| db > bwd_limit + EPS);
+            let forbidden = sta.df(v) > fwd_limit + EPS;
             region[i] = match (mandatory, forbidden) {
                 (true, true) => {
                     return Err(RetimeError::InfeasibleClocking {
@@ -127,7 +121,8 @@ mod tests {
     use super::*;
     use retime_liberty::Library;
     use retime_netlist::{bench, CombCloud};
-    use retime_sta::{DelayModel, TimingAnalysis, TwoPhaseClock};
+    use retime_sta::{DelayModel, NodeDelays, TimingAnalysis, TwoPhaseClock};
+    use retime_stat::Canon;
 
     fn chain() -> retime_netlist::Netlist {
         // Long inverter chain so combinational delay dominates the latch
@@ -223,7 +218,8 @@ mod tests {
         let clock = TwoPhaseClock::from_max_delay(crit * 1.02);
         let det = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::GateBased).unwrap();
         let zero = DelayModel::Statistical(retime_sta::StatParams::new(0.0, 0.0, 0.9987, 7));
-        let stat = TimingAnalysis::new(&cloud, &lib, clock, zero).unwrap();
+        let delays = NodeDelays::from_library(&cloud, &lib, zero).unwrap();
+        let stat = TimingAnalysis::<Canon>::run(&cloud, delays, clock);
         assert_eq!(
             Regions::compute(&det).unwrap(),
             Regions::compute(&stat).unwrap()
@@ -247,7 +243,8 @@ mod tests {
         let clock = TwoPhaseClock::from_max_delay(crit * 1.10);
         let det = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::GateBased).unwrap();
         let model = DelayModel::Statistical(retime_sta::StatParams::new(0.05, 0.005, 0.9987, 7));
-        let stat = TimingAnalysis::new(&cloud, &lib, clock, model).unwrap();
+        let delays = NodeDelays::from_library(&cloud, &lib, model).unwrap();
+        let stat = TimingAnalysis::<Canon>::run(&cloud, delays, clock);
         let rd = Regions::compute(&det).unwrap();
         if let Ok(rs) = Regions::compute(&stat) {
             for i in 0..rd.len() {

@@ -13,11 +13,13 @@
 
 use retime_netlist::{CombCloud, Cut, NodeKind};
 use retime_sta::{NodeDelays, TwoPhaseClock};
-use retime_stat::{StatSummary, StatTiming};
+use retime_stat::{cut_sink_canons, StatMargin, StatSummary};
 
 /// Computes the yield-aware EDL flags and the statistical summary of a
-/// cut. Flags are masked to master-backed sinks (primary outputs never
-/// pay EDL overhead), mirroring `AreaModel::ed_flags`.
+/// cut from one canonical with-cut sweep ([`cut_sink_canons`]); no
+/// whole-cloud analysis runs. Flags are masked to master-backed sinks
+/// (primary outputs never pay EDL overhead), mirroring
+/// `AreaModel::ed_flags`.
 ///
 /// # Panics
 /// Panics if `delays` was not built in statistical mode.
@@ -27,18 +29,18 @@ pub fn stat_cut_summary(
     clock: TwoPhaseClock,
     cut: &Cut,
 ) -> (Vec<bool>, StatSummary) {
-    let stat = StatTiming::new(cloud, delays, clock);
-    let canons = stat.cut_sink_canons(cut);
+    let margin = StatMargin::new(delays, &clock);
+    let canons = cut_sink_canons(cloud, delays, &clock, cut);
     let ed: Vec<bool> = cloud
         .sinks()
         .iter()
         .enumerate()
         .map(|(i, &t)| {
             matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) })
-                && stat.needs_edl(&canons[i])
+                && margin.needs_edl(&canons[i])
         })
         .collect();
-    let summary = stat.summarize_canons(&canons);
+    let summary = margin.summarize(&canons);
     (ed, summary)
 }
 

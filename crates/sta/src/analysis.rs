@@ -6,7 +6,7 @@ use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
 
 use crate::backward::{db_to_any_sink, BackwardPass};
 use crate::clock::TwoPhaseClock;
-use crate::forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, relaunch};
+use crate::forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, Arrival};
 use crate::model::{DelayModel, NodeDelays, StaError};
 
 /// Classification of a sink (potential master latch) with respect to the
@@ -46,22 +46,42 @@ impl CutTiming {
     }
 }
 
-/// Small tolerance absorbing floating-point noise in comparisons against
-/// clock edges.
-pub(crate) const EPS: f64 = 1e-9;
+/// The tolerance of every comparison against a clock edge
+/// (`value > edge + EPS`), absorbing floating-point noise. The
+/// classification, the legality regions, the EDL rule, the statistical
+/// yield step and the verifier's Monte Carlo replay all compare with it,
+/// so their decisions agree bit for bit where their values do.
+pub const EPS: f64 = 1e-9;
 
-/// Static timing analysis of a [`CombCloud`] under a [`TwoPhaseClock`].
+/// Static timing analysis of a [`CombCloud`] under a [`TwoPhaseClock`],
+/// in the arithmetic of an [`Arrival`]: per-transition [`DelayArc`]s by
+/// default, `retime-stat`'s canonical forms under the statistical
+/// model.
+///
+/// It keeps the pure arrivals `D^f` and the worst backward delays to any
+/// sink from one whole-cloud pass, and the [`Arrival::Margin`] that maps
+/// each value onto the number compared against `Π`
+/// ([`TimingAnalysis::margined`]). The Eq. (5) placement arrival and
+/// everything derived from it — [`TimingAnalysis::a_value`],
+/// [`TimingAnalysis::a_host`], [`TimingAnalysis::worst_initial`],
+/// [`TimingAnalysis::sink_arrival_with_moved`] — are written once over
+/// the arrival algebra and return margined values, so one definition
+/// serves both delay models.
 #[derive(Debug, Clone)]
-pub struct TimingAnalysis<'a> {
+pub struct TimingAnalysis<'a, A: Arrival = DelayArc> {
     cloud: &'a CombCloud,
     clock: TwoPhaseClock,
     delays: NodeDelays,
-    arrivals: Vec<DelayArc>,
-    db_any: Vec<Option<DelayArc>>,
+    margin: A::Margin,
+    arrivals: Vec<A>,
+    db_any: Vec<Option<A>>,
 }
 
 impl<'a> TimingAnalysis<'a> {
-    /// Builds the analysis from a library.
+    /// Builds the per-transition analysis from a library. Under
+    /// [`DelayModel::Statistical`] it analyses the nominal delays; the
+    /// statistical analysis is `TimingAnalysis::<Canon>::run` over the
+    /// same tables.
     ///
     /// # Errors
     /// Returns [`StaError::Library`] if a gate function is unmapped.
@@ -72,21 +92,47 @@ impl<'a> TimingAnalysis<'a> {
         model: DelayModel,
     ) -> Result<TimingAnalysis<'a>, StaError> {
         let delays = NodeDelays::from_library(cloud, lib, model)?;
-        Ok(Self::with_delays(cloud, delays, clock))
+        Ok(Self::run(cloud, delays, clock))
     }
 
-    /// Builds the analysis from explicit delay tables (e.g. the Fig. 4
-    /// worked example).
+    /// Builds the per-transition analysis from explicit delay tables
+    /// (e.g. the Fig. 4 worked example).
     pub fn with_delays(
         cloud: &'a CombCloud,
         delays: NodeDelays,
         clock: TwoPhaseClock,
     ) -> TimingAnalysis<'a> {
+        Self::run(cloud, delays, clock)
+    }
+
+    /// Full timing of a concrete cut: per-sink arrivals, EDL requirements,
+    /// and violations of constraints (6)/(7).
+    pub fn cut_timing(&self, cut: &Cut) -> CutTiming {
+        let _span = retime_trace::span("cut_timing");
+        let arr = arrivals_with_cut(self.cloud, &self.delays, &self.clock, cut);
+        timing_of(self.cloud, &self.clock, cut, &arr, |v| self.df(v))
+    }
+}
+
+impl<'a, A: Arrival> TimingAnalysis<'a, A> {
+    /// Runs the whole-cloud passes over `delays` in `A`'s arithmetic
+    /// (under an `sta_full_pass` span).
+    ///
+    /// # Panics
+    /// Panics if `A` cannot represent the tables' delay model
+    /// ([`Arrival::margin`]).
+    pub fn run(
+        cloud: &'a CombCloud,
+        delays: NodeDelays,
+        clock: TwoPhaseClock,
+    ) -> TimingAnalysis<'a, A> {
+        let margin = A::margin(&delays, &clock);
         let (arrivals, db_any) = full_pass(cloud, &delays);
         TimingAnalysis {
             cloud,
             clock,
             delays,
+            margin,
             arrivals,
             db_any,
         }
@@ -114,67 +160,75 @@ impl<'a> TimingAnalysis<'a> {
         self.delays
     }
 
-    /// The paper's `D^f(v)`: worst pure combinational arrival at the
-    /// output of `v` (no slave latch anywhere, master launch included).
-    pub fn df(&self, v: NodeId) -> f64 {
-        self.arrivals[v.index()].max()
+    /// The number a value is compared against a clock edge as: the worst
+    /// transition of a [`DelayArc`], `m + z·sqrt(σ² + σ_c²)` of a
+    /// canonical form ([`Arrival::margined`]).
+    pub fn margined(&self, a: &A) -> f64 {
+        a.margined(&self.margin)
     }
 
-    /// Per-polarity version of [`TimingAnalysis::df`].
-    pub fn df_arc(&self, v: NodeId) -> DelayArc {
+    /// The paper's `D^f(v)`: worst pure combinational arrival at the
+    /// output of `v` (no slave latch anywhere, master launch included),
+    /// margined.
+    pub fn df(&self, v: NodeId) -> f64 {
+        self.margined(&self.arrivals[v.index()])
+    }
+
+    /// The pure arrival at `v` as the analysis carries it (per polarity,
+    /// or canonical) — [`TimingAnalysis::df`] before the margin.
+    pub fn df_arc(&self, v: NodeId) -> A {
         self.arrivals[v.index()]
     }
 
     /// Worst `D^b(v, t)` over **all** sinks `t` (used for the `V_m` region
-    /// test); `None` if `v` reaches no sink.
+    /// test), margined; `None` if `v` reaches no sink.
     pub fn db_any(&self, v: NodeId) -> Option<f64> {
-        self.db_any[v.index()].map(DelayArc::max)
+        self.db_any[v.index()].map(|d| self.margined(&d))
     }
 
     /// Runs the per-sink backward pass computing `D^b(·, t)`.
     ///
     /// # Panics
     /// Panics if `t` is not a sink.
-    pub fn backward(&self, t: NodeId) -> BackwardPass {
+    pub fn backward(&self, t: NodeId) -> BackwardPass<A> {
         BackwardPass::run(self.cloud, &self.delays, t)
     }
 
-    /// The arrival-time model of Eq. (5): worst arrival at the sink of
-    /// `bp` when a slave latch sits on edge `(u, v)`:
+    /// The arrival-time model of Eq. (5), margined: worst arrival at the
+    /// sink of `bp` when a slave latch sits on edge `(u, v)`:
     ///
     /// `A(u,v,t) = max{φ1+γ1+d^{ck_q}, D^f(u)+d^{d_q}} + d(v) + D^b(v,t)`,
     ///
-    /// evaluated per valid rise/fall combination under the path-based
-    /// model. Returns `None` when `v` does not reach the sink.
-    pub fn a_value(&self, u: NodeId, v: NodeId, bp: &BackwardPass) -> Option<f64> {
+    /// evaluated as `max{open + through(v), D^f(u) + d^{d_q} + through(v)}`
+    /// in the arrival algebra: per valid rise/fall combination under the
+    /// path-based model, by Clark's max (window term first) on canonical
+    /// forms. Returns `None` when `v` does not reach the sink.
+    pub fn a_value(&self, u: NodeId, v: NodeId, bp: &BackwardPass<A>) -> Option<f64> {
         let through = bp.through(v)?;
         let open = self.clock.slave_open() + self.delays.latch_ckq();
-        let dq = self.delays.latch_dq();
-        let dfu = self.df_arc(u);
-        let window_term = open + through.max();
-        let rise_term = dfu.rise + dq + through.rise;
-        let fall_term = dfu.fall + dq + through.fall;
-        Some(window_term.max(rise_term).max(fall_term))
+        let window = through.shift(open);
+        let path = self.arrivals[u.index()]
+            .shift(self.delays.latch_dq())
+            .series(through);
+        Some(self.margined(&window.merge(path)))
     }
 
     /// Arrival at the sink of `bp` when the slave latch sits **at the
-    /// source** `s` (on the host edge, the initial position):
+    /// source** `s` (on the host edge, the initial position), margined:
     /// the re-launched master output plus `D^b(s, t)`.
-    pub fn a_host(&self, s: NodeId, bp: &BackwardPass) -> Option<f64> {
-        let fo = if s == bp.sink() {
+    pub fn a_host(&self, s: NodeId, bp: &BackwardPass<A>) -> Option<f64> {
+        if s == bp.sink() {
             return None;
-        } else {
-            bp.from_output(s)?
-        };
-        let launch = DelayArc::symmetric(self.delays.launch());
-        let re = relaunch(launch, &self.clock, &self.delays);
-        Some((re.rise + fo.rise).max(re.fall + fo.fall))
+        }
+        let fo = bp.from_output(s)?;
+        let re = A::launch(&self.delays).relaunch(&self.clock, &self.delays);
+        Some(self.margined(&re.series(fo)))
     }
 
     /// Worst arrival at the sink of `bp` over the initial (source)
     /// placements: the maximum of [`TimingAnalysis::a_host`] over the
     /// sources of the sink's cone (`-∞` when the cone holds none).
-    pub fn worst_initial(&self, bp: &BackwardPass) -> f64 {
+    pub fn worst_initial(&self, bp: &BackwardPass<A>) -> f64 {
         bp.cone()
             .iter()
             .filter(|&&s| self.cloud.node(s).is_source())
@@ -183,18 +237,12 @@ impl<'a> TimingAnalysis<'a> {
     }
 
     /// Worst arrival at a sink with the slaves placed by the moved set
-    /// `moved` — the value [`TimingAnalysis::cut_timing`] reports for
-    /// that sink under the cut moving exactly `moved`, but propagated
-    /// over the sink's cone alone. `cone` is the sink's fan-in cone,
-    /// sink first and every node before its fanins (as
-    /// [`BackwardPass::cone`] lists it). `arr` is cloud-sized scratch;
-    /// only the cone's slots are written.
-    pub fn sink_arrival_with_moved(
-        &self,
-        cone: &[NodeId],
-        moved: &ConeWalk,
-        arr: &mut [DelayArc],
-    ) -> f64 {
+    /// `moved`, margined — the sink's value in a whole-cloud pass with
+    /// the cut moving exactly `moved`, but propagated over the sink's
+    /// cone alone. `cone` is the sink's fan-in cone, sink first and every
+    /// node before its fanins (as [`BackwardPass::cone`] lists it). `arr`
+    /// is cloud-sized scratch; only the cone's slots are written.
+    pub fn sink_arrival_with_moved(&self, cone: &[NodeId], moved: &ConeWalk, arr: &mut [A]) -> f64 {
         arrivals_with_moved(
             self.cloud,
             &self.delays,
@@ -203,7 +251,7 @@ impl<'a> TimingAnalysis<'a> {
             |v| moved.contains(v),
             arr,
         );
-        arr[cone[0].index()].max()
+        self.margined(&arr[cone[0].index()])
     }
 
     /// Arrivals at every node with every slave at its source (the
@@ -211,9 +259,10 @@ impl<'a> TimingAnalysis<'a> {
     /// [`TimingAnalysis::cut_timing`] of [`Cut::initial`] reads its sink
     /// values. A sink's value is the maximum over the same source→sink
     /// paths as [`TimingAnalysis::worst_initial`], summed source first
-    /// instead of sink first, so the two differ only by rounding.
-    pub fn initial_arrivals(&self) -> Vec<DelayArc> {
-        let mut arr = vec![DelayArc::default(); self.cloud.len()];
+    /// instead of sink first, so under per-transition arithmetic the two
+    /// differ only by rounding.
+    pub fn initial_arrivals(&self) -> Vec<A> {
+        let mut arr = vec![A::default(); self.cloud.len()];
         arrivals_with_moved(
             self.cloud,
             &self.delays,
@@ -223,32 +272,6 @@ impl<'a> TimingAnalysis<'a> {
             &mut arr,
         );
         arr
-    }
-
-    /// Classifies a sink per Section IV-A using its backward pass.
-    pub fn classify_sink(&self, t: NodeId, bp: &BackwardPass) -> SinkClass {
-        let pi = self.clock.period();
-        // Longest pure path to t: arrival at the sink.
-        if self.df(t) > pi + EPS {
-            return SinkClass::AlwaysErrorDetecting;
-        }
-        // Worst over the earliest (source) placements: if even those meet
-        // Π, the master can never be forced error-detecting by a valid cut
-        // (moving latches forward only lowers the arrival until the pure
-        // path dominates, which the first test already bounded by Π).
-        if self.worst_initial(bp) <= pi + EPS {
-            SinkClass::NeverErrorDetecting
-        } else {
-            SinkClass::Target
-        }
-    }
-
-    /// Full timing of a concrete cut: per-sink arrivals, EDL requirements,
-    /// and violations of constraints (6)/(7).
-    pub fn cut_timing(&self, cut: &Cut) -> CutTiming {
-        let _span = retime_trace::span("cut_timing");
-        let arr = arrivals_with_cut(self.cloud, &self.delays, &self.clock, cut);
-        timing_of(self.cloud, &self.clock, cut, &arr, |v| self.df(v))
     }
 }
 
@@ -347,7 +370,7 @@ pub fn critical_delay(
 
 /// The cached whole-cloud passes: pure arrivals `D^f` and the worst
 /// backward delay to any sink.
-fn full_pass(cloud: &CombCloud, delays: &NodeDelays) -> (Vec<DelayArc>, Vec<Option<DelayArc>>) {
+fn full_pass<A: Arrival>(cloud: &CombCloud, delays: &NodeDelays) -> (Vec<A>, Vec<Option<A>>) {
     let _span = retime_trace::span("sta_full_pass");
     (pure_arrivals(cloud, delays), db_to_any_sink(cloud, delays))
 }
@@ -419,33 +442,6 @@ z = NAND(g4, a)
         let late = sta.a_value(g3, g4, &bp).unwrap();
         assert!(early >= mid - 1e-12);
         assert!(mid >= late - 1e-12);
-    }
-
-    #[test]
-    fn classify_fast_circuit_never_ed() {
-        // A very relaxed clock: nothing is near-critical.
-        let (n, _) = setup(0.5);
-        let clock = TwoPhaseClock::from_max_delay(10.0);
-        let cloud = CombCloud::extract(&n).unwrap();
-        let lib = Library::fdsoi28();
-        let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
-        for &t in cloud.sinks() {
-            let bp = sta.backward(t);
-            assert_eq!(sta.classify_sink(t, &bp), SinkClass::NeverErrorDetecting);
-        }
-    }
-
-    #[test]
-    fn classify_tight_circuit_always_ed() {
-        // A clock so tight the pure path exceeds Π.
-        let (n, _) = setup(0.5);
-        let clock = TwoPhaseClock::from_max_delay(0.05);
-        let cloud = CombCloud::extract(&n).unwrap();
-        let lib = Library::fdsoi28();
-        let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
-        let t = cloud.sinks()[0];
-        let bp = sta.backward(t);
-        assert_eq!(sta.classify_sink(t, &bp), SinkClass::AlwaysErrorDetecting);
     }
 
     #[test]

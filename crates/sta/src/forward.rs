@@ -2,6 +2,8 @@
 //! it carries: per-transition [`DelayArc`]s here, canonical forms in
 //! `retime-stat`. The same sweeps serve both delay models.
 
+use std::fmt;
+
 use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
 
@@ -9,17 +11,39 @@ use crate::clock::TwoPhaseClock;
 use crate::model::NodeDelays;
 
 /// A value the forward and backward timing passes propagate: the
-/// arrival (or delay-to-sink) at one node, with the five operations the
-/// passes need. [`Default`] is the zero delay.
+/// arrival (or delay-to-sink) at one node, with the operations the
+/// passes and the Eq. (5) placement arrival need, and the margin that
+/// projects a value onto the number compared against a clock edge.
+/// [`Default`] is the zero delay.
 ///
 /// The passes fold fanins and fanouts in stored order, left to right
 /// (`acc.merge(next)`), so an order-sensitive merge such as Clark's max
 /// gets the same operands in the same order on every run.
-pub trait Arrival: Copy + Default {
+pub trait Arrival: Copy + Default + fmt::Debug + Send + Sync {
+    /// What [`Arrival::margined`] needs besides the value: nothing for
+    /// per-transition delays, the yield quantile and the clock sigma for
+    /// canonical forms.
+    type Margin: Copy + fmt::Debug + Send + Sync;
+    /// The margin of an analysis over `delays` under `clock`.
+    ///
+    /// # Panics
+    /// May panic if `delays` were built for a delay model this arithmetic
+    /// cannot represent.
+    fn margin(delays: &NodeDelays, clock: &TwoPhaseClock) -> Self::Margin;
+    /// The number compared against a clock edge: the worst transition of
+    /// a [`DelayArc`], the margined `m + z·σ_tot` of a canonical form.
+    fn margined(&self, margin: &Self::Margin) -> f64;
     /// The master clock-to-Q launch at a source.
     fn launch(delays: &NodeDelays) -> Self;
     /// Merges two pins' arrivals (the worst of the two).
     fn merge(self, other: Self) -> Self;
+    /// The value plus the deterministic constant `c` (a latch delay or
+    /// the window opening of Eq. 5).
+    fn shift(self, c: f64) -> Self;
+    /// The series sum of an arrival `self` and the delay `rest` that
+    /// follows it (the `D^f(u) + d^{d_q} + d(v) + D^b(v, t)` path of
+    /// Eq. 5), pairing matching transitions.
+    fn series(self, rest: Self) -> Self;
     /// Forward gate step: the arrival at gate `v`'s output, given the
     /// merged arrival `self` at its inputs.
     fn through_gate(self, delays: &NodeDelays, v: NodeId) -> Self;
@@ -34,6 +58,14 @@ pub trait Arrival: Copy + Default {
 /// Per-transition arrivals, honouring unateness (the "valid
 /// combinations of rise and fall delays" of Section VI-B).
 impl Arrival for DelayArc {
+    type Margin = ();
+
+    fn margin(_: &NodeDelays, _: &TwoPhaseClock) {}
+
+    fn margined(&self, (): &()) -> f64 {
+        self.max()
+    }
+
     fn launch(delays: &NodeDelays) -> DelayArc {
         DelayArc::symmetric(delays.launch())
     }
@@ -43,6 +75,17 @@ impl Arrival for DelayArc {
             rise: self.rise.max(other.rise),
             fall: self.fall.max(other.fall),
         }
+    }
+
+    fn shift(self, c: f64) -> DelayArc {
+        DelayArc {
+            rise: self.rise + c,
+            fall: self.fall + c,
+        }
+    }
+
+    fn series(self, rest: DelayArc) -> DelayArc {
+        self.plus(rest)
     }
 
     fn through_gate(self, delays: &NodeDelays, v: NodeId) -> DelayArc {

@@ -15,6 +15,8 @@
 //!   DAC'17 predecessor \[16\]) and [`DelayModel::PathBased`] (pin-to-pin
 //!   rise/fall arcs restricted to *valid* transition combinations),
 //! * the repositioned-slave arrival-time model `A(u, v, t)` of Eq. (5),
+//!   written once over the [`Arrival`] algebra and compared against the
+//!   clock through the arithmetic's margin ([`TimingAnalysis::margined`]),
 //! * cut-feasibility checks for the time-borrowing constraints (6)/(7),
 //! * arrival analysis of a concrete [`retime_netlist::Cut`] (used to decide
 //!   which masters must be error-detecting) and near-critical-endpoint
@@ -27,7 +29,7 @@
 //!   never depend on edit history or thread count.
 //! * **Tracing is observation-only.** Under `retime-trace`,
 //!   [`TimingAnalysis`] opens an `sta_full_pass` span around the forward
-//!   and backward passes of [`TimingAnalysis::with_delays`], and a
+//!   and backward passes of [`TimingAnalysis::run`], and a
 //!   `cut_timing` span around each [`TimingAnalysis::cut_timing`] and
 //!   each delay-only [`cut_timing`]; the timing math never branches on
 //!   the tracing state.
@@ -56,7 +58,7 @@ pub mod clock;
 pub mod forward;
 pub mod model;
 
-pub use analysis::{critical_delay, cut_timing, CutTiming, SinkClass, TimingAnalysis};
+pub use analysis::{critical_delay, cut_timing, CutTiming, SinkClass, TimingAnalysis, EPS};
 pub use backward::{backward_through_gate, db_to_any_sink, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, relaunch, Arrival};

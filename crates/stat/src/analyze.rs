@@ -1,29 +1,24 @@
-//! The [`StatTiming`] facade: margined statistical quantities, per-sink
-//! timing yield, and the yield-aware EDL rule.
+//! The statistical margin: margined comparisons against the clock,
+//! per-sink timing yield, and the yield-aware EDL rule.
 //!
 //! Every decision the deterministic flows make against a clock edge
-//! (`value > limit + EPS`) is replayed here with a *margined* value
-//! `m + z·σ_tot`, where `z = Φ⁻¹(yield target)` and `σ_tot` folds the
-//! path sigma (canonical `g`/`r` components) together with the clock
-//! sigma `σ_c = clock_sigma_frac · Π`. The two formulations coincide:
+//! (`value > limit + EPS`) is made under the statistical model with a
+//! *margined* value `m + z·σ_tot`, where `z = Φ⁻¹(yield target)` and
+//! `σ_tot` folds the path sigma (canonical `g`/`r` components) together
+//! with the clock sigma `σ_c = clock_sigma_frac · Π`. [`StatMargin`] is
+//! [`Canon`]'s [`retime_sta::Arrival::Margin`], so
+//! `retime_sta::TimingAnalysis<Canon>` margins its Eq. (5) values with
+//! it. The two formulations coincide:
 //! `yield(Π) < target  ⟺  m + z·σ_tot > Π`, so the yield-aware EDL rule
 //! is exactly the deterministic rule applied to margined arrivals — and
 //! at sigma = 0 the margin vanishes bitwise, which is what the sigma→0
 //! differential tests pin across all three flows.
 
-use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
-use retime_sta::{
-    arrivals_with_cut, arrivals_with_moved, db_to_any_sink, pure_arrivals, BackwardPass,
-    DelayModel, NodeDelays, StatParams, TwoPhaseClock,
-};
+use retime_netlist::{CombCloud, Cut};
+use retime_sta::{arrivals_with_cut, DelayModel, NodeDelays, StatParams, TwoPhaseClock, EPS};
 
 use crate::canon::Canon;
 use crate::normal::{cdf, quantile};
-use crate::propagate::relaunch_canon;
-
-/// Tolerance for comparisons against clock edges — identical to the
-/// deterministic analysis so margined comparisons degrade bitwise.
-pub const EPS: f64 = 1e-9;
 
 /// Relative step (fraction of the clock period) for the finite-difference
 /// jitter sensitivity `d yield / d σ_clock`.
@@ -56,188 +51,44 @@ impl StatSummary {
     }
 }
 
-/// Statistical timing analysis over a [`CombCloud`]: canonical pure
-/// arrivals and any-sink backward delays are computed once, margined
-/// queries and cut yields are derived on demand.
-///
-/// Construction requires `delays.model()` to be
-/// [`DelayModel::Statistical`]; the sigma tables are already baked into
-/// the [`NodeDelays`], so no library access is needed.
-#[derive(Debug, Clone)]
-pub struct StatTiming<'a> {
-    cloud: &'a CombCloud,
-    delays: &'a NodeDelays,
-    clock: TwoPhaseClock,
+/// The statistical model's view of the clock: the margin multiplier
+/// `z = Φ⁻¹(yield target)`, the clock sigma and the period every yield
+/// is evaluated against. Built from the delay tables' parameters alone;
+/// it runs no timing pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StatMargin {
     params: StatParams,
     z: f64,
     clock_sigma: f64,
-    pure: Vec<Canon>,
-    db_any: Vec<Option<Canon>>,
+    period: f64,
 }
 
-impl<'a> StatTiming<'a> {
-    /// Builds the statistical analysis from the deterministic analysis'
-    /// parts.
+impl StatMargin {
+    /// The margin of statistical delay tables under `clock`.
     ///
     /// # Panics
     /// Panics if the delay tables were not built in statistical mode.
-    pub fn new(cloud: &'a CombCloud, delays: &'a NodeDelays, clock: TwoPhaseClock) -> Self {
+    pub fn new(delays: &NodeDelays, clock: &TwoPhaseClock) -> StatMargin {
         let DelayModel::Statistical(params) = delays.model() else {
             panic!(
-                "StatTiming wants statistical delay tables, got {}",
+                "canonical timing wants statistical delay tables, got {}",
                 delays.model()
             );
         };
-        let z = quantile(params.yield_target());
-        let clock_sigma = params.clock_sigma_frac() * clock.period();
-        let pure = pure_arrivals(cloud, delays);
-        let db_any = db_to_any_sink(cloud, delays);
-        StatTiming {
-            cloud,
-            delays,
-            clock,
+        StatMargin {
             params,
-            z,
-            clock_sigma,
-            pure,
-            db_any,
+            z: quantile(params.yield_target()),
+            clock_sigma: params.clock_sigma_frac() * clock.period(),
+            period: clock.period(),
         }
-    }
-
-    /// The statistical parameters in effect.
-    pub fn params(&self) -> StatParams {
-        self.params
-    }
-
-    /// The cloud under analysis.
-    pub fn cloud(&self) -> &'a CombCloud {
-        self.cloud
-    }
-
-    /// The clock period `Π` every yield and margin is evaluated against.
-    pub fn period(&self) -> f64 {
-        self.clock.period()
-    }
-
-    /// The margin multiplier `z = Φ⁻¹(yield target)`.
-    pub fn z(&self) -> f64 {
-        self.z
-    }
-
-    /// The absolute clock sigma `σ_c = clock_sigma_frac · Π`.
-    pub fn clock_sigma(&self) -> f64 {
-        self.clock_sigma
     }
 
     /// Margins a canonical value for comparison against a clock edge:
     /// `m + z·sqrt(g² + r² + σ_c²)`. With all sigmas zero this is
     /// `m + 0.0` — bitwise the nominal mean for every non-negative delay.
+    #[inline]
     pub fn margined(&self, c: &Canon) -> f64 {
         c.m + self.z * (c.variance() + self.clock_sigma * self.clock_sigma).sqrt()
-    }
-
-    /// Margined pure arrival `D^f(v)`.
-    pub fn df_margined(&self, v: NodeId) -> f64 {
-        self.margined(&self.pure[v.index()])
-    }
-
-    /// The canonical pure arrival at `v`.
-    pub fn df_canon(&self, v: NodeId) -> Canon {
-        self.pure[v.index()]
-    }
-
-    /// Margined worst backward delay to any sink, `None` when `v`
-    /// reaches no sink.
-    pub fn db_any_margined(&self, v: NodeId) -> Option<f64> {
-        self.db_any[v.index()].as_ref().map(|c| self.margined(c))
-    }
-
-    /// Runs the canonical backward pass from sink `t`.
-    ///
-    /// # Panics
-    /// Panics if `t` is not a sink.
-    pub fn backward(&self, t: NodeId) -> BackwardPass<Canon> {
-        BackwardPass::run(self.cloud, self.delays, t)
-    }
-
-    /// Canonical Eq. (5) arrival with a slave on edge `(u, v)`:
-    /// `max(open + through, D^f(u) + d_q + through)` — the canonical
-    /// mirror of the deterministic `a_value`. `None` when `v` does not
-    /// reach the sink of `bp`.
-    pub fn a_value_canon(&self, u: NodeId, v: NodeId, bp: &BackwardPass<Canon>) -> Option<Canon> {
-        let through = bp.through(v)?;
-        let open = self.clock.slave_open() + self.delays.latch_ckq();
-        let dq = self.delays.latch_dq();
-        let dfu = self.pure[u.index()];
-        let window_term = through.add_const(open);
-        let path_term = dfu.add_const(dq).add(&through);
-        Some(window_term.max(&path_term))
-    }
-
-    /// Margined form of [`StatTiming::a_value_canon`].
-    pub fn a_value_margined(&self, u: NodeId, v: NodeId, bp: &BackwardPass<Canon>) -> Option<f64> {
-        self.a_value_canon(u, v, bp).map(|c| self.margined(&c))
-    }
-
-    /// Canonical arrival with the slave at source `s` (the host/initial
-    /// position): re-launched master output plus canonical `D^b(s, t)`.
-    pub fn a_host_canon(&self, s: NodeId, bp: &BackwardPass<Canon>) -> Option<Canon> {
-        let fo = if s == bp.sink() {
-            return None;
-        } else {
-            bp.from_output(s)?
-        };
-        let launch = Canon::constant(self.delays.launch());
-        let re = relaunch_canon(&launch, &self.clock, self.delays);
-        Some(re.add(&fo))
-    }
-
-    /// Margined form of [`StatTiming::a_host_canon`].
-    pub fn a_host_margined(&self, s: NodeId, bp: &BackwardPass<Canon>) -> Option<f64> {
-        self.a_host_canon(s, bp).map(|c| self.margined(&c))
-    }
-
-    /// Worst margined initial-placement arrival over the sources of the
-    /// sink's cone — the statistical counterpart of
-    /// [`retime_sta::TimingAnalysis::worst_initial`].
-    pub fn worst_initial_margined(&self, bp: &BackwardPass<Canon>) -> f64 {
-        bp.cone()
-            .iter()
-            .filter(|&&s| self.cloud.node(s).is_source())
-            .filter_map(|&s| self.a_host_margined(s, bp))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Canonical arrival at the sink of `bp` with the slaves placed by
-    /// the moved set `moved` — bitwise the entry
-    /// [`StatTiming::cut_sink_canons`] reports for that sink under the
-    /// cut moving exactly `moved`, propagated over the sink's cone alone.
-    /// `arr` is cloud-sized scratch; only the cone's slots are written.
-    pub fn sink_canon_with_moved(
-        &self,
-        bp: &BackwardPass<Canon>,
-        moved: &ConeWalk,
-        arr: &mut [Canon],
-    ) -> Canon {
-        arrivals_with_moved(
-            self.cloud,
-            self.delays,
-            &self.clock,
-            bp.cone().iter().rev().copied(),
-            |v| moved.contains(v),
-            arr,
-        );
-        arr[bp.sink().index()]
-    }
-
-    /// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`:
-    /// one topological sweep, under a `stat_cut_arrivals` span.
-    pub fn cut_sink_canons(&self, cut: &Cut) -> Vec<Canon> {
-        let arr: Vec<Canon> = {
-            let _span = retime_trace::span("stat_cut_arrivals");
-            arrivals_with_cut(self.cloud, self.delays, &self.clock, cut)
-        };
-        self.cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
     }
 
     /// Timing yield of a canonical sink arrival at the clock period:
@@ -248,39 +99,32 @@ impl<'a> StatTiming<'a> {
     }
 
     fn yield_with_clock_sigma(&self, c: &Canon, clock_sigma: f64) -> f64 {
-        let pi = self.clock.period();
         let var = c.variance() + clock_sigma * clock_sigma;
         if var == 0.0 {
-            return if c.m <= pi + EPS { 1.0 } else { 0.0 };
+            return if c.m <= self.period + EPS { 1.0 } else { 0.0 };
         }
-        cdf((pi - c.m) / var.sqrt())
+        cdf((self.period - c.m) / var.sqrt())
     }
 
     /// Whether a sink with canonical arrival `c` needs an error-detecting
     /// master: the margined arrival misses the period, equivalently the
     /// timing yield misses the target.
     pub fn needs_edl(&self, c: &Canon) -> bool {
-        self.margined(c) > self.clock.period() + EPS
+        self.margined(c) > self.period + EPS
     }
 
     /// `d yield / d σ_clock` for a canonical sink arrival, by forward
     /// finite difference on the clock sigma.
     pub fn jitter_sensitivity(&self, c: &Canon) -> f64 {
-        let h = JITTER_STEP_FRAC * self.clock.period();
+        let h = JITTER_STEP_FRAC * self.period;
         let up = self.yield_with_clock_sigma(c, self.clock_sigma + h);
         (up - self.yield_of(c)) / h
     }
 
-    /// Full statistical summary of a cut: per-sink yields, the worst
-    /// yield, and the jitter sensitivity of the worst-yield sink.
-    pub fn summarize(&self, cut: &Cut) -> StatSummary {
-        let canons = self.cut_sink_canons(cut);
-        self.summarize_canons(&canons)
-    }
-
-    /// [`StatTiming::summarize`] over precomputed sink canons (avoids a
-    /// second with-cut propagation when the caller already has them).
-    pub fn summarize_canons(&self, canons: &[Canon]) -> StatSummary {
+    /// The statistical summary of a cut from its sink arrivals
+    /// ([`cut_sink_canons`]): per-sink yields, the worst yield, and the
+    /// jitter sensitivity of the worst-yield sink.
+    pub fn summarize(&self, canons: &[Canon]) -> StatSummary {
         let yields: Vec<f64> = canons.iter().map(|c| self.yield_of(c)).collect();
         let (min_yield, jitter_sens) = yields
             .iter()
@@ -295,6 +139,21 @@ impl<'a> StatTiming<'a> {
             jitter_sens,
         }
     }
+}
+
+/// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`: one
+/// topological sweep, under a `stat_cut_arrivals` span.
+pub fn cut_sink_canons(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    cut: &Cut,
+) -> Vec<Canon> {
+    let arr: Vec<Canon> = {
+        let _span = retime_trace::span("stat_cut_arrivals");
+        arrivals_with_cut(cloud, delays, clock, cut)
+    };
+    cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
 }
 
 #[cfg(test)]
@@ -331,29 +190,32 @@ z = NAND(g4, a)
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
         let zero = DelayModel::Statistical(StatParams::new(0.0, 0.0, 0.9987, 1));
-        let nd = delays(&cloud, zero);
-        let st = StatTiming::new(&cloud, &nd, clock);
+        let st = TimingAnalysis::<Canon>::run(&cloud, delays(&cloud, zero), clock);
         let det =
             TimingAnalysis::new(&cloud, &Library::fdsoi28(), clock, DelayModel::GateBased).unwrap();
         for &v in cloud.topo() {
-            assert_eq!(st.df_margined(v).to_bits(), det.df(v).to_bits());
+            assert_eq!(st.df(v).to_bits(), det.df(v).to_bits());
             assert_eq!(
-                st.db_any_margined(v).map(f64::to_bits),
+                st.db_any(v).map(f64::to_bits),
                 det.db_any(v).map(f64::to_bits)
             );
         }
         for &t in cloud.sinks() {
             let sb = st.backward(t);
             let bp = det.backward(t);
+            assert_eq!(
+                st.worst_initial(&sb).to_bits(),
+                det.worst_initial(&bp).to_bits()
+            );
             for &s in cloud.sources() {
                 assert_eq!(
-                    st.a_host_margined(s, &sb).map(f64::to_bits),
+                    st.a_host(s, &sb).map(f64::to_bits),
                     det.a_host(s, &bp).map(f64::to_bits)
                 );
             }
             for e in cloud.edges() {
                 assert_eq!(
-                    st.a_value_margined(e.from, e.to, &sb).map(f64::to_bits),
+                    st.a_value(e.from, e.to, &sb).map(f64::to_bits),
                     det.a_value(e.from, e.to, &bp).map(f64::to_bits),
                     "edge {} -> {}",
                     e.from,
@@ -367,18 +229,12 @@ z = NAND(g4, a)
     fn margins_grow_as_sigma_widens() {
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
-        let zero = delays(
-            &cloud,
-            DelayModel::Statistical(StatParams::new(0.0, 0.0, 0.9987, 1)),
-        );
-        let wide = delays(
-            &cloud,
-            DelayModel::Statistical(StatParams::new(0.08, 0.01, 0.9987, 1)),
-        );
-        let st0 = StatTiming::new(&cloud, &zero, clock);
-        let st1 = StatTiming::new(&cloud, &wide, clock);
+        let analysis = |sigma: f64| {
+            let model = DelayModel::Statistical(StatParams::new(sigma, 0.0, 0.9987, 1));
+            TimingAnalysis::<Canon>::run(&cloud, delays(&cloud, model), clock)
+        };
         let z = cloud.sinks()[0];
-        assert!(st1.df_margined(z) > st0.df_margined(z));
+        assert!(analysis(0.08).df(z) > analysis(0.0).df(z));
     }
 
     #[test]
@@ -388,13 +244,12 @@ z = NAND(g4, a)
             &cloud,
             DelayModel::Statistical(StatParams::new(0.0, 0.0, 0.9987, 1)),
         );
-        let tight = TwoPhaseClock::from_max_delay(0.05);
-        let relaxed = TwoPhaseClock::from_max_delay(10.0);
-        let st_tight = StatTiming::new(&cloud, &nd, tight);
-        let st_rel = StatTiming::new(&cloud, &nd, relaxed);
         let cut = Cut::initial(&cloud);
-        let tight_summary = st_tight.summarize(&cut);
-        let relaxed_summary = st_rel.summarize(&cut);
+        let summary = |clock: TwoPhaseClock| {
+            StatMargin::new(&nd, &clock).summarize(&cut_sink_canons(&cloud, &nd, &clock, &cut))
+        };
+        let tight_summary = summary(TwoPhaseClock::from_max_delay(0.05));
+        let relaxed_summary = summary(TwoPhaseClock::from_max_delay(10.0));
         assert_eq!(tight_summary.min_yield, 0.0);
         assert_eq!(relaxed_summary.min_yield, 1.0);
         assert_eq!(relaxed_summary.below_target(), 0);
@@ -405,17 +260,16 @@ z = NAND(g4, a)
     fn yield_decreases_with_clock_sigma() {
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
-        let mk = |clock_sigma: f64| {
-            delays(
+        let cut = Cut::initial(&cloud);
+        let summary = |clock_sigma: f64| {
+            let nd = delays(
                 &cloud,
                 DelayModel::Statistical(StatParams::new(0.03, clock_sigma, 0.9987, 1)),
-            )
+            );
+            StatMargin::new(&nd, &clock).summarize(&cut_sink_canons(&cloud, &nd, &clock, &cut))
         };
-        let calm = mk(0.0);
-        let jittery = mk(0.05);
-        let cut = Cut::initial(&cloud);
-        let y_calm = StatTiming::new(&cloud, &calm, clock).summarize(&cut);
-        let y_jit = StatTiming::new(&cloud, &jittery, clock).summarize(&cut);
+        let y_calm = summary(0.0);
+        let y_jit = summary(0.05);
         // More clock sigma cannot improve the worst yield.
         assert!(y_jit.min_yield <= y_calm.min_yield + 1e-12);
         // Sensitivity is non-positive: jitter hurts.
@@ -427,15 +281,14 @@ z = NAND(g4, a)
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
         let nd = delays(&cloud, DelayModel::Statistical(StatParams::DEFAULT));
-        let st = StatTiming::new(&cloud, &nd, clock);
-        let cut = Cut::initial(&cloud);
-        let canons = st.cut_sink_canons(&cut);
-        let target = st.params().yield_target();
+        let margin = StatMargin::new(&nd, &clock);
+        let canons = cut_sink_canons(&cloud, &nd, &clock, &Cut::initial(&cloud));
+        let target = StatParams::DEFAULT.yield_target();
         for c in &canons {
-            let by_margin = st.needs_edl(c);
-            let by_yield = st.yield_of(c) < target;
+            let by_margin = margin.needs_edl(c);
+            let by_yield = margin.yield_of(c) < target;
             // The two formulations agree away from the EPS knife edge.
-            let margin_slack = (st.margined(c) - st.clock.period()).abs();
+            let margin_slack = (margin.margined(c) - clock.period()).abs();
             if margin_slack > 1e-6 {
                 assert_eq!(by_margin, by_yield);
             }
@@ -443,10 +296,10 @@ z = NAND(g4, a)
     }
 
     #[test]
-    #[should_panic(expected = "StatTiming wants statistical delay tables")]
+    #[should_panic(expected = "canonical timing wants statistical delay tables")]
     fn rejects_deterministic_tables() {
         let cloud = cloud();
         let nd = delays(&cloud, DelayModel::GateBased);
-        let _ = StatTiming::new(&cloud, &nd, TwoPhaseClock::from_max_delay(0.5));
+        let _ = TimingAnalysis::<Canon>::run(&cloud, nd, TwoPhaseClock::from_max_delay(0.5));
     }
 }

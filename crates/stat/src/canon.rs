@@ -43,6 +43,7 @@ const ALPHA_CUTOFF: f64 = 8.0;
 
 impl Canon {
     /// A deterministic constant (zero sigma).
+    #[inline]
     pub fn constant(m: f64) -> Canon {
         Canon { m, g: 0.0, r: 0.0 }
     }
@@ -53,12 +54,14 @@ impl Canon {
     }
 
     /// Variance `g² + r²`.
+    #[inline]
     pub fn variance(&self) -> f64 {
         self.g * self.g + self.r * self.r
     }
 
     /// Exact sum of two canonical forms: means add, global components add
     /// (fully correlated), residuals add in quadrature (independent).
+    #[inline]
     pub fn add(&self, other: &Canon) -> Canon {
         Canon {
             m: self.m + other.m,
@@ -68,6 +71,7 @@ impl Canon {
     }
 
     /// Adds a deterministic constant to the mean.
+    #[inline]
     pub fn add_const(&self, c: f64) -> Canon {
         Canon {
             m: self.m + c,

@@ -23,30 +23,39 @@
 //! Li/Chen/Schlichtmann, latch loops are graph-transformed away; the
 //! cloud is acyclic, so one topological sweep is exact.
 //!
-//! The [`StatTiming`] facade derives margined arrivals
-//! (`m + Φ⁻¹(target)·σ_tot`, folding clock sigma into `σ_tot`), per-sink
-//! timing yield at the clock period, the yield-aware EDL rule
-//! (`yield < target ⟺ margined arrival > Π`), and clock-jitter
-//! sensitivity. With all sigmas zero every margined quantity is bitwise
-//! the deterministic gate-based value — the property the cross-flow
-//! differential tests pin.
+//! The Eq. (5) placement arrival, the cut-set `g(t)`, the sink
+//! classification and the legality regions are not repeated here: they
+//! are written once over [`retime_sta::Arrival`], and
+//! `TimingAnalysis<Canon>` runs them in canonical arithmetic. What this
+//! crate adds is the margin that decides every comparison against the
+//! clock ([`StatMargin`], `m + Φ⁻¹(target)·σ_tot` with the clock sigma
+//! folded into `σ_tot`): per-sink timing yield at the clock period, the
+//! yield-aware EDL rule (`yield < target ⟺ margined arrival > Π`), and
+//! clock-jitter sensitivity. With all sigmas zero every margined
+//! quantity is bitwise the deterministic gate-based value — the property
+//! the cross-flow differential tests pin.
 //!
 //! # Example
 //!
 //! ```
 //! use retime_liberty::Library;
 //! use retime_netlist::{bench, CombCloud, Cut};
-//! use retime_sta::{DelayModel, NodeDelays, StatParams, TwoPhaseClock};
-//! use retime_stat::StatTiming;
+//! use retime_sta::{DelayModel, NodeDelays, StatParams, TimingAnalysis, TwoPhaseClock};
+//! use retime_stat::{cut_sink_canons, Canon, StatMargin};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = bench::parse("d", "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")?;
 //! let cloud = CombCloud::extract(&n)?;
 //! let model = DelayModel::Statistical(StatParams::DEFAULT);
 //! let delays = NodeDelays::from_library(&cloud, &Library::fdsoi28(), model)?;
-//! let stat = StatTiming::new(&cloud, &delays, TwoPhaseClock::from_max_delay(0.5));
-//! let summary = stat.summarize(&Cut::initial(&cloud));
+//! let clock = TwoPhaseClock::from_max_delay(0.5);
+//! // Yields of a cut: one canonical sweep, no whole-cloud analysis.
+//! let canons = cut_sink_canons(&cloud, &delays, &clock, &Cut::initial(&cloud));
+//! let summary = StatMargin::new(&delays, &clock).summarize(&canons);
 //! assert!(summary.min_yield > 0.99);
+//! // The margined pure arrival of the sink, from the shared analysis.
+//! let sta = TimingAnalysis::<Canon>::run(&cloud, delays, clock);
+//! assert!(sta.df(cloud.sinks()[0]) < clock.period());
 //! # Ok(())
 //! # }
 //! ```
@@ -56,5 +65,5 @@ pub mod canon;
 pub mod normal;
 pub mod propagate;
 
-pub use analyze::{StatSummary, StatTiming, EPS};
+pub use analyze::{cut_sink_canons, StatMargin, StatSummary};
 pub use canon::Canon;

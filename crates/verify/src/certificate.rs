@@ -29,16 +29,16 @@
 //! here; `retime-vl`'s tests certify RVL-RAR's instance solves with
 //! [`verify_retiming_solution`].
 
-use retime_core::{classify_and_cut_set, classify_many, IlpFormulation};
-use retime_engine::{parallel_map, parallel_map_with, PhaseTimings, Stage};
+use retime_core::{classify_each, IlpFormulation};
+use retime_engine::{parallel_map, PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut, Netlist, NodeId, NodeKind};
 use retime_retime::{
-    stat_cut_summary, AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution,
-    BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
+    stat_cut_summary, AreaModel, FlowTiming, Regions, RetimeOutcome, RetimingProblem,
+    RetimingSolution, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };
 use retime_sim::equivalent;
-use retime_sta::{BackwardPass, CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 use crate::error::VerifyError;
 use crate::flowcheck::{check_closure_certificate, retiming_closure};
@@ -152,9 +152,8 @@ pub fn verify_certificate(
     // classified never-error-detecting, and the full label assignment.
     let (pseudos, never_ed, full) = phases.stage(Stage::Verify, |_| {
         let _span = retime_trace::span("verify_labels");
-        let sta =
-            TimingAnalysis::new(cloud, setup.lib, setup.clock, setup.model).map_err(internal)?;
-        let regions = Regions::compute(&sta).map_err(internal)?;
+        let sta = FlowTiming::new(cloud, setup.lib, setup.clock, setup.model).map_err(internal)?;
+        let regions = sta.regions().map_err(internal)?;
         let mut problem = RetimingProblem::build(cloud, &regions);
         let targets: Vec<(usize, NodeId)> = cloud
             .sinks()
@@ -513,31 +512,19 @@ fn certify_optimal(problem: &RetimingProblem, moved: &[bool]) -> Result<(), Veri
     Ok(())
 }
 
-/// The sink classes and cut-sets the certificate is checked against.
-/// Under the deterministic models they come from the definitional
-/// per-sink [`classify_and_cut_set`] over one reused [`BackwardPass`]
-/// per worker, never from the production `classify_many` kernel, so a
-/// bug in that kernel cannot certify itself. Under the statistical
-/// model `classify_many` already is the definitional per-sink
-/// `classify_and_cut_set_stat`.
+/// The sink classes and cut-sets the certificate is checked against:
+/// the definitional per-sink [`retime_core::classify_and_cut_set`] in the
+/// analysis's arithmetic ([`classify_each`]), never the production
+/// `classify_many` kernel, so a bug in that kernel cannot certify itself.
 fn reference_classes(
-    sta: &TimingAnalysis<'_>,
+    sta: &FlowTiming<'_>,
     sinks: &[NodeId],
     threads: usize,
 ) -> Vec<(SinkClass, Vec<NodeId>)> {
-    if matches!(sta.delays().model(), DelayModel::Statistical(_)) {
-        return classify_many(sta, sinks, threads);
+    match sta {
+        FlowTiming::Nominal(sta) => classify_each(sta, sinks, threads).0,
+        FlowTiming::Statistical(sta) => classify_each(sta, sinks, threads).0,
     }
-    let cloud = sta.cloud();
-    parallel_map_with(
-        threads,
-        sinks,
-        || BackwardPass::new(cloud),
-        |bp, &t| {
-            bp.rerun(cloud, sta.delays(), t);
-            classify_and_cut_set(sta, bp)
-        },
-    )
 }
 
 /// The statistical cut-set promise, where it holds. Clark's max is not
@@ -549,7 +536,7 @@ fn reference_classes(
 /// [`stat_cut_summary`], not the classifier's cone walk. Returns the
 /// first sink that breaks its promise.
 fn broken_stat_promise(
-    sta: &TimingAnalysis<'_>,
+    sta: &FlowTiming<'_>,
     credited: &[(usize, Vec<NodeId>)],
     never_ed: &[usize],
     threads: usize,

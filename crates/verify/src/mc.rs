@@ -15,15 +15,10 @@
 //!
 //! With all sigmas zero every sample is the nominal circuit, so the
 //! estimate degenerates to the same `0`/`1` step (with the shared
-//! `1e-9` comparison tolerance) the analytic side reports.
+//! comparison tolerance [`retime_sta::EPS`]) the analytic side reports.
 
 use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
-use retime_sta::{DelayModel, NodeDelays, TwoPhaseClock};
-
-/// Comparison tolerance against the capture edge, identical to the
-/// deterministic and analytic engines so the sigma→0 step agrees
-/// bitwise.
-const EPS: f64 = 1e-9;
+use retime_sta::{DelayModel, NodeDelays, TwoPhaseClock, EPS};
 
 /// Result of a Monte Carlo yield run.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,9 +9,10 @@ use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
 use retime_retime::{
-    AreaModel, BasisSlot, OpenBasis, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem,
+    AreaModel, BasisSlot, FlowTiming, OpenBasis, Region, Regions, RetimeError, RetimeOutcome,
+    RetimingProblem,
 };
-use retime_sta::{DelayModel, SinkClass, TwoPhaseClock};
+use retime_sta::{DelayModel, SinkClass, TwoPhaseClock, EPS};
 
 /// The three initial-typing variants of Section V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,18 +243,16 @@ fn type_masters<'s, 'a>(
         //    types by the margined initial arrival (the yield-aware
         //    near-criticality rule); at sigma = 0 the margined flags are
         //    bitwise the deterministic ones. EVL and NVL time nothing.
-        let rvl_flags: Vec<bool> = match (cfg.variant, cfg.model) {
-            (VlVariant::Rvl, DelayModel::Statistical(_)) => {
-                let delays = basis.sta().delays();
-                retime_retime::stat_cut_summary(cloud, delays, clock, &Cut::initial(cloud)).0
-            }
-            (VlVariant::Rvl, _) => basis
-                .sta()
+        let rvl_flags: Vec<bool> = match (cfg.variant, basis.sta()) {
+            (VlVariant::Rvl, FlowTiming::Nominal(sta)) => sta
                 .cut_timing(&Cut::initial(cloud))
                 .sink_arrivals
                 .iter()
-                .map(|&a| a > pi + 1e-9)
+                .map(|&a| a > pi + EPS)
                 .collect(),
+            (VlVariant::Rvl, FlowTiming::Statistical(sta)) => {
+                retime_retime::stat_cut_summary(cloud, sta.delays(), clock, &Cut::initial(cloud)).0
+            }
             _ => Vec::new(),
         };
         let typed: Vec<(usize, NodeId, bool)> = cloud

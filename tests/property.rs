@@ -6,18 +6,20 @@ use proptest::prelude::*;
 use resilient_retiming::circuits::{paper_suite, SynthConfig};
 use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{
-    classify_and_cut_set, classify_many, exhaustive_best, grar, GrarConfig,
+    classify_and_cut_set, classify_each, classify_many, exhaustive_best, grar, GrarConfig,
 };
 use resilient_retiming::liberty::{EdlOverhead, Library};
 use resilient_retiming::netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
-use resilient_retiming::retime::{legalize, AreaModel, Regions, RetimingProblem, BREADTH_SCALE};
+use resilient_retiming::retime::{
+    legalize, AreaModel, FlowTiming, Regions, RetimingProblem, BREADTH_SCALE,
+};
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
     BackwardPass, CutTiming, DelayModel, NodeDelays, SinkClass, StatParams, TimingAnalysis,
     TwoPhaseClock,
 };
 use resilient_retiming::verify::{verify_retiming_solution, VerifyError};
-use retime_stat::{Canon, StatTiming};
+use retime_stat::{cut_sink_canons, Canon};
 
 /// A frozen copy of the whole-cloud classification that cone-local
 /// classification replaced: every backward pass sweeps the entire
@@ -31,7 +33,7 @@ mod reference {
     use resilient_retiming::netlist::{CombCloud, Cut, NodeId};
     use resilient_retiming::sta::{relaunch, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock};
     use retime_stat::propagate::{gate_canon, relaunch_canon};
-    use retime_stat::{Canon, StatTiming};
+    use retime_stat::{cut_sink_canons, Canon};
 
     const EPS: f64 = 1e-9;
 
@@ -237,17 +239,17 @@ mod reference {
     }
 
     pub fn classify_stat(
-        st: &StatTiming<'_>,
+        st: &TimingAnalysis<'_, Canon>,
         clock: &TwoPhaseClock,
         d: &NodeDelays,
         sb: &StatPass,
     ) -> (SinkClass, Vec<NodeId>) {
         let cloud = st.cloud();
-        let pi = st.period();
+        let pi = clock.period();
         let a = |u: NodeId, v: NodeId| {
             let through = sb.through[v.index()]?;
             let open = clock.slave_open() + d.latch_ckq();
-            let path = st.df_canon(u).add_const(d.latch_dq()).add(&through);
+            let path = st.df_arc(u).add_const(d.latch_dq()).add(&through);
             Some(st.margined(&through.add_const(open).max(&path)))
         };
         let host = |s: NodeId| {
@@ -269,8 +271,9 @@ mod reference {
         }
         match canonical_cut(cloud, &g) {
             Some(cut)
-                if st.margined(&st.cut_sink_canons(&cut)[sink_index(cloud, sb.sink)])
-                    <= pi + EPS =>
+                if st.margined(
+                    &cut_sink_canons(cloud, d, clock, &cut)[sink_index(cloud, sb.sink)],
+                ) <= pi + EPS =>
             {
                 (SinkClass::Target, g)
             }
@@ -525,27 +528,30 @@ proptest! {
                 }
             }
             for (c, clock) in clocks.into_iter().enumerate() {
-                let sta = TimingAnalysis::new(&cloud, &lib, clock, model).expect("sta builds");
-                let want: Vec<_> = if matches!(model, DelayModel::Statistical(_)) {
-                    let st = StatTiming::new(&cloud, sta.delays(), clock);
-                    targets
+                // The analysis of the model's own arithmetic, as a flow
+                // basis builds it.
+                let sta = FlowTiming::new(&cloud, &lib, clock, model).expect("sta builds");
+                let want: Vec<_> = match &sta {
+                    FlowTiming::Statistical(st) => targets
                         .iter()
                         .map(|&t| {
-                            let sb = reference::StatPass::run(&cloud, sta.delays(), t);
-                            reference::classify_stat(&st, &clock, sta.delays(), &sb)
+                            let sb = reference::StatPass::run(&cloud, st.delays(), t);
+                            reference::classify_stat(st, &clock, st.delays(), &sb)
                         })
-                        .collect()
-                } else {
-                    targets
+                        .collect(),
+                    FlowTiming::Nominal(sta) => targets
                         .iter()
                         .map(|&t| {
                             let bp = reference::DetPass::run(&cloud, sta.delays(), t);
-                            reference::classify(&sta, &bp)
+                            reference::classify(sta, &bp)
                         })
-                        .collect()
+                        .collect(),
                 };
                 for threads in [1, 2, 4] {
-                    let got = classify_many(&sta, &targets, threads);
+                    let got = match &sta {
+                        FlowTiming::Statistical(st) => classify_each(st, &targets, threads).0,
+                        FlowTiming::Nominal(sta) => classify_many(sta, &targets, threads),
+                    };
                     prop_assert_eq!(&got, &want, "{} clock {} threads={}", model, c, threads);
                 }
             }
@@ -623,10 +629,10 @@ proptest! {
                 .expect("sta builds");
             for model in [zero, DelayModel::Statistical(StatParams::DEFAULT)] {
                 let delays = NodeDelays::from_library(&cloud, &lib, model).expect("delays");
-                let st = StatTiming::new(&cloud, &delays, clock);
+                let st = TimingAnalysis::<Canon>::run(&cloud, delays.clone(), clock);
                 let mut arr = vec![Canon::default(); cloud.len()];
                 for (cut, moved) in &cuts {
-                    let canons = st.cut_sink_canons(cut);
+                    let canons = cut_sink_canons(&cloud, &delays, &clock, cut);
                     if model == zero {
                         let want = det.cut_timing(cut).sink_arrivals;
                         for (c, a) in canons.iter().zip(&want) {
@@ -635,11 +641,13 @@ proptest! {
                         }
                     }
                     for (&t, whole) in cloud.sinks().iter().zip(&canons) {
-                        let local = st.sink_canon_with_moved(&st.backward(t), moved, &mut arr);
+                        let margined = st.sink_arrival_with_moved(st.backward(t).cone(), moved, &mut arr);
+                        let local = arr[t.index()];
                         prop_assert_eq!(
                             [local.m, local.g, local.r].map(f64::to_bits),
                             [whole.m, whole.g, whole.r].map(f64::to_bits)
                         );
+                        prop_assert_eq!(margined.to_bits(), st.margined(whole).to_bits());
                     }
                 }
             }
