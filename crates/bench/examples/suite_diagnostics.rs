@@ -10,7 +10,7 @@ use retime_bench::{load_suite, run_approaches, RunConfig};
 use retime_core::classify_and_cut_set;
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{Cut, NodeKind};
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis};
+use retime_sta::{is_error_detecting, DelayModel, SinkClass, TimingAnalysis};
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -35,7 +35,11 @@ fn main() {
             }
         }
         let init = sta.cut_timing(&Cut::initial(cloud));
-        let init_ed = init.error_detecting.iter().filter(|&&b| b).count();
+        let init_ed = init
+            .sink_arrivals
+            .iter()
+            .filter(|&&a| is_error_detecting(a, &case.clock))
+            .count();
         let a = run_approaches(&case, &lib, EdlOverhead::HIGH, DelayModel::PathBased)
             .expect("flows run");
         println!(

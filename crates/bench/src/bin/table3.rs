@@ -8,7 +8,7 @@ use retime_verify::FlowKind;
 use retime_vl::{vl_retime, VlConfig, VlVariant};
 
 fn main() {
-    let cfg = RunConfig::from_env_path_based();
+    let cfg = RunConfig::from_env();
     let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
     let cases = load_suite(cfg.suite, &lib);

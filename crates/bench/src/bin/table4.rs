@@ -14,7 +14,7 @@ use retime_liberty::Library;
 use retime_sta::DelayModel;
 
 fn main() {
-    let cfg = RunConfig::from_env();
+    let cfg = RunConfig::from_env_with_model();
     let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
     let cases = load_suite(cfg.suite, &lib);
@@ -32,9 +32,9 @@ fn main() {
     );
     println!("(paper averages, G-RAR: 20.41 / 23.87 / 29.62 % for low / medium / high)");
 
-    if let DelayModel::Statistical(params) = cfg.model {
+    if let Some(params) = cfg.stat {
         let stat_rows = map_cases(&cases, |case| {
-            table4_stat_row(case, &lib, cfg.model, cfg.verify)
+            table4_stat_row(case, &lib, DelayModel::Statistical(params), cfg.verify)
         });
         print_table(
             &format!(

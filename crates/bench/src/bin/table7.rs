@@ -9,7 +9,7 @@ use retime_liberty::{EdlOverhead, Library};
 use retime_sta::DelayModel;
 
 fn main() {
-    let cfg = RunConfig::from_env_path_based();
+    let cfg = RunConfig::from_env();
     let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
     let cases = load_suite(cfg.suite, &lib);

@@ -6,7 +6,7 @@ use retime_liberty::Library;
 use retime_sim::ErrorRateConfig;
 
 fn main() {
-    let cfg = RunConfig::from_env_path_based();
+    let cfg = RunConfig::from_env();
     let _trace = retime_trace::TraceSession::with_config(cfg.trace.clone());
     let lib = Library::fdsoi28();
     let cases = load_suite(cfg.suite, &lib);

@@ -6,19 +6,19 @@
 //! variable; the environment-variable table of `docs/ARCHITECTURE.md`
 //! gives their values, defaults and effects.
 //!
-//! The four statistical knobs are read only when `RETIME_DELAY_MODE`
-//! selects the statistical model, and only `table4` reads the delay
-//! model at all: the other tables parse through
-//! [`RunConfig::from_env_path_based`], which warns once when
-//! `RETIME_DELAY_MODE` is set. A value outside its accepted set, and any
-//! other `RETIME_*` name, gets a one-line `warning: unrecognized …` on
-//! stderr and falls back to the default.
+//! Only `table4` reads the delay model, through
+//! [`RunConfig::from_env_with_model`]: `RETIME_DELAY_MODE=statistical`
+//! adds its statistical section, and the four statistical knobs are read
+//! only then. Every other binary parses through [`RunConfig::from_env`],
+//! which warns once when `RETIME_DELAY_MODE` is set. A value outside its
+//! accepted set, and any other `RETIME_*` name, gets a one-line
+//! `warning: unrecognized …` on stderr and falls back to the default.
 
 use std::collections::BTreeMap;
 use std::ffi::OsString;
 use std::path::PathBuf;
 
-use retime_sta::{DelayModel, StatParams};
+use retime_sta::StatParams;
 use retime_trace::TraceConfig;
 
 /// Every `RETIME_*` variable the workspace reads.
@@ -67,9 +67,9 @@ impl SuiteMode {
 pub struct RunConfig {
     /// The suite slice the table binaries run on.
     pub suite: SuiteMode,
-    /// The delay model of the statistical Table IV section (carries
-    /// the statistical parameters).
-    pub model: DelayModel,
+    /// The parameters of the statistical Table IV section, which runs
+    /// exactly when they are set (`RETIME_DELAY_MODE=statistical`).
+    pub stat: Option<StatParams>,
     /// Certify every flow result with `retime-verify` before it is
     /// tabulated.
     pub verify: bool,
@@ -81,23 +81,23 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Reads the process environment through [`RunConfig::parse`] and
-    /// prints its warnings on stderr. Call it once, first thing in
-    /// `main`.
+    /// Reads the process environment of a binary that does not read the
+    /// delay model (every one but `table4`) and prints its warnings on
+    /// stderr: the delay-model knobs are not read, and a set
+    /// `RETIME_DELAY_MODE` gets one warning saying so instead of any
+    /// warning about its value. Call it once, first thing in `main`.
     pub fn from_env() -> RunConfig {
+        warn(RunConfig::parse_without_model(env_vars()))
+    }
+
+    /// [`RunConfig::from_env`] for `table4`, which reads the delay model
+    /// too ([`RunConfig::parse`]).
+    pub fn from_env_with_model() -> RunConfig {
         warn(RunConfig::parse(env_vars()))
     }
 
-    /// [`RunConfig::from_env`] for a table binary that runs only the
-    /// path-based model (every table but `table4`): the delay-model knobs
-    /// are not read, and a set `RETIME_DELAY_MODE` gets one warning
-    /// saying so instead of any warning about its value.
-    pub fn from_env_path_based() -> RunConfig {
-        warn(RunConfig::parse_path_based(env_vars()))
-    }
-
-    /// The pure half of [`RunConfig::from_env_path_based`].
-    fn parse_path_based(
+    /// The pure half of [`RunConfig::from_env`].
+    fn parse_without_model(
         vars: impl IntoIterator<Item = (String, OsString)>,
     ) -> (RunConfig, Vec<String>) {
         let mut set = false;
@@ -128,38 +128,35 @@ impl RunConfig {
             "tiny" => Some(SuiteMode::Tiny),
             _ => None,
         });
-        let model = env.knob("RETIME_DELAY_MODE", MODELS, |raw| match raw.trim() {
-            "path" => Some(DelayModel::PathBased),
-            "gate" => Some(DelayModel::GateBased),
-            "statistical" | "stat" => Some(DelayModel::Statistical(StatParams::DEFAULT)),
+        // `Some(None)` selects the path-based model, `None` rejects the value.
+        let mode = env.knob("RETIME_DELAY_MODE", MODELS, |raw| match raw.trim() {
+            "path" => Some(None),
+            "statistical" | "stat" => Some(Some(StatParams::DEFAULT)),
             _ => None,
         });
-        let model = match model {
-            Some(DelayModel::Statistical(d)) => {
-                // Each fraction is checked with the other fields at
-                // their defaults, so one bad knob keeps only its own.
-                let checked = |s, c, y| StatParams::checked(s, c, y, d.seed).is_ok();
-                let num = |raw: &str| raw.trim().parse::<f64>().ok();
-                let (s, c, y) = (d.sigma_frac(), d.clock_sigma_frac(), d.yield_target());
-                let sigma = env.knob("RETIME_SIGMA", IN_UNIT, |raw| {
-                    num(raw).filter(|&v| checked(v, c, y))
-                });
-                let clock = env.knob("RETIME_CLOCK_SIGMA", IN_UNIT, |raw| {
-                    num(raw).filter(|&v| checked(s, v, y))
-                });
-                let yield_target = env.knob("RETIME_YIELD", INSIDE_UNIT, |raw| {
-                    num(raw).filter(|&v| checked(s, c, v))
-                });
-                let seed = env.knob("RETIME_STAT_SEED", SEEDS, parse_seed);
-                DelayModel::Statistical(StatParams::new(
-                    sigma.unwrap_or(s),
-                    clock.unwrap_or(c),
-                    yield_target.unwrap_or(y),
-                    seed.unwrap_or(d.seed),
-                ))
-            }
-            other => other.unwrap_or_default(),
-        };
+        let stat = mode.flatten().map(|d| {
+            // Each fraction is checked with the other fields at their
+            // defaults, so one bad knob keeps only its own.
+            let checked = |s, c, y| StatParams::checked(s, c, y, d.seed).is_ok();
+            let num = |raw: &str| raw.trim().parse::<f64>().ok();
+            let (s, c, y) = (d.sigma_frac(), d.clock_sigma_frac(), d.yield_target());
+            let sigma = env.knob("RETIME_SIGMA", IN_UNIT, |raw| {
+                num(raw).filter(|&v| checked(v, c, y))
+            });
+            let clock = env.knob("RETIME_CLOCK_SIGMA", IN_UNIT, |raw| {
+                num(raw).filter(|&v| checked(s, v, y))
+            });
+            let yield_target = env.knob("RETIME_YIELD", INSIDE_UNIT, |raw| {
+                num(raw).filter(|&v| checked(s, c, v))
+            });
+            let seed = env.knob("RETIME_STAT_SEED", SEEDS, parse_seed);
+            StatParams::new(
+                sigma.unwrap_or(s),
+                clock.unwrap_or(c),
+                yield_target.unwrap_or(y),
+                seed.unwrap_or(d.seed),
+            )
+        });
         let verify = env.knob("RETIME_VERIFY", VERIFY_FLAG, flag);
         let trace = env.knob("RETIME_TRACE", TRACE_FLAG, flag);
         let out = env
@@ -169,7 +166,7 @@ impl RunConfig {
         let cache_fault = env.vars.get("RETIME_SERVE_CACHE_FAULT");
         let config = RunConfig {
             suite: suite.unwrap_or_default(),
-            model,
+            stat,
             verify: verify.unwrap_or(false),
             trace: TraceConfig {
                 enabled: trace.unwrap_or(false) || out.is_some(),
@@ -214,9 +211,9 @@ const MODEL_KNOBS: [&str; 5] = [
     "RETIME_STAT_SEED",
 ];
 
-/// The warning of a path-based-only table run with `RETIME_DELAY_MODE`.
-const MODEL_IGNORED: &str = "warning: RETIME_DELAY_MODE is read by table4 only; this table runs \
-                             the path-based model — ignored";
+/// The warning of a binary that does not read the delay model, run
+/// with `RETIME_DELAY_MODE`.
+const MODEL_IGNORED: &str = "warning: RETIME_DELAY_MODE is read by table4 only — ignored";
 
 /// The `RETIME_*` variables being parsed, and the warnings so far.
 struct Env {
@@ -248,8 +245,7 @@ impl Env {
 /// line says them.
 const SUITES: &str =
     "accepted values are \"full\", \"small\", or \"tiny\" — running the full suite";
-const MODELS: &str = "accepted values are \"path\", \"gate\", or \"statistical\" — using \
-                      the path-based model";
+const MODELS: &str = "accepted values are \"path\" or \"statistical\" — using the path-based model";
 const IN_UNIT: &str = "accepted values are numbers in [0, 1) — using the default";
 const INSIDE_UNIT: &str =
     "accepted values are numbers strictly between 0 and 1 — using the default";
@@ -280,21 +276,20 @@ fn parse_seed(raw: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn stat(sigma: f64, clock_sigma: f64, yield_target: f64, seed: u64) -> DelayModel {
-        DelayModel::Statistical(StatParams::new(sigma, clock_sigma, yield_target, seed))
+    fn stat(sigma: f64, clock_sigma: f64, yield_target: f64, seed: u64) -> StatParams {
+        StatParams::new(sigma, clock_sigma, yield_target, seed)
     }
 
     #[test]
     fn every_knob_parses_its_values_and_warns_on_the_rest() {
         let d = StatParams::DEFAULT;
-        let default_stat = DelayModel::Statistical(d);
         let cfg = |edit: &dyn Fn(&mut RunConfig)| {
             let mut c = RunConfig::default();
             edit(&mut c);
             c
         };
         let suite = |s: SuiteMode| cfg(&move |c| c.suite = s);
-        let model = |m: DelayModel| cfg(&move |c| c.model = m);
+        let model = |p: StatParams| cfg(&move |c| c.stat = Some(p));
         let verify = |v: bool| cfg(&move |c| c.verify = v);
         let trace = |on: bool, out: Option<&str>| {
             let out = out.map(PathBuf::from);
@@ -354,29 +349,30 @@ mod tests {
                         .into(),
                 ],
             ),
-            // RETIME_DELAY_MODE: trimmed.
+            // RETIME_DELAY_MODE: trimmed. `gate` is no value of it: the
+            // gate-based model runs in no table.
             (vec![("RETIME_DELAY_MODE", "path")], off.clone(), vec![]),
             (
                 vec![("RETIME_DELAY_MODE", "gate")],
-                model(DelayModel::GateBased),
-                vec![],
+                off.clone(),
+                vec![
+                    "warning: unrecognized RETIME_DELAY_MODE value \"gate\"; accepted values \
+                      are \"path\" or \"statistical\" — using the path-based model"
+                        .into(),
+                ],
             ),
             (
                 vec![("RETIME_DELAY_MODE", " statistical\n")],
-                model(default_stat),
+                model(d),
                 vec![],
             ),
-            (
-                vec![("RETIME_DELAY_MODE", "stat")],
-                model(default_stat),
-                vec![],
-            ),
+            (vec![("RETIME_DELAY_MODE", "stat")], model(d), vec![]),
             (
                 vec![("RETIME_DELAY_MODE", "fast")],
                 off.clone(),
                 vec![
                     "warning: unrecognized RETIME_DELAY_MODE value \"fast\"; accepted values \
-                      are \"path\", \"gate\", or \"statistical\" — using the path-based model"
+                      are \"path\" or \"statistical\" — using the path-based model"
                         .into(),
                 ],
             ),
@@ -402,7 +398,7 @@ mod tests {
                     ("RETIME_DELAY_MODE", "stat"),
                     ("RETIME_STAT_SEED", "0x57A7_5EED"),
                 ],
-                model(default_stat),
+                model(d),
                 vec![],
             ),
             (
@@ -423,7 +419,7 @@ mod tests {
                     ("RETIME_CLOCK_SIGMA", "NaN"),
                     ("RETIME_STAT_SEED", "-3"),
                 ],
-                model(default_stat),
+                model(d),
                 vec![
                     frac_warning("RETIME_SIGMA", "1", in_unit),
                     frac_warning("RETIME_CLOCK_SIGMA", "NaN", in_unit),
@@ -435,7 +431,7 @@ mod tests {
             ),
             (
                 vec![("RETIME_DELAY_MODE", "stat"), ("RETIME_YIELD", "0")],
-                model(default_stat),
+                model(d),
                 vec![frac_warning("RETIME_YIELD", "0", inside_unit)],
             ),
             // RETIME_VERIFY and RETIME_TRACE: trimmed, case-insensitive.
@@ -509,13 +505,14 @@ mod tests {
         assert!(warnings.is_empty(), "{warnings:?}");
     }
 
-    /// A path-based-only table reads every knob but the delay model's,
-    /// and a set `RETIME_DELAY_MODE` gets exactly one warning, whatever
-    /// its value and the statistical knobs beside it.
+    /// A binary that does not read the delay model (the path-based
+    /// tables, `retime-serve`, `retime-convert`) reads every knob but the
+    /// model's, and a set `RETIME_DELAY_MODE` gets exactly one warning,
+    /// whatever its value and the statistical knobs beside it.
     #[test]
     fn path_based_tables_warn_once_that_the_model_is_ignored() {
         let parse = |vars: &[(&str, &str)]| {
-            RunConfig::parse_path_based(vars.iter().map(|&(k, v)| (k.into(), v.into())))
+            RunConfig::parse_without_model(vars.iter().map(|&(k, v)| (k.into(), v.into())))
         };
         let tiny = RunConfig {
             suite: SuiteMode::Tiny,

@@ -48,7 +48,7 @@ use retime_retime::{
     base_retime, base_retime_with_basis, flop_design_area, AreaModel, BasisSlot, FlowBasis,
     RetimeError, RetimeOutcome,
 };
-use retime_sta::{DelayModel, TwoPhaseClock};
+use retime_sta::{is_error_detecting, DelayModel, TwoPhaseClock};
 use retime_verify::{
     verify_certificate, verify_retiming_solution, FlowKind, VerifyOptions, VerifySetup,
 };
@@ -549,14 +549,12 @@ pub fn table4_stat_row(
         .stat
         .as_ref()
         .expect("statistical mode attaches a summary");
-    let (cloud, delays) = (&case.circuit.cloud, &outcome.final_delays);
-    let margin = retime_stat::StatMargin::new(delays, &case.clock);
-    let canons = retime_stat::cut_sink_canons(cloud, delays, &case.clock, &outcome.cut);
-    let worst_uncovered = (0..canons.len())
-        .filter(|&i| !margin.needs_edl(&canons[i]))
+    let margin = retime_stat::StatMargin::new(&outcome.final_delays, &case.clock);
+    let worst_uncovered = (0..stat.arrivals.len())
+        .filter(|&i| !is_error_detecting(margin.margined(&stat.arrivals[i]), &case.clock))
         .min_by(|&i, &j| stat.yields[i].total_cmp(&stat.yields[j]));
     let (cov_yield, cov_sens) = worst_uncovered.map_or((1.0, 0.0), |i| {
-        (stat.yields[i], margin.jitter_sensitivity(&canons[i]))
+        (stat.yields[i], margin.jitter_sensitivity(&stat.arrivals[i]))
     });
     vec![
         case.circuit.spec.name.to_string(),

@@ -59,7 +59,8 @@ use retime_liberty::{DelayArc, Sense};
 use retime_netlist::{CombCloud, ConeWalk, NodeId};
 use retime_retime::{FlowTiming, OpenBasis};
 use retime_sta::{
-    backward_through_gate, relaunch, Arrival, BackwardPass, SinkClass, TimingAnalysis, EPS,
+    backward_through_gate, is_error_detecting, relaunch, Arrival, BackwardPass, SinkClass,
+    TimingAnalysis, EPS,
 };
 
 /// Computes `g(t)` for the sink of `bp`:
@@ -83,7 +84,7 @@ use retime_sta::{
 /// the source placements meet `Π`) — callers should have classified the
 /// sink first ([`classify_and_cut_set`]).
 pub fn cut_set<A: Arrival>(sta: &TimingAnalysis<'_, A>, bp: &BackwardPass<A>) -> Vec<NodeId> {
-    let pi = sta.clock().period();
+    let clock = sta.clock();
     let cloud = sta.cloud();
     let mut out = Vec::new();
     // The cone lists the sink first; g(t) never contains it.
@@ -93,17 +94,17 @@ pub fn cut_set<A: Arrival>(sta: &TimingAnalysis<'_, A>, bp: &BackwardPass<A>) ->
         let ok_beyond = node
             .fanout
             .iter()
-            .any(|&n| matches!(sta.a_value(v, n, bp), Some(a) if a <= pi + EPS));
+            .any(|&n| matches!(sta.a_value(v, n, bp), Some(a) if !is_error_detecting(a, clock)));
         if !ok_beyond {
             continue;
         }
         // ∃ fanin-side placement that violates Π.
         let bad_before = if node.is_source() {
-            matches!(sta.a_host(v, bp), Some(a) if a > pi + EPS)
+            matches!(sta.a_host(v, bp), Some(a) if is_error_detecting(a, clock))
         } else {
             node.fanin
                 .iter()
-                .any(|&k| matches!(sta.a_value(k, v, bp), Some(a) if a > pi + EPS))
+                .any(|&k| matches!(sta.a_value(k, v, bp), Some(a) if is_error_detecting(a, clock)))
         };
         if bad_before {
             out.push(v);
@@ -130,7 +131,7 @@ fn canonical_cut_meets<A: Arrival>(
     let cloud = sta.cloud();
     moved.walk(cloud, g.iter().copied());
     moved.is_valid_moved_set(cloud)
-        && sta.sink_arrival_with_moved(cone, moved, arr) <= sta.clock().period() + EPS
+        && !is_error_detecting(sta.sink_arrival_with_moved(cone, moved, arr), sta.clock())
 }
 
 /// Authoritative endpoint classification for G-RAR, with the full
@@ -168,8 +169,7 @@ fn classify_with<A: Arrival>(
     bp: &BackwardPass<A>,
     scratch: &mut CutScratch<A>,
 ) -> (SinkClass, Vec<NodeId>) {
-    let pi = sta.clock().period();
-    if sta.worst_initial(bp) <= pi + EPS {
+    if !is_error_detecting(sta.worst_initial(bp), sta.clock()) {
         return (SinkClass::NeverErrorDetecting, Vec::new());
     }
     let g = cut_set(sta, bp);

@@ -2,7 +2,6 @@
 
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut, NodeId, NodeKind};
-use retime_sta::CutTiming;
 
 use crate::error::RetimeError;
 
@@ -116,20 +115,6 @@ impl<'l> AreaModel<'l> {
         }
         Ok(area)
     }
-
-    /// Masks the EDL decision from [`CutTiming`] down to master-backed
-    /// sinks (POs never pay EDL overhead).
-    pub fn ed_flags(&self, cloud: &CombCloud, timing: &CutTiming) -> Vec<bool> {
-        cloud
-            .sinks()
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) })
-                    && timing.error_detecting[i]
-            })
-            .collect()
-    }
 }
 
 fn lib_name(g: retime_netlist::Gate) -> &'static str {
@@ -193,24 +178,9 @@ mod tests {
         let b = model.sequential(&cloud, &cut, &ed);
         assert_eq!(b.slaves, 2); // sources: a, q.q
         assert_eq!(b.masters, 1); // q only; the PO is unbacked
-        assert_eq!(b.edl, 1); // PO EDL is filtered by the caller via ed_flags
+        assert_eq!(b.edl, 1); // only the master-backed sink counts
         let la = lib.latch().area;
         assert!((b.total() - (2.0 * la + la + 2.0 * la)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ed_flags_mask_pos() {
-        let (cloud, lib) = setup();
-        let model = AreaModel::new(&lib, EdlOverhead::LOW);
-        let timing = retime_sta::CutTiming {
-            sink_arrivals: vec![9.9; cloud.sinks().len()],
-            error_detecting: vec![true; cloud.sinks().len()],
-            setup_violations: vec![],
-            capture_violations: vec![],
-        };
-        let flags = model.ed_flags(&cloud, &timing);
-        // Exactly one master-backed sink can be flagged.
-        assert_eq!(flags.iter().filter(|&&f| f).count(), 1);
     }
 
     #[test]

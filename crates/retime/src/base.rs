@@ -8,10 +8,10 @@ use std::convert::Infallible;
 use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut};
-use retime_sta::{CutTiming, DelayModel, NodeDelays, TwoPhaseClock};
+use retime_sta::{error_detecting_masters, CutTiming, DelayModel, NodeDelays, TwoPhaseClock};
 
 use crate::area::{AreaModel, SeqBreakdown};
-use crate::basis::BasisSlot;
+use crate::basis::{BasisSlot, FlowTiming};
 use crate::error::RetimeError;
 use crate::legalize::{legalize, LegalizeReport};
 use crate::problem::RetimingProblem;
@@ -51,9 +51,10 @@ pub struct RetimeOutcome {
 impl RetimeOutcome {
     /// Assembles the outcome from a final cut: validates it, legalizes
     /// it on `delays` (which leaves its timing under the final delays),
-    /// assigns error-detecting masters by arrival, and totals the area.
-    /// Shared by the base, VL, and G-RAR flows. It times the cut with
-    /// forward passes over the delay tables alone
+    /// assigns error-detecting masters by margined arrival
+    /// ([`FlowTiming::final_arrivals`], [`error_detecting_masters`]), and
+    /// totals the area. Shared by the base, VL, and G-RAR flows. It times
+    /// the cut with forward passes over the delay tables alone
     /// ([`retime_sta::cut_timing`]), so it needs no analysis, and the
     /// upsized tables become the outcome's `final_delays`.
     ///
@@ -67,17 +68,11 @@ impl RetimeOutcome {
         cut: Cut,
     ) -> Result<RetimeOutcome, RetimeError> {
         let (report, timing) = legalize(cloud, &clock, &mut delays, &cut, model)?;
-        // Statistical mode replaces the arrival-window EDL rule with the
-        // yield-aware margined rule over the (legalized) canonical forms;
-        // the nominal `timing` stays as-is for reporting and replay.
-        let (ed_sinks, stat) = match delays.model() {
-            DelayModel::Statistical(_) => {
-                let (ed, summary) =
-                    crate::statistical::stat_cut_summary(cloud, &delays, clock, &cut);
-                (ed, Some(summary))
-            }
-            _ => (model.ed_flags(cloud, &timing), None),
-        };
+        // Under the statistical model the margined arrivals come from the
+        // (legalized) canonical forms; the nominal `timing` stays as-is
+        // for reporting and replay.
+        let (arrivals, stat) = FlowTiming::final_arrivals(cloud, &delays, &clock, &cut, &timing);
+        let ed_sinks = error_detecting_masters(cloud, &clock, &arrivals);
         let seq = model.sequential(cloud, &cut, &ed_sinks);
         let comb_area = model.combinational(cloud)? + report.area_penalty;
         let total_area = comb_area + seq.total();

@@ -16,9 +16,12 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 use retime_liberty::Library;
-use retime_netlist::{CombCloud, NodeId};
-use retime_sta::{DelayModel, NodeDelays, SinkClass, StaError, TimingAnalysis, TwoPhaseClock};
-use retime_stat::Canon;
+use retime_netlist::{CombCloud, Cut, NodeId};
+use retime_sta::{
+    arrivals_with_cut, CutTiming, DelayModel, NodeDelays, SinkClass, StaError, TimingAnalysis,
+    TwoPhaseClock,
+};
+use retime_stat::{Canon, StatMargin, StatSummary};
 
 use crate::error::RetimeError;
 use crate::problem::ParametricProblem;
@@ -44,7 +47,9 @@ pub struct TargetedInstance {
 /// model: per-transition [`retime_liberty::DelayArc`]s under the path-
 /// and gate-based models, canonical forms under the statistical one.
 /// Only the statistical analysis runs canonical passes, and it runs no
-/// per-transition one.
+/// per-transition one. It is the one place that picks the arithmetic of
+/// a cut replay, whose margined sink arrivals every EDL decision reads
+/// ([`retime_sta::is_error_detecting`]).
 #[derive(Debug, Clone)]
 pub enum FlowTiming<'a> {
     /// The path- or gate-based analysis.
@@ -118,6 +123,61 @@ impl<'a> FlowTiming<'a> {
             FlowTiming::Statistical(sta) => Regions::compute(sta),
         }
     }
+
+    /// The margined arrival at each sink of `cut`, aligned with
+    /// `cloud.sinks()`: the worst transition of
+    /// [`TimingAnalysis::cut_timing`], or `m + z·σ_tot` of one canonical
+    /// with-cut sweep. It builds no statistical summary.
+    pub fn cut_arrivals(&self, cut: &Cut) -> Vec<f64> {
+        match self {
+            FlowTiming::Nominal(sta) => sta.cut_timing(cut).sink_arrivals,
+            FlowTiming::Statistical(sta) => {
+                canonical_sink_arrivals(sta.cloud(), sta.delays(), sta.clock(), cut)
+                    .iter()
+                    .map(|c| sta.margined(c))
+                    .collect()
+            }
+        }
+    }
+
+    /// [`FlowTiming::cut_arrivals`] of a flow's final `cut` over its
+    /// final (legalized) delay tables, with their statistical summary.
+    /// `timing` is the cut's per-transition timing over those tables,
+    /// whose sink arrivals the path- and gate-based models read as is;
+    /// under the statistical model one canonical sweep feeds the
+    /// arrivals and [`StatMargin::summarize`].
+    pub fn final_arrivals(
+        cloud: &CombCloud,
+        delays: &NodeDelays,
+        clock: &TwoPhaseClock,
+        cut: &Cut,
+        timing: &CutTiming,
+    ) -> (Vec<f64>, Option<StatSummary>) {
+        match delays.model() {
+            DelayModel::Statistical(_) => {
+                let margin = StatMargin::new(delays, clock);
+                let canons = canonical_sink_arrivals(cloud, delays, clock, cut);
+                let margined = canons.iter().map(|c| margin.margined(c)).collect();
+                (margined, Some(margin.summarize(canons)))
+            }
+            DelayModel::GateBased | DelayModel::PathBased => (timing.sink_arrivals.clone(), None),
+        }
+    }
+}
+
+/// The canonical arrival at each sink of `cut`: one with-cut sweep,
+/// under a `stat_cut_arrivals` span.
+fn canonical_sink_arrivals(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    cut: &Cut,
+) -> Vec<Canon> {
+    let arr: Vec<Canon> = {
+        let _span = retime_trace::span("stat_cut_arrivals");
+        arrivals_with_cut(cloud, delays, clock, cut)
+    };
+    cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
 }
 
 /// The pristine timing analysis of one circuit under one clock and delay
@@ -313,7 +373,8 @@ impl<'a> DerefMut for OpenBasis<'_, 'a> {
 mod tests {
     use super::*;
     use retime_liberty::Library;
-    use retime_netlist::bench;
+    use retime_netlist::{bench, NodeKind};
+    use retime_sta::{cut_timing, error_detecting_masters, StatParams};
 
     fn cloud() -> CombCloud {
         let n = bench::parse(
@@ -383,5 +444,67 @@ mod tests {
             .unwrap()
             .into_delays();
         assert_eq!(&fresh, pristine);
+    }
+
+    /// A registered loop and a primary output fed by the register.
+    fn loop_cloud() -> CombCloud {
+        let n = bench::parse(
+            "s",
+            "INPUT(a)\nOUTPUT(z)\nq = DFF(g2)\ng1 = AND(a, q)\ng2 = NOT(g1)\nz = BUFF(q)\n",
+        )
+        .unwrap();
+        CombCloud::extract(&n).unwrap()
+    }
+
+    #[test]
+    fn sigma_zero_flags_match_deterministic() {
+        let cloud = loop_cloud();
+        let lib = Library::fdsoi28();
+        let clock = TwoPhaseClock::from_max_delay(0.4);
+        let zero = DelayModel::Statistical(StatParams::new(0.0, 0.0, 0.9987, 1));
+        let cut = Cut::initial(&cloud);
+        let stat = FlowTiming::new(&cloud, &lib, clock, zero).unwrap();
+        let det = FlowTiming::new(&cloud, &lib, clock, DelayModel::GateBased).unwrap();
+        let (margined, nominal) = (stat.cut_arrivals(&cut), det.cut_arrivals(&cut));
+        assert_eq!(
+            margined.iter().map(|a| a.to_bits()).collect::<Vec<_>>(),
+            nominal.iter().map(|a| a.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            error_detecting_masters(&cloud, &clock, &margined),
+            error_detecting_masters(&cloud, &clock, &nominal)
+        );
+        // The final-cut replay agrees, with step-function yields in the
+        // degenerate regime.
+        let timing = cut_timing(&cloud, stat.delays(), &clock, &cut);
+        let (replayed, summary) =
+            FlowTiming::final_arrivals(&cloud, stat.delays(), &clock, &cut, &timing);
+        assert_eq!(replayed, margined);
+        for y in &summary.expect("statistical tables").yields {
+            assert!(*y == 0.0 || *y == 1.0);
+        }
+        let (_, none) = FlowTiming::final_arrivals(&cloud, det.delays(), &clock, &cut, &timing);
+        assert!(none.is_none());
+    }
+
+    #[test]
+    fn pos_never_flagged() {
+        let cloud = loop_cloud();
+        let lib = Library::fdsoi28();
+        // A clock so tight everything misses yield.
+        let clock = TwoPhaseClock::from_max_delay(0.01);
+        let model = DelayModel::Statistical(StatParams::DEFAULT);
+        let sta = FlowTiming::new(&cloud, &lib, clock, model).unwrap();
+        let cut = Cut::initial(&cloud);
+        let arrivals = sta.cut_arrivals(&cut);
+        let ed = error_detecting_masters(&cloud, &clock, &arrivals);
+        for (i, &t) in cloud.sinks().iter().enumerate() {
+            let master = matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) });
+            assert!(retime_sta::is_error_detecting(arrivals[i], &clock));
+            assert_eq!(ed[i], master, "primary outputs never pay EDL");
+        }
+        let timing = cut_timing(&cloud, sta.delays(), &clock, &cut);
+        let (_, summary) = FlowTiming::final_arrivals(&cloud, sta.delays(), &clock, &cut, &timing);
+        assert!(summary.expect("statistical tables").min_yield < 0.5);
     }
 }

@@ -60,7 +60,6 @@ pub mod error;
 pub mod legalize;
 pub mod problem;
 pub mod regions;
-pub mod statistical;
 
 pub use area::{flop_design_area, master_backed_sinks, AreaModel, SeqBreakdown};
 pub use base::{base_retime, base_retime_with_basis, RetimeOutcome};
@@ -74,4 +73,3 @@ pub use problem::{
 pub use regions::{Region, Regions};
 pub use retime_engine::{PhaseTimings, Stage};
 pub use retime_stat::StatSummary;
-pub use statistical::stat_cut_summary;

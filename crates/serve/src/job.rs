@@ -761,7 +761,10 @@ mod tests {
                     ("RETIME_DELAY_MODE".into(), "statistical".into()),
                     (knob.into(), format!("{x:?}").into()),
                 ]);
-                let env = warnings.is_empty().then_some(cfg.model);
+                let env = warnings
+                    .is_empty()
+                    .then_some(cfg.stat.map(DelayModel::Statistical))
+                    .flatten();
                 let accepted = x == 0.5 || (x == 0.0 && field != "yield");
                 assert_eq!(ndjson.is_some(), accepted, "NDJSON {field} = {x:?}");
                 assert_eq!(env, ndjson, "{knob} = {x:?} vs NDJSON {field}");

@@ -2,7 +2,7 @@
 //! arrival model, sink classification, and cut timing.
 
 use retime_liberty::{DelayArc, Library};
-use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId};
+use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
 
 use crate::backward::{db_to_any_sink, BackwardPass};
 use crate::clock::TwoPhaseClock;
@@ -26,11 +26,9 @@ pub enum SinkClass {
 /// Timing of a concrete slave-latch placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CutTiming {
-    /// Worst arrival at each sink (indexed like `cloud.sinks()`).
+    /// Worst arrival at each sink (indexed like `cloud.sinks()`): the
+    /// margined arrivals [`error_detecting_masters`] reads.
     pub sink_arrivals: Vec<f64>,
-    /// Whether each sink's master must be error-detecting
-    /// (arrival > `Π`).
-    pub error_detecting: Vec<bool>,
     /// Latch positions violating the forward time-borrowing constraint
     /// (6): data reaches the slave after it closes.
     pub setup_violations: Vec<NodeId>,
@@ -52,6 +50,34 @@ impl CutTiming {
 /// yield step and the verifier's Monte Carlo replay all compare with it,
 /// so their decisions agree bit for bit where their values do.
 pub const EPS: f64 = 1e-9;
+
+/// The EDL rule: a master capturing `margined_arrival`
+/// ([`Arrival::margined`]: the worst transition, or `m + z·σ_tot`, as
+/// `yield(Π) < target ⟺ m + z·σ_tot > Π`) must be error-detecting when
+/// data reaches it past `Π`. Every error-detecting decision reads it.
+#[inline]
+pub fn is_error_detecting(margined_arrival: f64, clock: &TwoPhaseClock) -> bool {
+    margined_arrival > clock.period() + EPS
+}
+
+/// [`is_error_detecting`] per sink (arrivals aligned with
+/// `cloud.sinks()`), masked to master-backed sinks: a primary output
+/// never pays EDL overhead.
+pub fn error_detecting_masters(
+    cloud: &CombCloud,
+    clock: &TwoPhaseClock,
+    margined_arrivals: &[f64],
+) -> Vec<bool> {
+    cloud
+        .sinks()
+        .iter()
+        .zip(margined_arrivals)
+        .map(|(&t, &a)| {
+            matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) })
+                && is_error_detecting(a, clock)
+        })
+        .collect()
+}
 
 /// Static timing analysis of a [`CombCloud`] under a [`TwoPhaseClock`],
 /// in the arithmetic of an [`Arrival`]: per-transition [`DelayArc`]s by
@@ -105,8 +131,8 @@ impl<'a> TimingAnalysis<'a> {
         Self::run(cloud, delays, clock)
     }
 
-    /// Full timing of a concrete cut: per-sink arrivals, EDL requirements,
-    /// and violations of constraints (6)/(7).
+    /// Full timing of a concrete cut: per-sink arrivals and violations of
+    /// constraints (6)/(7).
     pub fn cut_timing(&self, cut: &Cut) -> CutTiming {
         let _span = retime_trace::span("cut_timing");
         let arr = arrivals_with_cut(self.cloud, &self.delays, &self.clock, cut);
@@ -313,14 +339,12 @@ fn timing_of(
     arr: &[DelayArc],
     df: impl Fn(NodeId) -> f64,
 ) -> CutTiming {
-    let pi = clock.period();
     let pmax = clock.max_path_delay();
     let sink_arrivals: Vec<f64> = cloud
         .sinks()
         .iter()
         .map(|&t| arr[t.index()].max())
         .collect();
-    let error_detecting: Vec<bool> = sink_arrivals.iter().map(|&a| a > pi + EPS).collect();
     let capture_violations: Vec<NodeId> = cloud
         .sinks()
         .iter()
@@ -340,7 +364,6 @@ fn timing_of(
         .collect();
     CutTiming {
         sink_arrivals,
-        error_detecting,
         setup_violations,
         capture_violations,
     }
@@ -453,7 +476,6 @@ z = NAND(g4, a)
         let cut = Cut::initial(&cloud);
         let ct = sta.cut_timing(&cut);
         assert_eq!(ct.sink_arrivals.len(), cloud.sinks().len());
-        assert_eq!(ct.error_detecting.len(), cloud.sinks().len());
         // Initial latches at sources always meet constraint (6): the data
         // arrives at launch time.
         assert!(ct.setup_violations.is_empty());

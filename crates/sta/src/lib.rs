@@ -58,7 +58,10 @@ pub mod clock;
 pub mod forward;
 pub mod model;
 
-pub use analysis::{critical_delay, cut_timing, CutTiming, SinkClass, TimingAnalysis, EPS};
+pub use analysis::{
+    critical_delay, cut_timing, error_detecting_masters, is_error_detecting, CutTiming, SinkClass,
+    TimingAnalysis, EPS,
+};
 pub use backward::{backward_through_gate, db_to_any_sink, BackwardPass};
 pub use clock::TwoPhaseClock;
 pub use forward::{arrivals_with_cut, arrivals_with_moved, pure_arrivals, relaunch, Arrival};

@@ -10,12 +10,12 @@
 //! `retime_sta::TimingAnalysis<Canon>` margins its Eq. (5) values with
 //! it. The two formulations coincide:
 //! `yield(Π) < target  ⟺  m + z·σ_tot > Π`, so the yield-aware EDL rule
-//! is exactly the deterministic rule applied to margined arrivals — and
-//! at sigma = 0 the margin vanishes bitwise, which is what the sigma→0
-//! differential tests pin across all three flows.
+//! is exactly the deterministic rule ([`retime_sta::is_error_detecting`])
+//! applied to margined arrivals — and at sigma = 0 the margin vanishes
+//! bitwise, which is what the sigma→0 differential tests pin across all
+//! three flows.
 
-use retime_netlist::{CombCloud, Cut};
-use retime_sta::{arrivals_with_cut, DelayModel, NodeDelays, StatParams, TwoPhaseClock, EPS};
+use retime_sta::{DelayModel, NodeDelays, StatParams, TwoPhaseClock, EPS};
 
 use crate::canon::Canon;
 use crate::normal::{cdf, quantile};
@@ -25,12 +25,17 @@ use crate::normal::{cdf, quantile};
 const JITTER_STEP_FRAC: f64 = 1e-4;
 
 /// Statistical outcome summary attached to a retiming result in
-/// statistical delay mode: per-sink timing yields at the clock period,
-/// and the sensitivity of the worst yield to clock jitter.
+/// statistical delay mode: the canonical sink arrivals, their timing
+/// yields at the clock period, and the sensitivity of the worst yield to
+/// clock jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatSummary {
     /// The parameters the yields were computed under.
     pub params: StatParams,
+    /// The canonical arrival at each sink, aligned with `cloud.sinks()`:
+    /// what the yields, and the EDL flags through
+    /// [`StatMargin::margined`], were computed from.
+    pub arrivals: Vec<Canon>,
     /// Per-sink timing yield at the clock period `Π`, aligned with
     /// `cloud.sinks()`.
     pub yields: Vec<f64>,
@@ -106,13 +111,6 @@ impl StatMargin {
         cdf((self.period - c.m) / var.sqrt())
     }
 
-    /// Whether a sink with canonical arrival `c` needs an error-detecting
-    /// master: the margined arrival misses the period, equivalently the
-    /// timing yield misses the target.
-    pub fn needs_edl(&self, c: &Canon) -> bool {
-        self.margined(c) > self.period + EPS
-    }
-
     /// `d yield / d σ_clock` for a canonical sink arrival, by forward
     /// finite difference on the clock sigma.
     pub fn jitter_sensitivity(&self, c: &Canon) -> f64 {
@@ -121,19 +119,19 @@ impl StatMargin {
         (up - self.yield_of(c)) / h
     }
 
-    /// The statistical summary of a cut from its sink arrivals
-    /// ([`cut_sink_canons`]): per-sink yields, the worst yield, and the
-    /// jitter sensitivity of the worst-yield sink.
-    pub fn summarize(&self, canons: &[Canon]) -> StatSummary {
-        let yields: Vec<f64> = canons.iter().map(|c| self.yield_of(c)).collect();
+    /// The statistical summary of a cut from its canonical sink
+    /// arrivals: per-sink yields, the worst yield, and the jitter
+    /// sensitivity of the worst-yield sink.
+    pub fn summarize(&self, arrivals: Vec<Canon>) -> StatSummary {
+        let yields: Vec<f64> = arrivals.iter().map(|c| self.yield_of(c)).collect();
         let (min_yield, jitter_sens) = yields
             .iter()
-            .zip(canons)
-            .map(|(&y, c)| (y, c))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .map_or((1.0, 0.0), |(y, c)| (y, self.jitter_sensitivity(c)));
+            .zip(&arrivals)
+            .min_by(|a, b| a.0.total_cmp(b.0))
+            .map_or((1.0, 0.0), |(&y, c)| (y, self.jitter_sensitivity(c)));
         StatSummary {
             params: self.params,
+            arrivals,
             yields,
             min_yield,
             jitter_sens,
@@ -141,27 +139,12 @@ impl StatMargin {
     }
 }
 
-/// Canonical with-cut sink arrivals, aligned with `cloud.sinks()`: one
-/// topological sweep, under a `stat_cut_arrivals` span.
-pub fn cut_sink_canons(
-    cloud: &CombCloud,
-    delays: &NodeDelays,
-    clock: &TwoPhaseClock,
-    cut: &Cut,
-) -> Vec<Canon> {
-    let arr: Vec<Canon> = {
-        let _span = retime_trace::span("stat_cut_arrivals");
-        arrivals_with_cut(cloud, delays, clock, cut)
-    };
-    cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use retime_liberty::Library;
-    use retime_netlist::{bench, CombCloud};
-    use retime_sta::TimingAnalysis;
+    use retime_netlist::{bench, CombCloud, Cut};
+    use retime_sta::{arrivals_with_cut, is_error_detecting, TimingAnalysis};
 
     fn cloud() -> CombCloud {
         let n = bench::parse(
@@ -183,6 +166,18 @@ z = NAND(g4, a)
 
     fn delays(cloud: &CombCloud, model: DelayModel) -> NodeDelays {
         NodeDelays::from_library(cloud, &Library::fdsoi28(), model).unwrap()
+    }
+
+    /// The canonical with-cut arrivals at the sinks, aligned with
+    /// `cloud.sinks()`.
+    fn sink_canons(
+        cloud: &CombCloud,
+        delays: &NodeDelays,
+        clock: &TwoPhaseClock,
+        cut: &Cut,
+    ) -> Vec<Canon> {
+        let arr: Vec<Canon> = arrivals_with_cut(cloud, delays, clock, cut);
+        cloud.sinks().iter().map(|&t| arr[t.index()]).collect()
     }
 
     #[test]
@@ -246,7 +241,7 @@ z = NAND(g4, a)
         );
         let cut = Cut::initial(&cloud);
         let summary = |clock: TwoPhaseClock| {
-            StatMargin::new(&nd, &clock).summarize(&cut_sink_canons(&cloud, &nd, &clock, &cut))
+            StatMargin::new(&nd, &clock).summarize(sink_canons(&cloud, &nd, &clock, &cut))
         };
         let tight_summary = summary(TwoPhaseClock::from_max_delay(0.05));
         let relaxed_summary = summary(TwoPhaseClock::from_max_delay(10.0));
@@ -266,7 +261,7 @@ z = NAND(g4, a)
                 &cloud,
                 DelayModel::Statistical(StatParams::new(0.03, clock_sigma, 0.9987, 1)),
             );
-            StatMargin::new(&nd, &clock).summarize(&cut_sink_canons(&cloud, &nd, &clock, &cut))
+            StatMargin::new(&nd, &clock).summarize(sink_canons(&cloud, &nd, &clock, &cut))
         };
         let y_calm = summary(0.0);
         let y_jit = summary(0.05);
@@ -277,15 +272,15 @@ z = NAND(g4, a)
     }
 
     #[test]
-    fn needs_edl_is_margined_rule() {
+    fn edl_rule_on_margined_arrivals_is_the_yield_rule() {
         let cloud = cloud();
         let clock = TwoPhaseClock::from_max_delay(0.5);
         let nd = delays(&cloud, DelayModel::Statistical(StatParams::DEFAULT));
         let margin = StatMargin::new(&nd, &clock);
-        let canons = cut_sink_canons(&cloud, &nd, &clock, &Cut::initial(&cloud));
+        let canons = sink_canons(&cloud, &nd, &clock, &Cut::initial(&cloud));
         let target = StatParams::DEFAULT.yield_target();
         for c in &canons {
-            let by_margin = margin.needs_edl(c);
+            let by_margin = is_error_detecting(margin.margined(c), &clock);
             let by_yield = margin.yield_of(c) < target;
             // The two formulations agree away from the EPS knife edge.
             let margin_slack = (margin.margined(c) - clock.period()).abs();

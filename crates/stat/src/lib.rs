@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! Statistical static timing for two-phase latch-based resilient
 //! circuits: first-order canonical delay forms, canonical propagation
-//! over the latch graph, per-sink timing yield, and the yield-aware
-//! error-detecting-latch rule.
+//! over the latch graph, per-sink timing yield, and the margin the
+//! yield-aware error-detecting-latch rule reads.
 //!
 //! # Model
 //!
@@ -40,8 +40,11 @@
 //! ```
 //! use retime_liberty::Library;
 //! use retime_netlist::{bench, CombCloud, Cut};
-//! use retime_sta::{DelayModel, NodeDelays, StatParams, TimingAnalysis, TwoPhaseClock};
-//! use retime_stat::{cut_sink_canons, Canon, StatMargin};
+//! use retime_sta::{
+//!     arrivals_with_cut, is_error_detecting, DelayModel, NodeDelays, StatParams, TimingAnalysis,
+//!     TwoPhaseClock,
+//! };
+//! use retime_stat::{Canon, StatMargin};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = bench::parse("d", "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")?;
@@ -50,8 +53,12 @@
 //! let delays = NodeDelays::from_library(&cloud, &Library::fdsoi28(), model)?;
 //! let clock = TwoPhaseClock::from_max_delay(0.5);
 //! // Yields of a cut: one canonical sweep, no whole-cloud analysis.
-//! let canons = cut_sink_canons(&cloud, &delays, &clock, &Cut::initial(&cloud));
-//! let summary = StatMargin::new(&delays, &clock).summarize(&canons);
+//! let arr: Vec<Canon> = arrivals_with_cut(&cloud, &delays, &clock, &Cut::initial(&cloud));
+//! let z = cloud.sinks()[0];
+//! let margin = StatMargin::new(&delays, &clock);
+//! // The EDL rule on the margined arrival: past Π, or not.
+//! assert!(!is_error_detecting(margin.margined(&arr[z.index()]), &clock));
+//! let summary = margin.summarize(vec![arr[z.index()]]);
 //! assert!(summary.min_yield > 0.99);
 //! // The margined pure arrival of the sink, from the shared analysis.
 //! let sta = TimingAnalysis::<Canon>::run(&cloud, delays, clock);
@@ -65,5 +72,5 @@ pub mod canon;
 pub mod normal;
 pub mod propagate;
 
-pub use analyze::{cut_sink_canons, StatMargin, StatSummary};
+pub use analyze::{StatMargin, StatSummary};
 pub use canon::Canon;

@@ -34,11 +34,14 @@ use retime_engine::{parallel_map, PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Cut, Netlist, NodeId, NodeKind};
 use retime_retime::{
-    stat_cut_summary, AreaModel, FlowTiming, Regions, RetimeOutcome, RetimingProblem,
-    RetimingSolution, BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
+    AreaModel, FlowTiming, Regions, RetimeOutcome, RetimingProblem, RetimingSolution,
+    BREADTH_SCALE, COMMERCIAL_MOVEMENT_PENALTY,
 };
 use retime_sim::equivalent;
-use retime_sta::{CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
+use retime_sta::{
+    error_detecting_masters, is_error_detecting, CutTiming, DelayModel, SinkClass, TimingAnalysis,
+    TwoPhaseClock,
+};
 
 use crate::error::VerifyError;
 use crate::flowcheck::{check_closure_certificate, retiming_closure};
@@ -255,33 +258,34 @@ pub fn verify_certificate(
                 detail: timing_diff(cloud, &outcome.timing, &fresh),
             });
         }
-        // EDL typing. Deterministic modes re-apply the arrival-based
-        // rule; statistical mode re-runs the shared analytic funnel
-        // over the final delays (exact replay — must reproduce both
-        // the flags and the claimed `StatSummary` bit-for-bit) and
-        // then cross-checks the analytic yields against an
-        // independent plain Monte Carlo that shares no propagation
-        // code with the canonical-form engine.
-        let area_model = AreaModel::new(setup.lib, setup.overhead);
-        let stat_mode = matches!(setup.model, DelayModel::Statistical(_));
-        let flags = if stat_mode {
-            let (flags, summary) =
-                stat_cut_summary(cloud, &outcome.final_delays, setup.clock, &outcome.cut);
-            match &outcome.stat {
-                Some(claimed) if *claimed == summary => {}
-                Some(_) => {
-                    return Err(VerifyError::TimingMismatch {
-                        detail: "statistical summary differs from an exact replay over the \
-                                     final delays"
-                            .into(),
-                    })
-                }
-                None => {
-                    return Err(VerifyError::TimingMismatch {
-                        detail: "statistical flow produced no StatSummary".into(),
-                    })
-                }
+        // EDL typing: the EDL rule on the margined arrivals of an exact
+        // replay over the final delays. Statistically the replay must
+        // also reproduce the claimed `StatSummary` bit for bit, and its
+        // analytic yields are then cross-checked against an independent
+        // plain Monte Carlo that shares no propagation code with the
+        // canonical-form engine.
+        let (arrivals, summary) = FlowTiming::final_arrivals(
+            cloud,
+            &outcome.final_delays,
+            &setup.clock,
+            &outcome.cut,
+            &fresh,
+        );
+        let detail = match (&outcome.stat, &summary) {
+            (Some(claimed), Some(replayed)) if claimed == replayed => None,
+            (None, None) => None,
+            (Some(_), Some(_)) => {
+                Some("statistical summary differs from an exact replay over the final delays")
             }
+            (None, Some(_)) => Some("statistical flow produced no StatSummary"),
+            (Some(_), None) => Some("deterministic flow carries a StatSummary"),
+        };
+        if let Some(detail) = detail {
+            return Err(VerifyError::TimingMismatch {
+                detail: detail.into(),
+            });
+        }
+        if let Some(summary) = &summary {
             if opts.mc_samples > 0 {
                 let mc = crate::mc::mc_yields(
                     cloud,
@@ -306,15 +310,8 @@ pub fn verify_certificate(
                 checks += 1;
             }
             checks += 1;
-            flags
-        } else {
-            if outcome.stat.is_some() {
-                return Err(VerifyError::TimingMismatch {
-                    detail: "deterministic flow carries a StatSummary".into(),
-                });
-            }
-            area_model.ed_flags(cloud, &fresh)
-        };
+        }
+        let flags = error_detecting_masters(cloud, &setup.clock, &arrivals);
         if flags.len() != outcome.ed_sinks.len() {
             return Err(internal(format!(
                 "certificate carries {} EDL flags for {} sinks",
@@ -336,13 +333,13 @@ pub fn verify_certificate(
         // gates up: both can only lower the max-plus sink arrival.
         // The statistical promise is narrower and was checked with
         // the labels (`broken_stat_promise`).
-        if !stat_mode {
+        if summary.is_none() {
             let credited = pseudos
                 .iter()
                 .filter(|&&(p, _)| full[p] == -1)
                 .map(|&(_, i)| i);
             let mut promised = credited.chain(never_ed.iter().copied());
-            if let Some(i) = promised.find(|&i| fresh.error_detecting[i]) {
+            if let Some(i) = promised.find(|&i| is_error_detecting(arrivals[i], &setup.clock)) {
                 return Err(VerifyError::CutSetInconsistent {
                     sink: cloud.node(cloud.sinks()[i]).name.clone(),
                 });
@@ -533,8 +530,9 @@ fn reference_classes(
 /// g(t))` must time outside the window with exactly the fan-in closure
 /// of g(t) moved, and each never-ED sink at the initial placement. Each
 /// placement is replayed as a whole-cloud [`Cut`] through
-/// [`stat_cut_summary`], not the classifier's cone walk. Returns the
-/// first sink that breaks its promise.
+/// [`FlowTiming::cut_arrivals`] and the EDL rule, not the classifier's
+/// cone walk; no summary is built. Returns the first sink that breaks
+/// its promise.
 fn broken_stat_promise(
     sta: &FlowTiming<'_>,
     credited: &[(usize, Vec<NodeId>)],
@@ -543,7 +541,7 @@ fn broken_stat_promise(
 ) -> Option<usize> {
     let _span = retime_trace::span("verify_stat_promises");
     let cloud = sta.cloud();
-    let flags = |cut: &Cut| stat_cut_summary(cloud, sta.delays(), *sta.clock(), cut).0;
+    let flagged = |cut: &Cut, i: usize| is_error_detecting(sta.cut_arrivals(cut)[i], sta.clock());
     let canonical = |(i, g): &(usize, Vec<NodeId>)| {
         let mut moved = vec![false; cloud.len()];
         let mut stack = g.clone();
@@ -554,13 +552,18 @@ fn broken_stat_promise(
         }
         let cut = Cut::from_moved(cloud, moved);
         let legal = cut.validate(cloud).is_ok() && cut.check_paths(cloud);
-        (!legal || flags(&cut)[*i]).then_some(*i)
+        (!legal || flagged(&cut, *i)).then_some(*i)
     };
-    let initial = flags(&Cut::initial(cloud));
-    never_ed.iter().copied().find(|&i| initial[i]).or_else(|| {
-        let broken = parallel_map(threads, credited, canonical);
-        broken.into_iter().flatten().next()
-    })
+    let initial = sta.cut_arrivals(&Cut::initial(cloud));
+    let flagged_initially = |&i: &usize| is_error_detecting(initial[i], sta.clock());
+    never_ed
+        .iter()
+        .copied()
+        .find(flagged_initially)
+        .or_else(|| {
+            let broken = parallel_map(threads, credited, canonical);
+            broken.into_iter().flatten().next()
+        })
 }
 
 fn internal(e: impl ToString) -> VerifyError {
@@ -595,13 +598,6 @@ fn timing_diff(cloud: &CombCloud, stored: &CutTiming, fresh: &CutTiming) -> Stri
                 "arrival at {name}: stored {:?}, recomputed {:?}",
                 stored.sink_arrivals.get(i),
                 fresh.sink_arrivals.get(i)
-            );
-        }
-        if stored.error_detecting.get(i) != fresh.error_detecting.get(i) {
-            return format!(
-                "error-detecting flag at {name}: stored {:?}, recomputed {:?}",
-                stored.error_detecting.get(i),
-                fresh.error_detecting.get(i)
             );
         }
     }

@@ -241,7 +241,10 @@ z = NAND(g4, a)
         let cut = Cut::initial(&cloud);
         let clock = TwoPhaseClock::from_max_delay(0.55);
         let mc = mc_yields(&cloud, &delays, clock, &cut, 8192, 0xABCD);
-        let (_, analytic) = retime_retime::stat_cut_summary(&cloud, &delays, clock, &cut);
+        let timing = retime_sta::cut_timing(&cloud, &delays, &clock, &cut);
+        let (_, analytic) =
+            retime_retime::FlowTiming::final_arrivals(&cloud, &delays, &clock, &cut, &timing);
+        let analytic = analytic.expect("statistical tables");
         for (i, (&m, &a)) in mc.yields.iter().zip(&analytic.yields).enumerate() {
             let tol = mc_tolerance(a, mc.samples);
             assert!(

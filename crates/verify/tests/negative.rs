@@ -11,10 +11,10 @@ use retime_core::{classify_and_cut_set, grar, GrarConfig};
 use retime_flow::{Closure, ClosureCertificate};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{Cut, NodeId, NodeKind};
-use retime_retime::{
-    AreaModel, Regions, RetimeOutcome, RetimingProblem, RetimingSolution, BREADTH_SCALE,
+use retime_retime::{Regions, RetimeOutcome, RetimingProblem, RetimingSolution, BREADTH_SCALE};
+use retime_sta::{
+    error_detecting_masters, is_error_detecting, DelayModel, SinkClass, TimingAnalysis,
 };
-use retime_sta::{DelayModel, SinkClass, TimingAnalysis};
 use retime_verify::{
     check_closure_certificate, retiming_closure, verify_certificate, verify_retiming_solution,
     FlowKind, VerifyError, VerifyOptions, VerifySetup,
@@ -218,11 +218,10 @@ fn credited_target_inside_the_window_is_rejected() {
             }
             let timing = TimingAnalysis::with_delays(cloud, outcome.final_delays.clone(), fx.clock)
                 .cut_timing(&outcome.cut);
-            if !timing.error_detecting[i] || !timing.is_feasible() {
+            if !is_error_detecting(timing.sink_arrivals[i], &fx.clock) || !timing.is_feasible() {
                 return None;
             }
-            outcome.ed_sinks =
-                AreaModel::new(&fx.lib, EdlOverhead::MEDIUM).ed_flags(cloud, &timing);
+            outcome.ed_sinks = error_detecting_masters(cloud, &fx.clock, &timing.sink_arrivals);
             outcome.timing = timing;
             Some(outcome)
         })

@@ -9,10 +9,9 @@ use retime_engine::{PhaseTimings, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, ConeWalk, Cut, NodeId, NodeKind};
 use retime_retime::{
-    AreaModel, BasisSlot, FlowTiming, OpenBasis, Region, Regions, RetimeError, RetimeOutcome,
-    RetimingProblem,
+    AreaModel, BasisSlot, OpenBasis, Region, Regions, RetimeError, RetimeOutcome, RetimingProblem,
 };
-use retime_sta::{DelayModel, SinkClass, TwoPhaseClock, EPS};
+use retime_sta::{error_detecting_masters, DelayModel, SinkClass, TwoPhaseClock};
 
 /// The three initial-typing variants of Section V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,10 +44,6 @@ pub struct VlConfig {
     pub overhead: EdlOverhead,
     /// Delay model.
     pub model: DelayModel,
-    /// Whether to run the post-retiming swap step (Section VI-C). The
-    /// paper reports all results with it on; turning it off reproduces
-    /// the "−0.36 % improvement" failure mode it fixes.
-    pub post_swap: bool,
     /// Worker threads for the classification fan-out: `0` = auto
     /// (`RETIME_THREADS` or the machine's parallelism), `1` = the
     /// sequential reference path.
@@ -56,14 +51,13 @@ pub struct VlConfig {
 }
 
 impl VlConfig {
-    /// Default configuration for a variant: path-based timing, post-swap
-    /// on, automatic thread count.
+    /// Default configuration for a variant: path-based timing, automatic
+    /// thread count.
     pub fn new(variant: VlVariant, overhead: EdlOverhead) -> VlConfig {
         VlConfig {
             variant,
             overhead,
             model: DelayModel::PathBased,
-            post_swap: true,
             threads: 0,
         }
     }
@@ -71,12 +65,6 @@ impl VlConfig {
     /// Switches the delay model.
     pub fn with_model(mut self, model: DelayModel) -> VlConfig {
         self.model = model;
-        self
-    }
-
-    /// Disables the post-retiming swap step.
-    pub fn without_post_swap(mut self) -> VlConfig {
-        self.post_swap = false;
         self
     }
 
@@ -155,25 +143,14 @@ pub fn vl_retime_with_basis<'a>(
         Ok::<_, RetimeError>(outcome)
     })?;
     let swapped = phases.stage(Stage::Swap, |timings| {
-        let swapped = if cfg.post_swap {
-            // Keep the re-typing by actual arrival that `assemble`
-            // performed; count the masters it changed.
-            front
-                .typed
-                .iter()
-                .filter(|&&(i, _, ed)| outcome.ed_sinks[i] != ed)
-                .count()
-        } else {
-            // Keep the initial typing (violations and waste included).
-            let mut ed_sinks = vec![false; cloud.sinks().len()];
-            for &(i, _, ed) in &front.typed {
-                ed_sinks[i] = ed;
-            }
-            outcome.seq = area_model.sequential(cloud, &outcome.cut, &ed_sinks);
-            outcome.ed_sinks = ed_sinks;
-            outcome.total_area = outcome.comb_area + outcome.seq.total();
-            0
-        };
+        // The post-retiming swap (Section VI-C) keeps the re-typing by
+        // actual arrival that `assemble` performed; count the masters it
+        // changed.
+        let swapped = front
+            .typed
+            .iter()
+            .filter(|&&(i, _, ed)| outcome.ed_sinks[i] != ed)
+            .count();
         timings.count("swapped", swapped as u64);
         Ok::<_, RetimeError>(swapped)
     })?;
@@ -225,7 +202,6 @@ fn type_masters<'s, 'a>(
     basis: BasisSlot<'s, 'a>,
     phases: &mut PhaseTimings,
 ) -> Result<Typed<'s, 'a>, RetimeError> {
-    let pi = clock.period();
     // `regions` starts as a copy of the basis's legality regions and is
     // tightened by the seed and classify stages; the basis keeps the
     // original.
@@ -238,22 +214,16 @@ fn type_masters<'s, 'a>(
     // sink.
     let (typed, typed_ed, frozen_nodes) = phases.stage(Stage::Seed, |timings| {
         // 1. Initial typing per master-backed sink. Near-criticality for
-        //    RVL typing follows the paper's Table I definition: arrival
-        //    with the *initial* slave placement past Π. Statistical mode
-        //    types by the margined initial arrival (the yield-aware
-        //    near-criticality rule); at sigma = 0 the margined flags are
-        //    bitwise the deterministic ones. EVL and NVL time nothing.
-        let rvl_flags: Vec<bool> = match (cfg.variant, basis.sta()) {
-            (VlVariant::Rvl, FlowTiming::Nominal(sta)) => sta
-                .cut_timing(&Cut::initial(cloud))
-                .sink_arrivals
-                .iter()
-                .map(|&a| a > pi + EPS)
-                .collect(),
-            (VlVariant::Rvl, FlowTiming::Statistical(sta)) => {
-                retime_retime::stat_cut_summary(cloud, sta.delays(), clock, &Cut::initial(cloud)).0
-            }
-            _ => Vec::new(),
+        //    RVL typing follows the paper's Table I definition: the EDL
+        //    rule on the margined arrival with the *initial* slave
+        //    placement (statistically, the yield-aware near-criticality
+        //    rule; at sigma = 0 bitwise the deterministic one). EVL and
+        //    NVL time nothing.
+        let rvl_flags = if cfg.variant == VlVariant::Rvl {
+            let arrivals = basis.sta().cut_arrivals(&Cut::initial(cloud));
+            error_detecting_masters(cloud, &clock, &arrivals)
+        } else {
+            Vec::new()
         };
         let typed: Vec<(usize, NodeId, bool)> = cloud
             .sinks()
@@ -443,38 +413,30 @@ mod tests {
     #[test]
     fn post_swap_reclaims_area() {
         // The paper: without the swap step the improvement can go
-        // negative; with it, unnecessary EDL is reclaimed.
+        // negative; with it, unnecessary EDL is reclaimed. Priced against
+        // EVL's initial all-error-detecting typing, the swapped outcome is
+        // no larger, and `swapped` counts exactly the re-typed masters.
         let cloud = testbench();
         let lib = Library::fdsoi28();
         let clock = clock_for(&cloud, &lib, 1.3);
         let c = EdlOverhead::HIGH;
-        let with = vl_retime(&cloud, &lib, clock, &VlConfig::new(VlVariant::Evl, c)).unwrap();
-        let without = vl_retime(
-            &cloud,
-            &lib,
-            clock,
-            &VlConfig::new(VlVariant::Evl, c).without_post_swap(),
-        )
-        .unwrap();
-        assert!(with.outcome.seq.total() <= without.outcome.seq.total() + 1e-9);
-        assert!(with.swapped > 0 || with.outcome.seq.edl == without.outcome.seq.edl);
-    }
-
-    #[test]
-    fn evl_without_swap_keeps_every_master_error_detecting() {
-        let cloud = testbench();
-        let lib = Library::fdsoi28();
-        let clock = clock_for(&cloud, &lib, 1.1);
-        let rep = vl_retime(
-            &cloud,
-            &lib,
-            clock,
-            &VlConfig::new(VlVariant::Evl, EdlOverhead::MEDIUM).without_post_swap(),
-        )
-        .unwrap();
-        // All master-backed sinks stay typed error-detecting.
-        assert_eq!(rep.outcome.seq.edl, rep.outcome.seq.masters);
-        assert_eq!(rep.swapped, 0);
+        let rep = vl_retime(&cloud, &lib, clock, &VlConfig::new(VlVariant::Evl, c)).unwrap();
+        let outcome = &rep.outcome;
+        let masters: Vec<bool> = cloud
+            .sinks()
+            .iter()
+            .map(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .collect();
+        let typed = AreaModel::new(&lib, c).sequential(&cloud, &outcome.cut, &masters);
+        assert_eq!(typed.edl, typed.masters);
+        assert!(outcome.seq.total() <= typed.total() + 1e-9);
+        let retyped = masters
+            .iter()
+            .zip(&outcome.ed_sinks)
+            .filter(|&(&m, &ed)| m && !ed)
+            .count();
+        assert_eq!(rep.swapped, retyped);
+        assert_eq!(outcome.seq.edl, typed.edl - rep.swapped);
     }
 
     #[test]
@@ -612,6 +574,24 @@ mod tests {
                 // The overhead never reaches the instance.
                 assert_eq!(first.get_or_insert_with(|| problem.clone()), &problem);
             }
+        }
+    }
+
+    /// RVL-RAR types by the paper's Table I definition, and so does the
+    /// suite's NCE column: on every tiny-suite circuit under its
+    /// calibrated clock, the masters RVL-RAR types error-detecting are
+    /// exactly the near-critical endpoints.
+    #[test]
+    fn rvl_typing_counts_the_table_i_near_critical_endpoints() {
+        let lib = Library::fdsoi28();
+        let model = DelayModel::PathBased;
+        for spec in retime_circuits::paper_suite().into_iter().take(4) {
+            let circuit = spec.build().unwrap();
+            let clock = circuit.calibrated_clock(&lib, model).unwrap();
+            let nce = circuit.nce_count(&lib, model, clock).unwrap();
+            let cfg = VlConfig::new(VlVariant::Rvl, EdlOverhead::MEDIUM);
+            let report = vl_retime(&circuit.cloud, &lib, clock, &cfg).unwrap();
+            assert_eq!(report.typed_ed, nce, "{}", spec.name);
         }
     }
 

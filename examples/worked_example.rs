@@ -13,7 +13,7 @@ use resilient_retiming::circuits::Fig4;
 use resilient_retiming::grar::{classify_and_cut_set, IlpFormulation};
 use resilient_retiming::liberty::EdlOverhead;
 use resilient_retiming::retime::{AreaModel, Region, Regions, RetimingProblem, BREADTH_SCALE};
-use resilient_retiming::sta::TimingAnalysis;
+use resilient_retiming::sta::{error_detecting_masters, TimingAnalysis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f = Fig4::new();
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = Fig4::unit_library();
     let model = AreaModel::new(&lib, c);
     let timing = sta.cut_timing(&sol.cut);
-    let ed = model.ed_flags(&f.cloud, &timing);
+    let ed = error_detecting_masters(&f.cloud, &f.clock, &timing.sink_arrivals);
     let seq = model.sequential(&f.cloud, &sol.cut, &ed);
     println!(
         "\nfinal: {} slaves + {} masters ({} error-detecting) = {} units (paper: 4 units)",

@@ -6,7 +6,7 @@ use resilient_retiming::flow::MinCostFlow;
 use resilient_retiming::grar::{classify_and_cut_set, exhaustive_best, IlpFormulation};
 use resilient_retiming::liberty::EdlOverhead;
 use resilient_retiming::retime::{AreaModel, Region, Regions, RetimingProblem, BREADTH_SCALE};
-use resilient_retiming::sta::{SinkClass, TimingAnalysis};
+use resilient_retiming::sta::{error_detecting_masters, SinkClass, TimingAnalysis};
 
 fn names(f: &Fig4, nodes: &[resilient_retiming::netlist::NodeId]) -> Vec<String> {
     let mut v: Vec<String> = nodes
@@ -105,7 +105,7 @@ fn cut2_costs_4_units_and_cut1_costs_5() {
     }
     cut2.validate(&f.cloud).unwrap();
     let t2 = sta.cut_timing(&cut2);
-    let ed2 = model.ed_flags(&f.cloud, &t2);
+    let ed2 = error_detecting_masters(&f.cloud, &f.clock, &t2.sink_arrivals);
     let seq2 = model.sequential(&f.cloud, &cut2, &ed2);
     assert_eq!(seq2.slaves, 3);
     assert_eq!(seq2.edl, 0);
@@ -126,7 +126,7 @@ fn cut2_costs_4_units_and_cut1_costs_5() {
     }
     cut1.validate(&f.cloud).unwrap();
     let t1 = sta.cut_timing(&cut1);
-    let ed1 = model.ed_flags(&f.cloud, &t1);
+    let ed1 = error_detecting_masters(&f.cloud, &f.clock, &t1.sink_arrivals);
     let seq1 = model.sequential(&f.cloud, &cut1, &ed1);
     assert_eq!(seq1.slaves, 2, "Cut1 has two slave latches");
     assert_eq!(seq1.edl, 1, "Cut1 leaves O9 error-detecting");

@@ -15,25 +15,27 @@ use resilient_retiming::retime::{
 };
 use resilient_retiming::sim::equivalent;
 use resilient_retiming::sta::{
-    BackwardPass, CutTiming, DelayModel, NodeDelays, SinkClass, StatParams, TimingAnalysis,
-    TwoPhaseClock,
+    arrivals_with_cut, BackwardPass, CutTiming, DelayModel, NodeDelays, SinkClass, StatParams,
+    TimingAnalysis, TwoPhaseClock,
 };
 use resilient_retiming::verify::{verify_retiming_solution, VerifyError};
-use retime_stat::{cut_sink_canons, Canon};
+use retime_stat::Canon;
 
 /// A frozen copy of the whole-cloud classification that cone-local
 /// classification replaced: every backward pass sweeps the entire
 /// topological order, `worst_initial` folds over every source, and the
 /// canonical cut is timed by a full `cut_timing` /
-/// `cut_sink_canons`. It shares no cone walk with the code under test,
-/// so `classify_matches_whole_cloud_reference` pins the optimized path
-/// to the original semantics bit for bit.
+/// `arrivals_with_cut::<Canon>`. It shares no cone walk with the code
+/// under test, so `classify_matches_whole_cloud_reference` pins the
+/// optimized path to the original semantics bit for bit.
 mod reference {
     use resilient_retiming::liberty::{DelayArc, Sense};
     use resilient_retiming::netlist::{CombCloud, Cut, NodeId};
-    use resilient_retiming::sta::{relaunch, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock};
+    use resilient_retiming::sta::{
+        arrivals_with_cut, relaunch, NodeDelays, SinkClass, TimingAnalysis, TwoPhaseClock,
+    };
     use retime_stat::propagate::{gate_canon, relaunch_canon};
-    use retime_stat::{cut_sink_canons, Canon};
+    use retime_stat::Canon;
 
     const EPS: f64 = 1e-9;
 
@@ -272,7 +274,7 @@ mod reference {
         match canonical_cut(cloud, &g) {
             Some(cut)
                 if st.margined(
-                    &cut_sink_canons(cloud, d, clock, &cut)[sink_index(cloud, sb.sink)],
+                    &arrivals_with_cut::<Canon>(cloud, d, clock, &cut)[sb.sink.index()],
                 ) <= pi + EPS =>
             {
                 (SinkClass::Target, g)
@@ -632,7 +634,9 @@ proptest! {
                 let st = TimingAnalysis::<Canon>::run(&cloud, delays.clone(), clock);
                 let mut arr = vec![Canon::default(); cloud.len()];
                 for (cut, moved) in &cuts {
-                    let canons = cut_sink_canons(&cloud, &delays, &clock, cut);
+                    let swept = arrivals_with_cut::<Canon>(&cloud, &delays, &clock, cut);
+                    let canons: Vec<Canon> =
+                        cloud.sinks().iter().map(|&t| swept[t.index()]).collect();
                     if model == zero {
                         let want = det.cut_timing(cut).sink_arrivals;
                         for (c, a) in canons.iter().zip(&want) {
