@@ -21,7 +21,7 @@ fn main() {
             .expect("sta builds");
         let (mut always, mut never, mut target, mut g_total) = (0usize, 0usize, 0usize, 0usize);
         for &t in cloud.sinks() {
-            if !matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }) {
+            if !matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }) {
                 continue;
             }
             let bp = sta.backward(t);

@@ -29,6 +29,7 @@
 //! * **One min cut per sweep.** The sweep's later G-RAR probes resume
 //!   the first probe's min cut, with less work.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -263,21 +264,28 @@ fn fig4_rvl_trace_matches_golden_structure() {
 }
 
 /// Number of `name` spans nested (at any depth) under each `parent`
-/// span, in record order.
+/// span, in record order, following the records' `parent` links.
 fn nested_counts(records: &[SpanRecord], parent: &str, name: &str) -> Vec<usize> {
-    let mut counts = Vec::new();
-    for (i, r) in records.iter().enumerate() {
-        if r.name != parent {
-            continue;
+    let parent_of: HashMap<u64, u64> = records.iter().map(|r| (r.id, r.parent)).collect();
+    let under = |mut id: u64, root: u64| {
+        while let Some(&p) = parent_of.get(&id) {
+            if p == root {
+                return true;
+            }
+            id = p;
         }
-        let inside = records[i + 1..]
-            .iter()
-            .take_while(|c| c.depth > r.depth)
-            .filter(|c| c.name == name)
-            .count();
-        counts.push(inside);
-    }
-    counts
+        false
+    };
+    records
+        .iter()
+        .filter(|r| r.name == parent)
+        .map(|p| {
+            records
+                .iter()
+                .filter(|c| c.name == name && under(c.id, p.id))
+                .count()
+        })
+        .collect()
 }
 
 #[test]

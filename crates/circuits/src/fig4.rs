@@ -105,7 +105,7 @@ impl Fig4 {
             .sinks()
             .iter()
             .copied()
-            .find(|&t| self.cloud.node(t).name == "O9.d")
+            .find(|&t| self.cloud.node_name(t) == "O9.d")
             .expect("O9 sink exists")
     }
 

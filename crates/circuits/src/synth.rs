@@ -345,7 +345,7 @@ mod tests {
         let mut depth = vec![0usize; cloud.len()];
         let mut max_depth = 0;
         for &v in cloud.topo() {
-            for &u in &cloud.node(v).fanin {
+            for &u in cloud.fanin(v) {
                 depth[v.index()] = depth[v.index()].max(depth[u.index()] + 1);
             }
             max_depth = max_depth.max(depth[v.index()]);

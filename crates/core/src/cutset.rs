@@ -89,20 +89,20 @@ pub fn cut_set<A: Arrival>(sta: &TimingAnalysis<'_, A>, bp: &BackwardPass<A>) ->
     let mut out = Vec::new();
     // The cone lists the sink first; g(t) never contains it.
     for &v in &bp.cone()[1..] {
-        let node = cloud.node(v);
         // ∃ fanout edge whose latch placement meets Π.
-        let ok_beyond = node
-            .fanout
+        let ok_beyond = cloud
+            .fanout(v)
             .iter()
             .any(|&n| matches!(sta.a_value(v, n, bp), Some(a) if !is_error_detecting(a, clock)));
         if !ok_beyond {
             continue;
         }
         // ∃ fanin-side placement that violates Π.
-        let bad_before = if node.is_source() {
+        let bad_before = if cloud.kind(v).is_source() {
             matches!(sta.a_host(v, bp), Some(a) if is_error_detecting(a, clock))
         } else {
-            node.fanin
+            cloud
+                .fanin(v)
                 .iter()
                 .any(|&k| matches!(sta.a_value(k, v, bp), Some(a) if is_error_detecting(a, clock)))
         };
@@ -269,13 +269,11 @@ struct SweepNode {
     dfq: DelayArc,
 }
 
-/// The read-only view of the cloud the fused sweep runs on: fanins in
-/// flat CSR form plus the per-node [`SweepNode`] data, shared by every
+/// The read-only view of the cloud the fused sweep runs on: the cloud's
+/// own fanin rows plus the per-node [`SweepNode`] data, shared by every
 /// worker.
-struct SweepGraph {
-    /// `fanin[start[v]..start[v + 1]]` are `v`'s fanins.
-    start: Vec<u32>,
-    fanin: Vec<NodeId>,
+struct SweepGraph<'a> {
+    cloud: &'a CombCloud,
     node: Vec<SweepNode>,
     /// `Π + EPS`.
     limit: f64,
@@ -285,24 +283,18 @@ struct SweepGraph {
     relaunched: DelayArc,
 }
 
-impl SweepGraph {
-    fn new(sta: &TimingAnalysis<'_>) -> SweepGraph {
+impl<'a> SweepGraph<'a> {
+    fn new(sta: &TimingAnalysis<'a>) -> SweepGraph<'a> {
         let cloud = sta.cloud();
         let delays = sta.delays();
         let dq = delays.latch_dq();
-        let mut start = Vec::with_capacity(cloud.len() + 1);
-        let mut fanin = Vec::with_capacity(cloud.edge_count());
         let mut node = Vec::with_capacity(cloud.len());
-        start.push(0);
-        for (i, n) in cloud.nodes().iter().enumerate() {
-            let v = NodeId(i as u32);
-            fanin.extend_from_slice(&n.fanin);
-            start.push(u32::try_from(fanin.len()).expect("a cloud's edge count fits in u32"));
+        for v in cloud.node_ids() {
             let df = sta.df_arc(v);
             node.push(SweepNode {
                 arc: delays.arc(v),
                 sense: delays.sense(v),
-                source: n.is_source(),
+                source: cloud.kind(v).is_source(),
                 dfq: DelayArc {
                     rise: df.rise + dq,
                     fall: df.fall + dq,
@@ -311,17 +303,12 @@ impl SweepGraph {
         }
         let clock = sta.clock();
         SweepGraph {
-            start,
-            fanin,
+            cloud,
             node,
             limit: clock.period() + EPS,
             open: clock.slave_open() + delays.latch_ckq(),
             relaunched: relaunch(DelayArc::symmetric(delays.launch()), clock, delays),
         }
-    }
-
-    fn fanins(&self, v: NodeId) -> &[NodeId] {
-        &self.fanin[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
     }
 }
 
@@ -348,7 +335,7 @@ const NEG_ARC: DelayArc = DelayArc {
 struct Sweep {
     epoch: u32,
     slot: Vec<Slot>,
-    /// DFS stack: a node and its next fanin's position in the CSR.
+    /// DFS stack: a node and the index of its next fanin to visit.
     stack: Vec<(NodeId, u32)>,
     /// The current cone, sink first, every node before its fanins.
     order: Vec<NodeId>,
@@ -416,16 +403,15 @@ impl Sweep {
             slot.fo = NEG_ARC;
         };
         enter(&mut self.slot[t.index()]);
-        self.stack.push((t, graph.start[t.index()]));
+        self.stack.push((t, 0));
         while let Some(top) = self.stack.last_mut() {
             let (v, next) = *top;
-            if next < graph.start[v.index() + 1] {
+            if let Some(&u) = graph.cloud.fanin(v).get(next as usize) {
                 top.1 += 1;
-                let u = graph.fanin[next as usize];
                 let slot = &mut self.slot[u.index()];
                 if slot.mark != epoch {
                     enter(slot);
-                    self.stack.push((u, graph.start[u.index()]));
+                    self.stack.push((u, 0));
                 }
             } else {
                 self.order.push(v);
@@ -464,7 +450,7 @@ impl Sweep {
             };
             let window = graph.open + through.max();
             let mut bad_before = false;
-            for &k in graph.fanins(v) {
+            for &k in graph.cloud.fanin(v) {
                 // A(k, v, t) of Eq. (5), as TimingAnalysis::a_value.
                 let dfq = graph.node[k.index()].dfq;
                 let a = window
@@ -526,7 +512,7 @@ pub fn classify_many_counted(
 ) -> (Vec<(SinkClass, Vec<NodeId>)>, ClassifyCounts) {
     let cloud = sta.cloud();
     for &t in targets {
-        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
+        assert!(cloud.kind(t).is_sink(), "{t} is not a sink");
     }
     let swept = AtomicU64::new(0);
     if targets.is_empty() {
@@ -689,7 +675,7 @@ mod tests {
         assert_eq!(g.len(), 1);
         let v = g[0];
         let pi = sta.clock().period();
-        let n = cloud.node(v).fanout[0];
+        let n = cloud.fanout(v)[0];
         assert!(sta.a_value(v, n, &bp).unwrap() <= pi + 1e-9);
     }
 
@@ -1001,9 +987,8 @@ z = NAND(g4, a)
             if g.contains(&v) {
                 crossed = true;
             }
-            let node = cloud.node(v);
-            let next = node
-                .fanout
+            let next = cloud
+                .fanout(v)
                 .iter()
                 .copied()
                 .find(|&w| bp.in_cone(w))

@@ -137,7 +137,7 @@ pub fn grar_with_basis<'a>(
             .sinks()
             .iter()
             .enumerate()
-            .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&(_, &t)| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .map(|(i, &t)| (i, t))
             .collect();
         timings.count("endpoints", targets.len() as u64);

@@ -43,8 +43,7 @@ fn classify_many_matches_definition_on_the_suite() {
     for spec in specs {
         let circuit = spec.build().expect("builds");
         let cloud = &circuit.cloud;
-        let master_backed =
-            |t: NodeId| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) });
+        let master_backed = |t: NodeId| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) });
         let sinks: Vec<NodeId> = cloud
             .sinks()
             .iter()
@@ -82,7 +81,7 @@ fn classify_many_matches_definition_on_the_suite() {
                     (initial[i] - wi).abs() <= bound,
                     "{} {model} {}: forward {} vs worst_initial {wi} (bound {bound})",
                     spec.name,
-                    cloud.node(t).name,
+                    cloud.node_name(t),
                     initial[i],
                 );
                 if initial[i] + bound <= pi + 1e-9 {

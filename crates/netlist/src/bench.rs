@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 
 use crate::cell::{Cell, CellId, Gate};
 use crate::error::NetlistError;
+use crate::graph::{topo_sort, Csr};
 use crate::names::NameMap;
 use crate::netlist::Netlist;
 
@@ -416,56 +417,21 @@ impl<'a> Table<'a> {
         Netlist::from_cells(name, cells, inputs, outputs)
     }
 
-    /// Kahn's algorithm over the combinational edges — those out of a
-    /// cell that is neither sequential nor an input — on a CSR fanout
-    /// list. The witness of a cycle is the first cell, in statement
-    /// order, left unordered; which cells are left does not depend on
-    /// the visiting order.
+    /// [`topo_sort`] over the combinational edges — those out of a cell
+    /// that is neither sequential nor an input. The witness of a cycle is
+    /// the first cell, in statement order, left unordered.
     fn check_acyclic(&self) -> Result<(), NetlistError> {
-        let n = self.len();
-        let feeds: Vec<bool> = self
-            .gates
-            .iter()
-            .map(|g| !(g.is_sequential() || *g == Gate::Input))
-            .collect();
-        let mut indeg = vec![0u32; n];
-        let mut fanout_at = vec![0usize; n + 1];
-        for (v, d) in indeg.iter_mut().enumerate() {
-            for &u in self.fanin(v) {
-                if feeds[u] {
-                    *d += 1;
-                    fanout_at[u + 1] += 1;
-                }
-            }
-        }
-        for u in 0..n {
-            fanout_at[u + 1] += fanout_at[u];
-        }
-        let mut fill = fanout_at.clone();
-        let mut fanouts = vec![0usize; fanout_at[n]];
-        for v in 0..n {
-            for &u in self.fanin(v) {
-                if feeds[u] {
-                    fanouts[fill[u]] = v;
-                    fill[u] += 1;
-                }
-            }
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&c| indeg[c] == 0).collect();
-        while let Some(u) = ready.pop() {
-            for &v in &fanouts[fanout_at[u]..fanout_at[u + 1]] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        match indeg.iter().position(|&d| d > 0) {
-            Some(c) => Err(NetlistError::CombinationalCycle {
-                witness: self.names[c].to_string(),
-            }),
-            None => Ok(()),
-        }
+        let fanout = Csr::group(
+            self.len(),
+            (0..self.len()).flat_map(|v| self.fanin(v).iter().map(move |&u| (u, CellId(v as u32)))),
+        );
+        topo_sort(&fanout, |u| {
+            self.gates[u].is_sequential() || self.gates[u] == Gate::Input
+        })
+        .map(|_| ())
+        .map_err(|c| NetlistError::CombinationalCycle {
+            witness: self.names[c].to_string(),
+        })
     }
 }
 

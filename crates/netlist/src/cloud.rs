@@ -14,10 +14,9 @@
 //! elements. Their position is a [`crate::Cut`]; initially every slave
 //! sits at its master's output, i.e. at a source.
 
-use std::collections::HashMap;
-
 use crate::cell::{CellId, Gate};
 use crate::error::NetlistError;
+use crate::graph::{topo_sort, Csr};
 use crate::netlist::Netlist;
 
 /// Index of a node inside a [`CombCloud`].
@@ -61,33 +60,20 @@ pub enum NodeKind {
     },
 }
 
-/// A node of the combinational cloud.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CloudNode {
-    /// Debug / report name (net name of the backing cell).
-    pub name: String,
-    /// Role.
-    pub kind: NodeKind,
-    /// Predecessors.
-    pub fanin: Vec<NodeId>,
-    /// Successors.
-    pub fanout: Vec<NodeId>,
-}
-
-impl CloudNode {
-    /// Whether this node is a source.
-    pub fn is_source(&self) -> bool {
-        matches!(self.kind, NodeKind::Source { .. })
+impl NodeKind {
+    /// Whether this is a source.
+    pub fn is_source(self) -> bool {
+        matches!(self, NodeKind::Source { .. })
     }
 
-    /// Whether this node is a sink.
-    pub fn is_sink(&self) -> bool {
-        matches!(self.kind, NodeKind::Sink { .. })
+    /// Whether this is a sink.
+    pub fn is_sink(self) -> bool {
+        matches!(self, NodeKind::Sink { .. })
     }
 
-    /// Whether this node is an interior gate.
-    pub fn is_gate(&self) -> bool {
-        matches!(self.kind, NodeKind::Gate { .. })
+    /// Whether this is an interior gate.
+    pub fn is_gate(self) -> bool {
+        matches!(self, NodeKind::Gate { .. })
     }
 }
 
@@ -100,11 +86,17 @@ pub struct CloudEdge {
     pub to: NodeId,
 }
 
-/// The combinational retiming DAG (see module docs).
+/// The combinational retiming DAG (see module docs), stored flat: each
+/// node's kind and name in two arrays indexed by [`NodeId::index`], its
+/// fanins and fanouts as compressed sparse rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CombCloud {
     name: String,
-    nodes: Vec<CloudNode>,
+    kinds: Vec<NodeKind>,
+    /// Debug / report names (net name of the backing cell).
+    names: Vec<String>,
+    fanin: Csr<NodeId>,
+    fanout: Csr<NodeId>,
     sources: Vec<NodeId>,
     sinks: Vec<NodeId>,
     topo: Vec<NodeId>,
@@ -125,75 +117,55 @@ impl CombCloud {
     ///   contributes source + sink, and [`Gate::LatchSlave`] cells are
     ///   bypassed (they are the movable elements, not part of the DAG).
     ///
+    /// Nodes are numbered sources and gates in cell order, then sinks in
+    /// cell order. Each node lists its fanins in pin order and its fanouts
+    /// in the order of the cells reading it.
+    ///
     /// # Errors
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic clouds and
     /// [`NetlistError::Inconsistent`] for malformed sequential structure.
     pub fn extract(n: &Netlist) -> Result<CombCloud, NetlistError> {
         n.validate()?;
-        let mut nodes: Vec<CloudNode> = Vec::new();
+        let cells = n.cells();
+        let mut kinds = Vec::new();
+        let mut names = Vec::new();
+        let mut push = |name: String, kind: NodeKind| {
+            kinds.push(kind);
+            names.push(name);
+            NodeId(kinds.len() as u32 - 1)
+        };
         let mut sources = Vec::new();
         let mut sinks = Vec::new();
 
-        // Map: netlist cell -> cloud node that *produces* its value in the
-        // cloud (for sequential cells this is the source node of Q).
-        let mut producer: HashMap<CellId, NodeId> = HashMap::new();
-
-        let push = |nodes: &mut Vec<CloudNode>, name: String, kind: NodeKind| -> NodeId {
-            let id = NodeId(nodes.len() as u32);
-            nodes.push(CloudNode {
-                name,
-                kind,
-                fanin: Vec::new(),
-                fanout: Vec::new(),
-            });
-            id
-        };
-
-        // Pass 1: create nodes.
-        for (i, c) in n.cells().iter().enumerate() {
+        // For each netlist cell: the cloud node that *produces* its value
+        // in the cloud (for sequential cells the source node of Q).
+        let mut producer: Vec<Option<NodeId>> = vec![None; cells.len()];
+        for (i, c) in cells.iter().enumerate() {
             let id = CellId(i as u32);
-            match c.gate {
+            producer[i] = match c.gate {
                 Gate::Input => {
-                    let s = push(
-                        &mut nodes,
-                        c.name.clone(),
-                        NodeKind::Source { master: None },
-                    );
+                    let s = push(c.name.clone(), NodeKind::Source { master: None });
                     sources.push(s);
-                    producer.insert(id, s);
+                    Some(s)
                 }
                 Gate::Dff | Gate::LatchMaster => {
                     let s = push(
-                        &mut nodes,
                         format!("{}.q", c.name),
                         NodeKind::Source { master: Some(id) },
                     );
                     sources.push(s);
-                    producer.insert(id, s);
+                    Some(s)
                 }
-                Gate::LatchSlave => {
-                    // Transparent: fanouts read the master's source node.
-                    // Resolved in pass 2 via the slave's fanin.
-                }
-                Gate::Output => {}
-                _ => {
-                    let g = push(
-                        &mut nodes,
-                        c.name.clone(),
-                        NodeKind::Gate {
-                            cell: id,
-                            gate: c.gate,
-                        },
-                    );
-                    producer.insert(id, g);
-                }
-            }
+                // A slave is transparent: its fanouts read the master's
+                // source node, resolved below via the slave's fanin.
+                Gate::LatchSlave | Gate::Output => None,
+                gate => Some(push(c.name.clone(), NodeKind::Gate { cell: id, gate })),
+            };
         }
-        // Resolve slave bypass: a slave's producer is its master's source.
-        for (i, c) in n.cells().iter().enumerate() {
+        for (i, c) in cells.iter().enumerate() {
             if c.gate == Gate::LatchSlave {
                 let master = c.fanin[0];
-                let src = *producer.get(&master).ok_or_else(|| {
+                let src = producer[master.index()].ok_or_else(|| {
                     NetlistError::Inconsistent(format!(
                         "slave `{}` is not fed by a master latch",
                         c.name
@@ -206,88 +178,57 @@ impl CombCloud {
                         n.cell(master).name
                     )));
                 }
-                producer.insert(CellId(i as u32), src);
+                producer[i] = Some(src);
             }
         }
+        let resolve = |f: CellId| {
+            producer[f.index()].ok_or_else(|| {
+                NetlistError::Inconsistent(format!(
+                    "cell `{}` has no producing cloud node",
+                    n.cell(f).name
+                ))
+            })
+        };
 
-        // Helper to resolve a fanin cell to its producing cloud node.
-        let resolve =
-            |producer: &HashMap<CellId, NodeId>, f: CellId| -> Result<NodeId, NetlistError> {
-                producer.get(&f).copied().ok_or_else(|| {
-                    NetlistError::Inconsistent(format!(
-                        "cell `{}` has no producing cloud node",
-                        n.cell(f).name
-                    ))
-                })
-            };
-
-        // Pass 2: sink nodes + edges.
-        let mut sink_map: HashMap<CellId, NodeId> = HashMap::new();
+        // Sink nodes and every edge, in cell and pin order.
+        let mut sink_of_cell = vec![None; cells.len()];
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (i, c) in n.cells().iter().enumerate() {
-            let id = CellId(i as u32);
-            match c.gate {
-                Gate::Dff | Gate::LatchMaster => {
-                    let t = NodeId(nodes.len() as u32);
-                    nodes.push(CloudNode {
-                        name: format!("{}.d", c.name),
-                        kind: NodeKind::Sink { master: Some(id) },
-                        fanin: Vec::new(),
-                        fanout: Vec::new(),
-                    });
-                    sinks.push(t);
-                    sink_map.insert(id, t);
-                    let drv = resolve(&producer, c.fanin[0])?;
-                    edges.push((drv, t));
-                }
-                Gate::Output => {
-                    let t = NodeId(nodes.len() as u32);
-                    nodes.push(CloudNode {
-                        name: c.name.clone(),
-                        kind: NodeKind::Sink { master: None },
-                        fanin: Vec::new(),
-                        fanout: Vec::new(),
-                    });
-                    sinks.push(t);
-                    sink_map.insert(id, t);
-                    let drv = resolve(&producer, c.fanin[0])?;
-                    edges.push((drv, t));
-                }
-                Gate::LatchSlave | Gate::Input => {}
+        for (i, c) in cells.iter().enumerate() {
+            let (name, master) = match c.gate {
+                Gate::Dff | Gate::LatchMaster => (format!("{}.d", c.name), Some(CellId(i as u32))),
+                Gate::Output => (c.name.clone(), None),
+                Gate::LatchSlave | Gate::Input => continue,
                 _ => {
-                    let g = producer[&id];
+                    let g = producer[i].expect("a gate produces its own node");
                     for &f in &c.fanin {
-                        let drv = resolve(&producer, f)?;
-                        edges.push((drv, g));
+                        edges.push((resolve(f)?, g));
                     }
+                    continue;
                 }
-            }
+            };
+            let t = push(name, NodeKind::Sink { master });
+            sinks.push(t);
+            sink_of_cell[i] = Some(t);
+            edges.push((resolve(c.fanin[0])?, t));
         }
-        for (u, v) in edges {
-            nodes[u.index()].fanout.push(v);
-            nodes[v.index()].fanin.push(u);
-        }
-
-        let mut producer_of_cell = vec![None; n.len()];
-        for (cell, node) in &producer {
-            producer_of_cell[cell.index()] = Some(*node);
-        }
-        let mut sink_of_cell = vec![None; n.len()];
-        for (cell, node) in &sink_map {
-            sink_of_cell[cell.index()] = Some(*node);
-        }
-
-        let mut cloud = CombCloud {
+        let len = kinds.len();
+        let fanout = Csr::group(len, edges.iter().map(|&(u, v)| (u.index(), v)));
+        let fanin = Csr::group(len, edges.iter().map(|&(u, v)| (v.index(), u)));
+        let topo = topo_sort(&fanout, |_| false).map_err(|w| NetlistError::CombinationalCycle {
+            witness: names[w].clone(),
+        })?;
+        Ok(CombCloud {
             name: n.name().to_string(),
-            nodes,
+            kinds,
+            names,
+            fanin,
+            fanout,
             sources,
             sinks,
-            topo: Vec::new(),
-            producer_of_cell,
+            topo,
+            producer_of_cell: producer,
             sink_of_cell,
-        };
-        cloud.topo = cloud.compute_topo()?;
-        Ok(cloud)
+        })
     }
 
     /// The cloud node producing the value of netlist cell `c`, if any.
@@ -310,33 +251,6 @@ impl CombCloud {
         self.producer_of_cell.len()
     }
 
-    fn compute_topo(&self) -> Result<Vec<NodeId>, NetlistError> {
-        let n = self.nodes.len();
-        let mut indeg: Vec<usize> = self.nodes.iter().map(|nd| nd.fanin.len()).collect();
-        let mut queue: Vec<NodeId> = (0..n)
-            .filter(|&i| indeg[i] == 0)
-            .map(|i| NodeId(i as u32))
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop() {
-            order.push(u);
-            for &v in &self.nodes[u.index()].fanout {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            let witness = (0..n)
-                .find(|&i| indeg[i] > 0)
-                .map(|i| self.nodes[i].name.clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalCycle { witness });
-        }
-        Ok(order)
-    }
-
     /// The design name.
     pub fn name(&self) -> &str {
         &self.name
@@ -344,25 +258,43 @@ impl CombCloud {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Whether the cloud is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
-    /// All nodes, indexable by [`NodeId::index`].
-    pub fn nodes(&self) -> &[CloudNode] {
-        &self.nodes
+    /// Every node id, in index order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.len() as u32).map(NodeId)
     }
 
-    /// The node with the given id.
+    /// The role of node `v`.
     ///
     /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &CloudNode {
-        &self.nodes[id.index()]
+    /// Panics if `v` is out of range (as do the other per-node accessors).
+    pub fn kind(&self, v: NodeId) -> NodeKind {
+        self.kinds[v.index()]
+    }
+
+    /// The debug / report name of node `v` (the net name of its backing
+    /// cell; `.q` / `.d` suffixed for a latch's source / sink).
+    pub fn node_name(&self, v: NodeId) -> &str {
+        &self.names[v.index()]
+    }
+
+    /// The predecessors of `v`, in pin order.
+    #[inline]
+    pub fn fanin(&self, v: NodeId) -> &[NodeId] {
+        self.fanin.row(v.index())
+    }
+
+    /// The successors of `v`.
+    #[inline]
+    pub fn fanout(&self, v: NodeId) -> &[NodeId] {
+        self.fanout.row(v.index())
     }
 
     /// Source nodes (launch points).
@@ -380,26 +312,26 @@ impl CombCloud {
         &self.topo
     }
 
-    /// Iterates over all directed edges.
+    /// Iterates over all directed edges, by tail node, each node's in
+    /// fanout order.
     pub fn edges(&self) -> impl Iterator<Item = CloudEdge> + '_ {
-        self.nodes.iter().enumerate().flat_map(|(i, nd)| {
-            nd.fanout.iter().map(move |&v| CloudEdge {
-                from: NodeId(i as u32),
-                to: v,
-            })
+        self.node_ids().flat_map(move |from| {
+            self.fanout(from)
+                .iter()
+                .map(move |&to| CloudEdge { from, to })
         })
     }
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.nodes.iter().map(|nd| nd.fanout.len()).sum()
+        self.fanout.len()
     }
 
     /// Finds a node by name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.nodes
+        self.names
             .iter()
-            .position(|nd| nd.name == name)
+            .position(|nd| nd == name)
             .map(|i| NodeId(i as u32))
     }
 
@@ -438,7 +370,10 @@ z = OR(g1, q1)
         assert_eq!(cloud.sources().len(), 2);
         assert_eq!(cloud.sinks().len(), 2);
         // Gates: g1, g2, z
-        let gates = cloud.nodes().iter().filter(|n| n.is_gate()).count();
+        let gates = cloud
+            .node_ids()
+            .filter(|&v| cloud.kind(v).is_gate())
+            .count();
         assert_eq!(gates, 3);
         assert_eq!(cloud.topo().len(), cloud.len());
     }
@@ -482,7 +417,7 @@ z = OR(g1, q1)
     fn edge_count_consistent() {
         let cloud = CombCloud::extract(&sample()).unwrap();
         assert_eq!(cloud.edges().count(), cloud.edge_count());
-        let fanin_total: usize = cloud.nodes().iter().map(|n| n.fanin.len()).sum();
+        let fanin_total: usize = cloud.node_ids().map(|v| cloud.fanin(v).len()).sum();
         assert_eq!(fanin_total, cloud.edge_count());
     }
 }

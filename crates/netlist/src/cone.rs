@@ -68,7 +68,7 @@ impl ConeWalk {
             self.mark[root.index()] = epoch;
             self.stack.push((root, 0));
             while let Some(&(v, next)) = self.stack.last() {
-                if let Some(&u) = cloud.node(v).fanin.get(next as usize) {
+                if let Some(&u) = cloud.fanin(v).get(next as usize) {
                     let top = self.stack.len() - 1;
                     self.stack[top].1 += 1;
                     if self.mark[u.index()] != epoch {
@@ -102,10 +102,9 @@ impl ConeWalk {
     /// member is a sink. Nodes outside the set are unmoved and impose no
     /// constraint, so this is exactly `Cut::validate` of that cut.
     pub fn is_valid_moved_set(&self, cloud: &CombCloud) -> bool {
-        self.order.iter().all(|&v| {
-            let node = cloud.node(v);
-            !node.is_sink() && node.fanin.iter().all(|&u| self.contains(u))
-        })
+        self.order
+            .iter()
+            .all(|&v| !cloud.kind(v).is_sink() && cloud.fanin(v).iter().all(|&u| self.contains(u)))
     }
 }
 
@@ -139,7 +138,7 @@ z = BUFF(a)
             .sinks()
             .iter()
             .copied()
-            .find(|&t| cloud.node(t).name.starts_with(prefix))
+            .find(|&t| cloud.node_name(t).starts_with(prefix))
             .unwrap()
     }
 
@@ -152,7 +151,7 @@ z = BUFF(a)
         assert_eq!(order[0], t);
         let pos = |v: NodeId| order.iter().position(|&x| x == v);
         for &v in &order {
-            for &u in &cloud.node(v).fanin {
+            for &u in cloud.fanin(v) {
                 assert!(pos(u).unwrap() > pos(v).unwrap());
             }
         }

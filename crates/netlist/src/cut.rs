@@ -76,8 +76,8 @@ impl Cut {
             if self.moved[e.to.index()] && !self.moved[e.from.index()] {
                 return Err(NetlistError::Inconsistent(format!(
                     "cut moves through `{}` but not its fanin `{}`",
-                    cloud.node(e.to).name,
-                    cloud.node(e.from).name
+                    cloud.node_name(e.to),
+                    cloud.node_name(e.from)
                 )));
             }
         }
@@ -85,7 +85,7 @@ impl Cut {
             if self.moved[t.index()] {
                 return Err(NetlistError::Inconsistent(format!(
                     "cut moves through sink `{}` (masters are fixed)",
-                    cloud.node(t).name
+                    cloud.node_name(t)
                 )));
             }
         }
@@ -105,12 +105,11 @@ impl Cut {
             minmax[s.index()] = Some((here, here));
         }
         for &v in cloud.topo() {
-            let node = cloud.node(v);
-            if node.is_source() {
+            if cloud.kind(v).is_source() {
                 continue;
             }
             let mut acc: Option<(i64, i64)> = None;
-            for &u in &node.fanin {
+            for &u in cloud.fanin(v) {
                 if let Some((lo, hi)) = minmax[u.index()] {
                     let latched = i64::from(self.edge_latched(CloudEdge { from: u, to: v }));
                     let (nlo, nhi) = (lo + latched, hi + latched);
@@ -146,26 +145,26 @@ impl Cut {
     /// its output (either an unmoved source, or a moved node with at least
     /// one unmoved fanout).
     pub fn latch_at_output(&self, cloud: &CombCloud, v: NodeId) -> bool {
-        let node = cloud.node(v);
-        if node.is_source() && !self.moved[v.index()] {
+        if cloud.kind(v).is_source() && !self.moved[v.index()] {
             return true;
         }
-        self.moved[v.index()] && node.fanout.iter().any(|&w| !self.moved[w.index()])
+        self.moved[v.index()] && cloud.fanout(v).iter().any(|&w| !self.moved[w.index()])
     }
 
     /// Number of slave latches under fanout sharing: one latch per node
     /// that needs a latched output (all latched fanouts of a node share a
     /// single latch, the `β = 1/k` sharing of the paper's Eq. 3).
     pub fn slave_count(&self, cloud: &CombCloud) -> usize {
-        (0..cloud.len())
-            .filter(|&i| self.latch_at_output(cloud, NodeId(i as u32)))
+        cloud
+            .node_ids()
+            .filter(|&v| self.latch_at_output(cloud, v))
             .count()
     }
 
     /// The nodes carrying an output slave latch.
     pub fn latch_positions(&self, cloud: &CombCloud) -> Vec<NodeId> {
-        (0..cloud.len())
-            .map(|i| NodeId(i as u32))
+        cloud
+            .node_ids()
             .filter(|&v| self.latch_at_output(cloud, v))
             .collect()
     }
@@ -194,7 +193,7 @@ impl Cut {
         let mut node_cell: HashMap<NodeId, CellId> = HashMap::new();
         // 1. Sources: inputs and masters.
         for &s in cloud.sources() {
-            match cloud.node(s).kind {
+            match cloud.kind(s) {
                 NodeKind::Source { master: None } => {
                     let name = source_base_name(cloud, s);
                     let id = out.add_input(name);
@@ -215,7 +214,7 @@ impl Cut {
         // 2. Gates (in topological order so fanins exist... fanins are
         // resolved later, so order is free; keep topo for readability).
         for &v in cloud.topo() {
-            if let NodeKind::Gate { cell, .. } = cloud.node(v).kind {
+            if let NodeKind::Gate { cell, .. } = cloud.kind(v) {
                 let c = netlist.cell(cell);
                 let id = out.add_gate(c.name.clone(), c.gate, &vec![CellId(0); c.fanin.len()])?;
                 node_cell.insert(v, id);
@@ -231,7 +230,7 @@ impl Cut {
         }
         // Helper: the cell some consumer on edge (u -> v) should read.
         let reader = |u: NodeId, v: NodeId| -> CellId {
-            let latched = if !self.moved[u.index()] && cloud.node(u).is_source() {
+            let latched = if !self.moved[u.index()] && cloud.kind(u).is_source() {
                 true // unmoved source: all fanouts read the source slave
             } else {
                 self.edge_latched(CloudEdge { from: u, to: v })
@@ -244,17 +243,16 @@ impl Cut {
         };
         // 4. Resolve gate fanins.
         for &v in cloud.topo() {
-            if let NodeKind::Gate { .. } = cloud.node(v).kind {
-                let fanin: Vec<CellId> =
-                    cloud.node(v).fanin.iter().map(|&u| reader(u, v)).collect();
+            if let NodeKind::Gate { .. } = cloud.kind(v) {
+                let fanin: Vec<CellId> = cloud.fanin(v).iter().map(|&u| reader(u, v)).collect();
                 out.set_fanin_internal(node_cell[&v], fanin);
             }
         }
         // 5. Sinks: master D pins and primary outputs.
         for &t in cloud.sinks() {
-            let drv_node = cloud.node(t).fanin[0];
+            let drv_node = cloud.fanin(t)[0];
             let drv = reader(drv_node, t);
-            match cloud.node(t).kind {
+            match cloud.kind(t) {
                 NodeKind::Sink {
                     master: Some(mcell),
                 } => {
@@ -266,7 +264,7 @@ impl Cut {
                     out.set_fanin_internal(new_master, vec![drv]);
                 }
                 NodeKind::Sink { master: None } => {
-                    let name = cloud.node(t).name.clone();
+                    let name = cloud.node_name(t).to_string();
                     out.add_output(name, drv)?;
                 }
                 _ => unreachable!("sinks() returns sinks"),
@@ -278,7 +276,7 @@ impl Cut {
 }
 
 fn source_base_name(cloud: &CombCloud, s: NodeId) -> String {
-    cloud.node(s).name.clone()
+    cloud.node_name(s).to_string()
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! * [`CombCloud`] — the combinational retiming view obtained by
 //!   cutting the circuit at its flip-flops (Section III of the paper):
 //!   inputs are (fixed) master-latch outputs, outputs are (fixed)
-//!   master-latch inputs,
+//!   master-latch inputs; stored flat, fanins and fanouts as [`Csr`] rows,
+//! * [`topo_sort`] — the one topological sort of the netlist layer
+//!   (cloud order, combinational cell order, the `.bench` cycle check),
 //! * [`ConeWalk`] — reusable fan-in cone walks (epoch-stamped marks,
 //!   reverse post-order), so per-endpoint queries cost O(cone),
 //! * [`Cut`] — a placement of slave latches on the edges of the cloud,
@@ -39,12 +41,14 @@ pub mod cloud;
 pub mod cone;
 pub mod cut;
 pub mod error;
+pub mod graph;
 mod names;
 pub mod netlist;
 
 pub use cell::{Cell, CellId, Gate};
-pub use cloud::{CloudEdge, CloudNode, CombCloud, NodeId, NodeKind};
+pub use cloud::{CloudEdge, CombCloud, NodeId, NodeKind};
 pub use cone::ConeWalk;
 pub use cut::Cut;
 pub use error::NetlistError;
+pub use graph::{topo_sort, Csr, Dense};
 pub use netlist::{Netlist, NetlistStats};

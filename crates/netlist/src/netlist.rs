@@ -2,6 +2,7 @@
 
 use crate::cell::{Cell, CellId, Gate};
 use crate::error::NetlistError;
+use crate::graph::{topo_sort, Csr};
 use crate::names::NameMap;
 
 /// A gate-level netlist.
@@ -258,15 +259,16 @@ impl Netlist {
         Ok(id)
     }
 
-    /// Computes the fanout adjacency: for each cell, the cells it drives.
-    pub fn fanouts(&self) -> Vec<Vec<CellId>> {
-        let mut fo = vec![Vec::new(); self.cells.len()];
-        for (i, c) in self.cells.iter().enumerate() {
-            for &src in &c.fanin {
-                fo[src.index()].push(CellId(i as u32));
-            }
-        }
-        fo
+    /// The fanout adjacency: row `c` lists the cells `c` drives, in cell
+    /// order (a cell reading `c` on two pins is listed twice).
+    pub fn fanouts(&self) -> Csr<CellId> {
+        Csr::group(
+            self.cells.len(),
+            self.cells
+                .iter()
+                .enumerate()
+                .flat_map(|(v, c)| c.fanin.iter().map(move |&u| (u.index(), CellId(v as u32)))),
+        )
     }
 
     /// Summary statistics.
@@ -322,44 +324,16 @@ impl Netlist {
     /// Returns [`NetlistError::CombinationalCycle`] if the combinational
     /// subgraph is cyclic.
     pub fn topo_order_combinational(&self) -> Result<Vec<CellId>, NetlistError> {
-        let n = self.cells.len();
         // An edge u -> v is a combinational dependency unless u is a
         // sequential cell or a primary input (state and inputs are sources,
         // which is what breaks cycles through flip-flops).
-        let dep = |src: &Cell| !(src.gate.is_sequential() || src.gate == Gate::Input);
-        let mut indeg = vec![0usize; n];
-        for (vi, v) in self.cells.iter().enumerate() {
-            for &u in &v.fanin {
-                if dep(&self.cells[u.index()]) {
-                    indeg[vi] += 1;
-                }
-            }
-        }
-        let fanouts = self.fanouts();
-        let mut order: Vec<CellId> = Vec::with_capacity(n);
-        let mut queue: Vec<CellId> = (0..n)
-            .filter(|&i| indeg[i] == 0)
-            .map(|i| CellId(i as u32))
-            .collect();
-        while let Some(u) = queue.pop() {
-            order.push(u);
-            if dep(&self.cells[u.index()]) {
-                for &v in &fanouts[u.index()] {
-                    indeg[v.index()] -= 1;
-                    if indeg[v.index()] == 0 {
-                        queue.push(v);
-                    }
-                }
-            }
-        }
-        if order.len() != n {
-            let witness = (0..n)
-                .find(|&i| indeg[i] > 0)
-                .map(|i| self.cells[i].name.clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalCycle { witness });
-        }
-        Ok(order)
+        let cells = &self.cells;
+        topo_sort(&self.fanouts(), |u| {
+            cells[u].gate.is_sequential() || cells[u].gate == Gate::Input
+        })
+        .map_err(|w| NetlistError::CombinationalCycle {
+            witness: cells[w].name.clone(),
+        })
     }
 
     /// Converts a flip-flop based netlist into a two-phase master/slave
@@ -506,7 +480,7 @@ mod tests {
         let fo = n.fanouts();
         let a = n.find("a").unwrap();
         let g = n.find("g").unwrap();
-        assert_eq!(fo[a.index()], vec![g]);
+        assert_eq!(fo.row(a.index()), [g]);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl<'l> AreaModel<'l> {
         let mut masters = 0usize;
         let mut edl = 0usize;
         for (idx, &t) in cloud.sinks().iter().enumerate() {
-            if let NodeKind::Sink { master: Some(_) } = cloud.node(t).kind {
+            if let NodeKind::Sink { master: Some(_) } = cloud.kind(t) {
                 masters += 1;
                 if ed_sinks[idx] {
                     edl += 1;
@@ -104,13 +104,13 @@ impl<'l> AreaModel<'l> {
     /// gates.
     pub fn combinational(&self, cloud: &CombCloud) -> Result<f64, RetimeError> {
         let mut area = 0.0;
-        for node in cloud.nodes() {
-            if let NodeKind::Gate { gate, .. } = node.kind {
+        for v in cloud.node_ids() {
+            if let NodeKind::Gate { gate, .. } = cloud.kind(v) {
                 let cell = self
                     .lib
                     .cell(lib_name(gate))
                     .map_err(|e| RetimeError::Sta(e.into()))?;
-                area += cell.area(node.fanin.len());
+                area += cell.area(cloud.fanin(v).len());
             }
         }
         Ok(area)
@@ -139,7 +139,7 @@ pub fn flop_design_area(cloud: &CombCloud, model: &AreaModel<'_>) -> Result<f64,
     let flops = cloud
         .sinks()
         .iter()
-        .filter(|&&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+        .filter(|&&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
         .count();
     Ok(comb + flops as f64 * model.library().flip_flop().area)
 }
@@ -150,7 +150,7 @@ pub fn master_backed_sinks(cloud: &CombCloud) -> Vec<NodeId> {
         .sinks()
         .iter()
         .copied()
-        .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+        .filter(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
         .collect()
 }
 

@@ -499,7 +499,7 @@ mod tests {
         let arrivals = sta.cut_arrivals(&cut);
         let ed = error_detecting_masters(&cloud, &clock, &arrivals);
         for (i, &t) in cloud.sinks().iter().enumerate() {
-            let master = matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) });
+            let master = matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) });
             assert!(retime_sta::is_error_detecting(arrivals[i], &clock));
             assert_eq!(ed[i], master, "primary outputs never pay EDL");
         }

@@ -86,19 +86,18 @@ pub fn legalize(
             .walk(cloud, violations)
             .iter()
             .copied()
-            .filter(|&w| cloud.node(w).is_gate())
+            .filter(|&w| cloud.kind(w).is_gate())
             .collect();
         if marked.is_empty() {
             break;
         }
         marked.sort_unstable();
         for &g in &marked {
-            let node = cloud.node(g);
-            let gate = match node.kind {
+            let gate = match cloud.kind(g) {
                 NodeKind::Gate { gate, .. } => gate,
                 _ => unreachable!("marked gates only"),
             };
-            report.area_penalty += area_of(model, gate, node.fanin.len()) * AREA_PENALTY;
+            report.area_penalty += area_of(model, gate, cloud.fanin(g).len()) * AREA_PENALTY;
             delays.scale_node(g, SPEEDUP);
         }
         report.upsized.extend(marked);
@@ -266,9 +265,9 @@ mod tests {
         assert!(report.rounds >= 2, "one 0.88x round cannot meet 0.82x");
         // Every round upsizes all three gates of the single violating
         // cone, in node order.
-        let gates: Vec<NodeId> = (0..cloud.len() as u32)
-            .map(NodeId)
-            .filter(|&v| cloud.node(v).is_gate())
+        let gates: Vec<NodeId> = cloud
+            .node_ids()
+            .filter(|&v| cloud.kind(v).is_gate())
             .collect();
         assert_eq!(gates.len(), 3);
         assert_eq!(report.upsized, gates.repeat(report.rounds));

@@ -102,17 +102,19 @@ impl RetimingProblem {
                 beta: BREADTH_SCALE,
             });
         }
-        for (i, node) in cloud.nodes().iter().enumerate() {
-            if node.is_sink() {
+        for v in cloud.node_ids() {
+            let i = v.index();
+            if cloud.kind(v).is_sink() {
                 continue;
             }
-            let k = node.fanout.len();
+            let fanout = cloud.fanout(v);
+            let k = fanout.len();
             match k {
                 0 => {}
                 1 => {
                     edges.push(PEdge {
                         from: i,
-                        to: node.fanout[0].index(),
+                        to: fanout[0].index(),
                         w: 0,
                         beta: BREADTH_SCALE,
                     });
@@ -122,15 +124,15 @@ impl RetimingProblem {
                     let m = kinds.len();
                     kinds.push(FlowNodeKind::Mirror { of: i });
                     bounds.push((-1, 0));
-                    for &v in &node.fanout {
+                    for &w in fanout {
                         edges.push(PEdge {
                             from: i,
-                            to: v.index(),
+                            to: w.index(),
                             w: 0,
                             beta,
                         });
                         edges.push(PEdge {
-                            from: v.index(),
+                            from: w.index(),
                             to: m,
                             w: 0,
                             beta,
@@ -810,7 +812,10 @@ w = BUFF(b)
         let mut prob = RetimingProblem::build(&cloud, &regions);
         let g = cloud.find("g").unwrap();
         prob.add_pseudo_target(&[g], BREADTH_SCALE);
-        let names: Vec<String> = cloud.nodes().iter().map(|n| n.name.clone()).collect();
+        let names: Vec<String> = cloud
+            .node_ids()
+            .map(|v| cloud.node_name(v).to_string())
+            .collect();
         let dot = prob.to_dot(&names);
         assert!(dot.starts_with("digraph retiming"));
         assert!(dot.contains("label=\"h\""), "host node rendered");
@@ -865,17 +870,16 @@ w = BUFF(b)
         let (cloud, regions) = setup(src, 100.0);
         let prob = RetimingProblem::build(&cloud, &regions);
         let moved: Vec<bool> = cloud
-            .nodes()
-            .iter()
-            .map(|n| matches!(n.name.as_str(), "a" | "b" | "x" | "p" | "q"))
+            .node_ids()
+            .map(|v| matches!(cloud.node_name(v), "a" | "b" | "x" | "p" | "q"))
             .collect();
         let r = prob.full_assignment_for(&moved);
         let mut mirrors = 0;
         for (v, kind) in prob.kinds.iter().enumerate() {
             if let FlowNodeKind::Mirror { of } = kind {
-                let node = cloud.node(NodeId(*of as u32));
-                let all = node.fanout.iter().all(|f| moved[f.index()]);
-                assert_eq!(r[v], -i64::from(all), "mirror of {}", node.name);
+                let of = NodeId(*of as u32);
+                let all = cloud.fanout(of).iter().all(|f| moved[f.index()]);
+                assert_eq!(r[v], -i64::from(all), "mirror of {}", cloud.node_name(of));
                 mirrors += 1;
             }
         }

@@ -46,9 +46,9 @@ impl Regions {
         let fwd_limit = clock.slave_close();
         let bwd_limit = clock.backward_limit();
         let mut region = vec![Region::Free; cloud.len()];
-        for (i, node) in cloud.nodes().iter().enumerate() {
-            let v = NodeId(i as u32);
-            if node.is_sink() {
+        for v in cloud.node_ids() {
+            let i = v.index();
+            if cloud.kind(v).is_sink() {
                 region[i] = Region::Forbidden;
                 continue;
             }
@@ -57,7 +57,7 @@ impl Regions {
             region[i] = match (mandatory, forbidden) {
                 (true, true) => {
                     return Err(RetimeError::InfeasibleClocking {
-                        node: node.name.clone(),
+                        node: cloud.node_name(v).to_string(),
                     })
                 }
                 (true, false) => Region::Mandatory,
@@ -148,13 +148,13 @@ mod tests {
         )
         .unwrap();
         let r = Regions::compute(&sta).unwrap();
-        for (i, node) in cloud.nodes().iter().enumerate() {
-            let expect = if node.is_sink() {
+        for v in cloud.node_ids() {
+            let expect = if cloud.kind(v).is_sink() {
                 Region::Forbidden
             } else {
                 Region::Free
             };
-            assert_eq!(r.of(NodeId(i as u32)), expect, "node {}", node.name);
+            assert_eq!(r.of(v), expect, "node {}", cloud.node_name(v));
         }
     }
 

@@ -20,7 +20,7 @@ use retime_bench::{build_case, run_flow, Certification};
 use retime_circuits::paper_suite;
 use retime_convert::ConvertConfig;
 use retime_liberty::{EdlOverhead, Library};
-use retime_netlist::{bench, CombCloud, Netlist, NodeId};
+use retime_netlist::{bench, CombCloud, Netlist};
 use retime_retime::{RetimeError, RetimeOutcome};
 use retime_sta::{DelayModel, StatParamError, StatParams, TwoPhaseClock};
 use retime_verify::FlowKind;
@@ -632,8 +632,9 @@ pub fn render_payload(
     cloud: &CombCloud,
     outcome: &RetimeOutcome,
 ) -> String {
-    let moved: Vec<u8> = (0..cloud.len())
-        .map(|i| u8::from(outcome.cut.is_moved(NodeId(i as u32))))
+    let moved: Vec<u8> = cloud
+        .node_ids()
+        .map(|v| u8::from(outcome.cut.is_moved(v)))
         .collect();
     let ed: Vec<u8> = outcome.ed_sinks.iter().map(|&b| u8::from(b)).collect();
     let mut fields = vec![

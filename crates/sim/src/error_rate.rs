@@ -100,12 +100,12 @@ pub fn error_rate(
     // slave).
     let mut latched: Vec<bool> = Vec::new();
     for &v in cloud.topo() {
-        if cloud.node(v).is_source() {
+        if cloud.kind(v).is_source() {
             continue;
         }
-        latched.extend(cloud.node(v).fanin.iter().map(|&u| {
+        latched.extend(cloud.fanin(v).iter().map(|&u| {
             cut.edge_latched(CloudEdge { from: u, to: v })
-                || (cloud.node(u).is_source() && !cut.is_moved(u))
+                || (cloud.kind(u).is_source() && !cut.is_moved(u))
         }));
     }
     let mut vals: Vec<bool> = Vec::new();
@@ -130,14 +130,13 @@ pub fn error_rate(
         // Propagate in topological order.
         let mut edge = 0;
         for &v in cloud.topo() {
-            let node = cloud.node(v);
-            if node.is_source() {
+            if cloud.kind(v).is_source() {
                 continue;
             }
-            let fanin = &node.fanin;
+            let fanin = cloud.fanin(v);
             let edges = &latched[edge..edge + fanin.len()];
             edge += fanin.len();
-            waves[v.index()] = match node.kind {
+            waves[v.index()] = match cloud.kind(v) {
                 NodeKind::Gate { gate, .. } => {
                     vals.clear();
                     vals.extend(fanin.iter().map(|u| waves[u.index()].value));
@@ -177,7 +176,7 @@ pub fn error_rate(
         let mut any_error = false;
         let mut any_silent = false;
         for (idx, &t) in cloud.sinks().iter().enumerate() {
-            if !matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }) {
+            if !matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }) {
                 continue;
             }
             let w = waves[t.index()];

@@ -23,7 +23,7 @@ use std::marker::PhantomData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use retime_netlist::{CellId, Gate, Netlist, NetlistError};
+use retime_netlist::{topo_sort, CellId, Csr, Gate, Netlist, NetlistError};
 
 /// A cycle-accurate simulator for flip-flop or master/slave latch
 /// netlists.
@@ -240,67 +240,22 @@ impl<'n> Simulator<'n> {
     }
 }
 
-/// Kahn ordering where only inputs, flip-flops, and master latches are
-/// sources (slave latches order after their fanin).
+/// [`topo_sort`] where only inputs, flip-flops, and master latches are
+/// sources (slave latches order after their fanin), and no edge into a
+/// source counts either.
 fn eval_order(n: &Netlist) -> Result<Vec<CellId>, NetlistError> {
     let cells = n.cells();
-    let is_source = |c: CellId| {
-        matches!(
-            cells[c.index()].gate,
-            Gate::Input | Gate::Dff | Gate::LatchMaster
-        )
-    };
-    let len = n.len();
-    // Dependency edges u -> v (neither a source), as CSR fanout lists.
-    let edges = || {
-        (0..len as u32)
-            .map(CellId)
-            .filter(|&v| !is_source(v))
-            .flat_map(move |v| {
-                cells[v.index()]
-                    .fanin
-                    .iter()
-                    .filter(move |&&u| !is_source(u))
-                    .map(move |&u| (u, v))
-            })
-    };
-    let mut indeg = vec![0u32; len];
-    let mut start = vec![0u32; len + 1];
-    for (u, v) in edges() {
-        indeg[v.index()] += 1;
-        start[u.index() + 1] += 1;
-    }
-    for i in 0..len {
-        start[i + 1] += start[i];
-    }
-    let mut fill = start.clone();
-    let mut fanout = vec![CellId(0); start[len] as usize];
-    for (u, v) in edges() {
-        fanout[fill[u.index()] as usize] = v;
-        fill[u.index()] += 1;
-    }
-    let mut queue: Vec<CellId> = (0..len as u32)
-        .map(CellId)
-        .filter(|v| indeg[v.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(len);
-    while let Some(u) = queue.pop() {
-        order.push(u);
-        for &v in &fanout[start[u.index()] as usize..start[u.index() + 1] as usize] {
-            indeg[v.index()] -= 1;
-            if indeg[v.index()] == 0 {
-                queue.push(v);
-            }
+    let is_source = |c: usize| matches!(cells[c].gate, Gate::Input | Gate::Dff | Gate::LatchMaster);
+    let edges = cells
+        .iter()
+        .enumerate()
+        .filter(|&(v, _)| !is_source(v))
+        .flat_map(|(v, c)| c.fanin.iter().map(move |&u| (u.index(), CellId(v as u32))));
+    topo_sort(&Csr::group(n.len(), edges), is_source).map_err(|w| {
+        NetlistError::CombinationalCycle {
+            witness: cells[w].name.clone(),
         }
-    }
-    if order.len() != len {
-        let witness = (0..len)
-            .find(|&i| indeg[i] > 0)
-            .map(|i| cells[i].name.clone())
-            .unwrap_or_default();
-        return Err(NetlistError::CombinationalCycle { witness });
-    }
-    Ok(order)
+    })
 }
 
 /// Checks cycle-level functional equivalence of two netlists with random
@@ -381,6 +336,20 @@ w = NOT(q2)
     }
 
     #[test]
+    fn a_loop_through_a_slave_is_an_evaluation_cycle() {
+        // Slaves are sequential to `validate`, so the loop g -> s -> g
+        // reads; the simulator evaluates slaves after their fan-in, and
+        // reports the first cell left unordered.
+        let n = bench::parse("l", "INPUT(a)\nOUTPUT(g)\ng = AND(a, s)\ns = LATCHS(g)\n").unwrap();
+        assert_eq!(
+            Simulator::new(&n).err(),
+            Some(NetlistError::CombinationalCycle {
+                witness: "g".into()
+            })
+        );
+    }
+
+    #[test]
     fn retimed_cut_preserves_function() {
         let ff = bench::parse("c", CIRCUIT).unwrap();
         let cloud = CombCloud::extract(&ff).unwrap();
@@ -401,11 +370,10 @@ w = NOT(q2)
         // equivalence.
         let ff = bench::parse("c", CIRCUIT).unwrap();
         let cloud = CombCloud::extract(&ff).unwrap();
-        for (i, node) in cloud.nodes().iter().enumerate() {
-            if !node.is_gate() {
+        for v in cloud.node_ids() {
+            if !cloud.kind(v).is_gate() {
                 continue;
             }
-            let v = retime_netlist::NodeId(i as u32);
             // Build the predecessor closure of {v}.
             let mut cut = Cut::initial(&cloud);
             for u in cloud.fanin_cone(v) {
@@ -419,7 +387,7 @@ w = NOT(q2)
                 equivalent(&ff, &retimed, 100, 13).unwrap(),
                 Ok(()),
                 "moving through {} broke the function",
-                node.name
+                cloud.node_name(v)
             );
         }
     }

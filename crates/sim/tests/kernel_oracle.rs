@@ -101,7 +101,7 @@ fn oracle_order(n: &Netlist) -> Result<Vec<CellId>, NetlistError> {
         if is_source(n.cell(u).gate) {
             continue;
         }
-        for &v in &fanouts[u.index()] {
+        for &v in fanouts.row(u.index()) {
             if !is_source(n.cell(v).gate) {
                 indeg[v.index()] -= 1;
                 if indeg[v.index()] == 0 {
@@ -271,7 +271,7 @@ fn retimed(ff: &Netlist, rng: &mut StdRng) -> Option<Netlist> {
     let cloud = CombCloud::extract(ff).ok()?;
     let gates: Vec<NodeId> = (0..cloud.len() as u32)
         .map(NodeId)
-        .filter(|&v| cloud.node(v).is_gate())
+        .filter(|&v| cloud.kind(v).is_gate())
         .collect();
     if gates.is_empty() {
         return None;

@@ -73,7 +73,7 @@ pub fn error_detecting_masters(
         .iter()
         .zip(margined_arrivals)
         .map(|(&t, &a)| {
-            matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) })
+            matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) })
                 && is_error_detecting(a, clock)
         })
         .collect()
@@ -257,7 +257,7 @@ impl<'a, A: Arrival> TimingAnalysis<'a, A> {
     pub fn worst_initial(&self, bp: &BackwardPass<A>) -> f64 {
         bp.cone()
             .iter()
-            .filter(|&&s| self.cloud.node(s).is_source())
+            .filter(|&&s| self.cloud.kind(s).is_source())
             .filter_map(|&s| self.a_host(s, bp))
             .fold(f64::NEG_INFINITY, f64::max)
     }

@@ -65,7 +65,7 @@ impl<A: Arrival> BackwardPass<A> {
     /// # Panics
     /// Panics if `t` is not a sink of the cloud.
     pub fn rerun(&mut self, cloud: &CombCloud, delays: &NodeDelays, t: NodeId) {
-        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
+        assert!(cloud.kind(t).is_sink(), "{t} is not a sink");
         for &v in self.cone.order() {
             self.from_output[v.index()] = None;
             self.through[v.index()] = None;
@@ -81,7 +81,7 @@ impl<A: Arrival> BackwardPass<A> {
             let fo =
                 worst_fanout(cloud, &self.through, v).expect("a cone node has an in-cone fanout");
             self.from_output[v.index()] = Some(fo);
-            if cloud.node(v).is_gate() {
+            if cloud.kind(v).is_gate() {
                 self.through[v.index()] = Some(fo.back_through_gate(delays, v));
             }
         }
@@ -128,8 +128,7 @@ impl BackwardPass<DelayArc> {
 /// `None` when no fanout has one.
 fn worst_fanout<A: Arrival>(cloud: &CombCloud, through: &[Option<A>], v: NodeId) -> Option<A> {
     cloud
-        .node(v)
-        .fanout
+        .fanout(v)
         .iter()
         .filter_map(|w| through[w.index()])
         .reduce(A::merge)
@@ -170,12 +169,12 @@ pub fn db_to_any_sink<A: Arrival>(cloud: &CombCloud, delays: &NodeDelays) -> Vec
         through[t.index()] = Some(A::default());
     }
     for &v in cloud.topo().iter().rev() {
-        if cloud.node(v).is_sink() {
+        if cloud.kind(v).is_sink() {
             continue;
         }
         if let Some(fo) = worst_fanout(cloud, &through, v) {
             from_output[v.index()] = Some(fo);
-            if cloud.node(v).is_gate() {
+            if cloud.kind(v).is_gate() {
                 through[v.index()] = Some(fo.back_through_gate(delays, v));
             }
         }
@@ -218,7 +217,7 @@ z = BUFF(a)
             .sinks()
             .iter()
             .copied()
-            .find(|&t| cloud.node(t).name.starts_with("y"))
+            .find(|&t| cloud.node_name(t).starts_with("y"))
             .unwrap();
         let bp = BackwardPass::run(&cloud, &delays, y_sink);
         assert!(bp.in_cone(cloud.find("g1").unwrap()));
@@ -235,7 +234,7 @@ z = BUFF(a)
             .sinks()
             .iter()
             .copied()
-            .find(|&t| cloud.node(t).name.starts_with("y"))
+            .find(|&t| cloud.node_name(t).starts_with("y"))
             .unwrap();
         let bp = BackwardPass::run(&cloud, &delays, y_sink);
         let a = bp.db(cloud.find("a").unwrap()).unwrap();
@@ -287,7 +286,7 @@ z = BUFF(a)
             .collect();
         for (i, best) in all.iter().enumerate() {
             let v = NodeId(i as u32);
-            if cloud.node(v).is_sink() {
+            if cloud.kind(v).is_sink() {
                 continue;
             }
             let expect = passes

@@ -225,13 +225,12 @@ fn propagate<A: Arrival>(
     edge_fn: impl Fn(CloudEdge, A) -> A,
 ) {
     for v in order {
-        let node = cloud.node(v);
-        if node.is_source() {
+        if cloud.kind(v).is_source() {
             arr[v.index()] = source_fn(v);
             continue;
         }
         let mut input: Option<A> = None;
-        for &u in &node.fanin {
+        for &u in cloud.fanin(v) {
             let via = edge_fn(CloudEdge { from: u, to: v }, arr[u.index()]);
             input = Some(match input {
                 None => via,
@@ -239,7 +238,7 @@ fn propagate<A: Arrival>(
             });
         }
         let input = input.unwrap_or_default();
-        arr[v.index()] = if node.is_gate() {
+        arr[v.index()] = if cloud.kind(v).is_gate() {
             input.through_gate(delays, v)
         } else {
             // Sink: capture the driver's arrival unchanged.
@@ -275,8 +274,8 @@ mod tests {
             assert!(
                 arr[e.to.index()].max() >= arr[e.from.index()].max() - 1e-12,
                 "arrival must not decrease along {} -> {}",
-                cloud.node(e.from).name,
-                cloud.node(e.to).name
+                cloud.node_name(e.from),
+                cloud.node_name(e.to)
             );
         }
     }

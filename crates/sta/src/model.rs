@@ -397,11 +397,12 @@ impl NodeDelays {
         let mut arcs = vec![DelayArc::default(); n];
         let mut senses = vec![Sense::Positive; n];
         let mut sigmas = vec![DelaySigma::default(); n];
-        for (i, node) in cloud.nodes().iter().enumerate() {
-            if let NodeKind::Gate { gate, .. } = node.kind {
+        for v in cloud.node_ids() {
+            let i = v.index();
+            if let NodeKind::Gate { gate, .. } = cloud.kind(v) {
                 let cell = lib.cell(gate_lib_name(gate))?;
-                let fanin = node.fanin.len();
-                let fanout = node.fanout.len();
+                let fanin = cloud.fanin(v).len();
+                let fanout = cloud.fanout(v).len();
                 match model {
                     DelayModel::GateBased => {
                         arcs[i] = DelayArc::symmetric(cell.max_delay(fanin, fanout));

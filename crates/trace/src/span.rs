@@ -2,6 +2,7 @@
 //! deterministic id derivation, and the global record sink.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -52,8 +53,8 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Duration in µs.
     pub dur_us: u64,
-    /// Global close-order stamp — the [`take_records`] sort tiebreaker
-    /// for spans sharing a µs timestamp (deterministic on one thread).
+    /// Global close-order stamp — the [`take_records`] tiebreaker for
+    /// siblings sharing a µs timestamp (deterministic on one thread).
     pub seq: u64,
     /// Attached attributes, in attach order.
     pub attrs: Vec<(&'static str, Value)>,
@@ -304,17 +305,37 @@ pub fn event_us(name: &'static str, start_us: u64, dur_us: u64) {
 }
 
 /// Drains every closed span recorded so far (the current thread's
-/// buffer plus everything flushed by finished threads), ordered by
-/// `(tid, start, depth, close order)` so parents precede their children
-/// and same-µs siblings keep their execution order.
+/// buffer plus everything flushed by finished threads) in preorder over
+/// the `parent` links: every span is followed by its subtree before its
+/// next sibling, siblings ordered by start and then close order (the
+/// execution order of same-µs siblings on one thread), and thread roots
+/// by thread first. A span whose parent is not among the records (still
+/// open, or drained earlier) counts as a root.
 /// Spans still open stay open and are not returned.
 pub fn take_records() -> Vec<SpanRecord> {
     TRACE.with(|t| t.borrow_mut().flush());
     let mut records = std::mem::take(&mut *SINK.lock().expect("trace sink"));
-    records.sort_by(|a, b| {
-        (a.tid, a.start_us, a.depth, a.seq).cmp(&(b.tid, b.start_us, b.depth, b.seq))
-    });
-    records
+    records.sort_by_key(|r| (r.tid, r.start_us, r.depth, r.seq));
+    let at: HashMap<u64, usize> = records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+    let mut children = vec![Vec::new(); records.len()];
+    let mut roots = Vec::new();
+    for (i, r) in records.iter().enumerate() {
+        match at.get(&r.parent) {
+            Some(&p) if r.parent != 0 => children[p].push(i),
+            _ => roots.push(i),
+        }
+    }
+    let mut order = Vec::with_capacity(records.len());
+    let mut stack: Vec<usize> = roots.into_iter().rev().collect();
+    while let Some(i) = stack.pop() {
+        order.push(i);
+        stack.extend(children[i].iter().rev());
+    }
+    let mut slots: Vec<Option<SpanRecord>> = records.into_iter().map(Some).collect();
+    order
+        .into_iter()
+        .map(|i| slots[i].take().expect("each span is visited once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -397,6 +418,29 @@ mod tests {
             assert_eq!(wait.start_us, 1);
             assert_eq!(wait.dur_us, 7);
             assert_eq!(wait.depth, 1);
+        });
+    }
+
+    #[test]
+    fn records_are_a_preorder_even_when_a_child_ties_an_uncle() {
+        // `late` starts in the same µs as its parent's next sibling
+        // `next`: a sort on start and then depth would put it after
+        // `next`, outside its parent's subtree.
+        with_tracing(|| {
+            let tie = now_us() + 1_000_000;
+            {
+                let _root = span("root");
+                {
+                    let _a = span("first");
+                    event_us("late", tie, 1);
+                }
+                event_us("next", tie, 1);
+            }
+            let records = take_records();
+            let names: Vec<_> = records.iter().map(|r| r.name).collect();
+            assert_eq!(names, ["root", "first", "late", "next"]);
+            assert_eq!(records[2].parent, records[1].id);
+            assert_eq!(records[3].parent, records[0].id);
         });
     }
 

@@ -39,7 +39,7 @@ use retime_retime::{
 };
 use retime_sim::equivalent;
 use retime_sta::{
-    error_detecting_masters, is_error_detecting, CutTiming, DelayModel, SinkClass, TimingAnalysis,
+    cut_timing, error_detecting_masters, is_error_detecting, CutTiming, DelayModel, SinkClass,
     TwoPhaseClock,
 };
 
@@ -162,7 +162,7 @@ pub fn verify_certificate(
             .sinks()
             .iter()
             .enumerate()
-            .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&(_, &t)| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .map(|(i, &t)| (i, t))
             .collect();
         let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
@@ -197,9 +197,7 @@ pub fn verify_certificate(
                 detail: "a source→sink path does not cross exactly one slave latch".into(),
             });
         }
-        let moved: Vec<bool> = (0..cloud.len())
-            .map(|i| outcome.cut.is_moved(NodeId(i as u32)))
-            .collect();
+        let moved: Vec<bool> = cloud.node_ids().map(|v| outcome.cut.is_moved(v)).collect();
         let full = problem.full_assignment_for(&moved);
         let ilp = IlpFormulation::from_problem(&problem);
         if !ilp.is_feasible(&full) {
@@ -224,33 +222,31 @@ pub fn verify_certificate(
                 .collect();
             if let Some(i) = broken_stat_promise(&sta, &credited, &never_ed, opts.threads) {
                 return Err(VerifyError::CutSetInconsistent {
-                    sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                    sink: cloud.node_name(cloud.sinks()[i]).to_string(),
                 });
             }
             checks += 1;
         }
         Ok((pseudos, never_ed, full))
     })?;
-    // Timing + EDL typing: a from-scratch STA pass over the final
-    // (legalized) delays must reproduce the stored CutTiming exactly, the
-    // window must be legal, the EDL flags must match the arrival-based
-    // rule, and every reclaimed target must really land outside the
-    // window.
+    // Timing + EDL typing: a from-scratch arrival pass of the final cut
+    // over the final (legalized) delays must reproduce the stored
+    // CutTiming exactly, the window must be legal, the EDL flags must
+    // match the arrival-based rule, and every reclaimed target must
+    // really land outside the window.
     phases.stage(Stage::Verify, |_| {
         let _span = retime_trace::span("verify_timing");
-        let fresh_sta =
-            TimingAnalysis::with_delays(cloud, outcome.final_delays.clone(), setup.clock);
-        let fresh = fresh_sta.cut_timing(&outcome.cut);
+        let fresh = cut_timing(cloud, &outcome.final_delays, &setup.clock, &outcome.cut);
         if let Some(&v) = fresh.setup_violations.first() {
             return Err(VerifyError::WindowViolation {
                 kind: "setup",
-                node: cloud.node(v).name.clone(),
+                node: cloud.node_name(v).to_string(),
             });
         }
         if let Some(&v) = fresh.capture_violations.first() {
             return Err(VerifyError::WindowViolation {
                 kind: "capture",
-                node: cloud.node(v).name.clone(),
+                node: cloud.node_name(v).to_string(),
             });
         }
         if fresh != outcome.timing {
@@ -300,7 +296,7 @@ pub fn verify_certificate(
                     let tolerance = crate::mc::mc_tolerance(analytic, mc.samples);
                     if (sampled - analytic).abs() > tolerance {
                         return Err(VerifyError::YieldMismatch {
-                            sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                            sink: cloud.node_name(cloud.sinks()[i]).to_string(),
                             analytic,
                             monte_carlo: sampled,
                             tolerance,
@@ -321,7 +317,7 @@ pub fn verify_certificate(
         }
         if let Some(i) = (0..flags.len()).find(|&i| flags[i] != outcome.ed_sinks[i]) {
             return Err(VerifyError::EdlFlagMismatch {
-                sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                sink: cloud.node_name(cloud.sinks()[i]).to_string(),
                 claimed: outcome.ed_sinks[i],
                 recomputed: flags[i],
             });
@@ -341,7 +337,7 @@ pub fn verify_certificate(
             let mut promised = credited.chain(never_ed.iter().copied());
             if let Some(i) = promised.find(|&i| is_error_detecting(arrivals[i], &setup.clock)) {
                 return Err(VerifyError::CutSetInconsistent {
-                    sink: cloud.node(cloud.sinks()[i]).name.clone(),
+                    sink: cloud.node_name(cloud.sinks()[i]).to_string(),
                 });
             }
         }
@@ -547,7 +543,7 @@ fn broken_stat_promise(
         let mut stack = g.clone();
         while let Some(v) = stack.pop() {
             if !std::mem::replace(&mut moved[v.index()], true) {
-                stack.extend(&cloud.node(v).fanin);
+                stack.extend(cloud.fanin(v));
             }
         }
         let cut = Cut::from_moved(cloud, moved);
@@ -592,7 +588,7 @@ fn first_violation(ilp: &IlpFormulation, r: &[i64]) -> String {
 /// Renders what differs between the stored and recomputed cut timing.
 fn timing_diff(cloud: &CombCloud, stored: &CutTiming, fresh: &CutTiming) -> String {
     for (i, &t) in cloud.sinks().iter().enumerate() {
-        let name = &cloud.node(t).name;
+        let name = cloud.node_name(t);
         if stored.sink_arrivals.get(i) != fresh.sink_arrivals.get(i) {
             return format!(
                 "arrival at {name}: stored {:?}, recomputed {:?}",

@@ -131,12 +131,11 @@ pub fn mc_yields(
             };
         }
         for &v in cloud.topo() {
-            let node = cloud.node(v);
-            if node.is_source() {
+            if cloud.kind(v).is_source() {
                 continue;
             }
             let mut input = f64::NEG_INFINITY;
-            for &u in &node.fanin {
+            for &u in cloud.fanin(v) {
                 let mut a = arr[u.index()];
                 if cut.edge_latched(CloudEdge { from: u, to: v }) {
                     a = relaunch(a);
@@ -146,7 +145,7 @@ pub fn mc_yields(
             if !input.is_finite() {
                 input = 0.0;
             }
-            arr[v.index()] = if node.is_gate() {
+            arr[v.index()] = if cloud.kind(v).is_gate() {
                 input + delay[v.index()]
             } else {
                 input

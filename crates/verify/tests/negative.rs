@@ -125,7 +125,7 @@ fn flipped_edl_flag_is_rejected() {
             claimed,
             recomputed,
         } => {
-            let expected = &fx.circuit.cloud.node(fx.circuit.cloud.sinks()[0]).name;
+            let expected = &fx.circuit.cloud.node_name(fx.circuit.cloud.sinks()[0]);
             assert_eq!(&sink, expected, "mismatch names the offending sink");
             assert_eq!(claimed, mutated.ed_sinks[0]);
             assert_eq!(recomputed, fx.outcome.ed_sinks[0]);
@@ -199,7 +199,7 @@ fn credited_target_inside_the_window_is_rejected() {
         .copied()
         .enumerate()
         .find(|&(_, t)| {
-            matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }) && {
+            matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }) && {
                 let (class, g) = classify_and_cut_set(&sta, &sta.backward(t));
                 class == SinkClass::Target && g.iter().all(|&v| fx.outcome.cut.is_moved(v))
             }
@@ -211,7 +211,7 @@ fn credited_target_inside_the_window_is_rejected() {
     let mutated = (1..400)
         .find_map(|step| {
             let mut outcome = fx.outcome.clone();
-            for &v in &cloud.node(t).fanin {
+            for &v in cloud.fanin(t) {
                 outcome
                     .final_delays
                     .scale_node(v, 1.0 + 0.01 * f64::from(step));
@@ -228,7 +228,7 @@ fn credited_target_inside_the_window_is_rejected() {
         .expect("some slowdown lands the target inside the window");
     match fx.verify(&mutated, 0) {
         Err(VerifyError::CutSetInconsistent { sink }) => {
-            assert_eq!(sink, cloud.node(t).name, "names the credited target")
+            assert_eq!(sink, cloud.node_name(t), "names the credited target")
         }
         other => panic!("expected CutSetInconsistent, got: {other:?}"),
     }

@@ -199,7 +199,7 @@ fn plasma_statistical_flows_certify_past_the_canonical_placement() {
         .cloud
         .sinks()
         .iter()
-        .position(|&t| circuit.cloud.node(t).name == "rf0_30.d")
+        .position(|&t| circuit.cloud.node_name(t) == "rf0_30.d")
         .expect("rf0_30.d is a sink");
     for (kind, outcome) in [(FlowKind::Base, &base), (FlowKind::Grar, &g.outcome)] {
         assert!(outcome.ed_sinks[sink], "{kind:?}: rf0_30.d keeps its EDL");

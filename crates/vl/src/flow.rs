@@ -229,7 +229,7 @@ fn type_masters<'s, 'a>(
             .sinks()
             .iter()
             .enumerate()
-            .filter(|&(_, &t)| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&(_, &t)| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .map(|(i, &t)| {
                 let ed = match cfg.variant {
                     VlVariant::Evl => true,
@@ -425,7 +425,7 @@ mod tests {
         let masters: Vec<bool> = cloud
             .sinks()
             .iter()
-            .map(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .map(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .collect();
         let typed = AreaModel::new(&lib, c).sequential(&cloud, &outcome.cut, &masters);
         assert_eq!(typed.edl, typed.masters);

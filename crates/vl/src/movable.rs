@@ -51,7 +51,7 @@ fn forward_merge_once(n: &Netlist) -> Result<Option<Netlist>, NetlistError> {
         let mut seen = Vec::new();
         for &f in &c.fanin {
             let fc = n.cell(f);
-            if fc.gate != Gate::Dff || fanouts[f.index()].len() != 1 || seen.contains(&f) {
+            if fc.gate != Gate::Dff || fanouts.row(f.index()).len() != 1 || seen.contains(&f) {
                 continue 'scan;
             }
             seen.push(f);

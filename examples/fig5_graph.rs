@@ -23,7 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (_, g) = classify_and_cut_set(&sta, &bp);
     let mut problem = RetimingProblem::build(&f.cloud, &regions);
     problem.add_pseudo_target(&g, 2 * BREADTH_SCALE); // c = 2
-    let names: Vec<String> = f.cloud.nodes().iter().map(|n| n.name.clone()).collect();
+    let names: Vec<String> = f
+        .cloud
+        .node_ids()
+        .map(|v| f.cloud.node_name(v).to_string())
+        .collect();
     println!("{}", problem.to_dot(&names));
     Ok(())
 }

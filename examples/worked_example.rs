@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let names: Vec<&str> = regions
             .nodes_in(region)
             .into_iter()
-            .map(|v| f.cloud.node(v).name.as_str())
+            .map(|v| f.cloud.node_name(v))
             .collect();
         println!("{label}: {names:?}");
     }
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The cut-set g(O9) (Eqs. 8–9).
     let bp = sta.backward(f.o9());
     let (class, g) = classify_and_cut_set(&sta, &bp);
-    let g_names: Vec<&str> = g.iter().map(|&v| f.cloud.node(v).name.as_str()).collect();
+    let g_names: Vec<&str> = g.iter().map(|&v| f.cloud.node_name(v)).collect();
     println!("\nO9 is a {class:?}; g(O9) = {g_names:?}");
 
     // Build the modified retiming graph and show the ILP (Eq. 10).
@@ -54,14 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sol = problem.solve()?;
     let moved: Vec<&str> = f
         .cloud
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| {
-            sol.cut
-                .is_moved(resilient_retiming::netlist::NodeId(i as u32))
-        })
-        .map(|(_, n)| n.name.as_str())
+        .node_ids()
+        .filter(|&v| sol.cut.is_moved(v))
+        .map(|v| f.cloud.node_name(v))
         .collect();
     println!(
         "MinCut: objective = {} latch-units, moved = {moved:?}",

@@ -22,7 +22,7 @@ fn parallel_edges_share_one_latch() {
     .unwrap();
     let cloud = CombCloud::extract(&n).unwrap();
     let a = cloud.find("a").unwrap();
-    assert_eq!(cloud.node(a).fanout.len(), 2, "two parallel edges");
+    assert_eq!(cloud.fanout(a).len(), 2, "two parallel edges");
     // Moving through `a` costs one latch at its output, not two.
     let mut cut = Cut::initial(&cloud);
     cut.set_moved(a, true);
@@ -208,7 +208,7 @@ fn alternate_engines_full_flow() {
             .sinks()
             .iter()
             .copied()
-            .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .collect();
         let c_scaled = (c.value() * BREADTH_SCALE as f64).round() as i64;
         for (class, g) in classify_many(&sta, &sinks, 1) {

@@ -144,10 +144,7 @@ fn edl_assignment_is_sound() {
         let pi = clock.period();
         for (idx, &t) in circuit.cloud.sinks().iter().enumerate() {
             use resilient_retiming::netlist::NodeKind;
-            if !matches!(
-                circuit.cloud.node(t).kind,
-                NodeKind::Sink { master: Some(_) }
-            ) {
+            if !matches!(circuit.cloud.kind(t), NodeKind::Sink { master: Some(_) }) {
                 continue;
             }
             if !g.outcome.ed_sinks[idx] {
@@ -155,7 +152,7 @@ fn edl_assignment_is_sound() {
                     g.outcome.timing.sink_arrivals[idx] <= pi + 1e-9,
                     "{}: non-ED master {} arrives at {} > Π {}",
                     circuit.spec.name,
-                    circuit.cloud.node(t).name,
+                    circuit.cloud.node_name(t),
                     g.outcome.timing.sink_arrivals[idx],
                     pi
                 );

@@ -11,7 +11,7 @@ use resilient_retiming::sta::{error_detecting_masters, SinkClass, TimingAnalysis
 fn names(f: &Fig4, nodes: &[resilient_retiming::netlist::NodeId]) -> Vec<String> {
     let mut v: Vec<String> = nodes
         .iter()
-        .map(|&n| f.cloud.node(n).name.clone())
+        .map(|&n| f.cloud.node_name(n).to_string())
         .collect();
     v.sort();
     v

@@ -67,9 +67,8 @@ mod reference {
                 if v == t {
                     continue;
                 }
-                let node = cloud.node(v);
                 let mut best: Option<V> = None;
-                for &w in &node.fanout {
+                for &w in cloud.fanout(v) {
                     if !in_cone[w.index()] {
                         continue;
                     }
@@ -83,7 +82,7 @@ mod reference {
                 if let Some(fo) = best {
                     in_cone[v.index()] = true;
                     from_output[v.index()] = Some(fo);
-                    if node.is_gate() {
+                    if cloud.kind(v).is_gate() {
                         through[v.index()] = Some(through_gate(fo, v));
                     }
                 }
@@ -157,15 +156,15 @@ mod reference {
             if v == bp.sink || bp.from_output[i].is_none() {
                 continue;
             }
-            let node = cloud.node(v);
-            let ok_beyond = node
-                .fanout
+            let ok_beyond = cloud
+                .fanout(v)
                 .iter()
                 .any(|&n| matches!(a(v, n), Some(x) if x <= pi + EPS));
-            let bad_before = if node.is_source() {
+            let bad_before = if cloud.kind(v).is_source() {
                 matches!(host(v), Some(x) if x > pi + EPS)
             } else {
-                node.fanin
+                cloud
+                    .fanin(v)
                     .iter()
                     .any(|&k| matches!(a(k, v), Some(x) if x > pi + EPS))
             };
@@ -184,7 +183,7 @@ mod reference {
         while let Some(u) = stack.pop() {
             if !cut.is_moved(u) {
                 cut.set_moved(u, true);
-                stack.extend(cloud.node(u).fanin.iter().copied());
+                stack.extend(cloud.fanin(u).iter().copied());
             }
         }
         cut.validate(cloud).ok().map(|_| cut)
@@ -370,7 +369,7 @@ proptest! {
             .sinks()
             .iter()
             .copied()
-            .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .collect();
         let c_scaled =
             (EdlOverhead::HIGH.value() * BREADTH_SCALE as f64).round() as i64;
@@ -456,7 +455,7 @@ proptest! {
                 .sinks()
                 .iter()
                 .copied()
-                .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+                .filter(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
                 .collect();
             let reference: Vec<_> = targets
                 .iter()
@@ -501,7 +500,7 @@ proptest! {
             .sinks()
             .iter()
             .copied()
-            .filter(|&t| matches!(cloud.node(t).kind, NodeKind::Sink { master: Some(_) }))
+            .filter(|&t| matches!(cloud.kind(t), NodeKind::Sink { master: Some(_) }))
             .collect();
         for model in [
             DelayModel::PathBased,
