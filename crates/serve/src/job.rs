@@ -8,10 +8,11 @@
 //! the cloud, the derived clock, and the optional conversion
 //! ([`build_inline`], [`build_suite`]) — runs only when the key misses
 //! the cache; a `.bench` build reads no text, it builds from the key
-//! step's statement table. An inline build comes in two halves: the
-//! owned canonical netlist ([`canonical_netlist`], the last step that
-//! borrows the submitted text) and the rest ([`build_canonical`]), which
-//! the daemon runs on a worker. [`resolve_spec`] runs every step in one
+//! step's statement table (EDIF, and a text the daemon remembers, build
+//! by parsing the canonical text). An inline build comes in two halves:
+//! the owned canonical netlist ([`canonical_netlist`], the last step
+//! that borrows the submitted text) and the rest ([`build_canonical`]),
+//! which the daemon runs on a worker. [`resolve_spec`] runs every step in one
 //! call. Execution runs the named flow through the same entry points the
 //! table binaries use and renders the deterministic result payload the
 //! cache stores.
@@ -247,20 +248,22 @@ pub struct InlineSource<'a> {
     read: Read<'a>,
 }
 
-/// What a build starts from, by input format.
+/// What a build starts from.
 #[derive(Debug)]
 enum Read<'a> {
     /// A `.bench` submission's statement table and its canonical order.
     Bench(bench::Table<'a>, bench::Order),
-    /// An EDIF submission: the build reads the canonical text.
-    Edif,
+    /// An EDIF submission, or a text the daemon remembers: the build
+    /// reads the canonical text.
+    Canonical,
 }
 
 /// Key step for inline text. `.bench` text is read once into its
 /// statement table (`parse` span) and written in canonical order
-/// (`canonicalize` span); no netlist is built. EDIF text is parsed
-/// through `retime-convert`'s parser and canonicalized with
-/// [`canonical_bench`].
+/// (`canonicalize` span); no netlist is built. A `.bench` text with no
+/// statement is refused, as an EDIF text with no `edif` section is.
+/// EDIF text is parsed through `retime-convert`'s parser and
+/// canonicalized with [`canonical_bench`].
 ///
 /// # Errors
 /// Returns the reader's diagnosis.
@@ -277,7 +280,11 @@ pub fn read_inline<'a>(
             };
             let _canonicalize = retime_trace::span("canonicalize");
             let order = table.canonical_order();
-            (table.write(&order), Read::Bench(table, order))
+            let canonical = table.write(&order);
+            if canonical.is_empty() {
+                return Err("netlist parse error: no INPUT, OUTPUT or gate statement".into());
+            }
+            (canonical, Read::Bench(table, order))
         }
         InputFormat::Edif => {
             let parsed = {
@@ -285,7 +292,7 @@ pub fn read_inline<'a>(
                 retime_convert::edif::parse(text).map_err(|e| format!("EDIF parse error: {e}"))?
             };
             let _canonicalize = retime_trace::span("canonicalize");
-            (canonical_bench(&parsed), Read::Edif)
+            (canonical_bench(&parsed), Read::Canonical)
         }
     };
     Ok(InlineSource {
@@ -293,6 +300,18 @@ pub fn read_inline<'a>(
         canonical,
         read,
     })
+}
+
+impl<'a> InlineSource<'a> {
+    /// The key step's product for a text whose canonical form is already
+    /// known: a build parses `canonical`.
+    pub(crate) fn remembered(name: &'a str, canonical: String) -> InlineSource<'a> {
+        InlineSource {
+            name,
+            canonical,
+            read: Read::Canonical,
+        }
+    }
 }
 
 /// An inline submission's netlist in canonical order, owned: what a miss
@@ -313,8 +332,9 @@ pub struct CanonicalNetlist {
 /// order, and never on which format (`.bench` or EDIF) carried the
 /// circuit in. A `.bench` netlist is built from the key step's table (a
 /// `to_netlist` span): it is the netlist a parse of the canonical text
-/// gives. An EDIF netlist is that parse (a `parse` span). This is the
-/// last step that borrows the submitted text.
+/// gives. An EDIF netlist, or one the daemon remembers the canonical
+/// text of, is that parse (a `parse` span). This is the last step that
+/// borrows the submitted text.
 ///
 /// # Errors
 /// Returns a one-line diagnosis when the canonical build fails.
@@ -329,7 +349,7 @@ pub fn canonical_netlist(source: InlineSource<'_>) -> Result<CanonicalNetlist, S
             let _to_netlist = retime_trace::span("to_netlist");
             table.to_netlist(name, &order)
         }
-        Read::Edif => {
+        Read::Canonical => {
             let _parse = retime_trace::span("parse");
             bench::parse(name, &canonical)
         }
@@ -538,8 +558,13 @@ impl JobSpec {
 /// key [`prepare`] gives once [`build_inline`] has run. Opens a `key`
 /// span.
 pub fn inline_key(spec: &JobSpec, source: &InlineSource<'_>, lib: &Library) -> String {
+    canonical_key(spec, &source.canonical, lib)
+}
+
+/// [`inline_key`] from the canonical text alone. Opens a `key` span.
+pub(crate) fn canonical_key(spec: &JobSpec, canonical: &str, lib: &Library) -> String {
     let _key = retime_trace::span("key");
-    cache_key(&source.canonical, lib, spec.key_material(None))
+    cache_key(canonical, lib, spec.key_material(None))
 }
 
 /// The flow configuration a job resolves to, plus its cache key.

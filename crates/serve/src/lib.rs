@@ -15,7 +15,9 @@
 //!    job's key is the SHA-256 of its canonicalized netlist plus library
 //!    and flow configuration, computed from one parse of the submission
 //!    ([`job::read_inline`]); the circuit is built only on a miss, on a
-//!    worker once the reactor has its canonical netlist.
+//!    worker once the reactor has its canonical netlist. A text the
+//!    daemon has read before is not read again: a memo of canonical
+//!    texts, keyed by the raw bytes, feeds the key directly.
 //!    Re-submitting the same circuit — even with shuffled statements or
 //!    different whitespace — is answered from the cache, byte-identical
 //!    to the first run, with zero solver work.
@@ -37,11 +39,13 @@
 //!    rejection counts export in Prometheus text format. Alongside the
 //!    metrics, the daemon records `retime-trace` spans when
 //!    `RETIME_TRACE`/`RETIME_TRACE_OUT` is set: one `submit` span per
-//!    submission on its reactor (`parse`, `canonicalize`, `key`, and on a
-//!    miss `to_netlist`), and one `job` root span per executed job (job
-//!    id, circuit, and flow attached as attributes) with the queue wait,
-//!    an inline miss's `build` and the `execute` as child spans, exported
-//!    as Chrome-trace JSON on shutdown.
+//!    submission on its reactor (for inline text a `digest` of the raw
+//!    bytes and a `memo=hit|miss` attribute; `parse` and `canonicalize`
+//!    on a memo miss; `key`; and on a miss `to_netlist`, or a `parse` of
+//!    the remembered canonical text), and one `job` root span per
+//!    executed job (job id, circuit, and flow attached as attributes)
+//!    with the queue wait, an inline miss's `build` and the `execute` as
+//!    child spans, exported as Chrome-trace JSON on shutdown.
 //!
 //! Submissions may also arrive as EDIF 2.0.0 (`"format":"edif"` with an
 //! inline `netlist`) and may ask for the edge-triggered → two-phase
@@ -73,6 +77,7 @@ mod epoll;
 pub mod hash;
 pub mod job;
 mod lru;
+mod memo;
 pub mod metrics;
 pub mod queue;
 pub mod reactor;

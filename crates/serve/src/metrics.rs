@@ -81,6 +81,16 @@ const FAMILIES: &[(&str, &str, &str)] = &[
         "Best-effort disk-tier operations that failed.",
     ),
     (
+        "retime_serve_text_memo_hits_total",
+        "counter",
+        "Inline submissions whose canonical text the text memo held (no read, no canonical sort).",
+    ),
+    (
+        "retime_serve_text_memo_misses_total",
+        "counter",
+        "Inline submissions the key step had to read and canonicalize.",
+    ),
+    (
         "retime_serve_slow_client_disconnects_total",
         "counter",
         "Connections dropped for exceeding the write-buffer cap.",
@@ -139,6 +149,11 @@ const FAMILIES: &[(&str, &str, &str)] = &[
         "retime_serve_reactors",
         "gauge",
         "I/O reactor threads in the event loop.",
+    ),
+    (
+        "retime_serve_text_memo_bytes",
+        "gauge",
+        "Canonical text bytes resident in the text memo.",
     ),
 ];
 

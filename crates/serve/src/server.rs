@@ -15,6 +15,15 @@
 //!   structured `overloaded` rejection with `retry_after_ms`. The
 //!   reactor only reads and keys a submission; a miss is built on the
 //!   worker, so a build error is a `failed` job, not a `submit` error.
+//!   The reactor reads an inline text once while the daemon remembers
+//!   it: the text memo (`memo.rs`) keeps its canonical `.bench` text
+//!   under a SHA-256 of the raw bytes. On a memo hit the reactor keys
+//!   the remembered text with no read and no canonical sort, and on a
+//!   result miss it parses that text into the netlist. A text is
+//!   remembered only once its canonical netlist has built or its key
+//!   has hit, so a text that fails to read or build fails alike every
+//!   time. The memo is capped at `TEXT_MEMO_BYTES` of canonical text,
+//!   least recently used out.
 //! * `status` / `result` — poll or (with `"wait": true`) subscribe to a
 //!   job. A waited `result` does not block the reactor: the connection
 //!   is parked in a waiter table and the reply is injected when the
@@ -42,10 +51,11 @@ use retime_liberty::Library;
 
 use crate::cache::{CacheConfig, CachedResult, ResultCache};
 use crate::job::{
-    build_canonical, build_suite, canonical_netlist, execute, inline_key, prepare, read_inline,
-    CanonicalNetlist, CircuitRef, InlineSource, JobSpec, ResolvedCircuit,
+    build_canonical, build_suite, canonical_key, canonical_netlist, execute, inline_key, prepare,
+    read_inline, CanonicalNetlist, CircuitRef, InlineSource, JobSpec, ResolvedCircuit,
 };
 use crate::json::{obj, parse, Json};
+use crate::memo::{TextMemo, TEXT_MEMO_BYTES};
 use crate::metrics::Metrics;
 use crate::queue::{JobQueue, PushError};
 use crate::reactor::{reactor_pair, ConnLimits, LineReply, ReactorMsg, ReactorPost, Service};
@@ -165,6 +175,9 @@ struct Shared {
     /// two-phase build of a suite circuit is a different circuit than
     /// its edge-triggered build and must never be served in its place.
     suite_store: Mutex<HashMap<(String, bool), Arc<ResolvedCircuit>>>,
+    /// The canonical text of every inline netlist read and built (or
+    /// keyed to a hit), by its raw bytes.
+    texts: TextMemo,
     next_id: AtomicU64,
     workers: usize,
     shutting_down: AtomicBool,
@@ -221,6 +234,7 @@ impl Server {
             metrics: Metrics::new(),
             jobs: Mutex::new(JobTable::default()),
             suite_store: Mutex::new(HashMap::new()),
+            texts: TextMemo::new(TEXT_MEMO_BYTES),
             next_id: AtomicU64::new(1),
             workers,
             shutting_down: AtomicBool::new(false),
@@ -560,16 +574,26 @@ fn suite_shared(
 enum Keyed<'a> {
     /// A suite build, ready to run.
     Built(Arc<ResolvedCircuit>),
-    /// Inline text read as far as its key; built on a miss.
-    Inline(InlineSource<'a>),
+    /// Inline text read as far as its key; built on a miss. Remembered
+    /// under `digest` once it has built or its key has hit.
+    Read {
+        source: InlineSource<'a>,
+        digest: String,
+    },
+    /// Inline text the memo knew: its canonical text, parsed on a miss.
+    Remembered { name: &'a str, canonical: Arc<str> },
 }
 
 /// Key step, then the cache lookup, then — on a miss only — the inline
 /// netlist in canonical order ([`canonical_netlist`]), the last step
 /// that borrows the request text; the worker that takes the job builds
-/// the rest and runs the flow. Read errors (the key step's parse and the
-/// canonical build) come back from `submit`; extraction, clock and
-/// conversion errors come back as a `failed` job with the same text.
+/// the rest and runs the flow. An inline key step first looks the raw
+/// bytes up in the text memo (`digest` span; `memo` attribute on the
+/// `submit` span): a remembered text is keyed from its canonical text
+/// without a read, and parsed from it on a miss. Read errors (the key
+/// step's parse and the canonical build) come back from `submit`;
+/// extraction, clock and conversion errors come back as a `failed` job
+/// with the same text.
 fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply("shutting_down");
@@ -604,12 +628,28 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
                 Keyed::Built(circuit),
             )
         }),
-        CircuitRef::Inline { name, text } => read_inline(name, text, spec.format).map(|source| {
-            (
-                inline_key(&spec, &source, &shared.lib),
-                Keyed::Inline(source),
-            )
-        }),
+        CircuitRef::Inline { name, text } => {
+            let digest = TextMemo::digest(spec.format, text);
+            let remembered = shared.texts.get(&digest);
+            let (memo, counter) = match remembered {
+                Some(_) => ("hit", "retime_serve_text_memo_hits_total"),
+                None => ("miss", "retime_serve_text_memo_misses_total"),
+            };
+            retime_trace::attr_str("memo", memo);
+            shared.metrics.inc(counter, "", 1);
+            match remembered {
+                Some(canonical) => Ok((
+                    canonical_key(&spec, &canonical, &shared.lib),
+                    Keyed::Remembered { name, canonical },
+                )),
+                None => read_inline(name, text, spec.format).map(|source| {
+                    (
+                        inline_key(&spec, &source, &shared.lib),
+                        Keyed::Read { source, digest },
+                    )
+                }),
+            }
+        }
     };
     let (key, keyed) = match keyed {
         Ok(keyed) => keyed,
@@ -617,6 +657,9 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
     };
 
     if let Some(hit) = shared.cache.lookup(&key) {
+        if let Keyed::Read { source, digest } = &keyed {
+            shared.texts.insert(digest, &source.canonical);
+        }
         shared.metrics.inc("retime_serve_cache_hits_total", "", 1);
         let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
         shared.jobs.lock().expect("jobs lock").records.insert(
@@ -642,10 +685,19 @@ fn handle_submit(shared: &Shared, spec: Result<JobSpec, String>) -> Json {
 
     let circuit = match keyed {
         Keyed::Built(circuit) => Pending::Built(circuit),
-        Keyed::Inline(source) => match canonical_netlist(source) {
-            Ok(source) => Pending::Canonical(source),
+        Keyed::Read { source, digest } => match canonical_netlist(source) {
+            Ok(source) => {
+                shared.texts.insert(&digest, &source.canonical);
+                Pending::Canonical(source)
+            }
             Err(e) => return error_reply(&e),
         },
+        Keyed::Remembered { name, canonical } => {
+            match canonical_netlist(InlineSource::remembered(name, canonical.to_string())) {
+                Ok(source) => Pending::Canonical(source),
+                Err(e) => return error_reply(&e),
+            }
+        }
     };
     // The worker needs the options, not the submitted text.
     if let CircuitRef::Inline { text, .. } = &mut spec.circuit {
@@ -823,6 +875,7 @@ fn handle_metrics(shared: &Shared) -> Json {
             shared.open_connections.load(Ordering::Relaxed) as f64,
         ),
         ("retime_serve_reactors", shared.posts().len() as f64),
+        ("retime_serve_text_memo_bytes", shared.texts.bytes() as f64),
     ]);
     obj(vec![("ok", Json::Bool(true)), ("metrics", Json::Str(text))])
 }

@@ -198,8 +198,8 @@ fn outcome(client: &mut Client, format: &str, convert: bool, text: &str) -> Stri
 
 /// Every submission's pinned outcome, as `format convert case: outcome`.
 const EXPECTED: &[&str] = &[
-    "bench convert=false empty: done",
-    "bench convert=true empty: done",
+    "bench convert=false empty: submit: netlist parse error: no INPUT, OUTPUT or gate statement",
+    "bench convert=true empty: submit: netlist parse error: no INPUT, OUTPUT or gate statement",
     "bench convert=false byte soup: submit: netlist parse error: parse error at line 2: unrecognized statement",
     "bench convert=true byte soup: submit: netlist parse error: parse error at line 2: unrecognized statement",
     "bench convert=false truncated: submit: netlist parse error: parse error at line 5: missing `(` in gate",

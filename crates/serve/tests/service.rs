@@ -311,14 +311,18 @@ fn shutdown_drains_queued_jobs_then_exits() {
 }
 
 /// The submit path in spans: every request line's JSON parse and spec
-/// run in a `request` span; every submission runs the key step
-/// (`parse`, `canonicalize`, `key`) on the reactor; only a miss adds the
-/// canonical netlist (`to_netlist` from the key step's table — no second
-/// `parse`) on the reactor and a worker `job`, whose `build` (`extract`,
-/// `clock`, and the conversion's spans when converting) runs before its
-/// `execute`. A hit, converted or not, opens no `build`, no `convert`
-/// and no timing pass. Tracing is process-global, so the spans of this
-/// test's submissions are picked out by circuit name.
+/// run in a `request` span; every submission hashes its raw text
+/// (`digest`) and looks it up in the text memo (a `memo` attribute on
+/// `submit`). The first sight of the text runs the key step (`parse`,
+/// `canonicalize`, `key`) on the reactor; every later one keys the
+/// remembered canonical text (`key` alone). Only a miss adds the
+/// canonical netlist on the reactor — `to_netlist` from the key step's
+/// table, or a `parse` of the remembered canonical text — and a worker
+/// `job`, whose `build` (`extract`, `clock`, and the conversion's spans
+/// when converting) runs before its `execute`. A hit, converted or not,
+/// opens no `build`, no `convert` and no timing pass. Tracing is
+/// process-global, so the spans of this test's submissions are picked
+/// out by circuit name.
 #[test]
 fn submit_spans_key_every_time_and_build_on_a_miss_only() {
     use retime_trace::{SpanRecord, Value};
@@ -375,30 +379,31 @@ fn submit_spans_key_every_time_and_build_on_a_miss_only() {
         .filter(|r| r.name == "submit" && circuit_is(r))
         .collect();
     assert_eq!(submits.len(), 4, "one submit span per submission");
-    for (submit, (hit, convert)) in
-        submits
-            .iter()
-            .zip([(false, false), (true, false), (false, true), (true, true)])
-    {
+    for (submit, (hit, convert, memo, steps)) in submits.iter().zip([
+        (
+            false,
+            false,
+            "miss",
+            &["digest", "parse", "canonicalize", "key", "to_netlist"][..],
+        ),
+        (true, false, "hit", &["digest", "key"][..]),
+        (false, true, "hit", &["digest", "key", "parse"][..]),
+        (true, true, "hit", &["digest", "key"][..]),
+    ]) {
         let below: Vec<&str> = records
             .iter()
             .filter(|r| under(r, submit.id))
             .map(|r| r.name)
             .collect();
         let what = format!("hit={hit} convert={convert}: {below:?}");
-        if hit {
-            assert_eq!(
-                children(submit.id),
-                ["parse", "canonicalize", "key"],
-                "{what}"
-            );
-        } else {
-            assert_eq!(
-                children(submit.id),
-                ["parse", "canonicalize", "key", "to_netlist"],
-                "{what}"
-            );
-        }
+        assert_eq!(children(submit.id), steps, "{what}");
+        assert!(
+            submit
+                .attrs
+                .contains(&("memo", Value::Str(memo.to_string()))),
+            "{what}: {:?}",
+            submit.attrs
+        );
         for absent in ["build", "extract", "clock", "convert", "sta_full_pass"] {
             assert!(!below.contains(&absent), "{what}");
         }
